@@ -84,10 +84,6 @@ class PidieGrid:
     t: np.ndarray
     u: np.ndarray
 
-    def interp_x(self, k: int, points: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the time-k row at arbitrary points."""
-        return np.interp(np.asarray(points, dtype=float), self.x, self.u[k])
-
 
 @dataclass(frozen=True)
 class NonlocalStencil:

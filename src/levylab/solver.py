@@ -28,8 +28,27 @@ martingales:
 
 The regression basis is an intercept, a boundary-layer indicator and
 standardized monomials in X up to the configured degree.  Structurally
-constant columns are dropped silently; a genuinely rank-deficient design
-is reduced from the highest degree down, with a warning.
+constant columns are dropped silently.
+
+Regression
+----------
+Each step builds its design once, one contiguous row per basis column,
+into a buffer reused across steps.  It forms the design's Gram matrix (at
+most 6 x 6) and Cholesky-factors it once; the Y regression (item 1) and
+the Z regressions (item 2) are all solved against that one factor.  The
+Gram matrix squares the design's condition number, so a step whose Gram
+condition number exceeds ``GRAM_COND_MAX``, or whose factorization fails,
+falls back to the pivoting ``lstsq`` path instead: a genuinely
+rank-deficient design is reduced from the highest degree down, with a
+warning naming the step.  Early steps, where X sits on a few lattice
+points, take this path.
+
+Storage
+-------
+The sweep stores Y, y_pre, Z, dK and K node-major, so each step reads
+and writes contiguous rows; X, A, S and dH are gathered once per step.
+:class:`EnsembleSolution` exposes them as transposed views with the
+documented [path, node(, component)] shapes, without copying.
 """
 
 from __future__ import annotations
@@ -40,12 +59,20 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
 from .paths import PathEnsemble
 from .problems import ProblemSpec
 
 PROJECTION = None  # sentinel value of SolverConfig.penalization
+
+# Largest Gram condition number a step may solve by Cholesky.  The Gram
+# matrix squares the design's condition number, so this admits designs up
+# to condition 1e5, where the normal-equation fit stays well inside the
+# 1e-9 agreement with the lstsq path that the tests require.
+# Rank-deficient designs sit near 1e16 and above, far past it.
+GRAM_COND_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -90,6 +117,8 @@ class EnsembleSolution:
     [path, node, component] with exact zeros beyond ``rank``; ``dK`` is the
     per-step push [path, step].  ``y_pre`` is the pre-push (left limit)
     estimate at each node, which the Skorokhod residual is built from.
+    ``Y``, ``Z``, ``K``, ``dK`` and ``y_pre`` are transposed views of the
+    sweep's node-major arrays, so they are not C-contiguous.
     """
 
     penalization: float | None
@@ -110,43 +139,76 @@ class EnsembleSolution:
 
 
 def regression_design(
-    x: np.ndarray, degree: int, theta: float, layer_width: float
+    x: np.ndarray, degree: int, theta: float, layer_width: float, out: np.ndarray
 ) -> np.ndarray:
-    """Design matrix [1, layer indicator, x~, x~^2, ..., x~^degree].
+    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree].
 
-    x~ is the standardized state.  Columns that are structurally constant
-    across the ensemble (collapsed state, empty or full boundary layer)
-    are omitted; dropping them is degeneracy of the data, not an error.
+    Each basis column is one contiguous row, written into the leading rows
+    of ``out`` (shape ``(degree + 2, n_paths)``); the returned
+    ``(ncols, n_paths)`` array is a view of it.  x~ is the standardized
+    state.  Columns that are structurally constant across the ensemble
+    (collapsed state, empty or full boundary layer) are omitted; dropping
+    them is degeneracy of the data, not an error.
     """
-    cols = [np.ones_like(x)]
+    out[0] = 1.0
+    ncol = 1
     in_layer = np.abs(x) >= theta - layer_width
-    frac = float(np.mean(in_layer))
-    if 0.0 < frac < 1.0:
-        cols.append(in_layer.astype(float))
+    if 0 < np.count_nonzero(in_layer) < x.shape[0]:
+        out[ncol] = in_layer
+        ncol += 1
     sd = float(np.std(x))
     if sd > 1e-13 and degree >= 1:
-        xs = (x - float(np.mean(x))) / sd
-        for d in range(1, degree + 1):
-            cols.append(xs**d)
-    return np.column_stack(cols)
+        xs = out[ncol]
+        np.subtract(x, float(np.mean(x)), out=xs)
+        xs /= sd
+        for d in range(1, degree):
+            np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
+        ncol += degree
+    return out[:ncol]
 
 
-def _regress(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares fitted values, reducing the design on rank deficiency."""
-    ncol = design.shape[1]
+def _gram_factor(design: np.ndarray):
+    """Cholesky factor of the design's Gram matrix, or ``None`` to fall back.
+
+    ``None`` sends the step to the pivoting least-squares path: the Gram
+    condition number exceeds ``GRAM_COND_MAX`` or the factorization fails.
+    """
+    gram = design @ design.T
+    if not np.linalg.cond(gram) <= GRAM_COND_MAX:
+        return None
+    try:
+        return cho_factor(gram, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _regress(design: np.ndarray, factor, targets: np.ndarray, step: int) -> np.ndarray:
+    """Least-squares fitted values of each row of ``targets`` on ``design``.
+
+    ``design`` is ``(ncols, n_paths)`` and ``targets`` ``(r, n_paths)``; the
+    result is ``(r, n_paths)``.  With the step's Gram ``factor`` the normal
+    equations are solved against it.  With ``factor`` ``None`` the design is
+    reduced from the highest degree down until ``lstsq`` finds it of full
+    rank, with a warning naming the step.
+    """
+    if factor is not None:
+        coef = cho_solve(factor, design @ targets.T, check_finite=False)
+        return coef.T @ design
+    ncol = design.shape[0]
     while True:
-        sub = design[:, :ncol]
+        sub = design[:ncol]
         try:
-            coef, _, rank, _ = np.linalg.lstsq(sub, targets, rcond=None)
+            coef, _, rank, _ = np.linalg.lstsq(sub.T, targets.T, rcond=None)
         except np.linalg.LinAlgError as exc:
-            raise SingularRegression(f"least-squares solve failed: {exc}") from exc
+            raise SingularRegression(f"least-squares solve failed at step {step}: {exc}") from exc
         if rank == ncol or ncol == 1:
-            if ncol < design.shape[1]:
+            if ncol < design.shape[0]:
                 warnings.warn(
-                    f"rank-deficient regression design; reduced to {ncol} columns",
+                    f"rank-deficient regression design at step {step}; "
+                    f"reduced to {ncol} columns",
                     SingularRegressionWarning,
                 )
-            return sub @ coef
+            return coef.T @ sub
         ncol -= 1
 
 
@@ -178,59 +240,65 @@ def solve_penalized(
     layer = config.boundary_layer if config.boundary_layer is not None else problem.theta / 10.0
 
     S = np.asarray(problem.obstacle(t[None, :], X), dtype=float)
-    xi = np.asarray(problem.terminal(X[:, -1]), dtype=float)
+    x_next = np.ascontiguousarray(X[:, n])
+    xi = np.asarray(problem.terminal(x_next), dtype=float)
     worst = float(np.min(xi - S[:, -1]))
     if worst < -config.terminal_tol:
         raise TerminalBelowObstacle(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )
 
-    Y = np.empty((n_paths, n + 1))
-    y_pre = np.empty((n_paths, n + 1))
-    Z = np.zeros((n_paths, n + 1, m))
-    dK = np.zeros((n_paths, n))
-    Y[:, n] = xi
-    y_pre[:, n] = xi
+    # Node-major storage: row k of each array is the contiguous node-k slice.
+    Yt = np.empty((n + 1, n_paths))
+    y_pre_t = np.empty((n + 1, n_paths))
+    Zt = np.zeros((n + 1, m, n_paths))
+    dKt = np.empty((n, n_paths))
+    Yt[n] = xi
+    y_pre_t[n] = xi
+    design_buf = np.empty((config.basis_dim, n_paths))
 
     pen = config.penalization
+    push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
+    a_next = np.ascontiguousarray(A[:, n])
     target0 = xi
     for k in range(n - 1, -1, -1):
-        fk = np.asarray(problem.f(t[k + 1], X[:, k + 1], Y[:, k + 1], Z[:, k + 1, :]), dtype=float)
-        phik = np.asarray(problem.phi(t[k + 1], X[:, k + 1], Y[:, k + 1]), dtype=float)
-        target = Y[:, k + 1] + fk * dt + phik * (A[:, k + 1] - A[:, k])
-        design = regression_design(X[:, k], config.degree, problem.theta, layer)
-        yhat0 = _regress(design, target[:, None])[:, 0]
+        x = np.ascontiguousarray(X[:, k])
+        a = np.ascontiguousarray(A[:, k])
+        y_next = Yt[k + 1]
+        fk = np.asarray(problem.f(t[k + 1], x_next, y_next, Zt[k + 1].T), dtype=float)
+        phik = np.asarray(problem.phi(t[k + 1], x_next, y_next), dtype=float)
+        target = y_next + fk * dt + phik * (a_next - a)
+        design = regression_design(x, config.degree, problem.theta, layer, design_buf)
+        factor = _gram_factor(design)
+        yhat0 = _regress(design, factor, target[None, :], k)[0]
         if rank:
-            centered = (Y[:, k + 1] - yhat0)[:, None] * dH[:, k, :rank]
-            Z[:, k, :rank] = _regress(design, centered) / dt
-        gk = np.asarray(problem.g(t[k], X[:, k], yhat0), dtype=float)
+            centered = dH[:, k, :rank].T * (y_next - yhat0)
+            Zt[k, :rank] = _regress(design, factor, centered, k) / dt
+        gk = np.asarray(problem.g(t[k], x, yhat0), dtype=float)
         yhat = yhat0 + gk * dB[k]
-        y_pre[:, k] = yhat
-        s = S[:, k]
-        if pen is PROJECTION:
-            push = np.maximum(s - yhat, 0.0)
-        else:
-            push = (pen * dt / (1.0 + pen * dt)) * np.maximum(s - yhat, 0.0)
-        Y[:, k] = yhat + push
-        dK[:, k] = push
+        push = push_scale * np.maximum(S[:, k] - yhat, 0.0)
+        y_pre_t[k] = yhat
+        dKt[k] = push
+        Yt[k] = yhat + push
+        x_next, a_next = x, a
         if k == 0:
             target0 = target
 
-    K = np.zeros((n_paths, n + 1))
-    K[:, 1:] = np.cumsum(dK, axis=1)
+    Kt = np.zeros((n + 1, n_paths))
+    np.cumsum(dKt, axis=0, out=Kt[1:])
 
     sol = EnsembleSolution(
         penalization=pen,
         rank=rank,
-        Y=Y,
-        Z=Z,
-        K=K,
-        dK=dK,
-        y_pre=y_pre,
+        Y=Yt.T,
+        Z=Zt.transpose(2, 0, 1),
+        K=Kt.T,
+        dK=dKt.T,
+        y_pre=y_pre_t.T,
         S=S,
         A=A,
         dt=dt,
-        y0_value=float(np.mean(Y[:, 0])),
+        y0_value=float(np.mean(Yt[0])),
         y0_se=float(np.std(target0, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
     )
     sol.skorokhod_residual = skorokhod_residual(sol)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from levylab.errors import TerminalBelowObstacle
+from levylab import solver
+from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec, validate_levy_spec
 from levylab.paths import TimeGrid, simulate_ensemble
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
@@ -252,6 +254,72 @@ class TestDiagnostics:
         sol = solve_penalized(prob, CFG, ens)
         assert sol.rank == 1
         assert np.all(sol.Z[:, :, 1:] == 0.0)
+
+
+def record_fallbacks(monkeypatch):
+    """Per step, in sweep order (last step first): did it take the lstsq path?"""
+    taken = []
+    factor = solver._gram_factor
+
+    def recording(design):
+        result = factor(design)
+        taken.append(result is None)
+        return result
+
+    monkeypatch.setattr(solver, "_gram_factor", recording)
+    return taken
+
+
+class TestRegressionPaths:
+    @pytest.mark.parametrize("penalization", [None, 16.0])
+    def test_cholesky_path_agrees_with_lstsq_fallback(self, ensemble, monkeypatch, penalization):
+        # this obstacle binds, so the push and K are compared as well
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        cfg = SolverConfig(n_paths=600, penalization=penalization)
+        fallbacks = record_fallbacks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            fast = solve_penalized(problem, cfg, ensemble)
+            assert fallbacks.count(False) > 90
+            fallbacks.clear()
+            monkeypatch.setattr(solver, "GRAM_COND_MAX", 0.0)
+            reference = solve_penalized(problem, cfg, ensemble)
+            assert all(fallbacks) and len(fallbacks) == 100
+        assert np.mean(reference.K[:, -1]) > 0.01
+        for name in ("Y", "Z", "K"):
+            np.testing.assert_allclose(
+                getattr(fast, name), getattr(reference, name), rtol=0.0, atol=1e-9
+            )
+        for name in ("y0_value", "skorokhod_residual", "penetration_norm"):
+            assert getattr(fast, name) == pytest.approx(getattr(reference, name), rel=0.0, abs=1e-9)
+        assert fast.apriori_norms.keys() == reference.apriori_norms.keys()
+        for key, value in reference.apriori_norms.items():
+            assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=1e-9)
+
+    def test_degenerate_step_falls_back_and_names_it(self, ensemble, monkeypatch):
+        # X_1 takes 3 values against 5 design columns.  The reduction keeps
+        # [1, x~, x~^2], which spans every function of 3 points, so the fit
+        # is the mean of the target over each value of X_1.
+        prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
+        fallbacks = record_fallbacks(monkeypatch)
+        with pytest.warns(SingularRegressionWarning) as caught:
+            sol = solve_penalized(prob, CFG, ensemble)
+        by_step = fallbacks[::-1]
+        assert by_step[1] and not all(by_step)
+        messages = [str(w.message) for w in caught]
+        assert messages.count("rank-deficient regression design at step 1; reduced to 3 columns") == 2
+        assert all(" at step " in msg for msg in messages)
+
+        values, groups = np.unique(ensemble.X[:, 1], return_inverse=True)
+        assert len(values) == 3
+        sizes = np.bincount(groups)
+        target = sol.Y[:, 2]  # f = phi = g = 0
+        yhat = np.bincount(groups, weights=target) / sizes
+        np.testing.assert_allclose(sol.y_pre[:, 1], yhat[groups], rtol=0.0, atol=1e-12)
+        for i in range(sol.rank):
+            centered = (target - yhat[groups]) * ensemble.dH[:, 1, i]
+            z = np.bincount(groups, weights=centered) / sizes / ensemble.grid.dt
+            np.testing.assert_allclose(sol.Z[:, 1, i], z[groups], rtol=0.0, atol=1e-10)
 
 
 def test_sigma_positive_driver_supported():
