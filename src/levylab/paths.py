@@ -9,6 +9,17 @@ Within a doubly stochastic ensemble the Brownian driver B is one shared
 path: conditional expectations in the backward solver are taken over the
 jump randomness with B frozen, so every Monte Carlo path of an ensemble
 sees the same B realization.
+
+Storage
+-------
+Both the forward reflection and the backward sweep walk the grid one node
+at a time, so the per-node arrays are stored node-major: the driver L, the
+state X, the local time |eta| and the clock A as [node, path], the
+martingale increments dH as [step, component, path].  Functions return
+them as transposed views with the documented [path, node(, component)]
+shapes; ``.T`` (or ``dH.transpose(1, 2, 0)``) recovers the contiguous
+node-major array without a copy.  The jump counts keep the [path, step,
+atom] layout they are drawn in.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InitialPointOutsideDomain, NonMonotoneUserTable
-from .levy import LevySpec, ValidatedLevySpec, linear_drift, validate_levy_spec
+from .levy import LevySpec, ValidatedLevySpec, linear_drift, step_jump_sums, validate_levy_spec
 from .teugels import TeugelsBasis, teugels_increments
 
 # stream ids for the seed tree: (master_seed, outer_sample, stream)
@@ -103,17 +114,31 @@ def assemble_levy_paths(
 
     L = (linear drift per the compensation flag) * t + jump sums, plus a
     sigma-scaled Brownian part drawn from ``rng`` when the spec has one.
+    Returns [path, node], a transposed view of node-major storage.
     """
     n_paths = counts.shape[0]
-    jump_sum = counts @ spec.jump_sizes if spec.m_atoms else np.zeros(counts.shape[:2])
-    L = np.zeros((n_paths, grid.n_steps + 1))
-    L[:, 1:] = np.cumsum(jump_sum, axis=1)
-    L += linear_drift(spec) * grid.nodes[None, :]
+    L = np.empty((grid.n_steps + 1, n_paths))
+    cumsum_nodes(step_jump_sums(counts, spec.jump_sizes), out=L)
+    L += linear_drift(spec) * grid.nodes[:, None]
     if spec.continuous_part:
         if rng is None:
             raise ValueError("an rng is required to draw the driver's continuous part")
-        L += spec.sigma * simulate_brownian(grid, rng, n_paths)
-    return L
+        L += spec.sigma * simulate_brownian(grid, rng, n_paths).T
+    return L.T
+
+
+def cumsum_nodes(steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Node values from node-major step increments, starting at zero.
+
+    ``out[0] = 0`` and ``out[k + 1] = out[k] + steps[k]``: the same adds,
+    in the same order, as ``np.cumsum(steps, axis=0)``, but one contiguous
+    row at a time.  ``np.cumsum`` along axis 0 walks each column with the
+    row stride, about five times slower at 20,000 paths.
+    """
+    out[0] = 0.0
+    for k in range(steps.shape[0]):
+        np.add(out[k], steps[k], out=out[k + 1])
+    return out
 
 
 def jump_record_from_counts(counts2d: np.ndarray, jump_sizes: np.ndarray) -> list[tuple[int, float]]:
@@ -149,26 +174,29 @@ def simulate_reflected_x(
     onto the interval; the projection distance is absorbed into the
     nondecreasing local time |eta|.  In dimension one the projection is
     the exact one-step Skorokhod map.
+
+    ``levy_path`` is one path [node] or an ensemble [path, node]; the
+    state and local time come back in the same shape, for an ensemble as
+    transposed views of node-major arrays, so each step reads and writes
+    contiguous rows.
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
     L = np.asarray(levy_path, dtype=float)
     squeeze = L.ndim == 1
-    if squeeze:
-        L = L[None, :]
-    n_paths, n_nodes = L.shape
-    dL = np.diff(L, axis=1)
-    X = np.empty((n_paths, n_nodes))
-    eta = np.zeros((n_paths, n_nodes))
-    X[:, 0] = x0
+    dL = np.diff(L[:, None] if squeeze else L.T, axis=0)  # [step, path]
+    n_nodes = dL.shape[0] + 1
+    X = np.empty((n_nodes, dL.shape[1]))
+    eta = np.empty_like(X)
+    X[0] = x0
+    eta[0] = 0.0
     for k in range(n_nodes - 1):
-        proposal = X[:, k] + np.asarray(sigma_x(X[:, k]), dtype=float) * dL[:, k]
-        clamped = np.clip(proposal, -theta, theta)
-        X[:, k + 1] = clamped
-        eta[:, k + 1] = eta[:, k] + np.abs(proposal - clamped)
+        proposal = X[k] + np.asarray(sigma_x(X[k]), dtype=float) * dL[k]
+        np.clip(proposal, -theta, theta, out=X[k + 1])
+        np.add(eta[k], np.abs(proposal - X[k + 1]), out=eta[k + 1])
     if squeeze:
-        return X[0], eta[0]
-    return X, eta
+        return X[:, 0], eta[:, 0]
+    return X.T, eta.T
 
 
 def assemble_A(
@@ -177,10 +205,16 @@ def assemble_A(
     eta_abs: np.ndarray | None = None,
     table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The increasing clock A: identity time, boundary local time, or a table."""
+    """The increasing clock A: identity time, boundary local time, or a table.
+
+    Given ``eta_abs``, the identity and local-time clocks keep its memory
+    layout, so a node-major ensemble gets a node-major clock.
+    """
     if mode == "identity-time":
         if eta_abs is not None:
-            return np.broadcast_to(grid.nodes, eta_abs.shape).copy()
+            A = np.empty_like(eta_abs, dtype=float)
+            A[...] = grid.nodes
+            return A
         return grid.nodes.copy()
     if mode == "local-time":
         if eta_abs is None:
@@ -248,7 +282,15 @@ class PathBundle:
 
 @dataclass
 class PathEnsemble:
-    """A stack of scenarios sharing one frozen Brownian path B."""
+    """A stack of scenarios sharing one frozen Brownian path B.
+
+    ``L``, ``X``, ``eta_abs`` and ``A`` are [path, node], ``dH`` is
+    [path, step, component] and ``jump_counts`` [path, step, atom].  From
+    :func:`simulate_ensemble` the first five are transposed views of
+    node-major arrays (see the module docstring); an ensemble built by
+    hand may hold path-major arrays instead, which the solver copies to
+    node-major once per sweep.
+    """
 
     grid: TimeGrid
     spec: ValidatedLevySpec

@@ -45,10 +45,16 @@ points, take this path.
 
 Storage
 -------
-The sweep stores Y, y_pre, Z, dK and K node-major, so each step reads
-and writes contiguous rows; X, A, S and dH are gathered once per step.
-:class:`EnsembleSolution` exposes them as transposed views with the
-documented [path, node(, component)] shapes, without copying.
+Every per-node array of the sweep is node-major, so each step reads and
+writes contiguous rows and nothing is gathered per step.  The inputs X, A
+and dH are taken from the ensemble's transposed views through
+``np.ascontiguousarray`` once per sweep: free for an ensemble from
+:func:`~levylab.paths.simulate_ensemble`, one copy for a hand-built
+path-major one.  The obstacle S is evaluated on the node-major state.  The
+sweep stores Y, y_pre, Z, dK and K node-major as well, and
+:class:`EnsembleSolution` exposes all of them as transposed views with the
+documented [path, node(, component)] shapes, without copying; the
+diagnostics reduce over the node-major arrays behind those views.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
-from .paths import PathEnsemble
+from .paths import PathEnsemble, cumsum_nodes
 from .problems import ProblemSpec
 
 PROJECTION = None  # sentinel value of SolverConfig.penalization
@@ -117,8 +123,9 @@ class EnsembleSolution:
     [path, node, component] with exact zeros beyond ``rank``; ``dK`` is the
     per-step push [path, step].  ``y_pre`` is the pre-push (left limit)
     estimate at each node, which the Skorokhod residual is built from.
-    ``Y``, ``Z``, ``K``, ``dK`` and ``y_pre`` are transposed views of the
-    sweep's node-major arrays, so they are not C-contiguous.
+    ``Y``, ``Z``, ``K``, ``dK``, ``y_pre``, ``S`` and ``A`` are transposed
+    views of the sweep's node-major arrays, so they are not C-contiguous;
+    ``Y.T`` (``Z.transpose(1, 2, 0)`` for ``Z``) is the node-major array.
     """
 
     penalization: float | None
@@ -231,24 +238,23 @@ def solve_penalized(
         raise ValueError(
             f"n_paths={n_paths} is below 10 * basis dimension ({10 * config.basis_dim})"
         )
-    X = ens.X
-    A = ens.A
-    dH = ens.dH
+    # Node-major inputs: row k is the contiguous node-k (step-k) slice.
+    X = np.ascontiguousarray(ens.X.T)
+    A = np.ascontiguousarray(ens.A.T)
+    dH = np.ascontiguousarray(ens.dH.transpose(1, 2, 0))
     dB = np.diff(ens.B)
-    m = dH.shape[2]
+    m = dH.shape[1]
     rank = ens.basis.rank
     layer = config.boundary_layer if config.boundary_layer is not None else problem.theta / 10.0
 
-    S = np.asarray(problem.obstacle(t[None, :], X), dtype=float)
-    x_next = np.ascontiguousarray(X[:, n])
-    xi = np.asarray(problem.terminal(x_next), dtype=float)
-    worst = float(np.min(xi - S[:, -1]))
+    S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
+    xi = np.asarray(problem.terminal(X[n]), dtype=float)
+    worst = float(np.min(xi - S[n]))
     if worst < -config.terminal_tol:
         raise TerminalBelowObstacle(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )
 
-    # Node-major storage: row k of each array is the contiguous node-k slice.
     Yt = np.empty((n + 1, n_paths))
     y_pre_t = np.empty((n + 1, n_paths))
     Zt = np.zeros((n + 1, m, n_paths))
@@ -259,33 +265,29 @@ def solve_penalized(
 
     pen = config.penalization
     push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
-    a_next = np.ascontiguousarray(A[:, n])
     target0 = xi
     for k in range(n - 1, -1, -1):
-        x = np.ascontiguousarray(X[:, k])
-        a = np.ascontiguousarray(A[:, k])
+        x = X[k]
         y_next = Yt[k + 1]
-        fk = np.asarray(problem.f(t[k + 1], x_next, y_next, Zt[k + 1].T), dtype=float)
-        phik = np.asarray(problem.phi(t[k + 1], x_next, y_next), dtype=float)
-        target = y_next + fk * dt + phik * (a_next - a)
+        fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
+        phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
+        target = y_next + fk * dt + phik * (A[k + 1] - A[k])
         design = regression_design(x, config.degree, problem.theta, layer, design_buf)
         factor = _gram_factor(design)
         yhat0 = _regress(design, factor, target[None, :], k)[0]
         if rank:
-            centered = dH[:, k, :rank].T * (y_next - yhat0)
+            centered = dH[k, :rank] * (y_next - yhat0)
             Zt[k, :rank] = _regress(design, factor, centered, k) / dt
         gk = np.asarray(problem.g(t[k], x, yhat0), dtype=float)
         yhat = yhat0 + gk * dB[k]
-        push = push_scale * np.maximum(S[:, k] - yhat, 0.0)
+        push = push_scale * np.maximum(S[k] - yhat, 0.0)
         y_pre_t[k] = yhat
         dKt[k] = push
         Yt[k] = yhat + push
-        x_next, a_next = x, a
         if k == 0:
             target0 = target
 
-    Kt = np.zeros((n + 1, n_paths))
-    np.cumsum(dKt, axis=0, out=Kt[1:])
+    Kt = cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
 
     sol = EnsembleSolution(
         penalization=pen,
@@ -295,8 +297,8 @@ def solve_penalized(
         K=Kt.T,
         dK=dKt.T,
         y_pre=y_pre_t.T,
-        S=S,
-        A=A,
+        S=S.T,
+        A=A.T,
         dt=dt,
         y0_value=float(np.mean(Yt[0])),
         y0_se=float(np.std(target0, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
@@ -313,26 +315,29 @@ def skorokhod_residual(sol: EnsembleSolution, s_values: np.ndarray | None = None
     The pre-push (left limit) estimate is the value the push acts on, so
     this is the discrete complementarity gap: zero when K only grows on
     the contact set.  The absolute value makes the diagnostic nonnegative
-    in both obstacle modes.
+    in both obstacle modes.  Like the other diagnostics it reduces over
+    the node-major arrays behind the solution's views.
     """
     S = sol.S if s_values is None else np.asarray(s_values, dtype=float)
     n = sol.dK.shape[1]
-    per_path = np.sum((sol.y_pre[:, :n] - S[:, :n]) * sol.dK, axis=1)
+    per_path = np.sum((sol.y_pre.T[:n] - S.T[:n]) * sol.dK.T, axis=0)
     return float(np.mean(np.abs(per_path)))
 
 
 def penetration_norm(sol: EnsembleSolution) -> float:
     """max over nodes of mean over paths of ((Y - S)^-)^2."""
-    pen_sq = np.maximum(sol.S - sol.Y, 0.0) ** 2
-    return float(np.max(np.mean(pen_sq, axis=0)))
+    pen_sq = np.maximum(sol.S.T - sol.Y.T, 0.0) ** 2
+    return float(np.max(np.mean(pen_sq, axis=1)))
 
 
 def _solution_norms(sol: EnsembleSolution) -> dict:
-    dA = np.diff(sol.A, axis=1)
-    sup_y2 = float(np.mean(np.max(sol.Y**2, axis=1)))
-    y2_dA = float(np.mean(np.sum(sol.Y[:, :-1] ** 2 * dA, axis=1)))
-    z2_dt = float(np.mean(np.sum(np.sum(sol.Z**2, axis=2)[:, :-1], axis=1) * sol.dt))
-    kT2 = float(np.mean(sol.K[:, -1] ** 2))
+    Y = sol.Y.T
+    dA = np.diff(sol.A.T, axis=0)
+    z2 = np.sum(sol.Z.transpose(1, 2, 0)[:-1] ** 2, axis=1)  # [step, path]
+    sup_y2 = float(np.mean(np.max(Y**2, axis=0)))
+    y2_dA = float(np.mean(np.sum(Y[:-1] ** 2 * dA, axis=0)))
+    z2_dt = float(np.mean(np.sum(z2, axis=0) * sol.dt))
+    kT2 = float(np.mean(sol.K.T[-1] ** 2))
     return {
         "sup_y2": sup_y2,
         "y2_dA": y2_dA,

@@ -530,10 +530,17 @@ _SUITES = {
 }
 
 
+def suite_checks(name: str, cfg: ExperimentConfig) -> list[CheckResult]:
+    """Run one named suite on ``cfg`` and return its gated checks."""
+    if name not in _SUITES:
+        raise LevyLabError(f"unknown suite {name!r}; known: {list(_SUITES)}")
+    return _SUITES[name](cfg)
+
+
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     """Execute the config's selected suites in a fixed order."""
     rows: list[CheckResult] = []
     for name in _SUITES:
         if name in cfg.checks:
-            rows.extend(_SUITES[name](cfg))
+            rows.extend(suite_checks(name, cfg))
     return SuiteReport(rows=rows)

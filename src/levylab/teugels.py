@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
-from .levy import LevySpec, ValidatedLevySpec, levy_moments, validate_levy_spec
+from .levy import LevySpec, ValidatedLevySpec, levy_moments, step_jump_sums, validate_levy_spec
 
 #: Gram-Schmidt pivot tolerance, relative to the raw norm of the incoming
 #: monomial.  Atoms are exact, so rank loss is structural, not numerical.
@@ -228,16 +228,20 @@ def teugels_increments(
     Returns
     -------
     Array of shape [..., n_steps, requested_m].  Columns at or beyond the
-    basis rank are exactly zero.
+    basis rank are exactly zero.  The values are stored step-major,
+    [n_steps, requested_m, n_paths], and returned as a transposed view, so
+    ``dH.transpose(1, 2, 0)`` is the contiguous step-major array for 3d
+    input.
     """
     spec = validate_levy_spec(spec)
     dt = grid.dt
     n = grid.n_steps
     rank = basis.rank
-    moments = levy_moments(spec, max(rank, 1))
+    n_pow = max(rank, 1)
+    moments = levy_moments(spec, n_pow)
 
     if isinstance(jumps, list):
-        sums = power_jump_sums(jumps, n, max(rank, 1))[None, :, :]
+        dY = power_jump_sums(jumps, n, n_pow)[:, :, None]
         squeeze = True
     else:
         counts = np.asarray(jumps)
@@ -255,28 +259,27 @@ def teugels_increments(
         if counts.shape[-2] != n:
             raise ValueError("jump counts do not match the grid's step count")
         beta = spec.jump_sizes
-        sums = np.stack(
-            [counts @ (beta**k) for k in range(1, max(rank, 1) + 1)], axis=-1
-        )  # [P, n, K]
+        beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
+        dY = step_jump_sums(counts, beta_powers)  # [n, K, P]
 
-    n_paths = sums.shape[0]
-    dY = np.empty((n_paths, n, max(rank, 1)))
+    # compensate the power sums in place: dY(k) = sums(k) - dt * m_k
+    n_paths = dY.shape[2]
     if levy_path is not None:
         L = np.asarray(levy_path, dtype=float)
         if L.ndim == 1:
             L = L[None, :]
-        dL = np.diff(L, axis=-1)
-        if dL.shape != (n_paths, n):
+        if L.shape != (n_paths, n + 1):
             raise ValueError("levy_path shape does not match the jump data")
-        dY[:, :, 0] = dL - dt * moments.mean_l1
+        np.subtract(np.diff(L.T, axis=0), dt * moments.mean_l1, out=dY[:, 0])
     else:
         if spec.continuous_part:
             raise ValueError("levy_path is required when the driver has a continuous part")
-        dY[:, :, 0] = sums[:, :, 0] - dt * moments.raw_moments[1]
+        dY[:, 0] -= dt * moments.raw_moments[1]
     for k in range(2, rank + 1):
-        dY[:, :, k - 1] = sums[:, :, k - 1] - dt * moments.raw_moments[k]
+        dY[:, k - 1] -= dt * moments.raw_moments[k]
 
-    dH = np.zeros((n_paths, n, basis.requested_m))
+    dH = np.zeros((n, basis.requested_m, n_paths))
     if rank:
-        dH[:, :, :rank] = dY[:, :, :rank] @ basis.coeffs[:rank, :rank].T
+        np.matmul(basis.coeffs[:rank, :rank], dY[:, :rank], out=dH[:, :rank])
+    dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

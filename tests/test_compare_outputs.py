@@ -1,0 +1,49 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+SUMMARY = (
+    "suite,check,status,value,tolerance,direction,seed\n"
+    "skorokhod,benchmark_k_error,pass,{value},0.02,le,1\n"
+    "feynman_kac,mc_fd_gap,{status},0.0078,0.05,le,1\n"
+)
+
+
+def write_run(root: Path, value="1.69e-14", status="pass", extra=None) -> Path:
+    root.mkdir()
+    (root / "summary.csv").write_text(SUMMARY.format(value=value, status=status))
+    (root / "fk_report.csv").write_text("key,value\nmode,deterministic (g = 0)\ny0_gap,0.00782051\n")
+    if extra:
+        (root / extra).write_text("a,b\n1,2\n")
+    return root
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        ({}, 0),
+        ({"value": "3.07e-14"}, 0),  # round-off inside atol
+        ({"value": "0.5"}, 1),  # numeric cell beyond atol
+        ({"status": "fail"}, 1),  # status must match exactly
+        ({"extra": "u_grid.csv"}, 1),  # a file only one run wrote
+    ],
+)
+def test_exit_code(tmp_path, capsys, change, code):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", **change)
+    assert compare_outputs.main([str(a), str(b), "--atol", "1e-9"]) == code
+    out = capsys.readouterr().out
+    assert "summary.csv: max |diff|" in out
+
+
+def test_reports_largest_deviation(tmp_path, capsys):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", value="3.07e-14")
+    compare_outputs.main([str(a), str(b)])
+    assert "summary.csv: max |diff| 1.38e-14" in capsys.readouterr().out

@@ -67,7 +67,6 @@ def test_mean_l1_uncompensated():
     spec = validate_levy_spec(LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25))))
     mt = levy_moments(spec, 1)
     assert mt.mean_l1 == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
-    assert mt.effective_drift == mt.mean_l1
     assert linear_drift(spec) == 0.7
 
 

@@ -142,6 +142,45 @@ class TestAssembleA:
         assert A.tolist() == [0.0, 0.5, 0.6]
 
 
+class TestNodeMajorReflection:
+    """The vectorized clamp loop against a plain per-path scalar loop."""
+
+    @staticmethod
+    def scalar_reference(sigma, theta, x0, L):
+        X = [x0]
+        eta = [0.0]
+        for k in range(len(L) - 1):
+            proposal = X[-1] + sigma(X[-1]) * (L[k + 1] - L[k])
+            clamped = min(max(proposal, -theta), theta)
+            X.append(clamped)
+            eta.append(eta[-1] + abs(proposal - clamped))
+        return X, eta
+
+    def test_ensemble_matches_scalar_euler_and_clamp_bit_for_bit(self):
+        theta, x0 = 0.8, 0.3
+        L = np.cumsum(derived_rng(14, 0).normal(0.0, 0.4, size=(7, 31)), axis=1)
+        L[:, 0] = 0.0
+        sigma = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float)
+        X, eta = simulate_reflected_x(sigma, theta, x0, L)
+        assert X.shape == eta.shape == (7, 31)
+        assert X.T.flags.c_contiguous and eta.T.flags.c_contiguous
+        assert np.any(eta[:, -1] > 0.0)  # the clamp is exercised
+        for p in range(7):
+            X_ref, eta_ref = self.scalar_reference(lambda x: 1.0 + 0.3 * x, theta, x0, L[p].tolist())
+            assert X[p].tolist() == X_ref
+            assert eta[p].tolist() == eta_ref
+
+    def test_single_path_stays_one_dimensional(self):
+        L = np.array([0.0, 0.5, 1.4, -0.3, -2.0])
+        unit = lambda x: np.ones_like(x)
+        X, eta = simulate_reflected_x(unit, 1.0, 0.2, L)
+        assert X.shape == eta.shape == (5,)
+        X2, eta2 = simulate_reflected_x(unit, 1.0, 0.2, L[None, :])
+        assert np.array_equal(X, X2[0]) and np.array_equal(eta, eta2[0])
+        X_ref, eta_ref = self.scalar_reference(lambda x: 1.0, 1.0, 0.2, L.tolist())
+        assert X.tolist() == X_ref and eta.tolist() == eta_ref
+
+
 @st.composite
 def jump_paths(draw):
     n = draw(st.integers(min_value=1, max_value=40))

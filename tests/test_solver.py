@@ -256,6 +256,17 @@ class TestDiagnostics:
         assert np.all(sol.Z[:, :, 1:] == 0.0)
 
 
+def assert_solutions_agree(fast, reference, atol):
+    """Y, Z, K, y0 and every diagnostic agree within ``atol`` absolute."""
+    for name in ("Y", "Z", "K"):
+        np.testing.assert_allclose(getattr(fast, name), getattr(reference, name), rtol=0.0, atol=atol)
+    for name in ("y0_value", "skorokhod_residual", "penetration_norm"):
+        assert getattr(fast, name) == pytest.approx(getattr(reference, name), rel=0.0, abs=atol)
+    assert fast.apriori_norms.keys() == reference.apriori_norms.keys()
+    for key, value in reference.apriori_norms.items():
+        assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=atol)
+
+
 def record_fallbacks(monkeypatch):
     """Per step, in sweep order (last step first): did it take the lstsq path?"""
     taken = []
@@ -286,15 +297,7 @@ class TestRegressionPaths:
             reference = solve_penalized(problem, cfg, ensemble)
             assert all(fallbacks) and len(fallbacks) == 100
         assert np.mean(reference.K[:, -1]) > 0.01
-        for name in ("Y", "Z", "K"):
-            np.testing.assert_allclose(
-                getattr(fast, name), getattr(reference, name), rtol=0.0, atol=1e-9
-            )
-        for name in ("y0_value", "skorokhod_residual", "penetration_norm"):
-            assert getattr(fast, name) == pytest.approx(getattr(reference, name), rel=0.0, abs=1e-9)
-        assert fast.apriori_norms.keys() == reference.apriori_norms.keys()
-        for key, value in reference.apriori_norms.items():
-            assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=1e-9)
+        assert_solutions_agree(fast, reference, atol=1e-9)
 
     def test_degenerate_step_falls_back_and_names_it(self, ensemble, monkeypatch):
         # X_1 takes 3 values against 5 design columns.  The reduction keeps
@@ -320,6 +323,34 @@ class TestRegressionPaths:
             centered = (target - yhat[groups]) * ensemble.dH[:, 1, i]
             z = np.bincount(groups, weights=centered) / sizes / ensemble.grid.dt
             np.testing.assert_allclose(sol.Z[:, 1, i], z[groups], rtol=0.0, atol=1e-10)
+
+
+class TestNodeMajorLayout:
+    def test_simulated_ensemble_is_node_major(self, ensemble):
+        # the sweep reads these without a per-step gather or a per-sweep copy
+        assert ensemble.X.T.flags.c_contiguous
+        assert ensemble.A.T.flags.c_contiguous
+        assert ensemble.L.T.flags.c_contiguous
+        assert ensemble.dH.transpose(1, 2, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("penalization", [None, 16.0])
+    def test_path_major_ensemble_gives_the_same_solution(self, ensemble, penalization):
+        # the fallback: a hand-built path-major ensemble is copied once per sweep
+        path_major = dataclasses.replace(
+            ensemble,
+            X=np.ascontiguousarray(ensemble.X),
+            A=np.ascontiguousarray(ensemble.A),
+            dH=np.ascontiguousarray(ensemble.dH),
+        )
+        assert not path_major.X.T.flags.c_contiguous
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        cfg = SolverConfig(n_paths=600, penalization=penalization)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            fast = solve_penalized(problem, cfg, ensemble)
+            reference = solve_penalized(problem, cfg, path_major)
+        assert np.mean(reference.K[:, -1]) > 0.01  # the obstacle binds
+        assert_solutions_agree(fast, reference, atol=1e-12)
 
 
 def test_sigma_positive_driver_supported():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import EmptyMeasure, RankMismatch
-from levylab.levy import LevySpec, validate_levy_spec
+from levylab.levy import LevySpec, levy_moments, validate_levy_spec
 from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
 from levylab.teugels import (
     AtomicMeasure,
@@ -159,6 +159,31 @@ class TestIncrements:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
             teugels_increments([], grid, spec, basis)
+
+
+def test_ensemble_increments_match_per_path_and_power_sum_reference():
+    # three atoms, so the rank-3 basis uses power sums up to order 3; 300
+    # paths span more than one block of the step-major sums
+    spec = spec_of((0.5, 2.0), (-0.25, 3.0), (1.5, 0.5), drift=0.8)
+    basis = basis_for(spec, 5)
+    assert basis.rank == 3
+    grid = TimeGrid(2.0, 12)
+    counts = simulate_jump_counts(spec, grid, derived_rng(12, 0), 300)
+    dH = teugels_increments(counts, grid, spec, basis)
+    assert dH.shape == (300, 12, 5)
+    assert dH.transpose(1, 2, 0).flags.c_contiguous
+
+    per_path = np.stack([teugels_increments(counts[p], grid, spec, basis) for p in range(300)])
+    np.testing.assert_allclose(dH, per_path, rtol=0.0, atol=1e-14)
+
+    # reference: power sums as one matmul per order, basis applied path-major
+    moments = levy_moments(spec, 3)
+    beta = spec.jump_sizes
+    dY = np.stack(
+        [counts @ beta**k - grid.dt * moments.raw_moments[k] for k in range(1, 4)], axis=-1
+    )
+    np.testing.assert_allclose(dH[:, :, :3], dY @ basis.coeffs[:3, :3].T, rtol=0.0, atol=1e-14)
+    assert np.all(dH[:, :, 3:] == 0.0)
 
 
 def test_power_jump_sums_buckets():
