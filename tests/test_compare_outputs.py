@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,16 @@ def test_reports_largest_deviation(tmp_path, capsys):
     b = write_run(tmp_path / "b", value="3.07e-14")
     compare_outputs.main([str(a), str(b)])
     assert "summary.csv: max |diff| 1.38e-14" in capsys.readouterr().out
+
+
+def test_quick_suite_matches_committed_summary(tmp_path, capsys):
+    """`levylab suite` on the shipped quick config reproduces the committed summary."""
+    from levylab.cli import main
+
+    root = SCRIPT.parents[1]
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    shutil.copy(root / "tests" / "data" / "quick_suite_summary.csv", reference / "summary.csv")
+    run = tmp_path / "run"
+    assert main(["suite", "--config", str(root / "configs" / "quick_suite.cfg"), "--out", str(run)]) == 0
+    assert compare_outputs.main([str(reference), str(run), "--atol", "1e-9"]) == 0, capsys.readouterr().out

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from levylab.config import (
     with_overrides,
 )
 from levylab.errors import ConfigParseError, UnknownCoefficientName
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 [levy]
@@ -106,32 +110,100 @@ def test_overrides():
     assert with_overrides(cfg2, penalization="projection").penalization is None
 
 
+PROBLEM_PARAMS = {
+    "constant": ("terminal_level", "obstacle_level"),
+    "linear": ("f0", "fy", "fz1", "phy", "g0", "gy", "l0", "lx", "obstacle_level"),
+    "deterministic_obstacle": ("level", "slope"),
+    "example51": ("fy", "phy", "h_scale", "h_offset"),
+}
+
+
+def _number(draw, lo, hi):
+    return f"{draw(st.floats(lo, hi)):.3f}"
+
+
 @st.composite
 def configs(draw):
+    """Config text drawing every key of the schema, each present or absent."""
     n_atoms = draw(st.integers(0, 3))
     slots = draw(st.lists(st.integers(-6, 6).filter(lambda v: v != 0),
                           min_size=n_atoms, max_size=n_atoms, unique=True))
-    atoms = ", ".join(f"{s / 4.0}:{draw(st.floats(0.1, 3.0)):.3f}" for s in slots) or "none"
-    name = draw(st.sampled_from(["constant", "linear", "deterministic_obstacle", "example51"]))
-    pen = draw(st.sampled_from(["projection", "4.0", "16.0"]))
-    checks = draw(st.sampled_from(["all", "orthonormality", "skorokhod, uniqueness"]))
-    seed = draw(st.integers(0, 2**32))
-    return (
-        f"[levy]\natoms = {atoms}\ndrift_b = {draw(st.floats(-1, 1)):.3f}\n"
-        f"[grid]\nhorizon = {draw(st.floats(0.5, 2.0)):.3f}\nn_steps = {draw(st.integers(1, 300))}\n"
-        f"[problem]\nname = {name}\n"
-        f"[solver]\npenalization = {pen}\nseed = {seed}\n"
-        f"[suite]\nchecks = {checks}\n"
-    )
+    atoms = ", ".join(f"{s / 4.0}:{_number(draw, 0.1, 3.0)}" for s in slots) or "none"
+    name = draw(st.sampled_from(sorted(PROBLEM_PARAMS)))
+    theta = draw(st.floats(0.5, 2.0))
+    params = draw(st.lists(st.sampled_from(PROBLEM_PARAMS[name]), unique=True, max_size=3))
+    sigma_x = draw(st.sampled_from([
+        f"constant:{_number(draw, 0.1, 2.0)}",
+        f"affine:{_number(draw, 0.5, 1.5)}:{_number(draw, -0.2, 0.2)}",
+    ]))
+    schedule = sorted(draw(st.lists(st.integers(1, 512), min_size=1, max_size=4, unique=True)))
+    sections = {
+        "levy": {
+            "atoms": atoms,
+            "drift_b": _number(draw, -1, 1),
+            "sigma": draw(st.sampled_from(["0.0", _number(draw, 0.0, 1.0)])),
+            "compensated": draw(st.sampled_from(["true", "false", "yes", "0"])),
+        },
+        "grid": {
+            "horizon": _number(draw, 0.5, 2.0),
+            "n_steps": str(draw(st.integers(1, 300))),
+        },
+        "problem": {
+            "name": name,
+            "theta": f"{theta:.3f}",
+            "x0": f"{draw(st.floats(-0.499, 0.499)):.3f}",
+            **{f"param.{key}": _number(draw, -0.5, 0.0) for key in params},  # phy <= 0
+        },
+        "forward": {
+            "sigma_x": sigma_x,
+            "a_mode": draw(st.sampled_from(["identity-time", "local-time"])),
+        },
+        "solver": {
+            "n_paths": str(draw(st.integers(1, 50000))),
+            "penalization": draw(st.sampled_from(["projection", "4.0", "16.0", "0.5"])),
+            "degree": str(draw(st.integers(0, 6))),
+            "boundary_layer": draw(st.sampled_from(["auto", "AUTO", _number(draw, 0.01, 0.4)])),
+            "outer_b_samples": str(draw(st.integers(1, 8))),
+            "seed": str(draw(st.integers(0, 2**32))),
+            "n_schedule": ",".join(str(v) for v in schedule),
+        },
+        "fd": {
+            "n_space": str(draw(st.integers(2, 400))),
+            "n_time": str(draw(st.integers(1, 800))),
+        },
+        "suite": {
+            "checks": draw(st.sampled_from(["all", "orthonormality", "skorokhod, uniqueness"])),
+        },
+        "output": {
+            "dir": draw(st.sampled_from(["out", "out/quick", "results_1"])),
+        },
+    }
+    lines = []
+    for section, entries in sections.items():
+        keys = draw(st.lists(st.sampled_from(sorted(entries)), unique=True))
+        if any(key.startswith("param.") for key in keys) and "name" not in keys:
+            keys.append("name")  # parameters belong to the drawn problem, not the default
+        if keys:
+            lines.append(f"[{section}]")
+            lines.extend(f"{key} = {entries[key]}" for key in keys)
+    return "\n".join(lines) + "\n"
 
 
 @given(configs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_serialize_parse_roundtrip_property(text):
     cfg = parse_config(text)
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert serialize_config(again) == serialize_config(cfg)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_roundtrips(path):
+    cfg = parse_config(path.read_text())
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_all_expands_to_every_suite():
