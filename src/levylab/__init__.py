@@ -21,7 +21,6 @@ from .errors import (
     GridIncompatible,
     InitialPointOutsideDomain,
     LevyLabError,
-    NonMonotoneUserTable,
     NonpositiveIntensity,
     RankMismatch,
     SingularRegression,
@@ -32,14 +31,12 @@ from .errors import (
 )
 from .levy import LevySpec, MomentTable, ValidatedLevySpec, levy_moments, validate_levy_spec
 from .paths import (
-    PathBundle,
     PathEnsemble,
     TimeGrid,
     assemble_A,
     derived_rng,
     simulate_brownian,
     simulate_ensemble,
-    simulate_levy,
     simulate_reflected_x,
     skorokhod_minimality_gap,
 )

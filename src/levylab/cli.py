@@ -17,7 +17,6 @@ import numpy as np
 from .config import ExperimentConfig, load_config, with_overrides
 from .errors import LevyLabError
 from .paths import simulate_ensemble
-from .solver import SolverConfig
 from .suites import SuiteReport, crosscheck_run, run_suite, solve_outer_samples, suite_checks
 from .teugels import basis_for
 
@@ -68,9 +67,14 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
             )
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     lines = ["path,step,jump_size"]
+    sizes = [f"{size:.12g}" for size in spec.jump_sizes.tolist()]
     for p in range(n_paths):
-        for step, size in ens.bundle(p).jump_record:
-            lines.append(f"{p},{step},{size:.12g}")
+        # row-major nonzero: sorted by step, then by atom, one row per jump
+        counts = ens.jump_counts[p]
+        steps, atoms = np.nonzero(counts)
+        repeats = counts[steps, atoms]
+        for step, atom in zip(np.repeat(steps, repeats).tolist(), np.repeat(atoms, repeats).tolist()):
+            lines.append(f"{p},{step},{sizes[atom]}")
     _write(out / "jumps.csv", "\n".join(lines) + "\n")
     lines = ["path,step,component,dH"]
     for p in range(n_paths):
@@ -84,17 +88,10 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 def _solve_rows(cfg: ExperimentConfig, penalization):
     problem = cfg.build_problem()
     spec = cfg.build_levy()
-    config = SolverConfig(
-        n_paths=cfg.n_paths,
-        penalization=penalization,
-        degree=cfg.degree,
-        boundary_layer=cfg.boundary_layer,
-        outer_b_samples=cfg.outer_b_samples,
-        master_seed=cfg.seed,
-    )
     sols, y0, se = solve_outer_samples(
-        problem, spec, cfg.grid, config, x0=cfg.x0, sigma_x=cfg.build_sigma_x(),
-        a_mode=cfg.a_mode,
+        problem, spec, cfg.grid, cfg.build_solver_config(penalization),
+        cfg.n_paths, cfg.seed, cfg.outer_b_samples,
+        x0=cfg.x0, sigma_x=cfg.build_sigma_x(), a_mode=cfg.a_mode,
     )
     k_t = float(np.mean([np.mean(s.K[:, -1]) for s in sols]))
     resid = float(np.mean([s.skorokhod_residual for s in sols]))
@@ -180,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "basis": "print the orthonormal basis coefficients as CSV",
-        "simulate": "write sample path bundles as CSV",
+        "simulate": "write sample paths, jumps and martingale increments as CSV",
         "solve": "run the backward solver and write a summary CSV",
         "verify": "run the orthonormality suite",
         "crosscheck": "solve by Monte Carlo and finite differences and compare",

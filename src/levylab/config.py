@@ -32,6 +32,7 @@ line number.  Example::
     n_paths = 20000
     penalization = projection    # or a positive number
     degree = 4
+    boundary_layer = auto        # or a positive width; auto is theta / 10
     outer_b_samples = 1
     seed = 20240601
     n_schedule = 4,16,64,256
@@ -49,15 +50,18 @@ line number.  Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParseError, UnknownCoefficientName
+from .errors import ConfigParseError
 from .levy import LevySpec, ValidatedLevySpec, validate_levy_spec
-from .paths import TimeGrid
-from .problems import REGISTRY, ProblemSpec, build_problem
+from .paths import A_MODES, TimeGrid
+from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
 
 SUITE_NAMES = (
@@ -69,29 +73,14 @@ SUITE_NAMES = (
     "feynman_kac",
 )
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "levy": ("atoms", "drift_b", "sigma", "compensated"),
-    "grid": ("horizon", "n_steps"),
-    "problem": ("name", "theta", "x0"),  # plus param.* keys
-    "forward": ("sigma_x", "a_mode"),
-    "solver": (
-        "n_paths",
-        "penalization",
-        "degree",
-        "boundary_layer",
-        "outer_b_samples",
-        "seed",
-        "n_schedule",
-    ),
-    "fd": ("n_space", "n_time"),
-    "suite": ("checks",),
-    "output": ("dir",),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description; builders turn it into objects."""
+    """Declarative experiment description; builders turn it into objects.
+
+    ``sigma_x`` is the forward coefficient as ``("constant", v)`` or
+    ``("affine", a, b)``.
+    """
 
     levy: LevySpec
     grid: TimeGrid
@@ -99,8 +88,7 @@ class ExperimentConfig:
     problem_params: tuple[tuple[str, float], ...]
     theta: float
     x0: float
-    sigma_x_kind: str
-    sigma_x_params: tuple[float, ...]
+    sigma_x: tuple
     a_mode: str
     n_paths: int
     penalization: float | None
@@ -121,24 +109,19 @@ class ExperimentConfig:
         return build_problem(self.problem_name, dict(self.problem_params), self.theta)
 
     def build_sigma_x(self) -> Callable:
-        if self.sigma_x_kind == "constant":
-            value = self.sigma_x_params[0]
+        kind, *params = self.sigma_x
+        if kind == "constant":
+            value = params[0]
             return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-        if self.sigma_x_kind == "affine":
-            a, b = self.sigma_x_params
+        if kind == "affine":
+            a, b = params
             return lambda x: a + b * np.asarray(x, dtype=float)
-        raise ValueError(f"unknown sigma_x kind {self.sigma_x_kind!r}")
+        raise ValueError(f"unknown sigma_x kind {kind!r}")
 
-    def build_solver_config(self, penalization="unset", n_paths=None, outer=None) -> SolverConfig:
-        if penalization == "unset":
-            penalization = self.penalization
+    def build_solver_config(self, penalization: float | None) -> SolverConfig:
+        """The sweep's knobs at penalty ``penalization`` (``None``: projection)."""
         return SolverConfig(
-            n_paths=n_paths if n_paths is not None else self.n_paths,
-            penalization=penalization,
-            degree=self.degree,
-            boundary_layer=self.boundary_layer,
-            outer_b_samples=outer if outer is not None else self.outer_b_samples,
-            master_seed=self.seed,
+            penalization=penalization, degree=self.degree, boundary_layer=self.boundary_layer
         )
 
 
@@ -149,8 +132,7 @@ DEFAULTS = ExperimentConfig(
     problem_params=(),
     theta=1.0,
     x0=0.0,
-    sigma_x_kind="constant",
-    sigma_x_params=(1.0,),
+    sigma_x=("constant", 1.0),
     a_mode="local-time",
     n_paths=4000,
     penalization=None,
@@ -166,8 +148,158 @@ DEFAULTS = ExperimentConfig(
 )
 
 
+# ---------------------------------------------------------------------------
+# value parsers: text -> value, raising ValueError with the key-less message
+
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"is not an integer: {text!r}") from None
+
+
+def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
+    """``parse``, then reject values failing ``ok`` with ``message``."""
+
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(message)
+        return value
+
+    return checked
+
+
+def _or_none(word: str, parse: Callable) -> Callable:
+    """``word`` (in any case) stands for ``None``; anything else goes to ``parse``."""
+    return lambda text: None if text.lower() == word else parse(text)
+
+
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expects true/false, got {text!r}")
+
+
+def _atoms(text: str) -> tuple[tuple[float, float], ...]:
+    if text.lower() in ("none", ""):
+        return ()
+    atoms = []
+    for chunk in text.split(","):
+        parts = chunk.strip().split(":")
+        if len(parts) != 2:
+            raise ValueError(f"expects jump:intensity pairs, got {chunk.strip()!r}")
+        atoms.append((_float(parts[0]), _float(parts[1])))
+    return tuple(atoms)
+
+
+def _sigma_x(text: str) -> tuple:
+    kind, *params = (part.strip() for part in text.split(":"))
+    if (kind, len(params)) not in (("constant", 1), ("affine", 2)):
+        raise ValueError(f"expects constant:v or affine:a:b, got {text!r}")
+    return (kind, *map(_float, params))
+
+
+def _checks(text: str) -> tuple[str, ...]:
+    if text.strip().lower() == "all":
+        return SUITE_NAMES
+    checks = tuple(v.strip() for v in text.split(","))
+    for chk in checks:
+        if chk not in SUITE_NAMES:
+            raise ValueError(f"names unknown suite {chk!r}; known: {', '.join(SUITE_NAMES)}")
+    return checks
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(v) for v in text.split(","))
+
+
+def _nondecreasing_positive(values) -> bool:
+    return all(v > 0 for v in values) and list(values) == sorted(values)
+
+
+def _positive(text: str) -> float:
+    return _checked(_float, lambda v: v > 0, "must be positive")(text)
+
+
+def _at_least(low: int) -> Callable:
+    return _checked(_int, lambda v: v >= low, f"must be >= {low}")
+
+
+#: The config schema: (section, key, ExperimentConfig field, parser,
+#: formatter), in file order.  A dotted field names an attribute of a
+#: nested spec (``levy.atoms`` is ``cfg.levy.atoms``).  Parsers map the
+#: text to the value and check the key's own range; a formatter returning
+#: ``None`` leaves the key out.  ``[problem]`` also takes ``param.<name>``
+#: numbers, the overrides of the named coefficient set.
+_KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
+    ("levy", "atoms", "levy.atoms", _atoms,
+     lambda atoms: ", ".join(f"{b!r}:{a!r}" for b, a in atoms) or "none"),
+    ("levy", "drift_b", "levy.drift_b", _float, repr),
+    ("levy", "sigma", "levy.sigma", _float, repr),
+    ("levy", "compensated", "levy.compensated", _bool, lambda v: "true" if v else "false"),
+    ("grid", "horizon", "grid.horizon", _positive, repr),
+    ("grid", "n_steps", "grid.n_steps", _at_least(1), str),
+    ("problem", "name", "problem_name", str, str),
+    ("problem", "theta", "theta", _positive, repr),
+    ("problem", "x0", "x0", _float, repr),
+    ("forward", "sigma_x", "sigma_x", _sigma_x,
+     lambda v: ":".join([v[0], *map(repr, v[1:])])),
+    ("forward", "a_mode", "a_mode",
+     _checked(str, A_MODES.__contains__, "must be one of " + ", ".join(A_MODES)), str),
+    ("solver", "n_paths", "n_paths", _at_least(1), str),
+    ("solver", "penalization", "penalization",
+     _or_none("projection",
+              _checked(_float, lambda v: v > 0, "must be positive or 'projection'")),
+     lambda v: "projection" if v is None else repr(v)),
+    ("solver", "degree", "degree", _at_least(0), str),
+    ("solver", "boundary_layer", "boundary_layer",
+     _or_none("auto", _checked(_float, lambda v: v > 0, "must be positive or 'auto'")),
+     lambda v: "auto" if v is None else repr(v)),
+    ("solver", "outer_b_samples", "outer_b_samples", _at_least(1), str),
+    ("solver", "seed", "seed",
+     _checked(_int, lambda v: v >= 0, "must be a nonnegative integer"), str),
+    ("solver", "n_schedule", "n_schedule",
+     _checked(_floats, _nondecreasing_positive, "must be increasing positive numbers"),
+     lambda v: ",".join(map(repr, v))),
+    ("fd", "n_space", "fd_space", _at_least(2), str),
+    ("fd", "n_time", "fd_time", _at_least(1), str),
+    ("suite", "checks", "checks", _checks, ", ".join),
+    ("output", "dir", "out_dir", str, lambda v: v),
+)
+
+PARAM_PREFIX = "param."
+
+
+def _field(cfg: ExperimentConfig, field: str):
+    return reduce(getattr, field.split("."), cfg)
+
+
+def _parse(parse: Callable, text: str, key: str, line: int | None):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigParseError(f"{key} {exc}", line) from exc
+
+
 def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Sections -> {key: (raw value, line number)}, strict on shape."""
+    known = {(section, key) for section, key, *_ in _KEYS}
+    sections = {section for section, _ in known}
     out: dict[str, dict[str, tuple[str, int]]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,7 +308,7 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigParseError(f"unknown section [{section}]", lineno)
             out.setdefault(section, {})
             continue
@@ -185,8 +317,9 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         if section is None:
             raise ConfigParseError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        known = _SCHEMA[section]
-        if key not in known and not (section == "problem" and key.startswith("param.")):
+        if (section, key) not in known and not (
+            section == "problem" and key.startswith(PARAM_PREFIX)
+        ):
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]", lineno)
         if key in out[section]:
             raise ConfigParseError(f"duplicate key {key!r} in section [{section}]", lineno)
@@ -194,265 +327,68 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return out
 
 
-def _take(sections, section, key, default):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        return default, None
-    return entry
+def _build(values: dict, params: tuple, lines: dict) -> ExperimentConfig:
+    """The cross-field checks, then the config.
 
-
-def _parse_float(value: str, line: int, key: str) -> float:
+    ``values`` maps every field of the schema to its value, ``lines`` the
+    fields read from a file to their line numbers.
+    """
+    nested = {"levy": {}, "grid": {}}
+    flat = {}
+    for field, value in values.items():
+        outer, _, inner = field.partition(".")
+        if inner:
+            nested[outer][inner] = value
+        else:
+            flat[field] = value
+    levy = LevySpec(**nested["levy"])
     try:
-        v = float(value)
-    except ValueError as exc:
-        raise ConfigParseError(f"{key}: not a number: {value!r}", line) from exc
-    if not np.isfinite(v):
-        raise ConfigParseError(f"{key}: must be finite", line)
-    return v
-
-
-def _parse_int(value: str, line: int, key: str) -> int:
+        validate_levy_spec(levy)
+    except Exception as exc:
+        raise ConfigParseError(f"invalid driver spec: {exc}", lines.get("levy.atoms")) from exc
+    theta, x0 = flat["theta"], flat["x0"]
+    if not (-theta <= x0 <= theta):
+        raise ConfigParseError(f"x0 must lie in [-theta, theta] = [{-theta}, {theta}]", lines.get("x0"))
+    name = flat["problem_name"]
     try:
-        return int(value)
+        build_problem(name, dict(params), theta)
     except ValueError as exc:
-        raise ConfigParseError(f"{key}: not an integer: {value!r}", line) from exc
-
-
-def _parse_bool(value: str, line: int, key: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigParseError(f"{key}: expected true/false, got {value!r}", line)
-
-
-def _parse_atoms(value: str, line: int) -> tuple[tuple[float, float], ...]:
-    if value.lower() in ("none", ""):
-        return ()
-    atoms = []
-    for chunk in value.split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) != 2:
-            raise ConfigParseError(f"atoms: expected jump:intensity, got {chunk.strip()!r}", line)
-        atoms.append((_parse_float(parts[0], line, "atoms"), _parse_float(parts[1], line, "atoms")))
-    return tuple(atoms)
+        raise ConfigParseError(f"invalid problem parameters for {name!r}: {exc}") from exc
+    return ExperimentConfig(levy=levy, grid=TimeGrid(**nested["grid"]), problem_params=params, **flat)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config file; see the module docstring for the format."""
     sections = _scan(text)
-    d = DEFAULTS
-
-    value, line = _take(sections, "levy", "atoms", None)
-    atoms = _parse_atoms(value, line) if value is not None else d.levy.atoms
-    atoms_line = line
-    value, line = _take(sections, "levy", "drift_b", None)
-    drift = _parse_float(value, line, "drift_b") if value is not None else d.levy.drift_b
-    value, line = _take(sections, "levy", "sigma", None)
-    sigma = _parse_float(value, line, "sigma") if value is not None else d.levy.sigma
-    value, line = _take(sections, "levy", "compensated", None)
-    compensated = _parse_bool(value, line, "compensated") if value is not None else d.levy.compensated
-    levy = LevySpec(drift_b=drift, sigma=sigma, atoms=atoms, compensated=compensated)
-    try:
-        validate_levy_spec(levy)
-    except Exception as exc:
-        raise ConfigParseError(f"invalid driver spec: {exc}", atoms_line) from exc
-
-    value, line = _take(sections, "grid", "horizon", None)
-    horizon = _parse_float(value, line, "horizon") if value is not None else d.grid.horizon
-    value, line = _take(sections, "grid", "n_steps", None)
-    n_steps = _parse_int(value, line, "n_steps") if value is not None else d.grid.n_steps
-    steps_line = line
-    try:
-        grid = TimeGrid(horizon=horizon, n_steps=n_steps)
-    except ValueError as exc:
-        raise ConfigParseError(str(exc), steps_line) from exc
-
-    value, line = _take(sections, "problem", "name", None)
-    name = value if value is not None else d.problem_name
-    if name not in REGISTRY:
-        raise UnknownCoefficientName(
-            f"unknown coefficient name {name!r}; known: {sorted(REGISTRY)}"
-        )
-    params = []
-    for key, (value, line) in sections.get("problem", {}).items():
-        if key.startswith("param."):
-            params.append((key[len("param.") :], _parse_float(value, line, key)))
-    params.sort()
-    value, line = _take(sections, "problem", "theta", None)
-    theta = _parse_float(value, line, "theta") if value is not None else d.theta
-    if theta <= 0:
-        raise ConfigParseError("theta must be positive", line)
-    value, line = _take(sections, "problem", "x0", None)
-    x0 = _parse_float(value, line, "x0") if value is not None else d.x0
-    if not (-theta <= x0 <= theta):
-        raise ConfigParseError(f"x0 must lie in [-theta, theta] = [{-theta}, {theta}]", line)
-    try:
-        build_problem(name, dict(params), theta)
-    except UnknownCoefficientName:
-        raise
-    except ValueError as exc:
-        raise ConfigParseError(f"invalid problem parameters for {name!r}: {exc}") from exc
-
-    value, line = _take(sections, "forward", "sigma_x", None)
-    if value is None:
-        sx_kind, sx_params = d.sigma_x_kind, d.sigma_x_params
-    else:
-        parts = value.split(":")
-        sx_kind = parts[0].strip()
-        if sx_kind == "constant" and len(parts) == 2:
-            sx_params = (_parse_float(parts[1], line, "sigma_x"),)
-        elif sx_kind == "affine" and len(parts) == 3:
-            sx_params = (
-                _parse_float(parts[1], line, "sigma_x"),
-                _parse_float(parts[2], line, "sigma_x"),
-            )
+    values, lines = {}, {}
+    for section, key, field, parse, _ in _KEYS:
+        entry = sections.get(section, {}).get(key)
+        if entry is None:
+            values[field] = _field(DEFAULTS, field)
         else:
-            raise ConfigParseError(
-                f"sigma_x: expected constant:v or affine:a:b, got {value!r}", line
-            )
-    value, line = _take(sections, "forward", "a_mode", None)
-    a_mode = value if value is not None else d.a_mode
-    if a_mode not in ("identity-time", "local-time"):
-        raise ConfigParseError(f"a_mode must be one of identity-time, local-time", line)
-
-    value, line = _take(sections, "solver", "n_paths", None)
-    n_paths = _parse_int(value, line, "n_paths") if value is not None else d.n_paths
-    if n_paths < 1:
-        raise ConfigParseError("n_paths must be >= 1", line)
-    value, line = _take(sections, "solver", "penalization", None)
-    if value is None:
-        penalization = d.penalization
-    elif value.lower() == "projection":
-        penalization = None
-    else:
-        penalization = _parse_float(value, line, "penalization")
-        if penalization <= 0:
-            raise ConfigParseError("penalization must be positive or 'projection'", line)
-    value, line = _take(sections, "solver", "degree", None)
-    degree = _parse_int(value, line, "degree") if value is not None else d.degree
-    if degree < 0:
-        raise ConfigParseError("degree must be >= 0", line)
-    value, line = _take(sections, "solver", "boundary_layer", None)
-    if value is None or value.lower() == "auto":
-        boundary_layer = d.boundary_layer
-    else:
-        boundary_layer = _parse_float(value, line, "boundary_layer")
-        if boundary_layer <= 0:
-            raise ConfigParseError("boundary_layer must be positive or 'auto'", line)
-    value, line = _take(sections, "solver", "outer_b_samples", None)
-    outer = _parse_int(value, line, "outer_b_samples") if value is not None else d.outer_b_samples
-    if outer < 1:
-        raise ConfigParseError("outer_b_samples must be >= 1", line)
-    value, line = _take(sections, "solver", "seed", None)
-    seed = _parse_int(value, line, "seed") if value is not None else d.seed
-    if seed < 0:
-        raise ConfigParseError("seed must be a nonnegative integer", line)
-    value, line = _take(sections, "solver", "n_schedule", None)
-    if value is None:
-        schedule = d.n_schedule
-    else:
-        schedule = tuple(_parse_float(v.strip(), line, "n_schedule") for v in value.split(","))
-        if any(v <= 0 for v in schedule) or list(schedule) != sorted(schedule):
-            raise ConfigParseError("n_schedule must be increasing positive numbers", line)
-
-    value, line = _take(sections, "fd", "n_space", None)
-    fd_space = _parse_int(value, line, "n_space") if value is not None else d.fd_space
-    if fd_space < 2:
-        raise ConfigParseError("n_space must be >= 2", line)
-    value, line = _take(sections, "fd", "n_time", None)
-    fd_time = _parse_int(value, line, "n_time") if value is not None else d.fd_time
-    if fd_time < 1:
-        raise ConfigParseError("n_time must be >= 1", line)
-
-    value, line = _take(sections, "suite", "checks", None)
-    if value is None:
-        checks = d.checks
-    elif value.strip().lower() == "all":
-        checks = SUITE_NAMES
-    else:
-        checks = tuple(v.strip() for v in value.split(","))
-        for chk in checks:
-            if chk not in SUITE_NAMES:
-                raise ConfigParseError(
-                    f"unknown suite {chk!r}; known: {', '.join(SUITE_NAMES)}", line
-                )
-    value, line = _take(sections, "output", "dir", None)
-    out_dir = value if value is not None else d.out_dir
-
-    return ExperimentConfig(
-        levy=levy,
-        grid=grid,
-        problem_name=name,
-        problem_params=tuple(params),
-        theta=theta,
-        x0=x0,
-        sigma_x_kind=sx_kind,
-        sigma_x_params=sx_params,
-        a_mode=a_mode,
-        n_paths=n_paths,
-        penalization=penalization,
-        degree=degree,
-        boundary_layer=boundary_layer,
-        outer_b_samples=outer,
-        seed=seed,
-        n_schedule=schedule,
-        fd_space=fd_space,
-        fd_time=fd_time,
-        checks=checks,
-        out_dir=out_dir,
-    )
+            values[field] = _parse(parse, entry[0], key, entry[1])
+            lines[field] = entry[1]
+    params = tuple(sorted(
+        (key[len(PARAM_PREFIX):], _parse(_float, value, key, line))
+        for key, (value, line) in sections.get("problem", {}).items()
+        if key.startswith(PARAM_PREFIX)
+    ))
+    return _build(values, params, lines)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
-    lines = ["[levy]"]
-    atoms = ", ".join(f"{b!r}:{a!r}" for b, a in cfg.levy.atoms) or "none"
-    lines.append(f"atoms = {atoms}")
-    lines.append(f"drift_b = {cfg.levy.drift_b!r}")
-    lines.append(f"sigma = {cfg.levy.sigma!r}")
-    lines.append(f"compensated = {'true' if cfg.levy.compensated else 'false'}")
-    lines.append("")
-    lines.append("[grid]")
-    lines.append(f"horizon = {cfg.grid.horizon!r}")
-    lines.append(f"n_steps = {cfg.grid.n_steps}")
-    lines.append("")
-    lines.append("[problem]")
-    lines.append(f"name = {cfg.problem_name}")
-    lines.append(f"theta = {cfg.theta!r}")
-    lines.append(f"x0 = {cfg.x0!r}")
-    for key, value in cfg.problem_params:
-        lines.append(f"param.{key} = {value!r}")
-    lines.append("")
-    lines.append("[forward]")
-    lines.append(f"sigma_x = {cfg.sigma_x_kind}:" + ":".join(repr(v) for v in cfg.sigma_x_params))
-    lines.append(f"a_mode = {cfg.a_mode}")
-    lines.append("")
-    lines.append("[solver]")
-    lines.append(f"n_paths = {cfg.n_paths}")
-    pen = "projection" if cfg.penalization is None else repr(cfg.penalization)
-    lines.append(f"penalization = {pen}")
-    lines.append(f"degree = {cfg.degree}")
-    lines.append(
-        "boundary_layer = "
-        + ("auto" if cfg.boundary_layer is None else repr(cfg.boundary_layer))
-    )
-    lines.append(f"outer_b_samples = {cfg.outer_b_samples}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append("n_schedule = " + ",".join(repr(v) for v in cfg.n_schedule))
-    lines.append("")
-    lines.append("[fd]")
-    lines.append(f"n_space = {cfg.fd_space}")
-    lines.append(f"n_time = {cfg.fd_time}")
-    lines.append("")
-    lines.append("[suite]")
-    lines.append("checks = " + ", ".join(cfg.checks))
-    lines.append("")
-    lines.append("[output]")
-    if cfg.out_dir is not None:
-        lines.append(f"dir = {cfg.out_dir}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, entries in groupby(_KEYS, key=lambda entry: entry[0]):
+        block = [f"[{section}]"]
+        for _, key, field, _, fmt in entries:
+            text = fmt(_field(cfg, field))
+            if text is not None:
+                block.append(f"{key} = {text}")
+        if section == "problem":
+            block.extend(f"{PARAM_PREFIX}{key} = {value!r}" for key, value in cfg.problem_params)
+        blocks.append("\n".join(block))
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -468,21 +404,20 @@ def with_overrides(
     n_steps: int | None = None,
     penalization: str | None = None,
 ) -> ExperimentConfig:
-    """Apply command-line style overrides to a parsed config."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if n_paths is not None:
-        cfg = replace(cfg, n_paths=n_paths)
-    if n_steps is not None:
-        cfg = replace(cfg, grid=TimeGrid(cfg.grid.horizon, n_steps))
-    if penalization is not None:
-        if penalization.lower() == "projection":
-            cfg = replace(cfg, penalization=None)
+    """Apply command-line style overrides to a parsed config.
+
+    Each override is checked by its key's parser and the cross-field checks
+    run again, so an override is held to the same rules as the file.
+    """
+    overrides = {
+        "seed": seed, "out_dir": out_dir, "n_paths": n_paths, "n_steps": n_steps,
+        "penalization": penalization,
+    }
+    values = {}
+    for _, key, field, parse, _ in _KEYS:
+        override = overrides.get(field.rpartition(".")[2])
+        if override is None:
+            values[field] = _field(cfg, field)
         else:
-            value = float(penalization)
-            if value <= 0:
-                raise ConfigParseError("penalization override must be positive or 'projection'")
-            cfg = replace(cfg, penalization=value)
-    return cfg
+            values[field] = _parse(parse, str(override), key, None)
+    return _build(values, cfg.problem_params, {})

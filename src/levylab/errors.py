@@ -29,10 +29,6 @@ class InitialPointOutsideDomain(LevyLabError):
     """Reflected simulation started outside [-theta, theta]."""
 
 
-class NonMonotoneUserTable(LevyLabError):
-    """A user-supplied increasing-process table decreases somewhere."""
-
-
 class SingularRegression(LevyLabError):
     """No usable regression basis column remains."""
 

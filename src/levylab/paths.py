@@ -1,5 +1,5 @@
-"""Forward path simulation: Brownian driver, jump paths with exact per-step
-jump records, clamp-reflected state, and the increasing clock A.
+"""Forward path simulation: Brownian driver, jump paths from per-step jump
+counts, clamp-reflected state, and the increasing clock A.
 
 All randomness flows from one master seed through named SeedSequence spawn
 keys (see :func:`derived_rng`), so an ensemble is bit-reproducible for a
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InitialPointOutsideDomain, NonMonotoneUserTable
+from .errors import InitialPointOutsideDomain
 from .levy import LevySpec, ValidatedLevySpec, linear_drift, step_jump_sums, validate_levy_spec
 from .teugels import TeugelsBasis, teugels_increments
 
@@ -38,7 +38,7 @@ STREAM_LEVY = 0
 STREAM_BROWNIAN = 1
 STREAM_COMPARISON = 2
 
-A_MODES = ("identity-time", "local-time", "user-table")
+A_MODES = ("identity-time", "local-time")
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -141,26 +141,6 @@ def cumsum_nodes(steps: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def jump_record_from_counts(counts2d: np.ndarray, jump_sizes: np.ndarray) -> list[tuple[int, float]]:
-    """Expand a [n_steps, n_atoms] count array into (step, size) pairs."""
-    record: list[tuple[int, float]] = []
-    steps, atoms = np.nonzero(counts2d)
-    for s, a in zip(steps, atoms):
-        record.extend([(int(s), float(jump_sizes[a]))] * int(counts2d[s, a]))
-    record.sort(key=lambda item: item[0])
-    return record
-
-
-def simulate_levy(
-    spec: LevySpec | ValidatedLevySpec, grid: TimeGrid, rng: np.random.Generator
-) -> tuple[np.ndarray, list[tuple[int, float]]]:
-    """One driver path plus its exhaustive jump record."""
-    spec = validate_levy_spec(spec)
-    counts = simulate_jump_counts(spec, grid, rng, 1)
-    L = assemble_levy_paths(spec, grid, counts, rng)
-    return L[0], jump_record_from_counts(counts[0], spec.jump_sizes)
-
-
 def simulate_reflected_x(
     sigma_x: Callable[[np.ndarray], np.ndarray],
     theta: float,
@@ -199,13 +179,8 @@ def simulate_reflected_x(
     return X.T, eta.T
 
 
-def assemble_A(
-    mode: str,
-    grid: TimeGrid,
-    eta_abs: np.ndarray | None = None,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """The increasing clock A: identity time, boundary local time, or a table.
+def assemble_A(mode: str, grid: TimeGrid, eta_abs: np.ndarray | None = None) -> np.ndarray:
+    """The increasing clock A: identity time or boundary local time.
 
     Given ``eta_abs``, the identity and local-time clocks keep its memory
     layout, so a node-major ensemble gets a node-major clock.
@@ -220,17 +195,6 @@ def assemble_A(
         if eta_abs is None:
             raise ValueError("local-time mode needs the simulated |eta|")
         return np.array(eta_abs, dtype=float, copy=True)
-    if mode == "user-table":
-        if table is None:
-            raise ValueError("user-table mode needs a table")
-        A = np.asarray(table, dtype=float)
-        if A.shape[-1] != grid.n_steps + 1:
-            raise NonMonotoneUserTable("table length does not match the grid")
-        if np.any(A[..., 0] != 0.0):
-            raise NonMonotoneUserTable("A must start at 0")
-        if np.any(np.diff(A, axis=-1) < 0.0):
-            raise NonMonotoneUserTable("A must be nondecreasing")
-        return A.copy()
     raise ValueError(f"unknown A mode {mode!r}; expected one of {A_MODES}")
 
 
@@ -257,27 +221,6 @@ def skorokhod_minimality_gap(
 def unit_coefficient(x):
     """Default forward coefficient sigma_x(x) = 1."""
     return np.ones_like(np.asarray(x, dtype=float))
-
-
-@dataclass
-class PathBundle:
-    """One simulated scenario on a time grid.
-
-    ``jump_record`` lists every jump as a (step index, size) pair;
-    ``eta_sign`` holds the inward direction e(X) at each node (zero away
-    from the boundary); ``dH`` holds the per-step orthonormal martingale
-    increments, columns beyond the basis rank exactly zero.
-    """
-
-    grid: TimeGrid
-    B: np.ndarray
-    L: np.ndarray
-    jump_record: list[tuple[int, float]]
-    X: np.ndarray
-    eta_abs: np.ndarray
-    eta_sign: np.ndarray
-    A: np.ndarray
-    dH: np.ndarray
 
 
 @dataclass
@@ -309,19 +252,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.L.shape[0]
 
-    def bundle(self, p: int) -> PathBundle:
-        return PathBundle(
-            grid=self.grid,
-            B=self.B.copy(),
-            L=self.L[p].copy(),
-            jump_record=jump_record_from_counts(self.jump_counts[p], self.spec.jump_sizes),
-            X=self.X[p].copy(),
-            eta_abs=self.eta_abs[p].copy(),
-            eta_sign=np.asarray(boundary_direction(self.X[p], self.theta)),
-            A=self.A[p].copy(),
-            dH=self.dH[p].copy(),
-        )
-
 
 def simulate_ensemble(
     spec: LevySpec | ValidatedLevySpec,
@@ -333,7 +263,6 @@ def simulate_ensemble(
     x0: float,
     sigma_x: Callable[[np.ndarray], np.ndarray] | None = None,
     a_mode: str = "local-time",
-    a_table: np.ndarray | None = None,
     outer_index: int = 0,
 ) -> PathEnsemble:
     """Simulate a doubly stochastic ensemble for one outer Brownian sample.
@@ -350,7 +279,7 @@ def simulate_ensemble(
     L = assemble_levy_paths(spec, grid, counts, rng_levy)
     B = simulate_brownian(grid, rng_b)
     X, eta = simulate_reflected_x(sigma_x, theta, x0, L)
-    A = assemble_A(a_mode, grid, eta_abs=eta, table=a_table)
+    A = assemble_A(a_mode, grid, eta_abs=eta)
     dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
     return PathEnsemble(
         grid=grid,

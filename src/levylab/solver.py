@@ -80,35 +80,32 @@ PROJECTION = None  # sentinel value of SolverConfig.penalization
 # Rank-deficient designs sit near 1e16 and above, far past it.
 GRAM_COND_MAX = 1e10
 
+# How far the terminal value may fall below the obstacle before the sweep
+# refuses the problem.
+TERMINAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the backward sweep.
+    """Knobs of one backward sweep.
 
-    ``penalization`` is a positive penalty parameter, or ``None`` for
-    projection mode (the limit of the penalty scheme).  ``boundary_layer``
-    is the width of the near-wall indicator column; ``None`` means
-    theta / 10.  ``n_paths`` must be at least ten times the regression
-    basis dimension.
+    ``penalization`` is a positive, finite penalty parameter, or ``None``
+    for projection mode (the limit of the penalty scheme).  ``degree`` is
+    the highest monomial of the regression basis.  ``boundary_layer`` is
+    the width of the near-wall indicator column; ``None`` means theta / 10.
+    The path count comes from the ensemble, which must hold at least ten
+    times ``basis_dim`` paths.
     """
 
-    n_paths: int
     penalization: float | None = PROJECTION
     degree: int = 4
     boundary_layer: float | None = None
-    outer_b_samples: int = 1
-    master_seed: int = 0
-    terminal_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.penalization is not None and not self.penalization > 0.0:
-            raise ValueError("penalization must be positive or None (projection)")
+        if self.penalization is not None and not 0.0 < self.penalization < math.inf:
+            raise ValueError("penalization must be positive and finite, or None (projection)")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.outer_b_samples < 1:
-            raise ValueError("outer_b_samples must be >= 1")
 
     @property
     def basis_dim(self) -> int:
@@ -232,8 +229,6 @@ def solve_penalized(
     dt = grid.dt
     t = grid.nodes
     n_paths = ens.n_paths
-    if n_paths != config.n_paths:
-        raise ValueError(f"ensemble has {n_paths} paths, config declares {config.n_paths}")
     if n_paths < 10 * config.basis_dim:
         raise ValueError(
             f"n_paths={n_paths} is below 10 * basis dimension ({10 * config.basis_dim})"
@@ -250,7 +245,7 @@ def solve_penalized(
     S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
     xi = np.asarray(problem.terminal(X[n]), dtype=float)
     worst = float(np.min(xi - S[n]))
-    if worst < -config.terminal_tol:
+    if worst < -TERMINAL_TOL:
         raise TerminalBelowObstacle(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )

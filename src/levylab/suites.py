@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -175,8 +176,7 @@ def run_benchmark_solution(
     grid = TimeGrid(1.0, n_steps)
     basis = basis_for(spec)
     ens = simulate_ensemble(spec, grid, basis, n_paths, seed, theta=problem.theta, x0=0.0)
-    config = SolverConfig(n_paths=n_paths, penalization=penalization, degree=degree, master_seed=seed)
-    sol = solve_penalized(problem, config, ens)
+    sol = solve_penalized(problem, SolverConfig(penalization=penalization, degree=degree), ens)
     t = grid.nodes
     obstacle_path = 1.0 - t
     oracle = np.maximum(0.0, np.maximum.accumulate(obstacle_path[::-1])[::-1])
@@ -198,18 +198,20 @@ def penalization_family(
     x0: float = 0.0,
     sigma_x=None,
     a_mode: str = "local-time",
-    degree: int = 4,
+    solver_config: Callable[[float], SolverConfig] | None = None,
 ) -> dict[float, EnsembleSolution]:
-    """Solve one shared ensemble under every penalty parameter in turn."""
+    """Solve one shared ensemble under every penalty parameter in turn.
+
+    ``solver_config(n)`` gives the sweep's knobs at penalty n, for example
+    :meth:`ExperimentConfig.build_solver_config`; the default is
+    ``SolverConfig(penalization=n)``.
+    """
+    solver_config = solver_config or (lambda n: SolverConfig(penalization=n))
     basis = basis_for(spec)
     ens = simulate_ensemble(
         spec, grid, basis, n_paths, seed, theta=problem.theta, x0=x0, sigma_x=sigma_x, a_mode=a_mode
     )
-    out: dict[float, EnsembleSolution] = {}
-    for n in schedule:
-        config = SolverConfig(n_paths=n_paths, penalization=n, degree=degree, master_seed=seed)
-        out[n] = solve_penalized(problem, config, ens)
-    return out
+    return {n: solve_penalized(problem, solver_config(n), ens) for n in schedule}
 
 
 def solve_outer_samples(
@@ -217,25 +219,29 @@ def solve_outer_samples(
     spec: ValidatedLevySpec,
     grid: TimeGrid,
     config: SolverConfig,
+    n_paths: int,
+    seed: int,
+    n_outer: int,
     x0: float = 0.0,
     sigma_x=None,
     a_mode: str = "local-time",
 ) -> tuple[list[EnsembleSolution], float, float]:
-    """Run the solver over the configured outer Brownian samples.
+    """Run the solver over ``n_outer`` outer Brownian samples of ``seed``.
 
-    Returns the per-sample solutions plus the aggregated initial value and
-    its standard error (across samples when there are at least two, else
-    the single sample's within-ensemble proxy).
+    Each sample is an ensemble of ``n_paths`` paths.  Returns the
+    per-sample solutions plus the aggregated initial value and its standard
+    error (across samples when there are at least two, else the single
+    sample's within-ensemble proxy).
     """
     basis = basis_for(spec)
     sols = []
-    for b in range(config.outer_b_samples):
+    for b in range(n_outer):
         ens = simulate_ensemble(
             spec,
             grid,
             basis,
-            config.n_paths,
-            config.master_seed,
+            n_paths,
+            seed,
             theta=problem.theta,
             x0=x0,
             sigma_x=sigma_x,
@@ -275,7 +281,7 @@ def comparison_pair(
     lo = build_problem("linear", {"l0": terminal_lo, "fy": -0.1, "phy": -0.5}, theta)
     basis = basis_for(spec)
     ens = simulate_ensemble(spec, grid, basis, n_paths, seed, theta=theta, x0=0.0)
-    config = SolverConfig(n_paths=n_paths, penalization=None, degree=degree, master_seed=seed)
+    config = SolverConfig(penalization=None, degree=degree)
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
     report = check_comparison_hypothesis(sol_hi, sol_lo, lo, ens)
@@ -293,13 +299,6 @@ def crosscheck_run(cfg: ExperimentConfig):
     problem = cfg.build_problem()
     sigma_x = cfg.build_sigma_x()
     basis = basis_for(spec)
-    config = SolverConfig(
-        n_paths=cfg.n_paths,
-        penalization=None,
-        degree=cfg.degree,
-        boundary_layer=cfg.boundary_layer,
-        master_seed=cfg.seed,
-    )
     ens = simulate_ensemble(
         spec,
         cfg.grid,
@@ -311,7 +310,7 @@ def crosscheck_run(cfg: ExperimentConfig):
         sigma_x=sigma_x,
         a_mode="local-time",
     )
-    sol = solve_penalized(problem, config, ens)
+    sol = solve_penalized(problem, cfg.build_solver_config(None), ens)
     grid_spec = PidieGridSpec(
         theta=cfg.theta, n_space=cfg.fd_space, horizon=cfg.grid.horizon, n_time=cfg.fd_time
     )
@@ -415,7 +414,8 @@ def _suite_penalization(cfg: ExperimentConfig) -> list[CheckResult]:
         problem = deterministic_benchmark_problem()
         grid = TimeGrid(1.0, 100)
         return problem, penalization_family(
-            problem, spec, grid, min(cfg.n_paths, 4000), seed, schedule, degree=cfg.degree
+            problem, spec, grid, min(cfg.n_paths, 4000), seed, schedule,
+            solver_config=lambda n: SolverConfig(penalization=n, degree=cfg.degree),
         )
 
     (problem, family), elapsed = _timed(_benchmark_family)
@@ -455,7 +455,7 @@ def _suite_penalization(cfg: ExperimentConfig) -> list[CheckResult]:
             schedule,
             x0=cfg.x0,
             sigma_x=cfg.build_sigma_x(),
-            degree=cfg.degree,
+            solver_config=cfg.build_solver_config,
         )
 
     family51, elapsed = _timed(_stochastic_family)
@@ -489,18 +489,14 @@ def _suite_uniqueness(cfg: ExperimentConfig) -> list[CheckResult]:
     outer = max(cfg.outer_b_samples, 4)
     per_sample = max(cfg.n_paths // outer, 10 * (cfg.degree + 2))
 
+    config = cfg.build_solver_config(None)
+
     def _measure():
         values = []
         for seed in (cfg.seed, cfg.seed + 1):
-            config = SolverConfig(
-                n_paths=per_sample,
-                penalization=None,
-                degree=cfg.degree,
-                outer_b_samples=outer,
-                master_seed=seed,
-            )
             _, y0, se = solve_outer_samples(
-                problem, spec, cfg.grid, config, x0=cfg.x0, sigma_x=cfg.build_sigma_x()
+                problem, spec, cfg.grid, config, per_sample, seed, outer,
+                x0=cfg.x0, sigma_x=cfg.build_sigma_x(),
             )
             values.append((y0, se))
         (y0a, sea), (y0b, seb) = values

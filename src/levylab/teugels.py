@@ -182,27 +182,8 @@ def basis_for(spec: LevySpec | ValidatedLevySpec, requested_m: int | None = None
     return orthonormal_basis(build_mu(spec), requested_m)
 
 
-def power_jump_sums(jump_record: list[tuple[int, float]], n_steps: int, max_power: int) -> np.ndarray:
-    """Per-step sums of k-th jump powers from an explicit jump record.
-
-    ``jump_record`` lists (step index, jump size) pairs; returns an array
-    of shape [n_steps, max_power] whose column k-1 holds the step sums of
-    (jump)^k.
-    """
-    out = np.zeros((n_steps, max_power))
-    if not jump_record:
-        return out
-    steps = np.array([s for s, _ in jump_record], dtype=np.intp)
-    sizes = np.array([z for _, z in jump_record], dtype=float)
-    if steps.size and (steps.min() < 0 or steps.max() >= n_steps):
-        raise ValueError("jump record references a step outside the grid")
-    for k in range(1, max_power + 1):
-        np.add.at(out[:, k - 1], steps, sizes**k)
-    return out
-
-
 def teugels_increments(
-    jumps,
+    counts: np.ndarray,
     grid,
     spec: LevySpec | ValidatedLevySpec,
     basis: TeugelsBasis,
@@ -212,26 +193,28 @@ def teugels_increments(
 
     Parameters
     ----------
-    jumps:
-        Either an integer count array of shape [n_steps, n_atoms] or
-        [n_paths, n_steps, n_atoms] (per-step jump counts per atom), or a
-        single-path list of (step index, jump size) pairs.
+    counts:
+        Per-step jump counts per atom, an integer array of shape
+        [n_paths, n_steps, n_atoms], or [n_steps, n_atoms] for one path.
+        The power-jump sums are linear in the counts, so the counts carry
+        every jump.
     grid:
         Time grid; only ``dt`` and ``n_steps`` are used.
     spec, basis:
         Driver spec and its orthonormal basis.
     levy_path:
-        Node values of the driver path(s), required when the driver has a
-        continuous part; when given, the order-1 increment is computed as
+        Node values of the driver path(s), [n_steps + 1] or [n_paths,
+        n_steps + 1] like ``counts``; required when the driver has a
+        continuous part.  When given, the order-1 increment is computed as
         dL - dt * E[L_1] so that it includes the Brownian contribution.
 
     Returns
     -------
-    Array of shape [..., n_steps, requested_m].  Columns at or beyond the
-    basis rank are exactly zero.  The values are stored step-major,
-    [n_steps, requested_m, n_paths], and returned as a transposed view, so
-    ``dH.transpose(1, 2, 0)`` is the contiguous step-major array for 3d
-    input.
+    Array of shape [n_paths, n_steps, requested_m], or [n_steps,
+    requested_m] for 2d counts.  Columns at or beyond the basis rank are
+    exactly zero.  The values are stored step-major, [n_steps, requested_m,
+    n_paths], and returned as a transposed view, so ``dH.transpose(1, 2, 0)``
+    is the contiguous step-major array for 3d input.
     """
     spec = validate_levy_spec(spec)
     dt = grid.dt
@@ -240,27 +223,19 @@ def teugels_increments(
     n_pow = max(rank, 1)
     moments = levy_moments(spec, n_pow)
 
-    if isinstance(jumps, list):
-        dY = power_jump_sums(jumps, n, n_pow)[:, :, None]
-        squeeze = True
-    else:
-        counts = np.asarray(jumps)
-        if counts.shape[-1] != spec.m_atoms:
-            raise RankMismatch(
-                f"jump counts carry {counts.shape[-1]} atoms, spec has {spec.m_atoms}"
-            )
-        if counts.ndim == 2:
-            counts = counts[None, :, :]
-            squeeze = True
-        elif counts.ndim == 3:
-            squeeze = False
-        else:
-            raise ValueError("jump counts must be 2d or 3d")
-        if counts.shape[-2] != n:
-            raise ValueError("jump counts do not match the grid's step count")
-        beta = spec.jump_sizes
-        beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
-        dY = step_jump_sums(counts, beta_powers)  # [n, K, P]
+    counts = np.asarray(counts)
+    if counts.shape[-1] != spec.m_atoms:
+        raise RankMismatch(f"jump counts carry {counts.shape[-1]} atoms, spec has {spec.m_atoms}")
+    if counts.ndim not in (2, 3):
+        raise ValueError("jump counts must be 2d or 3d")
+    squeeze = counts.ndim == 2
+    if squeeze:
+        counts = counts[None, :, :]
+    if counts.shape[-2] != n:
+        raise ValueError("jump counts do not match the grid's step count")
+    beta = spec.jump_sizes
+    beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
+    dY = step_jump_sums(counts, beta_powers)  # [n, K, P]
 
     # compensate the power sums in place: dY(k) = sums(k) - dt * m_k
     n_paths = dY.shape[2]

@@ -152,10 +152,8 @@ def test_criterion_07_uniqueness_surrogate():
     problem = build_problem("example51", {}, 1.0)
     values = []
     for seed in (101, 202):
-        config = SolverConfig(
-            n_paths=1250, penalization=None, degree=4, outer_b_samples=8, master_seed=seed
-        )
-        _, y0, se = solve_outer_samples(problem, TWO_ATOM, TimeGrid(1.0, 100), config)
+        config = SolverConfig(penalization=None, degree=4)
+        _, y0, se = solve_outer_samples(problem, TWO_ATOM, TimeGrid(1.0, 100), config, 1250, seed, 8)
         values.append((y0, se))
     (y0a, sea), (y0b, seb) = values
     gap = abs(y0a - y0b)

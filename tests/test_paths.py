@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylab.errors import InitialPointOutsideDomain, NonMonotoneUserTable
+from levylab.errors import InitialPointOutsideDomain
 from levylab.levy import LevySpec, levy_moments, validate_levy_spec
 from levylab.paths import (
     TimeGrid,
     assemble_A,
+    assemble_levy_paths,
     boundary_direction,
     derived_rng,
     simulate_brownian,
     simulate_ensemble,
-    simulate_levy,
+    simulate_jump_counts,
     simulate_reflected_x,
     skorokhod_minimality_gap,
 )
@@ -61,23 +62,21 @@ class TestLevy:
     def test_no_atoms_is_pure_drift(self):
         spec = validate_levy_spec(LevySpec(drift_b=0.7))
         grid = TimeGrid(2.0, 8)
-        L, record = simulate_levy(spec, grid, derived_rng(5, 0))
-        assert record == []
+        rng = derived_rng(5, 0)
+        counts = simulate_jump_counts(spec, grid, rng, 1)
+        assert counts.shape == (1, 8, 0)
+        L = assemble_levy_paths(spec, grid, counts, rng)[0]
         assert np.allclose(L, 0.7 * grid.nodes, atol=1e-15)
 
     def test_poisson_count_mean(self):
         spec = validate_levy_spec(LevySpec(atoms=((1.0, 1.0),)))
         grid = TimeGrid(1.0, 10)
-        from levylab.paths import simulate_jump_counts
-
         counts = simulate_jump_counts(spec, grid, derived_rng(6, 0), 100000)
         totals = counts.sum(axis=(1, 2))
         assert abs(np.mean(totals) - 1.0) <= 4.0 * math.sqrt(1.0 / 100000)
 
     def test_terminal_mean_matches_moment_table(self):
         grid = TimeGrid(1.0, 20)
-        from levylab.paths import assemble_levy_paths, simulate_jump_counts
-
         rng = derived_rng(7, 0)
         counts = simulate_jump_counts(TWO_ATOM, grid, rng, 50000)
         L = assemble_levy_paths(TWO_ATOM, grid, counts, rng)
@@ -86,11 +85,16 @@ class TestLevy:
         assert abs(np.mean(L[:, -1]) - mt.mean_l1 * grid.horizon) <= 4.0 * se
 
     def test_jump_record_reconstructs_path(self):
+        # every jump of the count array, added one at a time, plus the drift
         grid = TimeGrid(1.0, 16)
-        L, record = simulate_levy(TWO_ATOM, grid, derived_rng(8, 0))
+        rng = derived_rng(8, 0)
+        counts = simulate_jump_counts(TWO_ATOM, grid, rng, 1)
+        L = assemble_levy_paths(TWO_ATOM, grid, counts, rng)[0]
+        assert counts.sum() > 0
         rebuilt = np.zeros(17)
-        for step, size in record:
-            rebuilt[step + 1 :] += size
+        for step, atom in zip(*np.nonzero(counts[0])):
+            for _ in range(counts[0, step, atom]):
+                rebuilt[step + 1 :] += TWO_ATOM.jump_sizes[atom]
         rebuilt += TWO_ATOM.drift_b * grid.nodes
         assert np.allclose(L, rebuilt, atol=1e-12)
 
@@ -131,15 +135,6 @@ class TestAssembleA:
         A = assemble_A("local-time", TimeGrid(1.0, 1), eta_abs=eta)
         assert A[0] == 0.0
         assert A[1] == pytest.approx(0.3, abs=1e-15)
-
-    def test_decreasing_table_rejected(self):
-        grid = TimeGrid(1.0, 2)
-        with pytest.raises(NonMonotoneUserTable):
-            assemble_A("user-table", grid, table=np.array([0.0, 0.5, 0.4]))
-        with pytest.raises(NonMonotoneUserTable):
-            assemble_A("user-table", grid, table=np.array([0.1, 0.5, 0.6]))
-        A = assemble_A("user-table", grid, table=np.array([0.0, 0.5, 0.6]))
-        assert A.tolist() == [0.0, 0.5, 0.6]
 
 
 class TestNodeMajorReflection:
@@ -225,9 +220,3 @@ def test_ensemble_determinism_bit_identical():
     b = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1)
     for field in ("B", "L", "jump_counts", "X", "eta_abs", "A", "dH"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-    bundle = a.bundle(3)
-    assert bundle.X.shape == (21,)
-    assert bundle.dH.shape == (20, basis.requested_m)
-    assert all(size in (0.3, -0.2) for _, size in bundle.jump_record)
-    # eta_sign only marks boundary nodes
-    assert np.all((bundle.eta_sign == 0) | (np.abs(bundle.X) == 1.0))

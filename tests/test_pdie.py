@@ -175,7 +175,7 @@ class TestRepresentation:
     def test_constant_case_all_zero(self, mc_setup):
         grid, ens = mc_setup
         prob = custom_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        cfg = SolverConfig(n_paths=600, penalization=None, master_seed=13)
+        cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
         report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
@@ -185,7 +185,7 @@ class TestRepresentation:
     def test_obstacle_everywhere_flat_z(self, mc_setup):
         grid, ens = mc_setup
         prob = build_problem("deterministic_obstacle", {}, 1.0)
-        cfg = SolverConfig(n_paths=600, penalization=None, master_seed=13)
+        cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
         report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
@@ -196,7 +196,7 @@ class TestRepresentation:
     def test_grid_incompatible(self, mc_setup):
         grid, ens = mc_setup
         prob = build_problem("deterministic_obstacle", {}, 1.0)
-        cfg = SolverConfig(n_paths=600, penalization=None, master_seed=13)
+        cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         bad = PidieGridSpec(theta=1.0, n_space=50, horizon=1.0, n_time=150)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, bad)
@@ -206,7 +206,7 @@ class TestRepresentation:
     def test_jump_weight_rows_report_both_normalizations(self, mc_setup):
         grid, ens = mc_setup
         prob = build_problem("example51", {}, 1.0)
-        cfg = SolverConfig(n_paths=600, penalization=None, master_seed=13)
+        cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
         report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
@@ -220,7 +220,7 @@ def test_constant_level_case_z_exactly_small(mc_setup):
     # nonzero constant terminal: the centered Z regression still returns ~0
     grid, ens = mc_setup
     prob = custom_problem(terminal=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5))
-    cfg = SolverConfig(n_paths=600, penalization=None, master_seed=13)
+    cfg = SolverConfig(penalization=None)
     sol = solve_penalized(prob, cfg, ens)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
     report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
@@ -248,7 +248,7 @@ def test_z_dependent_driver_crosscheck():
     )
     grid = TimeGrid(1.0, 100)
     ens = simulate_ensemble(TWO_ATOM, grid, BASIS, 8000, 5, theta=1.0, x0=0.0)
-    sol = solve_penalized(prob, SolverConfig(n_paths=8000, penalization=None, master_seed=5), ens)
+    sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, PidieGridSpec(1.0, 100, 1.0, 200))
     u00 = float(pg.u[0, 50])
     assert abs(sol.y0_value - u00) < 0.03
@@ -270,7 +270,7 @@ def test_pathwise_mode_matches_monte_carlo_with_shared_brownian():
     )
     mc_grid = TimeGrid(1.0, 100)
     ens = simulate_ensemble(TWO_ATOM, mc_grid, BASIS, 4000, 99, theta=1.0, x0=0.0)
-    cfg = SolverConfig(n_paths=4000, penalization=None, master_seed=99)
+    cfg = SolverConfig(penalization=None)
     sol = solve_penalized(prob, cfg, ens)
     # refine the Brownian path onto the finer grid by reusing the shared nodes
     ratio = 2

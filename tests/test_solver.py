@@ -62,7 +62,7 @@ def ensemble_identity_clock():
     )
 
 
-CFG = SolverConfig(n_paths=600, penalization=None, degree=4, master_seed=21)
+CFG = SolverConfig(penalization=None, degree=4)
 
 
 class TestExactPropagation:
@@ -123,9 +123,11 @@ class TestObstacle:
         with pytest.raises(TerminalBelowObstacle):
             solve_penalized(prob, CFG, ensemble)
 
-    def test_path_count_guard(self, ensemble):
-        with pytest.raises(ValueError):
-            solve_penalized(make_problem(), SolverConfig(n_paths=30, master_seed=1), ensemble)
+    def test_path_count_guard(self):
+        # 30 paths are fewer than 10 * basis_dim = 60 at degree 4
+        small = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 10), basis_for(TWO_ATOM), 30, 1, theta=1.0, x0=0.0)
+        with pytest.raises(ValueError, match="below 10 \\* basis dimension"):
+            solve_penalized(make_problem(), CFG, small)
 
     def test_contact_without_push_keeps_k_zero(self, ensemble):
         # obstacle exactly at the solution level: yhat == S, so dK must stay 0
@@ -184,7 +186,7 @@ class TestPenalization:
     def test_apriori_bounds_flat_for_constant_problem(self, ensemble):
         sols = {}
         for n in (1.0, 2.0, 4.0, 8.0):
-            cfg = SolverConfig(n_paths=600, penalization=n, master_seed=21)
+            cfg = SolverConfig(penalization=n)
             sols[n] = solve_penalized(make_problem(), cfg, ensemble)
         report = apriori_bounds(sols, make_problem())
         assert report.bounded
@@ -286,7 +288,7 @@ class TestRegressionPaths:
     def test_cholesky_path_agrees_with_lstsq_fallback(self, ensemble, monkeypatch, penalization):
         # this obstacle binds, so the push and K are compared as well
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
-        cfg = SolverConfig(n_paths=600, penalization=penalization)
+        cfg = SolverConfig(penalization=penalization)
         fallbacks = record_fallbacks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
@@ -344,7 +346,7 @@ class TestNodeMajorLayout:
         )
         assert not path_major.X.T.flags.c_contiguous
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
-        cfg = SolverConfig(n_paths=600, penalization=penalization)
+        cfg = SolverConfig(penalization=penalization)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
             fast = solve_penalized(problem, cfg, ensemble)
@@ -383,8 +385,7 @@ def test_uniqueness_surrogate_small():
     from levylab.suites import solve_outer_samples
 
     for seed in (7, 8):
-        cfg = SolverConfig(n_paths=500, penalization=None, outer_b_samples=4, master_seed=seed)
-        _, y0, se = solve_outer_samples(problem, TWO_ATOM, grid, cfg)
+        _, y0, se = solve_outer_samples(problem, TWO_ATOM, grid, SolverConfig(), 500, seed, 4)
         values.append((y0, se))
     (a, sa), (b, sb) = values
     assert abs(a - b) <= 4.0 * math.sqrt(sa**2 + sb**2)

@@ -13,7 +13,6 @@ from levylab.teugels import (
     basis_for,
     build_mu,
     orthonormal_basis,
-    power_jump_sums,
     teugels_increments,
 )
 
@@ -101,8 +100,8 @@ class TestIncrements:
         spec = spec_of((1.0, 1.0))
         basis = basis_for(spec, 3)
         grid = TimeGrid(1.0, 4)
-        record = [(0, 1.0), (2, 1.0), (2, 1.0)]
-        dH = teugels_increments(record, grid, spec, basis)
+        counts = np.array([[1], [0], [2], [0]])  # one jump in step 0, two in step 2
+        dH = teugels_increments(counts, grid, spec, basis)
         assert dH[:, 0].tolist() == [0.75, -0.25, 1.75, -0.25]
         assert np.all(dH[:, 1:] == 0.0)
 
@@ -110,7 +109,7 @@ class TestIncrements:
         spec = spec_of((0.5, 2.0), (-1.5, 1.0))
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 2)
-        dH = teugels_increments([], grid, spec, basis)
+        dH = teugels_increments(np.zeros((2, 2), dtype=np.int64), grid, spec, basis)
         # dY_k = -dt * m_k; check via power sums directly
         m1 = 2.0 * 0.5 - 1.0 * 1.5
         m2 = 2.0 * 0.25 + 1.0 * 2.25
@@ -120,20 +119,16 @@ class TestIncrements:
 
     def test_counts_record_and_path_agree(self):
         # the drift in dL cancels against the drift in E[L_1], so the
-        # path-based and record-based order-1 increments must match
+        # path-based and count-based order-1 increments must match; the
+        # 2d counts of one path are its jump record
         spec = spec_of((0.5, 2.0), (-0.25, 3.0), drift=0.8)
         basis = basis_for(spec)
         grid = TimeGrid(2.0, 8)
         rng = derived_rng(5, 0)
         counts = simulate_jump_counts(spec, grid, rng, 1)
         L = assemble_levy_paths(spec, grid, counts)
-        from levylab.paths import jump_record_from_counts
-
-        record = jump_record_from_counts(counts[0], spec.jump_sizes)
         dh_counts = teugels_increments(counts[0], grid, spec, basis)
-        dh_record = teugels_increments(record, grid, spec, basis)
         dh_path = teugels_increments(counts, grid, spec, basis, levy_path=L)[0]
-        assert np.allclose(dh_counts, dh_record, atol=1e-14)
         assert np.allclose(dh_counts, dh_path, atol=1e-12)
 
     def test_rank_mismatch(self):
@@ -158,7 +153,7 @@ class TestIncrements:
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
-            teugels_increments([], grid, spec, basis)
+            teugels_increments(np.zeros((4, 1), dtype=np.int64), grid, spec, basis)
 
 
 def test_ensemble_increments_match_per_path_and_power_sum_reference():
@@ -184,13 +179,6 @@ def test_ensemble_increments_match_per_path_and_power_sum_reference():
     )
     np.testing.assert_allclose(dH[:, :, :3], dY @ basis.coeffs[:3, :3].T, rtol=0.0, atol=1e-14)
     assert np.all(dH[:, :, 3:] == 0.0)
-
-
-def test_power_jump_sums_buckets():
-    sums = power_jump_sums([(0, 2.0), (0, -1.0), (3, 0.5)], 4, 3)
-    assert sums[0].tolist() == [1.0, 5.0, 7.0]
-    assert sums[3].tolist() == [0.5, 0.25, 0.125]
-    assert np.all(sums[1:3] == 0.0)
 
 
 def test_empirical_strong_orthonormality_and_zero_mean():
