@@ -52,13 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import groupby
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, LevyLabError
 from .levy import LevySpec, ValidatedLevySpec, validate_levy_spec
 from .paths import A_MODES, TimeGrid
 from .problems import ProblemSpec, build_problem
@@ -181,11 +181,6 @@ def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
     return checked
 
 
-def _or_none(word: str, parse: Callable) -> Callable:
-    """``word`` (in any case) stands for ``None``; anything else goes to ``parse``."""
-    return lambda text: None if text.lower() == word else parse(text)
-
-
 def _bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1"):
@@ -224,20 +219,28 @@ def _checks(text: str) -> tuple[str, ...]:
     return checks
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_float(v) for v in text.split(","))
+def _schedule(text: str) -> tuple[float, ...]:
+    values = tuple(_float(v) for v in text.split(","))
+    if any(v <= 0 for v in values) or list(values) != sorted(values):
+        raise ValueError("must be increasing positive numbers")
+    return values
 
 
-def _nondecreasing_positive(values) -> bool:
-    return all(v > 0 for v in values) and list(values) == sorted(values)
+def _positive_or(word: str) -> Callable:
+    """A positive number, or ``word`` (in any case) standing for ``None``."""
+    positive = _checked(_float, lambda v: v > 0, f"must be positive or {word!r}")
+    return lambda text: None if text.lower() == word else positive(text)
 
 
-def _positive(text: str) -> float:
-    return _checked(_float, lambda v: v > 0, "must be positive")(text)
+def _repr_or(word: str) -> Callable:
+    return lambda value: word if value is None else repr(value)
 
 
 def _at_least(low: int) -> Callable:
     return _checked(_int, lambda v: v >= low, f"must be >= {low}")
+
+
+_positive = _checked(_float, lambda v: v > 0, "must be positive")
 
 
 #: The config schema: (section, key, ExperimentConfig field, parser,
@@ -262,20 +265,13 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
     ("forward", "a_mode", "a_mode",
      _checked(str, A_MODES.__contains__, "must be one of " + ", ".join(A_MODES)), str),
     ("solver", "n_paths", "n_paths", _at_least(1), str),
-    ("solver", "penalization", "penalization",
-     _or_none("projection",
-              _checked(_float, lambda v: v > 0, "must be positive or 'projection'")),
-     lambda v: "projection" if v is None else repr(v)),
+    ("solver", "penalization", "penalization", _positive_or("projection"), _repr_or("projection")),
     ("solver", "degree", "degree", _at_least(0), str),
-    ("solver", "boundary_layer", "boundary_layer",
-     _or_none("auto", _checked(_float, lambda v: v > 0, "must be positive or 'auto'")),
-     lambda v: "auto" if v is None else repr(v)),
+    ("solver", "boundary_layer", "boundary_layer", _positive_or("auto"), _repr_or("auto")),
     ("solver", "outer_b_samples", "outer_b_samples", _at_least(1), str),
     ("solver", "seed", "seed",
      _checked(_int, lambda v: v >= 0, "must be a nonnegative integer"), str),
-    ("solver", "n_schedule", "n_schedule",
-     _checked(_floats, _nondecreasing_positive, "must be increasing positive numbers"),
-     lambda v: ",".join(map(repr, v))),
+    ("solver", "n_schedule", "n_schedule", _schedule, lambda v: ",".join(map(repr, v))),
     ("fd", "n_space", "fd_space", _at_least(2), str),
     ("fd", "n_time", "fd_time", _at_least(1), str),
     ("suite", "checks", "checks", _checks, ", ".join),
@@ -285,10 +281,6 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
 PARAM_PREFIX = "param."
 
 
-def _field(cfg: ExperimentConfig, field: str):
-    return reduce(getattr, field.split("."), cfg)
-
-
 def _parse(parse: Callable, text: str, key: str, line: int | None):
     try:
         return parse(text)
@@ -296,11 +288,11 @@ def _parse(parse: Callable, text: str, key: str, line: int | None):
         raise ConfigParseError(f"{key} {exc}", line) from exc
 
 
-def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Sections -> {key: (raw value, line number)}, strict on shape."""
+def _scan(text: str) -> dict[tuple[str, str], tuple[str, int]]:
+    """(section, key) -> (raw value, line number), strict on shape."""
     known = {(section, key) for section, key, *_ in _KEYS}
     sections = {section for section, _ in known}
-    out: dict[str, dict[str, tuple[str, int]]] = {}
+    out: dict[tuple[str, str], tuple[str, int]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -310,7 +302,6 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             section = line[1:-1].strip()
             if section not in sections:
                 raise ConfigParseError(f"unknown section [{section}]", lineno)
-            out.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigParseError(f"expected key = value, got {line!r}", lineno)
@@ -321,59 +312,53 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             section == "problem" and key.startswith(PARAM_PREFIX)
         ):
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]", lineno)
-        if key in out[section]:
+        if (section, key) in out:
             raise ConfigParseError(f"duplicate key {key!r} in section [{section}]", lineno)
-        out[section][key] = (value, lineno)
+        out[section, key] = (value, lineno)
     return out
 
 
-def _build(values: dict, params: tuple, lines: dict) -> ExperimentConfig:
-    """The cross-field checks, then the config.
+def _apply(base: ExperimentConfig, entries: dict, params: tuple) -> ExperimentConfig:
+    """``base`` with the (section, key) -> (text, line) ``entries`` parsed in.
 
-    ``values`` maps every field of the schema to its value, ``lines`` the
-    fields read from a file to their line numbers.
+    Every entry goes through its key's parser; then the cross-field checks
+    run on the result.
     """
-    nested = {"levy": {}, "grid": {}}
-    flat = {}
-    for field, value in values.items():
-        outer, _, inner = field.partition(".")
-        if inner:
-            nested[outer][inner] = value
+    groups: dict[str, dict] = {"levy": {}, "grid": {}, "": {}}
+    lines = {}
+    for section, key, field, parse, _ in _KEYS:
+        outer, _, inner = field.rpartition(".")
+        if (section, key) in entries:
+            text, lines[key] = entries[section, key]
+            groups[outer][inner] = _parse(parse, text, key, lines[key])
         else:
-            flat[field] = value
-    levy = LevySpec(**nested["levy"])
+            groups[outer][inner] = attrgetter(field)(base)
+    top = groups[""]
+    levy = LevySpec(**groups["levy"])
     try:
         validate_levy_spec(levy)
-    except Exception as exc:
-        raise ConfigParseError(f"invalid driver spec: {exc}", lines.get("levy.atoms")) from exc
-    theta, x0 = flat["theta"], flat["x0"]
+    except (LevyLabError, ValueError) as exc:
+        raise ConfigParseError(f"invalid driver spec: {exc}", lines.get("atoms")) from exc
+    theta, x0 = top["theta"], top["x0"]
     if not (-theta <= x0 <= theta):
         raise ConfigParseError(f"x0 must lie in [-theta, theta] = [{-theta}, {theta}]", lines.get("x0"))
-    name = flat["problem_name"]
+    name = top["problem_name"]
     try:
         build_problem(name, dict(params), theta)
     except ValueError as exc:
         raise ConfigParseError(f"invalid problem parameters for {name!r}: {exc}") from exc
-    return ExperimentConfig(levy=levy, grid=TimeGrid(**nested["grid"]), problem_params=params, **flat)
+    return ExperimentConfig(levy=levy, grid=TimeGrid(**groups["grid"]), problem_params=params, **top)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config file; see the module docstring for the format."""
-    sections = _scan(text)
-    values, lines = {}, {}
-    for section, key, field, parse, _ in _KEYS:
-        entry = sections.get(section, {}).get(key)
-        if entry is None:
-            values[field] = _field(DEFAULTS, field)
-        else:
-            values[field] = _parse(parse, entry[0], key, entry[1])
-            lines[field] = entry[1]
+    entries = _scan(text)
     params = tuple(sorted(
         (key[len(PARAM_PREFIX):], _parse(_float, value, key, line))
-        for key, (value, line) in sections.get("problem", {}).items()
+        for (_, key), (value, line) in entries.items()
         if key.startswith(PARAM_PREFIX)
     ))
-    return _build(values, params, lines)
+    return _apply(DEFAULTS, entries, params)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -382,7 +367,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for section, entries in groupby(_KEYS, key=lambda entry: entry[0]):
         block = [f"[{section}]"]
         for _, key, field, _, fmt in entries:
-            text = fmt(_field(cfg, field))
+            text = fmt(attrgetter(field)(cfg))
             if text is not None:
                 block.append(f"{key} = {text}")
         if section == "problem":
@@ -406,18 +391,16 @@ def with_overrides(
 ) -> ExperimentConfig:
     """Apply command-line style overrides to a parsed config.
 
-    Each override is checked by its key's parser and the cross-field checks
-    run again, so an override is held to the same rules as the file.
+    An override replaces the config field of its name.  It goes through
+    that key's parser and the cross-field checks, like a value in a file.
     """
     overrides = {
         "seed": seed, "out_dir": out_dir, "n_paths": n_paths, "n_steps": n_steps,
         "penalization": penalization,
     }
-    values = {}
-    for _, key, field, parse, _ in _KEYS:
-        override = overrides.get(field.rpartition(".")[2])
-        if override is None:
-            values[field] = _field(cfg, field)
-        else:
-            values[field] = _parse(parse, str(override), key, None)
-    return _build(values, cfg.problem_params, {})
+    entries = {}
+    for section, key, field, *_ in _KEYS:
+        value = overrides.get(field.rpartition(".")[2])
+        if value is not None:
+            entries[section, key] = (str(value), None)
+    return _apply(cfg, entries, cfg.problem_params)

@@ -415,7 +415,7 @@ def _suite_penalization(cfg: ExperimentConfig) -> list[CheckResult]:
         grid = TimeGrid(1.0, 100)
         return problem, penalization_family(
             problem, spec, grid, min(cfg.n_paths, 4000), seed, schedule,
-            solver_config=lambda n: SolverConfig(penalization=n, degree=cfg.degree),
+            solver_config=cfg.build_solver_config,
         )
 
     (problem, family), elapsed = _timed(_benchmark_family)
@@ -487,9 +487,8 @@ def _suite_uniqueness(cfg: ExperimentConfig) -> list[CheckResult]:
     spec = cfg.build_levy()
     problem = cfg.build_problem()
     outer = max(cfg.outer_b_samples, 4)
-    per_sample = max(cfg.n_paths // outer, 10 * (cfg.degree + 2))
-
     config = cfg.build_solver_config(None)
+    per_sample = max(cfg.n_paths // outer, 10 * config.basis_dim)
 
     def _measure():
         values = []

@@ -62,10 +62,6 @@ class AtomicMeasure:
     def n_atoms(self) -> int:
         return len(self.locations)
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def build_mu(spec: LevySpec | ValidatedLevySpec) -> AtomicMeasure:
     """Orthonormalization measure x^2 nu(dx) + sigma^2 delta_0(dx)."""

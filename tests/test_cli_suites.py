@@ -1,3 +1,4 @@
+import csv
 import warnings
 from pathlib import Path
 
@@ -176,6 +177,56 @@ class TestCli:
     def test_missing_config_file(self, capsys):
         rc = main(["basis", "--config", "does/not/exist.cfg"])
         assert rc == 1
+
+
+def test_nonfinite_penalization_override_is_an_error_exit(small_config, tmp_path, capsys):
+    for value in ("inf", "1e400"):
+        out = tmp_path / value
+        rc = main(["solve", "--config", str(small_config), "--out", str(out), "--penalization", value])
+        assert rc == 1
+        assert "penalization must be finite" in capsys.readouterr().err
+        assert not (out / "solve_summary.csv").exists()
+
+
+def test_simulate_jumps_rebuild_the_driver(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text(
+        "[levy]\natoms = 0.3:6.0, -0.2:3.0\ndrift_b = 0.4\n[grid]\nn_steps = 5\n"
+        "[solver]\nn_paths = 6\nseed = 5\n"
+    )
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    with (out / "paths.csv").open(newline="") as handle:
+        nodes = list(csv.DictReader(handle))
+    with (out / "jumps.csv").open(newline="") as handle:
+        jumps = [(int(r["path"]), int(r["step"]), float(r["jump_size"])) for r in csv.DictReader(handle)]
+    assert len(set(jumps)) < len(jumps)  # some step holds repeated jumps of one size
+    assert jumps == sorted(jumps, key=lambda row: row[:2])
+    for row in nodes:
+        p, k = int(row["path"]), int(row["node"])
+        rebuilt = 0.4 * float(row["t"]) + sum(size for q, step, size in jumps if q == p and step < k)
+        assert abs(rebuilt - float(row["L"])) <= 1e-12
+
+
+def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
+    from levylab import suites
+
+    seen = []
+    solve = suites.solve_penalized
+
+    def recording(problem, config, ens):
+        seen.append(config.boundary_layer)
+        return solve(problem, config, ens)
+
+    monkeypatch.setattr(suites, "solve_penalized", recording)
+    cfg = parse_config(
+        "[grid]\nn_steps = 10\n[solver]\nn_paths = 240\nboundary_layer = 0.3\n"
+        "n_schedule = 4, 16\nseed = 3\n"
+    )
+    for name in ("uniqueness", "penalization"):
+        seen.clear()
+        suites.suite_checks(name, cfg)
+        assert seen and all(width == 0.3 for width in seen), (name, seen)
 
 
 def test_shipped_configs_parse():

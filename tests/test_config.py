@@ -110,6 +110,27 @@ def test_overrides():
     assert with_overrides(cfg2, penalization="projection").penalization is None
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"penalization": "inf"}, "penalization must be finite"),
+        ({"penalization": "1e400"}, "penalization must be finite"),
+        ({"penalization": "-4"}, "penalization must be positive or 'projection'"),
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"n_paths": 0}, "n_paths must be >= 1"),
+        ({"n_steps": 0}, "n_steps must be >= 1"),
+    ],
+)
+def test_overrides_use_the_file_parsers(override, message):
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigParseError, match=message):
+        with_overrides(cfg, **override)
+    key, value = next(iter(override.items()))
+    section = "grid" if key == "n_steps" else "solver"
+    with pytest.raises(ConfigParseError, match=message):
+        parse_config(f"[{section}]\n{key} = {value}\n")
+
+
 PROBLEM_PARAMS = {
     "constant": ("terminal_level", "obstacle_level"),
     "linear": ("f0", "fy", "fz1", "phy", "g0", "gy", "l0", "lx", "obstacle_level"),

@@ -129,6 +129,11 @@ class TestObstacle:
         with pytest.raises(ValueError, match="below 10 \\* basis dimension"):
             solve_penalized(make_problem(), CFG, small)
 
+    @pytest.mark.parametrize("penalization", [math.inf, math.nan, 0.0, -1.0])
+    def test_config_rejects_a_nonfinite_or_nonpositive_penalty(self, penalization):
+        with pytest.raises(ValueError, match="penalization"):
+            SolverConfig(penalization=penalization)
+
     def test_contact_without_push_keeps_k_zero(self, ensemble):
         # obstacle exactly at the solution level: yhat == S, so dK must stay 0
         prob = make_problem(obstacle=flat_obstacle(1.0))
