@@ -278,7 +278,7 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
     ("output", "dir", "out_dir", str, lambda v: v),
 )
 
-PARAM_PREFIX = "param."
+_PARAM_PREFIX = "param."
 
 
 def _parse(parse: Callable, text: str, key: str, line: int | None):
@@ -309,7 +309,7 @@ def _scan(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             raise ConfigParseError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if (section, key) not in known and not (
-            section == "problem" and key.startswith(PARAM_PREFIX)
+            section == "problem" and key.startswith(_PARAM_PREFIX)
         ):
             raise ConfigParseError(f"unknown key {key!r} in section [{section}]", lineno)
         if (section, key) in out:
@@ -354,9 +354,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config file; see the module docstring for the format."""
     entries = _scan(text)
     params = tuple(sorted(
-        (key[len(PARAM_PREFIX):], _parse(_float, value, key, line))
+        (key[len(_PARAM_PREFIX):], _parse(_float, value, key, line))
         for (_, key), (value, line) in entries.items()
-        if key.startswith(PARAM_PREFIX)
+        if key.startswith(_PARAM_PREFIX)
     ))
     return _apply(DEFAULTS, entries, params)
 
@@ -371,7 +371,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             if text is not None:
                 block.append(f"{key} = {text}")
         if section == "problem":
-            block.extend(f"{PARAM_PREFIX}{key} = {value!r}" for key, value in cfg.problem_params)
+            block.extend(f"{_PARAM_PREFIX}{key} = {value!r}" for key, value in cfg.problem_params)
         blocks.append("\n".join(block))
     return "\n\n".join(blocks) + "\n"
 
