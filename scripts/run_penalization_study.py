@@ -12,16 +12,16 @@ Usage: python scripts/run_penalization_study.py [--paths N] [--seed S]
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from levylab.levy import LevySpec, validate_levy_spec
-from levylab.paths import TimeGrid
+from levylab.config import DEFAULTS
 from levylab.solver import apriori_bounds
-from levylab.suites import deterministic_benchmark_problem, penalization_family
+from levylab.suites import benchmark_config, penalization_family
 
 
 def main() -> int:
@@ -32,11 +32,11 @@ def main() -> int:
     args = parser.parse_args()
     schedule = tuple(float(v) for v in args.schedule.split(","))
 
-    spec = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
-    problem = deterministic_benchmark_problem()
-    family = penalization_family(
-        problem, spec, TimeGrid(1.0, 100), args.paths, args.seed, schedule
+    # the two-atom driver of the defaults, on the benchmark's 100-step grid
+    cfg = replace(
+        benchmark_config(DEFAULTS), n_paths=args.paths, seed=args.seed, n_schedule=schedule
     )
+    family = penalization_family(cfg)
 
     print(f"{'n':>8s} {'Y0':>10s} {'K_T':>10s} {'K_T (ode)':>10s} "
           f"{'penetration':>12s} {'residual':>10s}")
@@ -52,7 +52,7 @@ def main() -> int:
     extrapolated = (n2 * y2 - n1 * y1) / (n2 - n1)
     print(f"\n1/n Richardson extrapolation of Y0: {extrapolated:.6f}")
 
-    report = apriori_bounds(family, problem)
+    report = apriori_bounds(family, cfg.build_problem())
     print("energy norms per n:", ", ".join(f"{v:.4f}" for v in report.norms))
     print(f"bounded family: {report.bounded} "
           f"(tail ratio {report.tail_ratio:.3f}, growth {report.growth_ratio:.3f})")

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config, with_overrides
 from .errors import LevyLabError
-from .paths import simulate_ensemble
 from .suites import SuiteReport, crosscheck_run, run_suite, solve_outer_samples, suite_checks
 from .teugels import basis_for
 
@@ -49,13 +49,8 @@ def _cmd_basis(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    spec = cfg.build_levy()
-    basis = basis_for(spec)
-    n_paths = min(cfg.n_paths, 64)
-    ens = simulate_ensemble(
-        spec, cfg.grid, basis, n_paths, cfg.seed,
-        theta=cfg.theta, x0=cfg.x0, sigma_x=cfg.build_sigma_x(), a_mode=cfg.a_mode,
-    )
+    ens = replace(cfg, n_paths=min(cfg.n_paths, 64)).build_ensemble()
+    n_paths = ens.n_paths
     out = _out_dir(cfg)
     t = cfg.grid.nodes
     lines = ["path,node,t,B,L,X,eta_abs,A"]
@@ -67,7 +62,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
             )
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     lines = ["path,step,jump_size"]
-    sizes = [f"{size:.12g}" for size in spec.jump_sizes.tolist()]
+    sizes = [f"{size:.12g}" for size in ens.spec.jump_sizes.tolist()]
     for p in range(n_paths):
         # row-major nonzero: sorted by step, then by atom, one row per jump
         counts = ens.jump_counts[p]
@@ -86,13 +81,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _solve_rows(cfg: ExperimentConfig, penalization):
-    problem = cfg.build_problem()
-    spec = cfg.build_levy()
-    sols, y0, se = solve_outer_samples(
-        problem, spec, cfg.grid, cfg.build_solver_config(penalization),
-        cfg.n_paths, cfg.seed, cfg.outer_b_samples,
-        x0=cfg.x0, sigma_x=cfg.build_sigma_x(), a_mode=cfg.a_mode,
-    )
+    sols, y0, se = solve_outer_samples(cfg, penalization)
     k_t = float(np.mean([np.mean(s.K[:, -1]) for s in sols]))
     resid = float(np.mean([s.skorokhod_residual for s in sols]))
     pen_norm = float(np.mean([s.penetration_norm for s in sols]))

@@ -60,9 +60,10 @@ import numpy as np
 
 from .errors import ConfigParseError, LevyLabError
 from .levy import LevySpec, ValidatedLevySpec, validate_levy_spec
-from .paths import A_MODES, TimeGrid
+from .paths import A_MODES, PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
+from .teugels import basis_for
 
 SUITE_NAMES = (
     "orthonormality",
@@ -79,7 +80,8 @@ class ExperimentConfig:
     """Declarative experiment description; builders turn it into objects.
 
     ``sigma_x`` is the forward coefficient as ``("constant", v)`` or
-    ``("affine", a, b)``.
+    ``("affine", a, b)``.  Callers that need another size, seed or clock
+    derive a config with ``dataclasses.replace`` and build from that.
     """
 
     levy: LevySpec
@@ -122,6 +124,18 @@ class ExperimentConfig:
         """The sweep's knobs at penalty ``penalization`` (``None``: projection)."""
         return SolverConfig(
             penalization=penalization, degree=self.degree, boundary_layer=self.boundary_layer
+        )
+
+    def build_ensemble(self, outer_index: int = 0) -> PathEnsemble:
+        """The forward ensemble of outer Brownian sample ``outer_index``.
+
+        The one place the driver, grid, path count, seed, domain, start
+        point, forward coefficient and clock reach the simulation.
+        """
+        spec = self.build_levy()
+        return simulate_ensemble(
+            spec, self.grid, basis_for(spec), self.n_paths, self.seed, theta=self.theta,
+            x0=self.x0, sigma_x=self.build_sigma_x(), a_mode=self.a_mode, outer_index=outer_index,
         )
 
 
@@ -221,8 +235,8 @@ def _checks(text: str) -> tuple[str, ...]:
 
 def _schedule(text: str) -> tuple[float, ...]:
     values = tuple(_float(v) for v in text.split(","))
-    if any(v <= 0 for v in values) or list(values) != sorted(values):
-        raise ValueError("must be increasing positive numbers")
+    if values[0] <= 0 or any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError("must be strictly increasing positive numbers")
     return values
 
 

@@ -155,45 +155,35 @@ def simulate_reflected_x(
     nondecreasing local time |eta|.  In dimension one the projection is
     the exact one-step Skorokhod map.
 
-    ``levy_path`` is one path [node] or an ensemble [path, node]; the
-    state and local time come back in the same shape, for an ensemble as
-    transposed views of node-major arrays, so each step reads and writes
-    contiguous rows.
+    ``levy_path`` is [path, node]; the state and local time come back as
+    [path, node] transposed views of node-major arrays, so each step reads
+    and writes contiguous rows.
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    L = np.asarray(levy_path, dtype=float)
-    squeeze = L.ndim == 1
-    dL = np.diff(L[:, None] if squeeze else L.T, axis=0)  # [step, path]
-    n_nodes = dL.shape[0] + 1
-    X = np.empty((n_nodes, dL.shape[1]))
+    dL = np.diff(np.asarray(levy_path, dtype=float).T, axis=0)  # [step, path]
+    X = np.empty((dL.shape[0] + 1, dL.shape[1]))
     eta = np.empty_like(X)
     X[0] = x0
     eta[0] = 0.0
-    for k in range(n_nodes - 1):
+    for k in range(dL.shape[0]):
         proposal = X[k] + np.asarray(sigma_x(X[k]), dtype=float) * dL[k]
         np.clip(proposal, -theta, theta, out=X[k + 1])
         np.add(eta[k], np.abs(proposal - X[k + 1]), out=eta[k + 1])
-    if squeeze:
-        return X[:, 0], eta[:, 0]
     return X.T, eta.T
 
 
-def assemble_A(mode: str, grid: TimeGrid, eta_abs: np.ndarray | None = None) -> np.ndarray:
+def assemble_A(mode: str, grid: TimeGrid, eta_abs: np.ndarray) -> np.ndarray:
     """The increasing clock A: identity time or boundary local time.
 
-    Given ``eta_abs``, the identity and local-time clocks keep its memory
-    layout, so a node-major ensemble gets a node-major clock.
+    Both clocks keep the memory layout of ``eta_abs``, so a node-major
+    ensemble gets a node-major clock.
     """
     if mode == "identity-time":
-        if eta_abs is not None:
-            A = np.empty_like(eta_abs, dtype=float)
-            A[...] = grid.nodes
-            return A
-        return grid.nodes.copy()
+        A = np.empty_like(eta_abs, dtype=float)
+        A[...] = grid.nodes
+        return A
     if mode == "local-time":
-        if eta_abs is None:
-            raise ValueError("local-time mode needs the simulated |eta|")
         return np.array(eta_abs, dtype=float, copy=True)
     raise ValueError(f"unknown A mode {mode!r}; expected one of {A_MODES}")
 

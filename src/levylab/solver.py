@@ -84,6 +84,16 @@ GRAM_COND_MAX = 1e10
 # refuses the problem.
 TERMINAL_TOL = 1e-9
 
+# A penalized family counts as bounded when its last energy norm is at most
+# APRIORI_TAIL_TOL times the previous one and APRIORI_GROWTH_TOL times the
+# first (see apriori_bounds).
+APRIORI_TAIL_TOL = 1.25
+APRIORI_GROWTH_TOL = 4.0
+
+# Slot quotients of the comparison check are taken only where the two Z
+# values differ by more than this fraction of |Z1| + |Z2| + 1.
+DENOMINATOR_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -304,7 +314,7 @@ def solve_penalized(
     return sol
 
 
-def skorokhod_residual(sol: EnsembleSolution, s_values: np.ndarray | None = None) -> float:
+def skorokhod_residual(sol: EnsembleSolution) -> float:
     """Mean over paths of |sum_k (y_pre_k - S_k) dK_k|.
 
     The pre-push (left limit) estimate is the value the push acts on, so
@@ -313,9 +323,8 @@ def skorokhod_residual(sol: EnsembleSolution, s_values: np.ndarray | None = None
     in both obstacle modes.  Like the other diagnostics it reduces over
     the node-major arrays behind the solution's views.
     """
-    S = sol.S if s_values is None else np.asarray(s_values, dtype=float)
     n = sol.dK.shape[1]
-    per_path = np.sum((sol.y_pre.T[:n] - S.T[:n]) * sol.dK.T, axis=0)
+    per_path = np.sum((sol.y_pre.T[:n] - sol.S.T[:n]) * sol.dK.T, axis=0)
     return float(np.mean(np.abs(per_path)))
 
 
@@ -356,20 +365,17 @@ class BoundReport:
 
 
 def apriori_bounds(
-    solutions: Mapping[float, EnsembleSolution],
-    problem: ProblemSpec,
-    tail_tol: float = 1.25,
-    growth_tol: float = 4.0,
+    solutions: Mapping[float, EnsembleSolution], problem: ProblemSpec
 ) -> BoundReport:
     """Check that the penalized family's energy norms stay bounded in n.
 
     The norm per solution is E[sup_t Y^2 + int Y^2 dA + int |Z|^2 dt +
     K_T^2].  ``bounded`` requires a plateau at the tail of the schedule
-    (last norm at most ``tail_tol`` times the previous one) and no overall
-    blow-up (at most ``growth_tol`` times the first norm; on obstacle
-    problems K_T^2 legitimately ramps up to its limit before flattening,
-    so the overall factor is deliberately loose while a divergent scheme
-    overshoots it by many orders of magnitude).
+    (last norm at most ``APRIORI_TAIL_TOL`` times the previous one) and no
+    overall blow-up (at most ``APRIORI_GROWTH_TOL`` times the first norm;
+    on obstacle problems K_T^2 legitimately ramps up to its limit before
+    flattening, so the overall factor is deliberately loose while a
+    divergent scheme overshoots it by many orders of magnitude).
     """
     ns = tuple(sorted(solutions))
     comps = tuple(solutions[n].apriori_norms for n in ns)
@@ -383,7 +389,7 @@ def apriori_bounds(
         sup_norm=max(norms),
         tail_ratio=tail,
         growth_ratio=growth,
-        bounded=(growth <= growth_tol and tail <= tail_tol),
+        bounded=(growth <= APRIORI_GROWTH_TOL and tail <= APRIORI_TAIL_TOL),
     )
 
 
@@ -402,38 +408,37 @@ def check_comparison_hypothesis(
     sol2: EnsembleSolution,
     problem2: ProblemSpec,
     ens: PathEnsemble,
-    denominator_rtol: float = 1e-12,
 ) -> ComparisonHypothesisReport:
     """Difference-quotient slopes of the second driver in each Z slot.
 
-    For slot i the quotient is evaluated between the two solutions' Z
-    values with slots below i already swapped, matching the telescoping
-    decomposition that underlies the ordering argument.  Slots where the
-    two Z's coincide contribute zero.  Also reports the interval bound
+    At each step the driver is evaluated once at each of the rank + 1
+    telescoping points z(p), which hold the second solution's Z in the
+    slots below p and the first solution's from p on.  The quotient of
+    slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
+    telescoping decomposition that underlies the ordering argument; slots
+    where the two Z's coincide contribute zero.  Reads the node-major rows
+    behind the solutions' views.  Also reports the interval bound
     -c * rank * max |dH| implied by the declared Lipschitz constant.
     """
-    grid = ens.grid
-    n = grid.n_steps
-    t = grid.nodes
-    X = ens.X
-    dH = ens.dH
+    n = ens.grid.n_steps
+    t = ens.grid.nodes
     rank = ens.basis.rank
-    Z1 = sol1.Z[:, :n, :]
-    Z2 = sol2.Z[:, :n, :]
-    total = np.zeros((ens.n_paths, n))
-    for a in range(rank):
-        z_lo = np.concatenate([Z2[:, :, :a], Z1[:, :, a:]], axis=2)
-        z_hi = np.concatenate([Z2[:, :, : a + 1], Z1[:, :, a + 1 :]], axis=2)
-        num = np.empty((ens.n_paths, n))
-        for k in range(n):
-            f_lo = np.asarray(problem2.f(t[k], X[:, k], sol2.Y[:, k], z_lo[:, k, :]), dtype=float)
-            f_hi = np.asarray(problem2.f(t[k], X[:, k], sol2.Y[:, k], z_hi[:, k, :]), dtype=float)
-            num[:, k] = f_lo - f_hi
-        den = Z1[:, :, a] - Z2[:, :, a]
-        scale = np.abs(Z1[:, :, a]) + np.abs(Z2[:, :, a]) + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(np.abs(den) > denominator_rtol * scale, num / den, 0.0)
-        total += beta * dH[:, :, a]
+    X, Y2 = ens.X.T, sol2.Y.T
+    Z1, Z2 = sol1.Z.transpose(1, 2, 0), sol2.Z.transpose(1, 2, 0)
+    dH = ens.dH.transpose(1, 2, 0)
+    total = np.zeros((n, ens.n_paths))
+    for k in range(n if rank else 0):
+        z = Z1[k].copy()  # z(0), [component, path]
+        f_lo = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
+        for a in range(rank):
+            z[a] = Z2[k, a]
+            f_hi = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
+            den = Z1[k, a] - Z2[k, a]
+            scale = np.abs(Z1[k, a]) + np.abs(Z2[k, a]) + 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                beta = np.where(np.abs(den) > DENOMINATOR_RTOL * scale, (f_lo - f_hi) / den, 0.0)
+            total[k] += beta * dH[k, a]
+            f_lo = f_hi
     min_sum = float(np.min(total)) if total.size else 0.0
     max_dh = float(np.max(np.abs(dH))) if dH.size else 0.0
     frac = float(np.mean(total <= -1.0)) if total.size else 0.0

@@ -6,11 +6,12 @@ read the -v test names); the assertions carry the same conditions.
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levylab.config import parse_config
+from levylab.config import DEFAULTS, parse_config
 from levylab.levy import LevySpec, validate_levy_spec
 from levylab.paths import (
     STREAM_COMPARISON,
@@ -19,9 +20,8 @@ from levylab.paths import (
     simulate_ensemble,
     skorokhod_minimality_gap,
 )
-from levylab.problems import build_problem
-from levylab.solver import SolverConfig
 from levylab.suites import (
+    benchmark_config,
     comparison_pair,
     crosscheck_run,
     measure_orthonormality,
@@ -36,6 +36,15 @@ warnings.filterwarnings("ignore", message="rank-deficient regression design")
 
 TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
 SCHEDULE = (4.0, 16.0, 64.0, 256.0)
+BASE = replace(
+    DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100), n_schedule=SCHEDULE
+)
+
+
+def config(**fields):
+    """``BASE`` (example51 from x0 = 0 on (-1, 1), unit coefficient,
+    local-time clock, projection at degree 4) with ``fields`` replaced."""
+    return replace(BASE, **fields)
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -71,7 +80,7 @@ def test_criterion_01_teugels_orthonormality_exact():
 
 def test_criterion_02_empirical_strong_orthonormality():
     start = time.perf_counter()
-    measured = measure_orthonormality(TWO_ATOM, TimeGrid(1.0, 64), 100_000, seed=424242)
+    measured = measure_orthonormality(config(grid=TimeGrid(1.0, 64), n_paths=100_000, seed=424242))
     elapsed = time.perf_counter() - start
     dev = max(measured["product_max_stddevs"], measured["mean_max_stddevs"])
     passed = dev <= 4.0 and elapsed < 60.0
@@ -83,7 +92,7 @@ def test_criterion_02_empirical_strong_orthonormality():
 
 
 def test_criterion_03_deterministic_reflected_benchmark():
-    _, metrics = run_benchmark_solution(TWO_ATOM, n_paths=2000, seed=33, n_steps=100)
+    _, metrics = run_benchmark_solution(config(n_paths=2000, seed=33))
     passed = (
         metrics["y_max_error"] <= 0.02
         and metrics["k_t_error"] <= 0.02
@@ -99,8 +108,7 @@ def test_criterion_03_deterministic_reflected_benchmark():
 
 @pytest.fixture(scope="module")
 def benchmark_family():
-    problem = build_problem("deterministic_obstacle", {}, 1.0)
-    return penalization_family(problem, TWO_ATOM, TimeGrid(1.0, 100), 2000, 44, SCHEDULE)
+    return penalization_family(replace(benchmark_config(config()), n_paths=2000, seed=44))
 
 
 def test_criterion_04_penalization_convergence(benchmark_family):
@@ -123,8 +131,7 @@ def test_criterion_05_penalization_monotonicity(benchmark_family):
         y0_bench[i] <= y0_bench[i + 1] + 2.0 * se_bench for i in range(len(SCHEDULE) - 1)
     )
     # stochastic instance at 1e4 paths
-    problem = build_problem("example51", {}, 1.0)
-    family = penalization_family(problem, TWO_ATOM, TimeGrid(1.0, 100), 10_000, 55, SCHEDULE)
+    family = penalization_family(config(n_paths=10_000, seed=55))
     y0_sto = [family[n].y0_value for n in SCHEDULE]
     se_sto = max(family[SCHEDULE[0]].y0_se, 1e-12)
     sto_ok = all(y0_sto[i] <= y0_sto[i + 1] + 2.0 * se_sto for i in range(len(SCHEDULE) - 1))
@@ -137,9 +144,8 @@ def test_criterion_05_penalization_monotonicity(benchmark_family):
 
 
 def test_criterion_06_comparison_theorem():
-    _, _, report, violations = comparison_pair(
-        TWO_ATOM, TimeGrid(1.0, 100), 10_000, 303, terminal_hi=1.0, terminal_lo=0.0
-    )
+    # terminal levels 1 and 0
+    _, _, report, violations = comparison_pair(config(n_paths=10_000, seed=303))
     passed = report.holds and violations <= 0.01
     _report(6, "comparison theorem", passed,
             f"hypothesis min sum {report.min_sum:g} > -1, "
@@ -149,11 +155,9 @@ def test_criterion_06_comparison_theorem():
 
 
 def test_criterion_07_uniqueness_surrogate():
-    problem = build_problem("example51", {}, 1.0)
     values = []
     for seed in (101, 202):
-        config = SolverConfig(penalization=None, degree=4)
-        _, y0, se = solve_outer_samples(problem, TWO_ATOM, TimeGrid(1.0, 100), config, 1250, seed, 8)
+        _, y0, se = solve_outer_samples(config(n_paths=1250, seed=seed, outer_b_samples=8), None)
         values.append((y0, se))
     (y0a, sea), (y0b, seb) = values
     gap = abs(y0a - y0b)

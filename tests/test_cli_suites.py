@@ -2,6 +2,7 @@ import csv
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levylab.cli import main
@@ -209,24 +210,41 @@ def test_simulate_jumps_rebuild_the_driver(tmp_path):
 
 
 def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
+    """Every sweep of every suite takes its knobs from the config, and the
+    sweeps of the configured problem solve its params on its clock."""
     from levylab import suites
 
     seen = []
     solve = suites.solve_penalized
 
     def recording(problem, config, ens):
-        seen.append(config.boundary_layer)
+        seen.append((problem, config, ens))
         return solve(problem, config, ens)
 
     monkeypatch.setattr(suites, "solve_penalized", recording)
     cfg = parse_config(
-        "[grid]\nn_steps = 10\n[solver]\nn_paths = 240\nboundary_layer = 0.3\n"
-        "n_schedule = 4, 16\nseed = 3\n"
+        "[grid]\nn_steps = 10\n[problem]\nparam.h_scale = 1.0\n[forward]\na_mode = identity-time\n"
+        "[solver]\nn_paths = 240\nboundary_layer = 0.3\nn_schedule = 4, 16\nseed = 3\n"
+        "[fd]\nn_space = 20\nn_time = 20\n"
     )
-    for name in ("uniqueness", "penalization"):
+    configured = cfg.build_problem().params
+    assert dict(configured)["h_scale"] == 1.0
+    for name in ("skorokhod", "penalization", "comparison", "uniqueness", "feynman_kac"):
         seen.clear()
         suites.suite_checks(name, cfg)
-        assert seen and all(width == 0.3 for width in seen), (name, seen)
+        widths = {config.boundary_layer for _, config, _ in seen}
+        assert widths == {0.3}, (name, widths)
+        own = [(problem, ens) for problem, _, ens in seen if problem.name == cfg.problem_name]
+        if name in ("penalization", "uniqueness"):
+            assert own, name
+            for problem, ens in own:
+                assert problem.params == configured, name
+                assert np.array_equal(ens.A, np.broadcast_to(ens.grid.nodes, ens.A.shape)), name
+        if name == "feynman_kac":
+            # the grid oracle's Neumann boundary is the local-time clock
+            (problem, ens), = own
+            assert problem.params == configured
+            assert np.array_equal(ens.A, ens.eta_abs) and np.any(ens.A[:, -1] > 0.0)
 
 
 def test_shipped_configs_parse():

@@ -94,6 +94,14 @@ def test_penalization_spellings():
         parse_config("[solver]\npenalization = -4\n")
 
 
+@pytest.mark.parametrize("schedule", ["4,4,16", "16,4", "0,4", "-1,4"])
+def test_schedule_must_be_strictly_increasing_and_positive(schedule):
+    # a repeated penalty would compare a family's solution with itself
+    with pytest.raises(ConfigParseError, match="n_schedule must be") as err:
+        parse_config(f"[solver]\nn_schedule = {schedule}\n")
+    assert "line 2" in str(err.value)
+
+
 def test_roundtrip_on_minimal():
     cfg = parse_config(MINIMAL)
     assert parse_config(serialize_config(cfg)) == cfg

@@ -24,6 +24,12 @@ from levylab.teugels import basis_for
 TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4))
 
 
+def reflect_one(sigma_x, theta, x0, L):
+    """One path [node] through the ensemble reflection as a [1, node] input."""
+    X, eta = simulate_reflected_x(sigma_x, theta, x0, np.asarray(L, dtype=float)[None, :])
+    return X[0], eta[0]
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
@@ -102,13 +108,13 @@ class TestLevy:
 class TestReflected:
     def test_zero_coefficient_freezes_state(self):
         L = np.array([0.0, 1.0, -3.0, 2.0])
-        X, eta = simulate_reflected_x(lambda x: np.zeros_like(x), 1.0, 0.4, L)
+        X, eta = reflect_one(lambda x: np.zeros_like(x), 1.0, 0.4, L)
         assert np.all(X == 0.4)
         assert np.all(eta == 0.0)
 
     def test_one_step_clamp_by_hand(self):
         # proposal 0.9 + 0.4 = 1.3 clamps to 1.0 with local time 0.3
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.9, np.array([0.0, 0.4]))
+        X, eta = reflect_one(lambda x: np.ones_like(x), 1.0, 0.9, [0.0, 0.4])
         assert X.tolist() == [0.9, 1.0]
         assert eta[0] == 0.0
         assert eta[1] == pytest.approx(0.3, abs=1e-15)
@@ -116,25 +122,26 @@ class TestReflected:
     def test_interior_path_matches_unreflected_euler(self):
         rng = derived_rng(9, 0)
         L = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.01, 50))])
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 10.0, 0.0, L)
+        X, eta = reflect_one(lambda x: np.ones_like(x), 10.0, 0.0, L)
         assert np.all(eta == 0.0)
         assert np.allclose(X, L, atol=1e-15)
 
     def test_initial_point_outside_domain(self):
         with pytest.raises(InitialPointOutsideDomain):
-            simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 1.5, np.zeros(3))
+            simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 1.5, np.zeros((1, 3)))
 
 
 class TestAssembleA:
     def test_identity_time(self):
         grid = TimeGrid(1.0, 4)
-        assert assemble_A("identity-time", grid).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        A = assemble_A("identity-time", grid, eta_abs=np.full((1, 5), 0.3))
+        assert A.tolist() == [[0.0, 0.25, 0.5, 0.75, 1.0]]
 
     def test_local_time_from_clamp(self):
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.9, np.array([0.0, 0.4]))
+        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.9, np.array([[0.0, 0.4]]))
         A = assemble_A("local-time", TimeGrid(1.0, 1), eta_abs=eta)
-        assert A[0] == 0.0
-        assert A[1] == pytest.approx(0.3, abs=1e-15)
+        assert A[0, 0] == 0.0
+        assert A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
 
 class TestNodeMajorReflection:
@@ -165,15 +172,12 @@ class TestNodeMajorReflection:
             assert X[p].tolist() == X_ref
             assert eta[p].tolist() == eta_ref
 
-    def test_single_path_stays_one_dimensional(self):
-        L = np.array([0.0, 0.5, 1.4, -0.3, -2.0])
-        unit = lambda x: np.ones_like(x)
-        X, eta = simulate_reflected_x(unit, 1.0, 0.2, L)
-        assert X.shape == eta.shape == (5,)
-        X2, eta2 = simulate_reflected_x(unit, 1.0, 0.2, L[None, :])
-        assert np.array_equal(X, X2[0]) and np.array_equal(eta, eta2[0])
-        X_ref, eta_ref = self.scalar_reference(lambda x: 1.0, 1.0, 0.2, L.tolist())
-        assert X.tolist() == X_ref and eta.tolist() == eta_ref
+    def test_single_path_matches_scalar_euler(self):
+        L = np.array([[0.0, 0.5, 1.4, -0.3, -2.0]])
+        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.2, L)
+        assert X.shape == eta.shape == (1, 5)
+        X_ref, eta_ref = self.scalar_reference(lambda x: 1.0, 1.0, 0.2, L[0].tolist())
+        assert X[0].tolist() == X_ref and eta[0].tolist() == eta_ref
 
 
 @st.composite
@@ -191,7 +195,7 @@ def jump_paths(draw):
 def test_containment_and_local_time_support(case):
     x0, L = case
     theta = 1.0
-    X, eta = simulate_reflected_x(lambda x: np.ones_like(x), theta, x0, L)
+    X, eta = reflect_one(lambda x: np.ones_like(x), theta, x0, L)
     assert np.all(np.abs(X) <= theta)
     d_eta = np.diff(eta)
     assert np.all(d_eta >= 0.0)
@@ -204,7 +208,7 @@ def test_containment_and_local_time_support(case):
 def test_skorokhod_variational_inequality(case, vseed):
     x0, L = case
     theta = 1.0
-    X, eta = simulate_reflected_x(lambda x: np.ones_like(x), theta, x0, L)
+    X, eta = reflect_one(lambda x: np.ones_like(x), theta, x0, L)
     V = derived_rng(vseed, 0).uniform(-theta, theta, size=X.shape)
     assert skorokhod_minimality_gap(X, V, eta, theta) >= 0.0
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levylab import solver
+from levylab.config import DEFAULTS
 from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec, validate_levy_spec
 from levylab.paths import TimeGrid, simulate_ensemble
@@ -18,13 +19,19 @@ from levylab.solver import (
     solve_penalized,
 )
 from levylab.suites import (
-    deterministic_benchmark_problem,
+    benchmark_config,
     penalization_family,
     run_benchmark_solution,
+    solve_outer_samples,
 )
 from levylab.teugels import basis_for
 
 TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
+# example51 from x0 = 0 on (-1, 1), unit coefficient, local-time clock,
+# projection at degree 4; tests replace sizes, seeds and the schedule
+BASE = dataclasses.replace(
+    DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100)
+)
 
 
 def flat_obstacle(level=NO_OBSTACLE):
@@ -106,7 +113,7 @@ class TestExactPropagation:
 
 class TestObstacle:
     def test_deterministic_benchmark_projection(self):
-        sol, metrics = run_benchmark_solution(TWO_ATOM, n_paths=600, seed=33)
+        sol, metrics = run_benchmark_solution(dataclasses.replace(BASE, n_paths=600, seed=33))
         # oracle: Y_t = max(0, sup_{s >= t}(1 - s)) = 1 - t, K_T = 1
         assert metrics["y_max_error"] < 1e-9
         assert metrics["k_t_error"] < 1e-9
@@ -148,10 +155,8 @@ SCHEDULE = (4.0, 16.0, 64.0, 256.0)
 
 @pytest.fixture(scope="module")
 def family():
-    problem = deterministic_benchmark_problem()
-    return problem, penalization_family(
-        problem, TWO_ATOM, TimeGrid(1.0, 100), 600, 44, SCHEDULE
-    )
+    cfg = dataclasses.replace(benchmark_config(BASE), n_paths=600, seed=44, n_schedule=SCHEDULE)
+    return cfg.build_problem(), penalization_family(cfg)
 
 
 class TestPenalization:
@@ -241,14 +246,51 @@ class TestComparison:
         assert report.holds  # the observed sums stay above -1 even when the bound does not
 
 
+    @pytest.mark.parametrize("fz1", [0.0, 0.3])
+    def test_telescoping_points_match_per_slot_reference(self, ensemble, fz1):
+        # the rank + 1 shared evaluations per step against one pair per slot
+        hi, lo = (build_problem("linear", {"l0": l0, "fz1": fz1}, 1.0) for l0 in (1.0, 0.0))
+        sol_hi = solve_penalized(hi, CFG, ensemble)
+        sol_lo = solve_penalized(lo, CFG, ensemble)
+        report = check_comparison_hypothesis(sol_hi, sol_lo, lo, ensemble)
+        total = comparison_reference(sol_hi, sol_lo, lo, ensemble)
+        assert (report.min_sum != 0.0) == (fz1 != 0.0)
+        assert report.min_sum == float(np.min(total))
+        assert report.violation_fraction == float(np.mean(total <= -1.0))
+
+
+def comparison_reference(sol1, sol2, problem2, ens):
+    """sum_a beta_a dH(a) [path, step], each slot's quotient from its own
+    pair of full concatenated Z copies."""
+    n, t, rank = ens.grid.n_steps, ens.grid.nodes, ens.basis.rank
+    Z1, Z2 = sol1.Z[:, :n, :], sol2.Z[:, :n, :]
+    total = np.zeros((ens.n_paths, n))
+    for a in range(rank):
+        z_lo = np.concatenate([Z2[:, :, :a], Z1[:, :, a:]], axis=2)
+        z_hi = np.concatenate([Z2[:, :, : a + 1], Z1[:, :, a + 1 :]], axis=2)
+        num = np.stack(
+            [
+                problem2.f(t[k], ens.X[:, k], sol2.Y[:, k], z_lo[:, k])
+                - problem2.f(t[k], ens.X[:, k], sol2.Y[:, k], z_hi[:, k])
+                for k in range(n)
+            ],
+            axis=1,
+        )
+        den = Z1[:, :, a] - Z2[:, :, a]
+        scale = np.abs(Z1[:, :, a]) + np.abs(Z2[:, :, a]) + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total += np.where(np.abs(den) > 1e-12 * scale, num / den, 0.0) * ens.dH[:, :, a]
+    return total
+
+
 class TestDiagnostics:
     def test_skorokhod_residual_zero_without_push(self, ensemble):
         sol = solve_penalized(make_problem(), CFG, ensemble)
         assert skorokhod_residual(sol) == 0.0
 
-    def test_residual_accepts_external_obstacle_values(self):
-        sol, _ = run_benchmark_solution(TWO_ATOM, n_paths=600, seed=33)
-        assert skorokhod_residual(sol, sol.S) == sol.skorokhod_residual
+    def test_residual_is_dt_times_push_on_the_benchmark(self):
+        sol, _ = run_benchmark_solution(dataclasses.replace(BASE, n_paths=600, seed=33))
+        assert skorokhod_residual(sol) == sol.skorokhod_residual
         # |yhat - S| = dt on the contact set, so the gap is dt * K_T = 0.01
         assert sol.skorokhod_residual == pytest.approx(0.01, abs=1e-10)
 
@@ -375,22 +417,19 @@ def test_sigma_positive_driver_supported():
 
 def test_apriori_bounds_finite_on_stochastic_instance():
     # regression baseline: the two-sided jump benchmark stays bounded at n = 64
-    problem = build_problem("example51", {}, 1.0)
-    family = penalization_family(problem, TWO_ATOM, TimeGrid(1.0, 100), 600, 13, (16.0, 64.0))
-    report = apriori_bounds(family, problem)
+    cfg = dataclasses.replace(BASE, n_paths=600, seed=13, n_schedule=(16.0, 64.0))
+    family = penalization_family(cfg)
+    report = apriori_bounds(family, cfg.build_problem())
     assert report.bounded
     assert all(np.isfinite(v) for v in report.norms)
     assert report.sup_norm < 5.0
 
 
 def test_uniqueness_surrogate_small():
-    grid = TimeGrid(1.0, 50)
-    problem = build_problem("example51", {}, 1.0)
     values = []
-    from levylab.suites import solve_outer_samples
-
     for seed in (7, 8):
-        _, y0, se = solve_outer_samples(problem, TWO_ATOM, grid, SolverConfig(), 500, seed, 4)
+        cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=500, seed=seed, outer_b_samples=4)
+        _, y0, se = solve_outer_samples(cfg, None)
         values.append((y0, se))
     (a, sa), (b, sb) = values
     assert abs(a - b) <= 4.0 * math.sqrt(sa**2 + sb**2)
