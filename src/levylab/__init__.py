@@ -55,7 +55,6 @@ from .solver import (
     SolverConfig,
     apriori_bounds,
     check_comparison_hypothesis,
-    skorokhod_residual,
     solve_penalized,
 )
 from .teugels import (

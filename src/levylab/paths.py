@@ -177,14 +177,17 @@ def assemble_A(mode: str, grid: TimeGrid, eta_abs: np.ndarray) -> np.ndarray:
     """The increasing clock A: identity time or boundary local time.
 
     Both clocks keep the memory layout of ``eta_abs``, so a node-major
-    ensemble gets a node-major clock.
+    ensemble gets a node-major clock.  The local-time clock is a read-only
+    view of ``eta_abs``, not a copy: nothing writes to a clock.
     """
     if mode == "identity-time":
         A = np.empty_like(eta_abs, dtype=float)
         A[...] = grid.nodes
         return A
     if mode == "local-time":
-        return np.array(eta_abs, dtype=float, copy=True)
+        A = np.asarray(eta_abs, dtype=float).view()
+        A.flags.writeable = False
+        return A
     raise ValueError(f"unknown A mode {mode!r}; expected one of {A_MODES}")
 
 
@@ -222,7 +225,8 @@ class PathEnsemble:
     :func:`simulate_ensemble` the first five are transposed views of
     node-major arrays (see the module docstring); an ensemble built by
     hand may hold path-major arrays instead, which the solver copies to
-    node-major once per sweep.
+    node-major once per sweep.  A local-time ``A`` is a read-only view of
+    ``eta_abs`` (see :func:`assemble_A`).
     """
 
     grid: TimeGrid

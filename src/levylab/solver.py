@@ -53,15 +53,17 @@ and dH are taken from the ensemble's transposed views through
 path-major one.  The obstacle S is evaluated on the node-major state.  The
 sweep stores Y, y_pre, Z, dK and K node-major as well, and
 :class:`EnsembleSolution` exposes all of them as transposed views with the
-documented [path, node(, component)] shapes, without copying; the
-diagnostics reduce over the node-major arrays behind those views.
+documented [path, node(, component)] shapes, without copying.  The
+diagnostics are per-path or per-node reductions kept in one-row buffers
+and updated as the sweep writes each row; no pass over the full arrays
+follows the sweep.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -129,10 +131,16 @@ class EnsembleSolution:
     ``Y``, ``K``, ``y_pre`` and ``S`` are [path, node]; ``Z`` is
     [path, node, component] with exact zeros beyond ``rank``; ``dK`` is the
     per-step push [path, step].  ``y_pre`` is the pre-push (left limit)
-    estimate at each node, which the Skorokhod residual is built from.
-    ``Y``, ``Z``, ``K``, ``dK``, ``y_pre``, ``S`` and ``A`` are transposed
-    views of the sweep's node-major arrays, so they are not C-contiguous;
-    ``Y.T`` (``Z.transpose(1, 2, 0)`` for ``Z``) is the node-major array.
+    estimate at each node and ``S`` the obstacle; both are kept for tests
+    and for measuring the solution's size.  All six are transposed views of
+    the sweep's node-major arrays, so they are not C-contiguous; ``Y.T``
+    (``Z.transpose(1, 2, 0)`` for ``Z``) is the node-major array.
+
+    ``skorokhod_residual`` is the mean over paths of
+    |sum_k (y_pre_k - S_k) dK_k|, the discrete complementarity gap;
+    ``penetration_norm`` the max over nodes of the mean over paths of
+    ((S - Y)^+)^2; ``apriori_norms`` the terms of E[sup_t Y^2 +
+    int Y^2 dA + int |Z|^2 dt + K_T^2] and their ``total``.
     """
 
     penalization: float | None
@@ -143,13 +151,12 @@ class EnsembleSolution:
     dK: np.ndarray
     y_pre: np.ndarray
     S: np.ndarray
-    A: np.ndarray
     dt: float
     y0_value: float
     y0_se: float
-    skorokhod_residual: float = 0.0
-    penetration_norm: float = 0.0
-    apriori_norms: dict = field(default_factory=dict)
+    skorokhod_residual: float
+    penetration_norm: float
+    apriori_norms: dict
 
 
 def regression_design(
@@ -268,33 +275,49 @@ def solve_penalized(
     y_pre_t[n] = xi
     design_buf = np.empty((config.basis_dim, n_paths))
 
+    # Diagnostics, reduced as each row is written: per path max Y^2, sum
+    # Y^2 dA, sum |Z|^2 and sum (y_pre - S) dK; per node mean ((S - Y)^+)^2.
+    row = np.empty(n_paths)
+    dA = np.empty(n_paths)
+    sup_y2 = np.square(xi)
+    y2_dA = np.zeros(n_paths)
+    z2 = np.zeros(n_paths)
+    gap = np.zeros(n_paths)
+    pen_sq = np.empty(n + 1)
+    pen_sq[n] = _mean_penetration_sq(S[n], xi, row)
+
     pen = config.penalization
     push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
-    target0 = xi
     for k in range(n - 1, -1, -1):
         x = X[k]
         y_next = Yt[k + 1]
+        np.subtract(A[k + 1], A[k], out=dA)
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
-        target = y_next + fk * dt + phik * (A[k + 1] - A[k])
+        target = y_next + fk * dt + phik * dA
         design = regression_design(x, config.degree, problem.theta, layer, design_buf)
         factor = _gram_factor(design)
         yhat0 = _regress(design, factor, target[None, :], k)[0]
         if rank:
             centered = dH[k, :rank] * (y_next - yhat0)
             Zt[k, :rank] = _regress(design, factor, centered, k) / dt
+            z2 += np.sum(np.square(Zt[k, :rank]), axis=0, out=row)
         gk = np.asarray(problem.g(t[k], x, yhat0), dtype=float)
-        yhat = yhat0 + gk * dB[k]
-        push = push_scale * np.maximum(S[k] - yhat, 0.0)
-        y_pre_t[k] = yhat
-        dKt[k] = push
-        Yt[k] = yhat + push
-        if k == 0:
-            target0 = target
+        yhat = np.add(yhat0, gk * dB[k], out=y_pre_t[k])
+        push = np.multiply(push_scale, np.maximum(S[k] - yhat, 0.0), out=dKt[k])
+        y = np.add(yhat, push, out=Yt[k])
+
+        gap += np.multiply(np.subtract(yhat, S[k], out=row), push, out=row)
+        pen_sq[k] = _mean_penetration_sq(S[k], y, row)
+        np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
+        y2_dA += np.multiply(row, dA, out=row)
 
     Kt = cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
+    norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": float(np.mean(y2_dA)),
+             "z2_dt": float(np.mean(z2 * dt)), "kT2": float(np.mean(Kt[n] ** 2))}
+    norms["total"] = sum(norms.values())
 
-    sol = EnsembleSolution(
+    return EnsembleSolution(
         penalization=pen,
         rank=rank,
         Y=Yt.T,
@@ -303,52 +326,18 @@ def solve_penalized(
         dK=dKt.T,
         y_pre=y_pre_t.T,
         S=S.T,
-        A=A.T,
         dt=dt,
         y0_value=float(np.mean(Yt[0])),
-        y0_se=float(np.std(target0, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+        y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+        skorokhod_residual=float(np.mean(np.abs(gap))),
+        penetration_norm=float(np.max(pen_sq)),
+        apriori_norms=norms,
     )
-    sol.skorokhod_residual = skorokhod_residual(sol)
-    sol.penetration_norm = penetration_norm(sol)
-    sol.apriori_norms = _solution_norms(sol)
-    return sol
 
 
-def skorokhod_residual(sol: EnsembleSolution) -> float:
-    """Mean over paths of |sum_k (y_pre_k - S_k) dK_k|.
-
-    The pre-push (left limit) estimate is the value the push acts on, so
-    this is the discrete complementarity gap: zero when K only grows on
-    the contact set.  The absolute value makes the diagnostic nonnegative
-    in both obstacle modes.  Like the other diagnostics it reduces over
-    the node-major arrays behind the solution's views.
-    """
-    n = sol.dK.shape[1]
-    per_path = np.sum((sol.y_pre.T[:n] - sol.S.T[:n]) * sol.dK.T, axis=0)
-    return float(np.mean(np.abs(per_path)))
-
-
-def penetration_norm(sol: EnsembleSolution) -> float:
-    """max over nodes of mean over paths of ((Y - S)^-)^2."""
-    pen_sq = np.maximum(sol.S.T - sol.Y.T, 0.0) ** 2
-    return float(np.max(np.mean(pen_sq, axis=1)))
-
-
-def _solution_norms(sol: EnsembleSolution) -> dict:
-    Y = sol.Y.T
-    dA = np.diff(sol.A.T, axis=0)
-    z2 = np.sum(sol.Z.transpose(1, 2, 0)[:-1] ** 2, axis=1)  # [step, path]
-    sup_y2 = float(np.mean(np.max(Y**2, axis=0)))
-    y2_dA = float(np.mean(np.sum(Y[:-1] ** 2 * dA, axis=0)))
-    z2_dt = float(np.mean(np.sum(z2, axis=0) * sol.dt))
-    kT2 = float(np.mean(sol.K.T[-1] ** 2))
-    return {
-        "sup_y2": sup_y2,
-        "y2_dA": y2_dA,
-        "z2_dt": z2_dt,
-        "kT2": kT2,
-        "total": sup_y2 + y2_dA + z2_dt + kT2,
-    }
+def _mean_penetration_sq(s: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
+    """Mean over paths of ((s - y)^+)^2, computed in ``out``."""
+    return np.mean(np.square(np.maximum(np.subtract(s, y, out=out), 0.0, out=out), out=out))
 
 
 @dataclass(frozen=True)

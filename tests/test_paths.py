@@ -143,6 +143,21 @@ class TestAssembleA:
         assert A[0, 0] == 0.0
         assert A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("a_mode", ["local-time", "identity-time"])
+    def test_local_time_clock_shares_eta_read_only(self, a_mode):
+        ens = simulate_ensemble(
+            TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0, a_mode=a_mode
+        )
+        shared = a_mode == "local-time"
+        assert np.shares_memory(ens.A, ens.eta_abs) == shared
+        assert ens.A.flags.writeable != shared
+        assert ens.eta_abs.flags.writeable
+        assert ens.A.T.flags.c_contiguous
+        if shared:
+            assert np.array_equal(ens.A, ens.eta_abs)
+            with pytest.raises(ValueError, match="read-only"):
+                ens.A[0, 1] = 1.0
+
 
 class TestNodeMajorReflection:
     """The vectorized clamp loop against a plain per-path scalar loop."""

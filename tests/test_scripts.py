@@ -1,5 +1,7 @@
 """The example scripts run end to end at a tiny size."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,39 @@ def test_script_exits_zero(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_bench_snapshot_records_every_listed_workload(tmp_path):
+    # a checkout whose BENCHMARK.json lists one workload, so the snapshot
+    # runs once at the smoke-test size
+    root = SCRIPTS.parent
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    # perfbench checks that levylab is imported from the checkout's own src/
+    shutil.copytree(root / "src", checkout / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for name in ("perfbench", "configs"):
+        (checkout / name).symlink_to(root / name)
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec["workloads"] = [w for w in spec["workloads"] if w["name"] == "verify-orthonormality"]
+    (checkout / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "snapshot"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True)
+
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_snapshot.py"), "--label", "t", "--checkout",
+         str(checkout), "--tiny", "--seconds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    snap = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert snap.keys() == {"label", "commit", "command", "host", "workloads"}
+    assert snap["label"] == "t"
+    assert snap["commit"] == head.stdout.strip()
+    assert "perfbench/run.py" in snap["command"] and "--tiny" in snap["command"]
+    assert {"nproc", "python", "numpy"} <= snap["host"].keys()
+    assert list(snap["workloads"]) == ["verify-orthonormality"]
+    run = snap["workloads"]["verify-orthonormality"]
+    assert run["correct"] is True and run["failed"] == 0
+    assert set(run["metrics"]) == {m["name"] for m in spec["end_to_end"]}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from levylab.solver import (
     SolverConfig,
     apriori_bounds,
     check_comparison_hypothesis,
-    skorokhod_residual,
     solve_penalized,
 )
 from levylab.suites import (
@@ -283,16 +283,118 @@ def comparison_reference(sol1, sol2, problem2, ens):
     return total
 
 
+def skorokhod_residual_reference(sol):
+    """Mean over paths of |sum_k (y_pre_k - S_k) dK_k|, over the full arrays."""
+    n = sol.dK.shape[1]
+    per_path = np.sum((sol.y_pre.T[:n] - sol.S.T[:n]) * sol.dK.T, axis=0)
+    return float(np.mean(np.abs(per_path)))
+
+
+def penetration_norm_reference(sol):
+    """max over nodes of mean over paths of ((S - Y)^+)^2, over the full arrays."""
+    pen_sq = np.maximum(sol.S.T - sol.Y.T, 0.0) ** 2
+    return float(np.max(np.mean(pen_sq, axis=1)))
+
+
+def solution_norms_reference(sol, A):
+    """The a priori norm terms from the full arrays and the clock ``A`` [path, node]."""
+    Y = sol.Y.T
+    dA = np.diff(A.T, axis=0)
+    z2 = np.sum(sol.Z.transpose(1, 2, 0)[:-1] ** 2, axis=1)  # [step, path]
+    sup_y2 = float(np.mean(np.max(Y**2, axis=0)))
+    y2_dA = float(np.mean(np.sum(Y[:-1] ** 2 * dA, axis=0)))
+    z2_dt = float(np.mean(np.sum(z2, axis=0) * sol.dt))
+    kT2 = float(np.mean(sol.K.T[-1] ** 2))
+    return {
+        "sup_y2": sup_y2,
+        "y2_dA": y2_dA,
+        "z2_dt": z2_dt,
+        "kT2": kT2,
+        "total": sup_y2 + y2_dA + z2_dt + kT2,
+    }
+
+
+@pytest.fixture(scope="module")
+def binding_example51():
+    # example51 with an obstacle that binds: the push, the residual and K_T
+    # are all nonzero
+    cfg = dataclasses.replace(
+        BASE,
+        grid=TimeGrid(1.0, 50),
+        n_paths=2000,
+        seed=3,
+        problem_params=(("h_scale", 1.0), ("h_offset", 0.0)),
+    )
+    return cfg.build_problem(), cfg.build_ensemble()
+
+
 class TestDiagnostics:
     def test_skorokhod_residual_zero_without_push(self, ensemble):
         sol = solve_penalized(make_problem(), CFG, ensemble)
-        assert skorokhod_residual(sol) == 0.0
+        assert skorokhod_residual_reference(sol) == 0.0
 
     def test_residual_is_dt_times_push_on_the_benchmark(self):
         sol, _ = run_benchmark_solution(dataclasses.replace(BASE, n_paths=600, seed=33))
-        assert skorokhod_residual(sol) == sol.skorokhod_residual
+        # the sweep sums the steps last to first, the reference first to last
+        assert sol.skorokhod_residual == pytest.approx(
+            skorokhod_residual_reference(sol), rel=0.0, abs=1e-12
+        )
         # |yhat - S| = dt on the contact set, so the gap is dt * K_T = 0.01
         assert sol.skorokhod_residual == pytest.approx(0.01, abs=1e-10)
+
+    @pytest.mark.parametrize("penalization", [None, 4.0, 256.0])
+    def test_in_loop_diagnostics_match_the_full_array_references(
+        self, binding_example51, penalization
+    ):
+        problem, ens = binding_example51
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            sol = solve_penalized(problem, SolverConfig(penalization=penalization), ens)
+        residual = skorokhod_residual_reference(sol)
+        penetration = penetration_norm_reference(sol)
+        norms = solution_norms_reference(sol, ens.A)
+        assert residual > 1e-4 and norms["kT2"] > 1e-3
+        if penalization == 4.0:
+            assert penetration > 1e-4
+        assert sol.skorokhod_residual == pytest.approx(residual, rel=0.0, abs=1e-12)
+        assert sol.penetration_norm == pytest.approx(penetration, rel=0.0, abs=1e-12)
+        assert sol.apriori_norms.keys() == norms.keys()
+        for key, value in norms.items():
+            assert sol.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+
+    def test_sweep_memory_stays_near_the_returned_arrays(self):
+        # the diagnostics reduce row by row, so the sweep's peak is its
+        # outputs plus a few rows, not a second set of full-size temporaries
+        cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=2000, seed=1)
+        problem, ens = cfg.build_problem(), cfg.build_ensemble()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            tracemalloc.start()
+            try:
+                sol = solve_penalized(problem, CFG, ens)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        returned = sum(a.nbytes for a in (sol.Y, sol.Z, sol.K, sol.dK, sol.y_pre, sol.S))
+        assert peak <= 1.25 * returned, peak / returned
+
+    def test_solution_keeps_the_measured_arrays(self, ensemble):
+        # sizes and step counts of a sweep are read from these six arrays
+        sol = solve_penalized(make_problem(), CFG, ensemble)
+        n_paths, n = ensemble.n_paths, ensemble.grid.n_steps
+        m = ensemble.dH.shape[2]
+        shapes = {
+            "Y": (n_paths, n + 1),
+            "Z": (n_paths, n + 1, m),
+            "K": (n_paths, n + 1),
+            "dK": (n_paths, n),
+            "y_pre": (n_paths, n + 1),
+            "S": (n_paths, n + 1),
+        }
+        for name, shape in shapes.items():
+            array = getattr(sol, name)
+            assert isinstance(array, np.ndarray) and array.shape == shape, name
+            assert array.nbytes == 8 * math.prod(shape), name
 
     def test_degenerate_z_columns_exactly_zero(self):
         grid = TimeGrid(1.0, 50)
