@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,8 +32,9 @@ def _run(cmd: list[str], cwd: Path) -> str:
 
 
 def _host(stdout: str) -> dict:
+    """The ``key=value`` facts of the ``host`` line; a value may hold spaces."""
     line = next(line for line in stdout.splitlines() if line.startswith("host "))
-    return dict(item.split("=", 1) for item in line[len("host "):].split(" ") if "=" in item)
+    return dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", line[len("host "):]))
 
 
 def snapshot(checkout: Path, seed: int, seconds: int, tiny: bool) -> dict:

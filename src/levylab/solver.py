@@ -283,8 +283,8 @@ def solve_penalized(
     y2_dA = np.zeros(n_paths)
     z2 = np.zeros(n_paths)
     gap = np.zeros(n_paths)
-    pen_sq = np.empty(n + 1)
-    pen_sq[n] = _mean_penetration_sq(S[n], xi, row)
+    penetration = np.empty(n + 1)
+    penetration[n] = _mean_penetration_sq(S[n], xi, row)
 
     pen = config.penalization
     push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
@@ -308,7 +308,7 @@ def solve_penalized(
         y = np.add(yhat, push, out=Yt[k])
 
         gap += np.multiply(np.subtract(yhat, S[k], out=row), push, out=row)
-        pen_sq[k] = _mean_penetration_sq(S[k], y, row)
+        penetration[k] = _mean_penetration_sq(S[k], y, row)
         np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
         y2_dA += np.multiply(row, dA, out=row)
 
@@ -317,6 +317,7 @@ def solve_penalized(
              "z2_dt": float(np.mean(z2 * dt)), "kT2": float(np.mean(Kt[n] ** 2))}
     norms["total"] = sum(norms.values())
 
+    # after the loop, target is step 0's regression target, whose spread gives y0_se
     return EnsembleSolution(
         penalization=pen,
         rank=rank,
@@ -330,7 +331,7 @@ def solve_penalized(
         y0_value=float(np.mean(Yt[0])),
         y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         skorokhod_residual=float(np.mean(np.abs(gap))),
-        penetration_norm=float(np.max(pen_sq)),
+        penetration_norm=float(np.max(penetration)),
         apriori_norms=norms,
     )
 

@@ -1,5 +1,6 @@
 """The example scripts run end to end at a tiny size."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -63,3 +64,13 @@ def test_bench_snapshot_records_every_listed_workload(tmp_path):
     run = snap["workloads"]["verify-orthonormality"]
     assert run["correct"] is True and run["failed"] == 0
     assert set(run["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+
+
+def test_bench_snapshot_parses_host_values_with_spaces():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    stdout = "perfbench workload=w\nhost nproc=2 cpu=Intel(R) Xeon(R) Processor blas=x y=\n{}\n"
+    assert module._host(stdout) == {
+        "nproc": "2", "cpu": "Intel(R) Xeon(R) Processor", "blas": "x", "y": ""
+    }
