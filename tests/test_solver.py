@@ -331,7 +331,7 @@ def binding_example51():
 class TestDiagnostics:
     def test_skorokhod_residual_zero_without_push(self, ensemble):
         sol = solve_penalized(make_problem(), CFG, ensemble)
-        assert skorokhod_residual_reference(sol) == 0.0
+        assert sol.skorokhod_residual == skorokhod_residual_reference(sol) == 0.0
 
     def test_residual_is_dt_times_push_on_the_benchmark(self):
         sol, _ = run_benchmark_solution(dataclasses.replace(BASE, n_paths=600, seed=33))
