@@ -80,16 +80,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _solve_rows(cfg: ExperimentConfig, penalization):
-    sols, y0, se = solve_outer_samples(cfg, penalization)
-    k_t = float(np.mean([np.mean(s.K[:, -1]) for s in sols]))
-    resid = float(np.mean([s.skorokhod_residual for s in sols]))
-    pen_norm = float(np.mean([s.penetration_norm for s in sols]))
-    label = "projection" if penalization is None else f"{penalization:g}"
-    row = f"{label},{y0:.12g},{se:.12g},{k_t:.12g},{resid:.12g},{pen_norm:.12g}"
-    return row, sols[0]
-
-
 def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
     t = cfg.grid.nodes
     m = sol.Z.shape[2]
@@ -104,20 +94,19 @@ def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
 
 def _cmd_solve(cfg: ExperimentConfig, schedule: bool, trajectories: bool) -> int:
     lines = ["penalization,y0_mean,y0_se,k_t_mean,skorokhod_residual,penetration_norm"]
-    last_sol = None
-    if schedule:
-        for n in cfg.n_schedule:
-            row, last_sol = _solve_rows(cfg, n)
-            lines.append(row)
-    else:
-        row, last_sol = _solve_rows(cfg, cfg.penalization)
-        lines.append(row)
+    penalties = cfg.n_schedule if schedule else (cfg.penalization,)
+    for i, penalization in enumerate(penalties):
+        # only the last penalty's first sample is written as trajectories
+        keep_first = trajectories and i == len(penalties) - 1
+        y0, se, means, first = solve_outer_samples(cfg, penalization, keep_first)
+        label = "projection" if penalization is None else f"{penalization:g}"
+        lines.append(",".join([label] + [f"{v:.12g}" for v in (y0, se, *means)]))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.out_dir is not None:
         _write(_out_dir(cfg) / "solve_summary.csv", text)
-        if trajectories and last_sol is not None:
-            _write(_out_dir(cfg) / "trajectories.csv", _trajectory_csv(cfg, last_sol))
+        if trajectories:
+            _write(_out_dir(cfg) / "trajectories.csv", _trajectory_csv(cfg, first))
     return 0
 
 

@@ -18,17 +18,11 @@ compensated, so the simulated slope between jumps is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
-
-#: Paths per block in :func:`step_jump_sums`.  A block's counts, products
-#: and transposed copy stay in cache, which makes the blocked product and
-#: transpose (31 ms at 20,000 paths x 200 steps x 2 atoms) faster than the
-#: plain unblocked product alone (38 ms).
-PATH_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class LevySpec:
@@ -159,16 +153,13 @@ def levy_moments(spec: ValidatedLevySpec, max_order: int) -> MomentTable:
     return MomentTable(raw_moments=mom, mean_l1=mean, compensated=spec.compensated)
 
 
-def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-step weighted jump sums ``counts @ weights``, stored step-major.
+def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-step weighted jump sums ``counts[:, k] @ weights``, one step at a time.
 
-    ``counts`` is [path, step, atom] and ``weights`` [atom] or [atom, K];
-    the result is [step, path] or [step, K, path], filled one block of
-    paths at a time.
+    ``counts`` is [path, step, atom] of any integer dtype and ``weights``
+    [atom] or [atom, K].  Step k yields a new float64 [path] or [K, path]
+    array from the step's [atom, path] row of the node-major counts, so the
+    counts are never cast or copied whole and integer sums never wrap.
     """
-    n_paths, n_steps = counts.shape[:2]
-    out = np.empty((n_steps,) + weights.shape[1:] + (n_paths,))
-    for start in range(0, n_paths, PATH_BLOCK):
-        block = counts[start : start + PATH_BLOCK] @ weights
-        out[..., start : start + PATH_BLOCK] = np.moveaxis(block, 0, -1)
-    return out
+    for step_counts in counts.transpose(1, 2, 0):
+        yield weights.T @ step_counts

@@ -15,11 +15,11 @@ Storage
 Both the forward reflection and the backward sweep walk the grid one node
 at a time, so the per-node arrays are stored node-major: the driver L, the
 state X, the local time |eta| and the clock A as [node, path], the
-martingale increments dH as [step, component, path].  Functions return
-them as transposed views with the documented [path, node(, component)]
-shapes; ``.T`` (or ``dH.transpose(1, 2, 0)``) recovers the contiguous
-node-major array without a copy.  The jump counts keep the [path, step,
-atom] layout they are drawn in.
+martingale increments dH as [step, component, path] and the jump counts,
+in the smallest unsigned dtype that holds them, as [step, atom, path].
+Functions return them as transposed views with the documented [path,
+node(, component)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
+the contiguous node-major array without a copy.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ STREAM_BROWNIAN = 1
 STREAM_COMPARISON = 2
 
 A_MODES = ("identity-time", "local-time")
+
+#: Paths per ``rng.multinomial`` call in :func:`simulate_jump_counts`; it
+#: bounds the int64 array each call returns at DRAW_BLOCK * n_steps * 8 bytes.
+DRAW_BLOCK = 4096
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -92,16 +96,21 @@ def simulate_jump_counts(
     """Per-step jump counts per atom, shape [n_paths, n_steps, n_atoms].
 
     For each atom the total count over the horizon is Poisson(alpha * T)
-    and the jump times are uniform, binned into the grid's steps.
+    and the jump times are uniform, binned into the grid's steps.  Storage
+    is node-major ``uint8``, widened when an atom's largest total does not
+    fit.  Blocked multinomial calls draw exactly what one call would.
     """
     n = grid.n_steps
-    counts = np.zeros((n_paths, n, spec.m_atoms), dtype=np.int64)
+    counts = np.zeros((n, spec.m_atoms, n_paths), dtype=np.uint8)
     pvals = np.full(n, 1.0 / n)
     for a in range(spec.m_atoms):
         alpha = spec.atoms[a][1]
         totals = rng.poisson(alpha * grid.horizon, size=n_paths)
-        counts[:, :, a] = rng.multinomial(totals, pvals)
-    return counts
+        if totals.max(initial=0) > np.iinfo(counts.dtype).max:
+            counts = counts.astype(np.min_scalar_type(totals.max()))
+        for s in range(0, n_paths, DRAW_BLOCK):
+            counts[:, a, s : s + DRAW_BLOCK] = rng.multinomial(totals[s : s + DRAW_BLOCK], pvals).T
+    return counts.transpose(2, 0, 1)
 
 
 def assemble_levy_paths(
@@ -114,16 +123,18 @@ def assemble_levy_paths(
 
     L = (linear drift per the compensation flag) * t + jump sums, plus a
     sigma-scaled Brownian part drawn from ``rng`` when the spec has one.
-    Returns [path, node], a transposed view of node-major storage.
+    The jump sums are accumulated one step at a time.  Returns [path,
+    node], a transposed view of node-major storage.
     """
-    n_paths = counts.shape[0]
-    L = np.empty((grid.n_steps + 1, n_paths))
-    cumsum_nodes(step_jump_sums(counts, spec.jump_sizes), out=L)
+    L = np.empty((grid.n_steps + 1, counts.shape[0]))
+    L[0] = 0.0
+    for k, sums in enumerate(step_jump_sums(counts, spec.jump_sizes)):
+        np.add(L[k], sums, out=L[k + 1])
     L += linear_drift(spec) * grid.nodes[:, None]
     if spec.continuous_part:
         if rng is None:
             raise ValueError("an rng is required to draw the driver's continuous part")
-        L += spec.sigma * simulate_brownian(grid, rng, n_paths).T
+        L += spec.sigma * simulate_brownian(grid, rng, L.shape[1]).T
     return L.T
 
 
@@ -161,13 +172,13 @@ def simulate_reflected_x(
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    dL = np.diff(np.asarray(levy_path, dtype=float).T, axis=0)  # [step, path]
-    X = np.empty((dL.shape[0] + 1, dL.shape[1]))
+    L = np.asarray(levy_path, dtype=float).T  # [node, path]
+    X = np.empty(L.shape)
     eta = np.empty_like(X)
     X[0] = x0
     eta[0] = 0.0
-    for k in range(dL.shape[0]):
-        proposal = X[k] + np.asarray(sigma_x(X[k]), dtype=float) * dL[k]
+    for k in range(L.shape[0] - 1):
+        proposal = X[k] + np.asarray(sigma_x(X[k]), dtype=float) * (L[k + 1] - L[k])
         np.clip(proposal, -theta, theta, out=X[k + 1])
         np.add(eta[k], np.abs(proposal - X[k + 1]), out=eta[k + 1])
     return X.T, eta.T
@@ -222,11 +233,12 @@ class PathEnsemble:
 
     ``L``, ``X``, ``eta_abs`` and ``A`` are [path, node], ``dH`` is
     [path, step, component] and ``jump_counts`` [path, step, atom].  From
-    :func:`simulate_ensemble` the first five are transposed views of
-    node-major arrays (see the module docstring); an ensemble built by
-    hand may hold path-major arrays instead, which the solver copies to
-    node-major once per sweep.  A local-time ``A`` is a read-only view of
-    ``eta_abs`` (see :func:`assemble_A`).
+    :func:`simulate_ensemble` all six are transposed views of node-major
+    arrays, the counts in a small unsigned dtype (see the module
+    docstring); an ensemble built by hand may hold path-major arrays
+    instead, which the solver copies to node-major once per sweep.  A
+    local-time ``A`` is a read-only view of ``eta_abs`` (see
+    :func:`assemble_A`).
     """
 
     grid: TimeGrid

@@ -131,6 +131,7 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
     L = assemble_levy_paths(spec, cfg.grid, counts, rng)
     dH = teugels_increments(counts, cfg.grid, spec, basis, levy_path=L)
     H_T = dH.sum(axis=1)  # [paths, m]
+    degenerate = dH[:, :, basis.rank :]  # max |x| is max(max, -min), read without a copy
     T = cfg.grid.horizon
     prod_dev = 0.0
     mean_dev = 0.0
@@ -145,7 +146,7 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": gram,
-        "degenerate_max_abs": float(np.max(np.abs(dH[:, :, basis.rank :]))),
+        "degenerate_max_abs": max(float(np.max(degenerate)), -float(np.min(degenerate))),
         "product_max_stddevs": prod_dev,
         "mean_max_stddevs": mean_dev,
     }
@@ -198,28 +199,33 @@ def penalization_family(cfg: ExperimentConfig) -> dict[float, EnsembleSolution]:
 
 
 def solve_outer_samples(
-    cfg: ExperimentConfig, penalization: float | None
-) -> tuple[list[EnsembleSolution], float, float]:
+    cfg: ExperimentConfig, penalization: float | None, keep_first: bool = False
+) -> tuple[float, float, tuple[float, float, float], EnsembleSolution | None]:
     """Solve the configured problem over ``cfg.outer_b_samples`` outer
     Brownian samples of ``cfg.seed``, each an ensemble of ``cfg.n_paths``.
 
-    Returns the per-sample solutions plus the aggregated initial value and
+    Returns ``(y0, se, means, first)``: the aggregated initial value and
     its standard error (across samples when there are at least two, else
-    the single sample's within-ensemble proxy).
+    the single sample's within-ensemble proxy); the path mean of K_T, the
+    Skorokhod residual and the penetration norm, each averaged over
+    samples; and sample 0's solution when ``keep_first``, else None.  Only
+    scalars are kept of the other samples: one solution is alive at a time.
     """
     problem = cfg.build_problem()
     config = cfg.build_solver_config(penalization)
-    sols = [
-        solve_penalized(problem, config, cfg.build_ensemble(b)) for b in range(cfg.outer_b_samples)
-    ]
-    y0s = np.array([s.y0_value for s in sols])
+    rows, first = [], None
+    for b in range(cfg.outer_b_samples):
+        sol = solve_penalized(problem, config, cfg.build_ensemble(b))
+        k_t = float(np.mean(sol.K[:, -1]))
+        rows.append((sol.y0_value, sol.y0_se, k_t, sol.skorokhod_residual, sol.penetration_norm))
+        first = sol if keep_first and b == 0 else first
+        del sol  # before the next sample's ensemble and sweep are built
+    y0s, ses, *per_sample = map(np.array, zip(*rows))
     if len(y0s) > 1:
-        y0 = float(np.mean(y0s))
-        se = float(np.std(y0s, ddof=1) / math.sqrt(len(y0s)))
+        y0, se = float(np.mean(y0s)), float(np.std(y0s, ddof=1) / math.sqrt(len(y0s)))
     else:
-        y0 = float(y0s[0])
-        se = sols[0].y0_se
-    return sols, y0, se
+        y0, se = float(y0s[0]), float(ses[0])
+    return y0, se, tuple(float(np.mean(v)) for v in per_sample), first
 
 
 def comparison_pair(cfg: ExperimentConfig):
@@ -388,7 +394,7 @@ def _suite_uniqueness(cfg: ExperimentConfig) -> list[CheckResult]:
         values = []
         for seed in (cfg.seed, cfg.seed + 1):
             sample = replace(cfg, n_paths=per_sample, seed=seed, outer_b_samples=outer)
-            _, y0, se = solve_outer_samples(sample, None)
+            y0, se, _, _ = solve_outer_samples(sample, None)
             values.append((y0, se))
         (y0a, sea), (y0b, seb) = values
         return abs(y0a - y0b) / math.sqrt(sea**2 + seb**2 + 1e-300)

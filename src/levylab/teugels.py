@@ -190,10 +190,11 @@ def teugels_increments(
     Parameters
     ----------
     counts:
-        Per-step jump counts per atom, an integer array of shape
+        Per-step jump counts per atom, an unsigned integer array of shape
         [n_paths, n_steps, n_atoms], or [n_steps, n_atoms] for one path.
         The power-jump sums are linear in the counts, so the counts carry
-        every jump.
+        every jump.  They are read one step at a time (see
+        :func:`levylab.levy.step_jump_sums`).
     grid:
         Time grid; only ``dt`` and ``n_steps`` are used.
     spec, basis:
@@ -210,7 +211,9 @@ def teugels_increments(
     requested_m] for 2d counts.  Columns at or beyond the basis rank are
     exactly zero.  The values are stored step-major, [n_steps, requested_m,
     n_paths], and returned as a transposed view, so ``dH.transpose(1, 2, 0)``
-    is the contiguous step-major array for 3d input.
+    is the contiguous step-major array for 3d input.  Step k's live rows
+    are the basis rows times that step's compensated power sums, so no
+    full-size array of the power sums exists.
     """
     spec = validate_levy_spec(spec)
     dt = grid.dt
@@ -229,28 +232,26 @@ def teugels_increments(
         counts = counts[None, :, :]
     if counts.shape[-2] != n:
         raise ValueError("jump counts do not match the grid's step count")
-    beta = spec.jump_sizes
-    beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
-    dY = step_jump_sums(counts, beta_powers)  # [n, K, P]
-
-    # compensate the power sums in place: dY(k) = sums(k) - dt * m_k
-    n_paths = dY.shape[2]
+    n_paths = counts.shape[0]
     if levy_path is not None:
         L = np.asarray(levy_path, dtype=float)
         if L.ndim == 1:
             L = L[None, :]
         if L.shape != (n_paths, n + 1):
             raise ValueError("levy_path shape does not match the jump data")
-        np.subtract(np.diff(L.T, axis=0), dt * moments.mean_l1, out=dY[:, 0])
-    else:
-        if spec.continuous_part:
-            raise ValueError("levy_path is required when the driver has a continuous part")
-        dY[:, 0] -= dt * moments.raw_moments[1]
-    for k in range(2, rank + 1):
-        dY[:, k - 1] -= dt * moments.raw_moments[k]
+        L = L.T  # [node, path]
+    elif spec.continuous_part:
+        raise ValueError("levy_path is required when the driver has a continuous part")
 
+    beta = spec.jump_sizes
+    beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
+    compensators = (dt * moments.raw_moments[1 : rank + 1])[:, None]
     dH = np.zeros((n, basis.requested_m, n_paths))
-    if rank:
-        np.matmul(basis.coeffs[:rank, :rank], dY[:, :rank], out=dH[:, :rank])
+    for k, dY in enumerate(step_jump_sums(counts, beta_powers) if rank else ()):
+        dY -= compensators  # row j: the order-(j + 1) power sum of step k
+        if levy_path is not None:
+            np.subtract(L[k + 1], L[k], out=dY[0])
+            dY[0] -= dt * moments.mean_l1
+        np.matmul(basis.coeffs[:rank, :rank], dY, out=dH[k, :rank])
     dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

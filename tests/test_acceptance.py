@@ -157,7 +157,7 @@ def test_criterion_06_comparison_theorem():
 def test_criterion_07_uniqueness_surrogate():
     values = []
     for seed in (101, 202):
-        _, y0, se = solve_outer_samples(config(n_paths=1250, seed=seed, outer_b_samples=8), None)
+        y0, se, _, _ = solve_outer_samples(config(n_paths=1250, seed=seed, outer_b_samples=8), None)
         values.append((y0, se))
     (y0a, sea), (y0b, seb) = values
     gap = abs(y0a - y0b)

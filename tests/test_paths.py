@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import InitialPointOutsideDomain
-from levylab.levy import LevySpec, levy_moments, validate_levy_spec
+from levylab.levy import LevySpec, levy_moments, linear_drift, validate_levy_spec
 from levylab.paths import (
+    DRAW_BLOCK,
     TimeGrid,
     assemble_A,
     assemble_levy_paths,
     boundary_direction,
+    cumsum_nodes,
     derived_rng,
     simulate_brownian,
     simulate_ensemble,
@@ -19,7 +22,7 @@ from levylab.paths import (
     simulate_reflected_x,
     skorokhod_minimality_gap,
 )
-from levylab.teugels import basis_for
+from levylab.teugels import basis_for, teugels_increments
 
 TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4))
 
@@ -103,6 +106,112 @@ class TestLevy:
                 rebuilt[step + 1 :] += TWO_ATOM.jump_sizes[atom]
         rebuilt += TWO_ATOM.drift_b * grid.nodes
         assert np.allclose(L, rebuilt, atol=1e-12)
+
+
+# Test-only references: the path-major int64 counts and the full-array
+# sums that the node-major, one-step-at-a-time simulation layer replaced.
+
+
+def simulate_jump_counts_reference(spec, grid, rng, n_paths):
+    """[path, step, atom] int64 counts, one multinomial call per atom."""
+    n = grid.n_steps
+    counts = np.zeros((n_paths, n, spec.m_atoms), dtype=np.int64)
+    pvals = np.full(n, 1.0 / n)
+    for a in range(spec.m_atoms):
+        totals = rng.poisson(spec.atoms[a][1] * grid.horizon, size=n_paths)
+        counts[:, :, a] = rng.multinomial(totals, pvals)
+    return counts
+
+
+def step_jump_sums_reference(counts, weights, block=256):
+    """Every step's ``counts @ weights`` as [step, path] or [step, K, path]."""
+    n_paths, n_steps = counts.shape[:2]
+    out = np.empty((n_steps,) + weights.shape[1:] + (n_paths,))
+    for start in range(0, n_paths, block):
+        out[..., start : start + block] = np.moveaxis(counts[start : start + block] @ weights, 0, -1)
+    return out
+
+
+def assemble_levy_paths_reference(spec, grid, counts, rng):
+    L = np.empty((grid.n_steps + 1, counts.shape[0]))
+    cumsum_nodes(step_jump_sums_reference(counts, spec.jump_sizes), out=L)
+    L += linear_drift(spec) * grid.nodes[:, None]
+    if spec.continuous_part:
+        L += spec.sigma * simulate_brownian(grid, rng, counts.shape[0]).T
+    return L.T
+
+
+def teugels_increments_reference(counts, grid, spec, basis, levy_path=None):
+    """All steps' compensated power sums at once, then one batched product."""
+    rank, dt = basis.rank, grid.dt
+    moments = levy_moments(spec, rank)
+    beta_powers = np.stack([spec.jump_sizes**k for k in range(1, rank + 1)], axis=1)
+    dY = step_jump_sums_reference(counts, beta_powers)  # [step, K, path]
+    if levy_path is not None:
+        np.subtract(np.diff(levy_path.T, axis=0), dt * moments.mean_l1, out=dY[:, 0])
+    else:
+        dY[:, 0] -= dt * moments.raw_moments[1]
+    for k in range(2, rank + 1):
+        dY[:, k - 1] -= dt * moments.raw_moments[k]
+    dH = np.zeros((grid.n_steps, basis.requested_m, counts.shape[0]))
+    np.matmul(basis.coeffs[:rank, :rank], dY, out=dH[:, :rank])
+    return dH.transpose(2, 0, 1)
+
+
+class TestCompactCounts:
+    """Node-major compact counts, and L and dH built one step at a time,
+    against the path-major int64 references, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, grid, n_paths, dtype",
+        [
+            # crosses the DRAW_BLOCK edge at path 4096
+            (TWO_ATOM, TimeGrid(1.0, 20), 5000, np.uint8),
+            # a step holds about 400 jumps of the second atom, so the first
+            # atom's counts are copied into a wider array before the
+            # second's are written
+            (
+                validate_levy_spec(LevySpec(atoms=((-0.03, 2.0), (0.01, 400.0)), sigma=0.2)),
+                TimeGrid(2.0, 2),
+                300,
+                np.uint16,
+            ),
+        ],
+        ids=["block-edge", "widened"],
+    )
+    def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype):
+        basis = basis_for(spec, spec.m_atoms + 2)
+        rng, rng_ref = derived_rng(17, 0), derived_rng(17, 0)
+        counts = simulate_jump_counts(spec, grid, rng, n_paths)
+        ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)
+        assert n_paths > DRAW_BLOCK or ref.max() > 255
+        assert counts.dtype == dtype
+        assert counts.shape == ref.shape and counts.transpose(1, 2, 0).flags.c_contiguous
+        assert np.array_equal(counts, ref)
+
+        L = assemble_levy_paths(spec, grid, counts, rng)
+        L_ref = assemble_levy_paths_reference(spec, grid, ref, rng_ref)
+        assert np.array_equal(L, L_ref)
+        dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
+        assert np.array_equal(dH, teugels_increments_reference(ref, grid, spec, basis, L_ref))
+        if not spec.continuous_part:
+            dH = teugels_increments(counts, grid, spec, basis)
+            assert np.array_equal(dH, teugels_increments_reference(ref, grid, spec, basis))
+        assert np.any(dH[:, :, : basis.rank] != 0.0)
+
+    def test_simulation_memory_stays_near_the_returned_arrays(self):
+        # counts, L and dH are built one step at a time, so the peak is the
+        # ensemble plus a few rows, not a full-size sum or copy per stage
+        grid = TimeGrid(1.0, 50)
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(TWO_ATOM, grid, basis_for(TWO_ATOM), 10_000, 1, theta=1.0, x0=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
+        returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs, ens.dH))
+        assert peak <= 1.10 * returned, peak / returned
 
 
 class TestReflected:

@@ -531,7 +531,7 @@ def test_uniqueness_surrogate_small():
     values = []
     for seed in (7, 8):
         cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=500, seed=seed, outer_b_samples=4)
-        _, y0, se = solve_outer_samples(cfg, None)
+        y0, se, _, _ = solve_outer_samples(cfg, None)
         values.append((y0, se))
     (a, sa), (b, sb) = values
     assert abs(a - b) <= 4.0 * math.sqrt(sa**2 + sb**2)
