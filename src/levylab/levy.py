@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
 
+
 @dataclass(frozen=True)
 class LevySpec:
     """Driver specification as written in a config file.

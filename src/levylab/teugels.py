@@ -190,7 +190,7 @@ def teugels_increments(
     Parameters
     ----------
     counts:
-        Per-step jump counts per atom, an unsigned integer array of shape
+        Per-step jump counts per atom, an integer array of shape
         [n_paths, n_steps, n_atoms], or [n_steps, n_atoms] for one path.
         The power-jump sums are linear in the counts, so the counts carry
         every jump.  They are read one step at a time (see

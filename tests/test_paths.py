@@ -108,8 +108,9 @@ class TestLevy:
         assert np.allclose(L, rebuilt, atol=1e-12)
 
 
-# Test-only references: the path-major int64 counts and the full-array
-# sums that the node-major, one-step-at-a-time simulation layer replaced.
+# Test-only references: path-major int64 counts drawn in one call per atom,
+# and every step's sums formed at once.  The node-major simulation layer,
+# which walks the steps one at a time, must match them bit for bit.
 
 
 def simulate_jump_counts_reference(spec, grid, rng, n_paths):
@@ -169,7 +170,9 @@ class TestCompactCounts:
             (TWO_ATOM, TimeGrid(1.0, 20), 5000, np.uint8),
             # a step holds about 400 jumps of the second atom, so the first
             # atom's counts are copied into a wider array before the
-            # second's are written
+            # second's are written; two steps, because on a one-step grid
+            # the reference's product is a BLAS dot, which may round the
+            # last bit differently
             (
                 validate_levy_spec(LevySpec(atoms=((-0.03, 2.0), (0.01, 400.0)), sigma=0.2)),
                 TimeGrid(2.0, 2),
