@@ -10,6 +10,9 @@ path: conditional expectations in the backward solver are taken over the
 jump randomness with B frozen, so every Monte Carlo path of an ensemble
 sees the same B realization.
 
+Jump counts: per atom and path a Poisson(alpha * T) total, each jump in an
+independent uniform step, the law of a compound Poisson process binned.
+
 Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
@@ -39,10 +42,6 @@ STREAM_BROWNIAN = 1
 STREAM_COMPARISON = 2
 
 A_MODES = ("identity-time", "local-time")
-
-#: Paths per ``rng.multinomial`` call in :func:`simulate_jump_counts`; it
-#: bounds the int64 array each call returns at DRAW_BLOCK * n_steps * 8 bytes.
-DRAW_BLOCK = 4096
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -95,21 +94,20 @@ def simulate_jump_counts(
 ) -> np.ndarray:
     """Per-step jump counts per atom, shape [n_paths, n_steps, n_atoms].
 
-    For each atom the total count over the horizon is Poisson(alpha * T)
-    and the jump times are uniform, binned into the grid's steps.  Storage
-    is node-major ``uint8``, widened when an atom's largest total does not
-    fit.  Blocked multinomial calls draw exactly what one call would.
+    Per atom: a Poisson(alpha * T) total per path, then one uniform step
+    index per jump, added into its path's cell.  Storage is node-major
+    ``uint8``, widened when an atom's largest total does not fit.
     """
     n = grid.n_steps
     counts = np.zeros((n, spec.m_atoms, n_paths), dtype=np.uint8)
-    pvals = np.full(n, 1.0 / n)
+    paths = np.arange(n_paths)
     for a in range(spec.m_atoms):
         alpha = spec.atoms[a][1]
         totals = rng.poisson(alpha * grid.horizon, size=n_paths)
         if totals.max(initial=0) > np.iinfo(counts.dtype).max:
             counts = counts.astype(np.min_scalar_type(totals.max()))
-        for s in range(0, n_paths, DRAW_BLOCK):
-            counts[:, a, s : s + DRAW_BLOCK] = rng.multinomial(totals[s : s + DRAW_BLOCK], pvals).T
+        steps = rng.integers(0, n, size=totals.sum())
+        np.add.at(counts[:, a], (steps, np.repeat(paths, totals)), 1)
     return counts.transpose(2, 0, 1)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from levylab.errors import InitialPointOutsideDomain
 from levylab.levy import LevySpec, levy_moments, linear_drift, validate_levy_spec
 from levylab.paths import (
-    DRAW_BLOCK,
     TimeGrid,
     assemble_A,
     assemble_levy_paths,
@@ -84,6 +83,29 @@ class TestLevy:
         totals = counts.sum(axis=(1, 2))
         assert abs(np.mean(totals) - 1.0) <= 4.0 * math.sqrt(1.0 / 100000)
 
+    def test_counts_are_independent_poisson_per_step(self):
+        # given a Poisson(alpha T) total with uniform jump times, every cell
+        # is Poisson(alpha dt), independent across steps; each check is
+        # within 4 standard errors of the exact value
+        grid = TimeGrid(1.0, 10)
+        n_paths = 20000
+        counts = simulate_jump_counts(TWO_ATOM, grid, derived_rng(15, 0), n_paths)
+        for a, (_, alpha) in enumerate(TWO_ATOM.atoms):
+            c = counts[:, :, a].astype(float)  # [path, step]
+            lam = alpha * grid.dt
+            mean_se = math.sqrt(lam / n_paths)
+            var_se = math.sqrt((lam + 2.0 * lam**2) / n_paths)  # Poisson mu_4 - sigma^4
+            assert np.all(np.abs(c.mean(axis=0) - lam) <= 4.0 * mean_se), c.mean(axis=0)
+            assert np.all(np.abs(c.var(axis=0, ddof=1) - lam) <= 4.0 * var_se), c.var(axis=0)
+            # per-path mean lag-1 product of centred counts: i.i.d. over paths
+            lag = ((c[:, :-1] - lam) * (c[:, 1:] - lam)).mean(axis=1)
+            assert abs(lag.mean()) <= 4.0 * lag.std(ddof=1) / math.sqrt(n_paths), lag.mean()
+            totals = c.sum(axis=1)
+            total = alpha * grid.horizon
+            assert abs(totals.mean() - total) <= 4.0 * math.sqrt(total / n_paths)
+            total_var_se = math.sqrt((total + 2.0 * total**2) / n_paths)
+            assert abs(totals.var(ddof=1) - total) <= 4.0 * total_var_se
+
     def test_terminal_mean_matches_moment_table(self):
         grid = TimeGrid(1.0, 20)
         rng = derived_rng(7, 0)
@@ -108,19 +130,23 @@ class TestLevy:
         assert np.allclose(L, rebuilt, atol=1e-12)
 
 
-# Test-only references: path-major int64 counts drawn in one call per atom,
+# Test-only references: path-major int64 counts binned one path at a time,
 # and every step's sums formed at once.  The node-major simulation layer,
-# which walks the steps one at a time, must match them bit for bit.
+# which scatters the jumps and walks the steps one at a time, must match
+# them bit for bit.
 
 
 def simulate_jump_counts_reference(spec, grid, rng, n_paths):
-    """[path, step, atom] int64 counts, one multinomial call per atom."""
+    """[path, step, atom] int64 counts from the same ``poisson`` and
+    ``integers`` draws, each path's slice of steps binned by ``bincount``."""
     n = grid.n_steps
     counts = np.zeros((n_paths, n, spec.m_atoms), dtype=np.int64)
-    pvals = np.full(n, 1.0 / n)
     for a in range(spec.m_atoms):
         totals = rng.poisson(spec.atoms[a][1] * grid.horizon, size=n_paths)
-        counts[:, :, a] = rng.multinomial(totals, pvals)
+        steps = rng.integers(0, n, size=totals.sum())
+        ends = np.cumsum(totals)
+        for p in range(n_paths):
+            counts[p, :, a] = np.bincount(steps[ends[p] - totals[p] : ends[p]], minlength=n)
     return counts
 
 
@@ -166,8 +192,14 @@ class TestCompactCounts:
     @pytest.mark.parametrize(
         "spec, grid, n_paths, dtype",
         [
-            # crosses the DRAW_BLOCK edge at path 4096
-            (TWO_ATOM, TimeGrid(1.0, 20), 5000, np.uint8),
+            # rare jumps, so many paths have a total of 0 for one atom and
+            # some for both
+            (
+                validate_levy_spec(LevySpec(atoms=((0.3, 0.5), (-0.2, 0.2)), drift_b=0.4)),
+                TimeGrid(1.0, 20),
+                2000,
+                np.uint8,
+            ),
             # a step holds about 400 jumps of the second atom, so the first
             # atom's counts are copied into a wider array before the
             # second's are written; two steps, because on a one-step grid
@@ -180,14 +212,14 @@ class TestCompactCounts:
                 np.uint16,
             ),
         ],
-        ids=["block-edge", "widened"],
+        ids=["empty-paths", "widened"],
     )
     def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype):
         basis = basis_for(spec, spec.m_atoms + 2)
         rng, rng_ref = derived_rng(17, 0), derived_rng(17, 0)
         counts = simulate_jump_counts(spec, grid, rng, n_paths)
         ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)
-        assert n_paths > DRAW_BLOCK or ref.max() > 255
+        assert np.any(ref.sum(axis=(1, 2)) == 0) or ref.max() > 255
         assert counts.dtype == dtype
         assert counts.shape == ref.shape and counts.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(counts, ref)

@@ -12,6 +12,13 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -67,10 +74,38 @@ def test_bench_snapshot_records_every_listed_workload(tmp_path):
 
 
 def test_bench_snapshot_parses_host_values_with_spaces():
-    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load_script("bench_snapshot")
     stdout = "perfbench workload=w\nhost nproc=2 cpu=Intel(R) Xeon(R) Processor blas=x y=\n{}\n"
     assert module._host(stdout) == {
         "nproc": "2", "cpu": "Intel(R) Xeon(R) Processor", "blas": "x", "y": ""
     }
+
+
+def test_seed_sweep_runs_each_seed_and_reports_every_gate():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "seed_sweep.py"), "--seeds", "2", "--", "verify",
+         "--config", str(SCRIPTS.parent / "configs" / "orthonormality.cfg"),
+         "--paths", "300", "--steps", "8"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    *gates, last = result.stdout.splitlines()
+    assert "orthonormality/product_moment_stddevs: 0/2 failed" in gates
+    assert all(line.startswith("orthonormality/") and line.endswith(": 0/2 failed") for line in gates)
+    assert last == "seeds with any failure: 0/2"
+
+
+def test_seed_sweep_tallies_failures_by_gate(tmp_path):
+    # a stand-in CLI whose second gate fails at seed 2 only
+    def fake_main(argv):
+        seed, out = argv[argv.index("--seed") + 1], Path(argv[argv.index("--out") + 1])
+        out.mkdir()
+        status = "fail" if seed == "2" else "pass"
+        (out / "summary.csv").write_text(
+            "suite,check,status,value\n"
+            f"a,one,pass,0.1\nb,two,{status},{seed}.5\n"
+        )
+        return 0
+
+    failures = _load_script("seed_sweep").sweep(fake_main, ["suite"], 3, tmp_path)
+    assert failures == {"a/one": [], "b/two": [(2, "2.5")]}
