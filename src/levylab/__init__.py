@@ -28,6 +28,7 @@ from .errors import (
     TerminalBelowObstacle,
     UnknownCoefficientName,
     ZeroJumpSize,
+    ZeroSpread,
 )
 from .levy import LevySpec, MomentTable, ValidatedLevySpec, levy_moments, validate_levy_spec
 from .paths import (

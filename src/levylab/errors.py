@@ -45,6 +45,10 @@ class BisectionFailure(LevyLabError):
     """The boundary root finder could not bracket or converge."""
 
 
+class ZeroSpread(LevyLabError):
+    """A sampled quantity has zero spread, so it cannot be standardized."""
+
+
 class GridIncompatible(LevyLabError):
     """Monte Carlo and finite-difference grids cannot be aligned."""
 

@@ -23,12 +23,16 @@ in the smallest unsigned dtype that holds them, as [step, atom, path].
 Functions return them as transposed views with the documented [path,
 node(, component)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
 the contiguous node-major array without a copy.
+
+L is computed in one place, the step kernel :func:`levy_nodes`, which
+yields it one node at a time: :func:`assemble_levy_paths` stores the rows,
+and the orthonormality measurement reads them as they come.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -111,28 +115,48 @@ def simulate_jump_counts(
     return counts.transpose(2, 0, 1)
 
 
+def levy_nodes(
+    spec: ValidatedLevySpec,
+    grid: TimeGrid,
+    counts: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> Iterator[np.ndarray]:
+    """Driver node values [path] from [path, step, atom] counts, node 0 first.
+
+    Node k is the jump sum of steps 0..k-1 plus (linear drift per the
+    compensation flag) * t_k, plus sigma * B_k when the spec has a
+    continuous part.  B is drawn from ``rng`` whole and path-major (one
+    :func:`simulate_brownian` call after the counts) and read one node at
+    a time.
+    """
+    brownian = None
+    if spec.continuous_part:
+        if rng is None:
+            raise ValueError("an rng is required to draw the driver's continuous part")
+        brownian = simulate_brownian(grid, rng, counts.shape[0])
+    drift = linear_drift(spec)
+    jumps = np.zeros(counts.shape[0])
+    sums = step_jump_sums(counts, spec.jump_sizes)
+    for k, t in enumerate(grid.nodes):
+        if k:
+            jumps += next(sums)
+        node = jumps + drift * t
+        if brownian is not None:
+            node += spec.sigma * brownian[:, k]
+        yield node
+
+
 def assemble_levy_paths(
     spec: ValidatedLevySpec,
     grid: TimeGrid,
     counts: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Node values of the driver built from per-step jump counts.
-
-    L = (linear drift per the compensation flag) * t + jump sums, plus a
-    sigma-scaled Brownian part drawn from ``rng`` when the spec has one.
-    The jump sums are accumulated one step at a time.  Returns [path,
-    node], a transposed view of node-major storage.
-    """
+    """The rows of :func:`levy_nodes`, stored; returns [path, node], a
+    transposed view of node-major storage."""
     L = np.empty((grid.n_steps + 1, counts.shape[0]))
-    L[0] = 0.0
-    for k, sums in enumerate(step_jump_sums(counts, spec.jump_sizes)):
-        np.add(L[k], sums, out=L[k + 1])
-    L += linear_drift(spec) * grid.nodes[:, None]
-    if spec.continuous_part:
-        if rng is None:
-            raise ValueError("an rng is required to draw the driver's continuous part")
-        L += spec.sigma * simulate_brownian(grid, rng, L.shape[1]).T
+    for k, node in enumerate(levy_nodes(spec, grid, counts, rng)):
+        L[k] = node
     return L.T
 
 

@@ -22,13 +22,13 @@ from operator import attrgetter
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import LevyLabError
+from .errors import LevyLabError, ZeroSpread
 from .paths import (
     STREAM_COMPARISON,
     STREAM_LEVY,
     TimeGrid,
-    assemble_levy_paths,
     derived_rng,
+    levy_nodes,
     simulate_jump_counts,
     skorokhod_minimality_gap,
 )
@@ -42,7 +42,7 @@ from .solver import (
     check_comparison_hypothesis,
     solve_penalized,
 )
-from .teugels import basis_for, build_mu, teugels_increments
+from .teugels import TeugelsBasis, basis_for, build_mu, martingale_steps
 
 
 @dataclass(frozen=True)
@@ -112,37 +112,60 @@ class SuiteReport:
 # measurement helpers
 
 
+def terminal_martingales(cfg: ExperimentConfig, basis: TeugelsBasis) -> np.ndarray:
+    """H(T) [requested_m, path] of the configured driver, summed one step at a time.
+
+    Neither L nor dH is stored: the peak is the jump counts plus a few
+    [path] rows.  Rows at or beyond the basis rank stay exactly zero.
+    """
+    spec = cfg.build_levy()
+    rng = derived_rng(cfg.seed, 0, STREAM_LEVY)
+    counts = simulate_jump_counts(spec, cfg.grid, rng, cfg.n_paths)
+    H_T = np.zeros((basis.requested_m, cfg.n_paths))
+    live = H_T[: basis.rank]
+    for dH_k in martingale_steps(counts, cfg.grid, spec, basis, levy_nodes(spec, cfg.grid, counts, rng)):
+        live += dH_k
+    return H_T
+
+
+def _standard_error(values: np.ndarray, name: str) -> float:
+    """Sample standard error of the mean; raises ZeroSpread when it is 0."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    if not se > 0.0:
+        raise ZeroSpread(
+            f"{name} has zero sample spread over {len(values)} paths, so it cannot be "
+            "standardized; more paths or a larger jump intensity are needed"
+        )
+    return se
+
+
 def measure_orthonormality(cfg: ExperimentConfig) -> dict:
     """Exact Gram defect, degenerate-row support, and empirical moments.
 
     The basis asks for two rows beyond the structural rank, which must
     come out as exact zeros.  The empirical part simulates only the
-    configured driver (``cfg.n_paths`` paths on ``cfg.grid``), accumulates
-    the martingales to the horizon and standardizes both the pairwise
-    products (against delta_ij * T) and the means (against zero) by their
-    sample standard errors.
+    configured driver and sums its martingales to the horizon with
+    :func:`terminal_martingales`, which stores neither L nor dH.  It
+    standardizes both the pairwise products of H(T) (against delta_ij * T)
+    and the means (against zero) by their sample standard errors, and
+    raises ZeroSpread when one of those is zero.
     """
     spec = cfg.build_levy()
     structural = spec.m_atoms + (1 if spec.continuous_part else 0)
     basis = basis_for(spec, structural + 2)
     gram = basis.gram_defect(build_mu(spec)) if structural else 0.0
-    rng = derived_rng(cfg.seed, 0, STREAM_LEVY)
-    counts = simulate_jump_counts(spec, cfg.grid, rng, cfg.n_paths)
-    L = assemble_levy_paths(spec, cfg.grid, counts, rng)
-    dH = teugels_increments(counts, cfg.grid, spec, basis, levy_path=L)
-    H_T = dH.sum(axis=1)  # [paths, m]
-    degenerate = dH[:, :, basis.rank :]  # max |x| is max(max, -min), read without a copy
+    H_T = terminal_martingales(cfg, basis)
+    degenerate = H_T[basis.rank :]
     T = cfg.grid.horizon
     prod_dev = 0.0
     mean_dev = 0.0
     for i in range(basis.rank):
-        mean_i = float(np.mean(H_T[:, i]))
-        se_i = float(np.std(H_T[:, i], ddof=1) / math.sqrt(cfg.n_paths))
-        mean_dev = max(mean_dev, abs(mean_i) / se_i)
+        se_i = _standard_error(H_T[i], f"H_{i + 1}(T)")
+        mean_dev = max(mean_dev, abs(float(np.mean(H_T[i]))) / se_i)
         for j in range(i, basis.rank):
-            prod = H_T[:, i] * H_T[:, j]
+            prod = H_T[i] * H_T[j]
             target = T if i == j else 0.0
-            se = float(np.std(prod, ddof=1) / math.sqrt(cfg.n_paths))
+            se = _standard_error(prod, f"H_{i + 1}(T) H_{j + 1}(T)")
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": gram,

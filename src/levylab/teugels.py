@@ -22,12 +22,20 @@ Compensating every power sum by the mean of the driver itself would break
 both the martingale property and the orthonormality relations, so the
 per-order compensators ``t * m_k`` above are used; the verification suite
 checks the relations empirically.
+
+Storage
+-------
+dH is computed in one place, the step kernel :func:`martingale_steps`,
+which yields it one step at a time: :func:`teugels_increments` stores the
+rows as [step, component, path], and the orthonormality measurement adds
+them into one [component, path] accumulator of H(T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -178,6 +186,39 @@ def basis_for(spec: LevySpec | ValidatedLevySpec, requested_m: int | None = None
     return orthonormal_basis(build_mu(spec), requested_m)
 
 
+def martingale_steps(
+    counts: np.ndarray,
+    grid,
+    spec: ValidatedLevySpec,
+    basis: TeugelsBasis,
+    driver_nodes: Iterable[np.ndarray] | None = None,
+) -> Iterator[np.ndarray]:
+    """Live rows dH_k [rank, path] from [path, step, atom] counts, step 0 first.
+
+    dH_k is the basis rows times step k's compensated power sums.  When
+    ``driver_nodes`` (node values [path], node 0 first) is given, the
+    order-1 sum is dL - dt * E[L_1], which includes the Brownian part.
+    Nothing is yielded when the rank is 0.
+    """
+    rank = basis.rank
+    if rank == 0:
+        return
+    dt = grid.dt
+    moments = levy_moments(spec, rank)
+    beta_powers = np.stack([spec.jump_sizes**k for k in range(1, rank + 1)], axis=1)  # [atoms, K]
+    compensators = (dt * moments.raw_moments[1 : rank + 1])[:, None]
+    nodes = None if driver_nodes is None else iter(driver_nodes)
+    prev = None if nodes is None else next(nodes)
+    for dY in step_jump_sums(counts, beta_powers):
+        dY -= compensators  # row j: the order-(j + 1) power sum of step k
+        if nodes is not None:
+            node = next(nodes)
+            np.subtract(node, prev, out=dY[0])
+            dY[0] -= dt * moments.mean_l1
+            prev = node
+        yield basis.coeffs[:rank, :rank] @ dY
+
+
 def teugels_increments(
     counts: np.ndarray,
     grid,
@@ -185,7 +226,7 @@ def teugels_increments(
     basis: TeugelsBasis,
     levy_path: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-step increments dH of the orthonormal martingales.
+    """Per-step increments dH of the orthonormal martingales, stored.
 
     Parameters
     ----------
@@ -211,17 +252,12 @@ def teugels_increments(
     requested_m] for 2d counts.  Columns at or beyond the basis rank are
     exactly zero.  The values are stored step-major, [n_steps, requested_m,
     n_paths], and returned as a transposed view, so ``dH.transpose(1, 2, 0)``
-    is the contiguous step-major array for 3d input.  Step k's live rows
-    are the basis rows times that step's compensated power sums, so no
-    full-size array of the power sums exists.
+    is the contiguous step-major array for 3d input.  Each step's live rows
+    are written by :func:`martingale_steps`, so no full-size array of the
+    power sums exists.
     """
     spec = validate_levy_spec(spec)
-    dt = grid.dt
     n = grid.n_steps
-    rank = basis.rank
-    n_pow = max(rank, 1)
-    moments = levy_moments(spec, n_pow)
-
     counts = np.asarray(counts)
     if counts.shape[-1] != spec.m_atoms:
         raise RankMismatch(f"jump counts carry {counts.shape[-1]} atoms, spec has {spec.m_atoms}")
@@ -233,6 +269,7 @@ def teugels_increments(
     if counts.shape[-2] != n:
         raise ValueError("jump counts do not match the grid's step count")
     n_paths = counts.shape[0]
+    L = None
     if levy_path is not None:
         L = np.asarray(levy_path, dtype=float)
         if L.ndim == 1:
@@ -243,15 +280,8 @@ def teugels_increments(
     elif spec.continuous_part:
         raise ValueError("levy_path is required when the driver has a continuous part")
 
-    beta = spec.jump_sizes
-    beta_powers = np.stack([beta**k for k in range(1, n_pow + 1)], axis=1)  # [atoms, K]
-    compensators = (dt * moments.raw_moments[1 : rank + 1])[:, None]
     dH = np.zeros((n, basis.requested_m, n_paths))
-    for k, dY in enumerate(step_jump_sums(counts, beta_powers) if rank else ()):
-        dY -= compensators  # row j: the order-(j + 1) power sum of step k
-        if levy_path is not None:
-            np.subtract(L[k + 1], L[k], out=dY[0])
-            dY[0] -= dt * moments.mean_l1
-        np.matmul(basis.coeffs[:rank, :rank], dY, out=dH[k, :rank])
+    for k, dH_k in enumerate(martingale_steps(counts, grid, spec, basis, L)):
+        dH[k, : basis.rank] = dH_k
     dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

@@ -190,6 +190,20 @@ def test_nonfinite_penalization_override_is_an_error_exit(small_config, tmp_path
         assert not (out / "solve_summary.csv").exists()
 
 
+def test_verify_without_sample_spread_is_an_error_exit(tmp_path, capsys):
+    # no path jumps, so every H_1(T) is the same number and its standard
+    # error is 0: a typed error naming the component, not a ZeroDivisionError
+    config = tmp_path / "rare.cfg"
+    config.write_text("[levy]\natoms = 0.3:0.0001\n[grid]\nn_steps = 8\n[solver]\nn_paths = 50\n")
+    out = tmp_path / "rare"
+    rc = main(["verify", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: H_1(T) has zero sample spread") and "more paths" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.csv").exists()
+
+
 def check_jumps_rebuild_the_driver(tmp_path, atoms, n_steps, most_per_step):
     config = tmp_path / "sim.cfg"
     config.write_text(

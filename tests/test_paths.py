@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylab.config import DEFAULTS
 from levylab.errors import InitialPointOutsideDomain
 from levylab.levy import LevySpec, levy_moments, linear_drift, validate_levy_spec
 from levylab.paths import (
+    STREAM_LEVY,
     TimeGrid,
     assemble_A,
     assemble_levy_paths,
@@ -21,7 +24,8 @@ from levylab.paths import (
     simulate_reflected_x,
     skorokhod_minimality_gap,
 )
-from levylab.teugels import basis_for, teugels_increments
+from levylab.suites import measure_orthonormality, terminal_martingales
+from levylab.teugels import basis_for, build_mu, teugels_increments
 
 TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4))
 
@@ -131,9 +135,9 @@ class TestLevy:
 
 
 # Test-only references: path-major int64 counts binned one path at a time,
-# and every step's sums formed at once.  The node-major simulation layer,
-# which scatters the jumps and walks the steps one at a time, must match
-# them bit for bit.
+# every step's sums formed at once, and the orthonormality measurement from
+# a stored dH.  The node-major simulation layer, which scatters the jumps
+# and walks the steps one at a time, must match them bit for bit.
 
 
 def simulate_jump_counts_reference(spec, grid, rng, n_paths):
@@ -185,9 +189,36 @@ def teugels_increments_reference(counts, grid, spec, basis, levy_path=None):
     return dH.transpose(2, 0, 1)
 
 
+def measure_orthonormality_reference(cfg, basis, dH):
+    """The measured values from a stored [path, step, m] dH: H(T) as its
+    step sum, the degenerate rows' largest |dH|, and the standardized moments."""
+    spec = cfg.build_levy()
+    H_T = dH.sum(axis=1)  # [paths, m]
+    degenerate = dH[:, :, basis.rank :]
+    T = cfg.grid.horizon
+    prod_dev = 0.0
+    mean_dev = 0.0
+    for i in range(basis.rank):
+        mean_i = float(np.mean(H_T[:, i]))
+        se_i = float(np.std(H_T[:, i], ddof=1) / math.sqrt(cfg.n_paths))
+        mean_dev = max(mean_dev, abs(mean_i) / se_i)
+        for j in range(i, basis.rank):
+            prod = H_T[:, i] * H_T[:, j]
+            target = T if i == j else 0.0
+            se = float(np.std(prod, ddof=1) / math.sqrt(cfg.n_paths))
+            prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
+    return {
+        "gram_defect": basis.gram_defect(build_mu(spec)),
+        "degenerate_max_abs": max(float(np.max(degenerate)), -float(np.min(degenerate))),
+        "product_max_stddevs": prod_dev,
+        "mean_max_stddevs": mean_dev,
+    }
+
+
 class TestCompactCounts:
-    """Node-major compact counts, and L and dH built one step at a time,
-    against the path-major int64 references, bit for bit."""
+    """Node-major compact counts, L and dH built one step at a time, and the
+    orthonormality measurement summed one step at a time, against the
+    path-major int64 references, bit for bit."""
 
     @pytest.mark.parametrize(
         "spec, grid, n_paths, dtype",
@@ -204,19 +235,32 @@ class TestCompactCounts:
             # atom's counts are copied into a wider array before the
             # second's are written; two steps, because on a one-step grid
             # the reference's product is a BLAS dot, which may round the
-            # last bit differently
+            # last bit differently.  The continuous part draws its Brownian
+            # path from the counts' stream after them.
             (
                 validate_levy_spec(LevySpec(atoms=((-0.03, 2.0), (0.01, 400.0)), sigma=0.2)),
                 TimeGrid(2.0, 2),
                 300,
                 np.uint16,
             ),
+            # the shipped orthonormality driver
+            (TWO_ATOM, TimeGrid(1.0, 20), 2000, np.uint8),
+            # compensated small jumps; the atom at 1.5 is left uncompensated
+            (
+                validate_levy_spec(
+                    LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True)
+                ),
+                TimeGrid(0.5, 16),
+                1000,
+                np.uint8,
+            ),
         ],
-        ids=["empty-paths", "widened"],
+        ids=["empty-paths", "widened", "shipped", "compensated"],
     )
     def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype):
-        basis = basis_for(spec, spec.m_atoms + 2)
-        rng, rng_ref = derived_rng(17, 0), derived_rng(17, 0)
+        cfg = replace(DEFAULTS, levy=spec, grid=grid, n_paths=n_paths, seed=17)
+        basis = basis_for(spec, spec.m_atoms + spec.continuous_part + 2)  # as the measurement asks
+        rng, rng_ref = derived_rng(17, 0, STREAM_LEVY), derived_rng(17, 0, STREAM_LEVY)
         counts = simulate_jump_counts(spec, grid, rng, n_paths)
         ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)
         assert np.any(ref.sum(axis=(1, 2)) == 0) or ref.max() > 255
@@ -228,11 +272,17 @@ class TestCompactCounts:
         L_ref = assemble_levy_paths_reference(spec, grid, ref, rng_ref)
         assert np.array_equal(L, L_ref)
         dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
-        assert np.array_equal(dH, teugels_increments_reference(ref, grid, spec, basis, L_ref))
+        dH_ref = teugels_increments_reference(ref, grid, spec, basis, L_ref)
+        assert np.array_equal(dH, dH_ref)
+        assert np.any(dH[:, :, : basis.rank] != 0.0)
+
+        # the measurement draws the same stream and never stores L or dH
+        assert np.array_equal(terminal_martingales(cfg, basis), dH_ref.sum(axis=1).T)
+        assert measure_orthonormality(cfg) == measure_orthonormality_reference(cfg, basis, dH_ref)
+
         if not spec.continuous_part:
             dH = teugels_increments(counts, grid, spec, basis)
             assert np.array_equal(dH, teugels_increments_reference(ref, grid, spec, basis))
-        assert np.any(dH[:, :, : basis.rank] != 0.0)
 
     def test_simulation_memory_stays_near_the_returned_arrays(self):
         # counts, L and dH are built one step at a time, so the peak is the
@@ -247,6 +297,22 @@ class TestCompactCounts:
         assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
         returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs, ens.dH))
         assert peak <= 1.10 * returned, peak / returned
+
+    def test_orthonormality_measurement_stores_neither_L_nor_dH(self):
+        # H(T) is summed one step at a time, so the peak is the counts plus a
+        # fixed number of [path] rows; a stored L would add 65 rows and a
+        # stored dH 256
+        n_paths = 20_000
+        cfg = replace(DEFAULTS, levy=TWO_ATOM, grid=TimeGrid(1.0, 64), n_paths=n_paths, seed=1)
+        counts = simulate_jump_counts(TWO_ATOM, cfg.grid, derived_rng(1, 0, STREAM_LEVY), n_paths)
+        row = n_paths * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            measure_orthonormality(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts.nbytes + 20 * row, (peak - counts.nbytes) / row
 
 
 class TestReflected:
