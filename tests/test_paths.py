@@ -24,6 +24,7 @@ from levylab.paths import (
     simulate_reflected_x,
     skorokhod_minimality_gap,
 )
+from levylab import suites
 from levylab.suites import measure_orthonormality, terminal_martingales
 from levylab.teugels import basis_for, build_mu, teugels_increments
 
@@ -257,7 +258,7 @@ class TestCompactCounts:
         ],
         ids=["empty-paths", "widened", "shipped", "compensated"],
     )
-    def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype):
+    def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype, monkeypatch):
         cfg = replace(DEFAULTS, levy=spec, grid=grid, n_paths=n_paths, seed=17)
         basis = basis_for(spec, spec.m_atoms + spec.continuous_part + 2)  # as the measurement asks
         rng, rng_ref = derived_rng(17, 0, STREAM_LEVY), derived_rng(17, 0, STREAM_LEVY)
@@ -276,9 +277,12 @@ class TestCompactCounts:
         assert np.array_equal(dH, dH_ref)
         assert np.any(dH[:, :, : basis.rank] != 0.0)
 
-        # the measurement draws the same stream and never stores L or dH
-        assert np.array_equal(terminal_martingales(cfg, basis), dH_ref.sum(axis=1).T)
-        assert measure_orthonormality(cfg) == measure_orthonormality_reference(cfg, basis, dH_ref)
+        # the measurement draws the same stream and never stores L or dH,
+        # with all paths in one block and in several blocks with a ragged last
+        for block in (suites.PATH_BLOCK, 128):
+            monkeypatch.setattr(suites, "PATH_BLOCK", block)
+            assert np.array_equal(terminal_martingales(cfg, basis), dH_ref.sum(axis=1).T)
+            assert measure_orthonormality(cfg) == measure_orthonormality_reference(cfg, basis, dH_ref)
 
         if not spec.continuous_part:
             dH = teugels_increments(counts, grid, spec, basis)
