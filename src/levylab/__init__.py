@@ -30,7 +30,7 @@ from .errors import (
     ZeroJumpSize,
     ZeroSpread,
 )
-from .levy import LevySpec, MomentTable, ValidatedLevySpec, levy_moments, validate_levy_spec
+from .levy import LevySpec, MomentTable, levy_moments
 from .paths import (
     PathEnsemble,
     TimeGrid,

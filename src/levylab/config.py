@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigParseError, LevyLabError
-from .levy import LevySpec, ValidatedLevySpec, validate_levy_spec
+from .levy import LevySpec
 from .paths import A_MODES, PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
@@ -104,8 +104,8 @@ class ExperimentConfig:
     checks: tuple[str, ...]
     out_dir: str | None
 
-    def build_levy(self) -> ValidatedLevySpec:
-        return validate_levy_spec(self.levy)
+    def build_levy(self) -> LevySpec:
+        return self.levy
 
     def build_problem(self) -> ProblemSpec:
         return build_problem(self.problem_name, dict(self.problem_params), self.theta)
@@ -348,9 +348,8 @@ def _apply(base: ExperimentConfig, entries: dict, params: tuple) -> ExperimentCo
         else:
             groups[outer][inner] = attrgetter(field)(base)
     top = groups[""]
-    levy = LevySpec(**groups["levy"])
     try:
-        validate_levy_spec(levy)
+        levy = LevySpec(**groups["levy"])
     except (LevyLabError, ValueError) as exc:
         raise ConfigParseError(f"invalid driver spec: {exc}", lines.get("atoms")) from exc
     theta, x0 = top["theta"], top["x0"]

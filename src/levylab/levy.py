@@ -6,6 +6,9 @@ size ``beta_i`` arrive as independent Poisson streams with rate
 ``alpha_i``.  Every moment integral against the jump measure reduces to a
 finite sum, so everything computed here is exact up to rounding.
 
+:class:`LevySpec` is the one driver type: it checks and normalizes itself
+when it is built, so every function that takes one can rely on it.
+
 Drift conventions.  With ``compensated=False`` (the default) ``drift_b``
 is the slope of the piecewise-linear part of the path between jumps and
 ``E[L_1] = drift_b + sum_i alpha_i * beta_i``.  With ``compensated=True``
@@ -27,12 +30,12 @@ from .errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
 
 @dataclass(frozen=True)
 class LevySpec:
-    """Driver specification as written in a config file.
+    """Driver specification, checked and normalized when it is built.
 
     Parameters
     ----------
     drift_b:
-        Linear drift coefficient (per unit time).
+        Linear drift coefficient (per unit time), finite.
     sigma:
         Brownian coefficient of the driver itself, >= 0.  Zero for the
         pure-jump setting required by the comparison checks.
@@ -41,6 +44,17 @@ class LevySpec:
         nonzero and pairwise distinct, intensities strictly positive.
     compensated:
         Drift quoting convention, see module docstring.
+
+    Construction, including ``dataclasses.replace``, stores drift and
+    sigma as floats, the atoms as a tuple of float pairs and the flag as a
+    bool, so an invalid driver never exists.
+
+    Raises
+    ------
+    ZeroJumpSize, DuplicateJumpSize, NonpositiveIntensity
+        For malformed atom lists.
+    ValueError
+        For a nonfinite drift, sigma or atom, or a negative sigma.
     """
 
     drift_b: float = 0.0
@@ -48,17 +62,34 @@ class LevySpec:
     atoms: tuple[tuple[float, float], ...] = ()
     compensated: bool = False
 
+    def __post_init__(self):
+        if not np.isfinite(self.drift_b):
+            raise ValueError(f"drift must be finite, got {self.drift_b}")
+        if not np.isfinite(self.sigma) or self.sigma < 0.0:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        seen: set[float] = set()
+        for beta, alpha in self.atoms:
+            if not (np.isfinite(beta) and np.isfinite(alpha)):
+                raise ValueError(f"atom ({beta}, {alpha}) is not finite")
+            if beta == 0.0:
+                raise ZeroJumpSize("jump size 0 is not allowed; use sigma for a continuous part")
+            if alpha <= 0.0:
+                raise NonpositiveIntensity(f"intensity {alpha} for jump size {beta} must be > 0")
+            if beta in seen:
+                raise DuplicateJumpSize(f"jump size {beta} appears more than once")
+            seen.add(beta)
+        object.__setattr__(self, "drift_b", float(self.drift_b))
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "atoms", tuple((float(b), float(a)) for b, a in self.atoms))
+        object.__setattr__(self, "compensated", bool(self.compensated))
 
-@dataclass(frozen=True)
-class ValidatedLevySpec:
-    """A :class:`LevySpec` that passed validation, with derived flags."""
+    @property
+    def m_atoms(self) -> int:
+        return len(self.atoms)
 
-    drift_b: float
-    sigma: float
-    atoms: tuple[tuple[float, float], ...]
-    compensated: bool
-    m_atoms: int
-    continuous_part: bool
+    @property
+    def continuous_part(self) -> bool:
+        return self.sigma > 0.0
 
     @property
     def jump_sizes(self) -> np.ndarray:
@@ -71,43 +102,6 @@ class ValidatedLevySpec:
     @property
     def total_intensity(self) -> float:
         return float(sum(a for _, a in self.atoms))
-
-
-def validate_levy_spec(spec: LevySpec | ValidatedLevySpec) -> ValidatedLevySpec:
-    """Check a driver spec and annotate it with atom count and flags.
-
-    Raises
-    ------
-    ZeroJumpSize, DuplicateJumpSize, NonpositiveIntensity
-        For malformed atom lists.
-    ValueError
-        For nonfinite drift or negative sigma.
-    """
-    if isinstance(spec, ValidatedLevySpec):
-        spec = LevySpec(spec.drift_b, spec.sigma, spec.atoms, spec.compensated)
-    if not np.isfinite(spec.drift_b):
-        raise ValueError(f"drift must be finite, got {spec.drift_b}")
-    if not np.isfinite(spec.sigma) or spec.sigma < 0.0:
-        raise ValueError(f"sigma must be finite and >= 0, got {spec.sigma}")
-    seen: set[float] = set()
-    for beta, alpha in spec.atoms:
-        if not (np.isfinite(beta) and np.isfinite(alpha)):
-            raise ValueError(f"atom ({beta}, {alpha}) is not finite")
-        if beta == 0.0:
-            raise ZeroJumpSize("jump size 0 is not allowed; use sigma for a continuous part")
-        if alpha <= 0.0:
-            raise NonpositiveIntensity(f"intensity {alpha} for jump size {beta} must be > 0")
-        if beta in seen:
-            raise DuplicateJumpSize(f"jump size {beta} appears more than once")
-        seen.add(beta)
-    return ValidatedLevySpec(
-        drift_b=float(spec.drift_b),
-        sigma=float(spec.sigma),
-        atoms=tuple((float(b), float(a)) for b, a in spec.atoms),
-        compensated=bool(spec.compensated),
-        m_atoms=len(spec.atoms),
-        continuous_part=spec.sigma > 0.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ class MomentTable:
     compensated: bool
 
 
-def linear_drift(spec: ValidatedLevySpec) -> float:
+def linear_drift(spec: LevySpec) -> float:
     """Slope of the path between jumps (what the simulator integrates)."""
     if not spec.compensated:
         return spec.drift_b
@@ -135,7 +129,7 @@ def linear_drift(spec: ValidatedLevySpec) -> float:
     return spec.drift_b - float(np.sum(a[small] * b[small]))
 
 
-def levy_moments(spec: ValidatedLevySpec, max_order: int) -> MomentTable:
+def levy_moments(spec: LevySpec, max_order: int) -> MomentTable:
     """Raw moments of the jump measure up to ``max_order``, plus E[L_1].
 
     The sums are evaluated in closed form over the atoms, with no

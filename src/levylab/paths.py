@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InitialPointOutsideDomain
-from .levy import LevySpec, ValidatedLevySpec, linear_drift, step_jump_sums, validate_levy_spec
+from .levy import LevySpec, linear_drift, step_jump_sums
 from .teugels import TeugelsBasis, teugels_increments
 
 # stream ids for the seed tree: (master_seed, outer_sample, stream)
@@ -94,7 +94,7 @@ def simulate_brownian(grid: TimeGrid, rng: np.random.Generator, n_paths: int | N
 
 
 def simulate_jump_counts(
-    spec: ValidatedLevySpec, grid: TimeGrid, rng: np.random.Generator, n_paths: int
+    spec: LevySpec, grid: TimeGrid, rng: np.random.Generator, n_paths: int
 ) -> np.ndarray:
     """Per-step jump counts per atom, shape [n_paths, n_steps, n_atoms].
 
@@ -116,7 +116,7 @@ def simulate_jump_counts(
 
 
 def levy_nodes(
-    spec: ValidatedLevySpec,
+    spec: LevySpec,
     grid: TimeGrid,
     counts: np.ndarray,
     rng: np.random.Generator | None = None,
@@ -147,7 +147,7 @@ def levy_nodes(
 
 
 def assemble_levy_paths(
-    spec: ValidatedLevySpec,
+    spec: LevySpec,
     grid: TimeGrid,
     counts: np.ndarray,
     rng: np.random.Generator | None = None,
@@ -264,7 +264,7 @@ class PathEnsemble:
     """
 
     grid: TimeGrid
-    spec: ValidatedLevySpec
+    spec: LevySpec
     basis: TeugelsBasis
     theta: float
     x0: float
@@ -282,7 +282,7 @@ class PathEnsemble:
 
 
 def simulate_ensemble(
-    spec: LevySpec | ValidatedLevySpec,
+    spec: LevySpec,
     grid: TimeGrid,
     basis: TeugelsBasis,
     n_paths: int,
@@ -299,7 +299,6 @@ def simulate_ensemble(
     and the driver's own continuous part; (master_seed, outer_index,
     STREAM_BROWNIAN) drives the shared backward Brownian path.
     """
-    spec = validate_levy_spec(spec)
     sigma_x = sigma_x or unit_coefficient
     rng_levy = derived_rng(master_seed, outer_index, STREAM_LEVY)
     rng_b = derived_rng(master_seed, outer_index, STREAM_BROWNIAN)

@@ -37,13 +37,19 @@ from .errors import (
     GridIncompatible,
     TerminalBelowObstacle,
 )
-from .levy import LevySpec, ValidatedLevySpec, levy_moments, validate_levy_spec
+from .levy import LevySpec, levy_moments
 from .paths import PathEnsemble, unit_coefficient
 from .problems import ProblemSpec
 from .solver import EnsembleSolution
 from .teugels import TeugelsBasis
 
 BISECTION_TOL = 1e-10
+
+#: Every PATH_STRIDE-th Monte Carlo path is sampled by the agreement report.
+PATH_STRIDE = 37
+
+#: The agreement report's ``mode`` row: the oracle solves with g = 0.
+MODE_NOTE = "deterministic (g = 0)"
 
 
 @dataclass(frozen=True)
@@ -105,16 +111,8 @@ class NonlocalStencil:
 
 
 def build_nonlocal_stencil(
-    x: np.ndarray, theta: float, spec: ValidatedLevySpec, sigma_x: Callable
+    x: np.ndarray, theta: float, spec: LevySpec, sigma_x: Callable
 ) -> NonlocalStencil:
-    if spec.m_atoms == 0:
-        nn = len(x)
-        return NonlocalStencil(
-            left=np.zeros((nn, 0), dtype=np.intp),
-            w_left=np.zeros((nn, 0)),
-            displacement=np.zeros((nn, 0)),
-            intensities=np.zeros(0),
-        )
     sig = np.asarray(sigma_x(x), dtype=float)
     disp = sig[:, None] * spec.jump_sizes[None, :]
     target = np.clip(x[:, None] + disp, -theta, theta)
@@ -125,16 +123,12 @@ def build_nonlocal_stencil(
     return NonlocalStencil(left=left, w_left=w_left, displacement=disp, intensities=spec.intensities)
 
 
-def _central_gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    return np.gradient(u, dx)
-
-
 def component_functionals(
     u_row: np.ndarray,
     du_row: np.ndarray,
     stencil: NonlocalStencil,
     basis: TeugelsBasis,
-    spec: ValidatedLevySpec,
+    spec: LevySpec,
     sig: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonlocal term and per-component jump functionals of a u row.
@@ -144,14 +138,10 @@ def component_functionals(
     correction sigma_x(x) du/dx sqrt(m2) on the first component; columns at
     or beyond the basis rank are zero, matching the Monte Carlo Z layout.
     """
-    nn = len(u_row)
-    m = basis.requested_m
-    if stencil.intensities.size == 0:
-        return np.zeros(nn), np.zeros((nn, m))
     u1 = stencil.shift(u_row) - u_row[:, None] - du_row[:, None] * stencil.displacement
     weighted = u1 * stencil.intensities[None, :]
     nl = weighted.sum(axis=1)
-    z = np.zeros((nn, m))
+    z = np.zeros((len(u_row), basis.requested_m))
     if basis.rank:
         p_at_beta = basis.p_values(spec.jump_sizes)  # [m, n_atoms]
         z[:, : basis.rank] = weighted @ p_at_beta[: basis.rank].T
@@ -225,7 +215,7 @@ def _transport_bands(c: np.ndarray, dt: float, dx: float) -> np.ndarray:
 
 def solve_obstacle_pidie(
     problem: ProblemSpec,
-    spec: LevySpec | ValidatedLevySpec,
+    spec: LevySpec,
     basis: TeugelsBasis,
     grid_spec: PidieGridSpec,
     mode: str = "deterministic",
@@ -238,7 +228,6 @@ def solve_obstacle_pidie(
     depend on (t, x) only; the g dB term enters as a known per-step
     source read off the supplied Brownian path at the grid's time nodes).
     """
-    spec = validate_levy_spec(spec)
     if spec.continuous_part:
         raise ValueError(
             "the grid oracle covers pure-jump drivers only; a continuous part adds a "
@@ -276,9 +265,8 @@ def solve_obstacle_pidie(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    moments = levy_moments(spec, max(2, 2 * max(basis.rank, 1)))
     sig = np.asarray(sigma_x(x), dtype=float)
-    c = moments.mean_l1 * sig
+    c = levy_moments(spec, 1).mean_l1 * sig
     bands = _transport_bands(c, dt, dx)
     stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
 
@@ -291,7 +279,7 @@ def solve_obstacle_pidie(
 
     for k in range(grid_spec.n_time - 1, -1, -1):
         u_next = u[k + 1]
-        du_next = _central_gradient(u_next, dx)
+        du_next = np.gradient(u_next, dx)
         nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
         fval = np.asarray(problem.f(t[k + 1], x, u_next, z), dtype=float)
         rhs = u_next + dt * (fval + nl)
@@ -307,7 +295,7 @@ def solve_obstacle_pidie(
 def complementarity_defect(
     pgrid: PidieGrid,
     problem: ProblemSpec,
-    spec: LevySpec | ValidatedLevySpec,
+    spec: LevySpec,
     basis: TeugelsBasis,
     sigma_x: Callable | None = None,
     margin: int = 2,
@@ -320,22 +308,20 @@ def complementarity_defect(
     rounding scale.  Nodes within ``margin`` of the walls are excluded:
     there the flux condition, not the interior operator, governs u.
     """
-    spec = validate_levy_spec(spec)
     sigma_x = sigma_x or unit_coefficient
     x = pgrid.x
     t = pgrid.t
     dt = float(t[1] - t[0])
     dx = float(x[1] - x[0])
     sig = np.asarray(sigma_x(x), dtype=float)
-    moments = levy_moments(spec, max(2, 2 * max(basis.rank, 1)))
-    c = moments.mean_l1 * sig
+    c = levy_moments(spec, 1).mean_l1 * sig
     stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
     sl = slice(margin, len(x) - margin)
     worst = -math.inf
     for k in range(len(t) - 1):
         u_now = pgrid.u[k]
         u_next = pgrid.u[k + 1]
-        du_next = _central_gradient(u_next, dx)
+        du_next = np.gradient(u_next, dx)
         nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
         fval = np.asarray(problem.f(t[k + 1], x, u_next, z), dtype=float)
         fwd = np.empty_like(u_now)
@@ -385,11 +371,10 @@ class FkReport:
     n_sampled: int
     jump_weights_basis: tuple[float, ...]
     jump_weights_per_atom: tuple[float, ...]
-    mode_note: str
 
     def rows(self) -> list[tuple[str, str]]:
         out = [
-            ("mode", self.mode_note),
+            ("mode", MODE_NOTE),
             ("y0_gap", f"{self.y0_gap:.6g}"),
             ("y_max_gap", f"{self.y_max_gap:.6g}"),
             ("y_mean_gap", f"{self.y_mean_gap:.6g}"),
@@ -410,14 +395,10 @@ class FkReport:
 
 def representation_check(
     pgrid: PidieGrid,
-    basis: TeugelsBasis,
-    spec: LevySpec | ValidatedLevySpec,
     problem: ProblemSpec,
     ens: PathEnsemble,
     sol: EnsembleSolution,
     sigma_x: Callable | None = None,
-    path_stride: int = 37,
-    mode_note: str = "deterministic (g = 0)",
 ) -> FkReport:
     """Compare the Monte Carlo solution against the grid solution.
 
@@ -425,9 +406,10 @@ def representation_check(
     the Monte Carlo Z components against the jump functionals of u
     (:func:`component_functionals`) evaluated at the same points.  Grids
     must share the horizon and domain, with the grid's time nodes
-    refining the Monte Carlo nodes.
+    refining the Monte Carlo nodes.  The driver and basis are the
+    ensemble's own.
     """
-    spec = validate_levy_spec(spec)
+    spec, basis = ens.spec, ens.basis
     sigma_x = sigma_x or unit_coefficient
     n_mc = ens.grid.n_steps
     n_fd = len(pgrid.t) - 1
@@ -444,7 +426,7 @@ def representation_check(
     stencil = build_nonlocal_stencil(pgrid.x, problem.theta, spec, sigma_x)
     sig = np.asarray(sigma_x(pgrid.x), dtype=float)
 
-    paths = np.arange(0, ens.n_paths, max(1, path_stride))
+    paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     m = basis.requested_m
     y_gaps = []
     z_sq = np.zeros(m)
@@ -457,7 +439,7 @@ def representation_check(
         u_at = np.interp(xs, pgrid.x, u_row)
         y_gaps.append(np.abs(sol.Y[paths, k] - u_at))
         if k < n_mc:
-            du_row = _central_gradient(u_row, dx)
+            du_row = np.gradient(u_row, dx)
             _, z_nodes = component_functionals(u_row, du_row, stencil, basis, spec, sig)
             z_at = np.empty((len(paths), m))
             for i in range(m):
@@ -486,5 +468,4 @@ def representation_check(
         n_sampled=int(len(paths)),
         jump_weights_basis=wb,
         jump_weights_per_atom=wp,
-        mode_note=mode_note,
     )

@@ -152,22 +152,18 @@ def _standard_error(values: np.ndarray, name: str) -> float:
 
 
 def measure_orthonormality(cfg: ExperimentConfig) -> dict:
-    """Exact Gram defect, degenerate-row support, and empirical moments.
+    """Exact Gram defect and empirical moments of the driver's basis.
 
-    The basis asks for two rows beyond the structural rank, which must
-    come out as exact zeros.  The empirical part simulates only the
-    configured driver and sums its martingales to the horizon with
-    :func:`terminal_martingales`, which stores neither L nor dH.  It
-    standardizes both the pairwise products of H(T) (against delta_ij * T)
-    and the means (against zero) by their sample standard errors, and
-    raises ZeroSpread when one of those is zero.
+    The empirical part simulates only the configured driver and sums its
+    martingales to the horizon with :func:`terminal_martingales`, which
+    stores neither L nor dH.  It standardizes both the pairwise products of
+    H(T) (against delta_ij * T) and the means (against zero) by their
+    sample standard errors, and raises ZeroSpread when one of those is zero.
     """
     spec = cfg.build_levy()
-    structural = spec.m_atoms + (1 if spec.continuous_part else 0)
-    basis = basis_for(spec, structural + 2)
-    gram = basis.gram_defect(build_mu(spec)) if structural else 0.0
+    basis = basis_for(spec)
+    gram = basis.gram_defect(build_mu(spec))
     H_T = terminal_martingales(cfg, basis)
-    degenerate = H_T[basis.rank :]
     T = cfg.grid.horizon
     prod_dev = 0.0
     mean_dev = 0.0
@@ -181,7 +177,6 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": gram,
-        "degenerate_max_abs": max(float(np.max(degenerate)), -float(np.min(degenerate))),
         "product_max_stddevs": prod_dev,
         "mean_max_stddevs": mean_dev,
     }
@@ -265,7 +260,8 @@ def solve_outer_samples(
 
 def comparison_pair(cfg: ExperimentConfig):
     """Solve two problems differing only in the terminal level (1 and 0) on
-    the configured ensemble, in projection mode.
+    the configured ensemble, in projection mode, and return the hypothesis
+    report and the fraction of paths where the ordering is violated.
 
     The driver is y-linear (z-independent), so the jump-size hypothesis
     holds with all slopes identically zero.  Requires a driver without a
@@ -283,7 +279,7 @@ def comparison_pair(cfg: ExperimentConfig):
     sol_lo = solve_penalized(lo, config, ens)
     report = check_comparison_hypothesis(sol_hi, sol_lo, lo, ens)
     violations = float(np.mean(sol_hi.Y < sol_lo.Y - 0.01))
-    return sol_hi, sol_lo, report, violations
+    return report, violations
 
 
 def crosscheck_run(cfg: ExperimentConfig):
@@ -304,7 +300,7 @@ def crosscheck_run(cfg: ExperimentConfig):
     pgrid = solve_obstacle_pidie(
         problem, ens.spec, ens.basis, grid_spec, mode="deterministic", sigma_x=sigma_x
     )
-    report = representation_check(pgrid, ens.basis, ens.spec, problem, ens, sol, sigma_x=sigma_x)
+    report = representation_check(pgrid, problem, ens, sol, sigma_x=sigma_x)
     return sol, pgrid, report
 
 
@@ -324,7 +320,6 @@ def _suite_orthonormality(cfg: ExperimentConfig) -> list[CheckResult]:
         CheckResult.gate("orthonormality", check, measured[key], tol, direction, cfg.seed, elapsed)
         for check, key, tol, direction in (
             ("gram_defect", "gram_defect", 1e-10, "lt"),
-            ("degenerate_rows_zero", "degenerate_max_abs", 0.0, "le"),
             ("product_moment_stddevs", "product_max_stddevs", 4.0, "le"),
             ("mean_stddevs", "mean_max_stddevs", 4.0, "le"),
         )
@@ -414,7 +409,7 @@ def _suite_penalization(cfg: ExperimentConfig) -> list[CheckResult]:
 
 def _suite_comparison(cfg: ExperimentConfig) -> list[CheckResult]:
     seed = cfg.seed
-    (_, _, report, violations), elapsed = _timed(lambda: comparison_pair(cfg))
+    (report, violations), elapsed = _timed(lambda: comparison_pair(cfg))
     return [
         CheckResult.gate("comparison", "hypothesis_min_sum", report.min_sum, -1.0, "gt", seed, elapsed),
         CheckResult.gate("comparison", "ordering_violation_fraction", violations, 0.01, "le", seed, elapsed),

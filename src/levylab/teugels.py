@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
-from .levy import LevySpec, ValidatedLevySpec, levy_moments, step_jump_sums, validate_levy_spec
+from .levy import LevySpec, levy_moments, step_jump_sums
 
 #: Gram-Schmidt pivot tolerance, relative to the raw norm of the incoming
 #: monomial.  Atoms are exact, so rank loss is structural, not numerical.
@@ -71,9 +71,8 @@ class AtomicMeasure:
         return len(self.locations)
 
 
-def build_mu(spec: LevySpec | ValidatedLevySpec) -> AtomicMeasure:
+def build_mu(spec: LevySpec) -> AtomicMeasure:
     """Orthonormalization measure x^2 nu(dx) + sigma^2 delta_0(dx)."""
-    spec = validate_levy_spec(spec)
     locs = list(spec.jump_sizes)
     weights = list(spec.intensities * spec.jump_sizes**2)
     if spec.sigma > 0.0:
@@ -169,13 +168,12 @@ def orthonormal_basis(mu: AtomicMeasure, requested_m: int, pivot_rtol: float = P
     return TeugelsBasis(coeffs=coeffs, rank=rank, requested_m=m, degenerate_from=degenerate_from)
 
 
-def basis_for(spec: LevySpec | ValidatedLevySpec, requested_m: int | None = None) -> TeugelsBasis:
+def basis_for(spec: LevySpec, requested_m: int | None = None) -> TeugelsBasis:
     """Basis for a driver spec; handles the jump-free degenerate case.
 
     ``requested_m`` defaults to the structural rank (atom count, plus one
     when the driver has a continuous part).
     """
-    spec = validate_levy_spec(spec)
     structural = spec.m_atoms + (1 if spec.continuous_part else 0)
     if requested_m is None:
         requested_m = max(structural, 0)
@@ -189,7 +187,7 @@ def basis_for(spec: LevySpec | ValidatedLevySpec, requested_m: int | None = None
 def martingale_steps(
     counts: np.ndarray,
     grid,
-    spec: ValidatedLevySpec,
+    spec: LevySpec,
     basis: TeugelsBasis,
     driver_nodes: Iterable[np.ndarray] | None = None,
 ) -> Iterator[np.ndarray]:
@@ -222,7 +220,7 @@ def martingale_steps(
 def teugels_increments(
     counts: np.ndarray,
     grid,
-    spec: LevySpec | ValidatedLevySpec,
+    spec: LevySpec,
     basis: TeugelsBasis,
     levy_path: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -256,7 +254,6 @@ def teugels_increments(
     are written by :func:`martingale_steps`, so no full-size array of the
     power sums exists.
     """
-    spec = validate_levy_spec(spec)
     n = grid.n_steps
     counts = np.asarray(counts)
     if counts.shape[-1] != spec.m_atoms:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from levylab.config import DEFAULTS, parse_config
-from levylab.levy import LevySpec, validate_levy_spec
+from levylab.levy import LevySpec
 from levylab.paths import (
     STREAM_COMPARISON,
     TimeGrid,
@@ -34,7 +34,7 @@ from levylab.teugels import basis_for, build_mu, orthonormal_basis, teugels_incr
 
 warnings.filterwarnings("ignore", message="rank-deficient regression design")
 
-TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
+TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
 SCHEDULE = (4.0, 16.0, 64.0, 256.0)
 BASE = replace(
     DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100), n_schedule=SCHEDULE
@@ -54,9 +54,9 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
 
 def test_criterion_01_teugels_orthonormality_exact():
     specs = {
-        1: validate_levy_spec(LevySpec(atoms=((1.0, 1.0),))),
+        1: LevySpec(atoms=((1.0, 1.0),)),
         2: TWO_ATOM,
-        3: validate_levy_spec(LevySpec(atoms=((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2)))),
+        3: LevySpec(atoms=((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2))),
     }
     worst = 0.0
     for n_atoms, spec in specs.items():
@@ -145,7 +145,7 @@ def test_criterion_05_penalization_monotonicity(benchmark_family):
 
 def test_criterion_06_comparison_theorem():
     # terminal levels 1 and 0
-    _, _, report, violations = comparison_pair(config(n_paths=10_000, seed=303))
+    report, violations = comparison_pair(config(n_paths=10_000, seed=303))
     passed = report.holds and violations <= 0.01
     _report(6, "comparison theorem", passed,
             f"hypothesis min sum {report.min_sum:g} > -1, "

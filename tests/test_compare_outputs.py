@@ -61,3 +61,16 @@ def test_quick_suite_matches_committed_summary(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["suite", "--config", str(root / "configs" / "quick_suite.cfg"), "--out", str(run)]) == 0
     assert compare_outputs.main([str(reference), str(run), "--atol", "1e-9"]) == 0, capsys.readouterr().out
+
+
+def test_quick_crosscheck_matches_committed_fk_report(tmp_path):
+    """`levylab crosscheck` on the shipped quick config reproduces the committed
+    agreement report: its gaps, z rows, jump-weight rows and mode row."""
+    from levylab.cli import main
+
+    root = SCRIPT.parents[1]
+    run = tmp_path / "run"
+    assert main(["crosscheck", "--config", str(root / "configs" / "quick_suite.cfg"), "--out", str(run)]) == 0
+    reference = root / "tests" / "data" / "quick_crosscheck_fk_report.csv"
+    _, problems = compare_outputs.compare_file(reference, run / "fk_report.csv", atol=1e-9)
+    assert not problems, problems

@@ -1,20 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
-from levylab.levy import LevySpec, levy_moments, linear_drift, validate_levy_spec
+from levylab.levy import LevySpec, levy_moments, linear_drift
 
 
 def test_poisson_case_valid():
-    spec = validate_levy_spec(LevySpec(atoms=((1.0, 1.0),)))
+    spec = LevySpec(atoms=((1.0, 1.0),))
     assert spec.m_atoms == 1
     assert not spec.continuous_part
 
 
 def test_empty_spec_valid_degenerate():
-    spec = validate_levy_spec(LevySpec())
+    spec = LevySpec()
     assert spec.m_atoms == 0
     mt = levy_moments(spec, 4)
     assert np.all(mt.raw_moments == 0.0)
@@ -23,48 +25,53 @@ def test_empty_spec_valid_degenerate():
 
 def test_duplicate_jump_size_rejected():
     with pytest.raises(DuplicateJumpSize):
-        validate_levy_spec(LevySpec(atoms=((1.0, 1.0), (1.0, 2.0))))
+        LevySpec(atoms=((1.0, 1.0), (1.0, 2.0)))
 
 
 def test_zero_jump_size_rejected():
     with pytest.raises(ZeroJumpSize):
-        validate_levy_spec(LevySpec(atoms=((0.0, 1.0),)))
+        LevySpec(atoms=((0.0, 1.0),))
+    # a spec derived from a valid one is checked too
+    with pytest.raises(ZeroJumpSize):
+        replace(LevySpec(atoms=((1.0, 1.0),)), atoms=((0.0, 1.0),))
 
 
 def test_nonpositive_intensity_rejected():
     with pytest.raises(NonpositiveIntensity):
-        validate_levy_spec(LevySpec(atoms=((1.0, 0.0),)))
+        LevySpec(atoms=((1.0, 0.0),))
     with pytest.raises(NonpositiveIntensity):
-        validate_levy_spec(LevySpec(atoms=((1.0, -2.0),)))
+        LevySpec(atoms=((1.0, -2.0),))
 
 
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        validate_levy_spec(LevySpec(sigma=-1.0))
+        LevySpec(sigma=-1.0)
+    with pytest.raises(ValueError):
+        replace(LevySpec(atoms=((1.0, 1.0),)), sigma=-1.0)
 
 
 def test_continuous_part_flag():
-    assert validate_levy_spec(LevySpec(sigma=0.5)).continuous_part
-    assert not validate_levy_spec(LevySpec(sigma=0.0)).continuous_part
+    assert LevySpec(sigma=0.5).continuous_part
+    assert not LevySpec(sigma=0.0).continuous_part
 
 
 def test_moments_hand_example():
     # single atom (2, 3): moment_i = 3 * 2^i
-    spec = validate_levy_spec(LevySpec(atoms=((2.0, 3.0),)))
+    spec = LevySpec(atoms=((2.0, 3.0),))
     mt = levy_moments(spec, 2)
     assert mt.raw_moments[1] == 6.0
     assert mt.raw_moments[2] == 12.0
 
 
 def test_moments_symmetric_pair():
-    spec = validate_levy_spec(LevySpec(atoms=((1.0, 0.5), (-1.0, 0.5))))
+    spec = LevySpec(atoms=((1.0, 0.5), (-1.0, 0.5)))
     mt = levy_moments(spec, 2)
     assert mt.raw_moments[1] == 0.0
     assert mt.raw_moments[2] == 1.0
 
 
 def test_mean_l1_uncompensated():
-    spec = validate_levy_spec(LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25))))
+    spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)))
     mt = levy_moments(spec, 1)
     assert mt.mean_l1 == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
     assert linear_drift(spec) == 0.7
@@ -72,9 +79,7 @@ def test_mean_l1_uncompensated():
 
 def test_mean_l1_compensated_truncates_small_jumps():
     # |beta| <= 1 is compensated; only the big jump contributes to the mean
-    spec = validate_levy_spec(
-        LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)), compensated=True)
-    )
+    spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)), compensated=True)
     mt = levy_moments(spec, 1)
     assert mt.mean_l1 == pytest.approx(0.7 + 0.25 * 2.0)
     assert linear_drift(spec) == pytest.approx(0.7 - 2.0 * 0.5)
@@ -98,14 +103,14 @@ def atom_lists(draw, max_atoms=4):
 @given(atom_lists())
 @settings(max_examples=50, deadline=None)
 def test_even_moments_positive_and_symmetry(atoms):
-    spec = validate_levy_spec(LevySpec(atoms=atoms))
+    spec = LevySpec(atoms=atoms)
     mt = levy_moments(spec, 6)
     if atoms:
         assert mt.raw_moments[2] > 0.0 and mt.raw_moments[4] > 0.0
     # symmetrized atom set cancels odd moments (to summation rounding)
     sym = tuple((b, a) for b, a in atoms) + tuple((-b, a) for b, a in atoms)
     if len({b for b, _ in sym}) == len(sym):
-        mt_sym = levy_moments(validate_levy_spec(LevySpec(atoms=sym)), 5)
+        mt_sym = levy_moments(LevySpec(atoms=sym), 5)
         scale = 1.0 + float(np.max(np.abs(mt_sym.raw_moments)))
         for order in (1, 3, 5):
             assert abs(mt_sym.raw_moments[order]) <= 1e-13 * scale
@@ -114,8 +119,7 @@ def test_even_moments_positive_and_symmetry(atoms):
 @given(atom_lists(), st.floats(-2, 2, allow_nan=False), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_validate_moments_roundtrip_pure(atoms, drift, compensated):
+    """Normalization is idempotent, and moments leave the spec unchanged."""
     spec = LevySpec(drift_b=drift, atoms=atoms, compensated=compensated)
-    v1 = validate_levy_spec(spec)
-    levy_moments(v1, 4)
-    v2 = validate_levy_spec(v1)
-    assert v1 == v2
+    levy_moments(spec, 4)
+    assert replace(spec) == spec

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from levylab.config import DEFAULTS
 from levylab.errors import InitialPointOutsideDomain
-from levylab.levy import LevySpec, levy_moments, linear_drift, validate_levy_spec
+from levylab.levy import LevySpec, levy_moments, linear_drift
 from levylab.paths import (
     STREAM_LEVY,
     TimeGrid,
@@ -28,7 +28,7 @@ from levylab import suites
 from levylab.suites import measure_orthonormality, terminal_martingales
 from levylab.teugels import basis_for, build_mu, teugels_increments
 
-TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4))
+TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4)
 
 
 def reflect_one(sigma_x, theta, x0, L):
@@ -73,7 +73,7 @@ class TestBrownian:
 
 class TestLevy:
     def test_no_atoms_is_pure_drift(self):
-        spec = validate_levy_spec(LevySpec(drift_b=0.7))
+        spec = LevySpec(drift_b=0.7)
         grid = TimeGrid(2.0, 8)
         rng = derived_rng(5, 0)
         counts = simulate_jump_counts(spec, grid, rng, 1)
@@ -82,7 +82,7 @@ class TestLevy:
         assert np.allclose(L, 0.7 * grid.nodes, atol=1e-15)
 
     def test_poisson_count_mean(self):
-        spec = validate_levy_spec(LevySpec(atoms=((1.0, 1.0),)))
+        spec = LevySpec(atoms=((1.0, 1.0),))
         grid = TimeGrid(1.0, 10)
         counts = simulate_jump_counts(spec, grid, derived_rng(6, 0), 100000)
         totals = counts.sum(axis=(1, 2))
@@ -192,10 +192,9 @@ def teugels_increments_reference(counts, grid, spec, basis, levy_path=None):
 
 def measure_orthonormality_reference(cfg, basis, dH):
     """The measured values from a stored [path, step, m] dH: H(T) as its
-    step sum, the degenerate rows' largest |dH|, and the standardized moments."""
+    step sum, and the standardized moments."""
     spec = cfg.build_levy()
     H_T = dH.sum(axis=1)  # [paths, m]
-    degenerate = dH[:, :, basis.rank :]
     T = cfg.grid.horizon
     prod_dev = 0.0
     mean_dev = 0.0
@@ -210,7 +209,6 @@ def measure_orthonormality_reference(cfg, basis, dH):
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": basis.gram_defect(build_mu(spec)),
-        "degenerate_max_abs": max(float(np.max(degenerate)), -float(np.min(degenerate))),
         "product_max_stddevs": prod_dev,
         "mean_max_stddevs": mean_dev,
     }
@@ -227,7 +225,7 @@ class TestCompactCounts:
             # rare jumps, so many paths have a total of 0 for one atom and
             # some for both
             (
-                validate_levy_spec(LevySpec(atoms=((0.3, 0.5), (-0.2, 0.2)), drift_b=0.4)),
+                LevySpec(atoms=((0.3, 0.5), (-0.2, 0.2)), drift_b=0.4),
                 TimeGrid(1.0, 20),
                 2000,
                 np.uint8,
@@ -239,7 +237,7 @@ class TestCompactCounts:
             # last bit differently.  The continuous part draws its Brownian
             # path from the counts' stream after them.
             (
-                validate_levy_spec(LevySpec(atoms=((-0.03, 2.0), (0.01, 400.0)), sigma=0.2)),
+                LevySpec(atoms=((-0.03, 2.0), (0.01, 400.0)), sigma=0.2),
                 TimeGrid(2.0, 2),
                 300,
                 np.uint16,
@@ -248,9 +246,7 @@ class TestCompactCounts:
             (TWO_ATOM, TimeGrid(1.0, 20), 2000, np.uint8),
             # compensated small jumps; the atom at 1.5 is left uncompensated
             (
-                validate_levy_spec(
-                    LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True)
-                ),
+                LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True),
                 TimeGrid(0.5, 16),
                 1000,
                 np.uint8,
@@ -260,7 +256,7 @@ class TestCompactCounts:
     )
     def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype, monkeypatch):
         cfg = replace(DEFAULTS, levy=spec, grid=grid, n_paths=n_paths, seed=17)
-        basis = basis_for(spec, spec.m_atoms + spec.continuous_part + 2)  # as the measurement asks
+        basis = basis_for(spec)  # as the measurement asks
         rng, rng_ref = derived_rng(17, 0, STREAM_LEVY), derived_rng(17, 0, STREAM_LEVY)
         counts = simulate_jump_counts(spec, grid, rng, n_paths)
         ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)

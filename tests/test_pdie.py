@@ -9,7 +9,7 @@ from levylab.errors import (
     GridIncompatible,
     TerminalBelowObstacle,
 )
-from levylab.levy import LevySpec, validate_levy_spec
+from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, simulate_ensemble
 from levylab.pdie import (
     PidieGridSpec,
@@ -24,7 +24,7 @@ from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
 from levylab.solver import SolverConfig, solve_penalized
 from levylab.teugels import basis_for
 
-TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
+TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
 BASIS = basis_for(TWO_ATOM)
 GRID = PidieGridSpec(theta=1.0, n_space=100, horizon=1.0, n_time=200)
 
@@ -69,7 +69,7 @@ class TestScheme:
         assert np.all(pg.u >= h)
 
     def test_pure_decay_matches_discrete_product(self):
-        spec0 = validate_levy_spec(LevySpec())
+        spec0 = LevySpec()
         basis0 = basis_for(spec0)
         prob = custom_problem(
             terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -80,7 +80,7 @@ class TestScheme:
         assert np.max(np.abs(pg.u[0] - product)) < 1e-8
 
     def test_pure_transport_shifts_terminal(self):
-        spec_d = validate_levy_spec(LevySpec(drift_b=0.5))
+        spec_d = LevySpec(drift_b=0.5)
         basis_d = basis_for(spec_d)
         bump = lambda x: np.exp(-8.0 * (np.asarray(x, dtype=float) + 0.3) ** 2)
         prob = custom_problem(terminal=bump)
@@ -91,7 +91,7 @@ class TestScheme:
         assert np.max(np.abs(pg.u[0][interior] - exact[interior])) < 0.02
 
     def test_cfl_refusal(self):
-        spec_hot = validate_levy_spec(LevySpec(atoms=((0.5, 300.0),)))
+        spec_hot = LevySpec(atoms=((0.5, 300.0),))
         prob = build_problem("constant", {}, 1.0)
         with pytest.raises(CFLViolation):
             solve_obstacle_pidie(spec=spec_hot, problem=prob, basis=basis_for(spec_hot), grid_spec=GRID)
@@ -105,7 +105,7 @@ class TestScheme:
 
     def test_continuous_part_driver_refused(self):
         # the grid generator has no second-order term, so sigma > 0 is out of scope
-        spec = validate_levy_spec(LevySpec(atoms=((0.5, 1.0),), sigma=0.3))
+        spec = LevySpec(atoms=((0.5, 1.0),), sigma=0.3)
         prob = build_problem("constant", {}, 1.0)
         with pytest.raises(ValueError):
             solve_obstacle_pidie(prob, spec, basis_for(spec), GRID)
@@ -178,7 +178,7 @@ class TestRepresentation:
         cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-        report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
+        report = representation_check(pg, prob, ens, sol)
         assert report.y_max_gap < 1e-9
         assert max(report.z_rms_gap) < 1e-9
 
@@ -188,7 +188,7 @@ class TestRepresentation:
         cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-        report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
+        report = representation_check(pg, prob, ens, sol)
         # u = 1 - t is flat in x: the jump remainder vanishes and Z tracks 0
         assert report.y_max_gap < 1e-9
         assert max(report.z_rms_gap) < 1e-9
@@ -201,7 +201,7 @@ class TestRepresentation:
         bad = PidieGridSpec(theta=1.0, n_space=50, horizon=1.0, n_time=150)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, bad)
         with pytest.raises(GridIncompatible):
-            representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
+            representation_check(pg, prob, ens, sol)
 
     def test_jump_weight_rows_report_both_normalizations(self, mc_setup):
         grid, ens = mc_setup
@@ -209,7 +209,7 @@ class TestRepresentation:
         cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-        report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
+        report = representation_check(pg, prob, ens, sol)
         assert len(report.jump_weights_basis) == 2
         assert report.jump_weights_per_atom[0] == pytest.approx(0.3 / math.sqrt(2.0))
         keys = [k for k, _ in report.rows()]
@@ -223,7 +223,7 @@ def test_constant_level_case_z_exactly_small(mc_setup):
     cfg = SolverConfig(penalization=None)
     sol = solve_penalized(prob, cfg, ens)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-    report = representation_check(pg, BASIS, TWO_ATOM, prob, ens, sol)
+    report = representation_check(pg, prob, ens, sol)
     assert report.y_max_gap < 1e-8
     assert max(report.z_rms_gap) < 1e-8
 

@@ -9,7 +9,7 @@ import pytest
 from levylab import solver
 from levylab.config import DEFAULTS
 from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
-from levylab.levy import LevySpec, validate_levy_spec
+from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, simulate_ensemble
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
 from levylab.solver import (
@@ -26,7 +26,7 @@ from levylab.suites import (
 )
 from levylab.teugels import basis_for
 
-TWO_ATOM = validate_levy_spec(LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))))
+TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
 # example51 from x0 = 0 on (-1, 1), unit coefficient, local-time clock,
 # projection at degree 4; tests replace sizes, seeds and the schedule
 BASE = dataclasses.replace(
@@ -398,7 +398,7 @@ class TestDiagnostics:
 
     def test_degenerate_z_columns_exactly_zero(self):
         grid = TimeGrid(1.0, 50)
-        spec = validate_levy_spec(LevySpec(atoms=((1.0, 1.0),)))
+        spec = LevySpec(atoms=((1.0, 1.0),))
         basis = basis_for(spec, 3)
         ens = simulate_ensemble(spec, grid, basis, 600, 5, theta=2.0, x0=0.0)
         prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
@@ -506,7 +506,7 @@ class TestNodeMajorLayout:
 
 def test_sigma_positive_driver_supported():
     # a continuous part adds one basis component; exact propagation must hold
-    spec = validate_levy_spec(LevySpec(atoms=((0.5, 1.0),), sigma=0.4))
+    spec = LevySpec(atoms=((0.5, 1.0),), sigma=0.4)
     basis = basis_for(spec, 4)
     assert basis.rank == 2
     ens = simulate_ensemble(spec, TimeGrid(1.0, 50), basis, 600, 11, theta=2.0, x0=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import EmptyMeasure, RankMismatch
-from levylab.levy import LevySpec, levy_moments, validate_levy_spec
+from levylab.levy import LevySpec, levy_moments
 from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
 from levylab.teugels import (
     AtomicMeasure,
@@ -18,7 +18,7 @@ from levylab.teugels import (
 
 
 def spec_of(*atoms, sigma=0.0, drift=0.0):
-    return validate_levy_spec(LevySpec(drift_b=drift, sigma=sigma, atoms=tuple(atoms)))
+    return LevySpec(drift_b=drift, sigma=sigma, atoms=tuple(atoms))
 
 
 class TestBuildMu:
@@ -28,7 +28,7 @@ class TestBuildMu:
         assert mu.weights.tolist() == [1.0]
 
     def test_pure_brownian_mass_at_zero(self):
-        mu = build_mu(validate_levy_spec(LevySpec(sigma=1.0)))
+        mu = build_mu(LevySpec(sigma=1.0))
         assert mu.locations.tolist() == [0.0]
         assert mu.weights.tolist() == [1.0]
 
@@ -79,7 +79,7 @@ def measures(draw):
     )
     atoms = tuple((s / 2.0, draw(st.floats(0.1, 5.0))) for s in slots)
     sigma = draw(st.sampled_from([0.0, 0.0, 0.7]))
-    return validate_levy_spec(LevySpec(sigma=sigma, atoms=atoms))
+    return LevySpec(sigma=sigma, atoms=atoms)
 
 
 @given(measures(), st.integers(min_value=1, max_value=7))
