@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_crosscheck(cfg)
         if args.command == "suite":
             return _cmd_suite(cfg)
-    except (LevyLabError, ValueError, FileNotFoundError) as exc:
+    except (LevyLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

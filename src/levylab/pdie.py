@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BisectionFailure,
@@ -211,6 +210,13 @@ def _transport_bands(c: np.ndarray, dt: float, dx: float) -> np.ndarray:
             diag[j] -= nu * c[j]
             lower[j - 1] = nu * c[j]
     return np.vstack([upper, diag, lower])
+
+
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded``, with scipy imported at the first call."""
+    from scipy.linalg import solve_banded
+
+    return solve_banded(l_and_u, ab, b)
 
 
 def solve_obstacle_pidie(

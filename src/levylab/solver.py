@@ -67,7 +67,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
 from .paths import PathEnsemble, cumsum_nodes
@@ -194,6 +193,8 @@ def _gram_factor(design: np.ndarray):
     ``None`` sends the step to the pivoting least-squares path: the Gram
     condition number exceeds ``GRAM_COND_MAX`` or the factorization fails.
     """
+    from scipy.linalg import cho_factor
+
     gram = design @ design.T
     if not np.linalg.cond(gram) <= GRAM_COND_MAX:
         return None
@@ -213,6 +214,8 @@ def _regress(design: np.ndarray, factor, targets: np.ndarray, step: int) -> np.n
     rank, with a warning naming the step.
     """
     if factor is not None:
+        from scipy.linalg import cho_solve
+
         coef = cho_solve(factor, design @ targets.T, check_finite=False)
         return coef.T @ design
     ncol = design.shape[0]

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -180,6 +183,24 @@ class TestCli:
         rc = main(["basis", "--config", "does/not/exist.cfg"])
         assert rc == 1
 
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["verify", "--config", str(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_that_is_a_file(self, small_config, tmp_path, capsys):
+        out = tmp_path / "taken.cfg"
+        out.write_text("kept\n")
+        rc = main(["basis", "--config", str(small_config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg", "taken.cfg"]
+
 
 def test_nonfinite_penalization_override_is_an_error_exit(small_config, tmp_path, capsys):
     for value in ("inf", "1e400"):
@@ -277,3 +298,26 @@ def test_shipped_configs_parse():
     for name in ("example51.cfg", "quick_suite.cfg", "orthonormality.cfg"):
         cfg = parse_config((root / name).read_text())
         assert cfg.grid.n_steps >= 1
+
+
+NO_SCIPY = """
+import sys
+import levylab, levylab.cli, levylab.config
+config, out = sys.argv[1:]
+for argv in (["verify", "--paths", "2000", "--steps", "16"], ["basis"], ["simulate", "--paths", "4"]):
+    assert levylab.cli.main([*argv, "--config", config, "--out", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_verify_basis_and_simulate_never_import_scipy(tmp_path):
+    # scipy serves only the sweep's Cholesky solve and the oracle's banded
+    # solve; importing it costs more than a whole verify run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(root / "configs" / "orthonormality.cfg"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
