@@ -20,6 +20,10 @@ Time stepping is implicit (upwind) in the linear transport, explicit in
 f and the nonlocal term, followed by a scalar bisection solve of the
 boundary condition at each wall and projection onto the barrier.  The
 explicit nonlocal part requires dt * (total jump intensity) <= 1.
+
+The transport step is solved by scipy's banded solver through this
+module's :func:`solve_banded`, which imports scipy at its first call, so
+importing the module does not load scipy.
 """
 
 from __future__ import annotations

@@ -42,6 +42,9 @@ falls back to the pivoting ``lstsq`` path instead: a genuinely
 rank-deficient design is reduced from the highest degree down, with a
 warning naming the step.  Early steps, where X sits on a few lattice
 points, take this path.
+scipy's ``cho_factor`` and ``cho_solve`` are imported where they are
+called, so importing this module, and any command that runs no sweep,
+does not load scipy.
 
 Storage
 -------
