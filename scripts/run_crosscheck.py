@@ -40,7 +40,7 @@ def main() -> int:
     sol, pgrid, report = crosscheck_run(cfg)
     elapsed = time.perf_counter() - start
 
-    u00 = float(pgrid.u[0, int(np.argmin(np.abs(pgrid.x)))])
+    u00 = float(np.interp(cfg.x0, pgrid.x, pgrid.u[0]))
     print(f"paths={args.paths} steps={args.steps} seed={args.seed}  ({elapsed:.1f}s)")
     print(f"  Y0 (monte carlo)      = {sol.y0_value: .6f}  (se {sol.y0_se:.2e})")
     print(f"  u(0, 0) (grid)        = {u00: .6f}")

@@ -6,14 +6,14 @@ martingale basis (:mod:`levylab.teugels`); forward scenarios with
 clamp-reflected state and boundary local time come from
 :mod:`levylab.paths`; the backward equations are solved by penalized or
 projected least-squares Monte Carlo (:mod:`levylab.solver`) and
-cross-validated against a finite-difference obstacle solver with a
-nonlinear flux boundary condition (:mod:`levylab.pdie`).  Experiment
+cross-validated against a finite-difference obstacle solver whose jump
+generator and local-time source phi dA are the reflected state's own
+(:mod:`levylab.pdie`).  Experiment
 configs, verification suites and the command line live in
 :mod:`levylab.config`, :mod:`levylab.suites` and :mod:`levylab.cli`.
 """
 
 from .errors import (
-    BisectionFailure,
     CFLViolation,
     ConfigParseError,
     DuplicateJumpSize,

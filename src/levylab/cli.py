@@ -134,7 +134,7 @@ def _cmd_crosscheck(cfg: ExperimentConfig) -> int:
     _write(out / "u_grid.csv", "\n".join(lines) + "\n")
     fk_lines = ["key,value"] + [f"{k},{v}" for k, v in report.rows()]
     _write(out / "fk_report.csv", "\n".join(fk_lines) + "\n")
-    u00 = float(pgrid.u[0, int(np.argmin(np.abs(pgrid.x - cfg.x0)))])
+    u00 = float(np.interp(cfg.x0, pgrid.x, pgrid.u[0]))
     print(f"y0 (monte carlo) = {sol.y0_value:.6g}")
     print(f"u(0, x0) (grid)  = {u00:.6g}")
     print(f"|gap| = {report.y0_gap:.6g}")

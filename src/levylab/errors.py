@@ -41,10 +41,6 @@ class CFLViolation(LevyLabError):
     """The explicit nonlocal term is too large for the time step."""
 
 
-class BisectionFailure(LevyLabError):
-    """The boundary root finder could not bracket or converge."""
-
-
 class ZeroSpread(LevyLabError):
     """A sampled quantity has zero spread, so it cannot be standardized."""
 

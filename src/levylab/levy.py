@@ -110,8 +110,7 @@ class MomentTable:
 
     ``raw_moments[i] = sum_k alpha_k * beta_k**i`` (index 0 is the total
     jump intensity).  ``mean_l1`` is ``E[L_1]`` under the spec's drift
-    convention, which is also the transport coefficient of the associated
-    backward PDE.
+    convention.
     """
 
     raw_moments: np.ndarray
@@ -120,7 +119,8 @@ class MomentTable:
 
 
 def linear_drift(spec: LevySpec) -> float:
-    """Slope of the path between jumps (what the simulator integrates)."""
+    """Slope of the path between jumps: what the simulator integrates, and
+    the transport coefficient of the finite-difference oracle."""
     if not spec.compensated:
         return spec.drift_b
     b = spec.jump_sizes
@@ -133,8 +133,7 @@ def levy_moments(spec: LevySpec, max_order: int) -> MomentTable:
     """Raw moments of the jump measure up to ``max_order``, plus E[L_1].
 
     The sums are evaluated in closed form over the atoms, with no
-    quadrature error.  ``mean_l1`` is the driver's mean and also the
-    transport drift of the associated backward PDE.
+    quadrature error.  ``mean_l1`` is the driver's mean.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")

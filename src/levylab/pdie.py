@@ -1,25 +1,29 @@
-"""Finite-difference solver for the obstacle problem with jump transport and
-a nonlinear flux boundary condition; the independent cross-check for the
-Monte Carlo solver.
+"""Finite-difference solver for the obstacle problem with the path
+engine's jump generator; the independent cross-check for the Monte Carlo
+solver.
 
-The backward-in-time equation on (-theta, theta), terminal u(T, .) = l,
+The backward-in-time equation on [-theta, theta], terminal u(T, .) = l,
 
-    du/dt + a' sigma_x(x) du/dx + f(t, x, u, z(u))
-        + sum_l alpha_l * u1(t, x, sigma_x(x) beta_l) + g source = 0
-    above the barrier  u >= h,  with
-    e(x) du/dx + phi(t, x, u) = 0 at x = -theta, +theta,
+    du/dt + b sigma_x(x) du/dx + f(t, x, u, z(u))
+        + sum_l alpha_l [u(t, clamp(x + sigma_x(x) beta_l)) - u(t, x)]
+        + sum_l alpha_l phi(t, x_l, u(t, x_l)) (|x + sigma_x(x) beta_l| - theta)^+
+        + g source = 0
+    above the barrier  u >= h,
 
-where a' = E[L_1], u1(t, x, d) = u(t, x + d) - u(t, x) - du/dx * d is the
-second-order jump remainder and z(u) feeds the driver the same per-component
-jump functionals the Monte Carlo Z estimates (see
-:func:`component_functionals`).  Jump displacements leaving the domain are
-clamped onto it, mirroring the path engine's jump-reflection convention,
-so the two methods discretize the same problem.
+where b is the driver's linear drift between jumps, x_l = +-theta is the
+wall the jump is clamped to, and z(u) feeds the driver the same
+per-component jump functionals the Monte Carlo Z estimates (see
+:func:`component_functionals`).  This is the generator of the path
+engine's clamp-reflected state: a jump that leaves the domain is clamped
+onto the wall, and its overshoot is the jump of the local time A, so the
+overshoot term is the oracle's phi dA.  A drift that points out of the
+domain at a wall holds the state there and adds A at rate |b sigma_x|,
+the source phi |b sigma_x| in that wall's row.  The wall rows need no
+condition of their own.
 
 Time stepping is implicit (upwind) in the linear transport, explicit in
-f and the nonlocal term, followed by a scalar bisection solve of the
-boundary condition at each wall and projection onto the barrier.  The
-explicit nonlocal part requires dt * (total jump intensity) <= 1.
+f, the jump term and the phi dA source, followed by projection onto the
+barrier.  The explicit jump term requires dt * (total jump intensity) <= 1.
 
 The transport step is solved by scipy's banded solver through this
 module's :func:`solve_banded`, which imports scipy at its first call, so
@@ -34,19 +38,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BisectionFailure,
-    CFLViolation,
-    GridIncompatible,
-    TerminalBelowObstacle,
-)
-from .levy import LevySpec, levy_moments
+from .errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
+from .levy import LevySpec, linear_drift
 from .paths import PathEnsemble, unit_coefficient
 from .problems import ProblemSpec
 from .solver import EnsembleSolution
 from .teugels import TeugelsBasis
-
-BISECTION_TOL = 1e-10
 
 #: Every PATH_STRIDE-th Monte Carlo path is sampled by the agreement report.
 PATH_STRIDE = 37
@@ -134,16 +131,18 @@ def component_functionals(
     spec: LevySpec,
     sig: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlocal term and per-component jump functionals of a u row.
+    """Jump term and per-component jump functionals of a u row.
 
-    Returns (nl, z) with nl[j] = sum_l alpha_l u1_jl and
-    z[j, i] = sum_l alpha_l u1_jl p_{i+1}(beta_l), plus the diffusion-style
-    correction sigma_x(x) du/dx sqrt(m2) on the first component; columns at
-    or beyond the basis rank are zero, matching the Monte Carlo Z layout.
+    Returns (nl, z) with nl[j] = sum_l alpha_l [u(clamp(x_j + d_jl)) - u_j]
+    and z[j, i] = sum_l alpha_l u1_jl p_{i+1}(beta_l), where
+    u1_jl = u(clamp(x_j + d_jl)) - u_j - du_j d_jl is the second-order
+    remainder, plus the diffusion-style correction sigma_x(x) du/dx
+    sqrt(m2) on the first component; columns at or beyond the basis rank
+    are zero, matching the Monte Carlo Z layout.
     """
-    u1 = stencil.shift(u_row) - u_row[:, None] - du_row[:, None] * stencil.displacement
-    weighted = u1 * stencil.intensities[None, :]
-    nl = weighted.sum(axis=1)
+    jump = stencil.shift(u_row) - u_row[:, None]
+    nl = (jump * stencil.intensities[None, :]).sum(axis=1)
+    weighted = (jump - du_row[:, None] * stencil.displacement) * stencil.intensities[None, :]
     z = np.zeros((len(u_row), basis.requested_m))
     if basis.rank:
         p_at_beta = basis.p_values(spec.jump_sizes)  # [m, n_atoms]
@@ -153,67 +152,82 @@ def component_functionals(
     return nl, z
 
 
-def _boundary_root(
-    neighbor: float, dx: float, phi, t: float, xb: float, tol: float = BISECTION_TOL
-) -> float:
-    """Root of (neighbor - v)/dx + phi(t, xb, v) = 0 by bracketed bisection.
-
-    Both walls reduce to this form: the one-sided difference toward the
-    interior times the inward direction is (u_nb - u_wall)/dx at either
-    end.  phi nonincreasing in v makes F strictly decreasing, so a sign
-    change exists and the root is unique.
-    """
-
-    def F(v: float) -> float:
-        return (neighbor - v) / dx + float(phi(t, xb, v))
-
-    lo = neighbor
-    step = max(1.0, abs(neighbor))
-    for _ in range(80):
-        if F(lo) > 0.0:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise BisectionFailure(f"could not bracket the boundary condition below at x={xb}")
-    hi = neighbor
-    step = max(1.0, abs(neighbor))
-    for _ in range(80):
-        if F(hi) < 0.0:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise BisectionFailure(f"could not bracket the boundary condition above at x={xb}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if F(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _transport_bands(c: np.ndarray, dt: float, dx: float) -> np.ndarray:
     """Banded (ab-form) matrix of the implicit upwind transport step.
 
     Row j solves u_j - dt c_j D u_j = rhs_j with D the upwind one-sided
-    difference (forward when c_j > 0, backward when c_j < 0); boundary
-    rows are identities since the flux condition overwrites them.
+    difference (forward when c_j > 0, backward when c_j < 0).  A wall row
+    whose drift points out of the domain has no upwind neighbour: it is an
+    identity, the state held at the wall.
     """
-    nn = len(c)
     nu = dt / dx
-    diag = np.ones(nn)
-    upper = np.zeros(nn)
-    lower = np.zeros(nn)
-    for j in range(1, nn - 1):
-        if c[j] >= 0.0:
-            diag[j] += nu * c[j]
-            upper[j + 1] = -nu * c[j]
-        else:
-            diag[j] -= nu * c[j]
-            lower[j - 1] = nu * c[j]
-    return np.vstack([upper, diag, lower])
+    fwd = np.maximum(c, 0.0) * nu
+    bwd = np.maximum(-c, 0.0) * nu
+    fwd[-1] = bwd[0] = 0.0
+    upper = np.zeros_like(c)
+    lower = np.zeros_like(c)
+    upper[1:] = -fwd[:-1]
+    lower[:-1] = -bwd[1:]
+    return np.vstack([upper, 1.0 + fwd + bwd, lower])
+
+
+def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The product of an ab-form tridiagonal matrix with ``v``."""
+    out = ab[1] * v
+    out[:-1] += ab[0, 1:] * v[1:]
+    out[1:] += ab[2, :-1] * v[:-1]
+    return out
+
+
+def _wall_rates(
+    x: np.ndarray, theta: float, stencil: NonlocalStencil, c: np.ndarray
+) -> np.ndarray:
+    """Growth rate of the local time A at each wall, per node: [2, node].
+
+    Row 0 is the wall -theta, row 1 the wall +theta.  A jump from x_j that
+    leaves the domain adds its overshoot (|x_j + d| - theta)^+ to A at the
+    wall it is clamped to; a drift that points out of the domain at a wall
+    node adds |c| per unit time there.
+    """
+    target = x[:, None] + stencil.displacement
+    rates = np.stack([
+        np.maximum(-theta - target, 0.0) @ stencil.intensities,
+        np.maximum(target - theta, 0.0) @ stencil.intensities,
+    ])
+    rates[0, 0] += max(-c[0], 0.0)
+    rates[1, -1] += max(c[-1], 0.0)
+    return rates
+
+
+def _scheme(
+    problem: ProblemSpec,
+    spec: LevySpec,
+    basis: TeugelsBasis,
+    x: np.ndarray,
+    dt: float,
+    sigma_x: Callable,
+) -> tuple[np.ndarray, Callable[[float, np.ndarray], np.ndarray]]:
+    """The implicit transport bands and the explicit part of one step.
+
+    A step from u_next at t_next solves bands @ u = explicit(t_next,
+    u_next): u_next plus dt times f, the jump term and the phi dA source,
+    all evaluated at u_next.
+    """
+    dx = float(x[1] - x[0])
+    sig = np.asarray(sigma_x(x), dtype=float)
+    c = linear_drift(spec) * sig
+    stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
+    rates = _wall_rates(x, problem.theta, stencil, c)
+    walls = x[[0, -1]]
+
+    def explicit(t_next: float, u_next: np.ndarray) -> np.ndarray:
+        du_next = np.gradient(u_next, dx)
+        nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
+        fval = np.asarray(problem.f(t_next, x, u_next, z), dtype=float)
+        phi_walls = np.asarray(problem.phi(t_next, walls, u_next[[0, -1]]), dtype=float)
+        return u_next + dt * (fval + nl + phi_walls @ rates)
+
+    return _transport_bands(c, dt, dx), explicit
 
 
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,7 +261,6 @@ def solve_obstacle_pidie(
     x = grid_spec.x
     t = grid_spec.t
     dt = grid_spec.dt
-    dx = grid_spec.dx
     nn = len(x)
 
     total_intensity = spec.total_intensity
@@ -275,11 +288,7 @@ def solve_obstacle_pidie(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    sig = np.asarray(sigma_x(x), dtype=float)
-    c = levy_moments(spec, 1).mean_l1 * sig
-    bands = _transport_bands(c, dt, dx)
-    stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
-
+    bands, explicit = _scheme(problem, spec, basis, x, dt, sigma_x)
     u = np.empty((grid_spec.n_time + 1, nn))
     term = np.asarray(problem.terminal(x), dtype=float)
     h_term = np.asarray(problem.obstacle(t[-1], x), dtype=float)
@@ -288,16 +297,10 @@ def solve_obstacle_pidie(
     u[-1] = term
 
     for k in range(grid_spec.n_time - 1, -1, -1):
-        u_next = u[k + 1]
-        du_next = np.gradient(u_next, dx)
-        nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
-        fval = np.asarray(problem.f(t[k + 1], x, u_next, z), dtype=float)
-        rhs = u_next + dt * (fval + nl)
+        rhs = explicit(t[k + 1], u[k + 1])
         if mode == "pathwise":
             rhs = rhs + np.asarray(problem.g(t[k + 1], x, np.zeros(nn)), dtype=float) * db[k]
         u_new = solve_banded((1, 1), bands, rhs)
-        u_new[0] = _boundary_root(float(u_new[1]), dx, problem.phi, float(t[k]), float(x[0]))
-        u_new[-1] = _boundary_root(float(u_new[-2]), dx, problem.phi, float(t[k]), float(x[-1]))
         u[k] = np.maximum(u_new, np.asarray(problem.obstacle(t[k], x), dtype=float))
     return PidieGrid(x=x, t=t, u=u)
 
@@ -308,58 +311,24 @@ def complementarity_defect(
     spec: LevySpec,
     basis: TeugelsBasis,
     sigma_x: Callable | None = None,
-    margin: int = 2,
 ) -> float:
-    """Post-hoc max over interior nodes of min(u - h, discrete residual).
+    """Post-hoc max over nodes of min(u - h, discrete residual).
 
-    The residual re-evaluates the scheme's own stencils on the stored
-    solution, so away from the projected set it vanishes to rounding and
-    on it the parabolic operator is slack; the reported max should stay at
-    rounding scale.  Nodes within ``margin`` of the walls are excluded:
-    there the flux condition, not the interior operator, governs u.
+    The residual re-evaluates the scheme's own operator and phi dA source
+    on the stored solution, so away from the projected set it vanishes to
+    rounding and on it the parabolic operator is slack; the reported max
+    should stay at rounding scale.  Wall rows obey the same operator, so
+    every node is included.
     """
-    sigma_x = sigma_x or unit_coefficient
-    x = pgrid.x
     t = pgrid.t
     dt = float(t[1] - t[0])
-    dx = float(x[1] - x[0])
-    sig = np.asarray(sigma_x(x), dtype=float)
-    c = levy_moments(spec, 1).mean_l1 * sig
-    stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
-    sl = slice(margin, len(x) - margin)
+    bands, explicit = _scheme(problem, spec, basis, pgrid.x, dt, sigma_x or unit_coefficient)
     worst = -math.inf
     for k in range(len(t) - 1):
         u_now = pgrid.u[k]
-        u_next = pgrid.u[k + 1]
-        du_next = np.gradient(u_next, dx)
-        nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
-        fval = np.asarray(problem.f(t[k + 1], x, u_next, z), dtype=float)
-        fwd = np.empty_like(u_now)
-        bwd = np.empty_like(u_now)
-        fwd[:-1] = (u_now[1:] - u_now[:-1]) / dx
-        fwd[-1] = bwd[-1] = (u_now[-1] - u_now[-2]) / dx
-        bwd[1:] = (u_now[1:] - u_now[:-1]) / dx
-        bwd[0] = fwd[0]
-        upwind = np.where(c >= 0.0, fwd, bwd)
-        residual = (u_next - u_now) / dt + c * upwind + fval + nl
-        slack = u_now - np.asarray(problem.obstacle(t[k], x), dtype=float)
-        worst = max(worst, float(np.max(np.minimum(slack[sl], residual[sl]))))
-    return worst
-
-
-def boundary_defect(pgrid: PidieGrid, problem: ProblemSpec) -> float:
-    """Max over time of the one-sided flux-condition residual at both walls."""
-    dx = float(pgrid.x[1] - pgrid.x[0])
-    worst = 0.0
-    for k in range(len(pgrid.t) - 1):
-        tk = float(pgrid.t[k])
-        lo = (pgrid.u[k, 1] - pgrid.u[k, 0]) / dx + float(
-            problem.phi(tk, float(pgrid.x[0]), pgrid.u[k, 0])
-        )
-        hi = -(pgrid.u[k, -1] - pgrid.u[k, -2]) / dx + float(
-            problem.phi(tk, float(pgrid.x[-1]), pgrid.u[k, -1])
-        )
-        worst = max(worst, abs(lo), abs(hi))
+        residual = (explicit(t[k + 1], pgrid.u[k + 1]) - _banded_matvec(bands, u_now)) / dt
+        slack = u_now - np.asarray(problem.obstacle(t[k], pgrid.x), dtype=float)
+        worst = max(worst, float(np.max(np.minimum(slack, residual))))
     return worst
 
 
@@ -468,9 +437,8 @@ def representation_check(
     else:
         wb = ()
         wp = ()
-    x0_idx = int(np.argmin(np.abs(pgrid.x - ens.x0)))
     return FkReport(
-        y0_gap=float(abs(sol.y0_value - pgrid.u[0, x0_idx])),
+        y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
         y_max_gap=float(np.max(y_gaps_arr)),
         y_mean_gap=float(np.mean(y_gaps_arr)),
         z_rms_gap=z_rms,

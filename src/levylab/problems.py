@@ -4,7 +4,7 @@ used by config files and the command line.
 Every coefficient function is numpy-vectorized with signature
 
     f(t, x, y, z)    driver; z carries one column per martingale component
-    phi(t, x, y)     boundary (Neumann) coefficient, nonincreasing in y
+    phi(t, x, y)     coefficient of the local-time integral phi dA, nonincreasing in y
     g(t, x, y)       doubly stochastic coefficient
     terminal(x)      terminal value, xi = terminal(X_T)
     obstacle(t, x)   lower barrier, S_t = obstacle(t, X_t)
@@ -152,9 +152,9 @@ def _deterministic_obstacle(params: dict, theta: float) -> ProblemSpec:
 
 
 def _example51(params: dict, theta: float) -> ProblemSpec:
-    """Two-sided jump benchmark: linear decay driver, Robin absorption at the
-    walls, call-style terminal, low ramp obstacle.  The instance behind the
-    Monte Carlo vs finite-difference crosscheck."""
+    """Two-sided jump benchmark: linear decay driver, absorption phi = phy * y
+    against the walls' local time, call-style terminal, low ramp obstacle.
+    The instance behind the Monte Carlo vs finite-difference crosscheck."""
     fy = _pop(params, "fy", -0.1)
     phy = _pop(params, "phy", -0.5)
     h_scale = _pop(params, "h_scale", 0.2)

@@ -349,15 +349,11 @@ def _mean_penetration_sq(s: np.ndarray, y: np.ndarray, out: np.ndarray) -> float
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Uniform-in-n energy norms of a penalized family."""
+    """Uniform-in-n energy norms of a penalized family, in increasing n."""
 
-    penalizations: tuple[float, ...]
     norms: tuple[float, ...]
-    components: tuple[dict, ...]
-    sup_norm: float
     tail_ratio: float
     growth_ratio: float
-    bounded: bool
 
 
 def apriori_bounds(
@@ -366,27 +362,18 @@ def apriori_bounds(
     """Check that the penalized family's energy norms stay bounded in n.
 
     The norm per solution is E[sup_t Y^2 + int Y^2 dA + int |Z|^2 dt +
-    K_T^2].  ``bounded`` requires a plateau at the tail of the schedule
-    (last norm at most ``APRIORI_TAIL_TOL`` times the previous one) and no
-    overall blow-up (at most ``APRIORI_GROWTH_TOL`` times the first norm;
-    on obstacle problems K_T^2 legitimately ramps up to its limit before
-    flattening, so the overall factor is deliberately loose while a
-    divergent scheme overshoots it by many orders of magnitude).
+    K_T^2].  A bounded family has a plateau at the tail of the schedule
+    (``tail_ratio``, last norm over the previous one, at most
+    ``APRIORI_TAIL_TOL``) and no overall blow-up (``growth_ratio``, last
+    norm over the first, at most ``APRIORI_GROWTH_TOL``; on obstacle
+    problems K_T^2 legitimately ramps up to its limit before flattening,
+    so the overall factor is deliberately loose while a divergent scheme
+    overshoots it by many orders of magnitude).
     """
-    ns = tuple(sorted(solutions))
-    comps = tuple(solutions[n].apriori_norms for n in ns)
-    norms = tuple(c["total"] for c in comps)
+    norms = tuple(solutions[n].apriori_norms["total"] for n in sorted(solutions))
     tail = norms[-1] / norms[-2] if len(norms) >= 2 and norms[-2] > 0 else 1.0
     growth = norms[-1] / norms[0] if norms[0] > 0 else (1.0 if norms[-1] == 0 else math.inf)
-    return BoundReport(
-        penalizations=ns,
-        norms=norms,
-        components=comps,
-        sup_norm=max(norms),
-        tail_ratio=tail,
-        growth_ratio=growth,
-        bounded=(growth <= APRIORI_GROWTH_TOL and tail <= APRIORI_TAIL_TOL),
-    )
+    return BoundReport(norms=norms, tail_ratio=tail, growth_ratio=growth)
 
 
 @dataclass(frozen=True)
@@ -394,9 +381,6 @@ class ComparisonHypothesisReport:
     """Empirical check of the jump-size condition sum_i beta_i dH(i) > -1."""
 
     min_sum: float
-    holds: bool
-    lipschitz_bound: float
-    violation_fraction: float
 
 
 def check_comparison_hypothesis(
@@ -413,8 +397,7 @@ def check_comparison_hypothesis(
     slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
     telescoping decomposition that underlies the ordering argument; slots
     where the two Z's coincide contribute zero.  Reads the node-major rows
-    behind the solutions' views.  Also reports the interval bound
-    -c * rank * max |dH| implied by the declared Lipschitz constant.
+    behind the solutions' views.
     """
     n = ens.grid.n_steps
     t = ens.grid.nodes
@@ -435,12 +418,4 @@ def check_comparison_hypothesis(
                 beta = np.where(np.abs(den) > DENOMINATOR_RTOL * scale, (f_lo - f_hi) / den, 0.0)
             total[k] += beta * dH[k, a]
             f_lo = f_hi
-    min_sum = float(np.min(total)) if total.size else 0.0
-    max_dh = float(np.max(np.abs(dH))) if dH.size else 0.0
-    frac = float(np.mean(total <= -1.0)) if total.size else 0.0
-    return ComparisonHypothesisReport(
-        min_sum=min_sum,
-        holds=min_sum > -1.0,
-        lipschitz_bound=-problem2.lipschitz_c * max(rank, 1) * max_dh,
-        violation_fraction=frac,
-    )
+    return ComparisonHypothesisReport(min_sum=float(np.min(total)) if total.size else 0.0)

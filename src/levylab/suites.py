@@ -286,9 +286,8 @@ def crosscheck_run(cfg: ExperimentConfig):
     """Solve the configured problem by Monte Carlo and on the grid.
 
     Uses projection mode, the deterministic grid oracle (g must vanish)
-    and always the local-time clock, the one the oracle's Neumann boundary
-    condition integrates against; returns (solution, grid solution,
-    report).
+    and always the local-time clock, the one the oracle's overshoot source
+    phi dA integrates against; returns (solution, grid solution, report).
     """
     ens = replace(cfg, a_mode="local-time").build_ensemble()
     problem = cfg.build_problem()

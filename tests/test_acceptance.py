@@ -146,11 +146,11 @@ def test_criterion_05_penalization_monotonicity(benchmark_family):
 def test_criterion_06_comparison_theorem():
     # terminal levels 1 and 0
     report, violations = comparison_pair(config(n_paths=10_000, seed=303))
-    passed = report.holds and violations <= 0.01
+    passed = report.min_sum > -1.0 and violations <= 0.01
     _report(6, "comparison theorem", passed,
             f"hypothesis min sum {report.min_sum:g} > -1, "
             f"ordering violations {violations:.4%} <= 1%")
-    assert report.holds
+    assert report.min_sum > -1.0
     assert violations <= 0.01
 
 

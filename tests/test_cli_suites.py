@@ -158,6 +158,22 @@ class TestCli:
         assert "jump_weight_ratio_atom1" in fk
         assert "deterministic" in fk  # mode note in the report header rows
 
+    def test_crosscheck_prints_interpolated_grid_value(self, tmp_path, capsys):
+        # with n_space = 81 the node nearest x0 = 0 sits 1/81 away
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(SMALL.replace("n_space = 80", "n_space = 81"))
+        out = tmp_path / "cross"
+        assert main(["crosscheck", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [line.partition(" = ") for line in capsys.readouterr().out.splitlines()]
+        printed = {key.strip(): float(value) for key, sep, value in lines if sep}
+        with (out / "u_grid.csv").open(newline="") as handle:
+            first = [r for r in csv.DictReader(handle) if float(r["t"]) == 0.0]
+        xs = [float(r["x"]) for r in first]
+        us = [float(r["u"]) for r in first]
+        assert printed["u(0, x0) (grid)"] == pytest.approx(np.interp(0.0, xs, us), abs=1e-6)
+        gap = abs(printed["y0 (monte carlo)"] - printed["u(0, x0) (grid)"])
+        assert gap == pytest.approx(printed["|gap|"], abs=1e-5)
+
     def test_suite_exit_code_and_outputs(self, small_config, tmp_path):
         out = tmp_path / "suite"
         rc = main(["suite", "--config", str(small_config), "--out", str(out)])
@@ -287,7 +303,7 @@ def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
                 assert problem.params == configured, name
                 assert np.array_equal(ens.A, np.broadcast_to(ens.grid.nodes, ens.A.shape)), name
         if name == "feynman_kac":
-            # the grid oracle's Neumann boundary is the local-time clock
+            # the grid oracle's phi dA source integrates against the local-time clock
             (problem, ens), = own
             assert problem.params == configured
             assert np.array_equal(ens.A, ens.eta_abs) and np.any(ens.A[:, -1] > 0.0)

@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from levylab.errors import (
-    BisectionFailure,
-    CFLViolation,
-    GridIncompatible,
-    TerminalBelowObstacle,
-)
+from levylab.errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
 from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, simulate_ensemble
 from levylab.pdie import (
     PidieGridSpec,
-    _boundary_root,
-    boundary_defect,
     build_nonlocal_stencil,
     complementarity_defect,
     representation_check,
@@ -117,21 +110,41 @@ class TestScheme:
 
 
 class TestBoundary:
-    def test_flux_condition_residual_small(self):
-        prob = build_problem("example51", {}, 1.0)
-        pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-        # bisection tolerance 1e-10 amplified by the 1/dx in the residual
-        assert boundary_defect(pg, prob) < 1e-7
+    def test_overshoot_source_matches_closed_form(self):
+        # one atom beta = 3 from [-1, 1]: every jump exits through +1.  The
+        # first jump from x0 = 0 overshoots by 2, every later one, from the
+        # wall, by 3, so E[A_T] = 2 P(N >= 1) + 3 E[(N - 1)^+] = 2 + 1/e for
+        # N ~ Poisson(1), and with phi = -0.5, f = 0 and terminal 1,
+        # u(0, 0) = 1 - 0.5 (2 + 1/e).
+        spec = LevySpec(atoms=((3.0, 1.0),))
+        prob = custom_problem(
+            terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            phi=lambda t, x, y: np.full_like(np.asarray(y, dtype=float), -0.5),
+        )
+        gs = PidieGridSpec(theta=1.0, n_space=100, horizon=1.0, n_time=400)
+        pg = solve_obstacle_pidie(prob, spec, basis_for(spec), gs)
+        exact = 1.0 - 0.5 * (2.0 + math.exp(-1.0))
+        assert abs(pg.u[0, 50] - exact) < 1e-3
 
-    def test_bisection_failure_on_nonmonotone_phi(self):
-        huge_increasing = lambda t, x, v: 1e9 * np.asarray(v, dtype=float)
-        with pytest.raises(BisectionFailure):
-            _boundary_root(1.0, 0.01, huge_increasing, 0.0, -1.0)
-
-    def test_boundary_root_with_zero_phi_returns_neighbor(self):
-        zero = lambda t, x, v: 0.0 * np.asarray(v, dtype=float)
-        root = _boundary_root(0.7, 0.01, zero, 0.0, -1.0)
-        assert root == pytest.approx(0.7, abs=1e-9)
+    @pytest.mark.parametrize("drift", [1.0, -1.0])
+    def test_outward_drift_holds_state_and_adds_source(self, drift):
+        # no jumps: from x the state drifts to the wall it faces, reached at
+        # time 1 - |x|, and is then held there while A grows at rate 1, so
+        # with phi = -0.5, f = 0 and terminal 1, u(0, x) = 1 - 0.5 (|x| or 0)
+        # on the side the drift points to; the wall behind stays at 1.
+        spec = LevySpec(drift_b=drift)
+        prob = custom_problem(
+            terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            phi=lambda t, x, y: np.full_like(np.asarray(y, dtype=float), -0.5),
+        )
+        gs = PidieGridSpec(theta=1.0, n_space=200, horizon=1.0, n_time=200)
+        pg = solve_obstacle_pidie(prob, spec, basis_for(spec), gs)
+        ahead, behind = (-1, 0) if drift > 0 else (0, -1)
+        assert abs(pg.u[0, ahead] - 0.5) < 1e-12
+        assert abs(pg.u[0, behind] - 1.0) < 1e-12
+        assert abs(np.interp(0.5 * drift, pg.x, pg.u[0]) - 0.75) < 1e-3
+        defect = complementarity_defect(pg, prob, spec, basis_for(spec))
+        assert defect <= 1e-8 * (1.0 + float(np.max(np.abs(pg.u))))
 
 
 class TestInvariants:
@@ -202,6 +215,15 @@ class TestRepresentation:
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, bad)
         with pytest.raises(GridIncompatible):
             representation_check(pg, prob, ens, sol)
+
+    def test_y0_gap_interpolates_between_nodes(self, mc_setup):
+        # with an odd n_space, x0 = 0 falls halfway between two nodes
+        grid, ens = mc_setup
+        prob = build_problem("example51", {}, 1.0)
+        sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
+        pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, PidieGridSpec(1.0, 101, 1.0, 200))
+        report = representation_check(pg, prob, ens, sol)
+        assert report.y0_gap == abs(sol.y0_value - np.interp(0.0, pg.x, pg.u[0]))
 
     def test_jump_weight_rows_report_both_normalizations(self, mc_setup):
         grid, ens = mc_setup

@@ -13,6 +13,8 @@ from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, simulate_ensemble
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
 from levylab.solver import (
+    APRIORI_GROWTH_TOL,
+    APRIORI_TAIL_TOL,
     SolverConfig,
     apriori_bounds,
     check_comparison_hypothesis,
@@ -25,6 +27,11 @@ from levylab.suites import (
     solve_outer_samples,
 )
 from levylab.teugels import basis_for
+
+
+def bounded(report):
+    """The suite's two a-priori gates: no overall blow-up and a tail plateau."""
+    return report.growth_ratio <= APRIORI_GROWTH_TOL and report.tail_ratio <= APRIORI_TAIL_TOL
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
 # example51 from x0 = 0 on (-1, 1), unit coefficient, local-time clock,
@@ -199,14 +206,14 @@ class TestPenalization:
             cfg = SolverConfig(penalization=n)
             sols[n] = solve_penalized(make_problem(), cfg, ensemble)
         report = apriori_bounds(sols, make_problem())
-        assert report.bounded
+        assert bounded(report)
         assert max(report.norms) == pytest.approx(min(report.norms), rel=1e-9)
 
     def test_apriori_bounds_benchmark_family(self, family):
         problem, fam = family
         report = apriori_bounds(fam, problem)
-        assert report.bounded
-        assert report.sup_norm < 10.0
+        assert bounded(report)
+        assert max(report.norms) < 10.0
 
 
 class TestComparison:
@@ -216,7 +223,7 @@ class TestComparison:
         sol2 = solve_penalized(prob, CFG, ensemble)
         report = check_comparison_hypothesis(sol1, sol2, prob, ensemble)
         assert report.min_sum == 0.0
-        assert report.holds
+        assert report.min_sum > -1.0
 
     def test_ordered_terminals_give_ordered_solutions(self, ensemble):
         hi = make_problem(terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)))
@@ -242,8 +249,11 @@ class TestComparison:
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
         report = check_comparison_hypothesis(sol_hi, sol_lo, lo, ensemble)
-        assert report.min_sum >= report.lipschitz_bound - 1e-9
-        assert report.holds  # the observed sums stay above -1 even when the bound does not
+        # the interval bound -c * rank * max |dH| implied by the Lipschitz constant
+        max_dh = float(np.max(np.abs(ensemble.dH)))
+        lipschitz_bound = -lo.lipschitz_c * max(ensemble.basis.rank, 1) * max_dh
+        assert report.min_sum >= lipschitz_bound - 1e-9
+        assert report.min_sum > -1.0  # the observed sums stay above -1 even when the bound does not
 
 
     @pytest.mark.parametrize("fz1", [0.0, 0.3])
@@ -256,7 +266,6 @@ class TestComparison:
         total = comparison_reference(sol_hi, sol_lo, lo, ensemble)
         assert (report.min_sum != 0.0) == (fz1 != 0.0)
         assert report.min_sum == float(np.min(total))
-        assert report.violation_fraction == float(np.mean(total <= -1.0))
 
 
 def comparison_reference(sol1, sol2, problem2, ens):
@@ -522,9 +531,9 @@ def test_apriori_bounds_finite_on_stochastic_instance():
     cfg = dataclasses.replace(BASE, n_paths=600, seed=13, n_schedule=(16.0, 64.0))
     family = penalization_family(cfg)
     report = apriori_bounds(family, cfg.build_problem())
-    assert report.bounded
+    assert bounded(report)
     assert all(np.isfinite(v) for v in report.norms)
-    assert report.sup_norm < 5.0
+    assert max(report.norms) < 5.0
 
 
 def test_uniqueness_surrogate_small():
