@@ -123,15 +123,25 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
     return _emit_report(cfg, report)
 
 
+def _grid_csv(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> str:
+    """``t,x,u`` rows of a grid solution u[time node, space node], each
+    value to 12 significant digits.
+
+    The x column is formatted once; each time row is one ``%`` over a
+    template holding its t and the x texts.
+    """
+    cells = [f"{x_value:.12g},%.12g" for x_value in x.tolist()]
+    lines = ["t,x,u"]
+    for t_value, row in zip(t.tolist(), u.tolist()):
+        prefix = f"{t_value:.12g},"
+        lines.append((prefix + ("\n" + prefix).join(cells)) % tuple(row))
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_crosscheck(cfg: ExperimentConfig) -> int:
     sol, pgrid, report = crosscheck_run(cfg)
     out = _out_dir(cfg)
-    lines = ["t,x,u"]
-    xs = [f"{x:.12g}" for x in pgrid.x.tolist()]
-    for t, row in zip(pgrid.t.tolist(), pgrid.u.tolist()):
-        t_text = f"{t:.12g}"
-        lines.extend(f"{t_text},{x},{u:.12g}" for x, u in zip(xs, row))
-    _write(out / "u_grid.csv", "\n".join(lines) + "\n")
+    _write(out / "u_grid.csv", _grid_csv(pgrid.t, pgrid.x, pgrid.u))
     fk_lines = ["key,value"] + [f"{k},{v}" for k, v in report.rows()]
     _write(out / "fk_report.csv", "\n".join(fk_lines) + "\n")
     u00 = float(np.interp(cfg.x0, pgrid.x, pgrid.u[0]))

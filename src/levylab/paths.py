@@ -12,6 +12,8 @@ sees the same B realization.
 
 Jump counts: per atom and path a Poisson(alpha * T) total, each jump in an
 independent uniform step, the law of a compound Poisson process binned.
+The jumps are added into the counts through one flat index per atom, on
+numpy's indexed fast path (see :func:`simulate_jump_counts`).
 
 Storage
 -------
@@ -101,17 +103,29 @@ def simulate_jump_counts(
     Per atom: a Poisson(alpha * T) total per path, then one uniform step
     index per jump, added into its path's cell.  Storage is node-major
     ``uint8``, widened when an atom's largest total does not fit.
+
+    The jumps are scattered by one flat index, (step * m + atom) * n_paths
+    + path, into the contiguous counts, built in place in the array of step
+    draws.  The added one carries the counts' own dtype: with a 1-D index
+    and matching dtypes ``np.add.at`` takes numpy's indexed fast path,
+    which a 2-D index into a strided view, or a Python int, keeps it off.
     """
-    n = grid.n_steps
-    counts = np.zeros((n, spec.m_atoms, n_paths), dtype=np.uint8)
+    n, m = grid.n_steps, spec.m_atoms
+    counts = np.zeros((n, m, n_paths), dtype=np.uint8)
+    flat = counts.reshape(-1)
     paths = np.arange(n_paths)
-    for a in range(spec.m_atoms):
+    for a in range(m):
         alpha = spec.atoms[a][1]
         totals = rng.poisson(alpha * grid.horizon, size=n_paths)
         if totals.max(initial=0) > np.iinfo(counts.dtype).max:
             counts = counts.astype(np.min_scalar_type(totals.max()))
-        steps = rng.integers(0, n, size=totals.sum())
-        np.add.at(counts[:, a], (steps, np.repeat(paths, totals)), 1)
+            flat = counts.reshape(-1)
+        index = rng.integers(0, n, size=totals.sum())  # the steps, then the flat index
+        index *= m
+        index += a
+        index *= n_paths
+        index += np.repeat(paths, totals)
+        np.add.at(flat, index, counts.dtype.type(1))
     return counts.transpose(2, 0, 1)
 
 

@@ -25,9 +25,14 @@ Time stepping is implicit (upwind) in the linear transport, explicit in
 f, the jump term and the phi dA source, followed by projection onto the
 barrier.  The explicit jump term requires dt * (total jump intensity) <= 1.
 
-The transport step is solved by scipy's banded solver through this
-module's :func:`solve_banded`, which imports scipy at its first call, so
-importing the module does not load scipy.
+The transport matrix is the same at every step, so a solve factors it
+once (LAPACK ``gttrf``) and each step solves against the factor
+(``gttrs``, through :func:`solve_banded`).  The barrier on the whole grid
+comes from one ``obstacle(t[:, None], x)`` call, and the basis weights of
+the jump functionals are computed once per solve
+(:class:`FunctionalWeights`).  scipy's LAPACK wrappers are imported at
+the first factorization and solve, so importing the module does not load
+scipy.
 """
 
 from __future__ import annotations
@@ -105,9 +110,10 @@ class NonlocalStencil:
     displacement: np.ndarray
     intensities: np.ndarray
 
-    def shift(self, u_row: np.ndarray) -> np.ndarray:
-        """Evaluate u at every shifted point; shape [n_nodes, n_atoms]."""
-        return u_row[self.left] * self.w_left + u_row[self.left + 1] * (1.0 - self.w_left)
+    def shift(self, u: np.ndarray) -> np.ndarray:
+        """Evaluate u at every shifted point; shape [..., n_nodes, n_atoms]
+        for ``u`` [..., n_nodes]."""
+        return u[..., self.left] * self.w_left + u[..., self.left + 1] * (1.0 - self.w_left)
 
 
 def build_nonlocal_stencil(
@@ -123,33 +129,71 @@ def build_nonlocal_stencil(
     return NonlocalStencil(left=left, w_left=w_left, displacement=disp, intensities=spec.intensities)
 
 
+@dataclass(frozen=True)
+class FunctionalWeights:
+    """The basis data of :func:`component_functionals`, built once per solve.
+
+    ``p_at_beta`` holds p_i(beta_l) for the live components, [atom, rank]
+    (a transposed view of ``basis.p_values``); ``root_m2`` is sqrt(m2),
+    m2 = sum_l alpha_l beta_l^2 + sigma^2; ``width`` is the Z row width,
+    the basis's requested m.
+    """
+
+    rank: int
+    width: int
+    p_at_beta: np.ndarray | None
+    root_m2: float
+
+    @classmethod
+    def of(cls, basis: TeugelsBasis, spec: LevySpec) -> "FunctionalWeights":
+        if not basis.rank:
+            return cls(0, basis.requested_m, None, 0.0)
+        p_at_beta = basis.p_values(spec.jump_sizes)[: basis.rank].T
+        m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
+        return cls(basis.rank, basis.requested_m, p_at_beta, math.sqrt(m2))
+
+
 def component_functionals(
-    u_row: np.ndarray,
-    du_row: np.ndarray,
+    u: np.ndarray,
+    du: np.ndarray,
     stencil: NonlocalStencil,
-    basis: TeugelsBasis,
-    spec: LevySpec,
+    weights: FunctionalWeights,
     sig: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump term and per-component jump functionals of a u row.
+    """Jump term and per-component jump functionals of u rows.
 
-    Returns (nl, z) with nl[j] = sum_l alpha_l [u(clamp(x_j + d_jl)) - u_j]
-    and z[j, i] = sum_l alpha_l u1_jl p_{i+1}(beta_l), where
+    ``u`` and ``du`` are [..., node]: one row, or a stack of rows.  Returns
+    (nl, z) with nl[j] = sum_l alpha_l [u(clamp(x_j + d_jl)) - u_j] and
+    z[j, i] = sum_l alpha_l u1_jl p_{i+1}(beta_l), where
     u1_jl = u(clamp(x_j + d_jl)) - u_j - du_j d_jl is the second-order
     remainder, plus the diffusion-style correction sigma_x(x) du/dx
     sqrt(m2) on the first component; columns at or beyond the basis rank
     are zero, matching the Monte Carlo Z layout.
     """
-    jump = stencil.shift(u_row) - u_row[:, None]
-    nl = (jump * stencil.intensities[None, :]).sum(axis=1)
-    weighted = (jump - du_row[:, None] * stencil.displacement) * stencil.intensities[None, :]
-    z = np.zeros((len(u_row), basis.requested_m))
-    if basis.rank:
-        p_at_beta = basis.p_values(spec.jump_sizes)  # [m, n_atoms]
-        z[:, : basis.rank] = weighted @ p_at_beta[: basis.rank].T
-        m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
-        z[:, 0] += sig * du_row * math.sqrt(m2)
+    jump = stencil.shift(u) - u[..., None]
+    nl = (jump * stencil.intensities).sum(axis=-1)
+    weighted = (jump - du[..., None] * stencil.displacement) * stencil.intensities
+    z = np.zeros(u.shape + (weights.width,))
+    if weights.rank:
+        z[..., : weights.rank] = weighted @ weights.p_at_beta
+        z[..., 0] += sig * du * weights.root_m2
     return nl, z
+
+
+def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
+    """``np.gradient(u, dx, axis=-1)`` on the uniform grid, in its arithmetic:
+    central differences inside, one-sided at the two ends."""
+    du = np.empty_like(u)
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    return du
+
+
+def _barrier(problem: ProblemSpec, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The obstacle on the whole grid, [time node, space node], in one call."""
+    h = np.asarray(problem.obstacle(t[:, None], x), dtype=float)
+    return np.broadcast_to(h, (len(t), len(x)))
 
 
 def _transport_bands(c: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -217,12 +261,13 @@ def _scheme(
     sig = np.asarray(sigma_x(x), dtype=float)
     c = linear_drift(spec) * sig
     stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
+    weights = FunctionalWeights.of(basis, spec)
     rates = _wall_rates(x, problem.theta, stencil, c)
     walls = x[[0, -1]]
 
     def explicit(t_next: float, u_next: np.ndarray) -> np.ndarray:
-        du_next = np.gradient(u_next, dx)
-        nl, z = component_functionals(u_next, du_next, stencil, basis, spec, sig)
+        du_next = _gradient(u_next, dx)
+        nl, z = component_functionals(u_next, du_next, stencil, weights, sig)
         fval = np.asarray(problem.f(t_next, x, u_next, z), dtype=float)
         phi_walls = np.asarray(problem.phi(t_next, walls, u_next[[0, -1]]), dtype=float)
         return u_next + dt * (fval + nl + phi_walls @ rates)
@@ -230,11 +275,32 @@ def _scheme(
     return _transport_bands(c, dt, dx), explicit
 
 
-def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_banded``, with scipy imported at the first call."""
-    from scipy.linalg import solve_banded
+def factor_banded(ab: np.ndarray) -> tuple[np.ndarray, ...]:
+    """LU factor of an ab-form tridiagonal matrix (LAPACK ``gttrf``).
 
-    return solve_banded(l_and_u, ab, b)
+    Returns the five arrays :func:`solve_banded` takes; scipy is imported
+    at the first call.
+    """
+    from scipy.linalg.lapack import dgttrf
+
+    *factor, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info:
+        raise np.linalg.LinAlgError("singular transport matrix")
+    return tuple(factor)
+
+
+# perfbench's tracer binds this name: each call is one timed transport solve.
+def solve_banded(factor: tuple[np.ndarray, ...], b: np.ndarray) -> np.ndarray:
+    """Solve against a :func:`factor_banded` factor (LAPACK ``gttrs``).
+
+    Without pivoting, which a diagonally dominant transport matrix never
+    needs, ``gttrf`` and ``gttrs`` perform the operations of ``gtsv``, the
+    routine behind ``scipy.linalg.solve_banded((1, 1), ...)``.
+    """
+    from scipy.linalg.lapack import dgttrs
+
+    x, _ = dgttrs(*factor, b)
+    return x
 
 
 def solve_obstacle_pidie(
@@ -289,10 +355,11 @@ def solve_obstacle_pidie(
         raise ValueError(f"unknown mode {mode!r}")
 
     bands, explicit = _scheme(problem, spec, basis, x, dt, sigma_x)
+    factor = factor_banded(bands)
+    h = _barrier(problem, t, x)
     u = np.empty((grid_spec.n_time + 1, nn))
     term = np.asarray(problem.terminal(x), dtype=float)
-    h_term = np.asarray(problem.obstacle(t[-1], x), dtype=float)
-    if float(np.min(term - h_term)) < -1e-9:
+    if float(np.min(term - h[-1])) < -1e-9:
         raise TerminalBelowObstacle("terminal data falls below the obstacle")
     u[-1] = term
 
@@ -300,8 +367,7 @@ def solve_obstacle_pidie(
         rhs = explicit(t[k + 1], u[k + 1])
         if mode == "pathwise":
             rhs = rhs + np.asarray(problem.g(t[k + 1], x, np.zeros(nn)), dtype=float) * db[k]
-        u_new = solve_banded((1, 1), bands, rhs)
-        u[k] = np.maximum(u_new, np.asarray(problem.obstacle(t[k], x), dtype=float))
+        np.maximum(solve_banded(factor, rhs), h[k], out=u[k])
     return PidieGrid(x=x, t=t, u=u)
 
 
@@ -323,12 +389,12 @@ def complementarity_defect(
     t = pgrid.t
     dt = float(t[1] - t[0])
     bands, explicit = _scheme(problem, spec, basis, pgrid.x, dt, sigma_x or unit_coefficient)
+    h = _barrier(problem, t, pgrid.x)
     worst = -math.inf
     for k in range(len(t) - 1):
         u_now = pgrid.u[k]
         residual = (explicit(t[k + 1], pgrid.u[k + 1]) - _banded_matvec(bands, u_now)) / dt
-        slack = u_now - np.asarray(problem.obstacle(t[k], pgrid.x), dtype=float)
-        worst = max(worst, float(np.max(np.minimum(slack, residual))))
+        worst = max(worst, float(np.max(np.minimum(u_now - h[k], residual))))
     return worst
 
 
@@ -372,6 +438,34 @@ class FkReport:
         return out
 
 
+def _interp_rows(xq: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(xq[k], xp, fp[k, :, c])`` for every row k and column c,
+    in one pass: [row, point, column] from ``xq`` [row, point] and ``fp``
+    [row, xp node, column], for uniformly spaced ``xp``.
+
+    The arithmetic is np.interp's: with j the node such that
+    xp[j] <= x < xp[j + 1], the value is slope * (x - xp[j]) + fp[j], with
+    the slope (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) of each interval;
+    below xp[0] it is fp[0], and from xp[-1] on fp[-1].  The uniform
+    spacing gives j to within one, and comparing x with the nodes either
+    side makes it exact.
+    """
+    n_rows, n_nodes, n_cols = fp.shape
+    guess = np.floor((xq - xp[0]) / (xp[1] - xp[0]))
+    guess = np.clip(guess, 0, n_nodes - 2, out=guess).astype(np.intp)
+    j = guess - (xq < xp[guess]) + (xq >= xp[guess + 1])
+    left = np.clip(j, 0, n_nodes - 2)
+    slopes = np.diff(fp, axis=1) / np.diff(xp)[:, None]
+    rows = np.arange(n_rows)[:, None]
+    slope = np.take(slopes.reshape(-1, n_cols), (left + (n_nodes - 1) * rows).ravel(), axis=0)
+    f_left = np.take(fp.reshape(-1, n_cols), (left + n_nodes * rows).ravel(), axis=0)
+    out = (slope * (xq - xp[left]).reshape(-1, 1) + f_left).reshape(xq.shape + (n_cols,))
+    for outside, node in ((j < 0, 0), (j >= n_nodes - 1, -1)):
+        row, point = np.nonzero(outside)
+        out[row, point] = fp[row, node]
+    return out
+
+
 def representation_check(
     pgrid: PidieGrid,
     problem: ProblemSpec,
@@ -405,29 +499,22 @@ def representation_check(
     stencil = build_nonlocal_stencil(pgrid.x, problem.theta, spec, sigma_x)
     sig = np.asarray(sigma_x(pgrid.x), dtype=float)
 
+    # every sampled (node, path) pair at once: u and its jump functionals
+    # on the Monte Carlo nodes, stacked as columns and read at X
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
-    m = basis.requested_m
-    y_gaps = []
-    z_sq = np.zeros(m)
-    z_ref = np.zeros(m)
-    count = 0
-    for k in range(n_mc + 1):
-        row = k * ratio
-        u_row = pgrid.u[row]
-        xs = ens.X[paths, k]
-        u_at = np.interp(xs, pgrid.x, u_row)
-        y_gaps.append(np.abs(sol.Y[paths, k] - u_at))
-        if k < n_mc:
-            du_row = np.gradient(u_row, dx)
-            _, z_nodes = component_functionals(u_row, du_row, stencil, basis, spec, sig)
-            z_at = np.empty((len(paths), m))
-            for i in range(m):
-                z_at[:, i] = np.interp(xs, pgrid.x, z_nodes[:, i])
-            diff = sol.Z[paths, k, :] - z_at
-            z_sq += np.sum(diff**2, axis=0)
-            z_ref += np.sum(z_at**2, axis=0)
-            count += len(paths)
-    y_gaps_arr = np.concatenate(y_gaps)
+    u_rows = pgrid.u[::ratio]  # [node, space node]
+    _, z_nodes = component_functionals(
+        u_rows, _gradient(u_rows, dx), stencil, FunctionalWeights.of(basis, spec), sig
+    )
+    columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
+    at = _interp_rows(ens.X.T[:, paths], pgrid.x, columns)  # [node, path, 1 + m]
+    y_gaps = np.abs(sol.Y.T[:, paths] - at[..., 0])
+    z_at = at[:-1, :, 1:]  # Z has no step after the last node
+    # sums over paths per node, then over nodes
+    z_ref = np.sum(np.sum(np.square(z_at), axis=1), axis=0)
+    z_mc = sol.Z.transpose(1, 0, 2)[:n_mc, paths]
+    z_sq = np.sum(np.sum(np.square(z_mc - z_at), axis=1), axis=0)
+    count = n_mc * len(paths)
     z_rms = tuple(float(v) for v in np.sqrt(z_sq / max(count, 1)))
     z_scale = tuple(float(v) for v in np.sqrt(z_ref / max(count, 1)))
 
@@ -439,8 +526,8 @@ def representation_check(
         wp = ()
     return FkReport(
         y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
-        y_max_gap=float(np.max(y_gaps_arr)),
-        y_mean_gap=float(np.mean(y_gaps_arr)),
+        y_max_gap=float(np.max(y_gaps)),
+        y_mean_gap=float(np.mean(y_gaps)),
         z_rms_gap=z_rms,
         z_scale=z_scale,
         n_sampled=int(len(paths)),

@@ -42,9 +42,12 @@ falls back to the pivoting ``lstsq`` path instead: a genuinely
 rank-deficient design is reduced from the highest degree down, with a
 warning naming the step.  Early steps, where X sits on a few lattice
 points, take this path.
-scipy's ``cho_factor`` and ``cho_solve`` are imported where they are
-called, so importing this module, and any command that runs no sweep,
-does not load scipy.
+The factor and the solves call LAPACK's ``potrf`` and ``potrs`` directly,
+the routines behind scipy's ``cho_factor`` and ``cho_solve``, without
+their per-call checks and copies.  ``scipy.linalg.lapack`` is imported
+where they are called, so importing this module, and any command that
+runs no sweep, does not load scipy.  The design's standard deviation is
+taken from the centred row the design already holds.
 
 Storage
 -------
@@ -179,10 +182,15 @@ def regression_design(
     if 0 < np.count_nonzero(in_layer) < x.shape[0]:
         out[ncol] = in_layer
         ncol += 1
-    sd = float(np.std(x))
-    if sd > 1e-13 and degree >= 1:
-        xs = out[ncol]
-        np.subtract(x, float(np.mean(x)), out=xs)
+    if degree < 1:
+        return out[:ncol]
+    xs = out[ncol]
+    np.subtract(x, float(np.mean(x)), out=xs)
+    # np.std's arithmetic on the centred row: the mean of the squared
+    # deviations, written into the next row when the buffer has one
+    squares = out[ncol + 1] if ncol + 1 < out.shape[0] else np.empty_like(xs)
+    sd = math.sqrt(float(np.sum(np.multiply(xs, xs, out=squares))) / x.shape[0])
+    if sd > 1e-13:
         xs /= sd
         for d in range(1, degree):
             np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
@@ -190,21 +198,20 @@ def regression_design(
     return out[:ncol]
 
 
-def _gram_factor(design: np.ndarray):
-    """Cholesky factor of the design's Gram matrix, or ``None`` to fall back.
+def _gram_factor(design: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of the design's Gram matrix (LAPACK ``potrf``),
+    or ``None`` to fall back.
 
     ``None`` sends the step to the pivoting least-squares path: the Gram
     condition number exceeds ``GRAM_COND_MAX`` or the factorization fails.
     """
-    from scipy.linalg import cho_factor
+    from scipy.linalg.lapack import dpotrf
 
     gram = design @ design.T
     if not np.linalg.cond(gram) <= GRAM_COND_MAX:
         return None
-    try:
-        return cho_factor(gram, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
+    factor, info = dpotrf(gram, lower=0, clean=0)
+    return factor if info == 0 else None
 
 
 def _regress(design: np.ndarray, factor, targets: np.ndarray, step: int) -> np.ndarray:
@@ -217,9 +224,9 @@ def _regress(design: np.ndarray, factor, targets: np.ndarray, step: int) -> np.n
     rank, with a warning naming the step.
     """
     if factor is not None:
-        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotrs
 
-        coef = cho_solve(factor, design @ targets.T, check_finite=False)
+        coef, _ = dpotrs(factor, design @ targets.T, lower=0)
         return coef.T @ design
     ncol = design.shape[0]
     while True:

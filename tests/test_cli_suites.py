@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levylab.cli import main
+from levylab.cli import _grid_csv, main
 from levylab.config import parse_config
 from levylab.errors import LevyLabError
 from levylab.suites import run_suite
@@ -307,6 +307,32 @@ def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
             (problem, ens), = own
             assert problem.params == configured
             assert np.array_equal(ens.A, ens.eta_abs) and np.any(ens.A[:, -1] > 0.0)
+
+
+def grid_csv_reference(t, x, u):
+    """``u_grid.csv`` as an f-string per cell, joined."""
+    lines = ["t,x,u"]
+    xs = [f"{value:.12g}" for value in x.tolist()]
+    for t_value, row in zip(t.tolist(), u.tolist()):
+        t_text = f"{t_value:.12g}"
+        lines.extend(f"{t_text},{x_text},{value:.12g}" for x_text, value in zip(xs, row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_grid_csv_matches_the_per_cell_f_strings(dtype):
+    t = np.array([0.0, 0.1 + 0.2, 1.0])
+    x = np.array([-1.0, -0.0, 1e-05, 1.0])
+    u = np.array([
+        [-0.0, 1e-05, 1e16, 0.1 + 0.2],
+        [3.0, -7.0, 123456789012345.0, 2.5e-300],
+        [0.0, -1e-05, -1e16, 1.0 / 3.0],
+    ])
+    if dtype is np.int64:
+        u = np.array([[0, -3, 10**15, 7], [1, 2, 3, 4], [-10**16, 5, 6, 0]], dtype=np.int64)
+    text = _grid_csv(t, x, u)
+    assert text == grid_csv_reference(t, x, u)
+    assert text.count("\n") == 1 + u.size
 
 
 def test_shipped_configs_parse():

@@ -5,11 +5,17 @@ import pytest
 
 from levylab.errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
 from levylab.levy import LevySpec
-from levylab.paths import TimeGrid, simulate_ensemble
+from levylab.paths import TimeGrid, simulate_ensemble, unit_coefficient
+from levylab import pdie
 from levylab.pdie import (
+    PATH_STRIDE,
+    FkReport,
+    FunctionalWeights,
+    PidieGrid,
     PidieGridSpec,
     build_nonlocal_stencil,
     complementarity_defect,
+    component_functionals,
     representation_check,
     solve_obstacle_pidie,
 )
@@ -147,6 +153,66 @@ class TestBoundary:
         assert defect <= 1e-8 * (1.0 + float(np.max(np.abs(pg.u))))
 
 
+# Test-only references: the transport step solved per step by scipy's
+# solve_banded and the barrier read one row at a time.  The factor-once
+# solve must match them; without pivoting gttrf + gttrs perform gtsv's
+# operations, so the match is expected to be exact.
+
+
+def solve_obstacle_pidie_reference(problem, spec, basis, grid_spec):
+    from scipy.linalg import solve_banded
+
+    x, t = grid_spec.x, grid_spec.t
+    bands, explicit = pdie._scheme(problem, spec, basis, x, grid_spec.dt, unit_coefficient)
+    u = np.empty((len(t), len(x)))
+    u[-1] = problem.terminal(x)
+    for k in range(len(t) - 2, -1, -1):
+        u_new = solve_banded((1, 1), bands, explicit(t[k + 1], u[k + 1]))
+        u[k] = np.maximum(u_new, np.asarray(problem.obstacle(t[k], x), dtype=float))
+    return PidieGrid(x=x, t=t, u=u)
+
+
+def complementarity_defect_reference(pgrid, problem, spec, basis):
+    t = pgrid.t
+    dt = float(t[1] - t[0])
+    bands, explicit = pdie._scheme(problem, spec, basis, pgrid.x, dt, unit_coefficient)
+    worst = -math.inf
+    for k in range(len(t) - 1):
+        u_now = pgrid.u[k]
+        residual = (explicit(t[k + 1], pgrid.u[k + 1]) - pdie._banded_matvec(bands, u_now)) / dt
+        slack = u_now - np.asarray(problem.obstacle(t[k], pgrid.x), dtype=float)
+        worst = max(worst, float(np.max(np.minimum(slack, residual))))
+    return worst
+
+
+@pytest.mark.parametrize("drift", [1.0, -1.0])
+@pytest.mark.parametrize("barrier", ["flat", "falling"])
+def test_factored_transport_matches_per_step_solve_banded(drift, barrier):
+    # the set-up of test_outward_drift_holds_state_and_adds_source, so the
+    # transport bands are not the identity; the falling barrier 1 - t binds
+    # and differs from row to row
+    spec = LevySpec(drift_b=drift)
+    basis = basis_for(spec)
+    prob = custom_problem(
+        terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        phi=lambda t, x, y: np.full_like(np.asarray(y, dtype=float), -0.5),
+    )
+    if barrier == "falling":
+        level = build_problem("deterministic_obstacle", {"level": 1.2, "slope": 1.0}, 1.0)
+        prob = ProblemSpec(**{**vars(prob), "obstacle": level.obstacle})
+    gs = PidieGridSpec(theta=1.0, n_space=200, horizon=1.0, n_time=200)
+    bands, _ = pdie._scheme(prob, spec, basis, gs.x, gs.dt, unit_coefficient)
+    assert np.max(np.abs(bands[[0, 2]])) > 0.4  # off-diagonals dt / dx = 0.5
+    pg = solve_obstacle_pidie(prob, spec, basis, gs)
+    ref = solve_obstacle_pidie_reference(prob, spec, basis, gs)
+    assert np.max(np.abs(pg.u - ref.u)) <= 1e-14
+    if barrier == "falling":
+        assert np.any(pg.u[:-1] == prob.obstacle(pg.t[:-1, None], pg.x))
+    assert complementarity_defect(pg, prob, spec, basis) == complementarity_defect_reference(
+        pg, prob, spec, basis
+    )
+
+
 class TestInvariants:
     def test_complementarity_defect_small(self):
         prob = build_problem("example51", {}, 1.0)
@@ -174,6 +240,49 @@ class TestInvariants:
         # clamped displacements stay inside the domain
         target = x[:, None] + st.displacement
         assert np.all(np.clip(target, -1.0, 1.0)[st.left >= 0].size)
+
+
+def representation_check_reference(pgrid, problem, ens, sol):
+    """The agreement report as a per-node loop of np.gradient, one
+    component_functionals call and 1 + m np.interp calls per node."""
+    spec, basis = ens.spec, ens.basis
+    n_mc = ens.grid.n_steps
+    ratio = (len(pgrid.t) - 1) // n_mc
+    dx = float(pgrid.x[1] - pgrid.x[0])
+    stencil = build_nonlocal_stencil(pgrid.x, problem.theta, spec, unit_coefficient)
+    sig = unit_coefficient(pgrid.x)
+    weights = FunctionalWeights.of(basis, spec)
+    paths = np.arange(0, ens.n_paths, PATH_STRIDE)
+    m = basis.requested_m
+    y_gaps = []
+    z_sq = np.zeros(m)
+    z_ref = np.zeros(m)
+    count = 0
+    for k in range(n_mc + 1):
+        u_row = pgrid.u[k * ratio]
+        xs = ens.X[paths, k]
+        y_gaps.append(np.abs(sol.Y[paths, k] - np.interp(xs, pgrid.x, u_row)))
+        if k < n_mc:
+            _, z_nodes = component_functionals(u_row, np.gradient(u_row, dx), stencil, weights, sig)
+            z_at = np.empty((len(paths), m))
+            for i in range(m):
+                z_at[:, i] = np.interp(xs, pgrid.x, z_nodes[:, i])
+            diff = sol.Z[paths, k, :] - z_at
+            z_sq += np.sum(diff**2, axis=0)
+            z_ref += np.sum(z_at**2, axis=0)
+            count += len(paths)
+    y_gaps = np.concatenate(y_gaps)
+    wb = tuple(float(v) for v in basis.p_values(spec.jump_sizes)[0])
+    return FkReport(
+        y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
+        y_max_gap=float(np.max(y_gaps)),
+        y_mean_gap=float(np.mean(y_gaps)),
+        z_rms_gap=tuple(float(v) for v in np.sqrt(z_sq / count)),
+        z_scale=tuple(float(v) for v in np.sqrt(z_ref / count)),
+        n_sampled=len(paths),
+        jump_weights_basis=wb,
+        jump_weights_per_atom=tuple(float(b / math.sqrt(a)) for b, a in spec.atoms),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +345,39 @@ class TestRepresentation:
         assert report.jump_weights_per_atom[0] == pytest.approx(0.3 / math.sqrt(2.0))
         keys = [k for k, _ in report.rows()]
         assert "jump_weight_ratio_atom1" in keys
+
+
+UP_JUMP = LevySpec(atoms=((1.5, 1.0), (-0.2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["mc_setup", "off-node", "clamped"],
+)
+def test_one_pass_report_matches_the_per_node_loop(case, mc_setup):
+    # off-node: with an odd n_space every x0-adjacent value is interpolated;
+    # clamped: jumps of 1.5 from (-1, 1) pin paths at +theta, the last grid
+    # node, where np.interp returns the end value
+    spec, ens, gs = TWO_ATOM, mc_setup[1], GRID
+    if case == "off-node":
+        gs = PidieGridSpec(1.0, 101, 1.0, 200)
+    elif case == "clamped":
+        spec = UP_JUMP
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 50), basis_for(spec), 400, 3, theta=1.0, x0=0.0)
+        sampled = ens.X[::PATH_STRIDE]
+        assert np.any(sampled == 1.0) and np.any(sampled < 1.0)
+    prob = build_problem("example51", {}, 1.0)
+    sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
+    pg = solve_obstacle_pidie(prob, spec, ens.basis, gs)
+    report = representation_check(pg, prob, ens, sol)
+    ref = representation_check_reference(pg, prob, ens, sol)
+    assert report.y0_gap == ref.y0_gap
+    assert report.n_sampled == ref.n_sampled
+    for name in ("y_max_gap", "y_mean_gap", "z_rms_gap", "z_scale",
+                 "jump_weights_basis", "jump_weights_per_atom"):
+        got, want = np.atleast_1d(getattr(report, name)), np.atleast_1d(getattr(ref, name))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+    assert max(ref.z_scale) > 0.0 and ref.y_max_gap > 0.0
 
 
 def test_constant_level_case_z_exactly_small(mc_setup):

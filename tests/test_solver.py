@@ -427,6 +427,53 @@ def assert_solutions_agree(fast, reference, atol):
         assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=atol)
 
 
+# Test-only references: the design with np.std, and the Gram factor and
+# solve through scipy's cho_factor and cho_solve.  The sweep's np.std-free
+# design and direct LAPACK calls must match them bit for bit.
+
+
+def regression_design_reference(x, degree, theta, layer_width, out):
+    out[0] = 1.0
+    ncol = 1
+    in_layer = np.abs(x) >= theta - layer_width
+    if 0 < np.count_nonzero(in_layer) < x.shape[0]:
+        out[ncol] = in_layer
+        ncol += 1
+    sd = float(np.std(x))
+    if sd > 1e-13 and degree >= 1:
+        xs = out[ncol]
+        np.subtract(x, float(np.mean(x)), out=xs)
+        xs /= sd
+        for d in range(1, degree):
+            np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
+        ncol += degree
+    return out[:ncol]
+
+
+def gram_factor_reference(design):
+    from scipy.linalg import cho_factor
+
+    gram = design @ design.T
+    if not np.linalg.cond(gram) <= solver.GRAM_COND_MAX:
+        return None
+    try:
+        return cho_factor(gram, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
+LSTSQ_REGRESS = solver._regress  # with no factor: the lstsq path, shared
+
+
+def regress_reference(design, factor, targets, step):
+    if factor is None:
+        return LSTSQ_REGRESS(design, None, targets, step)
+    from scipy.linalg import cho_solve
+
+    coef = cho_solve(factor, design @ targets.T, check_finite=False)
+    return coef.T @ design
+
+
 def record_fallbacks(monkeypatch):
     """Per step, in sweep order (last step first): did it take the lstsq path?"""
     taken = []
@@ -458,6 +505,48 @@ class TestRegressionPaths:
             assert all(fallbacks) and len(fallbacks) == 100
         assert np.mean(reference.K[:, -1]) > 0.01
         assert_solutions_agree(fast, reference, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "degree, layer",
+        # degree 1 with a boundary-layer column fills the design buffer, so
+        # the squared deviations have no spare row to go to
+        [(4, 0.1), (1, 0.1), (1, 0.0), (0, 0.1)],
+        ids=["degree-4", "degree-1-layer", "degree-1", "degree-0"],
+    )
+    def test_lapack_factor_and_design_match_scipy_and_np_std(self, ensemble, degree, layer, monkeypatch):
+        # bit for bit, step by step, and over a whole sweep
+        X = ensemble.X.T
+        targets = np.stack([np.cos(3.0 * X[-1]), ensemble.dH[:, 0, 0]])
+        buf = np.empty((degree + 2, ensemble.n_paths))
+        ref_buf = np.empty_like(buf)
+        factored = 0
+        for k in range(1, X.shape[0]):
+            design = solver.regression_design(X[k], degree, 1.0, layer, buf)
+            ref = regression_design_reference(X[k], degree, 1.0, layer, ref_buf)
+            assert design.shape == ref.shape and np.array_equal(design, ref), k
+            factor, ref_factor = solver._gram_factor(design), gram_factor_reference(ref)
+            assert (factor is None) == (ref_factor is None), k
+            if factor is not None:
+                factored += 1
+                assert np.array_equal(factor, ref_factor[0]), k
+                assert np.array_equal(
+                    solver._regress(design, factor, targets, k),
+                    regress_reference(ref, ref_factor, targets, k),
+                ), k
+        assert factored > 50
+        if degree == 1 and layer:
+            assert design.shape[0] == buf.shape[0]  # no spare row at the last step
+
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        cfg = SolverConfig(degree=degree, boundary_layer=layer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            fast = solve_penalized(problem, cfg, ensemble)
+            monkeypatch.setattr(solver, "regression_design", regression_design_reference)
+            monkeypatch.setattr(solver, "_gram_factor", gram_factor_reference)
+            monkeypatch.setattr(solver, "_regress", regress_reference)
+            reference = solve_penalized(problem, cfg, ensemble)
+        assert_solutions_agree(fast, reference, atol=0.0)
 
     def test_degenerate_step_falls_back_and_names_it(self, ensemble, monkeypatch):
         # X_1 takes 3 values against 5 design columns.  The reduction keeps
