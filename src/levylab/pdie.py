@@ -131,26 +131,19 @@ def build_nonlocal_stencil(
 
 @dataclass(frozen=True)
 class FunctionalWeights:
-    """The basis data of :func:`component_functionals`, built once per solve.
+    """The basis data of :func:`component_functionals`, built once per solve:
+    p_i(beta_l) of the live components as [atom, rank], sqrt(m2) with
+    m2 = sum_l alpha_l beta_l^2 + sigma^2, and the Z row width m."""
 
-    ``p_at_beta`` holds p_i(beta_l) for the live components, [atom, rank]
-    (a transposed view of ``basis.p_values``); ``root_m2`` is sqrt(m2),
-    m2 = sum_l alpha_l beta_l^2 + sigma^2; ``width`` is the Z row width,
-    the basis's requested m.
-    """
-
-    rank: int
-    width: int
-    p_at_beta: np.ndarray | None
+    p_at_beta: np.ndarray
     root_m2: float
+    width: int
 
     @classmethod
     def of(cls, basis: TeugelsBasis, spec: LevySpec) -> "FunctionalWeights":
-        if not basis.rank:
-            return cls(0, basis.requested_m, None, 0.0)
         p_at_beta = basis.p_values(spec.jump_sizes)[: basis.rank].T
         m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
-        return cls(basis.rank, basis.requested_m, p_at_beta, math.sqrt(m2))
+        return cls(p_at_beta, math.sqrt(m2), basis.requested_m)
 
 
 def component_functionals(
@@ -174,8 +167,9 @@ def component_functionals(
     nl = (jump * stencil.intensities).sum(axis=-1)
     weighted = (jump - du[..., None] * stencil.displacement) * stencil.intensities
     z = np.zeros(u.shape + (weights.width,))
-    if weights.rank:
-        z[..., : weights.rank] = weighted @ weights.p_at_beta
+    rank = weights.p_at_beta.shape[1]
+    if rank:
+        z[..., :rank] = weighted @ weights.p_at_beta
         z[..., 0] += sig * du * weights.root_m2
     return nl, z
 

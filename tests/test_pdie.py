@@ -347,6 +347,26 @@ class TestRepresentation:
         assert "jump_weight_ratio_atom1" in keys
 
 
+def test_row_kernels_match_numpy_bit_for_bit():
+    # _gradient is np.gradient's uniform-grid arithmetic and _interp_rows is
+    # np.interp's, row by row: at the nodes, one ulp either side of them,
+    # between them and outside the grid at both ends
+    rng = np.random.default_rng(5)
+    x = PidieGridSpec(1.0, 101, 1.0, 1).x
+    dx = float(x[1] - x[0])
+    u = rng.normal(size=(6, len(x)))
+    assert np.array_equal(pdie._gradient(u, dx), np.gradient(u, dx, axis=-1))
+    points = np.concatenate(
+        [x, np.nextafter(x, -2.0), np.nextafter(x, 2.0), rng.uniform(-1.0, 1.0, 300), [-1.5, 1.5]]
+    )
+    xq = np.stack([rng.permutation(points) for _ in u])
+    fp = np.stack([u, np.cumsum(u, axis=1)], axis=-1)
+    got = pdie._interp_rows(xq, x, fp)
+    for k in range(len(u)):
+        for c in range(fp.shape[-1]):
+            assert np.array_equal(got[k, :, c], np.interp(xq[k], x, fp[k, :, c])), (k, c)
+
+
 UP_JUMP = LevySpec(atoms=((1.5, 1.0), (-0.2, 1.0)))
 
 
