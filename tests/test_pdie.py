@@ -189,7 +189,7 @@ def complementarity_defect_reference(pgrid, problem, spec, basis):
 @pytest.mark.parametrize("barrier", ["flat", "falling"])
 def test_factored_transport_matches_per_step_solve_banded(drift, barrier):
     # the set-up of test_outward_drift_holds_state_and_adds_source, so the
-    # transport bands are not the identity; the falling barrier 1 - t binds
+    # transport bands are not the identity; the falling barrier 1.2 - t binds
     # and differs from row to row
     spec = LevySpec(drift_b=drift)
     basis = basis_for(spec)
