@@ -20,8 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from levylab.config import DEFAULTS
-from levylab.solver import APRIORI_GROWTH_TOL, APRIORI_TAIL_TOL, apriori_bounds
-from levylab.suites import benchmark_config, penalization_family
+from levylab.suites import apriori_bounds, benchmark_config, gate, passes, penalization_family
 
 
 def main() -> int:
@@ -52,11 +51,13 @@ def main() -> int:
     extrapolated = (n2 * y2 - n1 * y1) / (n2 - n1)
     print(f"\n1/n Richardson extrapolation of Y0: {extrapolated:.6f}")
 
-    report = apriori_bounds(family, cfg.build_problem())
-    bounded = report.growth_ratio <= APRIORI_GROWTH_TOL and report.tail_ratio <= APRIORI_TAIL_TOL
-    print("energy norms per n:", ", ".join(f"{v:.4f}" for v in report.norms))
-    print(f"bounded family: {bounded} "
-          f"(tail ratio {report.tail_ratio:.3f}, growth {report.growth_ratio:.3f})")
+    norms, tail, growth = apriori_bounds(family)
+    # the penalization suite's two a-priori gates
+    bounded = passes(growth, *gate("penalization", "apriori_growth")) and passes(
+        tail, *gate("penalization", "apriori_tail_plateau")
+    )
+    print("energy norms per n:", ", ".join(f"{v:.4f}" for v in norms))
+    print(f"bounded family: {bounded} (tail ratio {tail:.3f}, growth {growth:.3f})")
     return 0
 
 

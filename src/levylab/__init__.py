@@ -9,7 +9,8 @@ projected least-squares Monte Carlo (:mod:`levylab.solver`) and
 cross-validated against a finite-difference obstacle solver whose jump
 generator and local-time source phi dA are the reflected state's own
 (:mod:`levylab.pdie`).  Experiment
-configs, verification suites and the command line live in
+configs, verification suites (every gate declared once, in
+:data:`levylab.suites.GATES`) and the command line live in
 :mod:`levylab.config`, :mod:`levylab.suites` and :mod:`levylab.cli`.
 """
 
@@ -50,14 +51,7 @@ from .pdie import (
     solve_obstacle_pidie,
 )
 from .problems import REGISTRY, ProblemSpec, build_problem
-from .solver import (
-    BoundReport,
-    EnsembleSolution,
-    SolverConfig,
-    apriori_bounds,
-    check_comparison_hypothesis,
-    solve_penalized,
-)
+from .solver import EnsembleSolution, SolverConfig, solve_penalized
 from .teugels import (
     AtomicMeasure,
     TeugelsBasis,

@@ -32,7 +32,7 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_basis(cfg: ExperimentConfig) -> int:
+def _cmd_basis(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = cfg.build_levy()
     basis = basis_for(spec)
     lines = [f"# rank={basis.rank} requested_m={basis.requested_m} "
@@ -48,7 +48,7 @@ def _cmd_basis(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ens = replace(cfg, n_paths=min(cfg.n_paths, 64)).build_ensemble()
     n_paths = ens.n_paths
     out = _out_dir(cfg)
@@ -92,12 +92,12 @@ def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_solve(cfg: ExperimentConfig, schedule: bool, trajectories: bool) -> int:
+def _cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     lines = ["penalization,y0_mean,y0_se,k_t_mean,skorokhod_residual,penetration_norm"]
-    penalties = cfg.n_schedule if schedule else (cfg.penalization,)
+    penalties = cfg.n_schedule if args.schedule else (cfg.penalization,)
     for i, penalization in enumerate(penalties):
         # only the last penalty's first sample is written as trajectories
-        keep_first = trajectories and i == len(penalties) - 1
+        keep_first = args.trajectories and i == len(penalties) - 1
         y0, se, means, first = solve_outer_samples(cfg, penalization, keep_first)
         label = "projection" if penalization is None else f"{penalization:g}"
         lines.append(",".join([label] + [f"{v:.12g}" for v in (y0, se, *means)]))
@@ -105,7 +105,7 @@ def _cmd_solve(cfg: ExperimentConfig, schedule: bool, trajectories: bool) -> int
     sys.stdout.write(text)
     if cfg.out_dir is not None:
         _write(_out_dir(cfg) / "solve_summary.csv", text)
-        if trajectories:
+        if args.trajectories:
             _write(_out_dir(cfg) / "trajectories.csv", _trajectory_csv(cfg, first))
     return 0
 
@@ -118,7 +118,7 @@ def _emit_report(cfg: ExperimentConfig, report: SuiteReport) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
+def _cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = SuiteReport(rows=suite_checks("orthonormality", cfg))
     return _emit_report(cfg, report)
 
@@ -138,7 +138,7 @@ def _grid_csv(t: np.ndarray, x: np.ndarray, u: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_crosscheck(cfg: ExperimentConfig) -> int:
+def _cmd_crosscheck(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     sol, pgrid, report = crosscheck_run(cfg)
     out = _out_dir(cfg)
     _write(out / "u_grid.csv", _grid_csv(pgrid.t, pgrid.x, pgrid.u))
@@ -151,9 +151,20 @@ def _cmd_crosscheck(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_suite(cfg: ExperimentConfig) -> int:
+def _cmd_suite(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = run_suite(cfg)
     return _emit_report(cfg, report)
+
+
+# subcommand -> (help text, handler of the loaded config and the parsed arguments)
+_COMMANDS = {
+    "basis": ("print the orthonormal basis coefficients as CSV", _cmd_basis),
+    "simulate": ("write sample paths, jumps and martingale increments as CSV", _cmd_simulate),
+    "solve": ("run the backward solver and write a summary CSV", _cmd_solve),
+    "verify": ("run the orthonormality suite", _cmd_verify),
+    "crosscheck": ("solve by Monte Carlo and finite differences and compare", _cmd_crosscheck),
+    "suite": ("run the configured verification suites", _cmd_suite),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,15 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "driven by finite-activity jump processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "basis": "print the orthonormal basis coefficients as CSV",
-        "simulate": "write sample paths, jumps and martingale increments as CSV",
-        "solve": "run the backward solver and write a summary CSV",
-        "verify": "run the orthonormality suite",
-        "crosscheck": "solve by Monte Carlo and finite differences and compare",
-        "suite": "run the configured verification suites",
-    }
-    for name, help_text in descriptions.items():
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--seed", type=int, help="override the master seed")
@@ -199,26 +202,10 @@ def main(argv: list[str] | None = None) -> int:
             n_steps=args.steps,
             penalization=args.penalization,
         )
-        if args.command == "basis":
-            return _cmd_basis(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "solve":
-            return _cmd_solve(
-                cfg,
-                schedule=getattr(args, "schedule", False),
-                trajectories=getattr(args, "trajectories", False),
-            )
-        if args.command == "verify":
-            return _cmd_verify(cfg)
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(cfg)
-        if args.command == "suite":
-            return _cmd_suite(cfg)
+        return _COMMANDS[args.command][1](cfg, args)
     except (LevyLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

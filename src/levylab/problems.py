@@ -7,7 +7,8 @@ Every coefficient function is numpy-vectorized with signature
     phi(t, x, y)     coefficient of the local-time integral phi dA, nonincreasing in y
     g(t, x, y)       doubly stochastic coefficient
     terminal(x)      terminal value, xi = terminal(X_T)
-    obstacle(t, x)   lower barrier, S_t = obstacle(t, X_t)
+    obstacle(t, x)   lower barrier, S_t = obstacle(t, X_t); callers only read
+                     it, so it may be a read-only broadcast view
 
 Coefficients are selected from a compiled-in registry with numeric
 parameters rather than a runtime expression language, which keeps the
@@ -143,7 +144,7 @@ def _deterministic_obstacle(params: dict, theta: float) -> ProblemSpec:
         obstacle=lambda t, x: np.broadcast_to(
             level - slope * np.asarray(t, dtype=float),
             np.broadcast(np.asarray(t), np.asarray(x)).shape,
-        ).copy(),
+        ),
         lipschitz_c=1e-12,
         beta_mono=0.0,
         theta=theta,
@@ -170,7 +171,7 @@ def _example51(params: dict, theta: float) -> ProblemSpec:
         obstacle=lambda t, x: np.broadcast_to(
             h_scale * np.maximum(np.asarray(x, dtype=float), 0.0) + h_offset,
             np.broadcast(np.asarray(t), np.asarray(x)).shape,
-        ).copy(),
+        ),
         lipschitz_c=max(abs(fy), 1e-12),
         beta_mono=phy,
         theta=theta,

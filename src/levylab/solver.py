@@ -70,7 +70,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -90,16 +89,6 @@ GRAM_COND_MAX = 1e10
 # How far the terminal value may fall below the obstacle before the sweep
 # refuses the problem.
 TERMINAL_TOL = 1e-9
-
-# A penalized family counts as bounded when its last energy norm is at most
-# APRIORI_TAIL_TOL times the previous one and APRIORI_GROWTH_TOL times the
-# first (see apriori_bounds).
-APRIORI_TAIL_TOL = 1.25
-APRIORI_GROWTH_TOL = 4.0
-
-# Slot quotients of the comparison check are taken only where the two Z
-# values differ by more than this fraction of |Z1| + |Z2| + 1.
-DENOMINATOR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -352,77 +341,3 @@ def solve_penalized(
 def _mean_penetration_sq(s: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     """Mean over paths of ((s - y)^+)^2, computed in ``out``."""
     return np.mean(np.square(np.maximum(np.subtract(s, y, out=out), 0.0, out=out), out=out))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Uniform-in-n energy norms of a penalized family, in increasing n."""
-
-    norms: tuple[float, ...]
-    tail_ratio: float
-    growth_ratio: float
-
-
-def apriori_bounds(
-    solutions: Mapping[float, EnsembleSolution], problem: ProblemSpec
-) -> BoundReport:
-    """Check that the penalized family's energy norms stay bounded in n.
-
-    The norm per solution is E[sup_t Y^2 + int Y^2 dA + int |Z|^2 dt +
-    K_T^2].  A bounded family has a plateau at the tail of the schedule
-    (``tail_ratio``, last norm over the previous one, at most
-    ``APRIORI_TAIL_TOL``) and no overall blow-up (``growth_ratio``, last
-    norm over the first, at most ``APRIORI_GROWTH_TOL``; on obstacle
-    problems K_T^2 legitimately ramps up to its limit before flattening,
-    so the overall factor is deliberately loose while a divergent scheme
-    overshoots it by many orders of magnitude).
-    """
-    norms = tuple(solutions[n].apriori_norms["total"] for n in sorted(solutions))
-    tail = norms[-1] / norms[-2] if len(norms) >= 2 and norms[-2] > 0 else 1.0
-    growth = norms[-1] / norms[0] if norms[0] > 0 else (1.0 if norms[-1] == 0 else math.inf)
-    return BoundReport(norms=norms, tail_ratio=tail, growth_ratio=growth)
-
-
-@dataclass(frozen=True)
-class ComparisonHypothesisReport:
-    """Empirical check of the jump-size condition sum_i beta_i dH(i) > -1."""
-
-    min_sum: float
-
-
-def check_comparison_hypothesis(
-    sol1: EnsembleSolution,
-    sol2: EnsembleSolution,
-    problem2: ProblemSpec,
-    ens: PathEnsemble,
-) -> ComparisonHypothesisReport:
-    """Difference-quotient slopes of the second driver in each Z slot.
-
-    At each step the driver is evaluated once at each of the rank + 1
-    telescoping points z(p), which hold the second solution's Z in the
-    slots below p and the first solution's from p on.  The quotient of
-    slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
-    telescoping decomposition that underlies the ordering argument; slots
-    where the two Z's coincide contribute zero.  Reads the node-major rows
-    behind the solutions' views.
-    """
-    n = ens.grid.n_steps
-    t = ens.grid.nodes
-    rank = ens.basis.rank
-    X, Y2 = ens.X.T, sol2.Y.T
-    Z1, Z2 = sol1.Z.transpose(1, 2, 0), sol2.Z.transpose(1, 2, 0)
-    dH = ens.dH.transpose(1, 2, 0)
-    total = np.zeros((n, ens.n_paths))
-    for k in range(n if rank else 0):
-        z = Z1[k].copy()  # z(0), [component, path]
-        f_lo = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
-        for a in range(rank):
-            z[a] = Z2[k, a]
-            f_hi = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
-            den = Z1[k, a] - Z2[k, a]
-            scale = np.abs(Z1[k, a]) + np.abs(Z2[k, a]) + 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                beta = np.where(np.abs(den) > DENOMINATOR_RTOL * scale, (f_lo - f_hi) / den, 0.0)
-            total[k] += beta * dH[k, a]
-            f_lo = f_hi
-    return ComparisonHypothesisReport(min_sum=float(np.min(total)) if total.size else 0.0)

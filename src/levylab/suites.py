@@ -3,7 +3,9 @@ uniqueness and the Monte Carlo vs finite-difference crosscheck, plus the
 report plumbing used by the command line.
 
 Each suite measures a handful of numbers and gates them against fixed
-tolerances.  The measurement helpers take the :class:`ExperimentConfig`
+tolerances, all declared once in :data:`GATES`: per suite, its
+measurements in run order, and per measurement its gates.  The
+measurement helpers take the :class:`ExperimentConfig`
 and build every ensemble with :meth:`ExperimentConfig.build_ensemble`;
 suites, tests and scripts set other sizes or seeds with
 ``dataclasses.replace``, and :func:`benchmark_config` recasts a config as
@@ -15,9 +17,11 @@ seed is byte-identical; runtimes go to the human-readable text report.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from typing import Mapping
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .errors import LevyLabError, ZeroSpread
 from .paths import (
     STREAM_COMPARISON,
     STREAM_LEVY,
+    PathEnsemble,
     TimeGrid,
     derived_rng,
     levy_nodes,
@@ -33,16 +38,22 @@ from .paths import (
     skorokhod_minimality_gap,
 )
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
-from .problems import build_problem
-from .solver import (
-    APRIORI_GROWTH_TOL,
-    APRIORI_TAIL_TOL,
-    EnsembleSolution,
-    apriori_bounds,
-    check_comparison_hypothesis,
-    solve_penalized,
-)
+from .problems import ProblemSpec, build_problem
+from .solver import EnsembleSolution, solve_penalized
 from .teugels import TeugelsBasis, basis_for, build_mu, martingale_steps
+
+# direction of a gate -> (its symbol in the text report, its pass test)
+DIRECTIONS = {
+    "le": ("<=", operator.le),
+    "lt": ("<", operator.lt),
+    "ge": (">=", operator.ge),
+    "gt": (">", operator.gt),
+}
+
+
+def passes(value: float, tolerance: float, direction: str) -> bool:
+    """Whether ``value`` meets ``tolerance`` in ``direction``."""
+    return DIRECTIONS[direction][1](value, tolerance)
 
 
 @dataclass(frozen=True)
@@ -54,28 +65,9 @@ class CheckResult:
     status: str
     value: float
     tolerance: float
-    direction: str  # le | lt | ge | gt
+    direction: str  # a key of DIRECTIONS
     seed: int
     runtime: float
-
-    @staticmethod
-    def gate(suite, check, value, tolerance, direction, seed, runtime) -> "CheckResult":
-        ok = {
-            "le": value <= tolerance,
-            "lt": value < tolerance,
-            "ge": value >= tolerance,
-            "gt": value > tolerance,
-        }[direction]
-        return CheckResult(
-            suite=suite,
-            check=check,
-            status="pass" if ok else "fail",
-            value=float(value),
-            tolerance=float(tolerance),
-            direction=direction,
-            seed=seed,
-            runtime=runtime,
-        )
 
 
 @dataclass
@@ -98,10 +90,9 @@ class SuiteReport:
     def to_text(self) -> str:
         lines = ["verification report", "==================="]
         for r in self.rows:
-            cmp_sym = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">"}[r.direction]
             lines.append(
                 f"[{r.status.upper():4s}] {r.suite}/{r.check}: "
-                f"{r.value:.6g} {cmp_sym} {r.tolerance:.6g} "
+                f"{r.value:.6g} {DIRECTIONS[r.direction][0]} {r.tolerance:.6g} "
                 f"(seed={r.seed}, {r.runtime:.2f}s)"
             )
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
@@ -177,8 +168,8 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": gram,
-        "product_max_stddevs": prod_dev,
-        "mean_max_stddevs": mean_dev,
+        "product_moment_stddevs": prod_dev,
+        "mean_stddevs": mean_dev,
     }
 
 
@@ -213,11 +204,31 @@ def run_benchmark_solution(cfg: ExperimentConfig) -> tuple[EnsembleSolution, dic
     obstacle_path = 1.0 - cfg.grid.nodes
     oracle = np.maximum(0.0, np.maximum.accumulate(obstacle_path[::-1])[::-1])
     metrics = {
-        "y_max_error": float(np.max(np.abs(sol.Y - oracle[None, :]))),
-        "k_t_error": float(np.mean(np.abs(sol.K[:, -1] - 1.0))),
-        "skorokhod_residual": sol.skorokhod_residual,
+        "benchmark_y_error": float(np.max(np.abs(sol.Y - oracle[None, :]))),
+        "benchmark_k_error": float(np.mean(np.abs(sol.K[:, -1] - 1.0))),
+        "benchmark_residual": sol.skorokhod_residual,
     }
     return sol, metrics
+
+
+def apriori_bounds(
+    solutions: Mapping[float, EnsembleSolution],
+) -> tuple[tuple[float, ...], float, float]:
+    """Energy norms of a penalized family in increasing n, with their tail
+    and growth ratios: ``(norms, tail, growth)``.
+
+    The norm per solution is E[sup_t Y^2 + int Y^2 dA + int |Z|^2 dt +
+    K_T^2].  A bounded family has a plateau at the tail of the schedule
+    (``tail``, last norm over the previous one) and no overall blow-up
+    (``growth``, last norm over the first); the penalization suite gates
+    both.  On obstacle problems K_T^2 legitimately ramps up to its limit
+    before flattening, so the growth gate is deliberately loose, while a
+    divergent scheme overshoots it by many orders of magnitude.
+    """
+    norms = tuple(solutions[n].apriori_norms["total"] for n in sorted(solutions))
+    tail = norms[-1] / norms[-2] if len(norms) >= 2 and norms[-2] > 0 else 1.0
+    growth = norms[-1] / norms[0] if norms[0] > 0 else (1.0 if norms[-1] == 0 else math.inf)
+    return norms, tail, growth
 
 
 def penalization_family(cfg: ExperimentConfig) -> dict[float, EnsembleSolution]:
@@ -258,10 +269,51 @@ def solve_outer_samples(
     return y0, se, tuple(float(np.mean(v)) for v in per_sample), first
 
 
-def comparison_pair(cfg: ExperimentConfig):
+def check_comparison_hypothesis(
+    sol1: EnsembleSolution,
+    sol2: EnsembleSolution,
+    problem2: ProblemSpec,
+    ens: PathEnsemble,
+) -> float:
+    """Smallest jump-size sum sum_i beta_i dH(i) over paths and steps, with
+    beta_i the difference-quotient slopes of the second driver in each Z slot.
+
+    At each step the driver is evaluated once at each of the rank + 1
+    telescoping points z(p), which hold the second solution's Z in the
+    slots below p and the first solution's from p on.  The quotient of
+    slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
+    telescoping decomposition that underlies the ordering argument; slots
+    where the two Z's coincide, to 1e-12 of |Z1_a| + |Z2_a| + 1, contribute
+    zero.  Reads the node-major rows behind the solutions' views.
+    """
+    n = ens.grid.n_steps
+    t = ens.grid.nodes
+    rank = ens.basis.rank
+    X, Y2 = ens.X.T, sol2.Y.T
+    Z1, Z2 = sol1.Z.transpose(1, 2, 0), sol2.Z.transpose(1, 2, 0)
+    dH = ens.dH.transpose(1, 2, 0)
+    total = np.zeros((n, ens.n_paths))
+    for k in range(n if rank else 0):
+        z = Z1[k].copy()  # z(0), [component, path]
+        f_lo = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
+        for a in range(rank):
+            z[a] = Z2[k, a]
+            f_hi = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
+            den = Z1[k, a] - Z2[k, a]
+            scale = np.abs(Z1[k, a]) + np.abs(Z2[k, a]) + 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                beta = np.where(np.abs(den) > 1e-12 * scale, (f_lo - f_hi) / den, 0.0)
+            total[k] += beta * dH[k, a]
+            f_lo = f_hi
+    return float(np.min(total)) if total.size else 0.0
+
+
+def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
     """Solve two problems differing only in the terminal level (1 and 0) on
-    the configured ensemble, in projection mode, and return the hypothesis
-    report and the fraction of paths where the ordering is violated.
+    the configured ensemble, in projection mode, and return
+    ``(min_sum, violations)``: the hypothesis sum's minimum
+    (:func:`check_comparison_hypothesis`) and the fraction of (path, node)
+    pairs where the ordering is violated.
 
     The driver is y-linear (z-independent), so the jump-size hypothesis
     holds with all slopes identically zero.  Requires a driver without a
@@ -277,9 +329,9 @@ def comparison_pair(cfg: ExperimentConfig):
     config = cfg.build_solver_config(None)
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
-    report = check_comparison_hypothesis(sol_hi, sol_lo, lo, ens)
+    min_sum = check_comparison_hypothesis(sol_hi, sol_lo, lo, ens)
     violations = float(np.mean(sol_hi.Y < sol_lo.Y - 0.01))
-    return report, violations
+    return min_sum, violations
 
 
 def crosscheck_run(cfg: ExperimentConfig):
@@ -304,165 +356,147 @@ def crosscheck_run(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# suite wrappers
+# the gate table
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+def _skorokhod_gap(cfg: ExperimentConfig) -> dict:
+    ens = replace(cfg, n_paths=min(cfg.n_paths, 1000)).build_ensemble()
+    V = derived_rng(cfg.seed, 0, STREAM_COMPARISON).uniform(-cfg.theta, cfg.theta, size=ens.X.shape)
+    interior = np.abs(ens.X[:, 1:]) < cfg.theta
+    return {
+        "minimality_gap": skorokhod_minimality_gap(ens.X, V, ens.eta_abs, cfg.theta),
+        "local_time_support": float(np.max(np.where(interior, np.diff(ens.eta_abs, axis=1), 0.0))),
+    }
 
 
-def _suite_orthonormality(cfg: ExperimentConfig) -> list[CheckResult]:
-    measured, elapsed = _timed(lambda: measure_orthonormality(cfg))
-    return [
-        CheckResult.gate("orthonormality", check, measured[key], tol, direction, cfg.seed, elapsed)
-        for check, key, tol, direction in (
-            ("gram_defect", "gram_defect", 1e-10, "lt"),
-            ("product_moment_stddevs", "product_max_stddevs", 4.0, "le"),
-            ("mean_stddevs", "mean_max_stddevs", 4.0, "le"),
-        )
+def _benchmark_penalization(cfg: ExperimentConfig) -> dict:
+    family = penalization_family(benchmark_config(cfg))
+    pens = [family[n].penetration_norm for n in cfg.n_schedule]
+    ratios = [b / a if a > 0 else (0.0 if b == 0 else math.inf) for a, b in zip(pens, pens[1:])]
+    y0s = [family[n].y0_value for n in cfg.n_schedule]
+    _, tail, growth = apriori_bounds(family)
+    return {
+        "penetration_decreasing": max(ratios),
+        "penetration_reduction": pens[-1] / pens[0] if pens[0] > 0 else 0.0,
+        "y0_monotone_benchmark": min(b - a for a, b in zip(y0s, y0s[1:])),
+        "apriori_growth": growth,
+        "apriori_tail_plateau": tail,
+    }
+
+
+def _stochastic_penalization(cfg: ExperimentConfig) -> dict:
+    # One solution alive at a time: at example51 size each holds ~200 MB.
+    problem, ens = cfg.build_problem(), cfg.build_ensemble()
+    y0_and_se = attrgetter("y0_value", "y0_se")
+    scalars = [
+        y0_and_se(solve_penalized(problem, cfg.build_solver_config(n), ens)) for n in cfg.n_schedule
     ]
-
-
-def _suite_skorokhod(cfg: ExperimentConfig) -> list[CheckResult]:
-    seed = cfg.seed
-    rows: list[CheckResult] = []
-
-    def _measure_gap():
-        ens = replace(cfg, n_paths=min(cfg.n_paths, 1000)).build_ensemble()
-        rng = derived_rng(seed, 0, STREAM_COMPARISON)
-        V = rng.uniform(-cfg.theta, cfg.theta, size=ens.X.shape)
-        gap = skorokhod_minimality_gap(ens.X, V, ens.eta_abs, cfg.theta)
-        interior = np.abs(ens.X[:, 1:]) < cfg.theta
-        support = float(np.max(np.where(interior, np.diff(ens.eta_abs, axis=1), 0.0)))
-        return gap, support
-
-    (gap, support), elapsed = _timed(_measure_gap)
-    rows.append(CheckResult.gate("skorokhod", "minimality_gap", gap, -1e-12, "ge", seed, elapsed))
-    rows.append(
-        CheckResult.gate("skorokhod", "local_time_support", support, 0.0, "le", seed, elapsed)
-    )
-
-    (_, metrics), elapsed = _timed(lambda: run_benchmark_solution(cfg))
-    for check, key in (
-        ("benchmark_y_error", "y_max_error"),
-        ("benchmark_k_error", "k_t_error"),
-        ("benchmark_residual", "skorokhod_residual"),
-    ):
-        rows.append(CheckResult.gate("skorokhod", check, metrics[key], 0.02, "le", seed, elapsed))
-    return rows
-
-
-def _suite_penalization(cfg: ExperimentConfig) -> list[CheckResult]:
-    seed = cfg.seed
-    schedule = cfg.n_schedule
-    rows: list[CheckResult] = []
-
-    bench = benchmark_config(cfg)
-    family, elapsed = _timed(lambda: penalization_family(bench))
-    pens = [family[n].penetration_norm for n in schedule]
-    ratios = [
-        pens[i + 1] / pens[i] if pens[i] > 0 else (0.0 if pens[i + 1] == 0 else math.inf)
-        for i in range(len(pens) - 1)
-    ]
-    rows.append(
-        CheckResult.gate("penalization", "penetration_decreasing", max(ratios), 1.0, "lt", seed, elapsed)
-    )
-    reduction = pens[-1] / pens[0] if pens[0] > 0 else 0.0
-    rows.append(
-        CheckResult.gate("penalization", "penetration_reduction", reduction, 0.1, "le", seed, elapsed)
-    )
-    y0s = [family[n].y0_value for n in schedule]
-    min_step = min(y0s[i + 1] - y0s[i] for i in range(len(y0s) - 1))
-    rows.append(
-        CheckResult.gate("penalization", "y0_monotone_benchmark", min_step, -1e-10, "ge", seed, elapsed)
-    )
-    bound = apriori_bounds(family, bench.build_problem())
-    rows.append(
-        CheckResult.gate(
-            "penalization", "apriori_growth", bound.growth_ratio, APRIORI_GROWTH_TOL, "le", seed, elapsed
-        )
-    )
-    rows.append(
-        CheckResult.gate(
-            "penalization", "apriori_tail_plateau", bound.tail_ratio, APRIORI_TAIL_TOL, "le", seed, elapsed
-        )
-    )
-
-    def _stochastic_family():
-        # One solution alive at a time: at example51 size each holds ~200 MB.
-        problem, ens = cfg.build_problem(), cfg.build_ensemble()
-        y0_and_se = attrgetter("y0_value", "y0_se")
-        return [y0_and_se(solve_penalized(problem, cfg.build_solver_config(n), ens)) for n in schedule]
-
-    scalars, elapsed = _timed(_stochastic_family)
-    y0s = [y0 for y0, _ in scalars]
     se = max(scalars[0][1], 1e-12)
-    min_std_step = min((y0s[i + 1] - y0s[i]) / se for i in range(len(y0s) - 1))
-    rows.append(
-        CheckResult.gate("penalization", "y0_monotone_stochastic_stddevs", min_std_step, -2.0, "ge", seed, elapsed)
-    )
-    return rows
+    steps = ((b - a) / se for (a, _), (b, _) in zip(scalars, scalars[1:]))
+    return {"y0_monotone_stochastic_stddevs": min(steps)}
 
 
-def _suite_comparison(cfg: ExperimentConfig) -> list[CheckResult]:
-    seed = cfg.seed
-    (report, violations), elapsed = _timed(lambda: comparison_pair(cfg))
-    return [
-        CheckResult.gate("comparison", "hypothesis_min_sum", report.min_sum, -1.0, "gt", seed, elapsed),
-        CheckResult.gate("comparison", "ordering_violation_fraction", violations, 0.01, "le", seed, elapsed),
-    ]
+def _comparison(cfg: ExperimentConfig) -> dict:
+    min_sum, violations = comparison_pair(cfg)
+    return {"hypothesis_min_sum": min_sum, "ordering_violation_fraction": violations}
 
 
-def _suite_uniqueness(cfg: ExperimentConfig) -> list[CheckResult]:
+def _seed_gap(cfg: ExperimentConfig) -> dict:
     outer = max(cfg.outer_b_samples, 4)
     per_sample = max(cfg.n_paths // outer, 10 * cfg.build_solver_config(None).basis_dim)
-
-    def _measure():
-        values = []
-        for seed in (cfg.seed, cfg.seed + 1):
-            sample = replace(cfg, n_paths=per_sample, seed=seed, outer_b_samples=outer)
-            y0, se, _, _ = solve_outer_samples(sample, None)
-            values.append((y0, se))
-        (y0a, sea), (y0b, seb) = values
-        return abs(y0a - y0b) / math.sqrt(sea**2 + seb**2 + 1e-300)
-
-    gap_stddevs, elapsed = _timed(_measure)
-    return [
-        CheckResult.gate("uniqueness", "y0_seed_gap_stddevs", gap_stddevs, 4.0, "le", cfg.seed, elapsed)
-    ]
+    (y0a, sea), (y0b, seb) = (
+        solve_outer_samples(
+            replace(cfg, n_paths=per_sample, seed=seed, outer_b_samples=outer), None
+        )[:2]
+        for seed in (cfg.seed, cfg.seed + 1)
+    )
+    return {"y0_seed_gap_stddevs": abs(y0a - y0b) / math.sqrt(sea**2 + seb**2 + 1e-300)}
 
 
-def _suite_feynman_kac(cfg: ExperimentConfig) -> list[CheckResult]:
-    (result, elapsed) = _timed(lambda: crosscheck_run(cfg))
-    _, _, report = result
-    return [
-        CheckResult.gate("feynman_kac", "mc_fd_gap", report.y0_gap, 0.05, "le", cfg.seed, elapsed)
-    ]
-
-
-_SUITES = {
-    "orthonormality": _suite_orthonormality,
-    "skorokhod": _suite_skorokhod,
-    "penalization": _suite_penalization,
-    "comparison": _suite_comparison,
-    "uniqueness": _suite_uniqueness,
-    "feynman_kac": _suite_feynman_kac,
+# Every gate, declared once.  Each suite lists its measurements in run
+# order, each as (measure, gates): ``measure(cfg)`` returns {check: value}
+# with exactly the checks of its gates, each gate is (check, tolerance,
+# direction), and the summary rows follow the table's order.  A measure is
+# a lambda or private function that looks the measurement helpers up when
+# it is called, so a tracer that rebinds their module attributes sees
+# every call.
+GATES = {
+    "orthonormality": (
+        (lambda cfg: measure_orthonormality(cfg), (
+            ("gram_defect", 1e-10, "lt"),
+            ("product_moment_stddevs", 4.0, "le"),
+            ("mean_stddevs", 4.0, "le"),
+        )),
+    ),
+    "skorokhod": (
+        (_skorokhod_gap, (
+            ("minimality_gap", -1e-12, "ge"),
+            ("local_time_support", 0.0, "le"),
+        )),
+        (lambda cfg: run_benchmark_solution(cfg)[1], (
+            ("benchmark_y_error", 0.02, "le"),
+            ("benchmark_k_error", 0.02, "le"),
+            ("benchmark_residual", 0.02, "le"),
+        )),
+    ),
+    "penalization": (
+        (_benchmark_penalization, (
+            ("penetration_decreasing", 1.0, "lt"),
+            ("penetration_reduction", 0.1, "le"),
+            ("y0_monotone_benchmark", -1e-10, "ge"),
+            ("apriori_growth", 4.0, "le"),
+            ("apriori_tail_plateau", 1.25, "le"),
+        )),
+        (_stochastic_penalization, (
+            ("y0_monotone_stochastic_stddevs", -2.0, "ge"),
+        )),
+    ),
+    "comparison": (
+        (_comparison, (
+            ("hypothesis_min_sum", -1.0, "gt"),
+            ("ordering_violation_fraction", 0.01, "le"),
+        )),
+    ),
+    "uniqueness": (
+        (_seed_gap, (
+            ("y0_seed_gap_stddevs", 4.0, "le"),
+        )),
+    ),
+    "feynman_kac": (
+        (lambda cfg: {"mc_fd_gap": crosscheck_run(cfg)[2].y0_gap}, (
+            ("mc_fd_gap", 0.05, "le"),
+        )),
+    ),
 }
 
 
+def gate(suite: str, check: str) -> tuple[float, str]:
+    """``(tolerance, direction)`` of one gate of the table."""
+    return next((tol, d) for _, gates in GATES[suite] for c, tol, d in gates if c == check)
+
+
 def suite_checks(name: str, cfg: ExperimentConfig) -> list[CheckResult]:
-    """Run one named suite on ``cfg`` and return its gated checks."""
-    if name not in _SUITES:
-        raise LevyLabError(f"unknown suite {name!r}; known: {list(_SUITES)}")
-    return _SUITES[name](cfg)
+    """Run one named suite's measurements on ``cfg`` and gate their values."""
+    if name not in GATES:
+        raise LevyLabError(f"unknown suite {name!r}; known: {list(GATES)}")
+    rows = []
+    for measure, gates in GATES[name]:
+        start = time.perf_counter()
+        measured = measure(cfg)
+        elapsed = time.perf_counter() - start
+        for check, tolerance, direction in gates:
+            value = float(measured[check])
+            status = "pass" if passes(value, tolerance, direction) else "fail"
+            rows.append(
+                CheckResult(name, check, status, value, tolerance, direction, cfg.seed, elapsed)
+            )
+    return rows
 
 
 def run_suite(cfg: ExperimentConfig) -> SuiteReport:
-    """Execute the config's selected suites in a fixed order."""
+    """Execute the config's selected suites in the table's order."""
     rows: list[CheckResult] = []
-    for name in _SUITES:
+    for name in GATES:
         if name in cfg.checks:
             rows.extend(suite_checks(name, cfg))
     return SuiteReport(rows=rows)

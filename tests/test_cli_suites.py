@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from levylab.cli import _grid_csv, main
-from levylab.config import parse_config
+from levylab.config import DEFAULTS, SUITE_NAMES, parse_config
 from levylab.errors import LevyLabError
-from levylab.suites import run_suite
+from levylab.suites import DIRECTIONS, GATES, SuiteReport, passes, run_suite, suite_checks
 
 warnings.filterwarnings("ignore", message="rank-deficient regression design")
 
@@ -72,6 +72,72 @@ def test_run_suite_full_small(small_config):
     }
     failing = [r for r in report.rows if r.status != "pass"]
     assert not failing, f"failing checks: {failing}"
+
+
+@pytest.fixture(scope="module")
+def recorded_suite():
+    """A full small run_suite, and the checks each table measurement returned,
+    keyed by (suite, position in the suite's list)."""
+    returned = {}
+
+    def recording(key, measure):
+        def measure_and_record(cfg):
+            measured = measure(cfg)
+            returned[key] = sorted(measured)
+            return measured
+
+        return measure_and_record
+
+    table = {
+        name: tuple((recording((name, i), measure), gates) for i, (measure, gates) in enumerate(entries))
+        for name, entries in GATES.items()
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("levylab.suites.GATES", table)
+        report = run_suite(parse_config(SMALL))
+    return report, returned
+
+
+def test_summary_rows_follow_the_gate_table(recorded_suite):
+    report, _ = recorded_suite
+    declared = [
+        (name, check, tolerance, direction)
+        for name, entries in GATES.items()
+        for _, gates in entries
+        for check, tolerance, direction in gates
+    ]
+    rows = list(csv.DictReader(report.to_summary_csv().splitlines()))
+    assert [(r["suite"], r["check"], float(r["tolerance"]), r["direction"]) for r in rows] == declared
+    # the config accepts exactly the table's suites, in its order
+    assert tuple(GATES) == SUITE_NAMES
+
+
+def test_every_measured_number_is_gated(recorded_suite):
+    # each measurement returns exactly the checks its gates read
+    _, returned = recorded_suite
+    assert returned == {
+        (name, i): sorted(check for check, _, _ in gates)
+        for name, entries in GATES.items()
+        for i, (_, gates) in enumerate(entries)
+    }
+
+
+def test_table_measures_look_the_helpers_up_when_called():
+    # a measure stored as a module-level helper would keep a binding that a
+    # tracer rebinding the helper's module attribute cannot reach
+    for entries in GATES.values():
+        for measure, _ in entries:
+            assert measure.__name__ == "<lambda>" or measure.__name__.startswith("_")
+
+
+@pytest.mark.parametrize("direction, status", [("le", "pass"), ("ge", "pass"), ("lt", "fail"), ("gt", "fail")])
+def test_a_value_at_its_tolerance(direction, status, monkeypatch):
+    probe = {"probe": ((lambda cfg: {"x": 0.25}, (("x", 0.25, direction),)),)}
+    monkeypatch.setattr("levylab.suites.GATES", probe)
+    (row,) = suite_checks("probe", DEFAULTS)
+    assert row.status == status
+    assert passes(0.25, 0.25, direction) == (status == "pass")
+    assert f"probe/x: 0.25 {DIRECTIONS[direction][0]} 0.25 " in SuiteReport([row]).to_text()
 
 
 def test_comparison_suite_requires_pure_jump():

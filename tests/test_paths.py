@@ -209,8 +209,8 @@ def measure_orthonormality_reference(cfg, basis, dH):
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
         "gram_defect": basis.gram_defect(build_mu(spec)),
-        "product_max_stddevs": prod_dev,
-        "mean_max_stddevs": mean_dev,
+        "product_moment_stddevs": prod_dev,
+        "mean_stddevs": mean_dev,
     }
 
 

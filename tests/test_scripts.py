@@ -23,7 +23,6 @@ def _load_script(name):
     "argv",
     [
         ["run_penalization_study.py", "--paths", "200"],
-        ["run_crosscheck.py", "--paths", "200", "--steps", "10"],
     ],
 )
 def test_script_exits_zero(argv):
