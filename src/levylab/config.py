@@ -63,16 +63,10 @@ from .levy import LevySpec
 from .paths import A_MODES, PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
+from .suites import GATES
 from .teugels import basis_for
 
-SUITE_NAMES = (
-    "orthonormality",
-    "skorokhod",
-    "penalization",
-    "comparison",
-    "uniqueness",
-    "feynman_kac",
-)
+SUITE_NAMES = tuple(GATES)
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,11 @@ def _apply(base: ExperimentConfig, entries: dict, params: tuple) -> ExperimentCo
     try:
         build_problem(name, dict(params), theta)
     except ValueError as exc:
-        raise ConfigParseError(f"invalid problem parameters for {name!r}: {exc}") from exc
+        # cite the param. key that the message names first, else the name
+        found = ((str(exc).find(repr(key[len(_PARAM_PREFIX):])), line)
+                 for (_, key), (_, line) in entries.items() if key.startswith(_PARAM_PREFIX))
+        line = min((hit for hit in found if hit[0] >= 0), default=(0, lines.get("name")))[1]
+        raise ConfigParseError(f"invalid problem parameters for {name!r}: {exc}", line) from exc
     return ExperimentConfig(levy=levy, grid=TimeGrid(**groups["grid"]), problem_params=params, **top)
 
 

@@ -115,7 +115,6 @@ class MomentTable:
 
     raw_moments: np.ndarray
     mean_l1: float
-    compensated: bool
 
 
 def linear_drift(spec: LevySpec) -> float:
@@ -144,7 +143,7 @@ def levy_moments(spec: LevySpec, max_order: int) -> MomentTable:
     else:
         mom = np.zeros(max_order + 1)
     mean = linear_drift(spec) + mom[1]
-    return MomentTable(raw_moments=mom, mean_l1=mean, compensated=spec.compensated)
+    return MomentTable(raw_moments=mom, mean_l1=mean)
 
 
 def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:

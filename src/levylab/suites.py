@@ -21,11 +21,10 @@ import operator
 import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .errors import LevyLabError, ZeroSpread
 from .paths import (
     STREAM_COMPARISON,
@@ -41,6 +40,9 @@ from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import ProblemSpec, build_problem
 from .solver import EnsembleSolution, solve_penalized
 from .teugels import TeugelsBasis, basis_for, build_mu, martingale_steps
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 # direction of a gate -> (its symbol in the text report, its pass test)
 DIRECTIONS = {

@@ -118,11 +118,11 @@ class TeugelsBasis:
         return float(np.max(np.abs(gram - np.eye(self.rank))))
 
 
-def orthonormal_basis(mu: AtomicMeasure, requested_m: int, pivot_rtol: float = PIVOT_RTOL) -> TeugelsBasis:
+def orthonormal_basis(mu: AtomicMeasure, requested_m: int) -> TeugelsBasis:
     """Modified Gram-Schmidt on 1, x, x^2, ... under the mu inner product.
 
     Stops producing rows once the residual norm falls below
-    ``pivot_rtol`` times the raw norm of the incoming monomial (or once
+    ``PIVOT_RTOL`` times the raw norm of the incoming monomial (or once
     the degree reaches the atom count, where the residual is structurally
     zero).  Later rows are zeroed and ``degenerate_from`` records where
     degeneracy starts.
@@ -152,7 +152,7 @@ def orthonormal_basis(mu: AtomicMeasure, requested_m: int, pivot_rtol: float = P
                 v = v - proj * prev_vals
                 row = row - proj * prev_row
         nrm2 = float(np.sum(w * v * v))
-        if nrm2 <= pivot_rtol * ref:
+        if nrm2 <= PIVOT_RTOL * ref:
             break
         nrm = math.sqrt(nrm2)
         v = v / nrm

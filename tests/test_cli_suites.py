@@ -198,6 +198,13 @@ class TestCli:
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["linear", "example51"])
+    def test_strongly_decreasing_phi_is_accepted(self, tmp_path, name):
+        # phi = -1e5 * y is nonincreasing; a sampled bound used to reject it by rounding
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(f"[problem]\nname = {name}\nparam.phy = -1e5\n")
+        assert main(["basis", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_solve_schedule_rows(self, small_config, tmp_path):
         out = tmp_path / "sched"
         rc = main(["solve", "--config", str(small_config), "--out", str(out), "--schedule",

@@ -12,6 +12,7 @@ from levylab.config import (
     with_overrides,
 )
 from levylab.errors import ConfigParseError, UnknownCoefficientName
+from levylab.problems import REGISTRY
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -78,8 +79,36 @@ def test_malformed_atoms_cite_their_line():
 
 
 def test_bad_suite_name_rejected():
-    with pytest.raises(ConfigParseError):
+    with pytest.raises(ConfigParseError, match="nonsense") as err:
         parse_config("[suite]\nchecks = orthonormality, nonsense\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[problem]\nname = linear\nparam.phy = 0.5\n", 3),
+        ("[problem]\nname = linear\nparam.fy = -0.2\nparam.bogus = 1\nparam.lx = 1.0\n", 4),
+    ],
+    ids=["increasing-phi", "unknown-key"],
+)
+def test_bad_problem_param_cites_its_line(text, line):
+    with pytest.raises(ConfigParseError, match="invalid problem parameters") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_problem_error_naming_no_param_cites_the_name_line(monkeypatch):
+    # a set whose own defaults break a declaration names no param. key
+    defaults, constant = REGISTRY["constant"]
+
+    def increasing(p):
+        return {**constant(defaults), "beta_mono": 1.0}
+
+    monkeypatch.setitem(REGISTRY, "increasing", ({}, increasing))
+    with pytest.raises(ConfigParseError, match="beta_mono = 1.0") as err:
+        parse_config("[problem]\ntheta = 1.0\nname = increasing\n")
+    assert err.value.line == 3
 
 
 def test_x0_outside_domain_rejected():
@@ -139,12 +168,7 @@ def test_overrides_use_the_file_parsers(override, message):
         parse_config(f"[{section}]\n{key} = {value}\n")
 
 
-PROBLEM_PARAMS = {
-    "constant": ("terminal_level", "obstacle_level"),
-    "linear": ("f0", "fy", "fz1", "phy", "g0", "gy", "l0", "lx", "obstacle_level"),
-    "deterministic_obstacle": ("level", "slope"),
-    "example51": ("fy", "phy", "h_scale", "h_offset"),
-}
+PROBLEM_PARAMS = {name: tuple(defaults) for name, (defaults, _) in REGISTRY.items()}
 
 
 def _number(draw, lo, hi):
