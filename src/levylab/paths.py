@@ -27,8 +27,7 @@ node(, component)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
 the contiguous node-major array without a copy.
 
 L is computed in one place, the step kernel :func:`levy_nodes`, which
-yields it one node at a time: :func:`assemble_levy_paths` stores the rows,
-and the orthonormality measurement reads them as they come.
+yields it one node at a time for :func:`assemble_levy_paths` to store.
 """
 
 from __future__ import annotations

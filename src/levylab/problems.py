@@ -160,6 +160,8 @@ def build_problem(name: str, params: dict | None = None, theta: float = 1.0) -> 
     resolved = {key: float(given.get(key, value)) for key, value in defaults.items()}
     problem = ProblemSpec(name, theta=theta, params=tuple(resolved.items()), **coefficients(resolved))
     if not problem.beta_mono <= 0.0:  # also rejects NaN
-        raise ValueError(f"phi must be nonincreasing in y, but {name!r} with {given} "
+        # every phi is phy * y with beta_mono = phy, so phy is the one key named
+        cause = f" with {{'phy': {resolved['phy']}}}" if "phy" in given else ""
+        raise ValueError(f"phi must be nonincreasing in y, but {name!r}{cause} "
                          f"declares beta_mono = {problem.beta_mono}, not <= 0")
     return problem

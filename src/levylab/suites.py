@@ -32,14 +32,14 @@ from .paths import (
     PathEnsemble,
     TimeGrid,
     derived_rng,
-    levy_nodes,
+    simulate_brownian,
     simulate_jump_counts,
     skorokhod_minimality_gap,
 )
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import ProblemSpec, build_problem
 from .solver import EnsembleSolution, solve_penalized
-from .teugels import TeugelsBasis, basis_for, build_mu, martingale_steps
+from .teugels import TeugelsBasis, basis_for, build_mu, jump_martingales
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -105,31 +105,36 @@ class SuiteReport:
 # measurement helpers
 
 
-# Paths per block of terminal_martingales: a step's rows of one block stay
-# in a core's L2 cache, and are reused from the heap instead of being
-# mapped afresh at every step.
+# Paths per block of terminal_martingales' Brownian draw, which bounds
+# its [path, step] increments to a few MB.
 PATH_BLOCK = 8192
 
 
 def terminal_martingales(cfg: ExperimentConfig, basis: TeugelsBasis) -> np.ndarray:
-    """H(T) [requested_m, path] of the configured driver, summed one step at a time.
+    """H(T) [requested_m, path] of the configured driver, in closed form.
 
-    Neither L nor dH is stored: the peak is the jump counts plus a few
-    [path] rows.  Rows at or beyond the basis rank stay exactly zero.  The
-    paths are summed in blocks of ``PATH_BLOCK``, in path order, each over
-    all steps; a continuous part is drawn per block, which consumes the
-    counts' stream exactly as one whole path-major draw does.
+    H_i(T) is ``P (N(T) - alpha T)`` over the per-atom jump totals N(T)
+    (:func:`jump_martingales`), plus ``q_i(0) sigma W_T`` when the driver
+    has a continuous part.  Neither L nor dH is built: the peak is the jump
+    counts plus a few [atom, path] and [path] rows.  Rows at or beyond the
+    basis rank stay exactly zero.  W_T is drawn after the counts, from
+    their stream, in blocks of ``PATH_BLOCK`` paths, which consumes it
+    exactly as one whole path-major :func:`simulate_brownian` draw does.
     """
     spec = cfg.build_levy()
     rng = derived_rng(cfg.seed, 0, STREAM_LEVY)
     counts = simulate_jump_counts(spec, cfg.grid, rng, cfg.n_paths)
+    # the counts' dtype is widened to hold every atom's largest total, so
+    # the step sum cannot wrap in it; numpy's default, uint64, is about 13x slower
+    totals = counts.transpose(1, 2, 0).sum(axis=0, dtype=counts.dtype)
     H_T = np.zeros((basis.requested_m, cfg.n_paths))
-    for start in range(0, cfg.n_paths, PATH_BLOCK):
-        block = counts[start : start + PATH_BLOCK]
-        live = H_T[: basis.rank, start : start + PATH_BLOCK]
-        nodes = levy_nodes(spec, cfg.grid, block, rng)
-        for dH_k in martingale_steps(block, cfg.grid, spec, basis, nodes):
-            live += dH_k
+    live = H_T[: basis.rank]
+    live[...] = jump_martingales(totals, cfg.grid.horizon, spec, basis)
+    if spec.continuous_part:
+        weights = spec.sigma * basis.q_values(np.zeros(1))[: basis.rank]  # [rank, 1]
+        for start in range(0, cfg.n_paths, PATH_BLOCK):
+            block = live[:, start : start + PATH_BLOCK]
+            block += weights * simulate_brownian(cfg.grid, rng, block.shape[1])[:, -1]
     return H_T
 
 
@@ -147,11 +152,12 @@ def _standard_error(values: np.ndarray, name: str) -> float:
 def measure_orthonormality(cfg: ExperimentConfig) -> dict:
     """Exact Gram defect and empirical moments of the driver's basis.
 
-    The empirical part simulates only the configured driver and sums its
-    martingales to the horizon with :func:`terminal_martingales`, which
-    stores neither L nor dH.  It standardizes both the pairwise products of
-    H(T) (against delta_ij * T) and the means (against zero) by their
-    sample standard errors, and raises ZeroSpread when one of those is zero.
+    The empirical part simulates only the configured driver's jump counts
+    and evaluates its martingales at the horizon in closed form with
+    :func:`terminal_martingales`, which builds neither L nor dH.  It
+    standardizes both the pairwise products of H(T) (against delta_ij * T)
+    and the means (against zero) by their sample standard errors, and
+    raises ZeroSpread when one of those is zero.
     """
     spec = cfg.build_levy()
     basis = basis_for(spec)

@@ -23,12 +23,20 @@ both the martingale property and the orthonormality relations, so the
 per-order compensators ``t * m_k`` above are used; the verification suite
 checks the relations empirically.
 
+Because mu is atomic, each H(i) is also a fixed combination of the
+compensated per-atom counts: over a window of length t,
+
+    H(i) = sum_l p_i(beta_l) (N_l - alpha_l t) + q_i(0) sigma W,
+
+with ``p_i(y) = y q_i(y)`` (see :meth:`TeugelsBasis.p_values`).
+:func:`jump_martingales` evaluates the jump part of that form, which is
+all the orthonormality measurement needs at the horizon.
+
 Storage
 -------
 dH is computed in one place, the step kernel :func:`martingale_steps`,
 which yields it one step at a time: :func:`teugels_increments` stores the
-rows as [step, component, path], and the orthonormality measurement adds
-them into one [component, path] accumulator of H(T).
+rows as [step, component, path].
 """
 
 from __future__ import annotations
@@ -182,6 +190,20 @@ def basis_for(spec: LevySpec, requested_m: int | None = None) -> TeugelsBasis:
         return TeugelsBasis(coeffs=np.zeros((m, m)), rank=0, requested_m=m,
                             degenerate_from=1 if m else None)
     return orthonormal_basis(build_mu(spec), requested_m)
+
+
+def jump_martingales(
+    counts: np.ndarray, duration: float, spec: LevySpec, basis: TeugelsBasis
+) -> np.ndarray:
+    """Jump parts [rank, path] of the live martingales over a window.
+
+    ``counts`` [atom, path] holds each atom's number of jumps in a window
+    of length ``duration``; the result is ``P (counts - alpha * duration)``
+    with ``P = p_values(beta)[:rank]``.  The continuous part, q_i(0) sigma
+    W over the window, is not included.
+    """
+    P = basis.p_values(spec.jump_sizes)[: basis.rank]
+    return P @ (counts - (spec.intensities * duration)[:, None])
 
 
 def martingale_steps(

@@ -89,8 +89,10 @@ def test_bad_suite_name_rejected():
     [
         ("[problem]\nname = linear\nparam.phy = 0.5\n", 3),
         ("[problem]\nname = linear\nparam.fy = -0.2\nparam.bogus = 1\nparam.lx = 1.0\n", 4),
+        # other overrides on earlier lines are not at fault
+        ("[problem]\nparam.l0 = 2.0\nname = linear\nparam.phy = 0.5\nparam.lx = 1.0\n", 4),
     ],
-    ids=["increasing-phi", "unknown-key"],
+    ids=["increasing-phi", "unknown-key", "increasing-phi-among-others"],
 )
 def test_bad_problem_param_cites_its_line(text, line):
     with pytest.raises(ConfigParseError, match="invalid problem parameters") as err:

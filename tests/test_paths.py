@@ -138,7 +138,8 @@ class TestLevy:
 # Test-only references: path-major int64 counts binned one path at a time,
 # every step's sums formed at once, and the orthonormality measurement from
 # a stored dH.  The node-major simulation layer, which scatters the jumps
-# and walks the steps one at a time, must match them bit for bit.
+# and walks the steps one at a time, must match them bit for bit; the
+# closed-form H(T) of the measurement matches their step sum to rounding.
 
 
 def simulate_jump_counts_reference(spec, grid, rng, n_paths):
@@ -215,9 +216,9 @@ def measure_orthonormality_reference(cfg, basis, dH):
 
 
 class TestCompactCounts:
-    """Node-major compact counts, L and dH built one step at a time, and the
-    orthonormality measurement summed one step at a time, against the
-    path-major int64 references, bit for bit."""
+    """Node-major compact counts, L and dH built one step at a time, against
+    the path-major int64 references bit for bit, and the orthonormality
+    measurement's closed-form H(T) against their step sum."""
 
     @pytest.mark.parametrize(
         "spec, grid, n_paths, dtype",
@@ -251,8 +252,10 @@ class TestCompactCounts:
                 1000,
                 np.uint8,
             ),
+            # no atoms: rank 1, and H(T) is the Brownian part alone
+            (LevySpec(sigma=0.3), TimeGrid(1.0, 20), 1000, np.uint8),
         ],
-        ids=["empty-paths", "widened", "shipped", "compensated"],
+        ids=["empty-paths", "widened", "shipped", "compensated", "brownian-only"],
     )
     def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype, monkeypatch):
         cfg = replace(DEFAULTS, levy=spec, grid=grid, n_paths=n_paths, seed=17)
@@ -273,12 +276,19 @@ class TestCompactCounts:
         assert np.array_equal(dH, dH_ref)
         assert np.any(dH[:, :, : basis.rank] != 0.0)
 
-        # the measurement draws the same stream and never stores L or dH,
-        # with all paths in one block and in several blocks with a ragged last
+        # the measurement draws the same stream and evaluates H(T) from the
+        # per-atom totals, with its Brownian draw in one block and in several
+        # blocks with a ragged last; the adds differ from the step sum's, so
+        # they agree to rounding
+        H_ref = dH_ref.sum(axis=1).T
+        atol = 1e-12 * max(1.0, float(np.abs(H_ref).max()))
+        expected = measure_orthonormality_reference(cfg, basis, dH_ref)
         for block in (suites.PATH_BLOCK, 128):
             monkeypatch.setattr(suites, "PATH_BLOCK", block)
-            assert np.array_equal(terminal_martingales(cfg, basis), dH_ref.sum(axis=1).T)
-            assert measure_orthonormality(cfg) == measure_orthonormality_reference(cfg, basis, dH_ref)
+            H_T = terminal_martingales(cfg, basis)
+            assert H_T.shape == H_ref.shape
+            assert np.max(np.abs(H_T - H_ref)) <= atol
+            assert measure_orthonormality(cfg) == pytest.approx(expected, rel=0, abs=1e-12)
 
         if not spec.continuous_part:
             dH = teugels_increments(counts, grid, spec, basis)
@@ -298,10 +308,31 @@ class TestCompactCounts:
         returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs, ens.dH))
         assert peak <= 1.10 * returned, peak / returned
 
+    def test_rank_zero_driver_has_zero_martingales(self):
+        spec = LevySpec()  # no atoms and no continuous part
+        cfg = replace(DEFAULTS, levy=spec, grid=TimeGrid(1.0, 8), n_paths=100, seed=3)
+        basis = basis_for(spec, requested_m=2)
+        assert basis.rank == 0
+        H_T = terminal_martingales(cfg, basis)
+        assert H_T.shape == (2, 100) and not H_T.any()
+
+    def test_mean_gate_fails_when_compensated_over_one_step(self, monkeypatch):
+        # compensating the horizon totals by alpha * dt instead of alpha * T
+        # leaves H_i(T) a mean of sum_l p_i(beta_l) alpha_l (T - dt)
+        cfg = replace(DEFAULTS, levy=TWO_ATOM, grid=TimeGrid(1.0, 20), n_paths=2000, seed=17)
+        assert all(r.status == "pass" for r in suites.suite_checks("orthonormality", cfg))
+        exact = suites.jump_martingales
+        monkeypatch.setattr(
+            suites, "jump_martingales",
+            lambda counts, duration, spec, basis: exact(counts, cfg.grid.dt, spec, basis),
+        )
+        rows = {r.check: r for r in suites.suite_checks("orthonormality", cfg)}
+        assert rows["mean_stddevs"].status == "fail", rows["mean_stddevs"].value
+
     def test_orthonormality_measurement_stores_neither_L_nor_dH(self):
-        # H(T) is summed one step at a time, so the peak is the counts plus a
-        # fixed number of [path] rows; a stored L would add 65 rows and a
-        # stored dH 256
+        # H(T) is evaluated from per-atom jump totals, so the peak is the
+        # counts plus a fixed number of [atom, path] and [path] rows; a
+        # stored L would add 65 rows and a stored dH 256
         n_paths = 20_000
         cfg = replace(DEFAULTS, levy=TWO_ATOM, grid=TimeGrid(1.0, 64), n_paths=n_paths, seed=1)
         counts = simulate_jump_counts(TWO_ATOM, cfg.grid, derived_rng(1, 0, STREAM_LEVY), n_paths)
