@@ -26,14 +26,15 @@ Functions return them as transposed views with the documented [path,
 node(, component)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
 the contiguous node-major array without a copy.
 
-L is computed in one place, the step kernel :func:`levy_nodes`, which
-yields it one node at a time for :func:`assemble_levy_paths` to store.
+:func:`assemble_levy_paths` writes L one node at a time, reading the counts
+one step at a time; the reflection reads L and writes X and |eta| one row
+at a time, through one reused row, with no per-step temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -128,19 +129,20 @@ def simulate_jump_counts(
     return counts.transpose(2, 0, 1)
 
 
-def levy_nodes(
+def assemble_levy_paths(
     spec: LevySpec,
     grid: TimeGrid,
     counts: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> Iterator[np.ndarray]:
-    """Driver node values [path] from [path, step, atom] counts, node 0 first.
+) -> np.ndarray:
+    """Driver node values from [path, step, atom] counts; returns [path,
+    node], a transposed view of node-major storage.
 
     Node k is the jump sum of steps 0..k-1 plus (linear drift per the
     compensation flag) * t_k, plus sigma * B_k when the spec has a
-    continuous part.  B is drawn from ``rng`` whole and path-major (one
-    :func:`simulate_brownian` call after the counts) and read one node at
-    a time.
+    continuous part.  The counts are read one step at a time; B is drawn
+    from ``rng`` whole and path-major (one :func:`simulate_brownian` call
+    after the counts) and read one node at a time.
     """
     brownian = None
     if spec.continuous_part:
@@ -148,28 +150,15 @@ def levy_nodes(
             raise ValueError("an rng is required to draw the driver's continuous part")
         brownian = simulate_brownian(grid, rng, counts.shape[0])
     drift = linear_drift(spec)
+    L = np.empty((grid.n_steps + 1, counts.shape[0]))
     jumps = np.zeros(counts.shape[0])
     sums = step_jump_sums(counts, spec.jump_sizes)
     for k, t in enumerate(grid.nodes):
         if k:
             jumps += next(sums)
-        node = jumps + drift * t
+        node = np.add(jumps, drift * t, out=L[k])
         if brownian is not None:
             node += spec.sigma * brownian[:, k]
-        yield node
-
-
-def assemble_levy_paths(
-    spec: LevySpec,
-    grid: TimeGrid,
-    counts: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """The rows of :func:`levy_nodes`, stored; returns [path, node], a
-    transposed view of node-major storage."""
-    L = np.empty((grid.n_steps + 1, counts.shape[0]))
-    for k, node in enumerate(levy_nodes(spec, grid, counts, rng)):
-        L[k] = node
     return L.T
 
 
@@ -212,10 +201,14 @@ def simulate_reflected_x(
     eta = np.empty_like(X)
     X[0] = x0
     eta[0] = 0.0
+    proposal = np.empty(L.shape[1])  # one row, reused: the step then its overshoot
     for k in range(L.shape[0] - 1):
-        proposal = X[k] + np.asarray(sigma_x(X[k]), dtype=float) * (L[k + 1] - L[k])
+        np.subtract(L[k + 1], L[k], out=proposal)
+        proposal *= np.asarray(sigma_x(X[k]), dtype=float)
+        proposal += X[k]
         np.clip(proposal, -theta, theta, out=X[k + 1])
-        np.add(eta[k], np.abs(proposal - X[k + 1]), out=eta[k + 1])
+        proposal -= X[k + 1]
+        np.add(eta[k], np.abs(proposal, out=proposal), out=eta[k + 1])
     return X.T, eta.T
 
 

@@ -32,22 +32,27 @@ constant columns are dropped silently.
 
 Regression
 ----------
-Each step builds its design once, one contiguous row per basis column,
-into a buffer reused across steps.  It forms the design's Gram matrix (at
-most 6 x 6) and Cholesky-factors it once; the Y regression (item 1) and
-the Z regressions (item 2) are all solved against that one factor.  The
-Gram matrix squares the design's condition number, so a step whose Gram
-condition number exceeds ``GRAM_COND_MAX``, or whose factorization fails,
-falls back to the pivoting ``lstsq`` path instead: a genuinely
-rank-deficient design is reduced from the highest degree down, with a
-warning naming the step.  Early steps, where X sits on a few lattice
-points, take this path.
-The factor and the solves call LAPACK's ``potrf`` and ``potrs`` directly,
-the routines behind scipy's ``cho_factor`` and ``cho_solve``, without
-their per-call checks and copies.  ``scipy.linalg.lapack`` is imported
-where they are called, so importing this module, and any command that
-runs no sweep, does not load scipy.  The design's standard deviation is
-taken from the centred row the design already holds.
+Each step writes its Y target into row 0 of a buffer reused across steps
+and its design below it, one contiguous row per basis column.  One product
+of the design with that buffer gives the design's Gram matrix (at most
+6 x 6) and the Y right-hand side together.  The Gram matrix is
+Cholesky-factored once; the Y regression (item 1) and the Z regressions
+(item 2) are all solved against that one factor, and each fit is written
+straight into its output row.  The Z coefficients are scaled by 1/dt
+before the fit is formed.  The Gram matrix squares the design's condition
+number, so a step whose factorization fails, or whose condition number
+(LAPACK's ``pocon`` estimate from the factor, no SVD) exceeds
+``GRAM_COND_MAX``, falls back to the pivoting ``lstsq`` path instead: a
+genuinely rank-deficient design is reduced from the highest degree down.
+Early steps, where X sits on a few lattice points, take this path.  A sweep
+that reduces any design warns once, naming the earliest such step.
+The factor, the estimate and the solves call LAPACK's ``potrf``,
+``pocon`` and ``potrs`` directly, the routines behind scipy's
+``cho_factor`` and ``cho_solve``, without their per-call checks and
+copies.  ``scipy.linalg.lapack`` is imported where they are called, so
+importing this module, and any command that runs no sweep, does not load
+scipy.  The design's standard deviation is taken from the centred row the
+design already holds.
 
 Storage
 -------
@@ -60,9 +65,10 @@ path-major one.  The obstacle S is evaluated on the node-major state.  The
 sweep stores Y, y_pre, Z, dK and K node-major as well, and
 :class:`EnsembleSolution` exposes all of them as transposed views with the
 documented [path, node(, component)] shapes, without copying.  The
-diagnostics are per-path or per-node reductions kept in one-row buffers
-and updated as the sweep writes each row; no pass over the full arrays
-follows the sweep.
+diagnostics are reduced as the sweep writes each row: sup Y^2 in one
+per-path row, and the path sums of Y^2 dA, |Z|^2, the push's gap and the
+penetration as one scalar per step, since only their path means are
+read.  No pass over the full arrays follows the sweep.
 """
 
 from __future__ import annotations
@@ -187,52 +193,62 @@ def regression_design(
     return out[:ncol]
 
 
-def _gram_factor(design: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of the design's Gram matrix (LAPACK ``potrf``),
+def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of a design's Gram matrix (LAPACK ``potrf``),
     or ``None`` to fall back.
 
-    ``None`` sends the step to the pivoting least-squares path: the Gram
-    condition number exceeds ``GRAM_COND_MAX`` or the factorization fails.
+    ``None`` sends the step to the pivoting least-squares path: the
+    factorization fails, or the condition number that LAPACK's ``pocon``
+    estimates from the factor (in the 1-norm) exceeds ``GRAM_COND_MAX``.
+    Only the upper triangle of ``gram`` is read.
     """
-    from scipy.linalg.lapack import dpotrf
+    from scipy.linalg.lapack import dpocon, dpotrf
 
-    gram = design @ design.T
-    if not np.linalg.cond(gram) <= GRAM_COND_MAX:
-        return None
     factor, info = dpotrf(gram, lower=0, clean=0)
-    return factor if info == 0 else None
+    if info != 0:
+        return None
+    rcond, info = dpocon(factor, float(np.max(np.sum(np.abs(gram), axis=0))))
+    return factor if info == 0 and rcond * GRAM_COND_MAX >= 1.0 else None
 
 
-def _regress(design: np.ndarray, factor, targets: np.ndarray, step: int) -> np.ndarray:
-    """Least-squares fitted values of each row of ``targets`` on ``design``.
+def _regress(
+    design: np.ndarray,
+    factor,
+    targets: np.ndarray,
+    step: int,
+    out: np.ndarray,
+    rhs: np.ndarray | None = None,
+    scale: float = 1.0,
+) -> int:
+    """Least-squares fit of each row of ``targets`` on ``design``, times
+    ``scale``, written into ``out``; returns the number of columns kept.
 
-    ``design`` is ``(ncols, n_paths)`` and ``targets`` ``(r, n_paths)``; the
-    result is ``(r, n_paths)``.  With the step's Gram ``factor`` the normal
-    equations are solved against it.  With ``factor`` ``None`` the design is
-    reduced from the highest degree down until ``lstsq`` finds it of full
-    rank, with a warning naming the step.
+    ``design`` is ``(ncols, n_paths)``, ``targets`` and ``out`` are
+    ``(r, n_paths)``.  With the step's Gram ``factor`` the normal equations
+    are solved against it, with the right-hand sides ``rhs`` (``design @
+    targets.T``) when the caller has already formed them.  With ``factor``
+    ``None`` the design is reduced from the highest degree down until
+    ``lstsq`` finds it of full rank.  ``scale`` multiplies the
+    coefficients, not the fitted rows.
     """
+    ncol = design.shape[0]
     if factor is not None:
         from scipy.linalg.lapack import dpotrs
 
-        coef, _ = dpotrs(factor, design @ targets.T, lower=0)
-        return coef.T @ design
-    ncol = design.shape[0]
-    while True:
-        sub = design[:ncol]
-        try:
-            coef, _, rank, _ = np.linalg.lstsq(sub.T, targets.T, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise SingularRegression(f"least-squares solve failed at step {step}: {exc}") from exc
-        if rank == ncol or ncol == 1:
-            if ncol < design.shape[0]:
-                warnings.warn(
-                    f"rank-deficient regression design at step {step}; "
-                    f"reduced to {ncol} columns",
-                    SingularRegressionWarning,
-                )
-            return coef.T @ sub
-        ncol -= 1
+        coef, _ = dpotrs(factor, design @ targets.T if rhs is None else rhs, lower=0)
+    else:
+        while True:
+            try:
+                coef, _, rank, _ = np.linalg.lstsq(design[:ncol].T, targets.T, rcond=None)
+            except np.linalg.LinAlgError as exc:
+                raise SingularRegression(f"least-squares solve failed at step {step}: {exc}") from exc
+            if rank == ncol or ncol == 1:
+                break
+            ncol -= 1
+    if scale != 1.0:
+        coef *= scale
+    np.matmul(coef.T, design[:ncol], out=out)
+    return ncol
 
 
 def solve_penalized(
@@ -241,7 +257,10 @@ def solve_penalized(
     """Backward sweep over one ensemble (one frozen Brownian sample).
 
     Raises :class:`TerminalBelowObstacle` when S_T > xi on some path, and
-    ``ValueError`` when the ensemble is too small for the basis.
+    ``ValueError`` when the ensemble is too small for the basis.  Emits at
+    most one :class:`SingularRegressionWarning`, naming the earliest step
+    whose design was reduced, its column count and how many regressions the
+    sweep reduced.
     """
     grid = ens.grid
     n = grid.n_steps
@@ -275,18 +294,22 @@ def solve_penalized(
     dKt = np.empty((n, n_paths))
     Yt[n] = xi
     y_pre_t[n] = xi
-    design_buf = np.empty((config.basis_dim, n_paths))
+    # Row 0 holds the step's Y target, the rows below it the design, so one
+    # product gives the Gram matrix and the Y right-hand side together.
+    aug = np.empty((config.basis_dim + 1, n_paths))
+    target = aug[0]
+    centered = np.empty((rank, n_paths))
 
-    # Diagnostics, reduced as each row is written: per path max Y^2, sum
-    # Y^2 dA, sum |Z|^2 and sum (y_pre - S) dK; per node mean ((S - Y)^+)^2.
+    # Diagnostics, reduced as each row is written: per path max Y^2; per
+    # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
+    # ((S - Y)^+)^2.
     row = np.empty(n_paths)
     dA = np.empty(n_paths)
     sup_y2 = np.square(xi)
-    y2_dA = np.zeros(n_paths)
-    z2 = np.zeros(n_paths)
-    gap = np.zeros(n_paths)
+    y2_dA = z2 = gap = 0.0
     penetration = np.empty(n + 1)
     penetration[n] = _mean_penetration_sq(S[n], xi, row)
+    reduced, first_reduced = 0, None
 
     pen = config.penalization
     push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
@@ -296,27 +319,43 @@ def solve_penalized(
         np.subtract(A[k + 1], A[k], out=dA)
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
-        target = y_next + fk * dt + phik * dA
-        design = regression_design(x, config.degree, problem.theta, layer, design_buf)
-        factor = _gram_factor(design)
-        yhat0 = _regress(design, factor, target[None, :], k)[0]
+        np.multiply(fk, dt, out=target)
+        target += y_next
+        target += np.multiply(phik, dA, out=row)
+        design = regression_design(x, config.degree, problem.theta, layer, aug[1:])
+        ncol = design.shape[0]
+        rhs_gram = design @ aug[: ncol + 1].T
+        factor = _gram_factor(rhs_gram[:, 1:])
+        yhat0 = y_pre_t[k]
+        kept = _regress(design, factor, aug[:1], k, yhat0[None, :], rhs=rhs_gram[:, :1])
         if rank:
-            centered = dH[k, :rank] * (y_next - yhat0)
-            Zt[k, :rank] = _regress(design, factor, centered, k) / dt
-            z2 += np.sum(np.square(Zt[k, :rank]), axis=0, out=row)
+            np.subtract(y_next, yhat0, out=row)
+            np.multiply(dH[k, :rank], row, out=centered)
+            _regress(design, factor, centered, k, Zt[k, :rank], scale=1.0 / dt)
+            z2 += float(np.vdot(Zt[k, :rank], Zt[k, :rank]))
+        if kept < ncol:  # the Z fits share the design, so they keep as many columns
+            reduced += 2 if rank else 1
+            first_reduced = (k, kept)  # the sweep runs backward: the earliest step
         gk = np.asarray(problem.g(t[k], x, yhat0), dtype=float)
-        yhat = np.add(yhat0, gk * dB[k], out=y_pre_t[k])
-        push = np.multiply(push_scale, np.maximum(S[k] - yhat, 0.0), out=dKt[k])
+        yhat = np.add(yhat0, np.multiply(gk, dB[k], out=row), out=yhat0)
+        short = np.maximum(np.subtract(S[k], yhat, out=row), 0.0, out=row)
+        push = np.multiply(push_scale, short, out=dKt[k])
+        gap += push_scale * float(np.vdot(short, short))
         y = np.add(yhat, push, out=Yt[k])
 
-        gap += np.multiply(np.subtract(yhat, S[k], out=row), push, out=row)
         penetration[k] = _mean_penetration_sq(S[k], y, row)
         np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
-        y2_dA += np.multiply(row, dA, out=row)
+        y2_dA += float(np.dot(row, dA))
 
+    if reduced:
+        warnings.warn(
+            f"rank-deficient regression design at step {first_reduced[0]}; reduced to "
+            f"{first_reduced[1]} columns ({reduced} regressions of this sweep reduced)",
+            SingularRegressionWarning,
+        )
     Kt = cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
-    norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": float(np.mean(y2_dA)),
-             "z2_dt": float(np.mean(z2 * dt)), "kT2": float(np.mean(Kt[n] ** 2))}
+    norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": y2_dA / n_paths,
+             "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(Kt[n] ** 2))}
     norms["total"] = sum(norms.values())
 
     # after the loop, target is step 0's regression target, whose spread gives y0_se
@@ -332,7 +371,8 @@ def solve_penalized(
         dt=dt,
         y0_value=float(np.mean(Yt[0])),
         y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
-        skorokhod_residual=float(np.mean(np.abs(gap))),
+        # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means
+        skorokhod_residual=gap / n_paths,
         penetration_norm=float(np.max(penetration)),
         apriori_norms=norms,
     )
@@ -340,4 +380,5 @@ def solve_penalized(
 
 def _mean_penetration_sq(s: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
     """Mean over paths of ((s - y)^+)^2, computed in ``out``."""
-    return np.mean(np.square(np.maximum(np.subtract(s, y, out=out), 0.0, out=out), out=out))
+    np.maximum(np.subtract(s, y, out=out), 0.0, out=out)
+    return float(np.vdot(out, out)) / out.shape[0]

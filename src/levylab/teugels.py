@@ -34,17 +34,15 @@ all the orthonormality measurement needs at the horizon.
 
 Storage
 -------
-dH is computed in one place, the step kernel :func:`martingale_steps`,
-which yields it one step at a time: :func:`teugels_increments` stores the
-rows as [step, component, path].
+:func:`teugels_increments` computes dH one step at a time from that
+step's counts (and driver difference) and stores the rows as [step,
+component, path].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
@@ -206,39 +204,6 @@ def jump_martingales(
     return P @ (counts - (spec.intensities * duration)[:, None])
 
 
-def martingale_steps(
-    counts: np.ndarray,
-    grid,
-    spec: LevySpec,
-    basis: TeugelsBasis,
-    driver_nodes: Iterable[np.ndarray] | None = None,
-) -> Iterator[np.ndarray]:
-    """Live rows dH_k [rank, path] from [path, step, atom] counts, step 0 first.
-
-    dH_k is the basis rows times step k's compensated power sums.  When
-    ``driver_nodes`` (node values [path], node 0 first) is given, the
-    order-1 sum is dL - dt * E[L_1], which includes the Brownian part.
-    Nothing is yielded when the rank is 0.
-    """
-    rank = basis.rank
-    if rank == 0:
-        return
-    dt = grid.dt
-    moments = levy_moments(spec, rank)
-    beta_powers = np.stack([spec.jump_sizes**k for k in range(1, rank + 1)], axis=1)  # [atoms, K]
-    compensators = (dt * moments.raw_moments[1 : rank + 1])[:, None]
-    nodes = None if driver_nodes is None else iter(driver_nodes)
-    prev = None if nodes is None else next(nodes)
-    for dY in step_jump_sums(counts, beta_powers):
-        dY -= compensators  # row j: the order-(j + 1) power sum of step k
-        if nodes is not None:
-            node = next(nodes)
-            np.subtract(node, prev, out=dY[0])
-            dY[0] -= dt * moments.mean_l1
-            prev = node
-        yield basis.coeffs[:rank, :rank] @ dY
-
-
 def teugels_increments(
     counts: np.ndarray,
     grid,
@@ -273,8 +238,9 @@ def teugels_increments(
     exactly zero.  The values are stored step-major, [n_steps, requested_m,
     n_paths], and returned as a transposed view, so ``dH.transpose(1, 2, 0)``
     is the contiguous step-major array for 3d input.  Each step's live rows
-    are written by :func:`martingale_steps`, so no full-size array of the
-    power sums exists.
+    are the basis rows times that step's compensated power sums; when
+    ``levy_path`` is given, the order-1 sum is dL - dt * E[L_1].  The sums
+    are formed one step at a time, so no full-size array of them exists.
     """
     n = grid.n_steps
     counts = np.asarray(counts)
@@ -300,7 +266,17 @@ def teugels_increments(
         raise ValueError("levy_path is required when the driver has a continuous part")
 
     dH = np.zeros((n, basis.requested_m, n_paths))
-    for k, dH_k in enumerate(martingale_steps(counts, grid, spec, basis, L)):
-        dH[k, : basis.rank] = dH_k
+    rank = basis.rank
+    if rank:
+        dt = grid.dt
+        moments = levy_moments(spec, rank)
+        beta_powers = np.stack([spec.jump_sizes**k for k in range(1, rank + 1)], axis=1)  # [atoms, K]
+        compensators = (dt * moments.raw_moments[1 : rank + 1])[:, None]
+        for k, dY in enumerate(step_jump_sums(counts, beta_powers)):
+            dY -= compensators  # row j: the order-(j + 1) power sum of step k
+            if L is not None:
+                np.subtract(L[k + 1], L[k], out=dY[0])
+                dY[0] -= dt * moments.mean_l1
+            np.matmul(basis.coeffs[:rank, :rank], dY, out=dH[k, :rank])
     dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

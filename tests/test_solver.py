@@ -2,12 +2,13 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levylab import solver
-from levylab.config import DEFAULTS
+from levylab.config import DEFAULTS, load_config
 from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, simulate_ensemble
@@ -449,20 +450,23 @@ class TestDiagnostics:
         assert np.all(sol.Z[:, :, 1:] == 0.0)
 
 
-def assert_solutions_agree(fast, reference, atol):
-    """Y, Z, K, y0 and every diagnostic agree within ``atol`` absolute."""
+def assert_solutions_agree(fast, reference, atol, scalar_atol=None):
+    """Y, Z and K agree within ``atol`` absolute, y0 and every diagnostic
+    within ``scalar_atol`` (default ``atol``)."""
+    scalar_atol = atol if scalar_atol is None else scalar_atol
     for name in ("Y", "Z", "K"):
         np.testing.assert_allclose(getattr(fast, name), getattr(reference, name), rtol=0.0, atol=atol)
     for name in ("y0_value", "skorokhod_residual", "penetration_norm"):
-        assert getattr(fast, name) == pytest.approx(getattr(reference, name), rel=0.0, abs=atol)
+        assert getattr(fast, name) == pytest.approx(getattr(reference, name), rel=0.0, abs=scalar_atol)
     assert fast.apriori_norms.keys() == reference.apriori_norms.keys()
     for key, value in reference.apriori_norms.items():
-        assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=atol)
+        assert fast.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=scalar_atol)
 
 
-# Test-only references: the design with np.std, and the Gram factor and
-# solve through scipy's cho_factor and cho_solve.  The sweep's np.std-free
-# design and direct LAPACK calls must match them bit for bit.
+# Test-only references: the design with np.std, the Gram factor through an
+# SVD condition check and scipy's cho_factor, the solves through cho_solve,
+# and the sweep as it was before it formed the Gram matrix and the Y
+# right-hand side in one product.
 
 
 def regression_design_reference(x, degree, theta, layer_width, out):
@@ -483,14 +487,15 @@ def regression_design_reference(x, degree, theta, layer_width, out):
     return out[:ncol]
 
 
-def gram_factor_reference(design):
+def gram_factor_reference(gram):
+    """cho_factor's upper factor of ``gram``, or None where the 2-norm
+    condition number (an SVD) exceeds GRAM_COND_MAX or the factor fails."""
     from scipy.linalg import cho_factor
 
-    gram = design @ design.T
     if not np.linalg.cond(gram) <= solver.GRAM_COND_MAX:
         return None
     try:
-        return cho_factor(gram, check_finite=False)
+        return cho_factor(gram, check_finite=False)[0]
     except np.linalg.LinAlgError:
         return None
 
@@ -498,13 +503,83 @@ def gram_factor_reference(design):
 LSTSQ_REGRESS = solver._regress  # with no factor: the lstsq path, shared
 
 
-def regress_reference(design, factor, targets, step):
+def regress_reference(design, factor, targets, step, out, rhs=None, scale=1.0):
     if factor is None:
-        return LSTSQ_REGRESS(design, None, targets, step)
+        return LSTSQ_REGRESS(design, None, targets, step, out, scale=scale)
     from scipy.linalg import cho_solve
 
-    coef = cho_solve(factor, design @ targets.T, check_finite=False)
-    return coef.T @ design
+    coef = cho_solve((factor, False), design @ targets.T if rhs is None else rhs, check_finite=False)
+    np.matmul((coef * scale).T, design, out=out)
+    return design.shape[0]
+
+
+def fit_reference(design, factor, targets):
+    """Fitted values [r, path]: against ``factor``, or by lstsq on the
+    design reduced from the highest degree down until it has full rank."""
+    if factor is not None:
+        from scipy.linalg import cho_solve
+
+        return cho_solve((factor, False), design @ targets.T, check_finite=False).T @ design
+    ncol = design.shape[0]
+    while True:
+        coef, _, rank, _ = np.linalg.lstsq(design[:ncol].T, targets.T, rcond=None)
+        if rank == ncol or ncol == 1:
+            return coef.T @ design[:ncol]
+        ncol -= 1
+
+
+def solve_penalized_reference(problem, config, ens):
+    """The sweep with the Gram matrix from ``design @ design.T``, one
+    product per right-hand side, Z scaled by 1/dt after the fit, and the
+    diagnostics kept per path until the end."""
+    grid = ens.grid
+    n, dt, t, n_paths = grid.n_steps, grid.dt, grid.nodes, ens.n_paths
+    X = np.ascontiguousarray(ens.X.T)
+    A = np.ascontiguousarray(ens.A.T)
+    dH = np.ascontiguousarray(ens.dH.transpose(1, 2, 0))
+    dB = np.diff(ens.B)
+    m, rank = dH.shape[1], ens.basis.rank
+    layer = config.boundary_layer if config.boundary_layer is not None else problem.theta / 10.0
+    S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
+    xi = np.asarray(problem.terminal(X[n]), dtype=float)
+    Yt, y_pre_t = np.empty((n + 1, n_paths)), np.empty((n + 1, n_paths))
+    Zt, dKt = np.zeros((n + 1, m, n_paths)), np.empty((n, n_paths))
+    Yt[n] = y_pre_t[n] = xi
+    design_buf = np.empty((config.basis_dim, n_paths))
+    sup_y2, y2_dA, z2, gap = np.square(xi), np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
+    penetration = [np.mean(np.maximum(S[n] - xi, 0.0) ** 2)]
+    pen = config.penalization
+    push_scale = 1.0 if pen is None else pen * dt / (1.0 + pen * dt)
+    for k in range(n - 1, -1, -1):
+        x, y_next, dA = X[k], Yt[k + 1], A[k + 1] - A[k]
+        fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
+        phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
+        target = y_next + fk * dt + phik * dA
+        design = solver.regression_design(x, config.degree, problem.theta, layer, design_buf)
+        factor = gram_factor_reference(design @ design.T)
+        yhat0 = fit_reference(design, factor, target[None, :])[0]
+        if rank:
+            centered = dH[k, :rank] * (y_next - yhat0)
+            Zt[k, :rank] = fit_reference(design, factor, centered) / dt
+            z2 += np.sum(np.square(Zt[k, :rank]), axis=0)
+        y_pre_t[k] = yhat = yhat0 + np.asarray(problem.g(t[k], x, yhat0), dtype=float) * dB[k]
+        dKt[k] = push = push_scale * np.maximum(S[k] - yhat, 0.0)
+        Yt[k] = y = yhat + push
+        gap += (yhat - S[k]) * push
+        penetration.append(np.mean(np.maximum(S[k] - y, 0.0) ** 2))
+        sup_y2 = np.maximum(sup_y2, y**2)
+        y2_dA += y**2 * dA
+    Kt = solver.cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
+    norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": float(np.mean(y2_dA)),
+             "z2_dt": float(np.mean(z2 * dt)), "kT2": float(np.mean(Kt[n] ** 2))}
+    norms["total"] = sum(norms.values())
+    return solver.EnsembleSolution(
+        penalization=pen, rank=rank, Y=Yt.T, Z=Zt.transpose(2, 0, 1), K=Kt.T, dK=dKt.T,
+        y_pre=y_pre_t.T, S=S.T, dt=dt, y0_value=float(np.mean(Yt[0])),
+        y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)),
+        skorokhod_residual=float(np.mean(np.abs(gap))),
+        penetration_norm=float(np.max(penetration)), apriori_norms=norms,
+    )
 
 
 def record_fallbacks(monkeypatch):
@@ -512,13 +587,16 @@ def record_fallbacks(monkeypatch):
     taken = []
     factor = solver._gram_factor
 
-    def recording(design):
-        result = factor(design)
+    def recording(gram):
+        result = factor(gram)
         taken.append(result is None)
         return result
 
     monkeypatch.setattr(solver, "_gram_factor", recording)
     return taken
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestRegressionPaths:
@@ -539,6 +617,61 @@ class TestRegressionPaths:
         assert np.mean(reference.K[:, -1]) > 0.01
         assert_solutions_agree(fast, reference, atol=1e-9)
 
+    @pytest.mark.parametrize("penalization", [None, 16.0, 256.0])
+    @pytest.mark.parametrize("name", ["binding-example51", "deterministic_obstacle"])
+    def test_sweep_agrees_with_the_reference_sweep(self, binding_example51, name, penalization):
+        problem, ens = binding_example51
+        if name == "deterministic_obstacle":
+            problem = dataclasses.replace(benchmark_config(BASE), n_paths=600).build_problem()
+        cfg = SolverConfig(penalization=penalization)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            fast = solve_penalized(problem, cfg, ens)
+            reference = solve_penalized_reference(problem, cfg, ens)
+        assert np.mean(reference.K[:, -1]) > 0.01 and reference.skorokhod_residual > 1e-4
+        assert fast.y0_se == pytest.approx(reference.y0_se, rel=1e-9)
+        assert_solutions_agree(fast, reference, atol=1e-10, scalar_atol=1e-12)
+
+    @pytest.mark.parametrize("config", ["example51", "quick_suite"])
+    def test_condition_estimate_takes_the_svd_route_at_every_step(self, config, monkeypatch):
+        # pocon's 1-norm estimate against the 2-norm condition number of the
+        # design's syrk Gram matrix, at every step of a shipped sweep
+        cfg = load_config(str(SHIPPED / f"{config}.cfg"))
+        designs, routes = [], []
+        design_fn, factor_fn = solver.regression_design, solver._gram_factor
+
+        def recording_design(*args):
+            designs.append(design_fn(*args))
+            return designs[-1]
+
+        def recording_factor(gram):
+            result = factor_fn(gram)
+            design = designs[-1]
+            routes.append((result is None, gram_factor_reference(design @ design.T) is None))
+            return result
+
+        monkeypatch.setattr(solver, "regression_design", recording_design)
+        monkeypatch.setattr(solver, "_gram_factor", recording_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            solve_penalized(cfg.build_problem(), cfg.build_solver_config(None), cfg.build_ensemble())
+        assert len(routes) == cfg.grid.n_steps
+        assert [fast for fast, _ in routes] == [ref for _, ref in routes]
+
+    def test_duplicated_column_falls_back_to_lstsq(self, ensemble):
+        x = ensemble.X.T[-1]
+        buf = np.empty((7, ensemble.n_paths))
+        design = solver.regression_design(x, 4, 1.0, 0.1, buf[:6])
+        buf[6] = design[2]  # x~ again
+        doubled = buf[: design.shape[0] + 1]
+        assert solver._gram_factor(design @ design.T) is not None
+        assert solver._gram_factor(doubled @ doubled.T) is None
+        targets = np.cos(3.0 * x)[None, :]
+        fit, fit_doubled = np.empty((1, x.size)), np.empty((1, x.size))
+        assert solver._regress(design, None, targets, 0, fit) == design.shape[0]
+        assert solver._regress(doubled, None, targets, 0, fit_doubled) == design.shape[0]
+        np.testing.assert_array_equal(fit_doubled, fit)
+
     @pytest.mark.parametrize(
         "degree, layer",
         # degree 1 with a boundary-layer column fills the design buffer, so
@@ -547,28 +680,37 @@ class TestRegressionPaths:
         ids=["degree-4", "degree-1-layer", "degree-1", "degree-0"],
     )
     def test_lapack_factor_and_design_match_scipy_and_np_std(self, ensemble, degree, layer, monkeypatch):
-        # bit for bit, step by step, and over a whole sweep
+        # the design and the solves bit for bit, step by step and over a
+        # whole sweep; the factor of the sweep's gemm Gram matrix against
+        # cho_factor of the syrk one within rounding
         X = ensemble.X.T
         targets = np.stack([np.cos(3.0 * X[-1]), ensemble.dH[:, 0, 0]])
-        buf = np.empty((degree + 2, ensemble.n_paths))
-        ref_buf = np.empty_like(buf)
+        buf = np.empty((degree + 3, ensemble.n_paths))
+        ref_buf = np.empty_like(buf[1:])
+        fit, ref_fit = np.empty_like(targets), np.empty_like(targets)
         factored = 0
         for k in range(1, X.shape[0]):
-            design = solver.regression_design(X[k], degree, 1.0, layer, buf)
+            buf[0] = targets[0]
+            design = solver.regression_design(X[k], degree, 1.0, layer, buf[1:])
             ref = regression_design_reference(X[k], degree, 1.0, layer, ref_buf)
             assert design.shape == ref.shape and np.array_equal(design, ref), k
-            factor, ref_factor = solver._gram_factor(design), gram_factor_reference(ref)
+            ncol = design.shape[0]
+            rhs_gram = design @ buf[: ncol + 1].T  # as the sweep forms it
+            factor, ref_factor = solver._gram_factor(rhs_gram[:, 1:]), gram_factor_reference(ref @ ref.T)
             assert (factor is None) == (ref_factor is None), k
             if factor is not None:
                 factored += 1
-                assert np.array_equal(factor, ref_factor[0]), k
-                assert np.array_equal(
-                    solver._regress(design, factor, targets, k),
-                    regress_reference(ref, ref_factor, targets, k),
-                ), k
+                # measured: at most 6.0e-14 of the largest entry on this ensemble
+                upper = np.triu(factor)
+                np.testing.assert_allclose(
+                    upper, np.triu(ref_factor), rtol=0.0, atol=1e-12 * np.max(np.abs(upper))
+                )
+                assert solver._regress(design, factor, targets, k, fit, scale=3.0) == ncol
+                regress_reference(ref, factor, targets, k, ref_fit, scale=3.0)
+                assert np.array_equal(fit, ref_fit), k
         assert factored > 50
         if degree == 1 and layer:
-            assert design.shape[0] == buf.shape[0]  # no spare row at the last step
+            assert design.shape[0] == buf.shape[0] - 1  # no spare row at the last step
 
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
         cfg = SolverConfig(degree=degree, boundary_layer=layer)
@@ -591,9 +733,12 @@ class TestRegressionPaths:
             sol = solve_penalized(prob, CFG, ensemble)
         by_step = fallbacks[::-1]
         assert by_step[1] and not all(by_step)
-        messages = [str(w.message) for w in caught]
-        assert messages.count("rank-deficient regression design at step 1; reduced to 3 columns") == 2
-        assert all(" at step " in msg for msg in messages)
+        # one warning per sweep: the earliest reduced step, its columns, and
+        # the count of reduced regressions (Y and Z at steps 3, 2 and 1)
+        assert [str(w.message) for w in caught] == [
+            "rank-deficient regression design at step 1; reduced to 3 columns "
+            "(6 regressions of this sweep reduced)"
+        ]
 
         values, groups = np.unique(ensemble.X[:, 1], return_inverse=True)
         assert len(values) == 3
