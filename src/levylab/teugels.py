@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
