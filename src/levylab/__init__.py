@@ -31,7 +31,7 @@ from .errors import (
     ZeroJumpSize,
     ZeroSpread,
 )
-from .levy import LevySpec, MomentTable, levy_moments
+from .levy import LevySpec
 from .paths import (
     PathEnsemble,
     TimeGrid,

@@ -37,10 +37,12 @@ def _cmd_basis(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     basis = basis_for(spec)
     lines = [f"# rank={basis.rank} requested_m={basis.requested_m} "
              f"degenerate_from={basis.degenerate_from}"]
-    lines.append("i,k,c_ik")
+    if spec.continuous_part:
+        lines.append("# q_i(0) " + " ".join(f"{v:.17g}" for v in basis.q_zero))
+    lines.append("i,atom,beta,p_i")
     for i in range(basis.requested_m):
-        for k in range(i + 1):
-            lines.append(f"{i + 1},{k + 1},{basis.coeffs[i, k]:.17g}")
+        for atom, (beta, _) in enumerate(spec.atoms):
+            lines.append(f"{i + 1},{atom + 1},{beta!r},{basis.jump_weights[i, atom]:.17g}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.out_dir is not None:
@@ -158,7 +160,7 @@ def _cmd_suite(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 # subcommand -> (help text, handler of the loaded config and the parsed arguments)
 _COMMANDS = {
-    "basis": ("print the orthonormal basis coefficients as CSV", _cmd_basis),
+    "basis": ("print the orthonormal martingales' per-atom jump weights p_i(beta) as CSV", _cmd_basis),
     "simulate": ("write sample paths, jumps and martingale increments as CSV", _cmd_simulate),
     "solve": ("run the backward solver and write a summary CSV", _cmd_solve),
     "verify": ("run the orthonormality suite", _cmd_verify),

@@ -104,19 +104,6 @@ class LevySpec:
         return float(sum(a for _, a in self.atoms))
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Raw jump-measure moments and the driver's mean.
-
-    ``raw_moments[i] = sum_k alpha_k * beta_k**i`` (index 0 is the total
-    jump intensity).  ``mean_l1`` is ``E[L_1]`` under the spec's drift
-    convention.
-    """
-
-    raw_moments: np.ndarray
-    mean_l1: float
-
-
 def linear_drift(spec: LevySpec) -> float:
     """Slope of the path between jumps: what the simulator integrates, and
     the transport coefficient of the finite-difference oracle."""
@@ -128,31 +115,13 @@ def linear_drift(spec: LevySpec) -> float:
     return spec.drift_b - float(np.sum(a[small] * b[small]))
 
 
-def levy_moments(spec: LevySpec, max_order: int) -> MomentTable:
-    """Raw moments of the jump measure up to ``max_order``, plus E[L_1].
-
-    The sums are evaluated in closed form over the atoms, with no
-    quadrature error.  ``mean_l1`` is the driver's mean.
-    """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if spec.m_atoms:
-        b = spec.jump_sizes
-        a = spec.intensities
-        mom = np.array([float(np.sum(a * b**i)) for i in range(max_order + 1)])
-    else:
-        mom = np.zeros(max_order + 1)
-    mean = linear_drift(spec) + mom[1]
-    return MomentTable(raw_moments=mom, mean_l1=mean)
-
-
 def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
     """Per-step weighted jump sums ``counts[:, k] @ weights``, one step at a time.
 
     ``counts`` is [path, step, atom] of any integer dtype and ``weights``
-    [atom] or [atom, K].  Step k yields a new float64 [path] or [K, path]
-    array from the step's [atom, path] row of the node-major counts, so the
-    counts are never cast or copied whole and integer sums never wrap.
+    [atom].  Step k yields a new float64 [path] array from the step's
+    [atom, path] row of the node-major counts, so the counts are never cast
+    or copied whole and integer sums never wrap.
     """
     for step_counts in counts.transpose(1, 2, 0):
-        yield weights.T @ step_counts
+        yield weights @ step_counts

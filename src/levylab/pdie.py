@@ -141,7 +141,7 @@ class FunctionalWeights:
 
     @classmethod
     def of(cls, basis: TeugelsBasis, spec: LevySpec) -> "FunctionalWeights":
-        p_at_beta = basis.p_values(spec.jump_sizes)[: basis.rank].T
+        p_at_beta = basis.jump_weights[: basis.rank].T
         m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
         return cls(p_at_beta, math.sqrt(m2), basis.requested_m)
 
@@ -188,6 +188,13 @@ def _barrier(problem: ProblemSpec, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The obstacle on the whole grid, [time node, space node], in one call."""
     h = np.asarray(problem.obstacle(t[:, None], x), dtype=float)
     return np.broadcast_to(h, (len(t), len(x)))
+
+
+def _grid_values(g: Callable, t: np.ndarray, x: np.ndarray, u: float) -> np.ndarray:
+    """g(t, x, u) at a constant u on the whole grid, in one call; the result
+    broadcasts to [time node, space node] and is only that large when g
+    depends on t."""
+    return np.asarray(g(t[:, None], x, np.full_like(x, u)), dtype=float)
 
 
 def _transport_bands(c: np.ndarray, dt: float, dx: float) -> np.ndarray:
@@ -328,10 +335,13 @@ def solve_obstacle_pidie(
         raise CFLViolation(
             f"dt * total intensity = {dt * total_intensity:.3f} > 1; refine the time grid"
         )
+    # g probed at u = 0 and u = 1 on every grid node, so a g that vanishes
+    # only at u = 0, or only at t_0, is caught
+    g_zero = _grid_values(problem.g, t, x, 0.0)
+    u_dependence = float(np.max(np.abs(_grid_values(problem.g, t, x, 1.0) - g_zero)))
     if mode == "deterministic":
-        probe = np.asarray(problem.g(t[0], x, np.zeros(nn)), dtype=float)
-        if np.max(np.abs(probe)) > 0.0:
-            raise ValueError("deterministic mode requires g to vanish")
+        if max(float(np.max(np.abs(g_zero))), u_dependence) > 0.0:
+            raise ValueError("deterministic mode requires g to vanish for every (t, x, u)")
         db = np.zeros(grid_spec.n_time)
     elif mode == "pathwise":
         if b_path is None:
@@ -339,12 +349,10 @@ def solve_obstacle_pidie(
         b = np.asarray(b_path, dtype=float)
         if b.shape != t.shape:
             raise GridIncompatible("Brownian path length does not match the time grid")
-        dep = np.asarray(problem.g(t[0], x, np.zeros(nn)), dtype=float) - np.asarray(
-            problem.g(t[0], x, np.ones(nn)), dtype=float
-        )
-        if np.max(np.abs(dep)) > 0.0:
+        if u_dependence > 0.0:
             raise ValueError("pathwise mode requires g independent of u")
         db = np.diff(b)
+        g_zero = np.broadcast_to(g_zero, (len(t), nn))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -360,7 +368,7 @@ def solve_obstacle_pidie(
     for k in range(grid_spec.n_time - 1, -1, -1):
         rhs = explicit(t[k + 1], u[k + 1])
         if mode == "pathwise":
-            rhs = rhs + np.asarray(problem.g(t[k + 1], x, np.zeros(nn)), dtype=float) * db[k]
+            rhs = rhs + g_zero[k + 1] * db[k]
         np.maximum(solve_banded(factor, rhs), h[k], out=u[k])
     return PidieGrid(x=x, t=t, u=u)
 
@@ -513,7 +521,7 @@ def representation_check(
     z_scale = tuple(float(v) for v in np.sqrt(z_ref / max(count, 1)))
 
     if spec.m_atoms and basis.rank:
-        wb = tuple(float(v) for v in basis.p_values(spec.jump_sizes)[0])
+        wb = tuple(float(v) for v in basis.jump_weights[0])
         wp = tuple(float(b / math.sqrt(a)) for b, a in spec.atoms)
     else:
         wb = ()

@@ -39,7 +39,7 @@ from .paths import (
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import ProblemSpec, build_problem
 from .solver import EnsembleSolution, solve_penalized
-from .teugels import TeugelsBasis, basis_for, build_mu, jump_martingales
+from .teugels import TeugelsBasis, basis_for, jump_martingales
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -131,7 +131,7 @@ def terminal_martingales(cfg: ExperimentConfig, basis: TeugelsBasis) -> np.ndarr
     live = H_T[: basis.rank]
     live[...] = jump_martingales(totals, cfg.grid.horizon, spec, basis)
     if spec.continuous_part:
-        weights = spec.sigma * basis.q_values(np.zeros(1))[: basis.rank]  # [rank, 1]
+        weights = spec.sigma * basis.q_zero[: basis.rank, None]  # [rank, 1]
         for start in range(0, cfg.n_paths, PATH_BLOCK):
             block = live[:, start : start + PATH_BLOCK]
             block += weights * simulate_brownian(cfg.grid, rng, block.shape[1])[:, -1]
@@ -161,7 +161,7 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
     """
     spec = cfg.build_levy()
     basis = basis_for(spec)
-    gram = basis.gram_defect(build_mu(spec))
+    gram = basis.gram_defect(spec)
     H_T = terminal_martingales(cfg, basis)
     T = cfg.grid.horizon
     prod_dev = 0.0

@@ -162,8 +162,10 @@ class TestCli:
         rc = main(["basis", "--config", str(small_config), "--out", str(out)])
         assert rc == 0
         text = (out / "basis.csv").read_text()
-        assert text.splitlines()[1] == "i,k,c_ik"
-        assert "rank=2" in text.splitlines()[0]
+        lines = text.splitlines()
+        assert lines[1] == "i,atom,beta,p_i"
+        assert "rank=2" in lines[0]
+        assert len(lines) == 2 + 2 * 2  # one row per (component, atom)
 
     def test_simulate_writes_path_files(self, small_config, tmp_path):
         out = tmp_path / "sim"
@@ -221,6 +223,22 @@ class TestCli:
         text = (out / "summary.csv").read_text()
         assert "orthonormality,gram_defect,pass" in text
 
+    def test_verify_passes_on_a_twelve_atom_driver(self, tmp_path):
+        # the Gram-Schmidt basis read a Gram defect of 7.3e-10 here, failing
+        # its < 1e-10 gate while both empirical gates passed
+        atoms = ", ".join(f"{b!r}:0.5" for b in np.linspace(-1.5, 2.5, 12).tolist())
+        cfg = tmp_path / "twelve.cfg"
+        cfg.write_text(f"[levy]\natoms = {atoms}\n[grid]\nn_steps = 16\n"
+                       "[solver]\nn_paths = 20000\nseed = 1\n")
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["check"], r["status"]) for r in rows] == [
+            ("gram_defect", "pass"), ("product_moment_stddevs", "pass"), ("mean_stddevs", "pass"),
+        ]
+        assert float(rows[0]["value"]) <= 1e-15
+
     def test_crosscheck_writes_reports(self, small_config, tmp_path, capsys):
         out = tmp_path / "cross"
         rc = main(["crosscheck", "--config", str(small_config), "--out", str(out)])
@@ -246,6 +264,20 @@ class TestCli:
         assert printed["u(0, x0) (grid)"] == pytest.approx(np.interp(0.0, xs, us), abs=1e-6)
         gap = abs(printed["y0 (monte carlo)"] - printed["u(0, x0) (grid)"])
         assert gap == pytest.approx(printed["|gap|"], abs=1e-5)
+
+    @pytest.mark.parametrize("param", ["gy", "g0"])
+    def test_crosscheck_rejects_a_nonzero_g(self, tmp_path, capsys, param):
+        # g = 0.5 y vanishes at y = 0 only, so a probe of g at u = 0 passed
+        # it and the grid, which has no g dB term, was compared with a Monte
+        # Carlo solution that has one (|gap| = 0.367 at this size)
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(
+            "[levy]\natoms = 0.3:2.0, -0.2:1.0\n[grid]\nn_steps = 50\n"
+            f"[problem]\nname = linear\nparam.{param} = 0.5\n"
+            "[solver]\nn_paths = 2000\nseed = 7\n[fd]\nn_space = 50\nn_time = 100\n"
+        )
+        assert main(["crosscheck", "--config", str(cfg), "--out", str(tmp_path / "cross")]) == 1
+        assert "requires g to vanish" in capsys.readouterr().err
 
     def test_suite_exit_code_and_outputs(self, small_config, tmp_path):
         out = tmp_path / "suite"

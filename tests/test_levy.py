@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
-from levylab.levy import LevySpec, levy_moments, linear_drift
+from levylab.levy import LevySpec, linear_drift
+from levylab.teugels import basis_for
 
 
 def test_poisson_case_valid():
@@ -18,9 +19,9 @@ def test_poisson_case_valid():
 def test_empty_spec_valid_degenerate():
     spec = LevySpec()
     assert spec.m_atoms == 0
-    mt = levy_moments(spec, 4)
-    assert np.all(mt.raw_moments == 0.0)
-    assert mt.mean_l1 == 0.0
+    assert spec.jump_sizes.shape == spec.intensities.shape == (0,)
+    assert spec.total_intensity == 0.0
+    assert linear_drift(spec) == 0.0
 
 
 def test_duplicate_jump_size_rejected():
@@ -55,36 +56,23 @@ def test_continuous_part_flag():
     assert not LevySpec(sigma=0.0).continuous_part
 
 
-def test_moments_hand_example():
-    # single atom (2, 3): moment_i = 3 * 2^i
-    spec = LevySpec(atoms=((2.0, 3.0),))
-    mt = levy_moments(spec, 2)
-    assert mt.raw_moments[1] == 6.0
-    assert mt.raw_moments[2] == 12.0
-
-
-def test_moments_symmetric_pair():
-    spec = LevySpec(atoms=((1.0, 0.5), (-1.0, 0.5)))
-    mt = levy_moments(spec, 2)
-    assert mt.raw_moments[1] == 0.0
-    assert mt.raw_moments[2] == 1.0
+def jump_mean(spec):
+    return float(np.sum(spec.intensities * spec.jump_sizes))
 
 
 def test_mean_l1_uncompensated():
+    # E[L_1] is the slope between jumps plus the full jump mean
     spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)))
-    mt = levy_moments(spec, 1)
-    assert mt.mean_l1 == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
     assert linear_drift(spec) == 0.7
+    assert linear_drift(spec) + jump_mean(spec) == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
 
 
 def test_mean_l1_compensated_truncates_small_jumps():
     # |beta| <= 1 is compensated; only the big jump contributes to the mean
     spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)), compensated=True)
-    mt = levy_moments(spec, 1)
-    assert mt.mean_l1 == pytest.approx(0.7 + 0.25 * 2.0)
     assert linear_drift(spec) == pytest.approx(0.7 - 2.0 * 0.5)
     # the simulated slope plus the full jump mean recovers E[L_1]
-    assert linear_drift(spec) + mt.raw_moments[1] == pytest.approx(mt.mean_l1)
+    assert linear_drift(spec) + jump_mean(spec) == pytest.approx(0.7 + 0.25 * 2.0)
 
 
 @st.composite
@@ -100,26 +88,11 @@ def atom_lists(draw, max_atoms=4):
     return tuple(atoms)
 
 
-@given(atom_lists())
-@settings(max_examples=50, deadline=None)
-def test_even_moments_positive_and_symmetry(atoms):
-    spec = LevySpec(atoms=atoms)
-    mt = levy_moments(spec, 6)
-    if atoms:
-        assert mt.raw_moments[2] > 0.0 and mt.raw_moments[4] > 0.0
-    # symmetrized atom set cancels odd moments (to summation rounding)
-    sym = tuple((b, a) for b, a in atoms) + tuple((-b, a) for b, a in atoms)
-    if len({b for b, _ in sym}) == len(sym):
-        mt_sym = levy_moments(LevySpec(atoms=sym), 5)
-        scale = 1.0 + float(np.max(np.abs(mt_sym.raw_moments)))
-        for order in (1, 3, 5):
-            assert abs(mt_sym.raw_moments[order]) <= 1e-13 * scale
-
-
 @given(atom_lists(), st.floats(-2, 2, allow_nan=False), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_validate_moments_roundtrip_pure(atoms, drift, compensated):
-    """Normalization is idempotent, and moments leave the spec unchanged."""
+    """Normalization is idempotent, and building the basis leaves the spec unchanged."""
     spec = LevySpec(drift_b=drift, atoms=atoms, compensated=compensated)
-    levy_moments(spec, 4)
-    assert replace(spec) == spec
+    before = replace(spec)
+    basis_for(spec)
+    assert spec == before and replace(spec) == spec

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from levylab.config import DEFAULTS
 from levylab.errors import InitialPointOutsideDomain
-from levylab.levy import LevySpec, levy_moments, linear_drift
+from levylab.levy import LevySpec, linear_drift
 from levylab.paths import (
     STREAM_LEVY,
     TimeGrid,
@@ -26,7 +26,8 @@ from levylab.paths import (
 )
 from levylab import suites
 from levylab.suites import measure_orthonormality, terminal_martingales
-from levylab.teugels import basis_for, build_mu, teugels_increments
+from levylab.teugels import basis_for, teugels_increments
+from teugels_reference import mean_l1, power_sum_increments
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4)
 
@@ -116,9 +117,8 @@ class TestLevy:
         rng = derived_rng(7, 0)
         counts = simulate_jump_counts(TWO_ATOM, grid, rng, 50000)
         L = assemble_levy_paths(TWO_ATOM, grid, counts, rng)
-        mt = levy_moments(TWO_ATOM, 2)
         se = np.std(L[:, -1], ddof=1) / math.sqrt(50000)
-        assert abs(np.mean(L[:, -1]) - mt.mean_l1 * grid.horizon) <= 4.0 * se
+        assert abs(np.mean(L[:, -1]) - mean_l1(TWO_ATOM) * grid.horizon) <= 4.0 * se
 
     def test_jump_record_reconstructs_path(self):
         # every jump of the count array, added one at a time, plus the drift
@@ -137,9 +137,11 @@ class TestLevy:
 
 # Test-only references: path-major int64 counts binned one path at a time,
 # every step's sums formed at once, and the orthonormality measurement from
-# a stored dH.  The node-major simulation layer, which scatters the jumps
-# and walks the steps one at a time, must match them bit for bit; the
-# closed-form H(T) of the measurement matches their step sum to rounding.
+# a stored dH.  The node-major counts and L, which scatter the jumps and
+# walk the steps one at a time, must match them bit for bit.  dH, from the
+# per-atom weights and compensated counts, matches the power-sum reference
+# (Gram-Schmidt coefficients, see teugels_reference.py) to rounding, and so
+# does the closed-form H(T) of the measurement.
 
 
 def simulate_jump_counts_reference(spec, grid, rng, n_paths):
@@ -174,23 +176,6 @@ def assemble_levy_paths_reference(spec, grid, counts, rng):
     return L.T
 
 
-def teugels_increments_reference(counts, grid, spec, basis, levy_path=None):
-    """All steps' compensated power sums at once, then one batched product."""
-    rank, dt = basis.rank, grid.dt
-    moments = levy_moments(spec, rank)
-    beta_powers = np.stack([spec.jump_sizes**k for k in range(1, rank + 1)], axis=1)
-    dY = step_jump_sums_reference(counts, beta_powers)  # [step, K, path]
-    if levy_path is not None:
-        np.subtract(np.diff(levy_path.T, axis=0), dt * moments.mean_l1, out=dY[:, 0])
-    else:
-        dY[:, 0] -= dt * moments.raw_moments[1]
-    for k in range(2, rank + 1):
-        dY[:, k - 1] -= dt * moments.raw_moments[k]
-    dH = np.zeros((grid.n_steps, basis.requested_m, counts.shape[0]))
-    np.matmul(basis.coeffs[:rank, :rank], dY, out=dH[:, :rank])
-    return dH.transpose(2, 0, 1)
-
-
 def measure_orthonormality_reference(cfg, basis, dH):
     """The measured values from a stored [path, step, m] dH: H(T) as its
     step sum, and the standardized moments."""
@@ -209,16 +194,17 @@ def measure_orthonormality_reference(cfg, basis, dH):
             se = float(np.std(prod, ddof=1) / math.sqrt(cfg.n_paths))
             prod_dev = max(prod_dev, abs(float(np.mean(prod)) - target) / se)
     return {
-        "gram_defect": basis.gram_defect(build_mu(spec)),
+        "gram_defect": basis.gram_defect(spec),
         "product_moment_stddevs": prod_dev,
         "mean_stddevs": mean_dev,
     }
 
 
 class TestCompactCounts:
-    """Node-major compact counts, L and dH built one step at a time, against
-    the path-major int64 references bit for bit, and the orthonormality
-    measurement's closed-form H(T) against their step sum."""
+    """Node-major compact counts and L built one step at a time, against
+    the path-major int64 references bit for bit; dH and the orthonormality
+    measurement's closed-form H(T) against the power-sum reference to
+    rounding."""
 
     @pytest.mark.parametrize(
         "spec, grid, n_paths, dtype",
@@ -272,8 +258,9 @@ class TestCompactCounts:
         L_ref = assemble_levy_paths_reference(spec, grid, ref, rng_ref)
         assert np.array_equal(L, L_ref)
         dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
-        dH_ref = teugels_increments_reference(ref, grid, spec, basis, L_ref)
-        assert np.array_equal(dH, dH_ref)
+        dH_ref = power_sum_increments(ref, grid, spec, basis.requested_m, L_ref)
+        dH_atol = 1e-12 * max(1.0, float(np.abs(dH_ref).max()))
+        assert np.max(np.abs(dH - dH_ref)) <= dH_atol
         assert np.any(dH[:, :, : basis.rank] != 0.0)
 
         # the measurement draws the same stream and evaluates H(T) from the
@@ -292,7 +279,30 @@ class TestCompactCounts:
 
         if not spec.continuous_part:
             dH = teugels_increments(counts, grid, spec, basis)
-            assert np.array_equal(dH, teugels_increments_reference(ref, grid, spec, basis))
+            assert np.max(np.abs(dH - power_sum_increments(ref, grid, spec, basis.requested_m))) <= dH_atol
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "spec, sigma_x",
+        [
+            (TWO_ATOM, None),
+            # with a drift, which sigma dW must not pick up
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.4, drift_b=0.4), lambda x: 1.0 + 0.2 * x),
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True), None),
+        ],
+        ids=["two-atom", "sigma-affine", "compensated-three-atom"],
+    )
+    def test_ensemble_dH_matches_the_power_sum_reference(self, spec, sigma_x, seed):
+        # dH from the per-atom weights and compensated counts, plus q(0) sigma
+        # dW from the path, against the Gram-Schmidt power sums with
+        # dL - dt E[L_1] as the order-1 sum
+        grid = TimeGrid(1.0, 50)
+        basis = basis_for(spec, 4)
+        ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
+        ref = power_sum_increments(ens.jump_counts, grid, spec, 4, levy_path=ens.L)
+        atol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+        assert np.max(np.abs(ens.dH - ref)) <= atol
+        assert np.all(ens.dH[:, :, basis.rank :] == 0.0)
 
     def test_simulation_memory_stays_near_the_returned_arrays(self):
         # counts, L and dH are built one step at a time, so the peak is the

@@ -272,7 +272,7 @@ def representation_check_reference(pgrid, problem, ens, sol):
             z_ref += np.sum(z_at**2, axis=0)
             count += len(paths)
     y_gaps = np.concatenate(y_gaps)
-    wb = tuple(float(v) for v in basis.p_values(spec.jump_sizes)[0])
+    wb = tuple(float(v) for v in basis.jump_weights[0])
     return FkReport(
         y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
         y_max_gap=float(np.max(y_gaps)),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import EmptyMeasure, RankMismatch
-from levylab.levy import LevySpec, levy_moments
+from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
 from levylab.teugels import (
     AtomicMeasure,
@@ -15,6 +15,7 @@ from levylab.teugels import (
     orthonormal_basis,
     teugels_increments,
 )
+from teugels_reference import gram_schmidt_coeffs, p_values, power_sum_increments
 
 
 def spec_of(*atoms, sigma=0.0, drift=0.0):
@@ -39,19 +40,19 @@ class TestBuildMu:
 
 class TestOrthonormalBasis:
     def test_poisson_rank_one_rows_zero(self):
+        # unit mu mass at 1: q_0 = 1, so p_1(1) = 1
         basis = orthonormal_basis(build_mu(spec_of((1.0, 1.0))), 3)
         assert basis.rank == 1
-        assert basis.coeffs[0, 0] == 1.0
-        assert np.all(basis.coeffs[1:] == 0.0)
+        assert basis.jump_weights.tolist() == [[1.0], [0.0], [0.0]]
+        assert np.all(basis.q_zero == 0.0)
         assert basis.degenerate_from == 2
 
     def test_symmetric_two_atoms(self):
-        # by hand: <x, 1>_mu = 0 and |x|_mu = 1, so q0 = 1 and q1 = x
+        # by hand: <x, 1>_mu = 0 and |x|_mu = 1, so q0 = 1 and q1 = x, and
+        # the jump weights y q_i(y) at y = 1, -1 are (1, -1) and (1, 1)
         basis = orthonormal_basis(build_mu(spec_of((1.0, 0.5), (-1.0, 0.5))), 2)
         assert basis.rank == 2
-        assert basis.coeffs[0].tolist() == [1.0, 0.0]
-        assert basis.coeffs[1, 1] == pytest.approx(1.0, abs=1e-14)
-        assert basis.coeffs[1, 0] == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(basis.jump_weights, [[1.0, -1.0], [1.0, 1.0]], rtol=0.0, atol=1e-15)
         assert basis.degenerate_from is None
 
     def test_empty_measure_raises(self):
@@ -59,9 +60,15 @@ class TestOrthonormalBasis:
             orthonormal_basis(_empty_measure(), 1)
 
     def test_leading_coefficients_positive(self):
-        basis = orthonormal_basis(build_mu(spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2))), 3)
+        # with as many rows as atoms, q_i at the atoms fixes its monomial
+        # coefficients through the Vandermonde matrix
+        spec = spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2))
+        basis = orthonormal_basis(build_mu(spec), 3)
+        beta = spec.jump_sizes
+        coeffs = np.linalg.solve(np.vander(beta, 3, increasing=True), (basis.jump_weights / beta).T)
         for i in range(basis.rank):
-            assert basis.coeffs[i, i] > 0.0
+            assert coeffs[i, i] > 0.0
+            assert np.all(np.abs(coeffs[i + 1 :, i]) < 1e-12)  # degree i
 
 
 def _empty_measure():
@@ -88,10 +95,43 @@ def test_orthonormality_and_rank_properties(spec, requested):
     mu = build_mu(spec)
     basis = orthonormal_basis(mu, requested)
     assert basis.rank == min(requested, mu.n_atoms)
-    assert basis.gram_defect(mu) < 1e-10
-    assert np.all(basis.coeffs[basis.rank:] == 0.0)
+    assert basis.gram_defect(spec) < 1e-14
+    assert np.all(basis.jump_weights[basis.rank:] == 0.0)
+    assert np.all(basis.q_zero[basis.rank:] == 0.0)
     if basis.rank < requested:
         assert basis.degenerate_from == basis.rank + 1
+
+
+@pytest.mark.parametrize("n_atoms", [12, 16, 20, 24])
+def test_many_atom_basis_is_full_rank_and_orthonormal(n_atoms):
+    # Gram-Schmidt on the monomials lost two live rows at 16 such atoms and
+    # its Gram defect grew to 1e-9; the QR basis keeps both at rounding
+    spec = LevySpec(atoms=tuple((float(b), 0.5) for b in np.linspace(-1.5, 2.5, n_atoms)))
+    basis = basis_for(spec)
+    assert basis.rank == n_atoms
+    assert basis.gram_defect(spec) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        spec_of((0.3, 2.0), (-0.2, 1.0), drift=0.4),
+        spec_of((0.3, 2.0), (-0.2, 1.0), sigma=0.4),
+        LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True),
+        spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2)),
+    ],
+    ids=["two-atom", "sigma", "compensated-three-atom", "three-atom"],
+)
+def test_weights_match_the_gram_schmidt_reference(spec):
+    basis = basis_for(spec, 5)
+    coeffs, rank = gram_schmidt_coeffs(spec, 5)
+    assert basis.rank == rank
+    expected = p_values(coeffs, spec.jump_sizes)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(basis.jump_weights - expected)) <= 1e-14 * scale
+    if spec.continuous_part:
+        q0 = coeffs[:, 0]  # q_i(0) is the constant coefficient
+        assert np.max(np.abs(basis.q_zero - q0)) <= 1e-14 * np.max(np.abs(q0))
 
 
 class TestIncrements:
@@ -110,17 +150,17 @@ class TestIncrements:
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 2)
         dH = teugels_increments(np.zeros((2, 2), dtype=np.int64), grid, spec, basis)
-        # dY_k = -dt * m_k; check via power sums directly
+        # dY_k = -dt * m_k; check via power sums and the monomial coefficients
         m1 = 2.0 * 0.5 - 1.0 * 1.5
         m2 = 2.0 * 0.25 + 1.0 * 2.25
         dY = np.array([-0.5 * m1, -0.5 * m2])
-        expected = basis.coeffs[:2, :2] @ dY
+        expected = gram_schmidt_coeffs(spec, 2)[0] @ dY
         assert dH[0, :2] == pytest.approx(expected.tolist(), abs=1e-14)
 
     def test_counts_record_and_path_agree(self):
-        # the drift in dL cancels against the drift in E[L_1], so the
-        # path-based and count-based order-1 increments must match; the
-        # 2d counts of one path are its jump record
+        # without a continuous part the path is not read, so the
+        # increments from the counts alone and with the path are the same;
+        # the 2d counts of one path are its jump record
         spec = spec_of((0.5, 2.0), (-0.25, 3.0), drift=0.8)
         basis = basis_for(spec)
         grid = TimeGrid(2.0, 8)
@@ -157,8 +197,7 @@ class TestIncrements:
 
 
 def test_ensemble_increments_match_per_path_and_power_sum_reference():
-    # three atoms, so the rank-3 basis uses power sums up to order 3; 300
-    # paths span more than one block of the step-major sums
+    # three atoms, so the rank-3 basis matches power sums up to order 3
     spec = spec_of((0.5, 2.0), (-0.25, 3.0), (1.5, 0.5), drift=0.8)
     basis = basis_for(spec, 5)
     assert basis.rank == 3
@@ -171,13 +210,11 @@ def test_ensemble_increments_match_per_path_and_power_sum_reference():
     per_path = np.stack([teugels_increments(counts[p], grid, spec, basis) for p in range(300)])
     np.testing.assert_allclose(dH, per_path, rtol=0.0, atol=1e-14)
 
-    # reference: power sums as one matmul per order, basis applied path-major
-    moments = levy_moments(spec, 3)
-    beta = spec.jump_sizes
-    dY = np.stack(
-        [counts @ beta**k - grid.dt * moments.raw_moments[k] for k in range(1, 4)], axis=-1
-    )
-    np.testing.assert_allclose(dH[:, :, :3], dY @ basis.coeffs[:3, :3].T, rtol=0.0, atol=1e-14)
+    # reference: power sums as one matmul per order, Gram-Schmidt
+    # coefficients applied path-major
+    reference = power_sum_increments(counts, grid, spec, 5)
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(reference))))
+    np.testing.assert_allclose(dH, reference, rtol=0.0, atol=atol)
     assert np.all(dH[:, :, 3:] == 0.0)
 
 
