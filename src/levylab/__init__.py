@@ -35,7 +35,6 @@ from .levy import LevySpec
 from .paths import (
     PathEnsemble,
     TimeGrid,
-    assemble_A,
     derived_rng,
     simulate_brownian,
     simulate_ensemble,

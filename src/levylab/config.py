@@ -12,7 +12,6 @@ line number.  Example::
     atoms = 0.3:2.0, -0.2:1.0    # jump_size:intensity pairs, or 'none'
     drift_b = 0.0
     sigma = 0.0
-    compensated = false
 
     [grid]
     horizon = 1.0
@@ -26,13 +25,11 @@ line number.  Example::
 
     [forward]
     sigma_x = constant:1.0       # or affine:a:b for a + b*x
-    a_mode = local-time          # identity-time | local-time
 
     [solver]
     n_paths = 20000
     penalization = projection    # or a positive number
     degree = 4
-    boundary_layer = auto        # or a positive width; auto is theta / 10
     outer_b_samples = 1
     seed = 20240601
     n_schedule = 4,16,64,256
@@ -60,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigParseError, LevyLabError
 from .levy import LevySpec
-from .paths import A_MODES, PathEnsemble, TimeGrid, simulate_ensemble
+from .paths import PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
 from .suites import GATES
@@ -74,8 +71,8 @@ class ExperimentConfig:
     """Declarative experiment description; builders turn it into objects.
 
     ``sigma_x`` is the forward coefficient as ``("constant", v)`` or
-    ``("affine", a, b)``.  Callers that need another size, seed or clock
-    derive a config with ``dataclasses.replace`` and build from that.
+    ``("affine", a, b)``.  Callers that need another size or seed derive
+    a config with ``dataclasses.replace`` and build from that.
     """
 
     levy: LevySpec
@@ -85,11 +82,9 @@ class ExperimentConfig:
     theta: float
     x0: float
     sigma_x: tuple
-    a_mode: str
     n_paths: int
     penalization: float | None
     degree: int
-    boundary_layer: float | None
     outer_b_samples: int
     seed: int
     n_schedule: tuple[float, ...]
@@ -116,36 +111,32 @@ class ExperimentConfig:
 
     def build_solver_config(self, penalization: float | None) -> SolverConfig:
         """The sweep's knobs at penalty ``penalization`` (``None``: projection)."""
-        return SolverConfig(
-            penalization=penalization, degree=self.degree, boundary_layer=self.boundary_layer
-        )
+        return SolverConfig(penalization=penalization, degree=self.degree)
 
     def build_ensemble(self, outer_index: int = 0) -> PathEnsemble:
         """The forward ensemble of outer Brownian sample ``outer_index``.
 
         The one place the driver, grid, path count, seed, domain, start
-        point, forward coefficient and clock reach the simulation.
+        point and forward coefficient reach the simulation.
         """
         spec = self.build_levy()
         return simulate_ensemble(
             spec, self.grid, basis_for(spec), self.n_paths, self.seed, theta=self.theta,
-            x0=self.x0, sigma_x=self.build_sigma_x(), a_mode=self.a_mode, outer_index=outer_index,
+            x0=self.x0, sigma_x=self.build_sigma_x(), outer_index=outer_index,
         )
 
 
 DEFAULTS = ExperimentConfig(
-    levy=LevySpec(drift_b=0.0, sigma=0.0, atoms=((0.3, 2.0), (-0.2, 1.0)), compensated=False),
+    levy=LevySpec(drift_b=0.0, sigma=0.0, atoms=((0.3, 2.0), (-0.2, 1.0))),
     grid=TimeGrid(horizon=1.0, n_steps=100),
     problem_name="example51",
     problem_params=(),
     theta=1.0,
     x0=0.0,
     sigma_x=("constant", 1.0),
-    a_mode="local-time",
     n_paths=4000,
     penalization=None,
     degree=4,
-    boundary_layer=None,
     outer_b_samples=1,
     seed=12345,
     n_schedule=(4.0, 16.0, 64.0, 256.0),
@@ -187,15 +178,6 @@ def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
         return value
 
     return checked
-
-
-def _bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expects true/false, got {text!r}")
 
 
 def _atoms(text: str) -> tuple[tuple[float, float], ...]:
@@ -261,8 +243,7 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
     ("levy", "atoms", "levy.atoms", _atoms,
      lambda atoms: ", ".join(f"{b!r}:{a!r}" for b, a in atoms) or "none"),
     ("levy", "drift_b", "levy.drift_b", _float, repr),
-    ("levy", "sigma", "levy.sigma", _float, repr),
-    ("levy", "compensated", "levy.compensated", _bool, lambda v: "true" if v else "false"),
+    ("levy", "sigma", "levy.sigma", _checked(_float, lambda v: v >= 0, "must be >= 0"), repr),
     ("grid", "horizon", "grid.horizon", _positive, repr),
     ("grid", "n_steps", "grid.n_steps", _at_least(1), str),
     ("problem", "name", "problem_name", str, str),
@@ -270,12 +251,9 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
     ("problem", "x0", "x0", _float, repr),
     ("forward", "sigma_x", "sigma_x", _sigma_x,
      lambda v: ":".join([v[0], *map(repr, v[1:])])),
-    ("forward", "a_mode", "a_mode",
-     _checked(str, A_MODES.__contains__, "must be one of " + ", ".join(A_MODES)), str),
     ("solver", "n_paths", "n_paths", _at_least(1), str),
     ("solver", "penalization", "penalization", _positive_or("projection"), _repr_or("projection")),
     ("solver", "degree", "degree", _at_least(0), str),
-    ("solver", "boundary_layer", "boundary_layer", _positive_or("auto"), _repr_or("auto")),
     ("solver", "outer_b_samples", "outer_b_samples", _at_least(1), str),
     ("solver", "seed", "seed",
      _checked(_int, lambda v: v >= 0, "must be a nonnegative integer"), str),

@@ -9,13 +9,10 @@ finite sum, so everything computed here is exact up to rounding.
 :class:`LevySpec` is the one driver type: it checks and normalizes itself
 when it is built, so every function that takes one can rely on it.
 
-Drift conventions.  With ``compensated=False`` (the default) ``drift_b``
-is the slope of the piecewise-linear part of the path between jumps and
-``E[L_1] = drift_b + sum_i alpha_i * beta_i``.  With ``compensated=True``
-the spec is quoted in truncated form: jumps with ``|beta| <= 1`` are
-compensated, so the simulated slope between jumps is
-``drift_b - sum_{|beta|<=1} alpha*beta`` and
-``E[L_1] = drift_b + sum_{|beta|>1} alpha*beta``.
+Drift convention.  ``drift_b`` is the slope of the piecewise-linear part
+of the path between jumps, so ``E[L_1] = drift_b + sum_i alpha_i * beta_i``.
+It is what the simulator integrates and the transport coefficient of the
+finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -35,19 +32,17 @@ class LevySpec:
     Parameters
     ----------
     drift_b:
-        Linear drift coefficient (per unit time), finite.
+        Slope of the path between jumps (per unit time), finite.
     sigma:
         Brownian coefficient of the driver itself, >= 0.  Zero for the
         pure-jump setting required by the comparison checks.
     atoms:
         Tuple of ``(jump_size, intensity)`` pairs.  Jump sizes must be
         nonzero and pairwise distinct, intensities strictly positive.
-    compensated:
-        Drift quoting convention, see module docstring.
 
     Construction, including ``dataclasses.replace``, stores drift and
-    sigma as floats, the atoms as a tuple of float pairs and the flag as a
-    bool, so an invalid driver never exists.
+    sigma as floats and the atoms as a tuple of float pairs, so an invalid
+    driver never exists.
 
     Raises
     ------
@@ -60,7 +55,6 @@ class LevySpec:
     drift_b: float = 0.0
     sigma: float = 0.0
     atoms: tuple[tuple[float, float], ...] = ()
-    compensated: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.drift_b):
@@ -81,7 +75,6 @@ class LevySpec:
         object.__setattr__(self, "drift_b", float(self.drift_b))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "atoms", tuple((float(b), float(a)) for b, a in self.atoms))
-        object.__setattr__(self, "compensated", bool(self.compensated))
 
     @property
     def m_atoms(self) -> int:
@@ -102,17 +95,6 @@ class LevySpec:
     @property
     def total_intensity(self) -> float:
         return float(sum(a for _, a in self.atoms))
-
-
-def linear_drift(spec: LevySpec) -> float:
-    """Slope of the path between jumps: what the simulator integrates, and
-    the transport coefficient of the finite-difference oracle."""
-    if not spec.compensated:
-        return spec.drift_b
-    b = spec.jump_sizes
-    a = spec.intensities
-    small = np.abs(b) <= 1.0
-    return spec.drift_b - float(np.sum(a[small] * b[small]))
 
 
 def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:

@@ -1,5 +1,6 @@
 """Forward path simulation: Brownian driver, jump paths from per-step jump
-counts, clamp-reflected state, and the increasing clock A.
+counts, clamp-reflected state, and the increasing clock A, which is the
+state's boundary local time |eta| (a read-only view of it).
 
 All randomness flows from one master seed through named SeedSequence spawn
 keys (see :func:`derived_rng`), so an ensemble is bit-reproducible for a
@@ -19,7 +20,7 @@ Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
 at a time, so the per-node arrays are stored node-major: the driver L, the
-state X, the local time |eta| and the clock A as [node, path], the
+state X and the local time |eta| (and so the clock A) as [node, path], the
 martingale increments dH as [step, component, path] and the jump counts,
 in the smallest unsigned dtype that holds them, as [step, atom, path].
 Functions return them as transposed views with the documented [path,
@@ -39,15 +40,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InitialPointOutsideDomain
-from .levy import LevySpec, linear_drift, step_jump_sums
+from .levy import LevySpec, step_jump_sums
 from .teugels import TeugelsBasis, teugels_increments
 
 # stream ids for the seed tree: (master_seed, outer_sample, stream)
 STREAM_LEVY = 0
 STREAM_BROWNIAN = 1
 STREAM_COMPARISON = 2
-
-A_MODES = ("identity-time", "local-time")
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -138,18 +137,18 @@ def assemble_levy_paths(
     """Driver node values from [path, step, atom] counts; returns [path,
     node], a transposed view of node-major storage.
 
-    Node k is the jump sum of steps 0..k-1 plus (linear drift per the
-    compensation flag) * t_k, plus sigma * B_k when the spec has a
-    continuous part.  The counts are read one step at a time; B is drawn
-    from ``rng`` whole and path-major (one :func:`simulate_brownian` call
-    after the counts) and read one node at a time.
+    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
+    sigma * B_k when the spec has a continuous part.  The counts are read
+    one step at a time; B is drawn from ``rng`` whole and path-major (one
+    :func:`simulate_brownian` call after the counts) and read one node at a
+    time.
     """
     brownian = None
     if spec.continuous_part:
         if rng is None:
             raise ValueError("an rng is required to draw the driver's continuous part")
         brownian = simulate_brownian(grid, rng, counts.shape[0])
-    drift = linear_drift(spec)
+    drift = spec.drift_b
     L = np.empty((grid.n_steps + 1, counts.shape[0]))
     jumps = np.zeros(counts.shape[0])
     sums = step_jump_sums(counts, spec.jump_sizes)
@@ -212,24 +211,6 @@ def simulate_reflected_x(
     return X.T, eta.T
 
 
-def assemble_A(mode: str, grid: TimeGrid, eta_abs: np.ndarray) -> np.ndarray:
-    """The increasing clock A: identity time or boundary local time.
-
-    Both clocks keep the memory layout of ``eta_abs``, so a node-major
-    ensemble gets a node-major clock.  The local-time clock is a read-only
-    view of ``eta_abs``, not a copy: nothing writes to a clock.
-    """
-    if mode == "identity-time":
-        A = np.empty_like(eta_abs, dtype=float)
-        A[...] = grid.nodes
-        return A
-    if mode == "local-time":
-        A = np.asarray(eta_abs, dtype=float).view()
-        A.flags.writeable = False
-        return A
-    raise ValueError(f"unknown A mode {mode!r}; expected one of {A_MODES}")
-
-
 def skorokhod_minimality_gap(
     X: np.ndarray, V: np.ndarray, eta_abs: np.ndarray, theta: float
 ) -> float:
@@ -264,9 +245,10 @@ class PathEnsemble:
     :func:`simulate_ensemble` all six are transposed views of node-major
     arrays, the counts in a small unsigned dtype (see the module
     docstring); an ensemble built by hand may hold path-major arrays
-    instead, which the solver copies to node-major once per sweep.  A
-    local-time ``A`` is a read-only view of ``eta_abs`` (see
-    :func:`assemble_A`).
+    instead, which the solver copies to node-major once per sweep.  The
+    clock ``A`` is the boundary local time: :func:`simulate_ensemble` makes
+    it a read-only view of ``eta_abs``, not a copy, since nothing writes to
+    a clock.  The solver reads any increasing ``A`` it is given.
     """
 
     grid: TimeGrid
@@ -296,7 +278,6 @@ def simulate_ensemble(
     theta: float,
     x0: float,
     sigma_x: Callable[[np.ndarray], np.ndarray] | None = None,
-    a_mode: str = "local-time",
     outer_index: int = 0,
 ) -> PathEnsemble:
     """Simulate a doubly stochastic ensemble for one outer Brownian sample.
@@ -312,7 +293,8 @@ def simulate_ensemble(
     L = assemble_levy_paths(spec, grid, counts, rng_levy)
     B = simulate_brownian(grid, rng_b)
     X, eta = simulate_reflected_x(sigma_x, theta, x0, L)
-    A = assemble_A(a_mode, grid, eta_abs=eta)
+    A = eta.view()
+    A.flags.writeable = False
     dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
     return PathEnsemble(
         grid=grid,

@@ -10,7 +10,7 @@ The backward-in-time equation on [-theta, theta], terminal u(T, .) = l,
         + g source = 0
     above the barrier  u >= h,
 
-where b is the driver's linear drift between jumps, x_l = +-theta is the
+where b = drift_b is the driver's slope between jumps, x_l = +-theta is the
 wall the jump is clamped to, and z(u) feeds the driver the same
 per-component jump functionals the Monte Carlo Z estimates (see
 :func:`component_functionals`).  This is the generator of the path
@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
-from .levy import LevySpec, linear_drift
+from .levy import LevySpec
 from .paths import PathEnsemble, unit_coefficient
 from .problems import ProblemSpec
 from .solver import EnsembleSolution
@@ -260,7 +260,7 @@ def _scheme(
     """
     dx = float(x[1] - x[0])
     sig = np.asarray(sigma_x(x), dtype=float)
-    c = linear_drift(spec) * sig
+    c = spec.drift_b * sig
     stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
     weights = FunctionalWeights.of(basis, spec)
     rates = _wall_rates(x, problem.theta, stencil, c)
@@ -402,13 +402,7 @@ def complementarity_defect(
 
 @dataclass(frozen=True)
 class FkReport:
-    """Cross-method agreement summary between Monte Carlo and the grid.
-
-    The jump-weight rows compare the first martingale's unit-norm jump
-    weights p_1(beta) against the per-atom normalization beta/sqrt(alpha)
-    sometimes used for independent-Poisson decompositions; they are
-    informational (printed with their ratio, not asserted equal).
-    """
+    """Cross-method agreement summary between Monte Carlo and the grid."""
 
     y0_gap: float
     y_max_gap: float
@@ -416,8 +410,6 @@ class FkReport:
     z_rms_gap: tuple[float, ...]
     z_scale: tuple[float, ...]
     n_sampled: int
-    jump_weights_basis: tuple[float, ...]
-    jump_weights_per_atom: tuple[float, ...]
 
     def rows(self) -> list[tuple[str, str]]:
         out = [
@@ -430,13 +422,6 @@ class FkReport:
         for i, (rms, scale) in enumerate(zip(self.z_rms_gap, self.z_scale), start=1):
             out.append((f"z{i}_rms_gap", f"{rms:.6g}"))
             out.append((f"z{i}_scale", f"{scale:.6g}"))
-        for i, (wb, wp) in enumerate(
-            zip(self.jump_weights_basis, self.jump_weights_per_atom), start=1
-        ):
-            ratio = wb / wp if wp != 0 else math.inf
-            out.append((f"jump_weight_basis_atom{i}", f"{wb:.6g}"))
-            out.append((f"jump_weight_per_atom_atom{i}", f"{wp:.6g}"))
-            out.append((f"jump_weight_ratio_atom{i}", f"{ratio:.6g}"))
         return out
 
 
@@ -519,13 +504,6 @@ def representation_check(
     count = n_mc * len(paths)
     z_rms = tuple(float(v) for v in np.sqrt(z_sq / max(count, 1)))
     z_scale = tuple(float(v) for v in np.sqrt(z_ref / max(count, 1)))
-
-    if spec.m_atoms and basis.rank:
-        wb = tuple(float(v) for v in basis.jump_weights[0])
-        wp = tuple(float(b / math.sqrt(a)) for b, a in spec.atoms)
-    else:
-        wb = ()
-        wp = ()
     return FkReport(
         y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
         y_max_gap=float(np.max(y_gaps)),
@@ -533,6 +511,4 @@ def representation_check(
         z_rms_gap=z_rms,
         z_scale=z_scale,
         n_sampled=int(len(paths)),
-        jump_weights_basis=wb,
-        jump_weights_per_atom=wp,
     )

@@ -26,9 +26,9 @@ martingales:
    {yhat < S_k}; the explicit variant n dt (yhat - S_k)^- diverges once
    n dt > 2, so the resolvent form is used for every n.
 
-The regression basis is an intercept, a boundary-layer indicator and
-standardized monomials in X up to the configured degree.  Structurally
-constant columns are dropped silently.
+The regression basis is an intercept, a boundary-layer indicator (paths
+within theta / 10 of a wall) and standardized monomials in X up to the
+configured degree.  Structurally constant columns are dropped silently.
 
 Regression
 ----------
@@ -92,6 +92,10 @@ PROJECTION = None  # sentinel value of SolverConfig.penalization
 # Rank-deficient designs sit near 1e16 and above, far past it.
 GRAM_COND_MAX = 1e10
 
+# The boundary-layer indicator column marks the paths within
+# theta / LAYER_DIVISOR of a wall.
+LAYER_DIVISOR = 10.0
+
 # How far the terminal value may fall below the obstacle before the sweep
 # refuses the problem.
 TERMINAL_TOL = 1e-9
@@ -103,15 +107,13 @@ class SolverConfig:
 
     ``penalization`` is a positive, finite penalty parameter, or ``None``
     for projection mode (the limit of the penalty scheme).  ``degree`` is
-    the highest monomial of the regression basis.  ``boundary_layer`` is
-    the width of the near-wall indicator column; ``None`` means theta / 10.
-    The path count comes from the ensemble, which must hold at least ten
-    times ``basis_dim`` paths.
+    the highest monomial of the regression basis.  The path count comes
+    from the ensemble, which must hold at least ten times ``basis_dim``
+    paths.
     """
 
     penalization: float | None = PROJECTION
     degree: int = 4
-    boundary_layer: float | None = None
 
     def __post_init__(self):
         if self.penalization is not None and not 0.0 < self.penalization < math.inf:
@@ -278,7 +280,7 @@ def solve_penalized(
     dB = np.diff(ens.B)
     m = dH.shape[1]
     rank = ens.basis.rank
-    layer = config.boundary_layer if config.boundary_layer is not None else problem.theta / 10.0
+    layer = problem.theta / LAYER_DIVISOR
 
     S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
     xi = np.asarray(problem.terminal(X[n]), dtype=float)

@@ -186,8 +186,8 @@ def benchmark_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Null coefficients, terminal 0 and obstacle 1 - t on horizon 1 with 100
     steps, a unit coefficient from x0 = 0 on (-1, 1), and at most 4,000
-    paths.  The driver, seed, clock, penalty schedule and the sweep's
-    degree and boundary layer stay those of ``cfg``.
+    paths.  The driver, seed, penalty schedule and the sweep's degree stay
+    those of ``cfg``.
     """
     return replace(
         cfg,
@@ -345,11 +345,11 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
 def crosscheck_run(cfg: ExperimentConfig):
     """Solve the configured problem by Monte Carlo and on the grid.
 
-    Uses projection mode, the deterministic grid oracle (g must vanish)
-    and always the local-time clock, the one the oracle's overshoot source
-    phi dA integrates against; returns (solution, grid solution, report).
+    Uses projection mode and the deterministic grid oracle (g must
+    vanish), whose overshoot source phi dA integrates against the
+    ensemble's local-time clock; returns (solution, grid solution, report).
     """
-    ens = replace(cfg, a_mode="local-time").build_ensemble()
+    ens = cfg.build_ensemble()
     problem = cfg.build_problem()
     sigma_x = cfg.build_sigma_x()
     sol = solve_penalized(problem, cfg.build_solver_config(None), ens)

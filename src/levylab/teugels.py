@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
-from .levy import LevySpec, linear_drift, step_jump_sums
+from .levy import LevySpec, step_jump_sums
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def teugels_increments(
         Node values of the driver path(s), [n_steps + 1] or [n_paths,
         n_steps + 1] like ``counts``; required, and read, only when the
         driver has a continuous part, whose increment sigma dW is
-        dL - dt * linear_drift - (the step's jump sum).
+        dL - dt * drift_b - (the step's jump sum).
 
     Returns
     -------
@@ -233,7 +233,7 @@ def teugels_increments(
             jump_martingales(step_counts[k], dt, spec, basis, out=dH[k, :rank])
         if L is not None:
             q0 = basis.q_zero[:rank, None]
-            drift = dt * linear_drift(spec)
+            drift = dt * spec.drift_b
             for k, jumps in enumerate(step_jump_sums(counts, spec.jump_sizes)):
                 sigma_dw = np.subtract(L[k + 1], L[k])
                 sigma_dw -= drift

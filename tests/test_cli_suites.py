@@ -246,7 +246,6 @@ class TestCli:
         assert (out / "u_grid.csv").exists()
         fk = (out / "fk_report.csv").read_text()
         assert "y0_gap" in fk
-        assert "jump_weight_ratio_atom1" in fk
         assert "deterministic" in fk  # mode note in the report header rows
 
     def test_crosscheck_prints_interpolated_grid_value(self, tmp_path, capsys):
@@ -376,9 +375,10 @@ def test_simulate_jumps_rebuild_a_driver_with_wide_counts(tmp_path):
     check_jumps_rebuild_the_driver(tmp_path, "0.3:6.0, -0.001:1200.0", n_steps=2, most_per_step=256)
 
 
-def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
+def test_suites_sweep_with_the_configured_degree(monkeypatch):
     """Every sweep of every suite takes its knobs from the config, and the
-    sweeps of the configured problem solve its params on its clock."""
+    sweeps of the configured problem solve its params on the local-time
+    clock."""
     from levylab import suites
 
     seen = []
@@ -390,8 +390,8 @@ def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
 
     monkeypatch.setattr(suites, "solve_penalized", recording)
     cfg = parse_config(
-        "[grid]\nn_steps = 10\n[problem]\nparam.h_scale = 1.0\n[forward]\na_mode = identity-time\n"
-        "[solver]\nn_paths = 240\nboundary_layer = 0.3\nn_schedule = 4, 16\nseed = 3\n"
+        "[grid]\nn_steps = 10\n[problem]\nparam.h_scale = 1.0\n"
+        "[solver]\nn_paths = 240\ndegree = 3\nn_schedule = 4, 16\nseed = 3\n"
         "[fd]\nn_space = 20\nn_time = 20\n"
     )
     configured = cfg.build_problem().params
@@ -399,19 +399,18 @@ def test_suites_sweep_with_the_configured_boundary_layer(monkeypatch):
     for name in ("skorokhod", "penalization", "comparison", "uniqueness", "feynman_kac"):
         seen.clear()
         suites.suite_checks(name, cfg)
-        widths = {config.boundary_layer for _, config, _ in seen}
-        assert widths == {0.3}, (name, widths)
+        degrees = {config.degree for _, config, _ in seen}
+        assert degrees == {3}, (name, degrees)
+        assert all(np.shares_memory(ens.A, ens.eta_abs) for *_, ens in seen), name
         own = [(problem, ens) for problem, _, ens in seen if problem.name == cfg.problem_name]
-        if name in ("penalization", "uniqueness"):
+        if name in ("penalization", "uniqueness", "feynman_kac"):
             assert own, name
             for problem, ens in own:
                 assert problem.params == configured, name
-                assert np.array_equal(ens.A, np.broadcast_to(ens.grid.nodes, ens.A.shape)), name
         if name == "feynman_kac":
-            # the grid oracle's phi dA source integrates against the local-time clock
+            # the grid oracle's phi dA source integrates against this clock
             (problem, ens), = own
-            assert problem.params == configured
-            assert np.array_equal(ens.A, ens.eta_abs) and np.any(ens.A[:, -1] > 0.0)
+            assert np.any(ens.A[:, -1] > 0.0)
 
 
 def grid_csv_reference(t, x, u):

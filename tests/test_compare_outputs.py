@@ -65,7 +65,7 @@ def test_quick_suite_matches_committed_summary(tmp_path, capsys):
 
 def test_quick_crosscheck_matches_committed_fk_report(tmp_path):
     """`levylab crosscheck` on the shipped quick config reproduces the committed
-    agreement report: its gaps, z rows, jump-weight rows and mode row."""
+    agreement report: its gaps, z rows and mode row."""
     from levylab.cli import main
 
     root = SCRIPT.parents[1]

@@ -1,9 +1,11 @@
+import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylab import config
 from levylab.config import (
     DEFAULTS,
     SUITE_NAMES,
@@ -40,11 +42,17 @@ def test_minimal_config_fills_defaults():
 
 
 def test_unknown_key_reports_line():
-    text = "[grid]\nhorizon = 1.0\nbogus = 3\n"
-    with pytest.raises(ConfigParseError) as err:
-        parse_config(text)
-    assert err.value.line == 3
-    assert "bogus" in str(err.value)
+    # the three removed knobs are unknown keys like any other
+    for section, key, value in [
+        ("grid", "bogus", "3"),
+        ("forward", "a_mode", "local-time"),
+        ("levy", "compensated", "false"),
+        ("solver", "boundary_layer", "auto"),
+    ]:
+        text = f"[grid]\nhorizon = 1.0\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigParseError, match=f"unknown key '{key}'") as err:
+            parse_config(text)
+        assert err.value.line == 4, key
 
 
 def test_unknown_section_rejected():
@@ -69,6 +77,20 @@ def test_duplicate_key_rejected():
     text = "[grid]\nn_steps = 5\nn_steps = 6\n"
     with pytest.raises(ConfigParseError):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[levy]\natoms = 0.3:2.0\nsigma = -0.5\n", 3),
+        ("[levy]\nsigma = -0.5\n", 2),
+    ],
+    ids=["after-atoms", "alone"],
+)
+def test_negative_sigma_cites_its_line(text, line):
+    with pytest.raises(ConfigParseError, match="sigma must be >= 0") as err:
+        parse_config(text)
+    assert err.value.line == line
 
 
 def test_malformed_atoms_cite_their_line():
@@ -197,7 +219,6 @@ def configs(draw):
             "atoms": atoms,
             "drift_b": _number(draw, -1, 1),
             "sigma": draw(st.sampled_from(["0.0", _number(draw, 0.0, 1.0)])),
-            "compensated": draw(st.sampled_from(["true", "false", "yes", "0"])),
         },
         "grid": {
             "horizon": _number(draw, 0.5, 2.0),
@@ -211,13 +232,11 @@ def configs(draw):
         },
         "forward": {
             "sigma_x": sigma_x,
-            "a_mode": draw(st.sampled_from(["identity-time", "local-time"])),
         },
         "solver": {
             "n_paths": str(draw(st.integers(1, 50000))),
             "penalization": draw(st.sampled_from(["projection", "4.0", "16.0", "0.5"])),
             "degree": str(draw(st.integers(0, 6))),
-            "boundary_layer": draw(st.sampled_from(["auto", "AUTO", _number(draw, 0.01, 0.4)])),
             "outer_b_samples": str(draw(st.integers(1, 8))),
             "seed": str(draw(st.integers(0, 2**32))),
             "n_schedule": ",".join(str(v) for v in schedule),
@@ -259,6 +278,16 @@ def test_shipped_config_roundtrips(path):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+def test_docstring_example_lists_every_key_and_roundtrips():
+    # the format documented in the module docstring parses strictly, so it
+    # can list no dead key, and it lists every key of the schema
+    text = textwrap.dedent(config.__doc__.split("Example::", 1)[1])
+    assert {(section, key) for section, key, *_ in config._KEYS} <= set(config._scan(text))
+    cfg = parse_config(text)
+    assert cfg.problem_params == (("fy", -0.1),)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_all_expands_to_every_suite():

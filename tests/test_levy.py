@@ -1,13 +1,13 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.errors import DuplicateJumpSize, NonpositiveIntensity, ZeroJumpSize
-from levylab.levy import LevySpec, linear_drift
+from levylab.levy import LevySpec
 from levylab.teugels import basis_for
+from teugels_reference import mean_l1
 
 
 def test_poisson_case_valid():
@@ -21,7 +21,7 @@ def test_empty_spec_valid_degenerate():
     assert spec.m_atoms == 0
     assert spec.jump_sizes.shape == spec.intensities.shape == (0,)
     assert spec.total_intensity == 0.0
-    assert linear_drift(spec) == 0.0
+    assert spec.drift_b == 0.0
 
 
 def test_duplicate_jump_size_rejected():
@@ -56,23 +56,11 @@ def test_continuous_part_flag():
     assert not LevySpec(sigma=0.0).continuous_part
 
 
-def jump_mean(spec):
-    return float(np.sum(spec.intensities * spec.jump_sizes))
-
-
 def test_mean_l1_uncompensated():
     # E[L_1] is the slope between jumps plus the full jump mean
     spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)))
-    assert linear_drift(spec) == 0.7
-    assert linear_drift(spec) + jump_mean(spec) == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
-
-
-def test_mean_l1_compensated_truncates_small_jumps():
-    # |beta| <= 1 is compensated; only the big jump contributes to the mean
-    spec = LevySpec(drift_b=0.7, atoms=((0.5, 2.0), (2.0, 0.25)), compensated=True)
-    assert linear_drift(spec) == pytest.approx(0.7 - 2.0 * 0.5)
-    # the simulated slope plus the full jump mean recovers E[L_1]
-    assert linear_drift(spec) + jump_mean(spec) == pytest.approx(0.7 + 0.25 * 2.0)
+    assert spec.drift_b == 0.7
+    assert mean_l1(spec) == pytest.approx(0.7 + 2.0 * 0.5 + 0.25 * 2.0)
 
 
 @st.composite
@@ -88,11 +76,11 @@ def atom_lists(draw, max_atoms=4):
     return tuple(atoms)
 
 
-@given(atom_lists(), st.floats(-2, 2, allow_nan=False), st.booleans())
+@given(atom_lists(), st.floats(-2, 2, allow_nan=False))
 @settings(max_examples=50, deadline=None)
-def test_validate_moments_roundtrip_pure(atoms, drift, compensated):
+def test_validate_moments_roundtrip_pure(atoms, drift):
     """Normalization is idempotent, and building the basis leaves the spec unchanged."""
-    spec = LevySpec(drift_b=drift, atoms=atoms, compensated=compensated)
+    spec = LevySpec(drift_b=drift, atoms=atoms)
     before = replace(spec)
     basis_for(spec)
     assert spec == before and replace(spec) == spec

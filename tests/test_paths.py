@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from levylab.config import DEFAULTS
 from levylab.errors import InitialPointOutsideDomain
-from levylab.levy import LevySpec, linear_drift
+from levylab.levy import LevySpec
 from levylab.paths import (
     STREAM_LEVY,
     TimeGrid,
-    assemble_A,
     assemble_levy_paths,
     boundary_direction,
     cumsum_nodes,
@@ -170,7 +169,7 @@ def step_jump_sums_reference(counts, weights, block=256):
 def assemble_levy_paths_reference(spec, grid, counts, rng):
     L = np.empty((grid.n_steps + 1, counts.shape[0]))
     cumsum_nodes(step_jump_sums_reference(counts, spec.jump_sizes), out=L)
-    L += linear_drift(spec) * grid.nodes[:, None]
+    L += spec.drift_b * grid.nodes[:, None]
     if spec.continuous_part:
         L += spec.sigma * simulate_brownian(grid, rng, counts.shape[0]).T
     return L.T
@@ -231,9 +230,9 @@ class TestCompactCounts:
             ),
             # the shipped orthonormality driver
             (TWO_ATOM, TimeGrid(1.0, 20), 2000, np.uint8),
-            # compensated small jumps; the atom at 1.5 is left uncompensated
+            # three atoms and a slope between jumps
             (
-                LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True),
+                LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3),
                 TimeGrid(0.5, 16),
                 1000,
                 np.uint8,
@@ -241,7 +240,7 @@ class TestCompactCounts:
             # no atoms: rank 1, and H(T) is the Brownian part alone
             (LevySpec(sigma=0.3), TimeGrid(1.0, 20), 1000, np.uint8),
         ],
-        ids=["empty-paths", "widened", "shipped", "compensated", "brownian-only"],
+        ids=["empty-paths", "widened", "shipped", "three-atom-drift", "brownian-only"],
     )
     def test_counts_L_and_dH_match_the_path_major_references(self, spec, grid, n_paths, dtype, monkeypatch):
         cfg = replace(DEFAULTS, levy=spec, grid=grid, n_paths=n_paths, seed=17)
@@ -288,9 +287,9 @@ class TestCompactCounts:
             (TWO_ATOM, None),
             # with a drift, which sigma dW must not pick up
             (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.4, drift_b=0.4), lambda x: 1.0 + 0.2 * x),
-            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True), None),
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3), None),
         ],
-        ids=["two-atom", "sigma-affine", "compensated-three-atom"],
+        ids=["two-atom", "sigma-affine", "three-atom-drift"],
     )
     def test_ensemble_dH_matches_the_power_sum_reference(self, spec, sigma_x, seed):
         # dH from the per-atom weights and compensated counts, plus q(0) sigma
@@ -383,31 +382,24 @@ class TestReflected:
 
 
 class TestAssembleA:
-    def test_identity_time(self):
-        grid = TimeGrid(1.0, 4)
-        A = assemble_A("identity-time", grid, eta_abs=np.full((1, 5), 0.3))
-        assert A.tolist() == [[0.0, 0.25, 0.5, 0.75, 1.0]]
-
     def test_local_time_from_clamp(self):
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.9, np.array([[0.0, 0.4]]))
-        A = assemble_A("local-time", TimeGrid(1.0, 1), eta_abs=eta)
-        assert A[0, 0] == 0.0
-        assert A[0, 1] == pytest.approx(0.3, abs=1e-15)
+        # no jumps and no continuous part: L = 0.4 t, so from x0 = 0.9 the
+        # one step proposes 1.3, clamps to 1.0 and the clock takes 0.3
+        spec = LevySpec(drift_b=0.4)
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 1), basis_for(spec), 1, 5, theta=1.0, x0=0.9)
+        assert ens.X.tolist() == [[0.9, 1.0]]
+        assert ens.A[0, 0] == 0.0
+        assert ens.A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
-    @pytest.mark.parametrize("a_mode", ["local-time", "identity-time"])
-    def test_local_time_clock_shares_eta_read_only(self, a_mode):
-        ens = simulate_ensemble(
-            TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0, a_mode=a_mode
-        )
-        shared = a_mode == "local-time"
-        assert np.shares_memory(ens.A, ens.eta_abs) == shared
-        assert ens.A.flags.writeable != shared
+    def test_local_time_clock_shares_eta_read_only(self):
+        ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0)
+        assert np.shares_memory(ens.A, ens.eta_abs)
+        assert not ens.A.flags.writeable
         assert ens.eta_abs.flags.writeable
         assert ens.A.T.flags.c_contiguous
-        if shared:
-            assert np.array_equal(ens.A, ens.eta_abs)
-            with pytest.raises(ValueError, match="read-only"):
-                ens.A[0, 1] = 1.0
+        assert np.array_equal(ens.A, ens.eta_abs)
+        with pytest.raises(ValueError, match="read-only"):
+            ens.A[0, 1] = 1.0
 
 
 class TestNodeMajorReflection:

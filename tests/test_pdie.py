@@ -272,7 +272,6 @@ def representation_check_reference(pgrid, problem, ens, sol):
             z_ref += np.sum(z_at**2, axis=0)
             count += len(paths)
     y_gaps = np.concatenate(y_gaps)
-    wb = tuple(float(v) for v in basis.jump_weights[0])
     return FkReport(
         y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
         y_max_gap=float(np.max(y_gaps)),
@@ -280,8 +279,6 @@ def representation_check_reference(pgrid, problem, ens, sol):
         z_rms_gap=tuple(float(v) for v in np.sqrt(z_sq / count)),
         z_scale=tuple(float(v) for v in np.sqrt(z_ref / count)),
         n_sampled=len(paths),
-        jump_weights_basis=wb,
-        jump_weights_per_atom=tuple(float(b / math.sqrt(a)) for b, a in spec.atoms),
     )
 
 
@@ -334,18 +331,6 @@ class TestRepresentation:
         report = representation_check(pg, prob, ens, sol)
         assert report.y0_gap == abs(sol.y0_value - np.interp(0.0, pg.x, pg.u[0]))
 
-    def test_jump_weight_rows_report_both_normalizations(self, mc_setup):
-        grid, ens = mc_setup
-        prob = build_problem("example51", {}, 1.0)
-        cfg = SolverConfig(penalization=None)
-        sol = solve_penalized(prob, cfg, ens)
-        pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID)
-        report = representation_check(pg, prob, ens, sol)
-        assert len(report.jump_weights_basis) == 2
-        assert report.jump_weights_per_atom[0] == pytest.approx(0.3 / math.sqrt(2.0))
-        keys = [k for k, _ in report.rows()]
-        assert "jump_weight_ratio_atom1" in keys
-
 
 def test_row_kernels_match_numpy_bit_for_bit():
     # _gradient is np.gradient's uniform-grid arithmetic and _interp_rows is
@@ -393,8 +378,7 @@ def test_one_pass_report_matches_the_per_node_loop(case, mc_setup):
     ref = representation_check_reference(pg, prob, ens, sol)
     assert report.y0_gap == ref.y0_gap
     assert report.n_sampled == ref.n_sampled
-    for name in ("y_max_gap", "y_mean_gap", "z_rms_gap", "z_scale",
-                 "jump_weights_basis", "jump_weights_per_atom"):
+    for name in ("y_max_gap", "y_mean_gap", "z_rms_gap", "z_scale"):
         got, want = np.atleast_1d(getattr(report, name)), np.atleast_1d(getattr(ref, name))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
     assert max(ref.z_scale) > 0.0 and ref.y_max_gap > 0.0

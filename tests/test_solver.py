@@ -68,12 +68,9 @@ def ensemble():
 
 
 @pytest.fixture(scope="module")
-def ensemble_identity_clock():
-    grid = TimeGrid(1.0, 100)
-    basis = basis_for(TWO_ATOM)
-    return simulate_ensemble(
-        TWO_ATOM, grid, basis, 600, 21, theta=1.0, x0=0.0, a_mode="identity-time"
-    )
+def ensemble_identity_clock(ensemble):
+    # the solver reads any increasing clock: here A = t on every path
+    return dataclasses.replace(ensemble, A=np.broadcast_to(ensemble.grid.nodes, ensemble.A.shape))
 
 
 CFG = SolverConfig(penalization=None, degree=4)
@@ -539,7 +536,7 @@ def solve_penalized_reference(problem, config, ens):
     dH = np.ascontiguousarray(ens.dH.transpose(1, 2, 0))
     dB = np.diff(ens.B)
     m, rank = dH.shape[1], ens.basis.rank
-    layer = config.boundary_layer if config.boundary_layer is not None else problem.theta / 10.0
+    layer = problem.theta / solver.LAYER_DIVISOR
     S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
     xi = np.asarray(problem.terminal(X[n]), dtype=float)
     Yt, y_pre_t = np.empty((n + 1, n_paths)), np.empty((n + 1, n_paths))
@@ -713,7 +710,8 @@ class TestRegressionPaths:
             assert design.shape[0] == buf.shape[0] - 1  # no spare row at the last step
 
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
-        cfg = SolverConfig(degree=degree, boundary_layer=layer)
+        cfg = SolverConfig(degree=degree)
+        monkeypatch.setattr(solver, "LAYER_DIVISOR", 1.0 / layer if layer else math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
             fast = solve_penalized(problem, cfg, ensemble)
@@ -778,6 +776,30 @@ class TestNodeMajorLayout:
             reference = solve_penalized(problem, cfg, path_major)
         assert np.mean(reference.K[:, -1]) > 0.01  # the obstacle binds
         assert_solutions_agree(fast, reference, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
+    # the indicator column marks the paths within theta / 10 of a wall
+    ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), basis_for(TWO_ATOM), 600, 11, theta=theta, x0=0.0)
+    widths, columns = [], []
+    design = solver.regression_design
+
+    def recording(x, degree, theta_, layer_width, out):
+        widths.append(layer_width)
+        rows = design(x, degree, theta_, layer_width, out)
+        if rows.shape[0] == degree + 2:  # every column kept, the indicator second
+            columns.append((x.copy(), rows[1].copy()))
+        return rows
+
+    monkeypatch.setattr(solver, "regression_design", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularRegressionWarning)
+        solve_penalized(dataclasses.replace(make_problem(), theta=theta), CFG, ens)
+    assert widths == [theta / 10.0] * 50
+    assert columns
+    for x, column in columns:
+        assert np.array_equal(column, np.abs(x) >= 0.9 * theta)
 
 
 def test_sigma_positive_driver_supported():

@@ -117,10 +117,10 @@ def test_many_atom_basis_is_full_rank_and_orthonormal(n_atoms):
     [
         spec_of((0.3, 2.0), (-0.2, 1.0), drift=0.4),
         spec_of((0.3, 2.0), (-0.2, 1.0), sigma=0.4),
-        LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=0.4, compensated=True),
+        spec_of((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5), drift=-0.3),
         spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2)),
     ],
-    ids=["two-atom", "sigma", "compensated-three-atom", "three-atom"],
+    ids=["two-atom", "sigma", "three-atom-drift", "three-atom"],
 )
 def test_weights_match_the_gram_schmidt_reference(spec):
     basis = basis_for(spec, 5)

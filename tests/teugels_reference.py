@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from levylab.levy import linear_drift
 from levylab.teugels import build_mu
 
 # Gram-Schmidt pivot tolerance, relative to the raw norm of the incoming monomial
@@ -29,8 +28,8 @@ def raw_moments(spec, max_order):
 
 
 def mean_l1(spec):
-    """E[L_1] under the spec's drift convention."""
-    return linear_drift(spec) + float(np.sum(spec.intensities * spec.jump_sizes))
+    """E[L_1]: the slope between jumps plus the jump mean."""
+    return spec.drift_b + float(np.sum(spec.intensities * spec.jump_sizes))
 
 
 def gram_schmidt_coeffs(spec, requested_m):
