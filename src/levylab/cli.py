@@ -74,23 +74,25 @@ def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             lines.append(f"{p},{step},{sizes[atom]}")
     _write(out / "jumps.csv", "\n".join(lines) + "\n")
     lines = ["path,step,component,dH"]
+    dH = ens.dH  # derived on each read, so read once
     for p in range(n_paths):
         for k in range(cfg.grid.n_steps):
-            for i in range(ens.dH.shape[2]):
-                lines.append(f"{p},{k},{i + 1},{ens.dH[p, k, i]:.12g}")
+            for i in range(dH.shape[2]):
+                lines.append(f"{p},{k},{i + 1},{dH[p, k, i]:.12g}")
     _write(out / "teugels.csv", "\n".join(lines) + "\n")
     return 0
 
 
 def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
     t = cfg.grid.nodes
-    m = sol.Z.shape[2]
+    Y, Z, K = sol.Y, sol.Z, sol.K  # K is derived on each read, so read once
+    m = Z.shape[2]
     header = "path,node,t,Y,K" + "".join(f",Z{i + 1}" for i in range(m))
     lines = [header]
-    for p in range(min(sol.Y.shape[0], max_paths)):
-        for k in range(sol.Y.shape[1]):
-            z = "".join(f",{sol.Z[p, k, i]:.12g}" for i in range(m))
-            lines.append(f"{p},{k},{t[k]:.12g},{sol.Y[p, k]:.12g},{sol.K[p, k]:.12g}{z}")
+    for p in range(min(Y.shape[0], max_paths)):
+        for k in range(Y.shape[1]):
+            z = "".join(f",{Z[p, k, i]:.12g}" for i in range(m))
+            lines.append(f"{p},{k},{t[k]:.12g},{Y[p, k]:.12g},{K[p, k]:.12g}{z}")
     return "\n".join(lines) + "\n"
 
 

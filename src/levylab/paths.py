@@ -20,12 +20,14 @@ Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
 at a time, so the per-node arrays are stored node-major: the driver L, the
-state X and the local time |eta| (and so the clock A) as [node, path], the
-martingale increments dH as [step, component, path] and the jump counts,
-in the smallest unsigned dtype that holds them, as [step, atom, path].
-Functions return them as transposed views with the documented [path,
-node(, component)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
-the contiguous node-major array without a copy.
+state X and the local time |eta| (and so the clock A) as [node, path], and
+the jump counts, in the smallest unsigned dtype that holds them, as [step,
+atom, path].  Functions return them as transposed views with the
+documented [path, node(, atom)] shapes; ``.T`` (or ``.transpose(1, 2,
+0)``) recovers the contiguous node-major array without a copy.  The
+martingale increments dH are not stored: they are a function of the counts
+(and of L when the driver has a continuous part), which the sweep forms one
+step at a time, and :attr:`PathEnsemble.dH` derives whole on each read.
 
 :func:`assemble_levy_paths` writes L one node at a time, reading the counts
 one step at a time; the reflection reads L and writes X and |eta| one row
@@ -240,15 +242,19 @@ def unit_coefficient(x):
 class PathEnsemble:
     """A stack of scenarios sharing one frozen Brownian path B.
 
-    ``L``, ``X``, ``eta_abs`` and ``A`` are [path, node], ``dH`` is
-    [path, step, component] and ``jump_counts`` [path, step, atom].  From
-    :func:`simulate_ensemble` all six are transposed views of node-major
-    arrays, the counts in a small unsigned dtype (see the module
-    docstring); an ensemble built by hand may hold path-major arrays
-    instead, which the solver copies to node-major once per sweep.  The
-    clock ``A`` is the boundary local time: :func:`simulate_ensemble` makes
-    it a read-only view of ``eta_abs``, not a copy, since nothing writes to
-    a clock.  The solver reads any increasing ``A`` it is given.
+    ``L``, ``X``, ``eta_abs`` and ``A`` are [path, node] and
+    ``jump_counts`` [path, step, atom].  From :func:`simulate_ensemble` all
+    five are transposed views of node-major arrays, the counts in a small
+    unsigned dtype (see the module docstring); an ensemble built by hand
+    may hold path-major arrays instead, which the solver copies to
+    node-major once per sweep.  The clock ``A`` is the boundary local time:
+    :func:`simulate_ensemble` makes it a read-only view of ``eta_abs``, not
+    a copy, since nothing writes to a clock.  The solver reads any
+    increasing ``A`` it is given.
+
+    ``dH`` [path, step, component] is derived from the counts (and ``L``)
+    by :func:`~levylab.teugels.teugels_increments` on every read, not
+    stored or cached: a reader binds it once.
     """
 
     grid: TimeGrid
@@ -262,11 +268,14 @@ class PathEnsemble:
     X: np.ndarray
     eta_abs: np.ndarray
     A: np.ndarray
-    dH: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.L.shape[0]
+
+    @property
+    def dH(self) -> np.ndarray:
+        return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, levy_path=self.L)
 
 
 def simulate_ensemble(
@@ -295,7 +304,6 @@ def simulate_ensemble(
     X, eta = simulate_reflected_x(sigma_x, theta, x0, L)
     A = eta.view()
     A.flags.writeable = False
-    dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
     return PathEnsemble(
         grid=grid,
         spec=spec,
@@ -308,5 +316,4 @@ def simulate_ensemble(
         X=X,
         eta_abs=eta,
         A=A,
-        dH=dH,
     )

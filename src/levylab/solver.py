@@ -58,13 +58,17 @@ Storage
 -------
 Every per-node array of the sweep is node-major, so each step reads and
 writes contiguous rows and nothing is gathered per step.  The inputs X, A
-and dH are taken from the ensemble's transposed views through
+and the jump counts (and L, when the driver has a continuous part) are
+taken from the ensemble's transposed views through
 ``np.ascontiguousarray`` once per sweep: free for an ensemble from
 :func:`~levylab.paths.simulate_ensemble`, one copy for a hand-built
-path-major one.  The obstacle S is evaluated on the node-major state.  The
-sweep stores Y, y_pre, Z, dK and K node-major as well, and
-:class:`EnsembleSolution` exposes all of them as transposed views with the
-documented [path, node(, component)] shapes, without copying.  The
+path-major one.  Step k's increments dH_k are formed from its counts by
+:func:`~levylab.teugels.step_increments` into one reused [rank, path]
+block, the obstacle row S_k is evaluated at (t_k, X_k), and the pre-push
+estimate lives in one reused row, so no full-size dH, S or y_pre exists.
+The sweep stores Y, Z and dK; :class:`EnsembleSolution` exposes them as
+transposed views with the documented [path, node(, component)] shapes,
+without copying, and derives K, S and y_pre from them on read.  The
 diagnostics are reduced as the sweep writes each row: sup Y^2 in one
 per-path row, and the path sums of Y^2 dA, |Z|^2, the push's gap and the
 penetration as one scalar per step, since only their path means are
@@ -80,8 +84,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
-from .paths import PathEnsemble, cumsum_nodes
+from .paths import PathEnsemble, TimeGrid, cumsum_nodes
 from .problems import ProblemSpec
+from .teugels import step_increments
 
 PROJECTION = None  # sentinel value of SolverConfig.penalization
 
@@ -130,13 +135,14 @@ class SolverConfig:
 class EnsembleSolution:
     """Pathwise solution arrays for one frozen Brownian sample.
 
-    ``Y``, ``K``, ``y_pre`` and ``S`` are [path, node]; ``Z`` is
-    [path, node, component] with exact zeros beyond ``rank``; ``dK`` is the
-    per-step push [path, step].  ``y_pre`` is the pre-push (left limit)
-    estimate at each node and ``S`` the obstacle; both are kept for tests
-    and for measuring the solution's size.  All six are transposed views of
-    the sweep's node-major arrays, so they are not C-contiguous; ``Y.T``
-    (``Z.transpose(1, 2, 0)`` for ``Z``) is the node-major array.
+    ``Y`` is [path, node]; ``Z`` is [path, node, component] with exact
+    zeros beyond ``rank``; ``dK`` is the per-step push [path, step].  The
+    three are stored, as transposed views of the sweep's node-major arrays,
+    so they are not C-contiguous; ``Y.T`` (``Z.transpose(1, 2, 0)`` for
+    ``Z``) is the node-major array.  ``K``, ``y_pre`` and ``S`` are derived
+    from them, from the state ``X`` [path, node] and the ``problem`` on
+    every read, not stored or cached, so a reader binds each once; ``K_T``
+    reads only the total push.
 
     ``skorokhod_residual`` is the mean over paths of
     |sum_k (y_pre_k - S_k) dK_k|, the discrete complementarity gap;
@@ -149,16 +155,54 @@ class EnsembleSolution:
     rank: int
     Y: np.ndarray
     Z: np.ndarray
-    K: np.ndarray
     dK: np.ndarray
-    y_pre: np.ndarray
-    S: np.ndarray
-    dt: float
+    X: np.ndarray
+    problem: ProblemSpec
+    grid: TimeGrid
     y0_value: float
     y0_se: float
     skorokhod_residual: float
     penetration_norm: float
     apriori_norms: dict
+
+    @property
+    def dt(self) -> float:
+        return self.grid.dt
+
+    @property
+    def K(self) -> np.ndarray:
+        """Cumulative push [path, node], K_0 = 0 (:func:`cumsum_nodes` of dK)."""
+        return cumsum_nodes(self.dK.T, out=np.empty(self.Y.T.shape)).T
+
+    @property
+    def K_T(self) -> np.ndarray:
+        """Total push [path]: the last node of ``K``, bit for bit, without K."""
+        return _step_sum(self.dK.T)
+
+    @property
+    def S(self) -> np.ndarray:
+        """Obstacle [path, node] at (t, X), as the sweep evaluated it row by row."""
+        return np.asarray(self.problem.obstacle(self.grid.nodes[:, None], self.X.T), dtype=float).T
+
+    @property
+    def y_pre(self) -> np.ndarray:
+        """Pre-push (left limit) estimate [path, node]: Y - dK on the
+        steps and xi at the horizon, the sweep's estimate within one ulp
+        of |Y|."""
+        Yt = self.Y.T
+        out = np.empty(Yt.shape)
+        np.subtract(Yt[:-1], self.dK.T, out=out[:-1])
+        out[-1] = Yt[-1]
+        return out.T
+
+
+def _step_sum(steps: np.ndarray) -> np.ndarray:
+    """Sum of node-major step rows in step order from zero: the last row
+    of :func:`cumsum_nodes`, bit for bit."""
+    total = np.zeros(steps.shape[1:])
+    for row in steps:
+        total += row
+    return total
 
 
 def regression_design(
@@ -276,31 +320,34 @@ def solve_penalized(
     # Node-major inputs: row k is the contiguous node-k (step-k) slice.
     X = np.ascontiguousarray(ens.X.T)
     A = np.ascontiguousarray(ens.A.T)
-    dH = np.ascontiguousarray(ens.dH.transpose(1, 2, 0))
+    counts = np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))
+    L = np.ascontiguousarray(ens.L.T) if ens.spec.continuous_part else None
     dB = np.diff(ens.B)
-    m = dH.shape[1]
+    m = ens.basis.requested_m
     rank = ens.basis.rank
     layer = problem.theta / LAYER_DIVISOR
 
-    S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
+    def obstacle(k: int) -> np.ndarray:
+        return np.asarray(problem.obstacle(t[k], X[k]), dtype=float)
+
+    s_k = obstacle(n)
     xi = np.asarray(problem.terminal(X[n]), dtype=float)
-    worst = float(np.min(xi - S[n]))
+    worst = float(np.min(xi - s_k))
     if worst < -TERMINAL_TOL:
         raise TerminalBelowObstacle(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )
 
     Yt = np.empty((n + 1, n_paths))
-    y_pre_t = np.empty((n + 1, n_paths))
     Zt = np.zeros((n + 1, m, n_paths))
     dKt = np.empty((n, n_paths))
     Yt[n] = xi
-    y_pre_t[n] = xi
     # Row 0 holds the step's Y target, the rows below it the design, so one
     # product gives the Gram matrix and the Y right-hand side together.
     aug = np.empty((config.basis_dim + 1, n_paths))
     target = aug[0]
-    centered = np.empty((rank, n_paths))
+    yhat = np.empty(n_paths)  # the step's pre-push estimate
+    dH_k = np.empty((rank, n_paths))  # the step's increments, then centred by the fit
 
     # Diagnostics, reduced as each row is written: per path max Y^2; per
     # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
@@ -310,7 +357,7 @@ def solve_penalized(
     sup_y2 = np.square(xi)
     y2_dA = z2 = gap = 0.0
     penetration = np.empty(n + 1)
-    penetration[n] = _mean_penetration_sq(S[n], xi, row)
+    penetration[n] = _mean_penetration_sq(s_k, xi, row)
     reduced, first_reduced = 0, None
 
     pen = config.penalization
@@ -328,24 +375,24 @@ def solve_penalized(
         ncol = design.shape[0]
         rhs_gram = design @ aug[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
-        yhat0 = y_pre_t[k]
-        kept = _regress(design, factor, aug[:1], k, yhat0[None, :], rhs=rhs_gram[:, :1])
+        kept = _regress(design, factor, aug[:1], k, yhat[None, :], rhs=rhs_gram[:, :1])
         if rank:
-            np.subtract(y_next, yhat0, out=row)
-            np.multiply(dH[k, :rank], row, out=centered)
-            _regress(design, factor, centered, k, Zt[k, :rank], scale=1.0 / dt)
+            step_increments(counts[k], dt, ens.spec, ens.basis, dH_k, None if L is None else L[k : k + 2])
+            dH_k *= np.subtract(y_next, yhat, out=row)
+            _regress(design, factor, dH_k, k, Zt[k, :rank], scale=1.0 / dt)
             z2 += float(np.vdot(Zt[k, :rank], Zt[k, :rank]))
         if kept < ncol:  # the Z fits share the design, so they keep as many columns
             reduced += 2 if rank else 1
             first_reduced = (k, kept)  # the sweep runs backward: the earliest step
-        gk = np.asarray(problem.g(t[k], x, yhat0), dtype=float)
-        yhat = np.add(yhat0, np.multiply(gk, dB[k], out=row), out=yhat0)
-        short = np.maximum(np.subtract(S[k], yhat, out=row), 0.0, out=row)
+        gk = np.asarray(problem.g(t[k], x, yhat), dtype=float)
+        yhat += np.multiply(gk, dB[k], out=row)
+        s_k = obstacle(k)
+        short = np.maximum(np.subtract(s_k, yhat, out=row), 0.0, out=row)
         push = np.multiply(push_scale, short, out=dKt[k])
         gap += push_scale * float(np.vdot(short, short))
         y = np.add(yhat, push, out=Yt[k])
 
-        penetration[k] = _mean_penetration_sq(S[k], y, row)
+        penetration[k] = _mean_penetration_sq(s_k, y, row)
         np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
         y2_dA += float(np.dot(row, dA))
 
@@ -355,9 +402,8 @@ def solve_penalized(
             f"{first_reduced[1]} columns ({reduced} regressions of this sweep reduced)",
             SingularRegressionWarning,
         )
-    Kt = cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
     norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": y2_dA / n_paths,
-             "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(Kt[n] ** 2))}
+             "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(_step_sum(dKt) ** 2))}
     norms["total"] = sum(norms.values())
 
     # after the loop, target is step 0's regression target, whose spread gives y0_se
@@ -366,11 +412,10 @@ def solve_penalized(
         rank=rank,
         Y=Yt.T,
         Z=Zt.transpose(2, 0, 1),
-        K=Kt.T,
         dK=dKt.T,
-        y_pre=y_pre_t.T,
-        S=S.T,
-        dt=dt,
+        X=X.T,
+        problem=problem,
+        grid=grid,
         y0_value=float(np.mean(Yt[0])),
         y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means

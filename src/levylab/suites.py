@@ -39,7 +39,7 @@ from .paths import (
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import ProblemSpec, build_problem
 from .solver import EnsembleSolution, solve_penalized
-from .teugels import TeugelsBasis, basis_for, jump_martingales
+from .teugels import TeugelsBasis, basis_for, jump_martingales, step_increments
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -213,7 +213,7 @@ def run_benchmark_solution(cfg: ExperimentConfig) -> tuple[EnsembleSolution, dic
     oracle = np.maximum(0.0, np.maximum.accumulate(obstacle_path[::-1])[::-1])
     metrics = {
         "benchmark_y_error": float(np.max(np.abs(sol.Y - oracle[None, :]))),
-        "benchmark_k_error": float(np.mean(np.abs(sol.K[:, -1] - 1.0))),
+        "benchmark_k_error": float(np.mean(np.abs(sol.K_T - 1.0))),
         "benchmark_residual": sol.skorokhod_residual,
     }
     return sol, metrics
@@ -265,7 +265,7 @@ def solve_outer_samples(
     rows, first = [], None
     for b in range(cfg.outer_b_samples):
         sol = solve_penalized(problem, config, cfg.build_ensemble(b))
-        k_t = float(np.mean(sol.K[:, -1]))
+        k_t = float(np.mean(sol.K_T))
         rows.append((sol.y0_value, sol.y0_se, k_t, sol.skorokhod_residual, sol.penetration_norm))
         first = sol if keep_first and b == 0 else first
         del sol  # before the next sample's ensemble and sweep are built
@@ -292,16 +292,24 @@ def check_comparison_hypothesis(
     slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
     telescoping decomposition that underlies the ordering argument; slots
     where the two Z's coincide, to 1e-12 of |Z1_a| + |Z2_a| + 1, contribute
-    zero.  Reads the node-major rows behind the solutions' views.
+    zero.  Reads the node-major rows behind the solutions' views, and
+    forms each step's increments dH_k from its jump counts
+    (:func:`step_increments`), so neither a full dH nor a full sum exists.
     """
-    n = ens.grid.n_steps
-    t = ens.grid.nodes
-    rank = ens.basis.rank
+    grid, rank = ens.grid, ens.basis.rank
+    if not rank:
+        return 0.0
+    t = grid.nodes
     X, Y2 = ens.X.T, sol2.Y.T
     Z1, Z2 = sol1.Z.transpose(1, 2, 0), sol2.Z.transpose(1, 2, 0)
-    dH = ens.dH.transpose(1, 2, 0)
-    total = np.zeros((n, ens.n_paths))
-    for k in range(n if rank else 0):
+    counts = ens.jump_counts.transpose(1, 2, 0)
+    L = ens.L.T if ens.spec.continuous_part else None
+    dH = np.empty((rank, ens.n_paths))
+    total = np.empty(ens.n_paths)
+    smallest = np.empty(grid.n_steps)  # per step, over paths
+    for k in range(grid.n_steps):
+        step_increments(counts[k], grid.dt, ens.spec, ens.basis, dH, None if L is None else L[k : k + 2])
+        total[...] = 0.0
         z = Z1[k].copy()  # z(0), [component, path]
         f_lo = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)
         for a in range(rank):
@@ -311,9 +319,10 @@ def check_comparison_hypothesis(
             scale = np.abs(Z1[k, a]) + np.abs(Z2[k, a]) + 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 beta = np.where(np.abs(den) > 1e-12 * scale, (f_lo - f_hi) / den, 0.0)
-            total[k] += beta * dH[k, a]
+            total += beta * dH[a]
             f_lo = f_hi
-    return float(np.min(total)) if total.size else 0.0
+        smallest[k] = np.min(total)
+    return float(np.min(smallest))
 
 
 def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -393,7 +402,8 @@ def _benchmark_penalization(cfg: ExperimentConfig) -> dict:
 
 
 def _stochastic_penalization(cfg: ExperimentConfig) -> dict:
-    # One solution alive at a time: at example51 size each holds ~200 MB.
+    # One solution alive at a time: at example51 size each stores Y, Z and
+    # dK, about 130 MB.
     problem, ens = cfg.build_problem(), cfg.build_ensemble()
     y0_and_se = attrgetter("y0_value", "y0_se")
     scalars = [

@@ -24,10 +24,14 @@ zero.
 
 Storage
 -------
-:func:`teugels_increments` computes dH one step at a time from that
-step's counts, through :func:`jump_martingales` (plus the Brownian part
-read from the driver's path), and stores the rows as [step, component,
-path].  ``verify`` evaluates the same form once, at the horizon.
+dH is a function of the jump counts (and, when the driver has a
+continuous part, of two node rows of its path), so nothing stores it for
+a run.  :func:`step_increments` writes one step's live rows from that
+step's counts, through :func:`jump_martingales`; the backward sweep calls
+it once per step into one reused [rank, path] row block, and
+:func:`teugels_increments` loops it over the grid into a full [step,
+component, path] array for the readers that want every step at once.
+``verify`` evaluates the same form once, at the horizon.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasure, RankMismatch
-from .levy import LevySpec, step_jump_sums
+from .levy import LevySpec
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,31 @@ def jump_martingales(
     return np.matmul(basis.jump_weights[: basis.rank], compensated, out=out)
 
 
+def step_increments(
+    counts_k: np.ndarray,
+    dt: float,
+    spec: LevySpec,
+    basis: TeugelsBasis,
+    out: np.ndarray,
+    levy_nodes: np.ndarray | None = None,
+) -> np.ndarray:
+    """Live rows [rank, path] of one step's increments dH_k, written to ``out``.
+
+    ``counts_k`` [atom, path] holds the step's jump counts; the rows are
+    ``P (counts_k - alpha dt)`` (:func:`jump_martingales`).  When the
+    driver has a continuous part, ``levy_nodes`` holds the driver's two
+    node rows (L_k, L_{k+1}) as [2, path], and ``q(0) sigma dW_k`` is
+    added, with sigma dW_k = dL_k - drift_b dt - beta . counts_k.
+    """
+    jump_martingales(counts_k, dt, spec, basis, out=out)
+    if levy_nodes is not None:
+        sigma_dw = np.subtract(levy_nodes[1], levy_nodes[0])
+        sigma_dw -= dt * spec.drift_b
+        sigma_dw -= spec.jump_sizes @ counts_k
+        out += basis.q_zero[: basis.rank, None] * sigma_dw
+    return out
+
+
 def teugels_increments(
     counts: np.ndarray,
     grid,
@@ -172,7 +201,7 @@ def teugels_increments(
     basis: TeugelsBasis,
     levy_path: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-step increments dH of the orthonormal martingales, stored.
+    """Per-step increments dH of the orthonormal martingales, every step.
 
     Parameters
     ----------
@@ -198,8 +227,8 @@ def teugels_increments(
     exactly zero.  The values are stored step-major, [n_steps, requested_m,
     n_paths], and returned as a transposed view, so ``dH.transpose(1, 2, 0)``
     is the contiguous step-major array for 3d input.  Step k's live rows
-    are ``P (n_k - alpha dt)`` (:func:`jump_martingales`), plus
-    ``q(0) sigma dW_k`` when the driver has a continuous part.
+    are :func:`step_increments` of its counts: ``P (n_k - alpha dt)``,
+    plus ``q(0) sigma dW_k`` when the driver has a continuous part.
     """
     n = grid.n_steps
     counts = np.asarray(counts)
@@ -227,17 +256,9 @@ def teugels_increments(
     dH = np.zeros((n, basis.requested_m, n_paths))
     rank = basis.rank
     if rank:
-        dt = grid.dt
         step_counts = counts.transpose(1, 2, 0)  # [step, atom, path]
         for k in range(n):
-            jump_martingales(step_counts[k], dt, spec, basis, out=dH[k, :rank])
-        if L is not None:
-            q0 = basis.q_zero[:rank, None]
-            drift = dt * spec.drift_b
-            for k, jumps in enumerate(step_jump_sums(counts, spec.jump_sizes)):
-                sigma_dw = np.subtract(L[k + 1], L[k])
-                sigma_dw -= drift
-                sigma_dw -= jumps
-                dH[k, :rank] += q0 * sigma_dw
+            step_increments(step_counts[k], grid.dt, spec, basis, dH[k, :rank],
+                            None if L is None else L[k : k + 2])
     dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levylab import paths, solver
 from levylab.cli import _grid_csv, main
 from levylab.config import DEFAULTS, SUITE_NAMES, parse_config
 from levylab.errors import LevyLabError
@@ -175,6 +176,29 @@ class TestCli:
             assert (out / name).exists()
         header = (out / "paths.csv").read_text().splitlines()[0]
         assert header == "path,node,t,B,L,X,eta_abs,A"
+
+    def test_simulate_and_trajectories_derive_each_array_once(self, small_config, tmp_path, monkeypatch):
+        # dH and K are derived on every read, so the writers bind them once
+        # rather than once per cell
+        calls = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(paths, "teugels_increments")
+        counting(solver, "cumsum_nodes")
+        assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "sim"),
+                     "--paths", "5"]) == 0
+        assert calls == {"teugels_increments": 1}
+        assert main(["solve", "--config", str(small_config), "--out", str(tmp_path / "traj"),
+                     "--trajectories", "--paths", "500"]) == 0
+        assert calls == {"teugels_increments": 1, "cumsum_nodes": 1}
 
     def test_solve_summary(self, small_config, tmp_path, capsys):
         out = tmp_path / "solve"

@@ -25,8 +25,8 @@ from levylab.paths import (
 )
 from levylab import suites
 from levylab.suites import measure_orthonormality, terminal_martingales
-from levylab.teugels import basis_for, teugels_increments
-from teugels_reference import mean_l1, power_sum_increments
+from levylab.teugels import basis_for, step_increments, teugels_increments
+from teugels_reference import mean_l1, power_sum_increments, stored_increments_reference
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4)
 
@@ -199,6 +199,21 @@ def measure_orthonormality_reference(cfg, basis, dH):
     }
 
 
+def ensemble_drivers(test):
+    """Parametrize ``test`` over three drivers, each at seeds 1 and 7."""
+    drivers = pytest.mark.parametrize(
+        "spec, sigma_x",
+        [
+            (TWO_ATOM, None),
+            # with a drift, which sigma dW must not pick up
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.4, drift_b=0.4), lambda x: 1.0 + 0.2 * x),
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3), None),
+        ],
+        ids=["two-atom", "sigma-affine", "three-atom-drift"],
+    )
+    return pytest.mark.parametrize("seed", [1, 7])(drivers(test))
+
+
 class TestCompactCounts:
     """Node-major compact counts and L built one step at a time, against
     the path-major int64 references bit for bit; dH and the orthonormality
@@ -280,17 +295,7 @@ class TestCompactCounts:
             dH = teugels_increments(counts, grid, spec, basis)
             assert np.max(np.abs(dH - power_sum_increments(ref, grid, spec, basis.requested_m))) <= dH_atol
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize(
-        "spec, sigma_x",
-        [
-            (TWO_ATOM, None),
-            # with a drift, which sigma dW must not pick up
-            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.4, drift_b=0.4), lambda x: 1.0 + 0.2 * x),
-            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3), None),
-        ],
-        ids=["two-atom", "sigma-affine", "three-atom-drift"],
-    )
+    @ensemble_drivers
     def test_ensemble_dH_matches_the_power_sum_reference(self, spec, sigma_x, seed):
         # dH from the per-atom weights and compensated counts, plus q(0) sigma
         # dW from the path, against the Gram-Schmidt power sums with
@@ -303,19 +308,42 @@ class TestCompactCounts:
         assert np.max(np.abs(ens.dH - ref)) <= atol
         assert np.all(ens.dH[:, :, basis.rank :] == 0.0)
 
-    def test_simulation_memory_stays_near_the_returned_arrays(self):
-        # counts, L and dH are built one step at a time, so the peak is the
-        # ensemble plus a few rows, not a full-size sum or copy per stage
+    @ensemble_drivers
+    def test_ensemble_dH_is_the_step_kernel_bit_for_bit(self, spec, sigma_x, seed):
+        # the derived dH and the sweep's per-step rows against the array
+        # as it was stored: all jump parts, then one pass for sigma dW
         grid = TimeGrid(1.0, 50)
+        basis = basis_for(spec, 4)
+        ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
+        ref = stored_increments_reference(ens.jump_counts, grid, spec, basis, levy_path=ens.L)
+        dH = ens.dH
+        assert np.array_equal(dH, ref)
+        assert np.any(dH != 0.0)
+        counts, L = ens.jump_counts.transpose(1, 2, 0), ens.L.T
+        row = np.empty((basis.rank, ens.n_paths))
+        for k in range(grid.n_steps):
+            levy_nodes = L[k : k + 2] if spec.continuous_part else None
+            step_increments(counts[k], grid.dt, spec, basis, row, levy_nodes)
+            assert np.array_equal(row, ref[:, k, : basis.rank].T), k
+
+    def test_simulation_memory_stays_near_the_returned_arrays(self):
+        # counts, L and the reflection are built one step at a time, and dH
+        # is not stored, so the peak is the stored arrays plus a few rows;
+        # a stored dH would add n_steps * rank = 100 rows
+        grid = TimeGrid(1.0, 50)
+        n_paths = 10_000
         tracemalloc.start()
         try:
-            ens = simulate_ensemble(TWO_ATOM, grid, basis_for(TWO_ATOM), 10_000, 1, theta=1.0, x0=0.0)
+            ens = simulate_ensemble(TWO_ATOM, grid, basis_for(TWO_ATOM), n_paths, 1, theta=1.0, x0=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
-        returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs, ens.dH))
-        assert peak <= 1.10 * returned, peak / returned
+        stored = [v for v in vars(ens).values() if isinstance(v, np.ndarray)]
+        assert not [a.shape for a in stored if a.ndim == 3 and a.dtype.kind == "f"]
+        returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs))
+        row = n_paths * np.dtype(float).itemsize
+        assert peak <= returned + 40 * row, (peak - returned) / row
 
     def test_rank_zero_driver_has_zero_martingales(self):
         spec = LevySpec()  # no atoms and no continuous part

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from levylab.levy import step_jump_sums
 from levylab.teugels import build_mu
 
 # Gram-Schmidt pivot tolerance, relative to the raw norm of the incoming monomial
@@ -83,3 +84,25 @@ def power_sum_increments(counts, grid, spec, requested_m, levy_path=None):
     dH = np.zeros(counts.shape[:2] + (requested_m,))
     dH[..., :rank] = dY @ coeffs[:rank, :rank].T
     return dH
+
+
+def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
+    """dH [path, step, m] of [path, step, atom] counts as the stored array
+    was built: every step's jump part first, then one pass adding
+    q(0) sigma dW_k from the path and the step's jump sums."""
+    n, n_paths = grid.n_steps, counts.shape[0]
+    rank = basis.rank
+    dH = np.zeros((n, basis.requested_m, n_paths))
+    step_counts = counts.transpose(1, 2, 0)
+    for k in range(n):
+        compensated = step_counts[k] - (spec.intensities * grid.dt)[:, None]
+        np.matmul(basis.jump_weights[:rank], compensated, out=dH[k, :rank])
+    if spec.continuous_part:
+        L = np.asarray(levy_path, dtype=float).T
+        drift = grid.dt * spec.drift_b
+        for k, jumps in enumerate(step_jump_sums(counts, spec.jump_sizes)):
+            sigma_dw = np.subtract(L[k + 1], L[k])
+            sigma_dw -= drift
+            sigma_dw -= jumps
+            dH[k, :rank] += basis.q_zero[:rank, None] * sigma_dw
+    return dH.transpose(2, 0, 1)
