@@ -377,7 +377,7 @@ def solve_penalized(
         factor = _gram_factor(rhs_gram[:, 1:])
         kept = _regress(design, factor, aug[:1], k, yhat[None, :], rhs=rhs_gram[:, :1])
         if rank:
-            step_increments(counts[k], dt, ens.spec, ens.basis, dH_k, None if L is None else L[k : k + 2])
+            step_increments(counts, L, k, dt, ens.spec, ens.basis, dH_k)
             dH_k *= np.subtract(y_next, yhat, out=row)
             _regress(design, factor, dH_k, k, Zt[k, :rank], scale=1.0 / dt)
             z2 += float(np.vdot(Zt[k, :rank], Zt[k, :rank]))

@@ -302,13 +302,12 @@ def check_comparison_hypothesis(
     t = grid.nodes
     X, Y2 = ens.X.T, sol2.Y.T
     Z1, Z2 = sol1.Z.transpose(1, 2, 0), sol2.Z.transpose(1, 2, 0)
-    counts = ens.jump_counts.transpose(1, 2, 0)
-    L = ens.L.T if ens.spec.continuous_part else None
+    counts, L = ens.jump_counts.transpose(1, 2, 0), ens.L.T
     dH = np.empty((rank, ens.n_paths))
     total = np.empty(ens.n_paths)
     smallest = np.empty(grid.n_steps)  # per step, over paths
     for k in range(grid.n_steps):
-        step_increments(counts[k], grid.dt, ens.spec, ens.basis, dH, None if L is None else L[k : k + 2])
+        step_increments(counts, L, k, grid.dt, ens.spec, ens.basis, dH)
         total[...] = 0.0
         z = Z1[k].copy()  # z(0), [component, path]
         f_lo = np.asarray(problem2.f(t[k], X[k], Y2[k], z.T), dtype=float)

@@ -170,26 +170,28 @@ def jump_martingales(
 
 
 def step_increments(
-    counts_k: np.ndarray,
+    counts: np.ndarray,
+    levy_path: np.ndarray | None,
+    k: int,
     dt: float,
     spec: LevySpec,
     basis: TeugelsBasis,
     out: np.ndarray,
-    levy_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Live rows [rank, path] of one step's increments dH_k, written to ``out``.
+    """Live rows [rank, path] of step k's increments dH_k, written to ``out``.
 
-    ``counts_k`` [atom, path] holds the step's jump counts; the rows are
-    ``P (counts_k - alpha dt)`` (:func:`jump_martingales`).  When the
-    driver has a continuous part, ``levy_nodes`` holds the driver's two
-    node rows (L_k, L_{k+1}) as [2, path], and ``q(0) sigma dW_k`` is
-    added, with sigma dW_k = dL_k - drift_b dt - beta . counts_k.
+    ``counts`` [step, atom, path] and ``levy_path`` [node, path] are
+    node-major.  The rows are ``P (n_k - alpha dt)`` from the counts' row
+    k (:func:`jump_martingales`); when the driver has a continuous part,
+    ``q(0) sigma dW_k`` is added, with sigma dW_k = dL_k - drift_b dt -
+    beta . n_k read from the path's nodes k and k + 1.  The path is read
+    only then, so it may be ``None`` otherwise.
     """
-    jump_martingales(counts_k, dt, spec, basis, out=out)
-    if levy_nodes is not None:
-        sigma_dw = np.subtract(levy_nodes[1], levy_nodes[0])
+    jump_martingales(counts[k], dt, spec, basis, out=out)
+    if spec.continuous_part:
+        sigma_dw = np.subtract(levy_path[k + 1], levy_path[k])
         sigma_dw -= dt * spec.drift_b
-        sigma_dw -= spec.jump_sizes @ counts_k
+        sigma_dw -= spec.jump_sizes @ counts[k]
         out += basis.q_zero[: basis.rank, None] * sigma_dw
     return out
 
@@ -258,7 +260,6 @@ def teugels_increments(
     if rank:
         step_counts = counts.transpose(1, 2, 0)  # [step, atom, path]
         for k in range(n):
-            step_increments(step_counts[k], grid.dt, spec, basis, dH[k, :rank],
-                            None if L is None else L[k : k + 2])
+            step_increments(step_counts, L, k, grid.dt, spec, basis, dH[k, :rank])
     dH = dH.transpose(2, 0, 1)
     return dH[0] if squeeze else dH

@@ -322,8 +322,7 @@ class TestCompactCounts:
         counts, L = ens.jump_counts.transpose(1, 2, 0), ens.L.T
         row = np.empty((basis.rank, ens.n_paths))
         for k in range(grid.n_steps):
-            levy_nodes = L[k : k + 2] if spec.continuous_part else None
-            step_increments(counts[k], grid.dt, spec, basis, row, levy_nodes)
+            step_increments(counts, L, k, grid.dt, spec, basis, row)
             assert np.array_equal(row, ref[:, k, : basis.rank].T), k
 
     def test_simulation_memory_stays_near_the_returned_arrays(self):

@@ -87,9 +87,9 @@ def power_sum_increments(counts, grid, spec, requested_m, levy_path=None):
 
 
 def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
-    """dH [path, step, m] of [path, step, atom] counts as the stored array
-    was built: every step's jump part first, then one pass adding
-    q(0) sigma dW_k from the path and the step's jump sums."""
+    """dH [path, step, m] of [path, step, atom] counts built whole: every
+    step's jump part first, then one pass adding q(0) sigma dW_k from the
+    path and the step's jump sums."""
     n, n_paths = grid.n_steps, counts.shape[0]
     rank = basis.rank
     dH = np.zeros((n, basis.requested_m, n_paths))
