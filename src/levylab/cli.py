@@ -55,11 +55,12 @@ def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     n_paths = ens.n_paths
     out = _out_dir(cfg)
     t = cfg.grid.nodes
+    L = ens.L  # derived on each read when sigma = 0, so read once
     lines = ["path,node,t,B,L,X,eta_abs,A"]
     for p in range(n_paths):
         for k in range(cfg.grid.n_steps + 1):
             lines.append(
-                f"{p},{k},{t[k]:.12g},{ens.B[k]:.12g},{ens.L[p, k]:.12g},"
+                f"{p},{k},{t[k]:.12g},{ens.B[k]:.12g},{L[p, k]:.12g},"
                 f"{ens.X[p, k]:.12g},{ens.eta_abs[p, k]:.12g},{ens.A[p, k]:.12g}"
             )
     _write(out / "paths.csv", "\n".join(lines) + "\n")
@@ -85,7 +86,8 @@ def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
     t = cfg.grid.nodes
-    Y, Z, K = sol.Y, sol.Z, sol.K  # K is derived on each read, so read once
+    # evaluated from the sweep's fits at the printed paths only
+    Y, Z, K = (sol.on_paths(name, slice(max_paths)) for name in ("Y", "Z", "K"))
     m = Z.shape[2]
     header = "path,node,t,Y,K" + "".join(f",Z{i + 1}" for i in range(m))
     lines = [header]

@@ -19,25 +19,31 @@ numpy's indexed fast path (see :func:`simulate_jump_counts`).
 Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
-at a time, so the per-node arrays are stored node-major: the driver L, the
-state X and the local time |eta| (and so the clock A) as [node, path], and
-the jump counts, in the smallest unsigned dtype that holds them, as [step,
-atom, path].  Functions return them as transposed views with the
-documented [path, node(, atom)] shapes; ``.T`` (or ``.transpose(1, 2,
-0)``) recovers the contiguous node-major array without a copy.  The
-martingale increments dH are not stored: they are a function of the counts
-(and of L when the driver has a continuous part), which the sweep forms one
-step at a time, and :attr:`PathEnsemble.dH` derives whole on each read.
+at a time, so the per-node arrays are stored node-major: the state X and
+the local time |eta| (and so the clock A) as [node, path], and the jump
+counts, in the smallest unsigned dtype that holds them, as [step, atom,
+path].  Functions return them as transposed views with the documented
+[path, node(, atom)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
+the contiguous node-major array without a copy.
 
-:func:`assemble_levy_paths` writes L one node at a time, reading the counts
-one step at a time; the reflection reads L and writes X and |eta| one row
-at a time, through one reused row, with no per-step temporaries.
+The driver L is stored only when it has a continuous part, whose sigma B
+is drawn once and cannot be rebuilt from the counts.  A pure-jump driver
+is a function of the counts, so the reflection reads its node rows as
+:class:`DriverNodes` builds them, two reused rows at a time, and
+:attr:`PathEnsemble.L` derives it whole on each read with the same kernel
+that :func:`assemble_levy_paths` uses.  The martingale increments dH are
+not stored either: they are a function of the counts (and of L when the
+driver has a continuous part), which the sweep forms one step at a time,
+and :attr:`PathEnsemble.dH` derives whole on each read.
+
+The reflection reads L and writes X and |eta| one row at a time, through
+one reused row, with no per-step temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,6 +136,30 @@ def simulate_jump_counts(
     return counts.transpose(2, 0, 1)
 
 
+def _driver_nodes(
+    spec: LevySpec, grid: TimeGrid, counts: np.ndarray, out: np.ndarray, brownian=None
+) -> Iterator[np.ndarray]:
+    """Yield the driver's node rows L_0, ..., L_n, node k written into
+    ``out[k % len(out)]``.
+
+    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus sigma
+    * B_k from the [path, node] ``brownian`` when it is given.  ``counts``
+    is [path, step, atom], read one step at a time.  With ``out`` the full
+    [node, path] array every node is kept; with two rows, each row is
+    overwritten two nodes later.
+    """
+    drift = spec.drift_b
+    jumps = np.zeros(counts.shape[0])
+    sums = step_jump_sums(counts, spec.jump_sizes)
+    for k, t in enumerate(grid.nodes):
+        if k:
+            jumps += next(sums)
+        node = np.add(jumps, drift * t, out=out[k % len(out)])
+        if brownian is not None:
+            node += spec.sigma * brownian[:, k]
+        yield node
+
+
 def assemble_levy_paths(
     spec: LevySpec,
     grid: TimeGrid,
@@ -139,9 +169,9 @@ def assemble_levy_paths(
     """Driver node values from [path, step, atom] counts; returns [path,
     node], a transposed view of node-major storage.
 
-    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
-    sigma * B_k when the spec has a continuous part.  The counts are read
-    one step at a time; B is drawn from ``rng`` whole and path-major (one
+    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus sigma
+    * B_k when the spec has a continuous part.  The counts are read one
+    step at a time; B is drawn from ``rng`` whole and path-major (one
     :func:`simulate_brownian` call after the counts) and read one node at a
     time.
     """
@@ -150,17 +180,31 @@ def assemble_levy_paths(
         if rng is None:
             raise ValueError("an rng is required to draw the driver's continuous part")
         brownian = simulate_brownian(grid, rng, counts.shape[0])
-    drift = spec.drift_b
     L = np.empty((grid.n_steps + 1, counts.shape[0]))
-    jumps = np.zeros(counts.shape[0])
-    sums = step_jump_sums(counts, spec.jump_sizes)
-    for k, t in enumerate(grid.nodes):
-        if k:
-            jumps += next(sums)
-        node = np.add(jumps, drift * t, out=L[k])
-        if brownian is not None:
-            node += spec.sigma * brownian[:, k]
+    for _ in _driver_nodes(spec, grid, counts, L, brownian):
+        pass
     return L.T
+
+
+@dataclass(frozen=True, eq=False)
+class DriverNodes:
+    """A pure-jump driver's node rows, built from the counts as they are read.
+
+    Iterating yields L_0, ..., L_n as [path] rows, exactly the nodes of
+    :func:`assemble_levy_paths`, through two reused rows: a row is
+    overwritten two nodes later, so a reader keeps at most the previous
+    node.  ``len`` is the node count.
+    """
+
+    spec: LevySpec
+    grid: TimeGrid
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.grid.n_steps + 1
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return _driver_nodes(self.spec, self.grid, self.counts, np.empty((2, self.counts.shape[0])))
 
 
 def cumsum_nodes(steps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -181,7 +225,7 @@ def simulate_reflected_x(
     sigma_x: Callable[[np.ndarray], np.ndarray],
     theta: float,
     x0: float,
-    levy_path: np.ndarray,
+    levy_path,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clamp-projected Euler state on [-theta, theta] with its local time.
 
@@ -191,25 +235,31 @@ def simulate_reflected_x(
     nondecreasing local time |eta|.  In dimension one the projection is
     the exact one-step Skorokhod map.
 
-    ``levy_path`` is [path, node]; the state and local time come back as
-    [path, node] transposed views of node-major arrays, so each step reads
-    and writes contiguous rows.
+    ``levy_path`` is the driver as a [path, node] array, or as its node
+    rows in order (a :class:`DriverNodes`, or any sized iterable of [path]
+    rows); dL_k is the difference of nodes k + 1 and k either way.  The
+    state and local time come back as [path, node] transposed views of
+    node-major arrays, so each step reads and writes contiguous rows.
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    L = np.asarray(levy_path, dtype=float).T  # [node, path]
-    X = np.empty(L.shape)
+    if isinstance(levy_path, (np.ndarray, list, tuple)):
+        levy_path = np.asarray(levy_path, dtype=float).T  # [node, path]
+    nodes = iter(levy_path)
+    prev = next(nodes)
+    X = np.empty((len(levy_path), prev.shape[0]))
     eta = np.empty_like(X)
     X[0] = x0
     eta[0] = 0.0
-    proposal = np.empty(L.shape[1])  # one row, reused: the step then its overshoot
-    for k in range(L.shape[0] - 1):
-        np.subtract(L[k + 1], L[k], out=proposal)
+    proposal = np.empty(X.shape[1])  # one row, reused: the step then its overshoot
+    for k, node in enumerate(nodes):
+        np.subtract(node, prev, out=proposal)
         proposal *= np.asarray(sigma_x(X[k]), dtype=float)
         proposal += X[k]
         np.clip(proposal, -theta, theta, out=X[k + 1])
         proposal -= X[k + 1]
         np.add(eta[k], np.abs(proposal, out=proposal), out=eta[k + 1])
+        prev = node
     return X.T, eta.T
 
 
@@ -242,19 +292,22 @@ def unit_coefficient(x):
 class PathEnsemble:
     """A stack of scenarios sharing one frozen Brownian path B.
 
-    ``L``, ``X``, ``eta_abs`` and ``A`` are [path, node] and
-    ``jump_counts`` [path, step, atom].  From :func:`simulate_ensemble` all
-    five are transposed views of node-major arrays, the counts in a small
-    unsigned dtype (see the module docstring); an ensemble built by hand
-    may hold path-major arrays instead, which the solver copies to
-    node-major once per sweep.  The clock ``A`` is the boundary local time:
+    ``X``, ``eta_abs`` and ``A`` are [path, node] and ``jump_counts``
+    [path, step, atom].  From :func:`simulate_ensemble` all four are
+    transposed views of node-major arrays, the counts in a small unsigned
+    dtype (see the module docstring); an ensemble built by hand may hold
+    path-major arrays instead, which the solver copies to node-major once
+    per sweep.  The clock ``A`` is the boundary local time:
     :func:`simulate_ensemble` makes it a read-only view of ``eta_abs``, not
     a copy, since nothing writes to a clock.  The solver reads any
     increasing ``A`` it is given.
 
-    ``dH`` [path, step, component] is derived from the counts (and ``L``)
-    by :func:`~levylab.teugels.teugels_increments` on every read, not
-    stored or cached: a reader binds it once.
+    ``levy_path`` is the driver L [path, node] when it has a continuous
+    part, and ``None`` otherwise.  ``L`` returns it, or derives the
+    pure-jump driver from the counts on every read (:func:`assemble_levy_paths`'
+    kernel), and ``dH`` [path, step, component] is derived from the counts
+    (and L, when sigma > 0) by :func:`~levylab.teugels.teugels_increments`
+    on every read.  Neither is cached: a reader binds each once.
     """
 
     grid: TimeGrid
@@ -263,7 +316,7 @@ class PathEnsemble:
     theta: float
     x0: float
     B: np.ndarray
-    L: np.ndarray
+    levy_path: np.ndarray | None
     jump_counts: np.ndarray
     X: np.ndarray
     eta_abs: np.ndarray
@@ -271,11 +324,21 @@ class PathEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.L.shape[0]
+        return self.X.shape[0]
+
+    @property
+    def L(self) -> np.ndarray:
+        if self.levy_path is not None:
+            return self.levy_path
+        L = np.empty((self.grid.n_steps + 1, self.n_paths))
+        for _ in _driver_nodes(self.spec, self.grid, self.jump_counts, L):
+            pass
+        return L.T
 
     @property
     def dH(self) -> np.ndarray:
-        return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, levy_path=self.L)
+        levy_path = self.L if self.spec.continuous_part else None
+        return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, levy_path=levy_path)
 
 
 def simulate_ensemble(
@@ -299,9 +362,9 @@ def simulate_ensemble(
     rng_levy = derived_rng(master_seed, outer_index, STREAM_LEVY)
     rng_b = derived_rng(master_seed, outer_index, STREAM_BROWNIAN)
     counts = simulate_jump_counts(spec, grid, rng_levy, n_paths)
-    L = assemble_levy_paths(spec, grid, counts, rng_levy)
+    L = assemble_levy_paths(spec, grid, counts, rng_levy) if spec.continuous_part else None
     B = simulate_brownian(grid, rng_b)
-    X, eta = simulate_reflected_x(sigma_x, theta, x0, L)
+    X, eta = simulate_reflected_x(sigma_x, theta, x0, DriverNodes(spec, grid, counts) if L is None else L)
     A = eta.view()
     A.flags.writeable = False
     return PathEnsemble(
@@ -311,7 +374,7 @@ def simulate_ensemble(
         theta=theta,
         x0=x0,
         B=B,
-        L=L,
+        levy_path=L,
         jump_counts=counts,
         X=X,
         eta_abs=eta,

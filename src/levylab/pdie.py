@@ -464,8 +464,10 @@ def representation_check(
 
     Checks Y against u(t, X_t) at a subsample of (path, node) pairs and
     the Monte Carlo Z components against the jump functionals of u
-    (:func:`component_functionals`) evaluated at the same points.  Grids
-    must share the horizon and domain, with the grid's time nodes
+    (:func:`component_functionals`) evaluated at the same points; the
+    Monte Carlo rows are evaluated from the sweep's fits at those pairs
+    only (:meth:`EnsembleSolution.evaluate`).  Grids must share the
+    horizon and domain, with the grid's time nodes
     refining the Monte Carlo nodes.  The driver and basis are the
     ensemble's own.
     """
@@ -494,13 +496,18 @@ def representation_check(
         u_rows, _gradient(u_rows, dx), stencil, FunctionalWeights.of(basis, spec), sig
     )
     columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
-    at = _interp_rows(ens.X.T[:, paths], pgrid.x, columns)  # [node, path, 1 + m]
-    y_gaps = np.abs(sol.Y.T[:, paths] - at[..., 0])
-    z_at = at[:-1, :, 1:]  # Z has no step after the last node
+    X = ens.X.T[:, paths]  # [node, path]
+    at = _interp_rows(X, pgrid.x, columns)  # [node, path, 1 + m]
+    # the Monte Carlo Y and Z at the same pairs, one node at a time
+    y_mc = np.empty(X.shape)
+    z_mc = np.empty((n_mc, basis.requested_m, len(paths)))  # Z has no step after the last node
+    for k in range(n_mc + 1):
+        sol.evaluate(k, X[k], y=y_mc[k], z=z_mc[k] if k < n_mc else None)
+    y_gaps = np.abs(y_mc - at[..., 0])
+    z_at = at[:-1, :, 1:]
     # sums over paths per node, then over nodes
     z_ref = np.sum(np.sum(np.square(z_at), axis=1), axis=0)
-    z_mc = sol.Z.transpose(1, 0, 2)[:n_mc, paths]
-    z_sq = np.sum(np.sum(np.square(z_mc - z_at), axis=1), axis=0)
+    z_sq = np.sum(np.sum(np.square(z_mc.transpose(0, 2, 1) - z_at), axis=1), axis=0)
     count = n_mc * len(paths)
     z_rms = tuple(float(v) for v in np.sqrt(z_sq / max(count, 1)))
     z_scale = tuple(float(v) for v in np.sqrt(z_ref / max(count, 1)))

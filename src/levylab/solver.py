@@ -38,7 +38,7 @@ of the design with that buffer gives the design's Gram matrix (at most
 6 x 6) and the Y right-hand side together.  The Gram matrix is
 Cholesky-factored once; the Y regression (item 1) and the Z regressions
 (item 2) are all solved against that one factor, and each fit is written
-straight into its output row.  The Z coefficients are scaled by 1/dt
+straight into its running row.  The Z coefficients are scaled by 1/dt
 before the fit is formed.  The Gram matrix squares the design's condition
 number, so a step whose factorization fails, or whose condition number
 (LAPACK's ``pocon`` estimate from the factor, no SVD) exceeds
@@ -56,23 +56,30 @@ design already holds.
 
 Storage
 -------
-Every per-node array of the sweep is node-major, so each step reads and
-writes contiguous rows and nothing is gathered per step.  The inputs X, A
-and the jump counts (and L, when the driver has a continuous part) are
-taken from the ensemble's transposed views through
-``np.ascontiguousarray`` once per sweep: free for an ensemble from
-:func:`~levylab.paths.simulate_ensemble`, one copy for a hand-built
-path-major one.  Step k's increments dH_k are formed from its counts by
-:func:`~levylab.teugels.step_increments` into one reused [rank, path]
-block, the obstacle row S_k is evaluated at (t_k, X_k), and the pre-push
-estimate lives in one reused row, so no full-size dH, S or y_pre exists.
-The sweep stores Y, Z and dK; :class:`EnsembleSolution` exposes them as
-transposed views with the documented [path, node(, component)] shapes,
-without copying, and derives K, S and y_pre from them on read.  The
-diagnostics are reduced as the sweep writes each row: sup Y^2 in one
-per-path row, and the path sums of Y^2 dA, |Z|^2, the push's gap and the
-penetration as one scalar per step, since only their path means are
-read.  No pass over the full arrays follows the sweep.
+Every per-node array the sweep reads is node-major, so each step reads
+contiguous rows and nothing is gathered per step.  The inputs X, A and the
+jump counts (and L, when the driver has a continuous part) are taken from
+the ensemble's transposed views through ``np.ascontiguousarray`` once per
+sweep: free for an ensemble from :func:`~levylab.paths.simulate_ensemble`,
+one copy for a hand-built path-major one.  Step k's increments dH_k are
+formed from its counts by :func:`~levylab.teugels.step_increments` into
+one reused [rank, path] block.
+
+The sweep stores no [node, path] array.  Y and Z at node k + 1 (the step's
+inputs) and at node k (its outputs), the fit, the push and the running
+K_T are a few [path] rows, swapped or overwritten each step.  What it
+returns per step is the step's fit (:class:`StepFit`): the mean and sd of
+X_k, whether the design has the boundary-layer column, and the Y and
+1/dt-scaled Z coefficients over the columns kept, a few dozen floats.
+Given them, every row at node k is a function of X_k, and
+:meth:`EnsembleSolution.evaluate` rebuilds it at any states through the
+sweep's own calls: :func:`regression_design` with the stored mean and sd,
+the same coefficient products, then the g dB term and the push.  So Y, Z,
+dK, K, y_pre and S are evaluated on read, one node at a time, at every
+path or at the paths a reader asks for.  The diagnostics are reduced as
+the sweep writes each row: sup Y^2 in one per-path row, and the path sums
+of Y^2 dA, |Z|^2, the push's gap and the penetration as one scalar per
+step, since only their path means are read.
 """
 
 from __future__ import annotations
@@ -80,11 +87,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
-from .paths import PathEnsemble, TimeGrid, cumsum_nodes
+from .paths import PathEnsemble, TimeGrid
 from .problems import ProblemSpec
 from .teugels import step_increments
 
@@ -131,18 +139,46 @@ class SolverConfig:
         return self.degree + 2  # intercept + degree monomials + layer indicator
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class StepFit:
+    """Step k's regression, which fixes every row at node k as a function
+    of the state X_k.
+
+    ``mean`` and ``sd`` standardize the state for the design's monomials,
+    which the design has only when ``sd`` exceeds ``SD_FLOOR``; ``layer``
+    says whether it has the boundary-layer column.  ``y_coef`` [1, kept]
+    and ``z_coef`` [rank, kept] (``None`` at rank 0) are the Y and Z
+    coefficients over the design's first ``kept`` columns, the Z ones
+    already scaled by 1/dt.
+    """
+
+    mean: float
+    sd: float
+    layer: bool
+    y_coef: np.ndarray
+    z_coef: np.ndarray | None
+
+
+def _push_scale(penalization: float | None, dt: float) -> float:
+    """The push's share of the shortfall (S - yhat)^+: 1 by projection,
+    n dt / (1 + n dt) by the resolvent step of penalty n."""
+    return 1.0 if penalization is PROJECTION else penalization * dt / (1.0 + penalization * dt)
+
+
 @dataclass
 class EnsembleSolution:
-    """Pathwise solution arrays for one frozen Brownian sample.
+    """Solution of one backward sweep (one frozen Brownian sample), held as
+    its per-step fits.
 
-    ``Y`` is [path, node]; ``Z`` is [path, node, component] with exact
-    zeros beyond ``rank``; ``dK`` is the per-step push [path, step].  The
-    three are stored, as transposed views of the sweep's node-major arrays,
-    so they are not C-contiguous; ``Y.T`` (``Z.transpose(1, 2, 0)`` for
-    ``Z``) is the node-major array.  ``K``, ``y_pre`` and ``S`` are derived
-    from them, from the state ``X`` [path, node] and the ``problem`` on
-    every read, not stored or cached, so a reader binds each once; ``K_T``
-    reads only the total push.
+    ``fits[k]`` is step k's :class:`StepFit`.  :meth:`evaluate` rebuilds
+    node k's Y, Z, push dK_k and pre-push (left limit) estimate y_pre at
+    any states; :meth:`on_paths` evaluates one of them, K or the obstacle
+    S node by node at a set of paths of the state ``X`` [path, node].  The
+    properties ``Y``, ``K``, ``y_pre`` and ``S`` [path, node], ``Z`` [path,
+    node, component] (exact zeros beyond ``rank``) and ``dK`` [path, step]
+    evaluate it at every path on each read, not stored or cached, so a
+    reader binds each once.  ``K_T`` [path] is the total push, summed by
+    the sweep as it ran, last step first.
 
     ``skorokhod_residual`` is the mean over paths of
     |sum_k (y_pre_k - S_k) dK_k|, the discrete complementarity gap;
@@ -152,11 +188,14 @@ class EnsembleSolution:
     """
 
     penalization: float | None
+    degree: int
     rank: int
-    Y: np.ndarray
-    Z: np.ndarray
-    dK: np.ndarray
+    n_components: int
+    layer_width: float
+    fits: tuple[StepFit, ...]
+    K_T: np.ndarray
     X: np.ndarray
+    dB: np.ndarray
     problem: ProblemSpec
     grid: TimeGrid
     y0_value: float
@@ -169,74 +208,152 @@ class EnsembleSolution:
     def dt(self) -> float:
         return self.grid.dt
 
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        return self.grid.nodes
+
+    def evaluate(self, k: int, x: np.ndarray, y=None, z=None, push=None, y_pre=None) -> None:
+        """Node k's rows at the states ``x`` [point], written into the
+        rows given: ``y``, ``push`` (dK_k) and ``y_pre`` [point], ``z``
+        [component, point].
+
+        The arithmetic is the sweep's, call for call, so at the states of
+        all the sweep's paths the rows are its rows bit for bit.  At a
+        subset Z still is; the Y fit's 1 x kept product may round a few
+        points one ulp apart, since BLAS treats the tail of a row of another
+        length differently.  At the horizon Y and y_pre are the terminal
+        value and Z is zero; there is no push.
+        """
+        problem = self.problem
+        if k == self.grid.n_steps:
+            if push is not None:
+                raise ValueError("the horizon node has no push")
+            for out in (y, y_pre):
+                if out is not None:
+                    out[...] = np.asarray(problem.terminal(x), dtype=float)
+            if z is not None:
+                z[...] = 0.0
+            return
+        fit = self.fits[k]
+        design, _ = regression_design(x, self.degree, problem.theta, self.layer_width,
+                                      np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
+        if z is not None:
+            z[self.rank:] = 0.0
+            if self.rank:
+                _fitted(fit.z_coef, design, z[: self.rank])
+        if y is None and push is None and y_pre is None:
+            return
+        rows = [out if out is not None else np.empty(x.shape[0]) for out in (y_pre, push, y)]
+        yhat = _fitted(fit.y_coef, design, rows[0][None, :])[0]
+        t = self._nodes[k]
+        s = np.asarray(problem.obstacle(t, x), dtype=float)
+        _settle(problem, t, x, self.dB[k], yhat, s, _push_scale(self.penalization, self.dt),
+                np.empty(x.shape[0]), rows[1], rows[2])
+
+    def on_paths(self, name: str, paths=slice(None)) -> np.ndarray:
+        """``name`` ("Y", "Z", "dK", "K", "y_pre" or "S") at the given
+        paths (an index into the path axis, every path by default),
+        evaluated node by node into one node-major array and returned as
+        its [path, node(, component)] transposed view.
+
+        K is the running sum of the evaluated pushes, from K_0 = 0.  The
+        only temporaries are rows of the selected paths.
+        """
+        X = self.X.T[:, paths]
+        n, size = self.grid.n_steps, X.shape[1]
+        if name == "Z":
+            out = np.empty((n + 1, self.n_components, size))
+        else:
+            out = np.empty((n if name == "dK" else n + 1, size))
+        if name == "S":
+            for k, t in enumerate(self._nodes):
+                out[k] = np.asarray(self.problem.obstacle(t, X[k]), dtype=float)
+        elif name == "K":
+            out[0] = 0.0
+            push = np.empty(size)
+            for k in range(n):
+                self.evaluate(k, X[k], push=push)
+                np.add(out[k], push, out=out[k + 1])
+        else:
+            key = {"Y": "y", "Z": "z", "dK": "push", "y_pre": "y_pre"}[name]
+            for k in range(out.shape[0]):
+                self.evaluate(k, X[k], **{key: out[k]})
+        return out.transpose(2, 0, 1) if name == "Z" else out.T
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self.on_paths("Y")
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.on_paths("Z")
+
+    @property
+    def dK(self) -> np.ndarray:
+        return self.on_paths("dK")
+
     @property
     def K(self) -> np.ndarray:
-        """Cumulative push [path, node], K_0 = 0 (:func:`cumsum_nodes` of dK)."""
-        return cumsum_nodes(self.dK.T, out=np.empty(self.Y.T.shape)).T
-
-    @property
-    def K_T(self) -> np.ndarray:
-        """Total push [path]: the last node of ``K``, bit for bit, without K."""
-        return _step_sum(self.dK.T)
-
-    @property
-    def S(self) -> np.ndarray:
-        """Obstacle [path, node] at (t, X), as the sweep evaluated it row by row."""
-        return np.asarray(self.problem.obstacle(self.grid.nodes[:, None], self.X.T), dtype=float).T
+        return self.on_paths("K")
 
     @property
     def y_pre(self) -> np.ndarray:
-        """Pre-push (left limit) estimate [path, node]: Y - dK on the
-        steps and xi at the horizon, the sweep's estimate within one ulp
-        of |Y|."""
-        Yt = self.Y.T
-        out = np.empty(Yt.shape)
-        np.subtract(Yt[:-1], self.dK.T, out=out[:-1])
-        out[-1] = Yt[-1]
-        return out.T
+        return self.on_paths("y_pre")
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.on_paths("S")
 
 
-def _step_sum(steps: np.ndarray) -> np.ndarray:
-    """Sum of node-major step rows in step order from zero: the last row
-    of :func:`cumsum_nodes`, bit for bit."""
-    total = np.zeros(steps.shape[1:])
-    for row in steps:
-        total += row
-    return total
+# The design has the standardized monomials only when the state's sd
+# exceeds this.
+SD_FLOOR = 1e-13
 
 
 def regression_design(
-    x: np.ndarray, degree: int, theta: float, layer_width: float, out: np.ndarray
-) -> np.ndarray:
-    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree].
+    x: np.ndarray, degree: int, theta: float, layer_width: float, out: np.ndarray,
+    mean: float | None = None, sd: float | None = None, layer: bool | None = None,
+) -> tuple[np.ndarray, tuple[float, float, bool]]:
+    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree] and the
+    ``(mean, sd, layer)`` that fix them.
 
     Each basis column is one contiguous row, written into the leading rows
-    of ``out`` (shape ``(degree + 2, n_paths)``); the returned
-    ``(ncols, n_paths)`` array is a view of it.  x~ is the standardized
-    state.  Columns that are structurally constant across the ensemble
-    (collapsed state, empty or full boundary layer) are omitted; dropping
-    them is degeneracy of the data, not an error.
+    of ``out`` (shape ``(degree + 2, n_points)``); the returned ``(ncols,
+    n_points)`` design is a view of it.  x~ = (x - mean) / sd is the
+    standardized state; ``layer`` says whether the design has the
+    indicator of the boundary layer (within ``layer_width`` of a wall).
+    The sweep measures the three from its ensemble: the mean and
+    standard deviation of ``x``, and whether the layer holds some of the
+    states but not all.  Structurally constant columns (collapsed state,
+    empty or full boundary layer) are then omitted; dropping them is
+    degeneracy of the data, not an error, and the monomials are kept only
+    when sd exceeds ``SD_FLOOR``.  :meth:`EnsembleSolution.evaluate` passes
+    the stored ones instead.  Every entry is a function of its own state
+    and of the three, so a design at some of the sweep's states, built
+    with the sweep's mean, sd and layer flag, is the sweep's design at
+    those states bit for bit.
     """
     out[0] = 1.0
-    ncol = 1
-    in_layer = np.abs(x) >= theta - layer_width
-    if 0 < np.count_nonzero(in_layer) < x.shape[0]:
-        out[ncol] = in_layer
-        ncol += 1
-    if degree < 1:
-        return out[:ncol]
-    xs = out[ncol]
-    np.subtract(x, float(np.mean(x)), out=xs)
-    # np.std's arithmetic on the centred row: the mean of the squared
-    # deviations, written into the next row when the buffer has one
-    squares = out[ncol + 1] if ncol + 1 < out.shape[0] else np.empty_like(xs)
-    sd = math.sqrt(float(np.sum(np.multiply(xs, xs, out=squares))) / x.shape[0])
-    if sd > 1e-13:
-        xs /= sd
-        for d in range(1, degree):
-            np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
-        ncol += degree
-    return out[:ncol]
+    np.greater_equal(np.abs(x, out=out[1]), theta - layer_width, out=out[1])
+    if layer is None:
+        layer = 0 < np.count_nonzero(out[1]) < x.shape[0]
+    ncol = 2 if layer else 1
+    if degree >= 1:
+        xs = out[ncol]
+        if mean is None:
+            mean = float(np.mean(x))
+        np.subtract(x, mean, out=xs)
+        if sd is None:
+            # np.std's arithmetic on the centred row: the mean of the squared
+            # deviations, written into the next row when the buffer has one
+            squares = out[ncol + 1] if ncol + 1 < out.shape[0] else np.empty_like(xs)
+            sd = math.sqrt(float(np.sum(np.multiply(xs, xs, out=squares))) / x.shape[0])
+        if sd > SD_FLOOR:
+            xs /= sd
+            for d in range(1, degree):
+                np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
+            ncol += degree
+    return out[:ncol], (mean, sd, layer)
 
 
 def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
@@ -257,6 +374,13 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
     return factor if info == 0 and rcond * GRAM_COND_MAX >= 1.0 else None
 
 
+def _fitted(coef: np.ndarray, design: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The fitted rows ``coef @ design[:kept]`` of coefficients [r, kept],
+    written into ``out`` [r, n_points]: the one product the sweep and
+    :meth:`EnsembleSolution.evaluate` both form."""
+    return np.matmul(coef, design[: coef.shape[1]], out=out)
+
+
 def _regress(
     design: np.ndarray,
     factor,
@@ -265,17 +389,18 @@ def _regress(
     out: np.ndarray,
     rhs: np.ndarray | None = None,
     scale: float = 1.0,
-) -> int:
+) -> np.ndarray:
     """Least-squares fit of each row of ``targets`` on ``design``, times
-    ``scale``, written into ``out``; returns the number of columns kept.
+    ``scale``, written into ``out``; returns the coefficients [r, kept]
+    over the design's first ``kept`` columns.
 
     ``design`` is ``(ncols, n_paths)``, ``targets`` and ``out`` are
     ``(r, n_paths)``.  With the step's Gram ``factor`` the normal equations
     are solved against it, with the right-hand sides ``rhs`` (``design @
-    targets.T``) when the caller has already formed them.  With ``factor``
-    ``None`` the design is reduced from the highest degree down until
-    ``lstsq`` finds it of full rank.  ``scale`` multiplies the
-    coefficients, not the fitted rows.
+    targets.T``) when the caller has already formed them, and every column
+    is kept.  With ``factor`` ``None`` the design is reduced from the
+    highest degree down until ``lstsq`` finds it of full rank.  ``scale``
+    multiplies the coefficients, not the fitted rows.
     """
     ncol = design.shape[0]
     if factor is not None:
@@ -293,8 +418,22 @@ def _regress(
             ncol -= 1
     if scale != 1.0:
         coef *= scale
-    np.matmul(coef.T, design[:ncol], out=out)
-    return ncol
+    _fitted(coef.T, design, out)
+    return coef.T
+
+
+def _settle(problem: ProblemSpec, t: float, x: np.ndarray, db: float, yhat: np.ndarray,
+            s: np.ndarray, push_scale: float, short: np.ndarray, push: np.ndarray,
+            y: np.ndarray) -> None:
+    """Turn a step's fit into its rows, in place: ``yhat`` takes the doubly
+    stochastic term g(t, x, yhat) db, ``short`` the shortfall (s - yhat)^+
+    below the obstacle row ``s``, ``push`` its ``push_scale`` share and
+    ``y`` the pushed value yhat + push."""
+    gk = np.asarray(problem.g(t, x, yhat), dtype=float)
+    yhat += np.multiply(gk, db, out=short)
+    np.maximum(np.subtract(s, yhat, out=short), 0.0, out=short)
+    np.multiply(push_scale, short, out=push)
+    np.add(yhat, push, out=y)
 
 
 def solve_penalized(
@@ -325,7 +464,7 @@ def solve_penalized(
     dB = np.diff(ens.B)
     m = ens.basis.requested_m
     rank = ens.basis.rank
-    layer = problem.theta / LAYER_DIVISOR
+    layer_width = problem.theta / LAYER_DIVISOR
 
     def obstacle(k: int) -> np.ndarray:
         return np.asarray(problem.obstacle(t[k], X[k]), dtype=float)
@@ -338,16 +477,20 @@ def solve_penalized(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )
 
-    Yt = np.empty((n + 1, n_paths))
-    Zt = np.zeros((n + 1, m, n_paths))
-    dKt = np.empty((n, n_paths))
-    Yt[n] = xi
+    # Y and Z at node k + 1, the step's inputs, and at node k, its outputs;
+    # swapped after each step.  Z rows at or beyond the rank stay zero.
+    y_next, y = xi.copy(), np.empty(n_paths)
+    z_next, z = np.zeros((m, n_paths)), np.zeros((m, n_paths))
     # Row 0 holds the step's Y target, the rows below it the design, so one
     # product gives the Gram matrix and the Y right-hand side together.
     aug = np.empty((config.basis_dim + 1, n_paths))
     target = aug[0]
-    yhat = np.empty(n_paths)  # the step's pre-push estimate
+    yhat = np.empty(n_paths)  # the step's fit, then its pre-push estimate
+    push = np.empty(n_paths)
+    short = np.empty(n_paths)
+    k_total = np.zeros(n_paths)  # K_T, summed last step first
     dH_k = np.empty((rank, n_paths))  # the step's increments, then centred by the fit
+    fits = [None] * n
 
     # Diagnostics, reduced as each row is written: per path max Y^2; per
     # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
@@ -361,40 +504,41 @@ def solve_penalized(
     reduced, first_reduced = 0, None
 
     pen = config.penalization
-    push_scale = 1.0 if pen is PROJECTION else pen * dt / (1.0 + pen * dt)
+    push_scale = _push_scale(pen, dt)
     for k in range(n - 1, -1, -1):
         x = X[k]
-        y_next = Yt[k + 1]
         np.subtract(A[k + 1], A[k], out=dA)
-        fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
+        fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, z_next.T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
         np.multiply(fk, dt, out=target)
         target += y_next
         target += np.multiply(phik, dA, out=row)
-        design = regression_design(x, config.degree, problem.theta, layer, aug[1:])
+        design, scale = regression_design(x, config.degree, problem.theta, layer_width, aug[1:])
         ncol = design.shape[0]
         rhs_gram = design @ aug[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
-        kept = _regress(design, factor, aug[:1], k, yhat[None, :], rhs=rhs_gram[:, :1])
+        y_coef = _regress(design, factor, aug[:1], k, yhat[None, :], rhs=rhs_gram[:, :1])
+        z_coef = None
         if rank:
             step_increments(counts, L, k, dt, ens.spec, ens.basis, dH_k)
             dH_k *= np.subtract(y_next, yhat, out=row)
-            _regress(design, factor, dH_k, k, Zt[k, :rank], scale=1.0 / dt)
-            z2 += float(np.vdot(Zt[k, :rank], Zt[k, :rank]))
+            z_coef = _regress(design, factor, dH_k, k, z[:rank], scale=1.0 / dt)
+            z2 += float(np.vdot(z[:rank], z[:rank]))
+        kept = y_coef.shape[1]
         if kept < ncol:  # the Z fits share the design, so they keep as many columns
             reduced += 2 if rank else 1
             first_reduced = (k, kept)  # the sweep runs backward: the earliest step
-        gk = np.asarray(problem.g(t[k], x, yhat), dtype=float)
-        yhat += np.multiply(gk, dB[k], out=row)
+        fits[k] = StepFit(*scale, y_coef, z_coef)
         s_k = obstacle(k)
-        short = np.maximum(np.subtract(s_k, yhat, out=row), 0.0, out=row)
-        push = np.multiply(push_scale, short, out=dKt[k])
+        _settle(problem, t[k], x, dB[k], yhat, s_k, push_scale, short, push, y)
         gap += push_scale * float(np.vdot(short, short))
-        y = np.add(yhat, push, out=Yt[k])
+        k_total += push
 
         penetration[k] = _mean_penetration_sq(s_k, y, row)
         np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
         y2_dA += float(np.dot(row, dA))
+        y_next, y = y, y_next
+        z_next, z = z, z_next
 
     if reduced:
         warnings.warn(
@@ -403,20 +547,24 @@ def solve_penalized(
             SingularRegressionWarning,
         )
     norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": y2_dA / n_paths,
-             "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(_step_sum(dKt) ** 2))}
+             "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(k_total**2))}
     norms["total"] = sum(norms.values())
 
-    # after the loop, target is step 0's regression target, whose spread gives y0_se
+    # after the loop, y_next is Y_0, and target is step 0's regression
+    # target, whose spread gives y0_se
     return EnsembleSolution(
         penalization=pen,
+        degree=config.degree,
         rank=rank,
-        Y=Yt.T,
-        Z=Zt.transpose(2, 0, 1),
-        dK=dKt.T,
+        n_components=m,
+        layer_width=layer_width,
+        fits=tuple(fits),
+        K_T=k_total,
         X=X.T,
+        dB=dB,
         problem=problem,
         grid=grid,
-        y0_value=float(np.mean(Yt[0])),
+        y0_value=float(np.mean(y_next)),
         y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means
         skorokhod_residual=gap / n_paths,

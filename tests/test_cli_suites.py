@@ -178,8 +178,9 @@ class TestCli:
         assert header == "path,node,t,B,L,X,eta_abs,A"
 
     def test_simulate_and_trajectories_derive_each_array_once(self, small_config, tmp_path, monkeypatch):
-        # dH and K are derived on every read, so the writers bind them once
-        # rather than once per cell
+        # L (sigma = 0 here), dH and the solution's arrays are derived on
+        # every read, so the writers bind L and dH once rather than once per
+        # cell, and the trajectories evaluate only their printed paths
         calls = Counter()
 
         def counting(module, name):
@@ -192,13 +193,27 @@ class TestCli:
             monkeypatch.setattr(module, name, counted)
 
         counting(paths, "teugels_increments")
-        counting(solver, "cumsum_nodes")
+        levy_path = paths.PathEnsemble.L
+
+        def counted_L(ens):
+            calls["L"] += 1
+            return levy_path.fget(ens)
+
+        monkeypatch.setattr(paths.PathEnsemble, "L", property(counted_L))
+        on_paths = solver.EnsembleSolution.on_paths
+
+        def counted_on_paths(sol, name, rows=slice(None)):
+            calls["whole " + name if rows == slice(None) else "on_paths"] += 1
+            return on_paths(sol, name, rows)
+
+        monkeypatch.setattr(solver.EnsembleSolution, "on_paths", counted_on_paths)
         assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "sim"),
                      "--paths", "5"]) == 0
-        assert calls == {"teugels_increments": 1}
+        assert calls == {"teugels_increments": 1, "L": 1}
         assert main(["solve", "--config", str(small_config), "--out", str(tmp_path / "traj"),
                      "--trajectories", "--paths", "500"]) == 0
-        assert calls == {"teugels_increments": 1, "cumsum_nodes": 1}
+        # Y, Z and K at the 64 printed paths, and no whole-solution array
+        assert calls == {"teugels_increments": 1, "L": 1, "on_paths": 3}
 
     def test_solve_summary(self, small_config, tmp_path, capsys):
         out = tmp_path / "solve"

@@ -74,3 +74,19 @@ def test_quick_crosscheck_matches_committed_fk_report(tmp_path):
     reference = root / "tests" / "data" / "quick_crosscheck_fk_report.csv"
     _, problems = compare_outputs.compare_file(reference, run / "fk_report.csv", atol=1e-9)
     assert not problems, problems
+
+
+def test_quick_trajectories_match_committed_file(tmp_path):
+    """`levylab solve --trajectories` on the shipped quick config reproduces
+    the committed Y, K and Z of its first 64 paths.  They print 12
+    significant digits, so the bound is 1e-12: a value that moves by one
+    ulp can flip the last digit."""
+    from levylab.cli import main
+
+    root = SCRIPT.parents[1]
+    run = tmp_path / "run"
+    config = str(root / "configs" / "quick_suite.cfg")
+    assert main(["solve", "--config", config, "--trajectories", "--out", str(run)]) == 0
+    reference = root / "tests" / "data" / "quick_trajectories.csv"
+    _, problems = compare_outputs.compare_file(reference, run / "trajectories.csv", atol=1e-12)
+    assert not problems, problems

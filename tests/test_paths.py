@@ -326,9 +326,11 @@ class TestCompactCounts:
             assert np.array_equal(row, ref[:, k, : basis.rank].T), k
 
     def test_simulation_memory_stays_near_the_returned_arrays(self):
-        # counts, L and the reflection are built one step at a time, and dH
-        # is not stored, so the peak is the stored arrays plus a few rows;
-        # a stored dH would add n_steps * rank = 100 rows
+        # the counts and the reflection are built one step at a time, the
+        # reflection reads the pure-jump driver's nodes from two reused rows,
+        # and neither L nor dH is stored, so the peak is the stored arrays
+        # plus a few rows; a stored L would add 51 rows, a stored dH
+        # n_steps * rank = 100
         grid = TimeGrid(1.0, 50)
         n_paths = 10_000
         tracemalloc.start()
@@ -340,7 +342,8 @@ class TestCompactCounts:
         assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
         stored = [v for v in vars(ens).values() if isinstance(v, np.ndarray)]
         assert not [a.shape for a in stored if a.ndim == 3 and a.dtype.kind == "f"]
-        returned = sum(a.nbytes for a in (ens.B, ens.L, ens.jump_counts, ens.X, ens.eta_abs))
+        assert ens.levy_path is None
+        returned = sum(a.nbytes for a in (ens.B, ens.jump_counts, ens.X, ens.eta_abs))
         row = n_paths * np.dtype(float).itemsize
         assert peak <= returned + 40 * row, (peak - returned) / row
 

@@ -368,6 +368,22 @@ def binding_example51():
     return cfg.build_problem(), cfg.build_ensemble()
 
 
+@pytest.fixture(scope="module")
+def sigma_example51():
+    # binding example51 with a continuous part, a drift and an affine sigma_x,
+    # so the sweep reads L; 2,000 paths from x0 = 0.9 at the wall's layer
+    cfg = dataclasses.replace(
+        BASE,
+        levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.2, sigma=0.4),
+        sigma_x=("affine", 1.0, 0.2),
+        grid=TimeGrid(1.0, 50),
+        n_paths=2000,
+        seed=5,
+        problem_params=(("h_scale", 1.0), ("h_offset", 0.0)),
+    )
+    return cfg.build_problem(), cfg.build_ensemble()
+
+
 class TestDiagnostics:
     def test_skorokhod_residual_zero_without_push(self, ensemble):
         sol = solve_penalized(make_problem(), CFG, ensemble)
@@ -403,11 +419,12 @@ class TestDiagnostics:
             assert sol.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
 
     def test_sweep_memory_stays_near_the_returned_arrays(self):
-        # dH, S and the pre-push estimate are formed one row at a time and
-        # the diagnostics reduce row by row, so above the ensemble the
-        # sweep's peak is the Y, Z and dK it stores plus a few rows: less
-        # than half of one [node, path] array, where a full-size dH, S or
-        # y_pre would add one or two
+        # Y and Z at two nodes, the fit, the push and K_T are running [path]
+        # rows, dH_k, S_k and the pre-push estimate are per-step rows, and the
+        # diagnostics reduce row by row; so above the ensemble the sweep's
+        # peak is a few dozen [path] rows (31 measured) plus what it
+        # returns: the K_T row and the fits, about 800 bytes a step.  The Y,
+        # Z and dK it stored before would be 203 rows here.
         cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=2000, seed=1)
         problem, ens = cfg.build_problem(), cfg.build_ensemble()
         with warnings.catch_warnings():
@@ -416,12 +433,12 @@ class TestDiagnostics:
             tracemalloc.start()
             try:
                 sol = solve_penalized(problem, CFG, ens)
-                peak = tracemalloc.get_traced_memory()[1]
+                returned, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        stored = sum(a.nbytes for a in (sol.Y, sol.Z, sol.dK))
-        node_path = sol.Y.nbytes
-        assert peak <= stored + node_path / 2, (peak - stored) / node_path
+        row = sol.K_T.nbytes
+        assert returned <= row + 1024 * cfg.grid.n_steps, returned / row
+        assert peak <= returned + 40 * row, (peak - returned) / row
 
     def test_solution_keeps_the_measured_arrays(self, ensemble):
         # sizes and step counts of a sweep are read from these six arrays
@@ -471,22 +488,27 @@ def assert_solutions_agree(fast, reference, atol, scalar_atol=None):
 # right-hand side in one product.
 
 
-def regression_design_reference(x, degree, theta, layer_width, out):
+def regression_design_reference(x, degree, theta, layer_width, out, mean=None, sd=None, layer=None):
+    """The design with the scale that is not given measured by np.mean and
+    np.std, and the layer flag from a boolean indicator."""
+    in_layer = np.abs(x) >= theta - layer_width
+    if layer is None:
+        layer = 0 < np.count_nonzero(in_layer) < x.shape[0]
+    mean = float(np.mean(x)) if mean is None else mean
+    sd = float(np.std(x)) if sd is None else sd
     out[0] = 1.0
     ncol = 1
-    in_layer = np.abs(x) >= theta - layer_width
-    if 0 < np.count_nonzero(in_layer) < x.shape[0]:
+    if layer:
         out[ncol] = in_layer
         ncol += 1
-    sd = float(np.std(x))
     if sd > 1e-13 and degree >= 1:
         xs = out[ncol]
-        np.subtract(x, float(np.mean(x)), out=xs)
+        np.subtract(x, mean, out=xs)
         xs /= sd
         for d in range(1, degree):
             np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
         ncol += degree
-    return out[:ncol]
+    return out[:ncol], (mean, sd, layer)
 
 
 def gram_factor_reference(gram):
@@ -511,8 +533,9 @@ def regress_reference(design, factor, targets, step, out, rhs=None, scale=1.0):
     from scipy.linalg import cho_solve
 
     coef = cho_solve((factor, False), design @ targets.T if rhs is None else rhs, check_finite=False)
-    np.matmul((coef * scale).T, design, out=out)
-    return design.shape[0]
+    coef = (coef * scale).T
+    np.matmul(coef, design, out=out)
+    return coef
 
 
 def fit_reference(design, factor, targets):
@@ -577,7 +600,7 @@ def solve_penalized_reference(problem, config, ens):
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
         target = y_next + fk * dt + phik * dA
-        design = solver.regression_design(x, config.degree, problem.theta, layer, design_buf)
+        design, _ = regression_design_reference(x, config.degree, problem.theta, layer, design_buf)
         factor = gram_factor_reference(design @ design.T)
         yhat0 = fit_reference(design, factor, target[None, :])[0]
         if rank:
@@ -591,7 +614,7 @@ def solve_penalized_reference(problem, config, ens):
         penetration.append(np.mean(np.maximum(S[k] - y, 0.0) ** 2))
         sup_y2 = np.maximum(sup_y2, y**2)
         y2_dA += y**2 * dA
-    Kt = solver.cumsum_nodes(dKt, out=np.empty((n + 1, n_paths)))
+    Kt = np.concatenate([np.zeros((1, n_paths)), np.cumsum(dKt, axis=0)])
     norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": float(np.mean(y2_dA)),
              "z2_dt": float(np.mean(z2 * dt)), "kT2": float(np.mean(Kt[n] ** 2))}
     norms["total"] = sum(norms.values())
@@ -655,24 +678,86 @@ class TestRegressionPaths:
         assert_solutions_agree(fast, reference, atol=1e-10, scalar_atol=1e-12)
 
     @pytest.mark.parametrize("penalization", [None, 16.0])
-    def test_derived_arrays_match_the_reference_sweeps_stored_ones(self, binding_example51, penalization):
-        # the solution stores Y, Z and dK and derives K, S and y_pre on
-        # read; from the reference sweep's own Y and dK they are its stored
-        # K and S exactly, and its y_pre within one ulp of |Y|
-        problem, ens = binding_example51
+    @pytest.mark.parametrize("case", ["sigma-drift-affine", "lattice"])
+    def test_evaluator_rebuilds_the_sweeps_rows_and_the_reference_arrays(
+        self, request, monkeypatch, case, penalization
+    ):
+        # The solution stores per-step fits; every array is evaluated from
+        # them.  At the sweep's own paths the rows are the sweep's rows bit
+        # for bit; they match the reference sweep's stored arrays within its
+        # rounding; and at a subsample of paths Z is the full evaluation's
+        # bit for bit, Y, y_pre and dK within one ulp of |y_pre| (the Y
+        # fit's 1 x kept product rounds a few points apart at another path
+        # count, and dK = (S - y_pre)^+ carries that ulp).
+        if case == "lattice":
+            # sigma = 0 on 100 steps: X_1 takes 3 values, so step 1 falls
+            # back to lstsq and reduces its design
+            ens = request.getfixturevalue("ensemble")
+            problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        else:
+            problem, ens = request.getfixturevalue("sigma_example51")
         cfg = SolverConfig(penalization=penalization)
+        rows = {}  # per step, the rows the sweep wrote
+        settle = solver._settle
+
+        def recording(problem_, t, x, db, yhat, s, push_scale, short, push, y):
+            settle(problem_, t, x, db, yhat, s, push_scale, short, push, y)
+            rows[len(rows)] = (yhat.copy(), push.copy(), y.copy())
+
+        regress, z_rows = solver._regress, []
+
+        def recording_regress(design, factor, targets, step, out, rhs=None, scale=1.0):
+            coef = regress(design, factor, targets, step, out, rhs=rhs, scale=scale)
+            if scale != 1.0:
+                z_rows.append(out.copy())
+            return coef
+
+        monkeypatch.setattr(solver, "_settle", recording)
+        monkeypatch.setattr(solver, "_regress", recording_regress)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
             fast = solve_penalized(problem, cfg, ens)
             reference = solve_penalized_reference(problem, cfg, ens)
+        monkeypatch.undo()
+
+        # the cases: an obstacle that binds, designs with and without the
+        # layer column, and either L read for sigma dW or a step that falls
+        # back to a reduced lstsq design
+        n, rank = ens.grid.n_steps, fast.rank
         assert np.mean(reference.K[:, -1]) > 0.01
-        np.testing.assert_array_equal(fast.S, reference.S)
-        np.testing.assert_array_equal(fast.K_T, fast.K[:, -1])
-        derived = dataclasses.replace(fast, Y=reference.Y, Z=reference.Z, dK=reference.dK)
-        np.testing.assert_array_equal(derived.K, reference.K)
-        np.testing.assert_array_equal(derived.K_T, reference.K[:, -1])
-        assert np.all(np.abs(derived.y_pre - reference.y_pre) <= np.spacing(np.abs(reference.Y)))
-        assert np.any(derived.y_pre != derived.Y)  # the push is not zero everywhere
+        assert any(not f.layer and f.sd > solver.SD_FLOOR for f in fast.fits)
+        assert any(f.y_coef.shape[1] == cfg.basis_dim for f in fast.fits)
+        reduced = [
+            k for k, f in enumerate(fast.fits)
+            if f.y_coef.shape[1] < 1 + f.layer + cfg.degree * (f.sd > solver.SD_FLOOR)
+        ]
+        if case == "lattice":
+            assert reduced and fast.fits[1].y_coef.shape[1] == 3
+        else:
+            assert ens.spec.continuous_part and rank == 3 and not reduced
+
+        Y, Z, dK, K, y_pre, S = (fast.on_paths(name) for name in ("Y", "Z", "dK", "K", "y_pre", "S"))
+        for k in range(n):
+            yhat, push, y = rows[n - 1 - k]  # the sweep runs last step first
+            assert np.array_equal(Y[:, k], y) and np.array_equal(dK[:, k], push), k
+            assert np.array_equal(y_pre[:, k], yhat), k
+            assert np.array_equal(Z[:, k, :rank].T, z_rows[n - 1 - k]), k
+        assert np.all(Z[:, :, rank:] == 0.0) and np.all(Z[:, -1] == 0.0)
+        assert fast.y0_value == float(np.mean(Y[:, 0]))
+        np.testing.assert_allclose(fast.K_T, K[:, -1], rtol=0.0, atol=1e-14)
+
+        for name, value in (("Y", Y), ("Z", Z), ("dK", dK), ("K", K), ("y_pre", y_pre)):
+            np.testing.assert_allclose(value, getattr(reference, name), rtol=0.0, atol=1e-10, err_msg=name)
+        np.testing.assert_array_equal(S, reference.S)
+        assert np.array_equal(y_pre[:, -1], Y[:, -1]) and np.any(y_pre[:, :-1] != Y[:, :-1])
+
+        paths = np.arange(3, ens.n_paths, 7)
+        assert np.array_equal(fast.on_paths("Z", paths), Z[paths])
+        ulp = np.spacing(np.abs(y_pre[paths]))
+        for name, value in (("Y", Y), ("y_pre", y_pre), ("dK", dK)):
+            sampled, whole = fast.on_paths(name, paths), value[paths]
+            assert np.all(np.abs(sampled - whole) <= ulp[:, : whole.shape[1]]), name
+        np.testing.assert_array_equal(fast.on_paths("S", paths), S[paths])
 
     @pytest.mark.parametrize("config", ["example51", "quick_suite"])
     def test_condition_estimate_takes_the_svd_route_at_every_step(self, config, monkeypatch):
@@ -688,7 +773,7 @@ class TestRegressionPaths:
 
         def recording_factor(gram):
             result = factor_fn(gram)
-            design = designs[-1]
+            design = designs[-1][0]
             routes.append((result is None, gram_factor_reference(design @ design.T) is None))
             return result
 
@@ -703,15 +788,15 @@ class TestRegressionPaths:
     def test_duplicated_column_falls_back_to_lstsq(self, ensemble):
         x = ensemble.X.T[-1]
         buf = np.empty((7, ensemble.n_paths))
-        design = solver.regression_design(x, 4, 1.0, 0.1, buf[:6])
+        design, _ = solver.regression_design(x, 4, 1.0, 0.1, buf[:6])
         buf[6] = design[2]  # x~ again
         doubled = buf[: design.shape[0] + 1]
         assert solver._gram_factor(design @ design.T) is not None
         assert solver._gram_factor(doubled @ doubled.T) is None
         targets = np.cos(3.0 * x)[None, :]
         fit, fit_doubled = np.empty((1, x.size)), np.empty((1, x.size))
-        assert solver._regress(design, None, targets, 0, fit) == design.shape[0]
-        assert solver._regress(doubled, None, targets, 0, fit_doubled) == design.shape[0]
+        assert solver._regress(design, None, targets, 0, fit).shape[1] == design.shape[0]
+        assert solver._regress(doubled, None, targets, 0, fit_doubled).shape[1] == design.shape[0]
         np.testing.assert_array_equal(fit_doubled, fit)
 
     @pytest.mark.parametrize(
@@ -733,9 +818,14 @@ class TestRegressionPaths:
         factored = 0
         for k in range(1, X.shape[0]):
             buf[0] = targets[0]
-            design = solver.regression_design(X[k], degree, 1.0, layer, buf[1:])
-            ref = regression_design_reference(X[k], degree, 1.0, layer, ref_buf)
+            design, scale = solver.regression_design(X[k], degree, 1.0, layer, buf[1:])
+            ref, ref_scale = regression_design_reference(X[k], degree, 1.0, layer, ref_buf)
             assert design.shape == ref.shape and np.array_equal(design, ref), k
+            if degree:
+                assert scale == ref_scale, k
+            # with the measured scale given, the design is rebuilt bit for bit
+            rebuilt, given = solver.regression_design(X[k], degree, 1.0, layer, np.empty_like(ref_buf), *scale)
+            assert given == scale and np.array_equal(rebuilt, design), k
             ncol = design.shape[0]
             rhs_gram = design @ buf[: ncol + 1].T  # as the sweep forms it
             factor, ref_factor = solver._gram_factor(rhs_gram[:, 1:]), gram_factor_reference(ref @ ref.T)
@@ -747,7 +837,7 @@ class TestRegressionPaths:
                 np.testing.assert_allclose(
                     upper, np.triu(ref_factor), rtol=0.0, atol=1e-12 * np.max(np.abs(upper))
                 )
-                assert solver._regress(design, factor, targets, k, fit, scale=3.0) == ncol
+                assert solver._regress(design, factor, targets, k, fit, scale=3.0).shape == (2, ncol)
                 regress_reference(ref, factor, targets, k, ref_fit, scale=3.0)
                 assert np.array_equal(fit, ref_fit), k
         assert factored > 50
@@ -832,12 +922,12 @@ def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
     widths, columns = [], []
     design = solver.regression_design
 
-    def recording(x, degree, theta_, layer_width, out):
+    def recording(x, degree, theta_, layer_width, out, *scale):
         widths.append(layer_width)
-        rows = design(x, degree, theta_, layer_width, out)
+        rows, measured = design(x, degree, theta_, layer_width, out, *scale)
         if rows.shape[0] == degree + 2:  # every column kept, the indicator second
             columns.append((x.copy(), rows[1].copy()))
-        return rows
+        return rows, measured
 
     monkeypatch.setattr(solver, "regression_design", recording)
     with warnings.catch_warnings():
