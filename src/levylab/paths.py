@@ -142,9 +142,9 @@ def _driver_nodes(
     """Yield the driver's node rows L_0, ..., L_n, node k written into
     ``out[k % len(out)]``.
 
-    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus sigma
-    * B_k from the [path, node] ``brownian`` when it is given.  ``counts``
-    is [path, step, atom], read one step at a time.  With ``out`` the full
+    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
+    sigma * B_k from the [path, node] ``brownian`` when it is given.
+    ``counts`` is [path, step, atom], read one step at a time.  With ``out`` the full
     [node, path] array every node is kept; with two rows, each row is
     overwritten two nodes later.
     """
@@ -169,9 +169,9 @@ def assemble_levy_paths(
     """Driver node values from [path, step, atom] counts; returns [path,
     node], a transposed view of node-major storage.
 
-    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus sigma
-    * B_k when the spec has a continuous part.  The counts are read one
-    step at a time; B is drawn from ``rng`` whole and path-major (one
+    Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
+    sigma * B_k when the spec has a continuous part.  The counts are read
+    one step at a time; B is drawn from ``rng`` whole and path-major (one
     :func:`simulate_brownian` call after the counts) and read one node at a
     time.
     """
@@ -207,20 +207,6 @@ class DriverNodes:
         return _driver_nodes(self.spec, self.grid, self.counts, np.empty((2, self.counts.shape[0])))
 
 
-def cumsum_nodes(steps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Node values from node-major step increments, starting at zero.
-
-    ``out[0] = 0`` and ``out[k + 1] = out[k] + steps[k]``: the same adds,
-    in the same order, as ``np.cumsum(steps, axis=0)``, but one contiguous
-    row at a time.  ``np.cumsum`` along axis 0 walks each column with the
-    row stride, about five times slower at 20,000 paths.
-    """
-    out[0] = 0.0
-    for k in range(steps.shape[0]):
-        np.add(out[k], steps[k], out=out[k + 1])
-    return out
-
-
 def simulate_reflected_x(
     sigma_x: Callable[[np.ndarray], np.ndarray],
     theta: float,
@@ -239,7 +225,11 @@ def simulate_reflected_x(
     rows in order (a :class:`DriverNodes`, or any sized iterable of [path]
     rows); dL_k is the difference of nodes k + 1 and k either way.  The
     state and local time come back as [path, node] transposed views of
-    node-major arrays, so each step reads and writes contiguous rows.
+    node-major arrays, so each step reads and writes contiguous rows.  The
+    two share one [2, node, path] block, allocated and released together:
+    at example51's size it is larger than glibc's largest mmap threshold,
+    so it is mapped on its own and does not grow and trim the heap that
+    the sweep's rows and the report's temporaries are reused from.
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
@@ -247,8 +237,7 @@ def simulate_reflected_x(
         levy_path = np.asarray(levy_path, dtype=float).T  # [node, path]
     nodes = iter(levy_path)
     prev = next(nodes)
-    X = np.empty((len(levy_path), prev.shape[0]))
-    eta = np.empty_like(X)
+    X, eta = np.empty((2, len(levy_path), prev.shape[0]))
     X[0] = x0
     eta[0] = 0.0
     proposal = np.empty(X.shape[1])  # one row, reused: the step then its overshoot

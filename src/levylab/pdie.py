@@ -467,9 +467,8 @@ def representation_check(
     (:func:`component_functionals`) evaluated at the same points; the
     Monte Carlo rows are evaluated from the sweep's fits at those pairs
     only (:meth:`EnsembleSolution.evaluate`).  Grids must share the
-    horizon and domain, with the grid's time nodes
-    refining the Monte Carlo nodes.  The driver and basis are the
-    ensemble's own.
+    horizon and domain, with the grid's time nodes refining the Monte
+    Carlo nodes.  The driver and basis are the ensemble's own.
     """
     spec, basis = ens.spec, ens.basis
     sigma_x = sigma_x or unit_coefficient

@@ -280,29 +280,12 @@ class EnsembleSolution:
                 self.evaluate(k, X[k], **{key: out[k]})
         return out.transpose(2, 0, 1) if name == "Z" else out.T
 
-    @property
-    def Y(self) -> np.ndarray:
-        return self.on_paths("Y")
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.on_paths("Z")
-
-    @property
-    def dK(self) -> np.ndarray:
-        return self.on_paths("dK")
-
-    @property
-    def K(self) -> np.ndarray:
-        return self.on_paths("K")
-
-    @property
-    def y_pre(self) -> np.ndarray:
-        return self.on_paths("y_pre")
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.on_paths("S")
+    Y = property(lambda self: self.on_paths("Y"))
+    Z = property(lambda self: self.on_paths("Z"))
+    dK = property(lambda self: self.on_paths("dK"))
+    K = property(lambda self: self.on_paths("K"))
+    y_pre = property(lambda self: self.on_paths("y_pre"))
+    S = property(lambda self: self.on_paths("S"))
 
 
 # The design has the standardized monomials only when the state's sd

@@ -15,7 +15,6 @@ from levylab.paths import (
     TimeGrid,
     assemble_levy_paths,
     boundary_direction,
-    cumsum_nodes,
     derived_rng,
     simulate_brownian,
     simulate_ensemble,
@@ -167,8 +166,8 @@ def step_jump_sums_reference(counts, weights, block=256):
 
 
 def assemble_levy_paths_reference(spec, grid, counts, rng):
-    L = np.empty((grid.n_steps + 1, counts.shape[0]))
-    cumsum_nodes(step_jump_sums_reference(counts, spec.jump_sizes), out=L)
+    L = np.zeros((grid.n_steps + 1, counts.shape[0]))
+    np.cumsum(step_jump_sums_reference(counts, spec.jump_sizes), axis=0, out=L[1:])
     L += spec.drift_b * grid.nodes[:, None]
     if spec.continuous_part:
         L += spec.sigma * simulate_brownian(grid, rng, counts.shape[0]).T
