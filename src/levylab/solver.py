@@ -88,6 +88,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +140,7 @@ class SolverConfig:
         return self.degree + 2  # intercept + degree monomials + layer indicator
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class StepFit:
+class StepFit(NamedTuple):
     """Step k's regression, which fixes every row at node k as a function
     of the state X_k.
 
@@ -316,21 +316,26 @@ def regression_design(
     with the sweep's mean, sd and layer flag, is the sweep's design at
     those states bit for bit.
     """
+    n = x.shape[0]
     out[0] = 1.0
-    np.greater_equal(np.abs(x, out=out[1]), theta - layer_width, out=out[1])
-    if layer is None:
-        layer = 0 < np.count_nonzero(out[1]) < x.shape[0]
-    ncol = 2 if layer else 1
+    ncol = 1
+    if layer is None or layer:
+        in_layer = np.abs(x) >= theta - layer_width
+        if layer is None:
+            layer = 0 < np.count_nonzero(in_layer) < n
+        if layer:
+            out[ncol] = in_layer
+            ncol += 1
     if degree >= 1:
         xs = out[ncol]
         if mean is None:
-            mean = float(np.mean(x))
+            mean = float(np.add.reduce(x)) / n  # np.mean's arithmetic
         np.subtract(x, mean, out=xs)
         if sd is None:
             # np.std's arithmetic on the centred row: the mean of the squared
             # deviations, written into the next row when the buffer has one
             squares = out[ncol + 1] if ncol + 1 < out.shape[0] else np.empty_like(xs)
-            sd = math.sqrt(float(np.sum(np.multiply(xs, xs, out=squares))) / x.shape[0])
+            sd = math.sqrt(float(np.add.reduce(np.multiply(xs, xs, out=squares))) / n)
         if sd > SD_FLOOR:
             xs /= sd
             for d in range(1, degree):
