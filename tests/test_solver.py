@@ -371,7 +371,7 @@ def binding_example51():
 @pytest.fixture(scope="module")
 def sigma_example51():
     # binding example51 with a continuous part, a drift and an affine sigma_x,
-    # so the sweep reads L; 2,000 paths from x0 = 0.9 at the wall's layer
+    # so the sweep reads L to form sigma dW
     cfg = dataclasses.replace(
         BASE,
         levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.2, sigma=0.4),
