@@ -24,7 +24,6 @@ from .errors import (
     LevyLabError,
     NonpositiveIntensity,
     RankMismatch,
-    SingularRegression,
     SingularRegressionWarning,
     TerminalBelowObstacle,
     UnknownCoefficientName,

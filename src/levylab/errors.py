@@ -29,10 +29,6 @@ class InitialPointOutsideDomain(LevyLabError):
     """Reflected simulation started outside [-theta, theta]."""
 
 
-class SingularRegression(LevyLabError):
-    """No usable regression basis column remains."""
-
-
 class TerminalBelowObstacle(LevyLabError):
     """The terminal value falls below the obstacle on some path."""
 

@@ -40,12 +40,15 @@ Cholesky-factored once; the Y regression (item 1) and the Z regressions
 (item 2) are all solved against that one factor, and each fit is written
 straight into its running row.  The Z coefficients are scaled by 1/dt
 before the fit is formed.  The Gram matrix squares the design's condition
-number, so a step whose factorization fails, or whose condition number
+number, so a design whose factorization fails, or whose condition number
 (LAPACK's ``pocon`` estimate from the factor, no SVD) exceeds
-``GRAM_COND_MAX``, falls back to the pivoting ``lstsq`` path instead: a
-genuinely rank-deficient design is reduced from the highest degree down.
-Early steps, where X sits on a few lattice points, take this path.  A sweep
-that reduces any design warns once, naming the earliest such step.
+``GRAM_COND_MAX``, is reduced from the highest degree down: the Gram
+matrix of the design's first ``kept`` columns is the leading ``kept x
+kept`` block of the one already formed, so the step factors the largest
+leading block that passes both tests and keeps those columns.  The 1 x 1
+intercept block, the path count, always passes.  Early steps, where X
+sits on a few lattice points, are reduced.  A sweep that reduces any
+design warns once, naming the earliest such step.
 The factor, the estimate and the solves call LAPACK's ``potrf``,
 ``pocon`` and ``potrs`` directly, the routines behind scipy's
 ``cho_factor`` and ``cho_solve``, without their per-call checks and
@@ -92,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularRegression, SingularRegressionWarning, TerminalBelowObstacle
+from .errors import SingularRegressionWarning, TerminalBelowObstacle
 from .paths import PathEnsemble, TimeGrid
 from .problems import ProblemSpec
 from .teugels import step_increments
@@ -101,9 +104,8 @@ PROJECTION = None  # sentinel value of SolverConfig.penalization
 
 # Largest Gram condition number a step may solve by Cholesky.  The Gram
 # matrix squares the design's condition number, so this admits designs up
-# to condition 1e5, where the normal-equation fit stays well inside the
-# 1e-9 agreement with the lstsq path that the tests require.
-# Rank-deficient designs sit near 1e16 and above, far past it.
+# to condition 1e5.  Rank-deficient designs sit near 1e16 and above, far
+# past it.
 GRAM_COND_MAX = 1e10
 
 # The boundary-layer indicator column marks the paths within
@@ -344,22 +346,26 @@ def regression_design(
     return out[:ncol], (mean, sd, layer)
 
 
-def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of a design's Gram matrix (LAPACK ``potrf``),
-    or ``None`` to fall back.
+def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(factor, kept)``: the upper Cholesky factor (LAPACK ``potrf``) of
+    the largest leading ``kept x kept`` block of a design's Gram matrix
+    that the step may solve by Cholesky, and ``kept``.
 
-    ``None`` sends the step to the pivoting least-squares path: the
-    factorization fails, or the condition number that LAPACK's ``pocon``
-    estimates from the factor (in the 1-norm) exceeds ``GRAM_COND_MAX``.
-    Only the upper triangle of ``gram`` is read.
+    A block is accepted when its factorization succeeds and the condition
+    number that LAPACK's ``pocon`` estimates from the factor (in the
+    1-norm) is at most ``GRAM_COND_MAX``; ``kept`` runs from the full size
+    down.  The 1 x 1 intercept block is the path count, so it is always
+    accepted.  Only the upper triangle of ``gram`` is factored.
     """
     from scipy.linalg.lapack import dpocon, dpotrf
 
-    factor, info = dpotrf(gram, lower=0, clean=0)
-    if info != 0:
-        return None
-    rcond, info = dpocon(factor, float(np.max(np.sum(np.abs(gram), axis=0))))
-    return factor if info == 0 and rcond * GRAM_COND_MAX >= 1.0 else None
+    for kept in range(gram.shape[0], 0, -1):
+        block = gram[:kept, :kept]
+        factor, info = dpotrf(block, lower=0, clean=0)
+        if info == 0:
+            rcond, info = dpocon(factor, float(np.max(np.sum(np.abs(block), axis=0))))
+        if kept == 1 or info == 0 and rcond * GRAM_COND_MAX >= 1.0:
+            return factor, kept
 
 
 def _fitted(coef: np.ndarray, design: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -371,39 +377,27 @@ def _fitted(coef: np.ndarray, design: np.ndarray, out: np.ndarray) -> np.ndarray
 
 def _regress(
     design: np.ndarray,
-    factor,
+    factor: tuple[np.ndarray, int],
     targets: np.ndarray,
-    step: int,
     out: np.ndarray,
     rhs: np.ndarray | None = None,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Least-squares fit of each row of ``targets`` on ``design``, times
-    ``scale``, written into ``out``; returns the coefficients [r, kept]
-    over the design's first ``kept`` columns.
+    """Least-squares fit of each row of ``targets`` on the design's first
+    ``kept`` columns, times ``scale``, written into ``out``; returns the
+    coefficients [r, kept].
 
     ``design`` is ``(ncols, n_paths)``, ``targets`` and ``out`` are
-    ``(r, n_paths)``.  With the step's Gram ``factor`` the normal equations
-    are solved against it, with the right-hand sides ``rhs`` (``design @
-    targets.T``) when the caller has already formed them, and every column
-    is kept.  With ``factor`` ``None`` the design is reduced from the
-    highest degree down until ``lstsq`` finds it of full rank.  ``scale``
-    multiplies the coefficients, not the fitted rows.
+    ``(r, n_paths)``.  ``factor`` is the step's ``(factor, kept)`` from
+    :func:`_gram_factor`; the normal equations of the kept columns are
+    solved against it (LAPACK ``potrs``), with the right-hand sides
+    ``rhs`` (``design @ targets.T``) when the caller has already formed
+    them.  ``scale`` multiplies the coefficients, not the fitted rows.
     """
-    ncol = design.shape[0]
-    if factor is not None:
-        from scipy.linalg.lapack import dpotrs
+    from scipy.linalg.lapack import dpotrs
 
-        coef, _ = dpotrs(factor, design @ targets.T if rhs is None else rhs, lower=0)
-    else:
-        while True:
-            try:
-                coef, _, rank, _ = np.linalg.lstsq(design[:ncol].T, targets.T, rcond=None)
-            except np.linalg.LinAlgError as exc:
-                raise SingularRegression(f"least-squares solve failed at step {step}: {exc}") from exc
-            if rank == ncol or ncol == 1:
-                break
-            ncol -= 1
+    upper, kept = factor
+    coef, _ = dpotrs(upper, design[:kept] @ targets.T if rhs is None else rhs[:kept], lower=0)
     if scale != 1.0:
         coef *= scale
     _fitted(coef.T, design, out)
@@ -505,12 +499,12 @@ def solve_penalized(
         ncol = design.shape[0]
         rhs_gram = design @ aug[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
-        y_coef = _regress(design, factor, aug[:1], k, yhat[None, :], rhs=rhs_gram[:, :1])
+        y_coef = _regress(design, factor, aug[:1], yhat[None, :], rhs=rhs_gram[:, :1])
         z_coef = None
         if rank:
             step_increments(counts, L, k, dt, ens.spec, ens.basis, dH_k)
             dH_k *= np.subtract(y_next, yhat, out=row)
-            z_coef = _regress(design, factor, dH_k, k, z[:rank], scale=1.0 / dt)
+            z_coef = _regress(design, factor, dH_k, z[:rank], scale=1.0 / dt)
             z2 += float(np.vdot(z[:rank], z[:rank]))
         kept = y_coef.shape[1]
         if kept < ncol:  # the Z fits share the design, so they keep as many columns

@@ -20,7 +20,6 @@ import math
 import operator
 import time
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -282,9 +281,12 @@ def check_comparison_hypothesis(
     sol2: EnsembleSolution,
     problem2: ProblemSpec,
     ens: PathEnsemble,
-) -> float:
-    """Smallest jump-size sum sum_i beta_i dH(i) over paths and steps, with
-    beta_i the difference-quotient slopes of the second driver in each Z slot.
+    margin: float,
+) -> tuple[float, float]:
+    """``(min_sum, violations)``: the smallest jump-size sum sum_i beta_i
+    dH(i) over paths and steps, with beta_i the difference-quotient slopes
+    of the second driver in each Z slot, and the fraction of (path, node)
+    pairs where Y1 < Y2 - ``margin``.
 
     At each step the driver is evaluated once at each of the rank + 1
     telescoping points z(p), which hold the second solution's Z in the
@@ -292,54 +294,45 @@ def check_comparison_hypothesis(
     slot a is (f(z(a)) - f(z(a + 1))) / (Z1_a - Z2_a), matching the
     telescoping decomposition that underlies the ordering argument; slots
     where the two Z's coincide, to 1e-12 of |Z1_a| + |Z2_a| + 1, contribute
-    zero.  Evaluates each step's rows of Y2, Z1 and Z2 from the two
-    solutions' fits (:meth:`EnsembleSolution.evaluate`), and forms each
-    step's increments dH_k from its jump counts (:func:`step_increments`),
-    so neither full solution, a full dH nor a full sum exists.
+    zero, and at rank 0 the sum is 0.  Evaluates each node's rows of Y1,
+    Z1, Y2 and Z2 once from the two solutions' fits
+    (:meth:`EnsembleSolution.evaluate`, one design per solution), and
+    forms each step's increments dH_k from its jump counts
+    (:func:`step_increments`), so neither full solution, a full dH nor a
+    full sum exists.
     """
     grid, rank = ens.grid, ens.basis.rank
-    if not rank:
-        return 0.0
     t = grid.nodes
     X = ens.X.T
     counts = ens.jump_counts.transpose(1, 2, 0)
     L = ens.L.T if ens.spec.continuous_part else None
     n_paths, m = ens.n_paths, ens.basis.requested_m
     dH = np.empty((rank, n_paths))
-    Y2, Z1, Z2 = np.empty(n_paths), np.empty((m, n_paths)), np.empty((m, n_paths))
+    Y1, Y2 = np.empty(n_paths), np.empty(n_paths)
+    Z1, Z2 = np.empty((m, n_paths)), np.empty((m, n_paths))
     total = np.empty(n_paths)
-    smallest = np.empty(grid.n_steps)  # per step, over paths
-    for k in range(grid.n_steps):
-        step_increments(counts, L, k, grid.dt, ens.spec, ens.basis, dH)
-        sol1.evaluate(k, X[k], z=Z1)
-        sol2.evaluate(k, X[k], y=Y2, z=Z2)
-        total[...] = 0.0
-        z = Z1.copy()  # z(0), [component, path]
-        f_lo = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
-        for a in range(rank):
-            z[a] = Z2[a]
-            f_hi = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
-            den = Z1[a] - Z2[a]
-            scale = np.abs(Z1[a]) + np.abs(Z2[a]) + 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                beta = np.where(np.abs(den) > 1e-12 * scale, (f_lo - f_hi) / den, 0.0)
-            total += beta * dH[a]
-            f_lo = f_hi
-        smallest[k] = np.min(total)
-    return float(np.min(smallest))
-
-
-def ordering_violations(sol1: EnsembleSolution, sol2: EnsembleSolution, margin: float) -> float:
-    """Fraction of (path, node) pairs where Y1 < Y2 - ``margin``, from rows
-    of Y1 and Y2 evaluated one node at a time from the two fits."""
-    X = sol1.X.T
-    y1, y2 = np.empty(X.shape[1]), np.empty(X.shape[1])
+    smallest = np.zeros(grid.n_steps)  # per step, over paths
     violated = 0
-    for k in range(X.shape[0]):
-        sol1.evaluate(k, X[k], y=y1)
-        sol2.evaluate(k, X[k], y=y2)
-        violated += int(np.count_nonzero(y1 < np.subtract(y2, margin, out=y2)))
-    return violated / X.size
+    for k in range(grid.n_steps + 1):
+        sol1.evaluate(k, X[k], y=Y1, z=Z1)
+        sol2.evaluate(k, X[k], y=Y2, z=Z2)
+        if rank and k < grid.n_steps:
+            step_increments(counts, L, k, grid.dt, ens.spec, ens.basis, dH)
+            total[...] = 0.0
+            z = Z1.copy()  # z(0), [component, path]
+            f_lo = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
+            for a in range(rank):
+                z[a] = Z2[a]
+                f_hi = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
+                den = Z1[a] - Z2[a]
+                scale = np.abs(Z1[a]) + np.abs(Z2[a]) + 1.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    beta = np.where(np.abs(den) > 1e-12 * scale, (f_lo - f_hi) / den, 0.0)
+                total += beta * dH[a]
+                f_lo = f_hi
+            smallest[k] = np.min(total)
+        violated += int(np.count_nonzero(Y1 < np.subtract(Y2, margin, out=Y2)))
+    return float(np.min(smallest)), violated / X.size
 
 
 def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -363,8 +356,7 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
     config = cfg.build_solver_config(None)
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
-    min_sum = check_comparison_hypothesis(sol_hi, sol_lo, lo, ens)
-    return min_sum, ordering_violations(sol_hi, sol_lo, 0.01)
+    return check_comparison_hypothesis(sol_hi, sol_lo, lo, ens, 0.01)
 
 
 def crosscheck_run(cfg: ExperimentConfig):
@@ -418,14 +410,10 @@ def _benchmark_penalization(cfg: ExperimentConfig) -> dict:
 
 
 def _stochastic_penalization(cfg: ExperimentConfig) -> dict:
-    problem, ens = cfg.build_problem(), cfg.build_ensemble()
-    y0_and_se = attrgetter("y0_value", "y0_se")
-    scalars = [
-        y0_and_se(solve_penalized(problem, cfg.build_solver_config(n), ens)) for n in cfg.n_schedule
-    ]
-    se = max(scalars[0][1], 1e-12)
-    steps = ((b - a) / se for (a, _), (b, _) in zip(scalars, scalars[1:]))
-    return {"y0_monotone_stochastic_stddevs": min(steps)}
+    family = penalization_family(cfg)
+    y0s = [family[n].y0_value for n in cfg.n_schedule]
+    se = max(family[cfg.n_schedule[0]].y0_se, 1e-12)
+    return {"y0_monotone_stochastic_stddevs": min((b - a) / se for a, b in zip(y0s, y0s[1:]))}
 
 
 def _comparison(cfg: ExperimentConfig) -> dict:

@@ -1,17 +1,21 @@
-"""The benchmark's tracer reads attributes of an ensemble and a solution.
+"""The benchmark's tracer binds names of the program and reads attributes
+of an ensemble and a solution.
 
-``perfbench/tracer.py`` counts the work of a traced iteration from the
-arrays it reads off what ``simulate_ensemble`` and ``solve_penalized``
-return.  An attribute that goes missing would fail only the benchmark's
-traced warm-up; here it fails the test run.  The tracer module is read,
-compiled and run in memory, so nothing under ``perfbench/`` is written.
+``perfbench/tracer.py`` wraps every binding of a fixed list of functions
+and counts the work of a traced iteration from the arrays it reads off
+what ``simulate_ensemble`` and ``solve_penalized`` return.  A name or an
+attribute that goes missing would fail only the benchmark's traced
+warm-up; here it fails the test run.  The tracer module is read, compiled
+and run in memory, so nothing under ``perfbench/`` is written.
 """
 
 import dataclasses
+import sys
 import types
 import warnings
 from pathlib import Path
 
+import levylab.cli  # noqa: F401  (loads every module the tracer binds)
 from levylab.config import DEFAULTS
 from levylab.errors import SingularRegressionWarning
 from levylab.levy import LevySpec
@@ -56,3 +60,23 @@ def test_tracer_counts_an_ensemble_and_its_sweep():
     assert tracer.counts["solver.solution_bytes"] == (
         4 * node_path + m * node_path + 8 * n_paths * n_steps
     )
+
+
+def test_tracer_binds_every_pinned_name_and_restores_it():
+    module = load_tracer()
+    targets = module.SPAN_TARGETS + module.COUNT_TARGETS + module.FOREIGN_TARGETS
+    pinned = {name for _, name, _ in targets}
+    assert pinned <= sys.modules.keys()
+    owners = pinned | {n for n in sys.modules if n == "levylab" or n.startswith("levylab.")}
+    before = {name: dict(vars(sys.modules[name])) for name in owners}
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        for _, name, attr in targets:
+            assert getattr(sys.modules[name], attr) is not before[name][attr], (name, attr)
+    finally:
+        tracer.uninstall()
+    for name in owners:
+        after = vars(sys.modules[name])
+        changed = [key for key, value in before[name].items() if after.get(key) is not value]
+        assert not changed, (name, changed)
