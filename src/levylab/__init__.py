@@ -18,7 +18,6 @@ from .errors import (
     CFLViolation,
     ConfigParseError,
     DuplicateJumpSize,
-    EmptyMeasure,
     GridIncompatible,
     InitialPointOutsideDomain,
     LevyLabError,
@@ -42,7 +41,6 @@ from .paths import (
 )
 from .pdie import (
     FkReport,
-    NonlocalStencil,
     PidieGrid,
     PidieGridSpec,
     representation_check,
@@ -50,13 +48,6 @@ from .pdie import (
 )
 from .problems import REGISTRY, ProblemSpec, build_problem
 from .solver import EnsembleSolution, SolverConfig, solve_penalized
-from .teugels import (
-    AtomicMeasure,
-    TeugelsBasis,
-    basis_for,
-    build_mu,
-    orthonormal_basis,
-    teugels_increments,
-)
+from .teugels import TeugelsBasis, basis_for, teugels_increments
 
 __version__ = "0.1.0"

@@ -17,10 +17,6 @@ class NonpositiveIntensity(LevyLabError):
     """An atom of the jump measure has intensity <= 0."""
 
 
-class EmptyMeasure(LevyLabError):
-    """The orthonormalization measure has no atoms."""
-
-
 class RankMismatch(LevyLabError):
     """Jump data and basis disagree on the number of atoms or components."""
 

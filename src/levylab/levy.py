@@ -18,7 +18,6 @@ finite-difference oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -96,14 +95,3 @@ class LevySpec:
     def total_intensity(self) -> float:
         return float(sum(a for _, a in self.atoms))
 
-
-def step_jump_sums(counts: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
-    """Per-step weighted jump sums ``counts[:, k] @ weights``, one step at a time.
-
-    ``counts`` is [path, step, atom] of any integer dtype and ``weights``
-    [atom].  Step k yields a new float64 [path] array from the step's
-    [atom, path] row of the node-major counts, so the counts are never cast
-    or copied whole and integer sums never wrap.
-    """
-    for step_counts in counts.transpose(1, 2, 0):
-        yield weights @ step_counts

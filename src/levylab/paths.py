@@ -28,10 +28,11 @@ the contiguous node-major array without a copy.
 
 The driver L is stored only when it has a continuous part, whose sigma B
 is drawn once and cannot be rebuilt from the counts.  A pure-jump driver
-is a function of the counts, so the reflection reads its node rows as
-:class:`DriverNodes` builds them, two reused rows at a time, and
-:attr:`PathEnsemble.L` derives it whole on each read with the same kernel
-that :func:`assemble_levy_paths` uses.  The martingale increments dH are
+is a function of the counts: from node k to node k + 1 its jump part
+grows by the jump sizes times step k's [atom, path] row of the counts.
+The reflection reads its node rows as :class:`DriverNodes` builds them,
+two reused rows at a time, and :attr:`PathEnsemble.L` derives it whole on
+each read with the same kernel that :func:`assemble_levy_paths` uses.  The martingale increments dH are
 not stored either: they are a function of the counts (and of L when the
 driver has a continuous part), which the sweep forms one step at a time,
 and :attr:`PathEnsemble.dH` derives whole on each read.
@@ -48,7 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InitialPointOutsideDomain
-from .levy import LevySpec, step_jump_sums
+from .levy import LevySpec
 from .teugels import TeugelsBasis, teugels_increments
 
 # stream ids for the seed tree: (master_seed, outer_sample, stream)
@@ -144,16 +145,18 @@ def _driver_nodes(
 
     Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
     sigma * B_k from the [path, node] ``brownian`` when it is given.
-    ``counts`` is [path, step, atom], read one step at a time.  With ``out`` the full
-    [node, path] array every node is kept; with two rows, each row is
-    overwritten two nodes later.
+    ``counts`` is [path, step, atom]; a step's jump sum is the jump sizes
+    times its node-major [atom, path] row, so the counts are never cast or
+    copied whole and integer sums never wrap.  With ``out`` the full [node,
+    path] array every node is kept; with two rows, each row is overwritten
+    two nodes later.
     """
-    drift = spec.drift_b
+    drift, sizes = spec.drift_b, spec.jump_sizes
+    steps = counts.transpose(1, 2, 0)  # [step, atom, path]
     jumps = np.zeros(counts.shape[0])
-    sums = step_jump_sums(counts, spec.jump_sizes)
     for k, t in enumerate(grid.nodes):
         if k:
-            jumps += next(sums)
+            jumps += sizes @ steps[k - 1]
         node = np.add(jumps, drift * t, out=out[k % len(out)])
         if brownian is not None:
             node += spec.sigma * brownian[:, k]

@@ -28,11 +28,12 @@ barrier.  The explicit jump term requires dt * (total jump intensity) <= 1.
 The transport matrix is the same at every step, so a solve factors it
 once (LAPACK ``gttrf``) and each step solves against the factor
 (``gttrs``, through :func:`solve_banded`).  The barrier on the whole grid
-comes from one ``obstacle(t[:, None], x)`` call, and the basis weights of
-the jump functionals are computed once per solve
-(:class:`FunctionalWeights`).  scipy's LAPACK wrappers are imported at
-the first factorization and solve, so importing the module does not load
-scipy.
+comes from one ``obstacle(t[:, None], x)`` call.  What the jump term, its
+functionals and the phi dA source read of the driver, its basis and
+sigma_x on the grid is built once per solve from the
+:class:`~levylab.levy.LevySpec` (:meth:`JumpOperator.build`).  scipy's
+LAPACK wrappers are imported at the first factorization and solve, so
+importing the module does not load scipy.
 """
 
 from __future__ import annotations
@@ -97,18 +98,43 @@ class PidieGrid:
 
 
 @dataclass(frozen=True)
-class NonlocalStencil:
-    """Linear interpolation data for u(t, clamp(x_j + sigma_x(x_j) beta_l)).
+class JumpOperator:
+    """The driver's jump data on the space grid, built once per solve by
+    :meth:`build`.
 
-    ``left`` and ``w_left`` give the left node index and weight per
-    (node, atom); the right weight is 1 - w_left, so weights sum to one.
-    ``displacement`` is the unclamped jump displacement sigma_x(x) beta.
+    ``left`` and ``w_left`` interpolate u linearly at
+    clamp(x_j + sigma_x(x_j) beta_l): the left node index and weight per
+    (node, atom), the right weight 1 - w_left, so weights sum to one.
+    ``displacement`` is the unclamped displacement sigma_x(x) beta,
+    ``intensities`` the alpha_l and ``sig`` sigma_x at the nodes.  The basis
+    data of :func:`component_functionals` are ``p_at_beta``, p_i(beta_l) of
+    the live components as [atom, rank], ``root_m2``, sqrt(m2) with
+    m2 = sum_l alpha_l beta_l^2 + sigma^2, and ``width``, the Z row width m.
     """
 
     left: np.ndarray
     w_left: np.ndarray
     displacement: np.ndarray
     intensities: np.ndarray
+    sig: np.ndarray
+    p_at_beta: np.ndarray
+    root_m2: float
+    width: int
+
+    @classmethod
+    def build(
+        cls, x: np.ndarray, theta: float, spec: LevySpec, basis: TeugelsBasis, sigma_x: Callable
+    ) -> "JumpOperator":
+        sig = np.asarray(sigma_x(x), dtype=float)
+        disp = sig[:, None] * spec.jump_sizes[None, :]
+        target = np.clip(x[:, None] + disp, -theta, theta)
+        pos = (target - x[0]) / (x[1] - x[0])
+        left = np.clip(np.floor(pos).astype(np.intp), 0, len(x) - 2)
+        m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
+        return cls(left=left, w_left=1.0 - (pos - left), displacement=disp,
+                   intensities=spec.intensities, sig=sig,
+                   p_at_beta=basis.jump_weights[: basis.rank].T, root_m2=math.sqrt(m2),
+                   width=basis.requested_m)
 
     def shift(self, u: np.ndarray) -> np.ndarray:
         """Evaluate u at every shifted point; shape [..., n_nodes, n_atoms]
@@ -116,42 +142,8 @@ class NonlocalStencil:
         return u[..., self.left] * self.w_left + u[..., self.left + 1] * (1.0 - self.w_left)
 
 
-def build_nonlocal_stencil(
-    x: np.ndarray, theta: float, spec: LevySpec, sigma_x: Callable
-) -> NonlocalStencil:
-    sig = np.asarray(sigma_x(x), dtype=float)
-    disp = sig[:, None] * spec.jump_sizes[None, :]
-    target = np.clip(x[:, None] + disp, -theta, theta)
-    dx = x[1] - x[0]
-    pos = (target - x[0]) / dx
-    left = np.clip(np.floor(pos).astype(np.intp), 0, len(x) - 2)
-    w_left = 1.0 - (pos - left)
-    return NonlocalStencil(left=left, w_left=w_left, displacement=disp, intensities=spec.intensities)
-
-
-@dataclass(frozen=True)
-class FunctionalWeights:
-    """The basis data of :func:`component_functionals`, built once per solve:
-    p_i(beta_l) of the live components as [atom, rank], sqrt(m2) with
-    m2 = sum_l alpha_l beta_l^2 + sigma^2, and the Z row width m."""
-
-    p_at_beta: np.ndarray
-    root_m2: float
-    width: int
-
-    @classmethod
-    def of(cls, basis: TeugelsBasis, spec: LevySpec) -> "FunctionalWeights":
-        p_at_beta = basis.jump_weights[: basis.rank].T
-        m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
-        return cls(p_at_beta, math.sqrt(m2), basis.requested_m)
-
-
 def component_functionals(
-    u: np.ndarray,
-    du: np.ndarray,
-    stencil: NonlocalStencil,
-    weights: FunctionalWeights,
-    sig: np.ndarray,
+    u: np.ndarray, du: np.ndarray, op: JumpOperator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump term and per-component jump functionals of u rows.
 
@@ -163,14 +155,14 @@ def component_functionals(
     sqrt(m2) on the first component; columns at or beyond the basis rank
     are zero, matching the Monte Carlo Z layout.
     """
-    jump = stencil.shift(u) - u[..., None]
-    nl = (jump * stencil.intensities).sum(axis=-1)
-    weighted = (jump - du[..., None] * stencil.displacement) * stencil.intensities
-    z = np.zeros(u.shape + (weights.width,))
-    rank = weights.p_at_beta.shape[1]
+    jump = op.shift(u) - u[..., None]
+    nl = (jump * op.intensities).sum(axis=-1)
+    weighted = (jump - du[..., None] * op.displacement) * op.intensities
+    z = np.zeros(u.shape + (op.width,))
+    rank = op.p_at_beta.shape[1]
     if rank:
-        z[..., :rank] = weighted @ weights.p_at_beta
-        z[..., 0] += sig * du * weights.root_m2
+        z[..., :rank] = weighted @ op.p_at_beta
+        z[..., 0] += op.sig * du * op.root_m2
     return nl, z
 
 
@@ -224,9 +216,7 @@ def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wall_rates(
-    x: np.ndarray, theta: float, stencil: NonlocalStencil, c: np.ndarray
-) -> np.ndarray:
+def _wall_rates(x: np.ndarray, theta: float, op: JumpOperator, c: np.ndarray) -> np.ndarray:
     """Growth rate of the local time A at each wall, per node: [2, node].
 
     Row 0 is the wall -theta, row 1 the wall +theta.  A jump from x_j that
@@ -234,10 +224,10 @@ def _wall_rates(
     wall it is clamped to; a drift that points out of the domain at a wall
     node adds |c| per unit time there.
     """
-    target = x[:, None] + stencil.displacement
+    target = x[:, None] + op.displacement
     rates = np.stack([
-        np.maximum(-theta - target, 0.0) @ stencil.intensities,
-        np.maximum(target - theta, 0.0) @ stencil.intensities,
+        np.maximum(-theta - target, 0.0) @ op.intensities,
+        np.maximum(target - theta, 0.0) @ op.intensities,
     ])
     rates[0, 0] += max(-c[0], 0.0)
     rates[1, -1] += max(c[-1], 0.0)
@@ -259,16 +249,14 @@ def _scheme(
     all evaluated at u_next.
     """
     dx = float(x[1] - x[0])
-    sig = np.asarray(sigma_x(x), dtype=float)
-    c = spec.drift_b * sig
-    stencil = build_nonlocal_stencil(x, problem.theta, spec, sigma_x)
-    weights = FunctionalWeights.of(basis, spec)
-    rates = _wall_rates(x, problem.theta, stencil, c)
+    op = JumpOperator.build(x, problem.theta, spec, basis, sigma_x)
+    c = spec.drift_b * op.sig
+    rates = _wall_rates(x, problem.theta, op, c)
     walls = x[[0, -1]]
 
     def explicit(t_next: float, u_next: np.ndarray) -> np.ndarray:
         du_next = _gradient(u_next, dx)
-        nl, z = component_functionals(u_next, du_next, stencil, weights, sig)
+        nl, z = component_functionals(u_next, du_next, op)
         fval = np.asarray(problem.f(t_next, x, u_next, z), dtype=float)
         phi_walls = np.asarray(problem.phi(t_next, walls, u_next[[0, -1]]), dtype=float)
         return u_next + dt * (fval + nl + phi_walls @ rates)
@@ -484,16 +472,13 @@ def representation_check(
         )
     ratio = n_fd // n_mc
     dx = float(pgrid.x[1] - pgrid.x[0])
-    stencil = build_nonlocal_stencil(pgrid.x, problem.theta, spec, sigma_x)
-    sig = np.asarray(sigma_x(pgrid.x), dtype=float)
+    op = JumpOperator.build(pgrid.x, problem.theta, spec, basis, sigma_x)
 
     # every sampled (node, path) pair at once: u and its jump functionals
     # on the Monte Carlo nodes, stacked as columns and read at X
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     u_rows = pgrid.u[::ratio]  # [node, space node]
-    _, z_nodes = component_functionals(
-        u_rows, _gradient(u_rows, dx), stencil, FunctionalWeights.of(basis, spec), sig
-    )
+    _, z_nodes = component_functionals(u_rows, _gradient(u_rows, dx), op)
     columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
     X = ens.X.T[:, paths]  # [node, path]
     at = _interp_rows(X, pgrid.x, columns)  # [node, path, 1 + m]

@@ -30,7 +30,7 @@ from levylab.suites import (
     run_suite,
     solve_outer_samples,
 )
-from levylab.teugels import basis_for, build_mu, orthonormal_basis, teugels_increments
+from levylab.teugels import basis_for, teugels_increments
 
 warnings.filterwarnings("ignore", message="rank-deficient regression design")
 
@@ -60,7 +60,7 @@ def test_criterion_01_teugels_orthonormality_exact():
     }
     worst = 0.0
     for n_atoms, spec in specs.items():
-        basis = orthonormal_basis(build_mu(spec), n_atoms)
+        basis = basis_for(spec, n_atoms)
         worst = max(worst, basis.gram_defect(spec))
     # Poisson degeneracy: components 2.. vanish bit-exactly
     poisson = specs[1]

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylab.config import DEFAULTS
+from levylab.config import DEFAULTS, load_config
 from levylab.errors import InitialPointOutsideDomain
 from levylab.levy import LevySpec
 from levylab.paths import (
@@ -27,6 +28,7 @@ from levylab.suites import measure_orthonormality, terminal_martingales
 from levylab.teugels import basis_for, step_increments, teugels_increments
 from teugels_reference import mean_l1, power_sum_increments, stored_increments_reference
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4)
 
 
@@ -366,6 +368,29 @@ class TestCompactCounts:
         )
         rows = {r.check: r for r in suites.suite_checks("orthonormality", cfg)}
         assert rows["mean_stddevs"].status == "fail", rows["mean_stddevs"].value
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gram_and_product_gates_fail_on_a_scaled_basis_row(self, monkeypatch, seed):
+        # H_2 scaled by 1.05 has E[H_2(T)^2] = 1.1025 T: the Gram defect
+        # reads 0.1025 and, at 20,000 paths, the product moment 6.7-8.4
+        # standard errors (5,000 paths miss it at seed 2)
+        cfg = replace(load_config(str(CONFIGS / "orthonormality.cfg")), grid=TimeGrid(1.0, 16),
+                      n_paths=20_000, seed=seed)
+        rows = {r.check: r for r in suites.suite_checks("orthonormality", cfg)}
+        assert rows["gram_defect"].status == rows["product_moment_stddevs"].status == "pass"
+        exact = suites.basis_for
+
+        def scaled(spec, requested_m=None):
+            basis = exact(spec, requested_m)
+            row = np.ones(basis.requested_m)
+            row[1] = 1.05
+            return replace(basis, jump_weights=basis.jump_weights * row[:, None], q_zero=basis.q_zero * row)
+
+        monkeypatch.setattr(suites, "basis_for", scaled)
+        rows = {r.check: r for r in suites.suite_checks("orthonormality", cfg)}
+        assert rows["gram_defect"].status == "fail", rows["gram_defect"].value
+        assert rows["gram_defect"].value == pytest.approx(0.1025, rel=1e-12)
+        assert rows["product_moment_stddevs"].status == "fail", rows["product_moment_stddevs"].value
 
     def test_orthonormality_measurement_stores_neither_L_nor_dH(self):
         # H(T) is evaluated from per-atom jump totals, so the peak is the

@@ -10,10 +10,9 @@ from levylab import pdie
 from levylab.pdie import (
     PATH_STRIDE,
     FkReport,
-    FunctionalWeights,
+    JumpOperator,
     PidieGrid,
     PidieGridSpec,
-    build_nonlocal_stencil,
     complementarity_defect,
     component_functionals,
     representation_check,
@@ -234,7 +233,7 @@ class TestInvariants:
 
     def test_stencil_weights_sum_to_one(self):
         x = np.linspace(-1.0, 1.0, 41)
-        st = build_nonlocal_stencil(x, 1.0, TWO_ATOM, lambda x: np.ones_like(x))
+        st = JumpOperator.build(x, 1.0, TWO_ATOM, BASIS, lambda x: np.ones_like(x))
         total = st.w_left + (1.0 - st.w_left)
         assert np.allclose(total, 1.0)
         # clamped displacements stay inside the domain
@@ -249,9 +248,7 @@ def representation_check_reference(pgrid, problem, ens, sol):
     n_mc = ens.grid.n_steps
     ratio = (len(pgrid.t) - 1) // n_mc
     dx = float(pgrid.x[1] - pgrid.x[0])
-    stencil = build_nonlocal_stencil(pgrid.x, problem.theta, spec, unit_coefficient)
-    sig = unit_coefficient(pgrid.x)
-    weights = FunctionalWeights.of(basis, spec)
+    op = JumpOperator.build(pgrid.x, problem.theta, spec, basis, unit_coefficient)
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     m = basis.requested_m
     y_gaps = []
@@ -263,7 +260,7 @@ def representation_check_reference(pgrid, problem, ens, sol):
         xs = ens.X[paths, k]
         y_gaps.append(np.abs(sol.Y[paths, k] - np.interp(xs, pgrid.x, u_row)))
         if k < n_mc:
-            _, z_nodes = component_functionals(u_row, np.gradient(u_row, dx), stencil, weights, sig)
+            _, z_nodes = component_functionals(u_row, np.gradient(u_row, dx), op)
             z_at = np.empty((len(paths), m))
             for i in range(m):
                 z_at[:, i] = np.interp(xs, pgrid.x, z_nodes[:, i])

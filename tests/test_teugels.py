@@ -5,17 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylab.errors import EmptyMeasure, RankMismatch
+from levylab.errors import RankMismatch
 from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
-from levylab.teugels import (
-    AtomicMeasure,
-    basis_for,
-    build_mu,
-    orthonormal_basis,
-    teugels_increments,
-)
-from teugels_reference import gram_schmidt_coeffs, p_values, power_sum_increments
+from levylab.teugels import basis_for, teugels_increments
+from teugels_reference import gram_schmidt_coeffs, p_values, power_sum_increments, qr_basis_reference
 
 
 def spec_of(*atoms, sigma=0.0, drift=0.0):
@@ -23,25 +17,29 @@ def spec_of(*atoms, sigma=0.0, drift=0.0):
 
 
 class TestBuildMu:
+    # basis_for's mu = x^2 nu + sigma^2 delta_0, read through the rank-1
+    # basis: one atom of weight w at y gives q_0 = 1 / sqrt(w), so
+    # p_1(y) = y / sqrt(w)
     def test_poisson_mass_at_one(self):
-        mu = build_mu(spec_of((1.0, 1.0)))
-        assert mu.locations.tolist() == [1.0]
-        assert mu.weights.tolist() == [1.0]
+        basis = basis_for(spec_of((1.0, 1.0)))
+        assert basis.jump_weights.tolist() == [[1.0]]
+        assert basis.q_zero.tolist() == [0.0]
 
     def test_pure_brownian_mass_at_zero(self):
-        mu = build_mu(LevySpec(sigma=1.0))
-        assert mu.locations.tolist() == [0.0]
-        assert mu.weights.tolist() == [1.0]
+        basis = basis_for(LevySpec(sigma=1.0))
+        assert basis.rank == 1
+        assert basis.jump_weights.shape == (1, 0)
+        assert basis.q_zero.tolist() == [1.0]
 
     def test_weight_is_alpha_beta_squared(self):
-        mu = build_mu(spec_of((2.0, 3.0)))
-        assert mu.weights.tolist() == [12.0]
+        basis = basis_for(spec_of((2.0, 3.0)))
+        assert basis.jump_weights.tolist() == [[2.0 / math.sqrt(12.0)]]
 
 
 class TestOrthonormalBasis:
     def test_poisson_rank_one_rows_zero(self):
         # unit mu mass at 1: q_0 = 1, so p_1(1) = 1
-        basis = orthonormal_basis(build_mu(spec_of((1.0, 1.0))), 3)
+        basis = basis_for(spec_of((1.0, 1.0)), 3)
         assert basis.rank == 1
         assert basis.jump_weights.tolist() == [[1.0], [0.0], [0.0]]
         assert np.all(basis.q_zero == 0.0)
@@ -50,32 +48,37 @@ class TestOrthonormalBasis:
     def test_symmetric_two_atoms(self):
         # by hand: <x, 1>_mu = 0 and |x|_mu = 1, so q0 = 1 and q1 = x, and
         # the jump weights y q_i(y) at y = 1, -1 are (1, -1) and (1, 1)
-        basis = orthonormal_basis(build_mu(spec_of((1.0, 0.5), (-1.0, 0.5))), 2)
+        basis = basis_for(spec_of((1.0, 0.5), (-1.0, 0.5)), 2)
         assert basis.rank == 2
         np.testing.assert_allclose(basis.jump_weights, [[1.0, -1.0], [1.0, 1.0]], rtol=0.0, atol=1e-15)
         assert basis.degenerate_from is None
-
-    def test_empty_measure_raises(self):
-        with pytest.raises(EmptyMeasure):
-            orthonormal_basis(_empty_measure(), 1)
 
     def test_leading_coefficients_positive(self):
         # with as many rows as atoms, q_i at the atoms fixes its monomial
         # coefficients through the Vandermonde matrix
         spec = spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2))
-        basis = orthonormal_basis(build_mu(spec), 3)
+        basis = basis_for(spec, 3)
         beta = spec.jump_sizes
         coeffs = np.linalg.solve(np.vander(beta, 3, increasing=True), (basis.jump_weights / beta).T)
         for i in range(basis.rank):
             assert coeffs[i, i] > 0.0
             assert np.all(np.abs(coeffs[i + 1 :, i]) < 1e-12)  # degree i
 
+    @pytest.mark.parametrize("requested_m", [0, -3])
+    @pytest.mark.parametrize(
+        "spec", [LevySpec(), LevySpec(sigma=0.5), spec_of((1.0, 1.0))], ids=["jump-free", "sigma", "poisson"]
+    )
+    def test_requested_m_below_one_raises(self, spec, requested_m):
+        with pytest.raises(ValueError, match="requested_m"):
+            basis_for(spec, requested_m)
 
-def _empty_measure():
-    m = object.__new__(AtomicMeasure)
-    object.__setattr__(m, "locations", np.zeros(0))
-    object.__setattr__(m, "weights", np.zeros(0))
-    return m
+    def test_jump_free_driver_has_the_rank_zero_basis(self):
+        for requested_m, degenerate_from in ((None, None), (3, 1)):
+            basis = basis_for(LevySpec(drift_b=0.4), requested_m)
+            m = requested_m or 0
+            assert (basis.rank, basis.requested_m, basis.degenerate_from) == (0, m, degenerate_from)
+            assert basis.jump_weights.shape == (m, 0)
+            assert basis.q_zero.tolist() == [0.0] * m
 
 
 @st.composite
@@ -92,14 +95,25 @@ def measures(draw):
 @given(measures(), st.integers(min_value=1, max_value=7))
 @settings(max_examples=60, deadline=None)
 def test_orthonormality_and_rank_properties(spec, requested):
-    mu = build_mu(spec)
-    basis = orthonormal_basis(mu, requested)
-    assert basis.rank == min(requested, mu.n_atoms)
+    basis = basis_for(spec, requested)
+    assert basis.rank == min(requested, spec.m_atoms + spec.continuous_part)
     assert basis.gram_defect(spec) < 1e-14
     assert np.all(basis.jump_weights[basis.rank:] == 0.0)
     assert np.all(basis.q_zero[basis.rank:] == 0.0)
     if basis.rank < requested:
         assert basis.degenerate_from == basis.rank + 1
+
+
+@given(measures(), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_basis_is_the_qr_reference_bit_for_bit(spec, requested):
+    basis = basis_for(spec, requested)
+    reference = qr_basis_reference(spec, requested)
+    assert np.array_equal(basis.jump_weights, reference.jump_weights)
+    assert np.array_equal(basis.q_zero, reference.q_zero)
+    assert (basis.rank, basis.requested_m, basis.degenerate_from) == (
+        reference.rank, reference.requested_m, reference.degenerate_from
+    )
 
 
 @pytest.mark.parametrize("n_atoms", [12, 16, 20, 24])
@@ -140,8 +154,8 @@ class TestIncrements:
         spec = spec_of((1.0, 1.0))
         basis = basis_for(spec, 3)
         grid = TimeGrid(1.0, 4)
-        counts = np.array([[1], [0], [2], [0]])  # one jump in step 0, two in step 2
-        dH = teugels_increments(counts, grid, spec, basis)
+        counts = np.array([[[1], [0], [2], [0]]])  # one jump in step 0, two in step 2
+        dH = teugels_increments(counts, grid, spec, basis)[0]
         assert dH[:, 0].tolist() == [0.75, -0.25, 1.75, -0.25]
         assert np.all(dH[:, 1:] == 0.0)
 
@@ -149,7 +163,7 @@ class TestIncrements:
         spec = spec_of((0.5, 2.0), (-1.5, 1.0))
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 2)
-        dH = teugels_increments(np.zeros((2, 2), dtype=np.int64), grid, spec, basis)
+        dH = teugels_increments(np.zeros((1, 2, 2), dtype=np.int64), grid, spec, basis)[0]
         # dY_k = -dt * m_k; check via power sums and the monomial coefficients
         m1 = 2.0 * 0.5 - 1.0 * 1.5
         m2 = 2.0 * 0.25 + 1.0 * 2.25
@@ -159,16 +173,15 @@ class TestIncrements:
 
     def test_counts_record_and_path_agree(self):
         # without a continuous part the path is not read, so the
-        # increments from the counts alone and with the path are the same;
-        # the 2d counts of one path are its jump record
+        # increments from the counts alone and with the path are the same
         spec = spec_of((0.5, 2.0), (-0.25, 3.0), drift=0.8)
         basis = basis_for(spec)
         grid = TimeGrid(2.0, 8)
         rng = derived_rng(5, 0)
         counts = simulate_jump_counts(spec, grid, rng, 1)
         L = assemble_levy_paths(spec, grid, counts)
-        dh_counts = teugels_increments(counts[0], grid, spec, basis)
-        dh_path = teugels_increments(counts, grid, spec, basis, levy_path=L)[0]
+        dh_counts = teugels_increments(counts, grid, spec, basis)
+        dh_path = teugels_increments(counts, grid, spec, basis, levy_path=L)
         assert np.allclose(dh_counts, dh_path, atol=1e-12)
 
     def test_rank_mismatch(self):
@@ -176,7 +189,12 @@ class TestIncrements:
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 2)
         with pytest.raises(RankMismatch):
-            teugels_increments(np.zeros((2, 3), dtype=np.int64), grid, spec, basis)
+            teugels_increments(np.zeros((1, 2, 3), dtype=np.int64), grid, spec, basis)
+
+    def test_counts_of_one_path_need_the_path_axis(self):
+        spec = spec_of((0.5, 2.0))
+        with pytest.raises(ValueError, match=r"\[path, step, atom\]"):
+            teugels_increments(np.zeros((2, 1), dtype=np.int64), TimeGrid(1.0, 2), spec, basis_for(spec))
 
     def test_degenerate_components_bitwise_zero(self):
         spec = spec_of((1.0, 1.0))
@@ -193,7 +211,7 @@ class TestIncrements:
         basis = basis_for(spec)
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
-            teugels_increments(np.zeros((4, 1), dtype=np.int64), grid, spec, basis)
+            teugels_increments(np.zeros((1, 4, 1), dtype=np.int64), grid, spec, basis)
 
 
 def test_ensemble_increments_match_per_path_and_power_sum_reference():
@@ -207,7 +225,7 @@ def test_ensemble_increments_match_per_path_and_power_sum_reference():
     assert dH.shape == (300, 12, 5)
     assert dH.transpose(1, 2, 0).flags.c_contiguous
 
-    per_path = np.stack([teugels_increments(counts[p], grid, spec, basis) for p in range(300)])
+    per_path = np.stack([teugels_increments(counts[p : p + 1], grid, spec, basis)[0] for p in range(300)])
     np.testing.assert_allclose(dH, per_path, rtol=0.0, atol=1e-14)
 
     # reference: power sums as one matmul per order, Gram-Schmidt

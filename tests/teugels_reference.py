@@ -9,14 +9,16 @@ mu, applied to the compensated power-jump sums
 
 with m_k the raw moments of the jump measure.  The two forms agree to
 rounding wherever Gram-Schmidt is accurate (a few atoms).
+
+``qr_basis_reference`` is the library's basis built a second way: the
+orthonormalization measure as its own arrays, then the Householder QR.
+None of these imports the code it checks.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-
-from levylab.levy import step_jump_sums
-from levylab.teugels import build_mu
 
 # Gram-Schmidt pivot tolerance, relative to the raw norm of the incoming monomial
 PIVOT_RTOL = 1e-12
@@ -33,15 +35,55 @@ def mean_l1(spec):
     return spec.drift_b + float(np.sum(spec.intensities * spec.jump_sizes))
 
 
+def mu_atoms(spec):
+    """(locations, weights) of mu(dx) = x^2 nu(dx) + sigma^2 delta_0(dx):
+    the jump sizes, then 0 when the driver has a continuous part."""
+    locs = list(spec.jump_sizes)
+    weights = list(spec.intensities * spec.jump_sizes**2)
+    if spec.sigma > 0.0:
+        locs.append(0.0)
+        weights.append(spec.sigma**2)
+    return np.array(locs, dtype=float), np.array(weights, dtype=float)
+
+
+class ReferenceBasis(NamedTuple):
+    jump_weights: np.ndarray
+    q_zero: np.ndarray
+    rank: int
+    requested_m: int
+    degenerate_from: int | None
+
+
+def qr_basis_reference(spec, requested_m):
+    """The basis of a driver with at least one atom of mu, ``requested_m``
+    >= 1: Householder QR of sqrt(w) V with V the Vandermonde matrix of the
+    first min(requested_m, n_atoms) monomials at mu's atoms, each column of
+    Q signed so that R[i, i] > 0; the jump weights x q_i(x) are read at the
+    nonzero atoms and q_i(0) at the atom at 0."""
+    x, w = mu_atoms(spec)
+    assert len(x) and requested_m >= 1
+    rank = min(requested_m, len(x))
+    Q, R = np.linalg.qr(np.sqrt(w)[:, None] * x[:, None] ** np.arange(rank))
+    q = Q * (np.copysign(1.0, np.diag(R)) / np.sqrt(w)[:, None])  # q_i at the atoms, [atom, rank]
+    jump = x != 0.0
+    jump_weights = np.zeros((requested_m, int(jump.sum())))
+    jump_weights[:rank] = (x[jump, None] * q[jump]).T
+    q_zero = np.zeros(requested_m)
+    if not jump.all():
+        q_zero[:rank] = q[~jump][0]
+    return ReferenceBasis(jump_weights, q_zero, rank, requested_m,
+                          rank + 1 if rank < requested_m else None)
+
+
 def gram_schmidt_coeffs(spec, requested_m):
     """(coeffs [m, m], rank): modified Gram-Schmidt with one
     re-orthogonalization pass, positive leading coefficients, rows at or
     beyond the rank exactly zero."""
-    mu = build_mu(spec)
-    x, w, m = mu.locations, mu.weights, requested_m
+    x, w = mu_atoms(spec)
+    m = requested_m
     coeffs = np.zeros((m, m))
     vals, rows = [], []
-    for i in range(min(m, mu.n_atoms)):
+    for i in range(min(m, len(x))):
         v = x**i
         row = np.zeros(m)
         row[i] = 1.0
@@ -100,9 +142,9 @@ def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
     if spec.continuous_part:
         L = np.asarray(levy_path, dtype=float).T
         drift = grid.dt * spec.drift_b
-        for k, jumps in enumerate(step_jump_sums(counts, spec.jump_sizes)):
+        for k in range(n):
             sigma_dw = np.subtract(L[k + 1], L[k])
             sigma_dw -= drift
-            sigma_dw -= jumps
+            sigma_dw -= spec.jump_sizes @ step_counts[k]
             dH[k, :rank] += basis.q_zero[:rank, None] * sigma_dw
     return dH.transpose(2, 0, 1)
