@@ -35,12 +35,11 @@ def _write(path: Path, text: str) -> None:
 def _cmd_basis(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = cfg.build_levy()
     basis = basis_for(spec)
-    lines = [f"# rank={basis.rank} requested_m={basis.requested_m} "
-             f"degenerate_from={basis.degenerate_from}"]
+    lines = [f"# rank={basis.rank}"]
     if spec.continuous_part:
         lines.append("# q_i(0) " + " ".join(f"{v:.17g}" for v in basis.q_zero))
     lines.append("i,atom,beta,p_i")
-    for i in range(basis.requested_m):
+    for i in range(basis.rank):
         for atom, (beta, _) in enumerate(spec.atoms):
             lines.append(f"{i + 1},{atom + 1},{beta!r},{basis.jump_weights[i, atom]:.17g}")
     text = "\n".join(lines) + "\n"

@@ -107,9 +107,9 @@ class JumpOperator:
     (node, atom), the right weight 1 - w_left, so weights sum to one.
     ``displacement`` is the unclamped displacement sigma_x(x) beta,
     ``intensities`` the alpha_l and ``sig`` sigma_x at the nodes.  The basis
-    data of :func:`component_functionals` are ``p_at_beta``, p_i(beta_l) of
-    the live components as [atom, rank], ``root_m2``, sqrt(m2) with
-    m2 = sum_l alpha_l beta_l^2 + sigma^2, and ``width``, the Z row width m.
+    data of :func:`component_functionals` are ``p_at_beta``, p_i(beta_l) as
+    [atom, rank], and ``root_m2``, sqrt(m2) with
+    m2 = sum_l alpha_l beta_l^2 + sigma^2.
     """
 
     left: np.ndarray
@@ -119,7 +119,6 @@ class JumpOperator:
     sig: np.ndarray
     p_at_beta: np.ndarray
     root_m2: float
-    width: int
 
     @classmethod
     def build(
@@ -133,8 +132,7 @@ class JumpOperator:
         m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
         return cls(left=left, w_left=1.0 - (pos - left), displacement=disp,
                    intensities=spec.intensities, sig=sig,
-                   p_at_beta=basis.jump_weights[: basis.rank].T, root_m2=math.sqrt(m2),
-                   width=basis.requested_m)
+                   p_at_beta=basis.jump_weights.T, root_m2=math.sqrt(m2))
 
     def shift(self, u: np.ndarray) -> np.ndarray:
         """Evaluate u at every shifted point; shape [..., n_nodes, n_atoms]
@@ -152,16 +150,14 @@ def component_functionals(
     z[j, i] = sum_l alpha_l u1_jl p_{i+1}(beta_l), where
     u1_jl = u(clamp(x_j + d_jl)) - u_j - du_j d_jl is the second-order
     remainder, plus the diffusion-style correction sigma_x(x) du/dx
-    sqrt(m2) on the first component; columns at or beyond the basis rank
-    are zero, matching the Monte Carlo Z layout.
+    sqrt(m2) on the first component; z has the basis's rank columns,
+    matching the Monte Carlo Z layout.
     """
     jump = op.shift(u) - u[..., None]
     nl = (jump * op.intensities).sum(axis=-1)
     weighted = (jump - du[..., None] * op.displacement) * op.intensities
-    z = np.zeros(u.shape + (op.width,))
-    rank = op.p_at_beta.shape[1]
-    if rank:
-        z[..., :rank] = weighted @ op.p_at_beta
+    z = weighted @ op.p_at_beta
+    if z.shape[-1]:
         z[..., 0] += op.sig * du * op.root_m2
     return nl, z
 
@@ -484,7 +480,7 @@ def representation_check(
     at = _interp_rows(X, pgrid.x, columns)  # [node, path, 1 + m]
     # the Monte Carlo Y and Z at the same pairs, one node at a time
     y_mc = np.empty(X.shape)
-    z_mc = np.empty((n_mc, basis.requested_m, len(paths)))  # Z has no step after the last node
+    z_mc = np.empty((n_mc, basis.rank, len(paths)))  # Z has no step after the last node
     for k in range(n_mc + 1):
         sol.evaluate(k, X[k], y=y_mc[k], z=z_mc[k] if k < n_mc else None)
     y_gaps = np.abs(y_mc - at[..., 0])

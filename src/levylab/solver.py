@@ -17,8 +17,8 @@ martingales:
    <H(i), H(j)>_t = delta_ij t).  Centering by the X_k-measurable yhat0
    leaves the conditional expectation of Y_{k+1} dH(i)_k unchanged, since
    the increments have zero conditional mean, but removes the 1/dt noise
-   amplification on thin regression cells; components beyond the basis
-   rank are exact zeros;
+   amplification on thin regression cells; there are rank components,
+   one per atom of the basis's measure;
 3. apply the obstacle.  Projection mode: Y_k = max(yhat, S_k) with
    dK_k = (yhat - S_k)^-.  Penalization mode with parameter n: the
    one-step penalty equation Y = yhat + n dt (Y - S_k)^- is solved in
@@ -177,7 +177,7 @@ class EnsembleSolution:
     any states; :meth:`on_paths` evaluates one of them, K or the obstacle
     S node by node at a set of paths of the state ``X`` [path, node].  The
     properties ``Y``, ``K``, ``y_pre`` and ``S`` [path, node], ``Z`` [path,
-    node, component] (exact zeros beyond ``rank``) and ``dK`` [path, step]
+    node, component] with ``rank`` components and ``dK`` [path, step]
     evaluate it at every path on each read, not stored or cached, so a
     reader binds each once.  ``K_T`` [path] is the total push, summed by
     the sweep as it ran, last step first.
@@ -192,7 +192,6 @@ class EnsembleSolution:
     penalization: float | None
     degree: int
     rank: int
-    n_components: int
     layer_width: float
     fits: tuple[StepFit, ...]
     K_T: np.ndarray
@@ -239,10 +238,8 @@ class EnsembleSolution:
         fit = self.fits[k]
         design, _ = regression_design(x, self.degree, problem.theta, self.layer_width,
                                       np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
-        if z is not None:
-            z[self.rank:] = 0.0
-            if self.rank:
-                _fitted(fit.z_coef, design, z[: self.rank])
+        if z is not None and self.rank:
+            _fitted(fit.z_coef, design, z)
         if y is None and push is None and y_pre is None:
             return
         rows = [out if out is not None else np.empty(x.shape[0]) for out in (y_pre, push, y)]
@@ -264,7 +261,7 @@ class EnsembleSolution:
         X = self.X.T[:, paths]
         n, size = self.grid.n_steps, X.shape[1]
         if name == "Z":
-            out = np.empty((n + 1, self.n_components, size))
+            out = np.empty((n + 1, self.rank, size))
         else:
             out = np.empty((n if name == "dK" else n + 1, size))
         if name == "S":
@@ -444,7 +441,6 @@ def solve_penalized(
     counts = np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))
     L = np.ascontiguousarray(ens.L.T) if ens.spec.continuous_part else None
     dB = np.diff(ens.B)
-    m = ens.basis.requested_m
     rank = ens.basis.rank
     layer_width = problem.theta / LAYER_DIVISOR
 
@@ -460,9 +456,9 @@ def solve_penalized(
         )
 
     # Y and Z at node k + 1, the step's inputs, and at node k, its outputs;
-    # swapped after each step.  Z rows at or beyond the rank stay zero.
+    # swapped after each step.
     y_next, y = xi.copy(), np.empty(n_paths)
-    z_next, z = np.zeros((m, n_paths)), np.zeros((m, n_paths))
+    z_next, z = np.zeros((rank, n_paths)), np.empty((rank, n_paths))
     # Row 0 holds the step's Y target, the rows below it the design, so one
     # product gives the Gram matrix and the Y right-hand side together.
     aug = np.empty((config.basis_dim + 1, n_paths))
@@ -504,8 +500,8 @@ def solve_penalized(
         if rank:
             step_increments(counts, L, k, dt, ens.spec, ens.basis, dH_k)
             dH_k *= np.subtract(y_next, yhat, out=row)
-            z_coef = _regress(design, factor, dH_k, z[:rank], scale=1.0 / dt)
-            z2 += float(np.vdot(z[:rank], z[:rank]))
+            z_coef = _regress(design, factor, dH_k, z, scale=1.0 / dt)
+            z2 += float(np.vdot(z, z))
         kept = y_coef.shape[1]
         if kept < ncol:  # the Z fits share the design, so they keep as many columns
             reduced += 2 if rank else 1
@@ -538,7 +534,6 @@ def solve_penalized(
         penalization=pen,
         degree=config.degree,
         rank=rank,
-        n_components=m,
         layer_width=layer_width,
         fits=tuple(fits),
         K_T=k_total,

@@ -36,7 +36,7 @@ from .paths import (
     skorokhod_minimality_gap,
 )
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
-from .problems import ProblemSpec, build_problem
+from .problems import build_problem
 from .solver import EnsembleSolution, solve_penalized
 from .teugels import TeugelsBasis, basis_for, jump_martingales, step_increments
 
@@ -110,15 +110,15 @@ PATH_BLOCK = 8192
 
 
 def terminal_martingales(cfg: ExperimentConfig, basis: TeugelsBasis) -> np.ndarray:
-    """H(T) [requested_m, path] of the configured driver, in closed form.
+    """H(T) [rank, path] of the configured driver, in closed form.
 
     H_i(T) is ``P (N(T) - alpha T)`` over the per-atom jump totals N(T)
     (:func:`jump_martingales`), plus ``q_i(0) sigma W_T`` when the driver
     has a continuous part.  Neither L nor dH is built: the peak is the jump
-    counts plus a few [atom, path] and [path] rows.  Rows at or beyond the
-    basis rank stay exactly zero.  W_T is drawn after the counts, from
-    their stream, in blocks of ``PATH_BLOCK`` paths, which consumes it
-    exactly as one whole path-major :func:`simulate_brownian` draw does.
+    counts plus a few [atom, path] and [path] rows.  W_T is drawn after the
+    counts, from their stream, in blocks of ``PATH_BLOCK`` paths, which
+    consumes it exactly as one whole path-major :func:`simulate_brownian`
+    draw does.
     """
     spec = cfg.build_levy()
     rng = derived_rng(cfg.seed, 0, STREAM_LEVY)
@@ -126,13 +126,11 @@ def terminal_martingales(cfg: ExperimentConfig, basis: TeugelsBasis) -> np.ndarr
     # the counts' dtype is widened to hold every atom's largest total, so
     # the step sum cannot wrap in it; numpy's default, uint64, is about 13x slower
     totals = counts.transpose(1, 2, 0).sum(axis=0, dtype=counts.dtype)
-    H_T = np.zeros((basis.requested_m, cfg.n_paths))
-    live = H_T[: basis.rank]
-    live[...] = jump_martingales(totals, cfg.grid.horizon, spec, basis)
+    H_T = jump_martingales(totals, cfg.grid.horizon, spec, basis)
     if spec.continuous_part:
-        weights = spec.sigma * basis.q_zero[: basis.rank, None]  # [rank, 1]
+        weights = spec.sigma * basis.q_zero[:, None]  # [rank, 1]
         for start in range(0, cfg.n_paths, PATH_BLOCK):
-            block = live[:, start : start + PATH_BLOCK]
+            block = H_T[:, start : start + PATH_BLOCK]
             block += weights * simulate_brownian(cfg.grid, rng, block.shape[1])[:, -1]
     return H_T
 
@@ -276,17 +274,18 @@ def solve_outer_samples(
     return y0, se, tuple(float(np.mean(v)) for v in per_sample), first
 
 
+# How far Y1 may fall below Y2 at a (path, node) pair before the
+# comparison check counts the ordering as violated there.
+COMPARISON_MARGIN = 0.01
+
+
 def check_comparison_hypothesis(
-    sol1: EnsembleSolution,
-    sol2: EnsembleSolution,
-    problem2: ProblemSpec,
-    ens: PathEnsemble,
-    margin: float,
+    sol1: EnsembleSolution, sol2: EnsembleSolution, ens: PathEnsemble
 ) -> tuple[float, float]:
     """``(min_sum, violations)``: the smallest jump-size sum sum_i beta_i
     dH(i) over paths and steps, with beta_i the difference-quotient slopes
-    of the second driver in each Z slot, and the fraction of (path, node)
-    pairs where Y1 < Y2 - ``margin``.
+    of the second solution's driver f in each Z slot, and the fraction of
+    (path, node) pairs where Y1 < Y2 - ``COMPARISON_MARGIN``.
 
     At each step the driver is evaluated once at each of the rank + 1
     telescoping points z(p), which hold the second solution's Z in the
@@ -306,10 +305,10 @@ def check_comparison_hypothesis(
     X = ens.X.T
     counts = ens.jump_counts.transpose(1, 2, 0)
     L = ens.L.T if ens.spec.continuous_part else None
-    n_paths, m = ens.n_paths, ens.basis.requested_m
+    n_paths, f = ens.n_paths, sol2.problem.f
     dH = np.empty((rank, n_paths))
     Y1, Y2 = np.empty(n_paths), np.empty(n_paths)
-    Z1, Z2 = np.empty((m, n_paths)), np.empty((m, n_paths))
+    Z1, Z2 = np.empty((rank, n_paths)), np.empty((rank, n_paths))
     total = np.empty(n_paths)
     smallest = np.zeros(grid.n_steps)  # per step, over paths
     violated = 0
@@ -320,10 +319,10 @@ def check_comparison_hypothesis(
             step_increments(counts, L, k, grid.dt, ens.spec, ens.basis, dH)
             total[...] = 0.0
             z = Z1.copy()  # z(0), [component, path]
-            f_lo = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
+            f_lo = np.asarray(f(t[k], X[k], Y2, z.T), dtype=float)
             for a in range(rank):
                 z[a] = Z2[a]
-                f_hi = np.asarray(problem2.f(t[k], X[k], Y2, z.T), dtype=float)
+                f_hi = np.asarray(f(t[k], X[k], Y2, z.T), dtype=float)
                 den = Z1[a] - Z2[a]
                 scale = np.abs(Z1[a]) + np.abs(Z2[a]) + 1.0
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,7 +330,7 @@ def check_comparison_hypothesis(
                 total += beta * dH[a]
                 f_lo = f_hi
             smallest[k] = np.min(total)
-        violated += int(np.count_nonzero(Y1 < np.subtract(Y2, margin, out=Y2)))
+        violated += int(np.count_nonzero(Y1 < np.subtract(Y2, COMPARISON_MARGIN, out=Y2)))
     return float(np.min(smallest)), violated / X.size
 
 
@@ -356,7 +355,7 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
     config = cfg.build_solver_config(None)
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
-    return check_comparison_hypothesis(sol_hi, sol_lo, lo, ens, 0.01)
+    return check_comparison_hypothesis(sol_hi, sol_lo, ens)
 
 
 def crosscheck_run(cfg: ExperimentConfig):

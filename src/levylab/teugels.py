@@ -20,16 +20,15 @@ diag(R) > 0, i.e. each q_i has a positive leading coefficient (Gautschi,
 *Orthogonal Polynomials: Computation and Approximation*, 2004).
 :func:`basis_for` reads mu off the :class:`~levylab.levy.LevySpec`, whose
 checks make its atoms distinct and its weights positive.  The basis
-stores only the jump weights p_i(beta_l) and q_i(0); its rank is
-structural, the atom count of mu, and rows at or beyond it are exactly
-zero.
+stores only the jump weights p_i(beta_l) and q_i(0), one row per atom of
+mu: its rank, the number of nonzero martingales, is structural.
 
 Storage
 -------
 dH is a function of the jump counts (and, when the driver has a
 continuous part, of two node rows of its path), so nothing stores it for
-a run.  :func:`step_increments` writes one step's live rows from that
-step's counts, through :func:`jump_martingales`; the backward sweep calls
+a run.  :func:`step_increments` writes one step's rows from that step's
+counts, through :func:`jump_martingales`; the backward sweep calls
 it once per step into one reused [rank, path] row block, and
 :func:`teugels_increments` loops it over the grid into a full [step,
 component, path] array for the readers that want every step at once.
@@ -51,78 +50,61 @@ class TeugelsBasis:
     """Per-atom weights of the orthonormal martingales.
 
     ``jump_weights[i, l]`` is p_i(beta_l), the weight of atom l's
-    compensated count in the i-th martingale, as [requested_m, atom];
+    compensated count in the i-th martingale, as [rank, atom];
     ``q_zero[i]`` is q_i(0), the weight of sigma W, and is zero when the
-    driver has no continuous part.  Rows at or beyond ``rank`` are exactly
-    zero.  ``degenerate_from`` is the 1-based index of the first vanishing
-    basis element, or ``None`` when every requested element is live.
+    driver has no continuous part.
     """
 
     jump_weights: np.ndarray
     q_zero: np.ndarray
-    rank: int
-    requested_m: int
-    degenerate_from: int | None
+
+    @property
+    def rank(self) -> int:
+        return self.jump_weights.shape[0]
 
     def gram_defect(self, spec: LevySpec) -> float:
-        """max |E[H_i(1) H_j(1)] - delta_ij| over the live rows (exact sums).
+        """max |E[H_i(1) H_j(1)] - delta_ij| over the rows (exact sums).
 
         E[H_i(1) H_j(1)] = sum_l alpha_l p_i(beta_l) p_j(beta_l)
         + sigma^2 q_i(0) q_j(0), the Gram matrix of the q_i under mu.
         """
-        if self.rank == 0:
-            return 0.0
-        P = self.jump_weights[: self.rank]
-        q0 = self.q_zero[: self.rank]
+        P, q0 = self.jump_weights, self.q_zero
         gram = (P * spec.intensities) @ P.T + spec.sigma**2 * np.outer(q0, q0)
-        return float(np.max(np.abs(gram - np.eye(self.rank))))
+        return float(np.max(np.abs(gram - np.eye(self.rank)), initial=0.0))
 
 
-def basis_for(spec: LevySpec, requested_m: int | None = None) -> TeugelsBasis:
+def basis_for(spec: LevySpec) -> TeugelsBasis:
     """The orthonormal basis of the driver, by the QR of the module docstring.
 
     mu's atoms are the jump sizes, weighted by alpha beta^2, then 0,
-    weighted by sigma^2, when the driver has a continuous part.
-    ``requested_m`` defaults to their count, the structural rank; an
-    explicit value must be >= 1.  The first ``min(requested_m, atom
-    count)`` columns of Q are kept, each signed so that R[i, i] > 0.  A
-    driver with no atoms gets the rank-0 basis, with no QR.
+    weighted by sigma^2, when the driver has a continuous part.  Every
+    column of Q is kept, each signed so that R[i, i] > 0; a driver with no
+    atoms gets the rank-0 basis.
     """
     x = spec.jump_sizes
     w = spec.intensities * x**2
     if spec.continuous_part:
         x = np.append(x, 0.0)
         w = np.append(w, spec.sigma**2)
-    if requested_m is None:
-        requested_m = len(x)
-    elif requested_m < 1:
-        raise ValueError(f"requested_m must be >= 1, got {requested_m}")
-    rank = min(requested_m, len(x))
-    jump_weights = np.zeros((requested_m, spec.m_atoms))
-    q_zero = np.zeros(requested_m)
-    if rank:
-        Q, R = np.linalg.qr(np.sqrt(w)[:, None] * x[:, None] ** np.arange(rank))
-        q = Q * (np.copysign(1.0, np.diag(R)) / np.sqrt(w)[:, None])  # q_i at the atoms, [atom, rank]
-        jump_weights[:rank] = (x[: spec.m_atoms, None] * q[: spec.m_atoms]).T
-        if spec.continuous_part:
-            q_zero[:rank] = q[-1]
-    return TeugelsBasis(jump_weights=jump_weights, q_zero=q_zero, rank=rank, requested_m=requested_m,
-                        degenerate_from=rank + 1 if rank < requested_m else None)
+    Q, R = np.linalg.qr(np.sqrt(w)[:, None] * x[:, None] ** np.arange(len(x)))
+    q = Q * (np.copysign(1.0, np.diag(R)) / np.sqrt(w)[:, None])  # q_i at the atoms, [atom, rank]
+    jump_weights = np.ascontiguousarray((x[: spec.m_atoms, None] * q[: spec.m_atoms]).T)
+    return TeugelsBasis(jump_weights, q[-1] if spec.continuous_part else np.zeros(len(x)))
 
 
 def jump_martingales(
     counts: np.ndarray, duration: float, spec: LevySpec, basis: TeugelsBasis,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Jump parts [rank, path] of the live martingales over a window.
+    """Jump parts [rank, path] of the martingales over a window.
 
     ``counts`` [atom, path] holds each atom's number of jumps in a window
     of length ``duration``; the result, written to ``out`` when given, is
-    ``P (counts - alpha * duration)`` with ``P = jump_weights[:rank]``.
+    ``P (counts - alpha * duration)`` with ``P = jump_weights``.
     The continuous part, q_i(0) sigma W over the window, is not included.
     """
     compensated = counts - (spec.intensities * duration)[:, None]
-    return np.matmul(basis.jump_weights[: basis.rank], compensated, out=out)
+    return np.matmul(basis.jump_weights, compensated, out=out)
 
 
 def step_increments(
@@ -134,7 +116,7 @@ def step_increments(
     basis: TeugelsBasis,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Live rows [rank, path] of step k's increments dH_k, written to ``out``.
+    """Rows [rank, path] of step k's increments dH_k, written to ``out``.
 
     ``counts`` [step, atom, path] and ``levy_path`` [node, path] are
     node-major.  The rows are ``P (n_k - alpha dt)`` from the counts' row
@@ -148,7 +130,7 @@ def step_increments(
         sigma_dw = np.subtract(levy_path[k + 1], levy_path[k])
         sigma_dw -= dt * spec.drift_b
         sigma_dw -= spec.jump_sizes @ counts[k]
-        out += basis.q_zero[: basis.rank, None] * sigma_dw
+        out += basis.q_zero[:, None] * sigma_dw
     return out
 
 
@@ -179,11 +161,10 @@ def teugels_increments(
 
     Returns
     -------
-    Array of shape [n_paths, n_steps, requested_m].  Columns at or beyond
-    the basis rank are exactly zero.  The values are stored step-major,
-    [n_steps, requested_m, n_paths], and returned as a transposed view, so
-    ``dH.transpose(1, 2, 0)`` is the contiguous step-major array.  Step
-    k's live rows are :func:`step_increments` of its counts:
+    Array of shape [n_paths, n_steps, rank].  The values are stored
+    step-major, [n_steps, rank, n_paths], and returned as a transposed
+    view, so ``dH.transpose(1, 2, 0)`` is the contiguous step-major array.
+    Step k's rows are :func:`step_increments` of its counts:
     ``P (n_k - alpha dt)``, plus ``q(0) sigma dW_k`` when the driver has a
     continuous part.
     """
@@ -205,10 +186,8 @@ def teugels_increments(
             raise ValueError("levy_path shape does not match the jump data")
         L = L.T  # [node, path]
 
-    dH = np.zeros((n, basis.requested_m, n_paths))
-    rank = basis.rank
-    if rank:
-        step_counts = counts.transpose(1, 2, 0)  # [step, atom, path]
-        for k in range(n):
-            step_increments(step_counts, L, k, grid.dt, spec, basis, dH[k, :rank])
+    dH = np.empty((n, basis.rank, n_paths))
+    step_counts = counts.transpose(1, 2, 0)  # [step, atom, path]
+    for k in range(n):
+        step_increments(step_counts, L, k, grid.dt, spec, basis, dH[k])
     return dH.transpose(2, 0, 1)

@@ -60,22 +60,28 @@ def test_criterion_01_teugels_orthonormality_exact():
     }
     worst = 0.0
     for n_atoms, spec in specs.items():
-        basis = basis_for(spec, n_atoms)
+        basis = basis_for(spec)
+        assert basis.rank == n_atoms
         worst = max(worst, basis.gram_defect(spec))
-    # Poisson degeneracy: components 2.. vanish bit-exactly
+    # Poisson: one martingale, p_1(beta) times the compensated count
     poisson = specs[1]
-    basis = basis_for(poisson, 3)
+    basis = basis_for(poisson)
     grid = TimeGrid(1.0, 32)
     from levylab.paths import simulate_jump_counts
 
     counts = simulate_jump_counts(poisson, grid, derived_rng(1, 0), 2000)
     dH = teugels_increments(counts, grid, poisson, basis)
-    degenerate_exact = bool(np.all(dH[:, :, 1:] == 0.0))
-    passed = worst < 1e-10 and degenerate_exact
+    p1 = basis.jump_weights[0, 0]
+    (beta, alpha), = poisson.atoms
+    single_exact = basis.rank == 1 and dH.shape == (2000, 32, 1) and np.array_equal(
+        dH[:, :, 0], p1 * (counts[:, :, 0] - alpha * grid.dt)
+    )
+    passed = worst < 1e-10 and single_exact
     _report(1, "teugels orthonormality", passed,
-            f"gram defect {worst:.3e} < 1e-10, degenerate rows bit-zero: {degenerate_exact}")
+            f"gram defect {worst:.3e} < 1e-10, Poisson dH = p_1(beta)(N - alpha dt) bit for bit: {single_exact}")
     assert worst < 1e-10
-    assert degenerate_exact
+    assert single_exact
+    assert p1 == beta / math.sqrt(alpha * beta**2)
 
 
 def test_criterion_02_empirical_strong_orthonormality():

@@ -46,7 +46,7 @@ def test_tracer_counts_an_ensemble_and_its_sweep():
     tracer._on_ensemble(ens)
     tracer._on_sweep(sol)
 
-    m = ens.basis.requested_m
+    m = ens.basis.rank
     node_path = 8 * n_paths * (n_steps + 1)
     counts = n_paths * n_steps * ens.spec.m_atoms * ens.jump_counts.itemsize
     # B [node]; L, X, eta_abs and its view A [path, node]; the counts; dH

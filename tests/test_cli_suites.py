@@ -165,7 +165,7 @@ class TestCli:
         text = (out / "basis.csv").read_text()
         lines = text.splitlines()
         assert lines[1] == "i,atom,beta,p_i"
-        assert "rank=2" in lines[0]
+        assert lines[0] == "# rank=2"
         assert len(lines) == 2 + 2 * 2  # one row per (component, atom)
 
     def test_simulate_writes_path_files(self, small_config, tmp_path):

@@ -90,3 +90,15 @@ def test_quick_trajectories_match_committed_file(tmp_path):
     reference = root / "tests" / "data" / "quick_trajectories.csv"
     _, problems = compare_outputs.compare_file(reference, run / "trajectories.csv", atol=1e-12)
     assert not problems, problems
+
+
+def test_example51_basis_matches_committed_file(tmp_path):
+    """`levylab basis` on the shipped example config reproduces the committed
+    basis.csv byte for byte: its rank header and every jump weight."""
+    from levylab.cli import main
+
+    root = SCRIPT.parents[1]
+    run = tmp_path / "run"
+    assert main(["basis", "--config", str(root / "configs" / "example51.cfg"), "--out", str(run)]) == 0
+    reference = root / "tests" / "data" / "example51_basis.csv"
+    assert (run / "basis.csv").read_bytes() == reference.read_bytes()

@@ -273,10 +273,10 @@ class TestCompactCounts:
         L_ref = assemble_levy_paths_reference(spec, grid, ref, rng_ref)
         assert np.array_equal(L, L_ref)
         dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
-        dH_ref = power_sum_increments(ref, grid, spec, basis.requested_m, L_ref)
+        dH_ref = power_sum_increments(ref, grid, spec, basis.rank, L_ref)
         dH_atol = 1e-12 * max(1.0, float(np.abs(dH_ref).max()))
         assert np.max(np.abs(dH - dH_ref)) <= dH_atol
-        assert np.any(dH[:, :, : basis.rank] != 0.0)
+        assert np.any(dH != 0.0)
 
         # the measurement draws the same stream and evaluates H(T) from the
         # per-atom totals, with its Brownian draw in one block and in several
@@ -294,7 +294,7 @@ class TestCompactCounts:
 
         if not spec.continuous_part:
             dH = teugels_increments(counts, grid, spec, basis)
-            assert np.max(np.abs(dH - power_sum_increments(ref, grid, spec, basis.requested_m))) <= dH_atol
+            assert np.max(np.abs(dH - power_sum_increments(ref, grid, spec, basis.rank))) <= dH_atol
 
     @ensemble_drivers
     def test_ensemble_dH_matches_the_power_sum_reference(self, spec, sigma_x, seed):
@@ -302,19 +302,18 @@ class TestCompactCounts:
         # dW from the path, against the Gram-Schmidt power sums with
         # dL - dt E[L_1] as the order-1 sum
         grid = TimeGrid(1.0, 50)
-        basis = basis_for(spec, 4)
+        basis = basis_for(spec)
         ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
-        ref = power_sum_increments(ens.jump_counts, grid, spec, 4, levy_path=ens.L)
+        ref = power_sum_increments(ens.jump_counts, grid, spec, basis.rank, levy_path=ens.L)
         atol = 1e-12 * max(1.0, float(np.abs(ref).max()))
         assert np.max(np.abs(ens.dH - ref)) <= atol
-        assert np.all(ens.dH[:, :, basis.rank :] == 0.0)
 
     @ensemble_drivers
     def test_ensemble_dH_is_the_step_kernel_bit_for_bit(self, spec, sigma_x, seed):
         # the derived dH and the sweep's per-step rows against the array
         # as it was stored: all jump parts, then one pass for sigma dW
         grid = TimeGrid(1.0, 50)
-        basis = basis_for(spec, 4)
+        basis = basis_for(spec)
         ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
         ref = stored_increments_reference(ens.jump_counts, grid, spec, basis, levy_path=ens.L)
         dH = ens.dH
@@ -324,7 +323,7 @@ class TestCompactCounts:
         row = np.empty((basis.rank, ens.n_paths))
         for k in range(grid.n_steps):
             step_increments(counts, L, k, grid.dt, spec, basis, row)
-            assert np.array_equal(row, ref[:, k, : basis.rank].T), k
+            assert np.array_equal(row, ref[:, k].T), k
 
     def test_simulation_memory_stays_near_the_returned_arrays(self):
         # the counts and the reflection are built one step at a time, the
@@ -351,10 +350,9 @@ class TestCompactCounts:
     def test_rank_zero_driver_has_zero_martingales(self):
         spec = LevySpec()  # no atoms and no continuous part
         cfg = replace(DEFAULTS, levy=spec, grid=TimeGrid(1.0, 8), n_paths=100, seed=3)
-        basis = basis_for(spec, requested_m=2)
+        basis = basis_for(spec)
         assert basis.rank == 0
-        H_T = terminal_martingales(cfg, basis)
-        assert H_T.shape == (2, 100) and not H_T.any()
+        assert terminal_martingales(cfg, basis).shape == (0, 100)
 
     def test_mean_gate_fails_when_compensated_over_one_step(self, monkeypatch):
         # compensating the horizon totals by alpha * dt instead of alpha * T
@@ -380,9 +378,9 @@ class TestCompactCounts:
         assert rows["gram_defect"].status == rows["product_moment_stddevs"].status == "pass"
         exact = suites.basis_for
 
-        def scaled(spec, requested_m=None):
-            basis = exact(spec, requested_m)
-            row = np.ones(basis.requested_m)
+        def scaled(spec):
+            basis = exact(spec)
+            row = np.ones(basis.rank)
             row[1] = 1.05
             return replace(basis, jump_weights=basis.jump_weights * row[:, None], q_zero=basis.q_zero * row)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -231,14 +232,31 @@ class TestInvariants:
         d2 = abs(values[2] - values[1])
         assert d2 < d1
 
-    def test_stencil_weights_sum_to_one(self):
-        x = np.linspace(-1.0, 1.0, 41)
-        st = JumpOperator.build(x, 1.0, TWO_ATOM, BASIS, lambda x: np.ones_like(x))
-        total = st.w_left + (1.0 - st.w_left)
-        assert np.allclose(total, 1.0)
-        # clamped displacements stay inside the domain
-        target = x[:, None] + st.displacement
-        assert np.all(np.clip(target, -1.0, 1.0)[st.left >= 0].size)
+    # a spacing of 1/16 is exact in binary, so each target's grid position
+    # is too and the interpolation rounds only in its two products; at 41
+    # nodes the rounded spacing 0.05 moves a wall target 1.8e-15
+    STENCIL_X = np.linspace(-1.0, 1.0, 33)
+
+    def test_stencil_brackets_and_interpolates_the_clamped_target(self):
+        # sigma_x = 1 + x^2 carries targets past both walls, where they clamp
+        x = self.STENCIL_X
+        op = JumpOperator.build(x, 1.0, TWO_ATOM, BASIS, lambda x: 1.0 + x**2)
+        assert np.any(x[:, None] + op.displacement > 1.0) and np.any(x[:, None] + op.displacement < -1.0)
+        assert stencil_holds(op, x, 1.0)
+
+    def test_stencil_check_fails_on_a_shifted_left_index(self):
+        x = self.STENCIL_X
+        op = JumpOperator.build(x, 1.0, TWO_ATOM, BASIS, lambda x: 1.0 + x**2)
+        for left in (np.minimum(op.left + 1, len(x) - 2), np.maximum(op.left - 1, 0)):
+            assert not stencil_holds(dataclasses.replace(op, left=left), x, 1.0)
+
+
+def stencil_holds(op, x, theta):
+    """Whether each (node, atom) target clamp(x_j + d_jl) lies between the
+    stencil's two nodes and the stencil interpolates x there to 1e-15."""
+    target = np.clip(x[:, None] + op.displacement, -theta, theta)
+    bracketed = np.all((x[op.left] <= target) & (target <= x[op.left + 1]))
+    return bool(bracketed and np.max(np.abs(op.shift(x) - target)) <= 1e-15)
 
 
 def representation_check_reference(pgrid, problem, ens, sol):
@@ -250,7 +268,7 @@ def representation_check_reference(pgrid, problem, ens, sol):
     dx = float(pgrid.x[1] - pgrid.x[0])
     op = JumpOperator.build(pgrid.x, problem.theta, spec, basis, unit_coefficient)
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
-    m = basis.requested_m
+    m = basis.rank
     y_gaps = []
     z_sq = np.zeros(m)
     z_ref = np.zeros(m)

@@ -1,15 +1,21 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylab.errors import RankMismatch
+from levylab.config import DEFAULTS
+from levylab.errors import RankMismatch, SingularRegressionWarning
 from levylab.levy import LevySpec
-from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
+from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths, unit_coefficient
+from levylab.pdie import JumpOperator, component_functionals
+from levylab.solver import solve_penalized
+from levylab.suites import terminal_martingales
 from levylab.teugels import basis_for, teugels_increments
-from teugels_reference import gram_schmidt_coeffs, p_values, power_sum_increments, qr_basis_reference
+from teugels_reference import gram_schmidt_coeffs, mu_atoms, p_values, power_sum_increments, qr_basis_reference
 
 
 def spec_of(*atoms, sigma=0.0, drift=0.0):
@@ -37,48 +43,31 @@ class TestBuildMu:
 
 
 class TestOrthonormalBasis:
-    def test_poisson_rank_one_rows_zero(self):
-        # unit mu mass at 1: q_0 = 1, so p_1(1) = 1
-        basis = basis_for(spec_of((1.0, 1.0)), 3)
-        assert basis.rank == 1
-        assert basis.jump_weights.tolist() == [[1.0], [0.0], [0.0]]
-        assert np.all(basis.q_zero == 0.0)
-        assert basis.degenerate_from == 2
-
     def test_symmetric_two_atoms(self):
         # by hand: <x, 1>_mu = 0 and |x|_mu = 1, so q0 = 1 and q1 = x, and
         # the jump weights y q_i(y) at y = 1, -1 are (1, -1) and (1, 1)
-        basis = basis_for(spec_of((1.0, 0.5), (-1.0, 0.5)), 2)
+        basis = basis_for(spec_of((1.0, 0.5), (-1.0, 0.5)))
         assert basis.rank == 2
         np.testing.assert_allclose(basis.jump_weights, [[1.0, -1.0], [1.0, 1.0]], rtol=0.0, atol=1e-15)
-        assert basis.degenerate_from is None
 
     def test_leading_coefficients_positive(self):
         # with as many rows as atoms, q_i at the atoms fixes its monomial
         # coefficients through the Vandermonde matrix
         spec = spec_of((0.5, 1.0), (1.5, 0.8), (-0.75, 1.2))
-        basis = basis_for(spec, 3)
+        basis = basis_for(spec)
         beta = spec.jump_sizes
         coeffs = np.linalg.solve(np.vander(beta, 3, increasing=True), (basis.jump_weights / beta).T)
         for i in range(basis.rank):
             assert coeffs[i, i] > 0.0
             assert np.all(np.abs(coeffs[i + 1 :, i]) < 1e-12)  # degree i
 
-    @pytest.mark.parametrize("requested_m", [0, -3])
-    @pytest.mark.parametrize(
-        "spec", [LevySpec(), LevySpec(sigma=0.5), spec_of((1.0, 1.0))], ids=["jump-free", "sigma", "poisson"]
-    )
-    def test_requested_m_below_one_raises(self, spec, requested_m):
-        with pytest.raises(ValueError, match="requested_m"):
-            basis_for(spec, requested_m)
-
     def test_jump_free_driver_has_the_rank_zero_basis(self):
-        for requested_m, degenerate_from in ((None, None), (3, 1)):
-            basis = basis_for(LevySpec(drift_b=0.4), requested_m)
-            m = requested_m or 0
-            assert (basis.rank, basis.requested_m, basis.degenerate_from) == (0, m, degenerate_from)
-            assert basis.jump_weights.shape == (m, 0)
-            assert basis.q_zero.tolist() == [0.0] * m
+        spec = LevySpec(drift_b=0.4)
+        basis = basis_for(spec)
+        assert basis.rank == 0
+        assert basis.jump_weights.shape == (0, 0)
+        assert basis.q_zero.shape == (0,)
+        assert basis.gram_defect(spec) == 0.0
 
 
 @st.composite
@@ -92,28 +81,23 @@ def measures(draw):
     return LevySpec(sigma=sigma, atoms=atoms)
 
 
-@given(measures(), st.integers(min_value=1, max_value=7))
+@given(measures())
 @settings(max_examples=60, deadline=None)
-def test_orthonormality_and_rank_properties(spec, requested):
-    basis = basis_for(spec, requested)
-    assert basis.rank == min(requested, spec.m_atoms + spec.continuous_part)
+def test_orthonormality_and_rank_properties(spec):
+    basis = basis_for(spec)
+    assert basis.rank == spec.m_atoms + spec.continuous_part
+    assert basis.jump_weights.shape == (basis.rank, spec.m_atoms)
+    assert basis.q_zero.shape == (basis.rank,)
     assert basis.gram_defect(spec) < 1e-14
-    assert np.all(basis.jump_weights[basis.rank:] == 0.0)
-    assert np.all(basis.q_zero[basis.rank:] == 0.0)
-    if basis.rank < requested:
-        assert basis.degenerate_from == basis.rank + 1
 
 
-@given(measures(), st.integers(min_value=1, max_value=7))
+@given(measures())
 @settings(max_examples=60, deadline=None)
-def test_basis_is_the_qr_reference_bit_for_bit(spec, requested):
-    basis = basis_for(spec, requested)
-    reference = qr_basis_reference(spec, requested)
+def test_basis_is_the_qr_reference_bit_for_bit(spec):
+    basis = basis_for(spec)
+    reference = qr_basis_reference(spec)
     assert np.array_equal(basis.jump_weights, reference.jump_weights)
     assert np.array_equal(basis.q_zero, reference.q_zero)
-    assert (basis.rank, basis.requested_m, basis.degenerate_from) == (
-        reference.rank, reference.requested_m, reference.degenerate_from
-    )
 
 
 @pytest.mark.parametrize("n_atoms", [12, 16, 20, 24])
@@ -137,14 +121,14 @@ def test_many_atom_basis_is_full_rank_and_orthonormal(n_atoms):
     ids=["two-atom", "sigma", "three-atom-drift", "three-atom"],
 )
 def test_weights_match_the_gram_schmidt_reference(spec):
-    basis = basis_for(spec, 5)
+    basis = basis_for(spec)
     coeffs, rank = gram_schmidt_coeffs(spec, 5)
     assert basis.rank == rank
-    expected = p_values(coeffs, spec.jump_sizes)
+    expected = p_values(coeffs, spec.jump_sizes)[:rank]
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(basis.jump_weights - expected)) <= 1e-14 * scale
     if spec.continuous_part:
-        q0 = coeffs[:, 0]  # q_i(0) is the constant coefficient
+        q0 = coeffs[:rank, 0]  # q_i(0) is the constant coefficient
         assert np.max(np.abs(basis.q_zero - q0)) <= 1e-14 * np.max(np.abs(q0))
 
 
@@ -152,12 +136,11 @@ class TestIncrements:
     def test_poisson_increments_are_compensated_counts(self):
         # c_{1,1} = 1 under unit mu mass, so dH1 = dN - dt exactly
         spec = spec_of((1.0, 1.0))
-        basis = basis_for(spec, 3)
+        basis = basis_for(spec)
         grid = TimeGrid(1.0, 4)
         counts = np.array([[[1], [0], [2], [0]]])  # one jump in step 0, two in step 2
         dH = teugels_increments(counts, grid, spec, basis)[0]
-        assert dH[:, 0].tolist() == [0.75, -0.25, 1.75, -0.25]
-        assert np.all(dH[:, 1:] == 0.0)
+        assert dH.tolist() == [[0.75], [-0.25], [1.75], [-0.25]]
 
     def test_no_jump_step_is_pure_compensator(self):
         spec = spec_of((0.5, 2.0), (-1.5, 1.0))
@@ -196,16 +179,6 @@ class TestIncrements:
         with pytest.raises(ValueError, match=r"\[path, step, atom\]"):
             teugels_increments(np.zeros((2, 1), dtype=np.int64), TimeGrid(1.0, 2), spec, basis_for(spec))
 
-    def test_degenerate_components_bitwise_zero(self):
-        spec = spec_of((1.0, 1.0))
-        basis = basis_for(spec, 4)
-        grid = TimeGrid(1.0, 16)
-        rng = derived_rng(9, 0)
-        counts = simulate_jump_counts(spec, grid, rng, 256)
-        dH = teugels_increments(counts, grid, spec, basis)
-        assert dH.shape == (256, 16, 4)
-        assert np.all(dH[:, :, 1:] == 0.0)
-
     def test_continuous_part_requires_path(self):
         spec = spec_of((1.0, 1.0), sigma=0.5)
         basis = basis_for(spec)
@@ -217,12 +190,12 @@ class TestIncrements:
 def test_ensemble_increments_match_per_path_and_power_sum_reference():
     # three atoms, so the rank-3 basis matches power sums up to order 3
     spec = spec_of((0.5, 2.0), (-0.25, 3.0), (1.5, 0.5), drift=0.8)
-    basis = basis_for(spec, 5)
+    basis = basis_for(spec)
     assert basis.rank == 3
     grid = TimeGrid(2.0, 12)
     counts = simulate_jump_counts(spec, grid, derived_rng(12, 0), 300)
     dH = teugels_increments(counts, grid, spec, basis)
-    assert dH.shape == (300, 12, 5)
+    assert dH.shape == (300, 12, 3)
     assert dH.transpose(1, 2, 0).flags.c_contiguous
 
     per_path = np.stack([teugels_increments(counts[p : p + 1], grid, spec, basis)[0] for p in range(300)])
@@ -230,10 +203,9 @@ def test_ensemble_increments_match_per_path_and_power_sum_reference():
 
     # reference: power sums as one matmul per order, Gram-Schmidt
     # coefficients applied path-major
-    reference = power_sum_increments(counts, grid, spec, 5)
+    reference = power_sum_increments(counts, grid, spec, basis.rank)
     atol = 1e-12 * max(1.0, float(np.max(np.abs(reference))))
     np.testing.assert_allclose(dH, reference, rtol=0.0, atol=atol)
-    assert np.all(dH[:, :, 3:] == 0.0)
 
 
 def test_empirical_strong_orthonormality_and_zero_mean():
@@ -258,9 +230,9 @@ def test_empirical_strong_orthonormality_and_zero_mean():
 
 
 def test_empirical_orthonormality_with_continuous_part():
-    # sigma > 0 adds one basis row; degeneracy starts at m_atoms + 2
+    # sigma > 0 adds one basis row, for mu's atom at 0
     spec = spec_of((1.0, 0.8), sigma=0.6)
-    basis = basis_for(spec, 4)
+    basis = basis_for(spec)
     assert basis.rank == 2
     grid = TimeGrid(1.0, 32)
     n_paths = 20000
@@ -268,7 +240,6 @@ def test_empirical_orthonormality_with_continuous_part():
     counts = simulate_jump_counts(spec, grid, rng, n_paths)
     L = assemble_levy_paths(spec, grid, counts, rng)
     dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
-    assert np.all(dH[:, :, 2:] == 0.0)
     H_T = dH.sum(axis=1)
     for i in range(2):
         for j in range(i, 2):
@@ -276,3 +247,33 @@ def test_empirical_orthonormality_with_continuous_part():
             target = 1.0 if i == j else 0.0
             se = np.std(prod, ddof=1) / math.sqrt(n_paths)
             assert abs(np.mean(prod) - target) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LevySpec(drift_b=0.4),
+        spec_of((1.0, 1.0)),
+        spec_of((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)),
+        spec_of((0.3, 2.0), (-0.2, 1.0), sigma=0.4),
+        LevySpec(sigma=0.5),
+    ],
+    ids=["jump-free", "one-atom", "three-atom", "sigma", "pure-brownian"],
+)
+def test_every_martingale_width_is_the_atom_count_of_mu(spec):
+    # the basis, dH, the sweep's Z, the oracle's Z and H(T) share one width
+    n_atoms = len(mu_atoms(spec)[0])
+    cfg = replace(DEFAULTS, levy=spec, grid=TimeGrid(1.0, 10), n_paths=200, seed=3)
+    basis = basis_for(spec)
+    ens = cfg.build_ensemble()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularRegressionWarning)
+        sol = solve_penalized(cfg.build_problem(), cfg.build_solver_config(None), ens)
+    assert basis.rank == ens.basis.rank == n_atoms
+    assert ens.dH.shape[2] == sol.Z.shape[2] == n_atoms
+    assert terminal_martingales(cfg, basis).shape[0] == n_atoms
+    if not spec.continuous_part:
+        x = np.linspace(-1.0, 1.0, 21)
+        op = JumpOperator.build(x, 1.0, spec, basis, unit_coefficient)
+        assert op.p_at_beta.shape[1] == n_atoms
+        assert component_functionals(x, np.ones_like(x), op)[1].shape == (21, n_atoms)

@@ -49,30 +49,20 @@ def mu_atoms(spec):
 class ReferenceBasis(NamedTuple):
     jump_weights: np.ndarray
     q_zero: np.ndarray
-    rank: int
-    requested_m: int
-    degenerate_from: int | None
 
 
-def qr_basis_reference(spec, requested_m):
-    """The basis of a driver with at least one atom of mu, ``requested_m``
-    >= 1: Householder QR of sqrt(w) V with V the Vandermonde matrix of the
-    first min(requested_m, n_atoms) monomials at mu's atoms, each column of
-    Q signed so that R[i, i] > 0; the jump weights x q_i(x) are read at the
-    nonzero atoms and q_i(0) at the atom at 0."""
+def qr_basis_reference(spec):
+    """The basis of a driver with at least one atom of mu: Householder QR
+    of sqrt(w) V with V the Vandermonde matrix of the first n_atoms
+    monomials at mu's atoms, each column of Q signed so that R[i, i] > 0;
+    the jump weights x q_i(x) are read at the nonzero atoms and q_i(0) at
+    the atom at 0."""
     x, w = mu_atoms(spec)
-    assert len(x) and requested_m >= 1
-    rank = min(requested_m, len(x))
-    Q, R = np.linalg.qr(np.sqrt(w)[:, None] * x[:, None] ** np.arange(rank))
+    assert len(x)
+    Q, R = np.linalg.qr(np.sqrt(w)[:, None] * x[:, None] ** np.arange(len(x)))
     q = Q * (np.copysign(1.0, np.diag(R)) / np.sqrt(w)[:, None])  # q_i at the atoms, [atom, rank]
     jump = x != 0.0
-    jump_weights = np.zeros((requested_m, int(jump.sum())))
-    jump_weights[:rank] = (x[jump, None] * q[jump]).T
-    q_zero = np.zeros(requested_m)
-    if not jump.all():
-        q_zero[:rank] = q[~jump][0]
-    return ReferenceBasis(jump_weights, q_zero, rank, requested_m,
-                          rank + 1 if rank < requested_m else None)
+    return ReferenceBasis((x[jump, None] * q[jump]).T, np.zeros(len(x)) if jump.all() else q[~jump][0])
 
 
 def gram_schmidt_coeffs(spec, requested_m):
@@ -129,16 +119,15 @@ def power_sum_increments(counts, grid, spec, requested_m, levy_path=None):
 
 
 def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
-    """dH [path, step, m] of [path, step, atom] counts built whole: every
+    """dH [path, step, rank] of [path, step, atom] counts built whole: every
     step's jump part first, then one pass adding q(0) sigma dW_k from the
     path and the step's jump sums."""
     n, n_paths = grid.n_steps, counts.shape[0]
-    rank = basis.rank
-    dH = np.zeros((n, basis.requested_m, n_paths))
+    dH = np.zeros((n, basis.rank, n_paths))
     step_counts = counts.transpose(1, 2, 0)
     for k in range(n):
         compensated = step_counts[k] - (spec.intensities * grid.dt)[:, None]
-        np.matmul(basis.jump_weights[:rank], compensated, out=dH[k, :rank])
+        np.matmul(basis.jump_weights, compensated, out=dH[k])
     if spec.continuous_part:
         L = np.asarray(levy_path, dtype=float).T
         drift = grid.dt * spec.drift_b
@@ -146,5 +135,5 @@ def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
             sigma_dw = np.subtract(L[k + 1], L[k])
             sigma_dw -= drift
             sigma_dw -= spec.jump_sizes @ step_counts[k]
-            dH[k, :rank] += basis.q_zero[:rank, None] * sigma_dw
+            dH[k] += basis.q_zero[:, None] * sigma_dw
     return dH.transpose(2, 0, 1)
