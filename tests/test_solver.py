@@ -473,6 +473,17 @@ class TestDiagnostics:
             assert isinstance(array, np.ndarray) and array.shape == shape, name
             assert array.nbytes == 8 * math.prod(shape), name
 
+    def test_one_atom_driver_has_one_live_z_column(self):
+        # a Poisson driver gives a rank-one basis: Z has that one column,
+        # and a convex terminal value makes it move
+        grid = TimeGrid(1.0, 50)
+        spec = LevySpec(atoms=((1.0, 1.0),))
+        ens = simulate_ensemble(spec, grid, basis_for(spec), 600, 5, theta=2.0, x0=0.0)
+        prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
+        sol = solve_penalized(prob, CFG, ens)
+        assert sol.rank == 1
+        assert sol.Z.shape == (600, 51, 1)
+        assert np.all(np.isfinite(sol.Z)) and np.any(sol.Z[:, :-1, 0] != 0.0)
 
 
 def assert_solutions_agree(fast, reference, atol, scalar_atol=None):

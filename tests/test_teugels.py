@@ -43,6 +43,16 @@ class TestBuildMu:
 
 
 class TestOrthonormalBasis:
+    def test_poisson_basis_is_one_unit_weight(self):
+        # unit mu mass at 1: q_0 = 1, so p_1(1) = 1, and there is no
+        # continuous part for q_0(0) to weigh
+        spec = spec_of((1.0, 1.0))
+        basis = basis_for(spec)
+        assert basis.rank == 1
+        assert basis.jump_weights.tolist() == [[1.0]]
+        assert basis.q_zero.tolist() == [0.0]
+        assert basis.gram_defect(spec) == 0.0
+
     def test_symmetric_two_atoms(self):
         # by hand: <x, 1>_mu = 0 and |x|_mu = 1, so q0 = 1 and q1 = x, and
         # the jump weights y q_i(y) at y = 1, -1 are (1, -1) and (1, 1)
@@ -141,6 +151,15 @@ class TestIncrements:
         counts = np.array([[[1], [0], [2], [0]]])  # one jump in step 0, two in step 2
         dH = teugels_increments(counts, grid, spec, basis)[0]
         assert dH.tolist() == [[0.75], [-0.25], [1.75], [-0.25]]
+
+    def test_simulated_poisson_increments_are_compensated_counts(self):
+        # one atom, one column: dH = 1.0 * (dN - dt) bit for bit
+        spec = spec_of((1.0, 1.0))
+        grid = TimeGrid(1.0, 16)
+        counts = simulate_jump_counts(spec, grid, derived_rng(9, 0), 256)
+        dH = teugels_increments(counts, grid, spec, basis_for(spec))
+        assert dH.shape == (256, 16, 1)
+        assert np.array_equal(dH[:, :, 0], counts[:, :, 0] - grid.dt)
 
     def test_no_jump_step_is_pure_compensator(self):
         spec = spec_of((0.5, 2.0), (-1.5, 1.0))
