@@ -97,7 +97,7 @@ class ExperimentConfig:
         return self.levy
 
     def build_problem(self) -> ProblemSpec:
-        return build_problem(self.problem_name, dict(self.problem_params), self.theta)
+        return build_problem(self.problem_name, dict(self.problem_params))
 
     def build_sigma_x(self) -> Callable:
         kind, *params = self.sigma_x
@@ -329,7 +329,7 @@ def _apply(base: ExperimentConfig, entries: dict, params: tuple) -> ExperimentCo
         raise ConfigParseError(f"x0 must lie in [-theta, theta] = [{-theta}, {theta}]", lines.get("x0"))
     name = top["problem_name"]
     try:
-        build_problem(name, dict(params), theta)
+        build_problem(name, dict(params))
     except ValueError as exc:
         # cite the param. key that the message names first, else the name
         found = ((str(exc).find(repr(key[len(_PARAM_PREFIX):])), line)

@@ -56,4 +56,5 @@ class ConfigParseError(LevyLabError):
 
 
 class SingularRegressionWarning(UserWarning):
-    """Regression design was rank-deficient; degree was reduced."""
+    """A sweep reduced rank-deficient designs to their leading columns; it
+    warns once, with the earliest such step and the columns it kept."""

@@ -275,14 +275,11 @@ def skorokhod_minimality_gap(
     return float(np.min(np.sum(terms, axis=-1)))
 
 
-def unit_coefficient(x):
-    """Default forward coefficient sigma_x(x) = 1."""
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
 @dataclass
 class PathEnsemble:
-    """A stack of scenarios sharing one frozen Brownian path B.
+    """A stack of scenarios sharing one frozen Brownian path B, and the one
+    record of their forward model: ``spec``, ``basis``, ``theta``, ``x0``
+    and ``sigma_x``, the callable the reflection read.
 
     ``X``, ``eta_abs`` and ``A`` are [path, node] and ``jump_counts``
     [path, step, atom].  From :func:`simulate_ensemble` all four are
@@ -307,6 +304,7 @@ class PathEnsemble:
     basis: TeugelsBasis
     theta: float
     x0: float
+    sigma_x: Callable[[np.ndarray], np.ndarray]
     B: np.ndarray
     levy_path: np.ndarray | None
     jump_counts: np.ndarray
@@ -341,7 +339,7 @@ def simulate_ensemble(
     master_seed: int,
     theta: float,
     x0: float,
-    sigma_x: Callable[[np.ndarray], np.ndarray] | None = None,
+    sigma_x: Callable[[np.ndarray], np.ndarray],
     outer_index: int = 0,
 ) -> PathEnsemble:
     """Simulate a doubly stochastic ensemble for one outer Brownian sample.
@@ -350,7 +348,6 @@ def simulate_ensemble(
     and the driver's own continuous part; (master_seed, outer_index,
     STREAM_BROWNIAN) drives the shared backward Brownian path.
     """
-    sigma_x = sigma_x or unit_coefficient
     rng_levy = derived_rng(master_seed, outer_index, STREAM_LEVY)
     rng_b = derived_rng(master_seed, outer_index, STREAM_BROWNIAN)
     counts = simulate_jump_counts(spec, grid, rng_levy, n_paths)
@@ -365,6 +362,7 @@ def simulate_ensemble(
         basis=basis,
         theta=theta,
         x0=x0,
+        sigma_x=sigma_x,
         B=B,
         levy_path=L,
         jump_counts=counts,

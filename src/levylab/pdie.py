@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
 from .levy import LevySpec
-from .paths import PathEnsemble, unit_coefficient
+from .paths import PathEnsemble
 from .problems import ProblemSpec
 from .solver import EnsembleSolution
 from .teugels import TeugelsBasis
@@ -103,8 +103,9 @@ class JumpOperator:
     :meth:`build`.
 
     ``left`` and ``w_left`` interpolate u linearly at
-    clamp(x_j + sigma_x(x_j) beta_l): the left node index and weight per
-    (node, atom), the right weight 1 - w_left, so weights sum to one.
+    clamp(x_j + sigma_x(x_j) beta_l), clamped to the grid's ends (the
+    walls): the left node index and weight per (node, atom), the right
+    weight 1 - w_left, so weights sum to one.
     ``displacement`` is the unclamped displacement sigma_x(x) beta,
     ``intensities`` the alpha_l and ``sig`` sigma_x at the nodes.  The basis
     data of :func:`component_functionals` are ``p_at_beta``, p_i(beta_l) as
@@ -122,11 +123,11 @@ class JumpOperator:
 
     @classmethod
     def build(
-        cls, x: np.ndarray, theta: float, spec: LevySpec, basis: TeugelsBasis, sigma_x: Callable
+        cls, x: np.ndarray, spec: LevySpec, basis: TeugelsBasis, sigma_x: Callable
     ) -> "JumpOperator":
         sig = np.asarray(sigma_x(x), dtype=float)
         disp = sig[:, None] * spec.jump_sizes[None, :]
-        target = np.clip(x[:, None] + disp, -theta, theta)
+        target = np.clip(x[:, None] + disp, x[0], x[-1])
         pos = (target - x[0]) / (x[1] - x[0])
         left = np.clip(np.floor(pos).astype(np.intp), 0, len(x) - 2)
         m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
@@ -212,18 +213,18 @@ def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wall_rates(x: np.ndarray, theta: float, op: JumpOperator, c: np.ndarray) -> np.ndarray:
+def _wall_rates(x: np.ndarray, op: JumpOperator, c: np.ndarray) -> np.ndarray:
     """Growth rate of the local time A at each wall, per node: [2, node].
 
-    Row 0 is the wall -theta, row 1 the wall +theta.  A jump from x_j that
-    leaves the domain adds its overshoot (|x_j + d| - theta)^+ to A at the
-    wall it is clamped to; a drift that points out of the domain at a wall
-    node adds |c| per unit time there.
+    Row 0 is the wall -theta = x[0], row 1 the wall +theta = x[-1].  A
+    jump from x_j that leaves the domain adds its overshoot
+    (|x_j + d| - theta)^+ to A at the wall it is clamped to; a drift that
+    points out of the domain at a wall node adds |c| per unit time there.
     """
     target = x[:, None] + op.displacement
     rates = np.stack([
-        np.maximum(-theta - target, 0.0) @ op.intensities,
-        np.maximum(target - theta, 0.0) @ op.intensities,
+        np.maximum(x[0] - target, 0.0) @ op.intensities,
+        np.maximum(target - x[-1], 0.0) @ op.intensities,
     ])
     rates[0, 0] += max(-c[0], 0.0)
     rates[1, -1] += max(c[-1], 0.0)
@@ -245,9 +246,9 @@ def _scheme(
     all evaluated at u_next.
     """
     dx = float(x[1] - x[0])
-    op = JumpOperator.build(x, problem.theta, spec, basis, sigma_x)
+    op = JumpOperator.build(x, spec, basis, sigma_x)
     c = spec.drift_b * op.sig
-    rates = _wall_rates(x, problem.theta, op, c)
+    rates = _wall_rates(x, op, c)
     walls = x[[0, -1]]
 
     def explicit(t_next: float, u_next: np.ndarray) -> np.ndarray:
@@ -295,7 +296,8 @@ def solve_obstacle_pidie(
     grid_spec: PidieGridSpec,
     mode: str = "deterministic",
     b_path: np.ndarray | None = None,
-    sigma_x: Callable | None = None,
+    *,
+    sigma_x: Callable,
 ) -> PidieGrid:
     """Backward sweep of the projected finite-difference scheme.
 
@@ -308,7 +310,6 @@ def solve_obstacle_pidie(
             "the grid oracle covers pure-jump drivers only; a continuous part adds a "
             "second-order term outside its generator"
         )
-    sigma_x = sigma_x or unit_coefficient
     x = grid_spec.x
     t = grid_spec.t
     dt = grid_spec.dt
@@ -362,7 +363,8 @@ def complementarity_defect(
     problem: ProblemSpec,
     spec: LevySpec,
     basis: TeugelsBasis,
-    sigma_x: Callable | None = None,
+    *,
+    sigma_x: Callable,
 ) -> float:
     """Post-hoc max over nodes of min(u - h, discrete residual).
 
@@ -374,7 +376,7 @@ def complementarity_defect(
     """
     t = pgrid.t
     dt = float(t[1] - t[0])
-    bands, explicit = _scheme(problem, spec, basis, pgrid.x, dt, sigma_x or unit_coefficient)
+    bands, explicit = _scheme(problem, spec, basis, pgrid.x, dt, sigma_x)
     h = _barrier(problem, t, pgrid.x)
     worst = -math.inf
     for k in range(len(t) - 1):
@@ -437,13 +439,7 @@ def _interp_rows(xq: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def representation_check(
-    pgrid: PidieGrid,
-    problem: ProblemSpec,
-    ens: PathEnsemble,
-    sol: EnsembleSolution,
-    sigma_x: Callable | None = None,
-) -> FkReport:
+def representation_check(pgrid: PidieGrid, ens: PathEnsemble, sol: EnsembleSolution) -> FkReport:
     """Compare the Monte Carlo solution against the grid solution.
 
     Checks Y against u(t, X_t) at a subsample of (path, node) pairs and
@@ -452,10 +448,10 @@ def representation_check(
     Monte Carlo rows are evaluated from the sweep's fits at those pairs
     only (:meth:`EnsembleSolution.evaluate`).  Grids must share the
     horizon and domain, with the grid's time nodes refining the Monte
-    Carlo nodes.  The driver and basis are the ensemble's own.
+    Carlo nodes.  The driver, its basis and the forward coefficient
+    sigma_x are the ensemble's own.
     """
-    spec, basis = ens.spec, ens.basis
-    sigma_x = sigma_x or unit_coefficient
+    basis = ens.basis
     n_mc = ens.grid.n_steps
     n_fd = len(pgrid.t) - 1
     if abs(pgrid.t[-1] - ens.grid.horizon) > 1e-12:
@@ -468,7 +464,7 @@ def representation_check(
         )
     ratio = n_fd // n_mc
     dx = float(pgrid.x[1] - pgrid.x[0])
-    op = JumpOperator.build(pgrid.x, problem.theta, spec, basis, sigma_x)
+    op = JumpOperator.build(pgrid.x, ens.spec, basis, ens.sigma_x)
 
     # every sampled (node, path) pair at once: u and its jump functionals
     # on the Monte Carlo nodes, stacked as columns and read at X

@@ -10,15 +10,17 @@ Every coefficient function is numpy-vectorized with signature
     obstacle(t, x)   lower barrier, S_t = obstacle(t, X_t); callers only read
                      it, so it may be a read-only broadcast view
 
-Coefficients are selected from a compiled-in registry with numeric
-parameters rather than a runtime expression language, which keeps the
-declared Lipschitz and monotonicity constants honest.  Each set is
-declared once, ``REGISTRY[name] = (defaults, coefficients)``: ``defaults``
-lists every parameter in :attr:`ProblemSpec.params` order, and
-``coefficients(p)`` maps the resolved parameters to the five functions,
-``lipschitz_c`` and ``beta_mono``.  Every phi is ``phy * y`` with
-``beta_mono = phy``, or 0 with ``beta_mono = 0``, so :func:`build_problem`
-checks the monotonicity condition exactly, as ``beta_mono <= 0``.
+The domain and the forward coefficient are the ensemble's
+(:class:`~levylab.paths.PathEnsemble`), not a problem's.  Coefficients are
+selected from a compiled-in registry with numeric parameters rather than a
+runtime expression language, which keeps the declared monotonicity
+constant honest.  Each set is declared once, ``REGISTRY[name] = (defaults,
+coefficients)``: ``defaults`` lists every parameter in
+:attr:`ProblemSpec.params` order, and ``coefficients(p)`` maps the resolved
+parameters to the five functions and ``beta_mono``.  Every phi is
+``phy * y`` with ``beta_mono = phy``, or 0 with ``beta_mono = 0``, so
+:func:`build_problem` checks the monotonicity condition exactly, as
+``beta_mono <= 0``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ NO_OBSTACLE = -1e9
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Problem data (coefficients, terminal, obstacle) on (-theta, theta).
+    """Problem data: the coefficients, terminal value and obstacle.
 
-    ``lipschitz_c`` is the declared plain (slope) Lipschitz constant of f
-    and g; ``beta_mono`` the declared monotonicity constant of phi, i.e.
+    ``beta_mono`` is the declared monotonicity constant of phi, i.e.
     (y1 - y2)(phi(y1) - phi(y2)) <= beta_mono * (y1 - y2)^2 with
     beta_mono <= 0.
     """
@@ -49,9 +50,7 @@ class ProblemSpec:
     g: Callable
     terminal: Callable
     obstacle: Callable
-    lipschitz_c: float
     beta_mono: float
-    theta: float
     params: tuple[tuple[str, float], ...] = ()
 
 
@@ -75,7 +74,7 @@ def _constant(p: dict) -> dict:
     return dict(
         f=_zero, phi=_zero, g=_zero,
         terminal=lambda x: np.full_like(np.asarray(x, dtype=float), p["terminal_level"]),
-        obstacle=_level(p["obstacle_level"]), lipschitz_c=1e-12, beta_mono=0.0,
+        obstacle=_level(p["obstacle_level"]), beta_mono=0.0,
     )
 
 
@@ -89,7 +88,7 @@ def _linear(p: dict) -> dict:
         g=lambda t, x, y: g0 + gy * np.asarray(y, dtype=float),
         terminal=lambda x: l0 + lx * np.asarray(x, dtype=float),
         obstacle=_level(p["obstacle_level"]),
-        lipschitz_c=max(abs(fy), abs(fz1), abs(gy), 1e-12), beta_mono=phy,
+        beta_mono=phy,
     )
 
 
@@ -107,7 +106,7 @@ def _deterministic_obstacle(p: dict) -> dict:
             level - slope * np.asarray(t, dtype=float),
             np.broadcast(np.asarray(t), np.asarray(x)).shape,
         ),
-        lipschitz_c=1e-12, beta_mono=0.0,
+        beta_mono=0.0,
     )
 
 
@@ -125,7 +124,7 @@ def _example51(p: dict) -> dict:
             h_scale * np.maximum(np.asarray(x, dtype=float), 0.0) + h_offset,
             np.broadcast(np.asarray(t), np.asarray(x)).shape,
         ),
-        lipschitz_c=max(abs(fy), 1e-12), beta_mono=phy,
+        beta_mono=phy,
     )
 
 
@@ -141,24 +140,22 @@ REGISTRY: dict[str, tuple[dict[str, float], Callable[[dict], dict]]] = {
 }
 
 
-def build_problem(name: str, params: dict | None = None, theta: float = 1.0) -> ProblemSpec:
+def build_problem(name: str, params: dict | None = None) -> ProblemSpec:
     """Instantiate a named coefficient set with ``params`` over its defaults.
 
     Raises :class:`UnknownCoefficientName` for names outside the registry
-    and ``ValueError`` for a nonpositive theta, unknown parameters or a
-    declared ``beta_mono`` that is not <= 0 (phi increasing in y).
+    and ``ValueError`` for unknown parameters or a declared ``beta_mono``
+    that is not <= 0 (phi increasing in y).
     """
     if name not in REGISTRY:
         raise UnknownCoefficientName(f"unknown coefficient name {name!r}; known: {sorted(REGISTRY)}")
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
     defaults, coefficients = REGISTRY[name]
     given = dict(params or {})
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ValueError(f"unknown parameters for {name!r}: {unknown}")
     resolved = {key: float(given.get(key, value)) for key, value in defaults.items()}
-    problem = ProblemSpec(name, theta=theta, params=tuple(resolved.items()), **coefficients(resolved))
+    problem = ProblemSpec(name, params=tuple(resolved.items()), **coefficients(resolved))
     if not problem.beta_mono <= 0.0:  # also rejects NaN
         # every phi is phy * y with beta_mono = phy, so phy is the one key named
         cause = f" with {{'phy': {resolved['phy']}}}" if "phy" in given else ""

@@ -172,7 +172,9 @@ class EnsembleSolution:
     """Solution of one backward sweep (one frozen Brownian sample), held as
     its per-step fits.
 
-    ``fits[k]`` is step k's :class:`StepFit`.  :meth:`evaluate` rebuilds
+    ``fits[k]`` is step k's :class:`StepFit`; the design's boundary layer
+    is |x| >= ``layer_edge``, the ensemble's theta less theta /
+    ``LAYER_DIVISOR``.  :meth:`evaluate` rebuilds
     node k's Y, Z, push dK_k and pre-push (left limit) estimate y_pre at
     any states; :meth:`on_paths` evaluates one of them, K or the obstacle
     S node by node at a set of paths of the state ``X`` [path, node].  The
@@ -192,7 +194,7 @@ class EnsembleSolution:
     penalization: float | None
     degree: int
     rank: int
-    layer_width: float
+    layer_edge: float
     fits: tuple[StepFit, ...]
     K_T: np.ndarray
     X: np.ndarray
@@ -236,7 +238,7 @@ class EnsembleSolution:
                 z[...] = 0.0
             return
         fit = self.fits[k]
-        design, _ = regression_design(x, self.degree, problem.theta, self.layer_width,
+        design, _ = regression_design(x, self.degree, self.layer_edge,
                                       np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
         if z is not None and self.rank:
             _fitted(fit.z_coef, design, z)
@@ -293,7 +295,7 @@ SD_FLOOR = 1e-13
 
 
 def regression_design(
-    x: np.ndarray, degree: int, theta: float, layer_width: float, out: np.ndarray,
+    x: np.ndarray, degree: int, layer_edge: float, out: np.ndarray,
     mean: float | None = None, sd: float | None = None, layer: bool | None = None,
 ) -> tuple[np.ndarray, tuple[float, float, bool]]:
     """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree] and the
@@ -303,7 +305,7 @@ def regression_design(
     of ``out`` (shape ``(degree + 2, n_points)``); the returned ``(ncols,
     n_points)`` design is a view of it.  x~ = (x - mean) / sd is the
     standardized state; ``layer`` says whether the design has the
-    indicator of the boundary layer (within ``layer_width`` of a wall).
+    indicator of the boundary layer, the states with |x| >= ``layer_edge``.
     The sweep measures the three from its ensemble: the mean and
     standard deviation of ``x``, and whether the layer holds some of the
     states but not all.  Structurally constant columns (collapsed state,
@@ -319,7 +321,7 @@ def regression_design(
     out[0] = 1.0
     ncol = 1
     if layer is None or layer:
-        in_layer = np.abs(x) >= theta - layer_width
+        in_layer = np.abs(x) >= layer_edge
         if layer is None:
             layer = 0 < np.count_nonzero(in_layer) < n
         if layer:
@@ -442,7 +444,7 @@ def solve_penalized(
     L = np.ascontiguousarray(ens.L.T) if ens.spec.continuous_part else None
     dB = np.diff(ens.B)
     rank = ens.basis.rank
-    layer_width = problem.theta / LAYER_DIVISOR
+    layer_edge = ens.theta - ens.theta / LAYER_DIVISOR
 
     def obstacle(k: int) -> np.ndarray:
         return np.asarray(problem.obstacle(t[k], X[k]), dtype=float)
@@ -491,7 +493,7 @@ def solve_penalized(
         np.multiply(fk, dt, out=target)
         target += y_next
         target += np.multiply(phik, dA, out=row)
-        design, scale = regression_design(x, config.degree, problem.theta, layer_width, aug[1:])
+        design, scale = regression_design(x, config.degree, layer_edge, aug[1:])
         ncol = design.shape[0]
         rhs_gram = design @ aug[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
@@ -534,7 +536,7 @@ def solve_penalized(
         penalization=pen,
         degree=config.degree,
         rank=rank,
-        layer_width=layer_width,
+        layer_edge=layer_edge,
         fits=tuple(fits),
         K_T=k_total,
         X=X.T,

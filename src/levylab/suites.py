@@ -154,10 +154,12 @@ def measure_orthonormality(cfg: ExperimentConfig) -> dict:
     :func:`terminal_martingales`, which builds neither L nor dH.  It
     standardizes both the pairwise products of H(T) (against delta_ij * T)
     and the means (against zero) by their sample standard errors, and
-    raises ZeroSpread when one of those is zero.
+    raises ZeroSpread when one of those is zero, LevyLabError at rank 0.
     """
     spec = cfg.build_levy()
     basis = basis_for(spec)
+    if not basis.rank:
+        raise LevyLabError("the driver has no jump atoms and sigma = 0: no martingale to verify")
     gram = basis.gram_defect(spec)
     H_T = terminal_martingales(cfg, basis)
     T = cfg.grid.horizon
@@ -348,7 +350,7 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
     if cfg.build_levy().continuous_part:
         raise LevyLabError("the comparison check requires sigma = 0 (no continuous part)")
     hi, lo = (
-        build_problem("linear", {"l0": level, "fy": -0.1, "phy": -0.5}, cfg.theta)
+        build_problem("linear", {"l0": level, "fy": -0.1, "phy": -0.5})
         for level in (1.0, 0.0)
     )
     ens = cfg.build_ensemble()
@@ -363,19 +365,19 @@ def crosscheck_run(cfg: ExperimentConfig):
 
     Uses projection mode and the deterministic grid oracle (g must
     vanish), whose overshoot source phi dA integrates against the
-    ensemble's local-time clock; returns (solution, grid solution, report).
+    ensemble's local-time clock, on the ensemble's domain, driver and
+    forward coefficient; returns (solution, grid solution, report).
     """
     ens = cfg.build_ensemble()
     problem = cfg.build_problem()
-    sigma_x = cfg.build_sigma_x()
     sol = solve_penalized(problem, cfg.build_solver_config(None), ens)
     grid_spec = PidieGridSpec(
-        theta=cfg.theta, n_space=cfg.fd_space, horizon=cfg.grid.horizon, n_time=cfg.fd_time
+        theta=ens.theta, n_space=cfg.fd_space, horizon=ens.grid.horizon, n_time=cfg.fd_time
     )
     pgrid = solve_obstacle_pidie(
-        problem, ens.spec, ens.basis, grid_spec, mode="deterministic", sigma_x=sigma_x
+        problem, ens.spec, ens.basis, grid_spec, mode="deterministic", sigma_x=ens.sigma_x
     )
-    report = representation_check(pgrid, problem, ens, sol, sigma_x=sigma_x)
+    report = representation_check(pgrid, ens, sol)
     return sol, pgrid, report
 
 
@@ -385,10 +387,10 @@ def crosscheck_run(cfg: ExperimentConfig):
 
 def _skorokhod_gap(cfg: ExperimentConfig) -> dict:
     ens = replace(cfg, n_paths=min(cfg.n_paths, 1000)).build_ensemble()
-    V = derived_rng(cfg.seed, 0, STREAM_COMPARISON).uniform(-cfg.theta, cfg.theta, size=ens.X.shape)
-    interior = np.abs(ens.X[:, 1:]) < cfg.theta
+    V = derived_rng(cfg.seed, 0, STREAM_COMPARISON).uniform(-ens.theta, ens.theta, size=ens.X.shape)
+    interior = np.abs(ens.X[:, 1:]) < ens.theta
     return {
-        "minimality_gap": skorokhod_minimality_gap(ens.X, V, ens.eta_abs, cfg.theta),
+        "minimality_gap": skorokhod_minimality_gap(ens.X, V, ens.eta_abs, ens.theta),
         "local_time_support": float(np.max(np.where(interior, np.diff(ens.eta_abs, axis=1), 0.0))),
     }
 

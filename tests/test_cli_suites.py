@@ -384,6 +384,21 @@ def test_verify_without_sample_spread_is_an_error_exit(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "suite"])
+def test_rank_zero_driver_is_an_error_exit(command, tmp_path, capsys):
+    # no atoms and sigma = 0: the basis is empty, so there is nothing to
+    # measure, and the orthonormality gates must not pass on zeros
+    config = tmp_path / "empty.cfg"
+    config.write_text("[levy]\natoms = none\ndrift_b = 0.4\nsigma = 0.0\n[grid]\nn_steps = 8\n"
+                      "[solver]\nn_paths = 50\n[suite]\nchecks = orthonormality\n")
+    out = tmp_path / "empty"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: the driver has no jump atoms and sigma = 0")
+    assert not (out / "summary.csv").exists()
+
+
 def check_jumps_rebuild_the_driver(tmp_path, atoms, n_steps, most_per_step):
     config = tmp_path / "sim.cfg"
     config.write_text(

@@ -135,6 +135,14 @@ def test_problem_error_naming_no_param_cites_the_name_line(monkeypatch):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("theta", ["0.0", "-1.0"])
+def test_nonpositive_theta_rejected_on_its_line(theta):
+    # the parser is the one check of theta: a problem no longer holds it
+    with pytest.raises(ConfigParseError, match="theta must be positive") as err:
+        parse_config(f"[problem]\nname = constant\ntheta = {theta}\nx0 = 0.0\n")
+    assert err.value.line == 3
+
+
 def test_x0_outside_domain_rejected():
     with pytest.raises(ConfigParseError):
         parse_config("[problem]\ntheta = 0.5\nx0 = 0.9\n")

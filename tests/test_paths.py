@@ -30,6 +30,7 @@ from teugels_reference import mean_l1, power_sum_increments, stored_increments_r
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.4)
+SIGMA_X = DEFAULTS.build_sigma_x()  # the default config's sigma_x = 1
 
 
 def reflect_one(sigma_x, theta, x0, L):
@@ -205,10 +206,10 @@ def ensemble_drivers(test):
     drivers = pytest.mark.parametrize(
         "spec, sigma_x",
         [
-            (TWO_ATOM, None),
+            (TWO_ATOM, SIGMA_X),
             # with a drift, which sigma dW must not pick up
             (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.4, drift_b=0.4), lambda x: 1.0 + 0.2 * x),
-            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3), None),
+            (LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0), (1.5, 0.5)), drift_b=-0.3), SIGMA_X),
         ],
         ids=["two-atom", "sigma-affine", "three-atom-drift"],
     )
@@ -335,7 +336,9 @@ class TestCompactCounts:
         n_paths = 10_000
         tracemalloc.start()
         try:
-            ens = simulate_ensemble(TWO_ATOM, grid, basis_for(TWO_ATOM), n_paths, 1, theta=1.0, x0=0.0)
+            ens = simulate_ensemble(
+                TWO_ATOM, grid, basis_for(TWO_ATOM), n_paths, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,13 +441,17 @@ class TestAssembleA:
         # no jumps and no continuous part: L = 0.4 t, so from x0 = 0.9 the
         # one step proposes 1.3, clamps to 1.0 and the clock takes 0.3
         spec = LevySpec(drift_b=0.4)
-        ens = simulate_ensemble(spec, TimeGrid(1.0, 1), basis_for(spec), 1, 5, theta=1.0, x0=0.9)
+        ens = simulate_ensemble(
+            spec, TimeGrid(1.0, 1), basis_for(spec), 1, 5, theta=1.0, x0=0.9, sigma_x=SIGMA_X
+        )
         assert ens.X.tolist() == [[0.9, 1.0]]
         assert ens.A[0, 0] == 0.0
         assert ens.A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
     def test_local_time_clock_shares_eta_read_only(self):
-        ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0)
+        ens = simulate_ensemble(
+            TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X
+        )
         assert np.shares_memory(ens.A, ens.eta_abs)
         assert not ens.A.flags.writeable
         assert ens.eta_abs.flags.writeable
@@ -530,7 +537,7 @@ def test_boundary_direction_values():
 def test_ensemble_determinism_bit_identical():
     grid = TimeGrid(1.0, 20)
     basis = basis_for(TWO_ATOM)
-    a = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1)
-    b = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1)
+    a = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
+    b = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
     for field in ("B", "L", "jump_counts", "X", "eta_abs", "A", "dH"):
         assert np.array_equal(getattr(a, field), getattr(b, field))

@@ -72,10 +72,10 @@ def test_coefficients_match_closed_forms(name, overrides):
 @pytest.mark.parametrize("name, overrides", CASES, ids=IDS)
 def test_params_are_the_defaults_in_order_with_overrides(name, overrides):
     defaults, _ = REGISTRY[name]
-    problem = build_problem(name, overrides, theta=0.5)
+    problem = build_problem(name, overrides)
     assert problem.params == tuple({**defaults, **overrides}.items())
     assert all(type(value) is float for _, value in problem.params)
-    assert (problem.name, problem.theta) == (name, 0.5)
+    assert problem.name == name
 
 
 @pytest.mark.parametrize("name, overrides", CASES, ids=IDS)
@@ -102,13 +102,11 @@ def test_phi_decreasing_steeply_is_accepted(phy):
         assert build_problem(name, {"phy": phy}).beta_mono == phy
 
 
-def test_bad_names_parameters_and_theta():
+def test_bad_names_and_parameters():
     with pytest.raises(UnknownCoefficientName, match="nonsense"):
         build_problem("nonsense")
     with pytest.raises(ValueError, match=r"unknown parameters for 'example51': \['g0'\]"):
         build_problem("example51", {"g0": 1.0})
-    with pytest.raises(ValueError, match="theta must be positive"):
-        build_problem("constant", theta=0.0)
 
 
 def test_flat_barrier_broadcasts_time_against_space():

@@ -35,6 +35,7 @@ def bounded(tail, growth):
     )
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
+SIGMA_X = DEFAULTS.build_sigma_x()  # the default config's sigma_x = 1
 # example51 from x0 = 0 on (-1, 1), unit coefficient, local-time clock,
 # projection at degree 4; tests replace sizes, seeds and the schedule
 BASE = dataclasses.replace(
@@ -46,7 +47,7 @@ def flat_obstacle(level=NO_OBSTACLE):
     return lambda t, x: np.full(np.broadcast(np.asarray(t), np.asarray(x)).shape, level)
 
 
-def make_problem(name="p", f=None, phi=None, g=None, terminal=None, obstacle=None, c=1.0):
+def make_problem(name="p", f=None, phi=None, g=None, terminal=None, obstacle=None):
     zero3 = lambda t, x, y: np.zeros_like(np.asarray(y, dtype=float))
     return ProblemSpec(
         name=name,
@@ -55,9 +56,7 @@ def make_problem(name="p", f=None, phi=None, g=None, terminal=None, obstacle=Non
         g=g or zero3,
         terminal=terminal or (lambda x: np.ones_like(np.asarray(x, dtype=float))),
         obstacle=obstacle or flat_obstacle(),
-        lipschitz_c=c,
         beta_mono=0.0,
-        theta=1.0,
     )
 
 
@@ -65,7 +64,7 @@ def make_problem(name="p", f=None, phi=None, g=None, terminal=None, obstacle=Non
 def ensemble():
     grid = TimeGrid(1.0, 100)
     basis = basis_for(TWO_ATOM)
-    return simulate_ensemble(TWO_ATOM, grid, basis, 600, 21, theta=1.0, x0=0.0)
+    return simulate_ensemble(TWO_ATOM, grid, basis, 600, 21, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +136,9 @@ class TestObstacle:
 
     def test_path_count_guard(self):
         # 30 paths are fewer than 10 * basis_dim = 60 at degree 4
-        small = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 10), basis_for(TWO_ATOM), 30, 1, theta=1.0, x0=0.0)
+        small = simulate_ensemble(
+            TWO_ATOM, TimeGrid(1.0, 10), basis_for(TWO_ATOM), 30, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
+        )
         with pytest.raises(ValueError, match="below 10 \\* basis dimension"):
             solve_penalized(make_problem(), CFG, small)
 
@@ -272,8 +273,10 @@ class TestComparison:
         # no driver: the sum is 0, and Y2 = 1 + (T - t) exceeds Y1 = 1 by
         # more than the margin at every node but the horizon
         spec = LevySpec()
-        ens = simulate_ensemble(spec, TimeGrid(1.0, 20), basis_for(spec), 100, 3, theta=1.0, x0=0.0)
-        one, rising = (build_problem("linear", {"f0": f0, "fy": 0.0}, 1.0) for f0 in (0.0, 1.0))
+        ens = simulate_ensemble(
+            spec, TimeGrid(1.0, 20), basis_for(spec), 100, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X
+        )
+        one, rising = (build_problem("linear", {"f0": f0, "fy": 0.0}) for f0 in (0.0, 1.0))
         sol1, sol2 = (solve_penalized(p, CFG, ens) for p in (one, rising))
         assert ens.basis.rank == 0
         min_sum, violations = check_comparison_hypothesis(sol1, sol2, ens)
@@ -286,18 +289,15 @@ class TestComparison:
             z1 = z[..., 0] if z.ndim and z.shape[-1] else 0.0
             return -0.1 * np.asarray(y, dtype=float) + 0.3 * np.tanh(z1)
 
-        hi = make_problem(
-            f=f, terminal=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0), c=0.3
-        )
-        lo = make_problem(
-            f=f, terminal=lambda x: 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0), c=0.3
-        )
+        hi = make_problem(f=f, terminal=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0))
+        lo = make_problem(f=f, terminal=lambda x: 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
         min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo, ensemble)
-        # the interval bound -c * rank * max |dH| implied by the Lipschitz constant
+        # the interval bound -c * rank * max |dH| implied by f's Lipschitz
+        # constant in z, c = 0.3 from the 0.3 tanh(z1) term
         max_dh = float(np.max(np.abs(ensemble.dH)))
-        lipschitz_bound = -lo.lipschitz_c * max(ensemble.basis.rank, 1) * max_dh
+        lipschitz_bound = -0.3 * max(ensemble.basis.rank, 1) * max_dh
         assert min_sum >= lipschitz_bound - 1e-9
         assert min_sum > -1.0  # the observed sums stay above -1 even when the bound does not
 
@@ -305,7 +305,7 @@ class TestComparison:
     @pytest.mark.parametrize("fz1", [0.0, 0.3])
     def test_telescoping_points_match_per_slot_reference(self, ensemble, fz1):
         # the rank + 1 shared evaluations per step against one pair per slot
-        hi, lo = (build_problem("linear", {"l0": l0, "fz1": fz1}, 1.0) for l0 in (1.0, 0.0))
+        hi, lo = (build_problem("linear", {"l0": l0, "fz1": fz1}) for l0 in (1.0, 0.0))
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
         min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo, ensemble)
@@ -478,7 +478,7 @@ class TestDiagnostics:
         # and a convex terminal value makes it move
         grid = TimeGrid(1.0, 50)
         spec = LevySpec(atoms=((1.0, 1.0),))
-        ens = simulate_ensemble(spec, grid, basis_for(spec), 600, 5, theta=2.0, x0=0.0)
+        ens = simulate_ensemble(spec, grid, basis_for(spec), 600, 5, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
         prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
         sol = solve_penalized(prob, CFG, ens)
         assert sol.rank == 1
@@ -505,10 +505,10 @@ def assert_solutions_agree(fast, reference, atol, scalar_atol=None):
 # before it formed the Gram matrix and the Y right-hand side in one product.
 
 
-def regression_design_reference(x, degree, theta, layer_width, out, mean=None, sd=None, layer=None):
+def regression_design_reference(x, degree, layer_edge, out, mean=None, sd=None, layer=None):
     """The design with the scale that is not given measured by np.mean and
     np.std, and the layer flag from a boolean indicator."""
-    in_layer = np.abs(x) >= theta - layer_width
+    in_layer = np.abs(x) >= layer_edge
     if layer is None:
         layer = 0 < np.count_nonzero(in_layer) < x.shape[0]
     mean = float(np.mean(x)) if mean is None else mean
@@ -610,7 +610,7 @@ def solve_penalized_reference(problem, config, ens, gram_factor=gram_factor_refe
     dH = np.ascontiguousarray(ens.dH.transpose(1, 2, 0))
     dB = np.diff(ens.B)
     m, rank = dH.shape[1], ens.basis.rank
-    layer = problem.theta / solver.LAYER_DIVISOR
+    layer_edge = ens.theta - ens.theta / solver.LAYER_DIVISOR
     S = np.asarray(problem.obstacle(t[:, None], X), dtype=float)
     xi = np.asarray(problem.terminal(X[n]), dtype=float)
     Yt, y_pre_t = np.empty((n + 1, n_paths)), np.empty((n + 1, n_paths))
@@ -626,7 +626,7 @@ def solve_penalized_reference(problem, config, ens, gram_factor=gram_factor_refe
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
         target = y_next + fk * dt + phik * dA
-        design, _ = regression_design_reference(x, config.degree, problem.theta, layer, design_buf)
+        design, _ = regression_design_reference(x, config.degree, layer_edge, design_buf)
         factor = gram_factor(design @ design.T)
         yhat0 = fit_reference(design, factor, target[None, :])[0]
         if rank:
@@ -675,7 +675,7 @@ class TestRegressionPaths:
     @pytest.mark.parametrize("penalization", [None, 16.0])
     def test_cholesky_path_agrees_with_lstsq_fallback(self, ensemble, monkeypatch, penalization):
         # this obstacle binds, so the push and K are compared as well
-        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         # the reference sends every step to lstsq's reduction
         cfg = SolverConfig(penalization=penalization)
         kept = record_kept(monkeypatch)
@@ -726,7 +726,7 @@ class TestRegressionPaths:
             # sigma = 0 on 100 steps: X_1 takes 3 values, so step 1
             # reduces its design
             ens = request.getfixturevalue("ensemble")
-            problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+            problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         else:
             problem, ens = request.getfixturevalue("sigma_example51")
         cfg = SolverConfig(penalization=penalization)
@@ -852,7 +852,7 @@ class TestRegressionPaths:
         # its fit is the plain design's bit for bit
         x = ensemble.X.T[-1]
         buf = np.empty((7, ensemble.n_paths))
-        design, _ = solver.regression_design(x, 4, 1.0, 0.1, buf[:6])
+        design, _ = solver.regression_design(x, 4, 0.9, buf[:6])
         buf[6] = design[2]  # x~ again
         doubled = buf[: design.shape[0] + 1]
         plain, reduced = solver._gram_factor(design @ design.T), solver._gram_factor(doubled @ doubled.T)
@@ -879,16 +879,19 @@ class TestRegressionPaths:
         buf = np.empty((degree + 3, ensemble.n_paths))
         ref_buf = np.empty_like(buf[1:])
         fit, ref_fit = np.empty_like(targets), np.empty_like(targets)
+        layer_edge = 1.0 - layer  # the ensemble's theta is 1
         full = 0
         for k in range(1, X.shape[0]):
             buf[0] = targets[0]
-            design, scale = solver.regression_design(X[k], degree, 1.0, layer, buf[1:])
-            ref, ref_scale = regression_design_reference(X[k], degree, 1.0, layer, ref_buf)
+            design, scale = solver.regression_design(X[k], degree, layer_edge, buf[1:])
+            ref, ref_scale = regression_design_reference(X[k], degree, layer_edge, ref_buf)
             assert design.shape == ref.shape and np.array_equal(design, ref), k
             if degree:
                 assert scale == ref_scale, k
             # with the measured scale given, the design is rebuilt bit for bit
-            rebuilt, given = solver.regression_design(X[k], degree, 1.0, layer, np.empty_like(ref_buf), *scale)
+            rebuilt, given = solver.regression_design(
+                X[k], degree, layer_edge, np.empty_like(ref_buf), *scale
+            )
             assert given == scale and np.array_equal(rebuilt, design), k
             ncol = design.shape[0]
             rhs_gram = design @ buf[: ncol + 1].T  # as the sweep forms it
@@ -908,7 +911,7 @@ class TestRegressionPaths:
         if degree == 1 and layer:
             assert design.shape[0] == buf.shape[0] - 1  # no spare row at the last step
 
-        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         cfg = SolverConfig(degree=degree)
         monkeypatch.setattr(solver, "LAYER_DIVISOR", 1.0 / layer if layer else math.inf)
         with warnings.catch_warnings():
@@ -976,7 +979,7 @@ class TestNodeMajorLayout:
         )
         assert not path_major.X.T.flags.c_contiguous
         assert not path_major.jump_counts.transpose(1, 2, 0).flags.c_contiguous
-        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0}, 1.0)
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         cfg = SolverConfig(penalization=penalization)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
@@ -988,14 +991,17 @@ class TestNodeMajorLayout:
 
 @pytest.mark.parametrize("theta", [1.0, 2.0])
 def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
-    # the indicator column marks the paths within theta / 10 of a wall
-    ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), basis_for(TWO_ATOM), 600, 11, theta=theta, x0=0.0)
-    widths, columns = [], []
+    # the indicator column marks the paths within theta / 10 of a wall of
+    # the ensemble's domain, the one place theta is set
+    ens = simulate_ensemble(
+        TWO_ATOM, TimeGrid(1.0, 50), basis_for(TWO_ATOM), 600, 11, theta=theta, x0=0.0, sigma_x=SIGMA_X
+    )
+    edges, columns = [], []
     design = solver.regression_design
 
-    def recording(x, degree, theta_, layer_width, out, *scale):
-        widths.append(layer_width)
-        rows, measured = design(x, degree, theta_, layer_width, out, *scale)
+    def recording(x, degree, layer_edge, out, *scale):
+        edges.append(layer_edge)
+        rows, measured = design(x, degree, layer_edge, out, *scale)
         if rows.shape[0] == degree + 2:  # every column kept, the indicator second
             columns.append((x.copy(), rows[1].copy()))
         return rows, measured
@@ -1003,8 +1009,8 @@ def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
     monkeypatch.setattr(solver, "regression_design", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularRegressionWarning)
-        solve_penalized(dataclasses.replace(make_problem(), theta=theta), CFG, ens)
-    assert widths == [theta / 10.0] * 50
+        solve_penalized(make_problem(), CFG, ens)
+    assert edges == [theta - theta / 10.0] * 50
     assert columns
     for x, column in columns:
         assert np.array_equal(column, np.abs(x) >= 0.9 * theta)
@@ -1015,9 +1021,8 @@ def test_sigma_positive_driver_supported():
     spec = LevySpec(atoms=((0.5, 1.0),), sigma=0.4)
     basis = basis_for(spec)
     assert basis.rank == 2
-    ens = simulate_ensemble(spec, TimeGrid(1.0, 50), basis, 600, 11, theta=2.0, x0=0.0)
-    prob = dataclasses.replace(make_problem(), theta=2.0)
-    sol = solve_penalized(prob, CFG, ens)
+    ens = simulate_ensemble(spec, TimeGrid(1.0, 50), basis, 600, 11, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
+    sol = solve_penalized(make_problem(), CFG, ens)
     assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
     Z = sol.Z
     assert Z.shape[2] == basis.rank

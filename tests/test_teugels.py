@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from levylab.config import DEFAULTS
 from levylab.errors import RankMismatch, SingularRegressionWarning
 from levylab.levy import LevySpec
-from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths, unit_coefficient
+from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
 from levylab.pdie import JumpOperator, component_functionals
 from levylab.solver import solve_penalized
 from levylab.suites import terminal_martingales
@@ -293,6 +293,6 @@ def test_every_martingale_width_is_the_atom_count_of_mu(spec):
     assert terminal_martingales(cfg, basis).shape[0] == n_atoms
     if not spec.continuous_part:
         x = np.linspace(-1.0, 1.0, 21)
-        op = JumpOperator.build(x, 1.0, spec, basis, unit_coefficient)
+        op = JumpOperator.build(x, spec, basis, ens.sigma_x)
         assert op.p_at_beta.shape[1] == n_atoms
         assert component_functionals(x, np.ones_like(x), op)[1].shape == (21, n_atoms)
