@@ -54,7 +54,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     n_paths = ens.n_paths
     out = _out_dir(cfg)
     t = cfg.grid.nodes
-    L = ens.L  # derived on each read when sigma = 0, so read once
+    L = ens.L  # derived on each read, so read once
     lines = ["path,node,t,B,L,X,eta_abs,A"]
     for p in range(n_paths):
         for k in range(cfg.grid.n_steps + 1):

@@ -61,7 +61,6 @@ from .paths import PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
 from .solver import SolverConfig
 from .suites import GATES
-from .teugels import basis_for
 
 SUITE_NAMES = tuple(GATES)
 
@@ -119,9 +118,8 @@ class ExperimentConfig:
         The one place the driver, grid, path count, seed, domain, start
         point and forward coefficient reach the simulation.
         """
-        spec = self.build_levy()
         return simulate_ensemble(
-            spec, self.grid, basis_for(spec), self.n_paths, self.seed, theta=self.theta,
+            self.build_levy(), self.grid, self.n_paths, self.seed, theta=self.theta,
             x0=self.x0, sigma_x=self.build_sigma_x(), outer_index=outer_index,
         )
 

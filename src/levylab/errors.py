@@ -18,7 +18,8 @@ class NonpositiveIntensity(LevyLabError):
 
 
 class RankMismatch(LevyLabError):
-    """Jump data and basis disagree on the number of atoms or components."""
+    """Jump data or a basis disagree with the driver: on the number of
+    atoms or components, or the basis is not the driver's own."""
 
 
 class InitialPointOutsideDomain(LevyLabError):

@@ -19,38 +19,38 @@ numpy's indexed fast path (see :func:`simulate_jump_counts`).
 Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
-at a time, so the per-node arrays are stored node-major: the state X and
-the local time |eta| (and so the clock A) as [node, path], and the jump
-counts, in the smallest unsigned dtype that holds them, as [step, atom,
-path].  Functions return them as transposed views with the documented
-[path, node(, atom)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers
-the contiguous node-major array without a copy.
+at a time, so the per-node arrays are stored node-major: the state X, the
+local time |eta| (and so the clock A) and the driver's own Brownian path W
+as [node, path], and the jump counts, in the smallest unsigned dtype that
+holds them, as [step, atom, path].  Functions return them as transposed
+views with the documented [path, node(, atom)] shapes; ``.T`` (or
+``.transpose(1, 2, 0)``) recovers the contiguous node-major array without
+a copy.
 
-The driver L is stored only when it has a continuous part, whose sigma B
-is drawn once and cannot be rebuilt from the counts.  A pure-jump driver
-is a function of the counts: from node k to node k + 1 its jump part
-grows by the jump sizes times step k's [atom, path] row of the counts.
-The reflection reads its node rows as :class:`DriverNodes` builds them,
-two reused rows at a time, and :attr:`PathEnsemble.L` derives it whole on
-each read with the same kernel that :func:`assemble_levy_paths` uses.  The martingale increments dH are
-not stored either: they are a function of the counts (and of L when the
-driver has a continuous part), which the sweep forms one step at a time,
-and :attr:`PathEnsemble.dH` derives whole on each read.
-
-The reflection reads L and writes X and |eta| one row at a time, through
-one reused row, with no per-step temporaries.
+An ensemble stores what was drawn, the counts N, W (when the driver has a
+continuous part) and B, and what the reflection computed, X and |eta|.
+The driver L is a function of N and W, node k the jump sum of steps
+0..k-1 plus drift_b t_k and sigma W_k.  The reflection reads its node
+rows as :class:`DriverNodes` builds them, two reused rows at a time, and
+:attr:`PathEnsemble.L` derives it whole on each read with
+:func:`assemble_levy_paths`, the same kernel.  The martingale increments
+dH, a function of N and W, are not stored either: the sweep forms them
+one step at a time, and :attr:`PathEnsemble.dH` derives them on each
+read.  The reflection writes X and |eta| one row at a time, through one
+reused row, with no per-step temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import InitialPointOutsideDomain
 from .levy import LevySpec
-from .teugels import TeugelsBasis, teugels_increments
+from .teugels import TeugelsBasis, basis_for, teugels_increments
 
 # stream ids for the seed tree: (master_seed, outer_sample, stream)
 STREAM_LEVY = 0
@@ -95,12 +95,14 @@ def boundary_direction(x, theta: float):
 
 
 def simulate_brownian(grid: TimeGrid, rng: np.random.Generator, n_paths: int | None = None) -> np.ndarray:
-    """Brownian node values; B_0 = 0, increments i.i.d. N(0, dt)."""
+    """Brownian node values; B_0 = 0, increments i.i.d. N(0, dt).  One
+    path is [node]; ``n_paths`` paths, drawn path-major, are [path, node],
+    a transposed view of node-major storage."""
     shape = (grid.n_steps,) if n_paths is None else (n_paths, grid.n_steps)
     inc = rng.normal(0.0, np.sqrt(grid.dt), size=shape)
-    out = np.zeros(shape[:-1] + (grid.n_steps + 1,))
-    out[..., 1:] = np.cumsum(inc, axis=-1)
-    return out
+    out = np.zeros((grid.n_steps + 1,) + shape[:-1])
+    np.cumsum(inc.T, axis=0, out=out[1:])
+    return out.T
 
 
 def simulate_jump_counts(
@@ -138,60 +140,54 @@ def simulate_jump_counts(
 
 
 def _driver_nodes(
-    spec: LevySpec, grid: TimeGrid, counts: np.ndarray, out: np.ndarray, brownian=None
+    spec: LevySpec, grid: TimeGrid, counts: np.ndarray, W: np.ndarray | None, out: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Yield the driver's node rows L_0, ..., L_n, node k written into
     ``out[k % len(out)]``.
 
     Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
-    sigma * B_k from the [path, node] ``brownian`` when it is given.
-    ``counts`` is [path, step, atom]; a step's jump sum is the jump sizes
-    times its node-major [atom, path] row, so the counts are never cast or
-    copied whole and integer sums never wrap.  With ``out`` the full [node,
-    path] array every node is kept; with two rows, each row is overwritten
-    two nodes later.
+    sigma * W_k.  ``counts`` is [path, step, atom] and ``W`` [path, node],
+    given exactly when the driver has a continuous part; a step's jump sum
+    is the jump sizes times its node-major [atom, path] row, so the counts
+    are never cast or copied whole and integer sums never wrap.  With
+    ``out`` the full [node, path] array every node is kept; with two rows,
+    each row is overwritten two nodes later.
     """
+    if (W is not None) != spec.continuous_part:
+        raise ValueError("W is the driver's Brownian path, given exactly when sigma > 0")
     drift, sizes = spec.drift_b, spec.jump_sizes
     steps = counts.transpose(1, 2, 0)  # [step, atom, path]
+    brownian = None if W is None else W.T  # [node, path]
     jumps = np.zeros(counts.shape[0])
     for k, t in enumerate(grid.nodes):
         if k:
             jumps += sizes @ steps[k - 1]
         node = np.add(jumps, drift * t, out=out[k % len(out)])
         if brownian is not None:
-            node += spec.sigma * brownian[:, k]
+            node += spec.sigma * brownian[k]
         yield node
 
 
 def assemble_levy_paths(
-    spec: LevySpec,
-    grid: TimeGrid,
-    counts: np.ndarray,
-    rng: np.random.Generator | None = None,
+    spec: LevySpec, grid: TimeGrid, counts: np.ndarray, W: np.ndarray | None = None
 ) -> np.ndarray:
-    """Driver node values from [path, step, atom] counts; returns [path,
-    node], a transposed view of node-major storage.
+    """Driver node values from [path, step, atom] counts and, when the
+    driver has a continuous part, its Brownian path ``W`` [path, node];
+    returns [path, node], a transposed view of node-major storage.
 
     Node k is the jump sum of steps 0..k-1 plus drift_b * t_k, plus
-    sigma * B_k when the spec has a continuous part.  The counts are read
-    one step at a time; B is drawn from ``rng`` whole and path-major (one
-    :func:`simulate_brownian` call after the counts) and read one node at a
-    time.
+    sigma * W_k; the counts and W are read one node at a time.
     """
-    brownian = None
-    if spec.continuous_part:
-        if rng is None:
-            raise ValueError("an rng is required to draw the driver's continuous part")
-        brownian = simulate_brownian(grid, rng, counts.shape[0])
     L = np.empty((grid.n_steps + 1, counts.shape[0]))
-    for _ in _driver_nodes(spec, grid, counts, L, brownian):
+    for _ in _driver_nodes(spec, grid, counts, W, L):
         pass
     return L.T
 
 
 @dataclass(frozen=True, eq=False)
 class DriverNodes:
-    """A pure-jump driver's node rows, built from the counts as they are read.
+    """A driver's node rows, built from the counts and ``W`` (see
+    :func:`assemble_levy_paths`) as they are read.
 
     Iterating yields L_0, ..., L_n as [path] rows, exactly the nodes of
     :func:`assemble_levy_paths`, through two reused rows: a row is
@@ -202,19 +198,20 @@ class DriverNodes:
     spec: LevySpec
     grid: TimeGrid
     counts: np.ndarray
+    W: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.grid.n_steps + 1
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return _driver_nodes(self.spec, self.grid, self.counts, np.empty((2, self.counts.shape[0])))
+        return _driver_nodes(self.spec, self.grid, self.counts, self.W, np.empty((2, self.counts.shape[0])))
 
 
 def simulate_reflected_x(
     sigma_x: Callable[[np.ndarray], np.ndarray],
     theta: float,
     x0: float,
-    levy_path,
+    driver_nodes,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clamp-projected Euler state on [-theta, theta] with its local time.
 
@@ -224,9 +221,9 @@ def simulate_reflected_x(
     nondecreasing local time |eta|.  In dimension one the projection is
     the exact one-step Skorokhod map.
 
-    ``levy_path`` is the driver as a [path, node] array, or as its node
-    rows in order (a :class:`DriverNodes`, or any sized iterable of [path]
-    rows); dL_k is the difference of nodes k + 1 and k either way.  The
+    ``driver_nodes`` is the driver's node rows in order: a
+    :class:`DriverNodes`, or any sized iterable of [path] rows, such as a
+    [node, path] array; dL_k is the difference of nodes k + 1 and k.  The
     state and local time come back as [path, node] transposed views of
     node-major arrays, so each step reads and writes contiguous rows.  The
     two share one [2, node, path] block, allocated and released together:
@@ -236,11 +233,9 @@ def simulate_reflected_x(
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    if isinstance(levy_path, (np.ndarray, list, tuple)):
-        levy_path = np.asarray(levy_path, dtype=float).T  # [node, path]
-    nodes = iter(levy_path)
+    nodes = iter(driver_nodes)
     prev = next(nodes)
-    X, eta = np.empty((2, len(levy_path), prev.shape[0]))
+    X, eta = np.empty((2, len(driver_nodes), prev.shape[0]))
     X[0] = x0
     eta[0] = 0.0
     proposal = np.empty(X.shape[1])  # one row, reused: the step then its overshoot
@@ -275,38 +270,37 @@ def skorokhod_minimality_gap(
     return float(np.min(np.sum(terms, axis=-1)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """A stack of scenarios sharing one frozen Brownian path B, and the one
-    record of their forward model: ``spec``, ``basis``, ``theta``, ``x0``
+    """The one record of a draw: a stack of scenarios sharing one frozen
+    Brownian path B, and their forward model, ``spec``, ``theta``, ``x0``
     and ``sigma_x``, the callable the reflection read.
 
-    ``X``, ``eta_abs`` and ``A`` are [path, node] and ``jump_counts``
-    [path, step, atom].  From :func:`simulate_ensemble` all four are
-    transposed views of node-major arrays, the counts in a small unsigned
-    dtype (see the module docstring); an ensemble built by hand may hold
-    path-major arrays instead, which the solver copies to node-major once
-    per sweep.  The clock ``A`` is the boundary local time:
-    :func:`simulate_ensemble` makes it a read-only view of ``eta_abs``, not
-    a copy, since nothing writes to a clock.  The solver reads any
-    increasing ``A`` it is given.
+    It stores what was drawn, ``jump_counts`` N [path, step, atom], the
+    driver's own Brownian path ``W`` [path, node] (``None`` when the driver
+    has no continuous part) and ``B`` [node], and what the reflection
+    computed, ``X`` and ``eta_abs`` [path, node] with the clock ``A`` a
+    read-only view of ``eta_abs``, the boundary local time; the solver
+    reads any increasing ``A`` it is given.  From :func:`simulate_ensemble`
+    the arrays are transposed views of node-major ones, the counts in a
+    small unsigned dtype (see the module docstring); an ensemble built by
+    hand may hold path-major arrays instead, which the solver copies to
+    node-major once per sweep.
 
-    ``levy_path`` is the driver L [path, node] when it has a continuous
-    part, and ``None`` otherwise.  ``L`` returns it, or derives the
-    pure-jump driver from the counts on every read (:func:`assemble_levy_paths`'
-    kernel), and ``dH`` [path, step, component] is derived from the counts
-    (and L, when sigma > 0) by :func:`~levylab.teugels.teugels_increments`
-    on every read.  Neither is cached: a reader binds each once.
+    The rest is derived from the record, each by one function: ``basis``
+    by :func:`~levylab.teugels.basis_for` from the spec, once; the driver
+    ``L`` [path, node] by :func:`assemble_levy_paths` and ``dH`` [path,
+    step, component] by :func:`~levylab.teugels.teugels_increments`, both
+    from N and W on every read, not cached, so a reader binds each once.
     """
 
     grid: TimeGrid
     spec: LevySpec
-    basis: TeugelsBasis
     theta: float
     x0: float
     sigma_x: Callable[[np.ndarray], np.ndarray]
     B: np.ndarray
-    levy_path: np.ndarray | None
+    W: np.ndarray | None
     jump_counts: np.ndarray
     X: np.ndarray
     eta_abs: np.ndarray
@@ -316,25 +310,22 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def basis(self) -> TeugelsBasis:
+        return basis_for(self.spec)
+
     @property
     def L(self) -> np.ndarray:
-        if self.levy_path is not None:
-            return self.levy_path
-        L = np.empty((self.grid.n_steps + 1, self.n_paths))
-        for _ in _driver_nodes(self.spec, self.grid, self.jump_counts, L):
-            pass
-        return L.T
+        return assemble_levy_paths(self.spec, self.grid, self.jump_counts, self.W)
 
     @property
     def dH(self) -> np.ndarray:
-        levy_path = self.L if self.spec.continuous_part else None
-        return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, levy_path=levy_path)
+        return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, W=self.W)
 
 
 def simulate_ensemble(
     spec: LevySpec,
     grid: TimeGrid,
-    basis: TeugelsBasis,
     n_paths: int,
     master_seed: int,
     theta: float,
@@ -344,27 +335,27 @@ def simulate_ensemble(
 ) -> PathEnsemble:
     """Simulate a doubly stochastic ensemble for one outer Brownian sample.
 
-    Streams: (master_seed, outer_index, STREAM_LEVY) drives the jump part
-    and the driver's own continuous part; (master_seed, outer_index,
-    STREAM_BROWNIAN) drives the shared backward Brownian path.
+    Streams: (master_seed, outer_index, STREAM_LEVY) drives the jump counts
+    and then the driver's own Brownian path W, when it has a continuous
+    part; (master_seed, outer_index, STREAM_BROWNIAN) drives the shared
+    backward Brownian path.
     """
     rng_levy = derived_rng(master_seed, outer_index, STREAM_LEVY)
     rng_b = derived_rng(master_seed, outer_index, STREAM_BROWNIAN)
     counts = simulate_jump_counts(spec, grid, rng_levy, n_paths)
-    L = assemble_levy_paths(spec, grid, counts, rng_levy) if spec.continuous_part else None
+    W = simulate_brownian(grid, rng_levy, n_paths) if spec.continuous_part else None
     B = simulate_brownian(grid, rng_b)
-    X, eta = simulate_reflected_x(sigma_x, theta, x0, DriverNodes(spec, grid, counts) if L is None else L)
+    X, eta = simulate_reflected_x(sigma_x, theta, x0, DriverNodes(spec, grid, counts, W))
     A = eta.view()
     A.flags.writeable = False
     return PathEnsemble(
         grid=grid,
         spec=spec,
-        basis=basis,
         theta=theta,
         x0=x0,
         sigma_x=sigma_x,
         B=B,
-        levy_path=L,
+        W=W,
         jump_counts=counts,
         X=X,
         eta_abs=eta,

@@ -31,7 +31,8 @@ once (LAPACK ``gttrf``) and each step solves against the factor
 comes from one ``obstacle(t[:, None], x)`` call.  What the jump term, its
 functionals and the phi dA source read of the driver, its basis and
 sigma_x on the grid is built once per solve from the
-:class:`~levylab.levy.LevySpec` (:meth:`JumpOperator.build`).  scipy's
+:class:`~levylab.levy.LevySpec`, the basis by
+:func:`~levylab.teugels.basis_for` (:meth:`JumpOperator.build`).  scipy's
 LAPACK wrappers are imported at the first factorization and solve, so
 importing the module does not load scipy.
 """
@@ -44,12 +45,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
+from .errors import CFLViolation, GridIncompatible, RankMismatch, TerminalBelowObstacle
 from .levy import LevySpec
-from .paths import PathEnsemble
 from .problems import ProblemSpec
 from .solver import EnsembleSolution
-from .teugels import TeugelsBasis
+from .teugels import TeugelsBasis, basis_for
 
 #: Every PATH_STRIDE-th Monte Carlo path is sampled by the agreement report.
 PATH_STRIDE = 37
@@ -109,8 +109,8 @@ class JumpOperator:
     ``displacement`` is the unclamped displacement sigma_x(x) beta,
     ``intensities`` the alpha_l and ``sig`` sigma_x at the nodes.  The basis
     data of :func:`component_functionals` are ``p_at_beta``, p_i(beta_l) as
-    [atom, rank], and ``root_m2``, sqrt(m2) with
-    m2 = sum_l alpha_l beta_l^2 + sigma^2.
+    [atom, rank] from :func:`~levylab.teugels.basis_for`, and ``root_m2``,
+    sqrt(m2) with m2 = sum_l alpha_l beta_l^2 + sigma^2.
     """
 
     left: np.ndarray
@@ -122,9 +122,7 @@ class JumpOperator:
     root_m2: float
 
     @classmethod
-    def build(
-        cls, x: np.ndarray, spec: LevySpec, basis: TeugelsBasis, sigma_x: Callable
-    ) -> "JumpOperator":
+    def build(cls, x: np.ndarray, spec: LevySpec, sigma_x: Callable) -> "JumpOperator":
         sig = np.asarray(sigma_x(x), dtype=float)
         disp = sig[:, None] * spec.jump_sizes[None, :]
         target = np.clip(x[:, None] + disp, x[0], x[-1])
@@ -133,7 +131,7 @@ class JumpOperator:
         m2 = float(np.sum(spec.intensities * spec.jump_sizes**2)) + spec.sigma**2
         return cls(left=left, w_left=1.0 - (pos - left), displacement=disp,
                    intensities=spec.intensities, sig=sig,
-                   p_at_beta=basis.jump_weights.T, root_m2=math.sqrt(m2))
+                   p_at_beta=basis_for(spec).jump_weights.T, root_m2=math.sqrt(m2))
 
     def shift(self, u: np.ndarray) -> np.ndarray:
         """Evaluate u at every shifted point; shape [..., n_nodes, n_atoms]
@@ -231,10 +229,17 @@ def _wall_rates(x: np.ndarray, op: JumpOperator, c: np.ndarray) -> np.ndarray:
     return rates
 
 
+def _check_basis(spec: LevySpec, basis: TeugelsBasis) -> None:
+    """Raise :class:`RankMismatch` unless ``basis`` is ``basis_for(spec)``,
+    which is deterministic, so the arrays compare exactly."""
+    own = basis_for(spec)
+    if not (np.array_equal(basis.jump_weights, own.jump_weights) and np.array_equal(basis.q_zero, own.q_zero)):
+        raise RankMismatch("the basis is not the driver's own (basis_for(spec))")
+
+
 def _scheme(
     problem: ProblemSpec,
     spec: LevySpec,
-    basis: TeugelsBasis,
     x: np.ndarray,
     dt: float,
     sigma_x: Callable,
@@ -246,7 +251,7 @@ def _scheme(
     all evaluated at u_next.
     """
     dx = float(x[1] - x[0])
-    op = JumpOperator.build(x, spec, basis, sigma_x)
+    op = JumpOperator.build(x, spec, sigma_x)
     c = spec.drift_b * op.sig
     rates = _wall_rates(x, op, c)
     walls = x[[0, -1]]
@@ -304,12 +309,15 @@ def solve_obstacle_pidie(
     ``mode`` is "deterministic" (g must vanish) or "pathwise" (g may
     depend on (t, x) only; the g dB term enters as a known per-step
     source read off the supplied Brownian path at the grid's time nodes).
+    ``basis`` must be ``basis_for(spec)``, else :class:`RankMismatch`; the
+    solve builds its own from ``spec``.
     """
     if spec.continuous_part:
         raise ValueError(
             "the grid oracle covers pure-jump drivers only; a continuous part adds a "
             "second-order term outside its generator"
         )
+    _check_basis(spec, basis)
     x = grid_spec.x
     t = grid_spec.t
     dt = grid_spec.dt
@@ -341,7 +349,7 @@ def solve_obstacle_pidie(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    bands, explicit = _scheme(problem, spec, basis, x, dt, sigma_x)
+    bands, explicit = _scheme(problem, spec, x, dt, sigma_x)
     factor = factor_banded(bands)
     h = _barrier(problem, t, x)
     u = np.empty((grid_spec.n_time + 1, nn))
@@ -372,11 +380,13 @@ def complementarity_defect(
     on the stored solution, so away from the projected set it vanishes to
     rounding and on it the parabolic operator is slack; the reported max
     should stay at rounding scale.  Wall rows obey the same operator, so
-    every node is included.
+    every node is included.  ``basis`` must be ``basis_for(spec)``, as for
+    :func:`solve_obstacle_pidie`.
     """
+    _check_basis(spec, basis)
     t = pgrid.t
     dt = float(t[1] - t[0])
-    bands, explicit = _scheme(problem, spec, basis, pgrid.x, dt, sigma_x)
+    bands, explicit = _scheme(problem, spec, pgrid.x, dt, sigma_x)
     h = _barrier(problem, t, pgrid.x)
     worst = -math.inf
     for k in range(len(t) - 1):
@@ -439,7 +449,7 @@ def _interp_rows(xq: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def representation_check(pgrid: PidieGrid, ens: PathEnsemble, sol: EnsembleSolution) -> FkReport:
+def representation_check(pgrid: PidieGrid, sol: EnsembleSolution) -> FkReport:
     """Compare the Monte Carlo solution against the grid solution.
 
     Checks Y against u(t, X_t) at a subsample of (path, node) pairs and
@@ -448,10 +458,11 @@ def representation_check(pgrid: PidieGrid, ens: PathEnsemble, sol: EnsembleSolut
     Monte Carlo rows are evaluated from the sweep's fits at those pairs
     only (:meth:`EnsembleSolution.evaluate`).  Grids must share the
     horizon and domain, with the grid's time nodes refining the Monte
-    Carlo nodes.  The driver, its basis and the forward coefficient
-    sigma_x are the ensemble's own.
+    Carlo nodes.  The states, the driver, its basis and the forward
+    coefficient sigma_x are those of the solution's ensemble ``sol.ens``.
     """
-    basis = ens.basis
+    ens = sol.ens
+    rank = ens.basis.rank
     n_mc = ens.grid.n_steps
     n_fd = len(pgrid.t) - 1
     if abs(pgrid.t[-1] - ens.grid.horizon) > 1e-12:
@@ -464,7 +475,7 @@ def representation_check(pgrid: PidieGrid, ens: PathEnsemble, sol: EnsembleSolut
         )
     ratio = n_fd // n_mc
     dx = float(pgrid.x[1] - pgrid.x[0])
-    op = JumpOperator.build(pgrid.x, ens.spec, basis, ens.sigma_x)
+    op = JumpOperator.build(pgrid.x, ens.spec, ens.sigma_x)
 
     # every sampled (node, path) pair at once: u and its jump functionals
     # on the Monte Carlo nodes, stacked as columns and read at X
@@ -476,7 +487,7 @@ def representation_check(pgrid: PidieGrid, ens: PathEnsemble, sol: EnsembleSolut
     at = _interp_rows(X, pgrid.x, columns)  # [node, path, 1 + m]
     # the Monte Carlo Y and Z at the same pairs, one node at a time
     y_mc = np.empty(X.shape)
-    z_mc = np.empty((n_mc, basis.rank, len(paths)))  # Z has no step after the last node
+    z_mc = np.empty((n_mc, rank, len(paths)))  # Z has no step after the last node
     for k in range(n_mc + 1):
         sol.evaluate(k, X[k], y=y_mc[k], z=z_mc[k] if k < n_mc else None)
     y_gaps = np.abs(y_mc - at[..., 0])

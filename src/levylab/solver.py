@@ -61,12 +61,13 @@ Storage
 -------
 Every per-node array the sweep reads is node-major, so each step reads
 contiguous rows and nothing is gathered per step.  The inputs X, A and the
-jump counts (and L, when the driver has a continuous part) are taken from
-the ensemble's transposed views through ``np.ascontiguousarray`` once per
-sweep: free for an ensemble from :func:`~levylab.paths.simulate_ensemble`,
-one copy for a hand-built path-major one.  Step k's increments dH_k are
-formed from its counts by :func:`~levylab.teugels.step_increments` into
-one reused [rank, path] block.
+jump counts (and the driver's Brownian path W, when it has a continuous
+part) are taken from the ensemble's transposed views through
+``np.ascontiguousarray`` once per sweep: free for an ensemble from
+:func:`~levylab.paths.simulate_ensemble`, one copy for a hand-built
+path-major one.  Step k's increments dH_k are formed from its counts (and
+W's step) by :func:`~levylab.teugels.step_increments` into one reused
+[rank, path] block.
 
 The sweep stores no [node, path] array.  Y and Z at node k + 1 (the step's
 inputs) and at node k (its outputs), the fit, the push and the running
@@ -79,10 +80,11 @@ Given them, every row at node k is a function of X_k, and
 sweep's own calls: :func:`regression_design` with the stored mean and sd,
 the same coefficient products, then the g dB term and the push.  So Y, Z,
 dK, K, y_pre and S are evaluated on read, one node at a time, at every
-path or at the paths a reader asks for.  The diagnostics are reduced as
-the sweep writes each row: sup Y^2 in one per-path row, and the path sums
-of Y^2 dA, |Z|^2, the push's gap and the penetration as one scalar per
-step, since only their path means are read.
+path or at the paths a reader asks for, of the ensemble the solution
+holds.  The diagnostics are reduced as the sweep writes each row: sup Y^2
+in one per-path row, and the path sums of Y^2 dA, |Z|^2, the push's gap
+and the penetration as one scalar per step, since only their path means
+are read.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularRegressionWarning, TerminalBelowObstacle
-from .paths import PathEnsemble, TimeGrid
+from .paths import PathEnsemble
 from .problems import ProblemSpec
 from .teugels import step_increments
 
@@ -170,19 +172,21 @@ def _push_scale(penalization: float | None, dt: float) -> float:
 @dataclass
 class EnsembleSolution:
     """Solution of one backward sweep (one frozen Brownian sample), held as
-    its per-step fits.
+    its per-step fits on the ensemble ``ens`` it was solved on.
 
     ``fits[k]`` is step k's :class:`StepFit`; the design's boundary layer
     is |x| >= ``layer_edge``, the ensemble's theta less theta /
     ``LAYER_DIVISOR``.  :meth:`evaluate` rebuilds
     node k's Y, Z, push dK_k and pre-push (left limit) estimate y_pre at
     any states; :meth:`on_paths` evaluates one of them, K or the obstacle
-    S node by node at a set of paths of the state ``X`` [path, node].  The
-    properties ``Y``, ``K``, ``y_pre`` and ``S`` [path, node], ``Z`` [path,
-    node, component] with ``rank`` components and ``dK`` [path, step]
-    evaluate it at every path on each read, not stored or cached, so a
-    reader binds each once.  ``K_T`` [path] is the total push, summed by
-    the sweep as it ran, last step first.
+    S node by node at a set of paths of the ensemble's state X.  The
+    grid, the frozen increments dB and the rank are the ensemble's; the
+    solution copies none of them.  The properties ``Y``, ``K``, ``y_pre``
+    and ``S`` [path, node], ``Z`` [path, node, component] with the basis's
+    rank of components and ``dK`` [path, step] evaluate it at every path
+    on each read, not stored or cached, so a reader binds each once.
+    ``K_T`` [path] is the total push, summed by the sweep as it ran, last
+    step first.
 
     ``skorokhod_residual`` is the mean over paths of
     |sum_k (y_pre_k - S_k) dK_k|, the discrete complementarity gap;
@@ -193,14 +197,11 @@ class EnsembleSolution:
 
     penalization: float | None
     degree: int
-    rank: int
     layer_edge: float
     fits: tuple[StepFit, ...]
     K_T: np.ndarray
-    X: np.ndarray
-    dB: np.ndarray
+    ens: PathEnsemble
     problem: ProblemSpec
-    grid: TimeGrid
     y0_value: float
     y0_se: float
     skorokhod_residual: float
@@ -209,11 +210,11 @@ class EnsembleSolution:
 
     @property
     def dt(self) -> float:
-        return self.grid.dt
+        return self.ens.grid.dt
 
     @cached_property
     def _nodes(self) -> np.ndarray:
-        return self.grid.nodes
+        return self.ens.grid.nodes
 
     def evaluate(self, k: int, x: np.ndarray, y=None, z=None, push=None, y_pre=None) -> None:
         """Node k's rows at the states ``x`` [point], written into the
@@ -227,8 +228,8 @@ class EnsembleSolution:
         length differently.  At the horizon Y and y_pre are the terminal
         value and Z is zero; there is no push.
         """
-        problem = self.problem
-        if k == self.grid.n_steps:
+        problem, B = self.problem, self.ens.B
+        if k == self.ens.grid.n_steps:
             if push is not None:
                 raise ValueError("the horizon node has no push")
             for out in (y, y_pre):
@@ -240,7 +241,7 @@ class EnsembleSolution:
         fit = self.fits[k]
         design, _ = regression_design(x, self.degree, self.layer_edge,
                                       np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
-        if z is not None and self.rank:
+        if z is not None and fit.z_coef is not None:
             _fitted(fit.z_coef, design, z)
         if y is None and push is None and y_pre is None:
             return
@@ -248,7 +249,7 @@ class EnsembleSolution:
         yhat = _fitted(fit.y_coef, design, rows[0][None, :])[0]
         t = self._nodes[k]
         s = np.asarray(problem.obstacle(t, x), dtype=float)
-        _settle(problem, t, x, self.dB[k], yhat, s, _push_scale(self.penalization, self.dt),
+        _settle(problem, t, x, B[k + 1] - B[k], yhat, s, _push_scale(self.penalization, self.dt),
                 np.empty(x.shape[0]), rows[1], rows[2])
 
     def on_paths(self, name: str, paths=slice(None)) -> np.ndarray:
@@ -260,10 +261,10 @@ class EnsembleSolution:
         K is the running sum of the evaluated pushes, from K_0 = 0.  The
         only temporaries are rows of the selected paths.
         """
-        X = self.X.T[:, paths]
-        n, size = self.grid.n_steps, X.shape[1]
+        X = self.ens.X.T[:, paths]
+        n, size = self.ens.grid.n_steps, X.shape[1]
         if name == "Z":
-            out = np.empty((n + 1, self.rank, size))
+            out = np.empty((n + 1, self.ens.basis.rank, size))
         else:
             out = np.empty((n if name == "dK" else n + 1, size))
         if name == "S":
@@ -441,7 +442,7 @@ def solve_penalized(
     X = np.ascontiguousarray(ens.X.T)
     A = np.ascontiguousarray(ens.A.T)
     counts = np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))
-    L = np.ascontiguousarray(ens.L.T) if ens.spec.continuous_part else None
+    W = None if ens.W is None else np.ascontiguousarray(ens.W.T)
     dB = np.diff(ens.B)
     rank = ens.basis.rank
     layer_edge = ens.theta - ens.theta / LAYER_DIVISOR
@@ -500,7 +501,7 @@ def solve_penalized(
         y_coef = _regress(design, factor, aug[:1], yhat[None, :], rhs=rhs_gram[:, :1])
         z_coef = None
         if rank:
-            step_increments(counts, L, k, dt, ens.spec, ens.basis, dH_k)
+            step_increments(counts, W, k, dt, ens.spec, ens.basis, dH_k)
             dH_k *= np.subtract(y_next, yhat, out=row)
             z_coef = _regress(design, factor, dH_k, z, scale=1.0 / dt)
             z2 += float(np.vdot(z, z))
@@ -535,14 +536,11 @@ def solve_penalized(
     return EnsembleSolution(
         penalization=pen,
         degree=config.degree,
-        rank=rank,
         layer_edge=layer_edge,
         fits=tuple(fits),
         K_T=k_total,
-        X=X.T,
-        dB=dB,
+        ens=ens,
         problem=problem,
-        grid=grid,
         y0_value=float(np.mean(y_next)),
         y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means

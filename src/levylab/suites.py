@@ -28,7 +28,6 @@ from .errors import LevyLabError, ZeroSpread
 from .paths import (
     STREAM_COMPARISON,
     STREAM_LEVY,
-    PathEnsemble,
     TimeGrid,
     derived_rng,
     simulate_brownian,
@@ -281,9 +280,7 @@ def solve_outer_samples(
 COMPARISON_MARGIN = 0.01
 
 
-def check_comparison_hypothesis(
-    sol1: EnsembleSolution, sol2: EnsembleSolution, ens: PathEnsemble
-) -> tuple[float, float]:
+def check_comparison_hypothesis(sol1: EnsembleSolution, sol2: EnsembleSolution) -> tuple[float, float]:
     """``(min_sum, violations)``: the smallest jump-size sum sum_i beta_i
     dH(i) over paths and steps, with beta_i the difference-quotient slopes
     of the second solution's driver f in each Z slot, and the fraction of
@@ -298,15 +295,19 @@ def check_comparison_hypothesis(
     zero, and at rank 0 the sum is 0.  Evaluates each node's rows of Y1,
     Z1, Y2 and Z2 once from the two solutions' fits
     (:meth:`EnsembleSolution.evaluate`, one design per solution), and
-    forms each step's increments dH_k from its jump counts
+    forms each step's increments dH_k from its jump counts and W's step
     (:func:`step_increments`), so neither full solution, a full dH nor a
-    full sum exists.
+    full sum exists.  The two solutions must share one ensemble, which
+    gives the states, the grid and the increments; ``ValueError`` otherwise.
     """
+    ens = sol1.ens
+    if sol2.ens is not ens:
+        raise ValueError("the two solutions were solved on different ensembles")
     grid, rank = ens.grid, ens.basis.rank
     t = grid.nodes
     X = ens.X.T
     counts = ens.jump_counts.transpose(1, 2, 0)
-    L = ens.L.T if ens.spec.continuous_part else None
+    W = None if ens.W is None else ens.W.T
     n_paths, f = ens.n_paths, sol2.problem.f
     dH = np.empty((rank, n_paths))
     Y1, Y2 = np.empty(n_paths), np.empty(n_paths)
@@ -318,7 +319,7 @@ def check_comparison_hypothesis(
         sol1.evaluate(k, X[k], y=Y1, z=Z1)
         sol2.evaluate(k, X[k], y=Y2, z=Z2)
         if rank and k < grid.n_steps:
-            step_increments(counts, L, k, grid.dt, ens.spec, ens.basis, dH)
+            step_increments(counts, W, k, grid.dt, ens.spec, ens.basis, dH)
             total[...] = 0.0
             z = Z1.copy()  # z(0), [component, path]
             f_lo = np.asarray(f(t[k], X[k], Y2, z.T), dtype=float)
@@ -357,7 +358,7 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
     config = cfg.build_solver_config(None)
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
-    return check_comparison_hypothesis(sol_hi, sol_lo, ens)
+    return check_comparison_hypothesis(sol_hi, sol_lo)
 
 
 def crosscheck_run(cfg: ExperimentConfig):
@@ -377,7 +378,7 @@ def crosscheck_run(cfg: ExperimentConfig):
     pgrid = solve_obstacle_pidie(
         problem, ens.spec, ens.basis, grid_spec, mode="deterministic", sigma_x=ens.sigma_x
     )
-    report = representation_check(pgrid, ens, sol)
+    report = representation_check(pgrid, sol)
     return sol, pgrid, report
 
 

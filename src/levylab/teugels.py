@@ -26,13 +26,13 @@ mu: its rank, the number of nonzero martingales, is structural.
 Storage
 -------
 dH is a function of the jump counts (and, when the driver has a
-continuous part, of two node rows of its path), so nothing stores it for
-a run.  :func:`step_increments` writes one step's rows from that step's
-counts, through :func:`jump_martingales`; the backward sweep calls
-it once per step into one reused [rank, path] row block, and
-:func:`teugels_increments` loops it over the grid into a full [step,
-component, path] array for the readers that want every step at once.
-``verify`` evaluates the same form once, at the horizon.
+continuous part, of two node rows of its Brownian path W), so nothing
+stores it for a run.  :func:`step_increments` writes one step's rows from
+that step's counts, through :func:`jump_martingales`, and W's step; the
+backward sweep calls it once per step into one reused [rank, path] row
+block, and :func:`teugels_increments` loops it over the grid into a full
+[step, component, path] array for the readers that want every step at
+once.  ``verify`` evaluates the same form once, at the horizon.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def jump_martingales(
 
 def step_increments(
     counts: np.ndarray,
-    levy_path: np.ndarray | None,
+    W: np.ndarray | None,
     k: int,
     dt: float,
     spec: LevySpec,
@@ -118,19 +118,15 @@ def step_increments(
 ) -> np.ndarray:
     """Rows [rank, path] of step k's increments dH_k, written to ``out``.
 
-    ``counts`` [step, atom, path] and ``levy_path`` [node, path] are
-    node-major.  The rows are ``P (n_k - alpha dt)`` from the counts' row
-    k (:func:`jump_martingales`); when the driver has a continuous part,
-    ``q(0) sigma dW_k`` is added, with sigma dW_k = dL_k - drift_b dt -
-    beta . n_k read from the path's nodes k and k + 1.  The path is read
-    only then, so it may be ``None`` otherwise.
+    ``counts`` [step, atom, path] and the driver's Brownian path ``W``
+    [node, path] are node-major.  The rows are ``P (n_k - alpha dt)`` from
+    the counts' row k (:func:`jump_martingales`), plus
+    ``q(0) sigma (W_{k+1} - W_k)`` when the driver has a continuous part.
+    W is read only then, so it may be ``None`` otherwise.
     """
     jump_martingales(counts[k], dt, spec, basis, out=out)
     if spec.continuous_part:
-        sigma_dw = np.subtract(levy_path[k + 1], levy_path[k])
-        sigma_dw -= dt * spec.drift_b
-        sigma_dw -= spec.jump_sizes @ counts[k]
-        out += basis.q_zero[:, None] * sigma_dw
+        out += (spec.sigma * basis.q_zero)[:, None] * np.subtract(W[k + 1], W[k])
     return out
 
 
@@ -139,7 +135,7 @@ def teugels_increments(
     grid,
     spec: LevySpec,
     basis: TeugelsBasis,
-    levy_path: np.ndarray | None = None,
+    W: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-step increments dH of the orthonormal martingales, every step.
 
@@ -154,10 +150,9 @@ def teugels_increments(
         Time grid; only ``dt`` and ``n_steps`` are used.
     spec, basis:
         Driver spec and its orthonormal basis.
-    levy_path:
-        Node values of the driver paths, [n_paths, n_steps + 1]; required,
-        and read, only when the driver has a continuous part, whose
-        increment sigma dW is dL - dt * drift_b - (the step's jump sum).
+    W:
+        The driver's Brownian path, [n_paths, n_steps + 1]; required, and
+        read, only when the driver has a continuous part.
 
     Returns
     -------
@@ -165,8 +160,8 @@ def teugels_increments(
     step-major, [n_steps, rank, n_paths], and returned as a transposed
     view, so ``dH.transpose(1, 2, 0)`` is the contiguous step-major array.
     Step k's rows are :func:`step_increments` of its counts:
-    ``P (n_k - alpha dt)``, plus ``q(0) sigma dW_k`` when the driver has a
-    continuous part.
+    ``P (n_k - alpha dt)``, plus ``q(0) sigma (W_{k+1} - W_k)`` when the
+    driver has a continuous part.
     """
     n = grid.n_steps
     counts = np.asarray(counts)
@@ -177,17 +172,13 @@ def teugels_increments(
     if counts.shape[-2] != n:
         raise ValueError("jump counts do not match the grid's step count")
     n_paths = counts.shape[0]
-    L = None
     if spec.continuous_part:
-        if levy_path is None:
-            raise ValueError("levy_path is required when the driver has a continuous part")
-        L = np.asarray(levy_path, dtype=float)
-        if L.shape != (n_paths, n + 1):
-            raise ValueError("levy_path shape does not match the jump data")
-        L = L.T  # [node, path]
+        W = np.asarray(W, dtype=float).T  # [node, path]
+        if W.shape != (n + 1, n_paths):
+            raise ValueError("a driver with a continuous part needs its Brownian path W [path, node]")
 
     dH = np.empty((n, basis.rank, n_paths))
     step_counts = counts.transpose(1, 2, 0)  # [step, atom, path]
     for k in range(n):
-        step_increments(step_counts, L, k, grid.dt, spec, basis, dH[k])
+        step_increments(step_counts, W, k, grid.dt, spec, basis, dH[k])
     return dH.transpose(2, 0, 1)

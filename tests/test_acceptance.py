@@ -197,9 +197,8 @@ def test_criterion_08_feynman_kac_crosscheck():
 
 def test_criterion_09_skorokhod_path_property():
     grid = TimeGrid(1.0, 100)
-    basis = basis_for(TWO_ATOM)
     sigma_x = DEFAULTS.build_sigma_x()
-    ens = simulate_ensemble(TWO_ATOM, grid, basis, 1000, 77, theta=1.0, x0=0.0, sigma_x=sigma_x)
+    ens = simulate_ensemble(TWO_ATOM, grid, 1000, 77, theta=1.0, x0=0.0, sigma_x=sigma_x)
     V = derived_rng(77, 0, STREAM_COMPARISON).uniform(-1.0, 1.0, size=ens.X.shape)
     gap = skorokhod_minimality_gap(ens.X, V, ens.eta_abs, 1.0)
     passed = gap >= -1e-12

@@ -193,11 +193,11 @@ class TestCli:
             monkeypatch.setattr(module, name, counted)
 
         counting(paths, "teugels_increments")
-        levy_path = paths.PathEnsemble.L
+        derived_L = paths.PathEnsemble.L
 
         def counted_L(ens):
             calls["L"] += 1
-            return levy_path.fget(ens)
+            return derived_L.fget(ens)
 
         monkeypatch.setattr(paths.PathEnsemble, "L", property(counted_L))
         on_paths = solver.EnsembleSolution.on_paths

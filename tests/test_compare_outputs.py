@@ -102,3 +102,18 @@ def test_example51_basis_matches_committed_file(tmp_path):
     assert main(["basis", "--config", str(root / "configs" / "example51.cfg"), "--out", str(run)]) == 0
     reference = root / "tests" / "data" / "example51_basis.csv"
     assert (run / "basis.csv").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["paths", "jumps", "teugels"])
+def test_quick_simulate_matches_committed_files(tmp_path, name):
+    """`levylab simulate` on the shipped quick config, at 8 paths, reproduces
+    the committed paths.csv (B, L, X, eta_abs, A), jumps.csv and teugels.csv
+    (dH) byte for byte."""
+    from levylab.cli import main
+
+    root = SCRIPT.parents[1]
+    run = tmp_path / "run"
+    config = str(root / "configs" / "quick_suite.cfg")
+    assert main(["simulate", "--config", config, "--paths", "8", "--out", str(run)]) == 0
+    reference = root / "tests" / "data" / f"quick_simulate_{name}.csv"
+    assert (run / f"{name}.csv").read_bytes() == reference.read_bytes()

@@ -34,8 +34,8 @@ SIGMA_X = DEFAULTS.build_sigma_x()  # the default config's sigma_x = 1
 
 
 def reflect_one(sigma_x, theta, x0, L):
-    """One path [node] through the ensemble reflection as a [1, node] input."""
-    X, eta = simulate_reflected_x(sigma_x, theta, x0, np.asarray(L, dtype=float)[None, :])
+    """One path [node] through the ensemble reflection as [node, 1] rows."""
+    X, eta = simulate_reflected_x(sigma_x, theta, x0, np.asarray(L, dtype=float)[:, None])
     return X[0], eta[0]
 
 
@@ -80,8 +80,19 @@ class TestLevy:
         rng = derived_rng(5, 0)
         counts = simulate_jump_counts(spec, grid, rng, 1)
         assert counts.shape == (1, 8, 0)
-        L = assemble_levy_paths(spec, grid, counts, rng)[0]
+        L = assemble_levy_paths(spec, grid, counts)[0]
         assert np.allclose(L, 0.7 * grid.nodes, atol=1e-15)
+
+    def test_brownian_path_given_exactly_with_a_continuous_part(self):
+        # L without W would drop sigma W with no error, and a W of a pure-jump
+        # driver has nowhere to go
+        grid = TimeGrid(1.0, 4)
+        counts = np.zeros((3, 4, 2), dtype=np.uint8)
+        W = simulate_brownian(grid, derived_rng(5, 0), 3)
+        with pytest.raises(ValueError, match="given exactly when sigma > 0"):
+            assemble_levy_paths(replace(TWO_ATOM, sigma=0.3), grid, counts)
+        with pytest.raises(ValueError, match="given exactly when sigma > 0"):
+            assemble_levy_paths(TWO_ATOM, grid, counts, W)
 
     def test_poisson_count_mean(self):
         spec = LevySpec(atoms=((1.0, 1.0),))
@@ -117,7 +128,7 @@ class TestLevy:
         grid = TimeGrid(1.0, 20)
         rng = derived_rng(7, 0)
         counts = simulate_jump_counts(TWO_ATOM, grid, rng, 50000)
-        L = assemble_levy_paths(TWO_ATOM, grid, counts, rng)
+        L = assemble_levy_paths(TWO_ATOM, grid, counts)
         se = np.std(L[:, -1], ddof=1) / math.sqrt(50000)
         assert abs(np.mean(L[:, -1]) - mean_l1(TWO_ATOM) * grid.horizon) <= 4.0 * se
 
@@ -126,7 +137,7 @@ class TestLevy:
         grid = TimeGrid(1.0, 16)
         rng = derived_rng(8, 0)
         counts = simulate_jump_counts(TWO_ATOM, grid, rng, 1)
-        L = assemble_levy_paths(TWO_ATOM, grid, counts, rng)[0]
+        L = assemble_levy_paths(TWO_ATOM, grid, counts)[0]
         assert counts.sum() > 0
         rebuilt = np.zeros(17)
         for step, atom in zip(*np.nonzero(counts[0])):
@@ -168,12 +179,23 @@ def step_jump_sums_reference(counts, weights, block=256):
     return out
 
 
+def brownian_reference(grid, rng, n_paths):
+    """[path, node] Brownian paths, path-major: the increments drawn whole,
+    then summed along each path."""
+    inc = rng.normal(0.0, np.sqrt(grid.dt), size=(n_paths, grid.n_steps))
+    out = np.zeros((n_paths, grid.n_steps + 1))
+    out[:, 1:] = np.cumsum(inc, axis=-1)
+    return out
+
+
 def assemble_levy_paths_reference(spec, grid, counts, rng):
+    """[path, node] driver paths; with a continuous part, its Brownian path
+    is drawn from ``rng`` after the counts."""
     L = np.zeros((grid.n_steps + 1, counts.shape[0]))
     np.cumsum(step_jump_sums_reference(counts, spec.jump_sizes), axis=0, out=L[1:])
     L += spec.drift_b * grid.nodes[:, None]
     if spec.continuous_part:
-        L += spec.sigma * simulate_brownian(grid, rng, counts.shape[0]).T
+        L += spec.sigma * brownian_reference(grid, rng, counts.shape[0]).T
     return L.T
 
 
@@ -270,10 +292,11 @@ class TestCompactCounts:
         assert counts.shape == ref.shape and counts.transpose(1, 2, 0).flags.c_contiguous
         assert np.array_equal(counts, ref)
 
-        L = assemble_levy_paths(spec, grid, counts, rng)
+        W = simulate_brownian(grid, rng, n_paths) if spec.continuous_part else None
+        L = assemble_levy_paths(spec, grid, counts, W)
         L_ref = assemble_levy_paths_reference(spec, grid, ref, rng_ref)
         assert np.array_equal(L, L_ref)
-        dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
+        dH = teugels_increments(counts, grid, spec, basis, W=W)
         dH_ref = power_sum_increments(ref, grid, spec, basis.rank, L_ref)
         dH_atol = 1e-12 * max(1.0, float(np.abs(dH_ref).max()))
         assert np.max(np.abs(dH - dH_ref)) <= dH_atol
@@ -304,7 +327,7 @@ class TestCompactCounts:
         # dL - dt E[L_1] as the order-1 sum
         grid = TimeGrid(1.0, 50)
         basis = basis_for(spec)
-        ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
+        ens = simulate_ensemble(spec, grid, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
         ref = power_sum_increments(ens.jump_counts, grid, spec, basis.rank, levy_path=ens.L)
         atol = 1e-12 * max(1.0, float(np.abs(ref).max()))
         assert np.max(np.abs(ens.dH - ref)) <= atol
@@ -312,41 +335,61 @@ class TestCompactCounts:
     @ensemble_drivers
     def test_ensemble_dH_is_the_step_kernel_bit_for_bit(self, spec, sigma_x, seed):
         # the derived dH and the sweep's per-step rows against the array
-        # as it was stored: all jump parts, then one pass for sigma dW
+        # as it was stored: every step's P (n_k - alpha dt), then one pass
+        # adding q(0) sigma (W_{k+1} - W_k) from the drawn W
         grid = TimeGrid(1.0, 50)
         basis = basis_for(spec)
-        ens = simulate_ensemble(spec, grid, basis, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
-        ref = stored_increments_reference(ens.jump_counts, grid, spec, basis, levy_path=ens.L)
+        ens = simulate_ensemble(spec, grid, 2000, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
+        assert (ens.W is not None) == spec.continuous_part
+        ref = stored_increments_reference(ens.jump_counts, grid, spec, basis, W=ens.W)
         dH = ens.dH
         assert np.array_equal(dH, ref)
         assert np.any(dH != 0.0)
-        counts, L = ens.jump_counts.transpose(1, 2, 0), ens.L.T
+        counts = ens.jump_counts.transpose(1, 2, 0)
+        W = None if ens.W is None else ens.W.T
         row = np.empty((basis.rank, ens.n_paths))
         for k in range(grid.n_steps):
-            step_increments(counts, L, k, grid.dt, spec, basis, row)
+            step_increments(counts, W, k, grid.dt, spec, basis, row)
             assert np.array_equal(row, ref[:, k].T), k
 
-    def test_simulation_memory_stays_near_the_returned_arrays(self):
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_continuous_driver_L_and_X_are_the_stored_path_ones(self, seed):
+        # with sigma > 0 the ensemble stores W, not L: L, derived on read,
+        # and the reflected state are those of the whole path-major driver
+        # drawn from the same stream, bit for bit
+        spec = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), sigma=0.3, drift_b=0.4)
+        grid, n_paths, sigma_x = TimeGrid(1.0, 50), 500, lambda x: 1.0 + 0.2 * x
+        ens = simulate_ensemble(spec, grid, n_paths, seed, theta=1.0, x0=0.0, sigma_x=sigma_x)
+        assert "L" not in vars(ens) and ens.W.T.flags.c_contiguous
+        rng_ref = derived_rng(seed, 0, STREAM_LEVY)
+        counts_ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)
+        L_ref = assemble_levy_paths_reference(spec, grid, counts_ref, rng_ref)
+        assert np.array_equal(ens.L, L_ref)
+        X_ref, eta_ref = simulate_reflected_x(sigma_x, 1.0, 0.0, L_ref.T)
+        assert np.array_equal(ens.X, X_ref) and np.array_equal(ens.eta_abs, eta_ref)
+        assert np.any(ens.eta_abs[:, -1] > 0.0)
+
+    @pytest.mark.parametrize("spec", [TWO_ATOM, replace(TWO_ATOM, sigma=0.3)], ids=["pure-jump", "sigma"])
+    def test_simulation_memory_stays_near_the_returned_arrays(self, spec):
         # the counts and the reflection are built one step at a time, the
-        # reflection reads the pure-jump driver's nodes from two reused rows,
-        # and neither L nor dH is stored, so the peak is the stored arrays
-        # plus a few rows; a stored L would add 51 rows, a stored dH
-        # n_steps * rank = 100
+        # reflection reads the driver's nodes from two reused rows, and
+        # neither L nor dH is stored, so the peak is the stored arrays plus
+        # a few rows: W's increments are freed before the reflection's
+        # block is allocated.  A stored L would add 51 rows, a stored dH
+        # n_steps * rank = 100 (150 with sigma)
         grid = TimeGrid(1.0, 50)
         n_paths = 10_000
         tracemalloc.start()
         try:
-            ens = simulate_ensemble(
-                TWO_ATOM, grid, basis_for(TWO_ATOM), n_paths, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
-            )
+            ens = simulate_ensemble(spec, grid, n_paths, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
         stored = [v for v in vars(ens).values() if isinstance(v, np.ndarray)]
         assert not [a.shape for a in stored if a.ndim == 3 and a.dtype.kind == "f"]
-        assert ens.levy_path is None
-        returned = sum(a.nbytes for a in (ens.B, ens.jump_counts, ens.X, ens.eta_abs))
+        assert "L" not in vars(ens) and (ens.W is not None) == spec.continuous_part
+        returned = sum(a.nbytes for a in stored) - ens.A.nbytes
         row = n_paths * np.dtype(float).itemsize
         assert peak <= returned + 40 * row, (peak - returned) / row
 
@@ -441,17 +484,13 @@ class TestAssembleA:
         # no jumps and no continuous part: L = 0.4 t, so from x0 = 0.9 the
         # one step proposes 1.3, clamps to 1.0 and the clock takes 0.3
         spec = LevySpec(drift_b=0.4)
-        ens = simulate_ensemble(
-            spec, TimeGrid(1.0, 1), basis_for(spec), 1, 5, theta=1.0, x0=0.9, sigma_x=SIGMA_X
-        )
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 1), 1, 5, theta=1.0, x0=0.9, sigma_x=SIGMA_X)
         assert ens.X.tolist() == [[0.9, 1.0]]
         assert ens.A[0, 0] == 0.0
         assert ens.A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
     def test_local_time_clock_shares_eta_read_only(self):
-        ens = simulate_ensemble(
-            TWO_ATOM, TimeGrid(1.0, 20), basis_for(TWO_ATOM), 50, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X
-        )
+        ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 20), 50, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
         assert np.shares_memory(ens.A, ens.eta_abs)
         assert not ens.A.flags.writeable
         assert ens.eta_abs.flags.writeable
@@ -480,7 +519,7 @@ class TestNodeMajorReflection:
         L = np.cumsum(derived_rng(14, 0).normal(0.0, 0.4, size=(7, 31)), axis=1)
         L[:, 0] = 0.0
         sigma = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float)
-        X, eta = simulate_reflected_x(sigma, theta, x0, L)
+        X, eta = simulate_reflected_x(sigma, theta, x0, L.T)
         assert X.shape == eta.shape == (7, 31)
         assert X.T.flags.c_contiguous and eta.T.flags.c_contiguous
         assert np.any(eta[:, -1] > 0.0)  # the clamp is exercised
@@ -491,7 +530,7 @@ class TestNodeMajorReflection:
 
     def test_single_path_matches_scalar_euler(self):
         L = np.array([[0.0, 0.5, 1.4, -0.3, -2.0]])
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.2, L)
+        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.2, L.T)
         assert X.shape == eta.shape == (1, 5)
         X_ref, eta_ref = self.scalar_reference(lambda x: 1.0, 1.0, 0.2, L[0].tolist())
         assert X[0].tolist() == X_ref and eta[0].tolist() == eta_ref
@@ -534,10 +573,11 @@ def test_boundary_direction_values():
     assert boundary_direction(np.array([-1.0, 0.0, 1.0]), 1.0).tolist() == [1.0, 0.0, -1.0]
 
 
-def test_ensemble_determinism_bit_identical():
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_ensemble_determinism_bit_identical(sigma):
     grid = TimeGrid(1.0, 20)
-    basis = basis_for(TWO_ATOM)
-    a = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
-    b = simulate_ensemble(TWO_ATOM, grid, basis, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
-    for field in ("B", "L", "jump_counts", "X", "eta_abs", "A", "dH"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+    spec = replace(TWO_ATOM, sigma=sigma)
+    a = simulate_ensemble(spec, grid, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
+    b = simulate_ensemble(spec, grid, 50, 123, theta=1.0, x0=0.1, sigma_x=SIGMA_X)
+    for field in ("B", "W", "L", "jump_counts", "X", "eta_abs", "A", "dH"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levylab.errors import CFLViolation, GridIncompatible, TerminalBelowObstacle
+from levylab.errors import CFLViolation, GridIncompatible, RankMismatch, TerminalBelowObstacle
 from levylab.levy import LevySpec
 from levylab.config import DEFAULTS
 from levylab.paths import TimeGrid, simulate_ensemble
@@ -116,6 +116,20 @@ class TestScheme:
         with pytest.raises(ValueError):
             solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, mode="deterministic", sigma_x=SIGMA_X)
 
+    def test_basis_of_another_driver_refused(self):
+        # on example51's driver, linear with fz1 = 0.3 reads u(0, 0) = 0.41393
+        # with the driver's own basis; handed the basis of atoms (0.5, 1),
+        # (-0.4, 3), of the same rank, the oracle read 0.41521 with no error
+        prob = build_problem("linear", {"fz1": 0.3, "l0": 0.0, "lx": 1.0})
+        pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=SIGMA_X)
+        assert np.interp(0.0, pg.x, pg.u[0]) == pytest.approx(0.41393, abs=5e-6)
+        foreign = basis_for(LevySpec(atoms=((0.5, 1.0), (-0.4, 3.0))))
+        assert foreign.rank == BASIS.rank
+        with pytest.raises(RankMismatch, match="not the driver's own"):
+            solve_obstacle_pidie(prob, TWO_ATOM, foreign, GRID, sigma_x=SIGMA_X)
+        with pytest.raises(RankMismatch, match="not the driver's own"):
+            complementarity_defect(pg, prob, TWO_ATOM, foreign, sigma_x=SIGMA_X)
+
 
 class TestBoundary:
     def test_overshoot_source_matches_closed_form(self):
@@ -161,11 +175,11 @@ class TestBoundary:
 # operations, so the match is expected to be exact.
 
 
-def solve_obstacle_pidie_reference(problem, spec, basis, grid_spec):
+def solve_obstacle_pidie_reference(problem, spec, grid_spec):
     from scipy.linalg import solve_banded
 
     x, t = grid_spec.x, grid_spec.t
-    bands, explicit = pdie._scheme(problem, spec, basis, x, grid_spec.dt, SIGMA_X)
+    bands, explicit = pdie._scheme(problem, spec, x, grid_spec.dt, SIGMA_X)
     u = np.empty((len(t), len(x)))
     u[-1] = problem.terminal(x)
     for k in range(len(t) - 2, -1, -1):
@@ -174,10 +188,10 @@ def solve_obstacle_pidie_reference(problem, spec, basis, grid_spec):
     return PidieGrid(x=x, t=t, u=u)
 
 
-def complementarity_defect_reference(pgrid, problem, spec, basis):
+def complementarity_defect_reference(pgrid, problem, spec):
     t = pgrid.t
     dt = float(t[1] - t[0])
-    bands, explicit = pdie._scheme(problem, spec, basis, pgrid.x, dt, SIGMA_X)
+    bands, explicit = pdie._scheme(problem, spec, pgrid.x, dt, SIGMA_X)
     worst = -math.inf
     for k in range(len(t) - 1):
         u_now = pgrid.u[k]
@@ -203,15 +217,15 @@ def test_factored_transport_matches_per_step_solve_banded(drift, barrier):
         level = build_problem("deterministic_obstacle", {"level": 1.2, "slope": 1.0})
         prob = ProblemSpec(**{**vars(prob), "obstacle": level.obstacle})
     gs = PidieGridSpec(theta=1.0, n_space=200, horizon=1.0, n_time=200)
-    bands, _ = pdie._scheme(prob, spec, basis, gs.x, gs.dt, SIGMA_X)
+    bands, _ = pdie._scheme(prob, spec, gs.x, gs.dt, SIGMA_X)
     assert np.max(np.abs(bands[[0, 2]])) > 0.4  # off-diagonals dt / dx = 0.5
     pg = solve_obstacle_pidie(prob, spec, basis, gs, sigma_x=SIGMA_X)
-    ref = solve_obstacle_pidie_reference(prob, spec, basis, gs)
+    ref = solve_obstacle_pidie_reference(prob, spec, gs)
     assert np.max(np.abs(pg.u - ref.u)) <= 1e-14
     if barrier == "falling":
         assert np.any(pg.u[:-1] == prob.obstacle(pg.t[:-1, None], pg.x))
     defect = complementarity_defect(pg, prob, spec, basis, sigma_x=SIGMA_X)
-    assert defect == complementarity_defect_reference(pg, prob, spec, basis)
+    assert defect == complementarity_defect_reference(pg, prob, spec)
 
 
 class TestInvariants:
@@ -241,13 +255,13 @@ class TestInvariants:
     def test_stencil_brackets_and_interpolates_the_clamped_target(self):
         # sigma_x = 1 + x^2 carries targets past both walls, where they clamp
         x = self.STENCIL_X
-        op = JumpOperator.build(x, TWO_ATOM, BASIS, lambda x: 1.0 + x**2)
+        op = JumpOperator.build(x, TWO_ATOM, lambda x: 1.0 + x**2)
         assert np.any(x[:, None] + op.displacement > 1.0) and np.any(x[:, None] + op.displacement < -1.0)
         assert stencil_holds(op, x, 1.0)
 
     def test_stencil_check_fails_on_a_shifted_left_index(self):
         x = self.STENCIL_X
-        op = JumpOperator.build(x, TWO_ATOM, BASIS, lambda x: 1.0 + x**2)
+        op = JumpOperator.build(x, TWO_ATOM, lambda x: 1.0 + x**2)
         for left in (np.minimum(op.left + 1, len(x) - 2), np.maximum(op.left - 1, 0)):
             assert not stencil_holds(dataclasses.replace(op, left=left), x, 1.0)
 
@@ -268,7 +282,7 @@ def representation_check_reference(pgrid, ens, sol):
     n_mc = ens.grid.n_steps
     ratio = (len(pgrid.t) - 1) // n_mc
     dx = float(pgrid.x[1] - pgrid.x[0])
-    op = JumpOperator.build(pgrid.x, spec, basis, ens.sigma_x)
+    op = JumpOperator.build(pgrid.x, spec, ens.sigma_x)
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     m = basis.rank
     y_gaps = []
@@ -302,7 +316,7 @@ def representation_check_reference(pgrid, ens, sol):
 @pytest.fixture(scope="module")
 def mc_setup():
     grid = TimeGrid(1.0, 100)
-    ens = simulate_ensemble(TWO_ATOM, grid, BASIS, 600, 13, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    ens = simulate_ensemble(TWO_ATOM, grid, 600, 13, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
     return grid, ens
 
 
@@ -314,7 +328,7 @@ class TestRepresentation:
         cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
-        report = representation_check(pg, ens, sol)
+        report = representation_check(pg, sol)
         assert report.y_max_gap < 1e-9
         assert max(report.z_rms_gap) < 1e-9
 
@@ -324,7 +338,7 @@ class TestRepresentation:
         cfg = SolverConfig(penalization=None)
         sol = solve_penalized(prob, cfg, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
-        report = representation_check(pg, ens, sol)
+        report = representation_check(pg, sol)
         # u = 1 - t is flat in x: the jump remainder vanishes and Z tracks 0
         assert report.y_max_gap < 1e-9
         assert max(report.z_rms_gap) < 1e-9
@@ -337,7 +351,7 @@ class TestRepresentation:
         bad = PidieGridSpec(theta=1.0, n_space=50, horizon=1.0, n_time=150)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, bad, sigma_x=ens.sigma_x)
         with pytest.raises(GridIncompatible):
-            representation_check(pg, ens, sol)
+            representation_check(pg, sol)
 
     def test_y0_gap_interpolates_between_nodes(self, mc_setup):
         # with an odd n_space, x0 = 0 falls halfway between two nodes
@@ -346,7 +360,7 @@ class TestRepresentation:
         sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
         gs = PidieGridSpec(1.0, 101, 1.0, 200)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, gs, sigma_x=ens.sigma_x)
-        report = representation_check(pg, ens, sol)
+        report = representation_check(pg, sol)
         assert report.y0_gap == abs(sol.y0_value - np.interp(0.0, pg.x, pg.u[0]))
 
 
@@ -390,15 +404,13 @@ def test_one_pass_report_matches_the_per_node_loop(case, mc_setup):
         ens = cfg.build_ensemble()
     elif case == "clamped":
         spec = UP_JUMP
-        ens = simulate_ensemble(
-            spec, TimeGrid(1.0, 50), basis_for(spec), 400, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X
-        )
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 50), 400, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
         sampled = ens.X[::PATH_STRIDE]
         assert np.any(sampled == 1.0) and np.any(sampled < 1.0)
     prob = build_problem("example51", {})
     sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
     pg = solve_obstacle_pidie(prob, spec, ens.basis, gs, sigma_x=ens.sigma_x)
-    report = representation_check(pg, ens, sol)
+    report = representation_check(pg, sol)
     ref = representation_check_reference(pg, ens, sol)
     assert report.y0_gap == ref.y0_gap
     assert report.n_sampled == ref.n_sampled
@@ -418,7 +430,7 @@ def test_constant_level_case_z_exactly_small(mc_setup):
     cfg = SolverConfig(penalization=None)
     sol = solve_penalized(prob, cfg, ens)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
-    report = representation_check(pg, ens, sol)
+    report = representation_check(pg, sol)
     assert report.y_max_gap < 1e-8
     assert max(report.z_rms_gap) < 1e-8
 
@@ -440,7 +452,7 @@ def test_z_dependent_driver_crosscheck():
         beta_mono=-0.5,
     )
     grid = TimeGrid(1.0, 100)
-    ens = simulate_ensemble(TWO_ATOM, grid, BASIS, 8000, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    ens = simulate_ensemble(TWO_ATOM, grid, 8000, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
     sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
     gs = PidieGridSpec(1.0, 100, 1.0, 200)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, gs, sigma_x=ens.sigma_x)
@@ -461,7 +473,7 @@ def test_pathwise_mode_matches_monte_carlo_with_shared_brownian():
         beta_mono=-0.5,
     )
     mc_grid = TimeGrid(1.0, 100)
-    ens = simulate_ensemble(TWO_ATOM, mc_grid, BASIS, 4000, 99, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    ens = simulate_ensemble(TWO_ATOM, mc_grid, 4000, 99, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
     cfg = SolverConfig(penalization=None)
     sol = solve_penalized(prob, cfg, ens)
     # refine the Brownian path onto the finer grid by reusing the shared nodes

@@ -62,9 +62,7 @@ def make_problem(name="p", f=None, phi=None, g=None, terminal=None, obstacle=Non
 
 @pytest.fixture(scope="module")
 def ensemble():
-    grid = TimeGrid(1.0, 100)
-    basis = basis_for(TWO_ATOM)
-    return simulate_ensemble(TWO_ATOM, grid, basis, 600, 21, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    return simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 100), 600, 21, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +79,7 @@ class TestExactPropagation:
         sol = solve_penalized(make_problem(), CFG, ensemble)
         assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
         assert np.all(sol.K == 0.0)
-        assert np.max(np.abs(sol.Z[:, :, : sol.rank])) < 1e-9
-        assert np.all(sol.Z[:, :, sol.rank :] == 0.0)
+        assert np.max(np.abs(sol.Z)) < 1e-9
         assert sol.skorokhod_residual == 0.0
 
     def test_driver_decay_matches_discrete_product(self, ensemble):
@@ -137,7 +134,7 @@ class TestObstacle:
     def test_path_count_guard(self):
         # 30 paths are fewer than 10 * basis_dim = 60 at degree 4
         small = simulate_ensemble(
-            TWO_ATOM, TimeGrid(1.0, 10), basis_for(TWO_ATOM), 30, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
+            TWO_ATOM, TimeGrid(1.0, 10), 30, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
         )
         with pytest.raises(ValueError, match="below 10 \\* basis dimension"):
             solve_penalized(make_problem(), CFG, small)
@@ -254,32 +251,41 @@ class TestComparison:
         prob = make_problem(f=lambda t, x, y, z: -0.1 * np.asarray(y, dtype=float))
         sol1 = solve_penalized(prob, CFG, ensemble)
         sol2 = solve_penalized(prob, CFG, ensemble)
-        min_sum, violations = check_comparison_hypothesis(sol1, sol2, ensemble)
+        min_sum, violations = check_comparison_hypothesis(sol1, sol2)
         assert min_sum == 0.0 and violations == 0.0
         assert min_sum > -1.0
+
+    def test_solutions_on_different_ensembles_are_refused(self, ensemble):
+        # the check reads the states and increments of one ensemble, so a
+        # pair solved on two draws, even equal ones, is an error
+        prob = make_problem()
+        twin = dataclasses.replace(ensemble)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            sol1, sol2 = solve_penalized(prob, CFG, ensemble), solve_penalized(prob, CFG, twin)
+        with pytest.raises(ValueError, match="different ensembles"):
+            check_comparison_hypothesis(sol1, sol2)
 
     def test_ordered_terminals_give_ordered_solutions(self, ensemble):
         hi = make_problem(terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)))
         lo = make_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
-        min_sum, violations = check_comparison_hypothesis(sol_hi, sol_lo, ensemble)
+        min_sum, violations = check_comparison_hypothesis(sol_hi, sol_lo)
         assert min_sum == 0.0  # z-independent driver
         assert violations == np.mean(sol_hi.Y < sol_lo.Y - 0.01) <= 0.01
         # reversed, the ordering fails at every (path, node)
-        assert check_comparison_hypothesis(sol_lo, sol_hi, ensemble)[1] == 1.0
+        assert check_comparison_hypothesis(sol_lo, sol_hi)[1] == 1.0
 
     def test_violations_count_every_node_at_rank_zero(self):
         # no driver: the sum is 0, and Y2 = 1 + (T - t) exceeds Y1 = 1 by
         # more than the margin at every node but the horizon
         spec = LevySpec()
-        ens = simulate_ensemble(
-            spec, TimeGrid(1.0, 20), basis_for(spec), 100, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X
-        )
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 20), 100, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
         one, rising = (build_problem("linear", {"f0": f0, "fy": 0.0}) for f0 in (0.0, 1.0))
         sol1, sol2 = (solve_penalized(p, CFG, ens) for p in (one, rising))
         assert ens.basis.rank == 0
-        min_sum, violations = check_comparison_hypothesis(sol1, sol2, ens)
+        min_sum, violations = check_comparison_hypothesis(sol1, sol2)
         assert min_sum == 0.0
         assert violations == np.mean(sol1.Y < sol2.Y - 0.01) == 20 / 21
 
@@ -293,7 +299,7 @@ class TestComparison:
         lo = make_problem(f=f, terminal=lambda x: 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
-        min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo, ensemble)
+        min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo)
         # the interval bound -c * rank * max |dH| implied by f's Lipschitz
         # constant in z, c = 0.3 from the 0.3 tanh(z1) term
         max_dh = float(np.max(np.abs(ensemble.dH)))
@@ -308,7 +314,7 @@ class TestComparison:
         hi, lo = (build_problem("linear", {"l0": l0, "fz1": fz1}) for l0 in (1.0, 0.0))
         sol_hi = solve_penalized(hi, CFG, ensemble)
         sol_lo = solve_penalized(lo, CFG, ensemble)
-        min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo, ensemble)
+        min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo)
         total = comparison_reference(sol_hi, sol_lo, lo, ensemble)
         assert (min_sum != 0.0) == (fz1 != 0.0)
         assert min_sum == float(np.min(total))
@@ -478,10 +484,10 @@ class TestDiagnostics:
         # and a convex terminal value makes it move
         grid = TimeGrid(1.0, 50)
         spec = LevySpec(atoms=((1.0, 1.0),))
-        ens = simulate_ensemble(spec, grid, basis_for(spec), 600, 5, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
+        ens = simulate_ensemble(spec, grid, 600, 5, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
         prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
         sol = solve_penalized(prob, CFG, ens)
-        assert sol.rank == 1
+        assert sol.ens.basis.rank == 1
         assert sol.Z.shape == (600, 51, 1)
         assert np.all(np.isfinite(sol.Z)) and np.any(sol.Z[:, :-1, 0] != 0.0)
 
@@ -754,9 +760,9 @@ class TestRegressionPaths:
         monkeypatch.undo()
 
         # the cases: an obstacle that binds, designs with and without the
-        # layer column, and either L read for sigma dW or a step that
+        # layer column, and either W read for sigma dW or a step that
         # reduces its design
-        n, rank = ens.grid.n_steps, fast.rank
+        n, rank = ens.grid.n_steps, fast.ens.basis.rank
         assert np.mean(reference.K[:, -1]) > 0.01
         assert any(not f.layer and f.sd > solver.SD_FLOOR for f in fast.fits)
         assert any(f.y_coef.shape[1] == cfg.basis_dim for f in fast.fits)
@@ -775,7 +781,7 @@ class TestRegressionPaths:
             assert np.array_equal(Y[:, k], y) and np.array_equal(dK[:, k], push), k
             assert np.array_equal(y_pre[:, k], yhat), k
             assert np.array_equal(Z[:, k, :rank].T, z_rows[n - 1 - k]), k
-        assert np.all(Z[:, :, rank:] == 0.0) and np.all(Z[:, -1] == 0.0)
+        assert np.all(Z[:, -1] == 0.0)
         assert fast.y0_value == float(np.mean(Y[:, 0]))
         np.testing.assert_allclose(fast.K_T, K[:, -1], rtol=0.0, atol=1e-14)
 
@@ -953,7 +959,7 @@ class TestRegressionPaths:
         target = sol.Y[:, 2]  # f = phi = g = 0
         yhat = np.bincount(groups, weights=target) / sizes
         np.testing.assert_allclose(sol.y_pre[:, 1], yhat[groups], rtol=0.0, atol=1e-12)
-        for i in range(sol.rank):
+        for i in range(ensemble.basis.rank):
             centered = (target - yhat[groups]) * ensemble.dH[:, 1, i]
             z = np.bincount(groups, weights=centered) / sizes / ensemble.grid.dt
             np.testing.assert_allclose(sol.Z[:, 1, i], z[groups], rtol=0.0, atol=1e-10)
@@ -993,9 +999,7 @@ class TestNodeMajorLayout:
 def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
     # the indicator column marks the paths within theta / 10 of a wall of
     # the ensemble's domain, the one place theta is set
-    ens = simulate_ensemble(
-        TWO_ATOM, TimeGrid(1.0, 50), basis_for(TWO_ATOM), 600, 11, theta=theta, x0=0.0, sigma_x=SIGMA_X
-    )
+    ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), 600, 11, theta=theta, x0=0.0, sigma_x=SIGMA_X)
     edges, columns = [], []
     design = solver.regression_design
 
@@ -1021,7 +1025,7 @@ def test_sigma_positive_driver_supported():
     spec = LevySpec(atoms=((0.5, 1.0),), sigma=0.4)
     basis = basis_for(spec)
     assert basis.rank == 2
-    ens = simulate_ensemble(spec, TimeGrid(1.0, 50), basis, 600, 11, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
+    ens = simulate_ensemble(spec, TimeGrid(1.0, 50), 600, 11, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
     sol = solve_penalized(make_problem(), CFG, ens)
     assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
     Z = sol.Z

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from levylab.config import DEFAULTS
 from levylab.errors import RankMismatch, SingularRegressionWarning
 from levylab.levy import LevySpec
-from levylab.paths import TimeGrid, derived_rng, simulate_jump_counts, assemble_levy_paths
+from levylab.paths import TimeGrid, derived_rng, simulate_brownian, simulate_jump_counts
 from levylab.pdie import JumpOperator, component_functionals
 from levylab.solver import solve_penalized
 from levylab.suites import terminal_martingales
@@ -174,17 +174,15 @@ class TestIncrements:
         assert dH[0, :2] == pytest.approx(expected.tolist(), abs=1e-14)
 
     def test_counts_record_and_path_agree(self):
-        # without a continuous part the path is not read, so the
-        # increments from the counts alone and with the path are the same
+        # without a continuous part the Brownian path W is not read, so
+        # the increments from the counts alone and with any W are the same
         spec = spec_of((0.5, 2.0), (-0.25, 3.0), drift=0.8)
         basis = basis_for(spec)
         grid = TimeGrid(2.0, 8)
-        rng = derived_rng(5, 0)
-        counts = simulate_jump_counts(spec, grid, rng, 1)
-        L = assemble_levy_paths(spec, grid, counts)
+        counts = simulate_jump_counts(spec, grid, derived_rng(5, 0), 1)
         dh_counts = teugels_increments(counts, grid, spec, basis)
-        dh_path = teugels_increments(counts, grid, spec, basis, levy_path=L)
-        assert np.allclose(dh_counts, dh_path, atol=1e-12)
+        dh_path = teugels_increments(counts, grid, spec, basis, W=np.full((1, 9), np.nan))
+        assert np.any(counts) and np.array_equal(dh_counts, dh_path)
 
     def test_rank_mismatch(self):
         spec = spec_of((0.5, 2.0))
@@ -233,10 +231,8 @@ def test_empirical_strong_orthonormality_and_zero_mean():
     basis = basis_for(spec)
     grid = TimeGrid(1.0, 32)
     n_paths = 20000
-    rng = derived_rng(31, 0)
-    counts = simulate_jump_counts(spec, grid, rng, n_paths)
-    L = assemble_levy_paths(spec, grid, counts, rng)
-    dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
+    counts = simulate_jump_counts(spec, grid, derived_rng(31, 0), n_paths)
+    dH = teugels_increments(counts, grid, spec, basis)
     H_T = dH.sum(axis=1)
     for i in range(basis.rank):
         se = np.std(H_T[:, i], ddof=1) / math.sqrt(n_paths)
@@ -257,8 +253,8 @@ def test_empirical_orthonormality_with_continuous_part():
     n_paths = 20000
     rng = derived_rng(77, 0)
     counts = simulate_jump_counts(spec, grid, rng, n_paths)
-    L = assemble_levy_paths(spec, grid, counts, rng)
-    dH = teugels_increments(counts, grid, spec, basis, levy_path=L)
+    W = simulate_brownian(grid, rng, n_paths)
+    dH = teugels_increments(counts, grid, spec, basis, W=W)
     H_T = dH.sum(axis=1)
     for i in range(2):
         for j in range(i, 2):
@@ -293,6 +289,6 @@ def test_every_martingale_width_is_the_atom_count_of_mu(spec):
     assert terminal_martingales(cfg, basis).shape[0] == n_atoms
     if not spec.continuous_part:
         x = np.linspace(-1.0, 1.0, 21)
-        op = JumpOperator.build(x, spec, basis, ens.sigma_x)
+        op = JumpOperator.build(x, spec, ens.sigma_x)
         assert op.p_at_beta.shape[1] == n_atoms
         assert component_functionals(x, np.ones_like(x), op)[1].shape == (21, n_atoms)

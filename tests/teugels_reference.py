@@ -118,10 +118,10 @@ def power_sum_increments(counts, grid, spec, requested_m, levy_path=None):
     return dH
 
 
-def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
+def stored_increments_reference(counts, grid, spec, basis, W=None):
     """dH [path, step, rank] of [path, step, atom] counts built whole: every
-    step's jump part first, then one pass adding q(0) sigma dW_k from the
-    path and the step's jump sums."""
+    step's jump part P (n_k - alpha dt) first, then one pass adding
+    q(0) sigma (W_{k+1} - W_k) from the driver's Brownian path W [path, node]."""
     n, n_paths = grid.n_steps, counts.shape[0]
     dH = np.zeros((n, basis.rank, n_paths))
     step_counts = counts.transpose(1, 2, 0)
@@ -129,11 +129,8 @@ def stored_increments_reference(counts, grid, spec, basis, levy_path=None):
         compensated = step_counts[k] - (spec.intensities * grid.dt)[:, None]
         np.matmul(basis.jump_weights, compensated, out=dH[k])
     if spec.continuous_part:
-        L = np.asarray(levy_path, dtype=float).T
-        drift = grid.dt * spec.drift_b
+        W = np.asarray(W, dtype=float)
+        weights = (spec.sigma * basis.q_zero)[:, None]
         for k in range(n):
-            sigma_dw = np.subtract(L[k + 1], L[k])
-            sigma_dw -= drift
-            sigma_dw -= spec.jump_sizes @ step_counts[k]
-            dH[k] += basis.q_zero[:, None] * sigma_dw
+            dH[k] += weights * (W[:, k + 1] - W[:, k])
     return dH.transpose(2, 0, 1)
