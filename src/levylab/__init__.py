@@ -20,6 +20,7 @@ from .errors import (
     DuplicateJumpSize,
     GridIncompatible,
     InitialPointOutsideDomain,
+    InvalidClock,
     LevyLabError,
     NonpositiveIntensity,
     RankMismatch,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .levy import LevySpec
 from .paths import (
+    ClockEvents,
     PathEnsemble,
     TimeGrid,
     derived_rng,

@@ -54,13 +54,13 @@ def _cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     n_paths = ens.n_paths
     out = _out_dir(cfg)
     t = cfg.grid.nodes
-    L = ens.L  # derived on each read, so read once
+    L, eta_abs, A = ens.L, ens.eta_abs, ens.A  # derived on each read, so read once
     lines = ["path,node,t,B,L,X,eta_abs,A"]
     for p in range(n_paths):
         for k in range(cfg.grid.n_steps + 1):
             lines.append(
                 f"{p},{k},{t[k]:.12g},{ens.B[k]:.12g},{L[p, k]:.12g},"
-                f"{ens.X[p, k]:.12g},{ens.eta_abs[p, k]:.12g},{ens.A[p, k]:.12g}"
+                f"{ens.X[p, k]:.12g},{eta_abs[p, k]:.12g},{A[p, k]:.12g}"
             )
     _write(out / "paths.csv", "\n".join(lines) + "\n")
     lines = ["path,step,jump_size"]

@@ -26,6 +26,11 @@ class InitialPointOutsideDomain(LevyLabError):
     """Reflected simulation started outside [-theta, theta]."""
 
 
+class InvalidClock(LevyLabError):
+    """A clock given by its node values does not start at 0 on every path,
+    or decreases."""
+
+
 class TerminalBelowObstacle(LevyLabError):
     """The terminal value falls below the obstacle on some path."""
 

@@ -1,6 +1,6 @@
 """Forward path simulation: Brownian driver, jump paths from per-step jump
 counts, clamp-reflected state, and the increasing clock A, which is the
-state's boundary local time |eta| (a read-only view of it).
+state's boundary local time |eta|, recorded as its growth events.
 
 All randomness flows from one master seed through named SeedSequence spawn
 keys (see :func:`derived_rng`), so an ensemble is bit-reproducible for a
@@ -19,25 +19,35 @@ numpy's indexed fast path (see :func:`simulate_jump_counts`).
 Storage
 -------
 Both the forward reflection and the backward sweep walk the grid one node
-at a time, so the per-node arrays are stored node-major: the state X, the
-local time |eta| (and so the clock A) and the driver's own Brownian path W
-as [node, path], and the jump counts, in the smallest unsigned dtype that
-holds them, as [step, atom, path].  Functions return them as transposed
-views with the documented [path, node(, atom)] shapes; ``.T`` (or
-``.transpose(1, 2, 0)``) recovers the contiguous node-major array without
-a copy.
+at a time, so the per-node arrays are stored node-major: the state X and
+the driver's own Brownian path W as [node, path], and the jump counts, in
+the smallest unsigned dtype that holds them, as [step, atom, path].
+Functions return them as transposed views with the documented [path,
+node(, atom)] shapes; ``.T`` (or ``.transpose(1, 2, 0)``) recovers the
+contiguous node-major array without a copy.
 
 An ensemble stores what was drawn, the counts N, W (when the driver has a
-continuous part) and B, and what the reflection computed, X and |eta|.
-The driver L is a function of N and W, node k the jump sum of steps
-0..k-1 plus drift_b t_k and sigma W_k.  The reflection reads its node
-rows as :class:`DriverNodes` builds them, two reused rows at a time, and
-:attr:`PathEnsemble.L` derives it whole on each read with
-:func:`assemble_levy_paths`, the same kernel.  The martingale increments
-dH, a function of N and W, are not stored either: the sweep forms them
-one step at a time, and :attr:`PathEnsemble.dH` derives them on each
-read.  The reflection writes X and |eta| one row at a time, through one
-reused row, with no per-step temporaries.
+continuous part) and B, and what the reflection computed, X and the
+growth events of |eta| (:class:`ClockEvents`).  The local time grows only
+at a wall, at the steps where the clamp moved a path, so the record holds
+those steps' paths and their |eta| at the step's two nodes, a few
+thousand events where the dense clock would be a [node, path] block; the
+dense |eta| and the clock A are derived from it on each read, bit for
+bit the running sum of the overshoots.  The driver L is a function of N
+and W, node k the jump sum of steps 0..k-1 plus drift_b t_k and sigma
+W_k.  The reflection reads its node rows as :class:`DriverNodes` builds
+them, two reused rows at a time, and :attr:`PathEnsemble.L` derives it
+whole on each read with :func:`assemble_levy_paths`, the same kernel.
+The martingale increments dH, a function of N and W, are not stored
+either: the sweep forms them one step at a time, and
+:attr:`PathEnsemble.dH` derives them on each read.
+
+A driver with no drift and no continuous part is idle between its jumps,
+so under it a path moves only in a step where it jumps: the reflection
+copies X's row forward and steps only the paths with a count in the step
+(:meth:`DriverNodes.jump_steps`), about 1.5% of them at example51's size.
+Any other driver moves every path, and the reflection steps the whole
+row through one reused row, with no per-step temporaries of its size.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InitialPointOutsideDomain
+from .errors import InitialPointOutsideDomain, InvalidClock
 from .levy import LevySpec
 from .teugels import TeugelsBasis, basis_for, teugels_increments
 
@@ -206,13 +216,107 @@ class DriverNodes:
     def __iter__(self) -> Iterator[np.ndarray]:
         return _driver_nodes(self.spec, self.grid, self.counts, self.W, np.empty((2, self.counts.shape[0])))
 
+    @property
+    def idle(self) -> bool:
+        """Whether the driver has no drift and no continuous part, so that
+        it moves a path only in a step where the path jumps."""
+        return self.spec.drift_b == 0.0 and not self.spec.continuous_part
+
+    def jump_steps(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For an idle driver, yield per step k the paths with a jump in the
+        step, ascending, and their dL_k, the difference of the node rows
+        there bit for bit: nodes k and k + 1 are the running jump sums J_k
+        and J_{k+1} plus drift_b * t = 0.0, and every other path's dL_k is
+        zero."""
+        if not self.idle:
+            raise ValueError("only an idle driver (no drift, sigma = 0) moves just the paths that jump")
+        sizes = self.spec.jump_sizes
+        jumps = np.zeros(self.counts.shape[0])
+        for step in self.counts.transpose(1, 2, 0):  # [atom, path] rows
+            moved = np.flatnonzero(step.any(axis=0))
+            before = jumps[moved]
+            after = before + sizes @ step[:, moved]
+            jumps[moved] = after
+            after += 0.0
+            before += 0.0
+            yield moved, np.subtract(after, before, out=after)
+
+
+@dataclass(frozen=True, eq=False)
+class ClockEvents:
+    """The boundary local time |eta|, an increasing clock from 0, recorded
+    as its growth events.
+
+    Step k's events are the paths whose |eta| grew from node k to node
+    k + 1, ``paths[offsets[k]:offsets[k + 1]]`` in ascending order, with
+    |eta| there at node k in ``before`` and at node k + 1 in ``after``;
+    every other path keeps its value.  :meth:`dense` rebuilds the [path,
+    node] clock from them bit for bit, and :meth:`from_dense` records a
+    dense clock.
+    """
+
+    n_paths: int
+    offsets: np.ndarray
+    paths: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The step of each event."""
+        return np.repeat(np.arange(self.n_steps), np.diff(self.offsets))
+
+    def step(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step k's events: ``(paths, before, after)``."""
+        events = slice(self.offsets[k], self.offsets[k + 1])
+        return self.paths[events], self.before[events], self.after[events]
+
+    def dense(self) -> np.ndarray:
+        """The clock's node values [path, node], a transposed view of
+        node-major storage."""
+        out = np.empty((self.n_steps + 1, self.n_paths))
+        out[0] = 0.0
+        for k in range(self.n_steps):
+            out[k + 1] = out[k]
+            paths, _, after = self.step(k)
+            out[k + 1, paths] = after
+        return out.T
+
+    @classmethod
+    def from_events(cls, n_paths: int, events: list) -> ClockEvents:
+        """The record of per-step ``(paths, before, after)`` triples, one
+        per step of at least one."""
+        offsets = np.zeros(len(events) + 1, dtype=np.intp)
+        np.cumsum([len(paths) for paths, _, _ in events], out=offsets[1:])
+        return cls(n_paths, offsets, *(np.concatenate(column) for column in zip(*events)))
+
+    @classmethod
+    def from_dense(cls, clock) -> ClockEvents:
+        """The record of a dense clock [path, node], of either layout,
+        which must start at 0 and never decrease (:class:`InvalidClock`
+        otherwise)."""
+        nodes = np.ascontiguousarray(np.asarray(clock, dtype=float).T)
+        if np.any(nodes[0] != 0.0):
+            raise InvalidClock("the clock must start at 0 on every path")
+        grew = nodes[1:] > nodes[:-1]
+        if not np.all(grew | (nodes[1:] == nodes[:-1])):
+            raise InvalidClock("the clock must be nondecreasing on every path")
+        steps, paths = np.nonzero(grew)
+        offsets = np.zeros(nodes.shape[0], dtype=np.intp)
+        np.cumsum(np.count_nonzero(grew, axis=1), out=offsets[1:])
+        return cls(nodes.shape[1], offsets, paths, nodes[steps, paths], nodes[steps + 1, paths])
+
 
 def simulate_reflected_x(
     sigma_x: Callable[[np.ndarray], np.ndarray],
     theta: float,
     x0: float,
     driver_nodes,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ClockEvents]:
     """Clamp-projected Euler state on [-theta, theta] with its local time.
 
     Each step proposes ``X + sigma_x(X) * dL`` (jumps within the step are
@@ -223,31 +327,63 @@ def simulate_reflected_x(
 
     ``driver_nodes`` is the driver's node rows in order: a
     :class:`DriverNodes`, or any sized iterable of [path] rows, such as a
-    [node, path] array; dL_k is the difference of nodes k + 1 and k.  The
-    state and local time come back as [path, node] transposed views of
-    node-major arrays, so each step reads and writes contiguous rows.  The
-    two share one [2, node, path] block, allocated and released together:
-    at example51's size it is larger than glibc's largest mmap threshold,
-    so it is mapped on its own and does not grow and trim the heap that
-    the sweep's rows and the report's temporaries are reused from.
+    [node, path] array; dL_k is the difference of nodes k + 1 and k.  An
+    idle :class:`DriverNodes` (no drift, sigma = 0) leaves a path where it
+    is in a step without a jump, so each step copies X's row forward and
+    steps only the paths of :meth:`DriverNodes.jump_steps`; any other
+    driver steps every path through one reused row.  Both forms give the
+    same values bit for bit.
+
+    Returns the state as a [path, node] transposed view of a node-major
+    array, and the local time as the :class:`ClockEvents` of the paths
+    whose |eta| grew, |eta| + |overshoot| at each.
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    nodes = iter(driver_nodes)
-    prev = next(nodes)
-    X, eta = np.empty((2, len(driver_nodes), prev.shape[0]))
+    idle = isinstance(driver_nodes, DriverNodes) and driver_nodes.idle
+    if idle:
+        n_paths = driver_nodes.counts.shape[0]
+    else:
+        nodes = iter(driver_nodes)
+        prev = next(nodes)
+        n_paths = prev.shape[0]
+    X = np.empty((len(driver_nodes), n_paths))
     X[0] = x0
-    eta[0] = 0.0
-    proposal = np.empty(X.shape[1])  # one row, reused: the step then its overshoot
-    for k, node in enumerate(nodes):
-        np.subtract(node, prev, out=proposal)
-        proposal *= np.asarray(sigma_x(X[k]), dtype=float)
-        proposal += X[k]
-        np.clip(proposal, -theta, theta, out=X[k + 1])
-        proposal -= X[k + 1]
-        np.add(eta[k], np.abs(proposal, out=proposal), out=eta[k + 1])
-        prev = node
-    return X.T, eta.T
+    eta = np.zeros(n_paths)  # |eta| at the current node
+    events = []
+
+    def grow(paths: np.ndarray, overshoot: np.ndarray) -> None:
+        before = eta[paths]
+        after = before + np.abs(overshoot)
+        grew = after > before  # an overshoot below |eta|'s last digit leaves it
+        if not grew.all():
+            paths, before, after = paths[grew], before[grew], after[grew]
+        eta[paths] = after
+        events.append((paths, before, after))
+
+    if idle:
+        for k, (moved, proposal) in enumerate(driver_nodes.jump_steps()):
+            X[k + 1] = X[k]
+            x = X[k, moved]
+            proposal *= np.asarray(sigma_x(x), dtype=float)
+            proposal += x
+            X[k + 1, moved] = np.clip(proposal, -theta, theta, out=x)
+            proposal -= x
+            hit = np.flatnonzero(proposal)
+            grow(moved[hit], proposal[hit])
+    else:
+        proposal = np.empty(n_paths)  # one row, reused: the step then its overshoot
+        clamped = np.empty(n_paths, dtype=bool)  # nonzero on a bool row is the fast one
+        for k, node in enumerate(nodes):
+            np.subtract(node, prev, out=proposal)
+            proposal *= np.asarray(sigma_x(X[k]), dtype=float)
+            proposal += X[k]
+            np.clip(proposal, -theta, theta, out=X[k + 1])
+            proposal -= X[k + 1]
+            hit = np.flatnonzero(np.not_equal(proposal, 0.0, out=clamped))
+            grow(hit, proposal[hit])
+            prev = node
+    return X.T, ClockEvents.from_events(n_paths, events)
 
 
 def skorokhod_minimality_gap(
@@ -279,19 +415,21 @@ class PathEnsemble:
     It stores what was drawn, ``jump_counts`` N [path, step, atom], the
     driver's own Brownian path ``W`` [path, node] (``None`` when the driver
     has no continuous part) and ``B`` [node], and what the reflection
-    computed, ``X`` and ``eta_abs`` [path, node] with the clock ``A`` a
-    read-only view of ``eta_abs``, the boundary local time; the solver
-    reads any increasing ``A`` it is given.  From :func:`simulate_ensemble`
-    the arrays are transposed views of node-major ones, the counts in a
-    small unsigned dtype (see the module docstring); an ensemble built by
-    hand may hold path-major arrays instead, which the solver copies to
+    computed, ``X`` [path, node] and ``clock``, the growth events of the
+    boundary local time |eta| (:class:`ClockEvents`); the solver reads any
+    increasing clock recorded there.  From :func:`simulate_ensemble` the
+    arrays are transposed views of node-major ones, the counts in a small
+    unsigned dtype (see the module docstring); an ensemble built by hand
+    may hold path-major arrays instead, which the solver copies to
     node-major once per sweep.
 
     The rest is derived from the record, each by one function: ``basis``
     by :func:`~levylab.teugels.basis_for` from the spec, once; the driver
     ``L`` [path, node] by :func:`assemble_levy_paths` and ``dH`` [path,
     step, component] by :func:`~levylab.teugels.teugels_increments`, both
-    from N and W on every read, not cached, so a reader binds each once.
+    from N and W, and ``eta_abs`` and the clock ``A`` [path, node], both
+    |eta|, by :meth:`ClockEvents.dense`, all on every read, not cached, so
+    a reader binds each once.
     """
 
     grid: TimeGrid
@@ -303,8 +441,7 @@ class PathEnsemble:
     W: np.ndarray | None
     jump_counts: np.ndarray
     X: np.ndarray
-    eta_abs: np.ndarray
-    A: np.ndarray
+    clock: ClockEvents
 
     @property
     def n_paths(self) -> int:
@@ -321,6 +458,12 @@ class PathEnsemble:
     @property
     def dH(self) -> np.ndarray:
         return teugels_increments(self.jump_counts, self.grid, self.spec, self.basis, W=self.W)
+
+    @property
+    def eta_abs(self) -> np.ndarray:
+        return self.clock.dense()
+
+    A = eta_abs
 
 
 def simulate_ensemble(
@@ -345,9 +488,7 @@ def simulate_ensemble(
     counts = simulate_jump_counts(spec, grid, rng_levy, n_paths)
     W = simulate_brownian(grid, rng_levy, n_paths) if spec.continuous_part else None
     B = simulate_brownian(grid, rng_b)
-    X, eta = simulate_reflected_x(sigma_x, theta, x0, DriverNodes(spec, grid, counts, W))
-    A = eta.view()
-    A.flags.writeable = False
+    X, clock = simulate_reflected_x(sigma_x, theta, x0, DriverNodes(spec, grid, counts, W))
     return PathEnsemble(
         grid=grid,
         spec=spec,
@@ -358,6 +499,5 @@ def simulate_ensemble(
         W=W,
         jump_counts=counts,
         X=X,
-        eta_abs=eta,
-        A=A,
+        clock=clock,
     )

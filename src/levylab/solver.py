@@ -60,14 +60,18 @@ design already holds.
 Storage
 -------
 Every per-node array the sweep reads is node-major, so each step reads
-contiguous rows and nothing is gathered per step.  The inputs X, A and the
-jump counts (and the driver's Brownian path W, when it has a continuous
-part) are taken from the ensemble's transposed views through
-``np.ascontiguousarray`` once per sweep: free for an ensemble from
-:func:`~levylab.paths.simulate_ensemble`, one copy for a hand-built
-path-major one.  Step k's increments dH_k are formed from its counts (and
-W's step) by :func:`~levylab.teugels.step_increments` into one reused
-[rank, path] block.
+contiguous rows.  The inputs X and the jump counts (and the driver's
+Brownian path W, when it has a continuous part) are taken from the
+ensemble's transposed views through ``np.ascontiguousarray`` once per
+sweep: free for an ensemble from :func:`~levylab.paths.simulate_ensemble`,
+one copy for a hand-built path-major one.  Step k's increments dH_k are
+formed from its counts (and W's step) by
+:func:`~levylab.teugels.step_increments` into one reused [rank, path]
+block.  The clock is read as the ensemble records it, step k's growth
+events (:class:`~levylab.paths.ClockEvents`): dA_k is zero off them and
+phi is pointwise, so the phi dA_k term of the target and the Y^2 dA_k
+diagnostic are formed at those paths only, a few per cent of them or
+none, with phi called on their states alone.
 
 The sweep stores no [node, path] array.  Y and Z at node k + 1 (the step's
 inputs) and at node k (its outputs), the fit, the push and the running
@@ -82,9 +86,9 @@ the same coefficient products, then the g dB term and the push.  So Y, Z,
 dK, K, y_pre and S are evaluated on read, one node at a time, at every
 path or at the paths a reader asks for, of the ensemble the solution
 holds.  The diagnostics are reduced as the sweep writes each row: sup Y^2
-in one per-path row, and the path sums of Y^2 dA, |Z|^2, the push's gap
-and the penetration as one scalar per step, since only their path means
-are read.
+in one per-path row, and the path sums of Y^2 dA (over the clock's
+events), |Z|^2, the push's gap and the penetration as one scalar per
+step, since only their path means are read.
 """
 
 from __future__ import annotations
@@ -440,7 +444,7 @@ def solve_penalized(
         )
     # Node-major inputs: row k is the contiguous node-k (step-k) slice.
     X = np.ascontiguousarray(ens.X.T)
-    A = np.ascontiguousarray(ens.A.T)
+    clock = ens.clock
     counts = np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))
     W = None if ens.W is None else np.ascontiguousarray(ens.W.T)
     dB = np.diff(ens.B)
@@ -477,7 +481,6 @@ def solve_penalized(
     # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
     # ((S - Y)^+)^2.
     row = np.empty(n_paths)
-    dA = np.empty(n_paths)
     sup_y2 = np.square(xi)
     y2_dA = z2 = gap = 0.0
     penetration = np.empty(n + 1)
@@ -488,12 +491,14 @@ def solve_penalized(
     push_scale = _push_scale(pen, dt)
     for k in range(n - 1, -1, -1):
         x = X[k]
-        np.subtract(A[k + 1], A[k], out=dA)
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, z_next.T), dtype=float)
-        phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
         np.multiply(fk, dt, out=target)
         target += y_next
-        target += np.multiply(phik, dA, out=row)
+        # phi dA_k: dA_k is zero off the step's clock events, and phi is pointwise
+        grew, before, after = clock.step(k)
+        dA = after - before
+        if grew.size:
+            target[grew] += np.asarray(problem.phi(t[k + 1], X[k + 1, grew], y_next[grew]), dtype=float) * dA
         design, scale = regression_design(x, config.degree, layer_edge, aug[1:])
         ncol = design.shape[0]
         rhs_gram = design @ aug[: ncol + 1].T
@@ -517,7 +522,7 @@ def solve_penalized(
 
         penetration[k] = _mean_penetration_sq(s_k, y, row)
         np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
-        y2_dA += float(np.dot(row, dA))
+        y2_dA += float(np.dot(row[grew], dA))
         y_next, y = y, y_next
         z_next, z = z, z_next
 

@@ -389,10 +389,12 @@ def crosscheck_run(cfg: ExperimentConfig):
 def _skorokhod_gap(cfg: ExperimentConfig) -> dict:
     ens = replace(cfg, n_paths=min(cfg.n_paths, 1000)).build_ensemble()
     V = derived_rng(cfg.seed, 0, STREAM_COMPARISON).uniform(-ens.theta, ens.theta, size=ens.X.shape)
-    interior = np.abs(ens.X[:, 1:]) < ens.theta
+    # the largest growth of |eta| at a step that ends strictly inside the walls
+    clock = ens.clock
+    interior = np.abs(ens.X[clock.paths, clock.steps + 1]) < ens.theta
     return {
         "minimality_gap": skorokhod_minimality_gap(ens.X, V, ens.eta_abs, ens.theta),
-        "local_time_support": float(np.max(np.where(interior, np.diff(ens.eta_abs, axis=1), 0.0))),
+        "local_time_support": float(np.max((clock.after - clock.before)[interior], initial=0.0)),
     }
 
 

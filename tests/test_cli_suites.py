@@ -455,7 +455,9 @@ def test_suites_sweep_with_the_configured_degree(monkeypatch):
         suites.suite_checks(name, cfg)
         degrees = {config.degree for _, config, _ in seen}
         assert degrees == {3}, (name, degrees)
-        assert all(np.shares_memory(ens.A, ens.eta_abs) for *_, ens in seen), name
+        # the clock is the reflection's local time: it grows only on a wall
+        assert all(np.all(np.abs(ens.X[ens.clock.paths, ens.clock.steps + 1]) == ens.theta)
+                   for *_, ens in seen), name
         own = [(problem, ens) for problem, _, ens in seen if problem.name == cfg.problem_name]
         if name in ("penalization", "uniqueness", "feynman_kac"):
             assert own, name

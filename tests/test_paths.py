@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab.config import DEFAULTS, load_config
-from levylab.errors import InitialPointOutsideDomain
+from levylab.errors import InitialPointOutsideDomain, InvalidClock, LevyLabError
 from levylab.levy import LevySpec
 from levylab.paths import (
     STREAM_LEVY,
+    ClockEvents,
+    DriverNodes,
     TimeGrid,
     assemble_levy_paths,
     boundary_direction,
@@ -35,8 +37,8 @@ SIGMA_X = DEFAULTS.build_sigma_x()  # the default config's sigma_x = 1
 
 def reflect_one(sigma_x, theta, x0, L):
     """One path [node] through the ensemble reflection as [node, 1] rows."""
-    X, eta = simulate_reflected_x(sigma_x, theta, x0, np.asarray(L, dtype=float)[:, None])
-    return X[0], eta[0]
+    X, clock = simulate_reflected_x(sigma_x, theta, x0, np.asarray(L, dtype=float)[:, None])
+    return X[0], clock.dense()[0]
 
 
 def test_grid_validation():
@@ -365,18 +367,21 @@ class TestCompactCounts:
         counts_ref = simulate_jump_counts_reference(spec, grid, rng_ref, n_paths)
         L_ref = assemble_levy_paths_reference(spec, grid, counts_ref, rng_ref)
         assert np.array_equal(ens.L, L_ref)
-        X_ref, eta_ref = simulate_reflected_x(sigma_x, 1.0, 0.0, L_ref.T)
-        assert np.array_equal(ens.X, X_ref) and np.array_equal(ens.eta_abs, eta_ref)
+        X_ref, clock_ref = simulate_reflected_x(sigma_x, 1.0, 0.0, L_ref.T)
+        assert np.array_equal(ens.X, X_ref) and np.array_equal(ens.eta_abs, clock_ref.dense())
         assert np.any(ens.eta_abs[:, -1] > 0.0)
 
-    @pytest.mark.parametrize("spec", [TWO_ATOM, replace(TWO_ATOM, sigma=0.3)], ids=["pure-jump", "sigma"])
-    def test_simulation_memory_stays_near_the_returned_arrays(self, spec):
-        # the counts and the reflection are built one step at a time, the
-        # reflection reads the driver's nodes from two reused rows, and
-        # neither L nor dH is stored, so the peak is the stored arrays plus
-        # a few rows: W's increments are freed before the reflection's
-        # block is allocated.  A stored L would add 51 rows, a stored dH
-        # n_steps * rank = 100 (150 with sigma)
+    @pytest.mark.parametrize(
+        "spec", [replace(TWO_ATOM, drift_b=0.0), TWO_ATOM, replace(TWO_ATOM, sigma=0.3)],
+        ids=["idle", "drift", "sigma"],
+    )
+    def test_ensemble_stores_X_the_counts_W_and_the_clock_record(self, spec):
+        # what is stored is X, the counts, W when sigma > 0, B and the
+        # clock's growth events, under a tenth of the [node, path] cells;
+        # neither L, dH nor a dense clock is stored, and the peak is the
+        # stored arrays plus 11-16 rows: W's increments are freed before X
+        # is allocated.  A stored L or dense clock would add 51 rows, a
+        # stored dH n_steps * rank = 100 (150 with sigma)
         grid = TimeGrid(1.0, 50)
         n_paths = 10_000
         tracemalloc.start()
@@ -385,13 +390,20 @@ class TestCompactCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(ens.A, ens.eta_abs)  # the local-time clock adds no bytes
-        stored = [v for v in vars(ens).values() if isinstance(v, np.ndarray)]
-        assert not [a.shape for a in stored if a.ndim == 3 and a.dtype.kind == "f"]
-        assert "L" not in vars(ens) and (ens.W is not None) == spec.continuous_part
-        returned = sum(a.nbytes for a in stored) - ens.A.nbytes
+        clock = ens.clock
+        assert set(vars(ens)) == {"grid", "spec", "theta", "x0", "sigma_x", "B", "W", "jump_counts", "X", "clock"}
+        assert (ens.W is not None) == spec.continuous_part
+        node_path = [a for a in (ens.X, ens.W) if a is not None]
+        assert all(a.shape == (n_paths, grid.n_steps + 1) and a.T.flags.c_contiguous for a in node_path)
+        assert ens.jump_counts.dtype == np.uint8
+        events = clock.paths.shape[0]
+        assert 0 < events < 0.1 * n_paths * grid.n_steps
+        assert clock.offsets.shape == (grid.n_steps + 1,)
+        assert clock.before.shape == clock.after.shape == (events,)
+        stored = [ens.B, ens.jump_counts, *node_path, clock.offsets, clock.paths, clock.before, clock.after]
+        returned = sum(a.nbytes for a in stored)
         row = n_paths * np.dtype(float).itemsize
-        assert peak <= returned + 40 * row, (peak - returned) / row
+        assert peak <= returned + 25 * row, (peak - returned) / row
 
     def test_rank_zero_driver_has_zero_martingales(self):
         spec = LevySpec()  # no atoms and no continuous part
@@ -489,15 +501,111 @@ class TestAssembleA:
         assert ens.A[0, 0] == 0.0
         assert ens.A[0, 1] == pytest.approx(0.3, abs=1e-15)
 
-    def test_local_time_clock_shares_eta_read_only(self):
+    def test_local_time_clock_is_derived_from_the_growth_events(self):
+        # eta_abs and A are |eta|, rebuilt from the record on each read: node
+        # k + 1 is node k with each event's path set to its value there
         ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 20), 50, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
-        assert np.shares_memory(ens.A, ens.eta_abs)
-        assert not ens.A.flags.writeable
-        assert ens.eta_abs.flags.writeable
-        assert ens.A.T.flags.c_contiguous
-        assert np.array_equal(ens.A, ens.eta_abs)
-        with pytest.raises(ValueError, match="read-only"):
-            ens.A[0, 1] = 1.0
+        eta, A = ens.eta_abs, ens.A
+        assert eta is not A and np.array_equal(A, eta)
+        assert eta.T.flags.c_contiguous and np.all(eta[:, 0] == 0.0)
+        clock = ens.clock
+        steps = clock.steps
+        assert clock.paths.shape[0] > 0 and np.all(clock.after > clock.before)
+        assert np.array_equal(eta[clock.paths, steps], clock.before)
+        assert np.array_equal(eta[clock.paths, steps + 1], clock.after)
+        grew = np.zeros((50, 20), dtype=bool)
+        grew[clock.paths, steps] = True
+        assert np.array_equal(grew, np.diff(eta, axis=1) > 0.0)
+        # |eta| grows only where the step ends on a wall
+        assert np.all(np.abs(ens.X[clock.paths, steps + 1]) == 1.0)
+
+
+def reflect_dense_reference(sigma_x, theta, x0, L):
+    """The reflection as it stepped every path and stored |eta| dense:
+    one [2, node, path] block for X and |eta|, from the driver's node rows
+    ``L`` [node, path]."""
+    X, eta = np.empty((2,) + L.shape)
+    X[0] = x0
+    eta[0] = 0.0
+    proposal = np.empty(L.shape[1])
+    for k in range(L.shape[0] - 1):
+        np.subtract(L[k + 1], L[k], out=proposal)
+        proposal *= np.asarray(sigma_x(X[k]), dtype=float)
+        proposal += X[k]
+        np.clip(proposal, -theta, theta, out=X[k + 1])
+        proposal -= X[k + 1]
+        np.add(eta[k], np.abs(proposal, out=proposal), out=eta[k + 1])
+    return X.T, eta.T
+
+
+def example51_driver():
+    cfg = load_config(str(CONFIGS / "example51.cfg"))
+    return cfg.levy, cfg.build_sigma_x()
+
+
+def orthonormality_driver():
+    return load_config(str(CONFIGS / "orthonormality.cfg")).levy, SIGMA_X
+
+
+def continuous_affine_driver():
+    cfg = replace(DEFAULTS, levy=replace(TWO_ATOM, sigma=0.3), sigma_x=("affine", 1.0, 0.3))
+    return cfg.levy, cfg.build_sigma_x()
+
+
+class TestClockEvents:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "driver", [example51_driver, orthonormality_driver, continuous_affine_driver],
+        ids=["example51-idle", "orthonormality-drift", "sigma-affine"],
+    )
+    def test_reflection_matches_the_dense_reference_bit_for_bit(self, driver, seed):
+        spec, sigma_x = driver()
+        grid, n_paths = TimeGrid(1.0, 100), 2000
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return sigma_x(x)
+
+        ens = simulate_ensemble(spec, grid, n_paths, seed, theta=1.0, x0=0.0, sigma_x=counting)
+        X_ref, eta_ref = reflect_dense_reference(sigma_x, 1.0, 0.0, ens.L.T)
+        assert np.array_equal(ens.X, X_ref)
+        assert np.array_equal(ens.eta_abs, eta_ref) and np.array_equal(ens.A, eta_ref)
+        assert np.any(eta_ref[:, -1] > 0.0)
+        expected = ClockEvents.from_dense(eta_ref)
+        for field in ("offsets", "paths", "before", "after"):
+            assert np.array_equal(getattr(ens.clock, field), getattr(expected, field)), field
+        # an idle driver steps only the paths that jump in the step
+        idle = DriverNodes(spec, grid, ens.jump_counts, ens.W).idle
+        assert idle == (spec.drift_b == 0.0 and spec.sigma == 0.0)
+        if idle:
+            assert sum(calls) == np.count_nonzero(ens.jump_counts.any(axis=2))
+        else:
+            assert calls == [n_paths] * grid.n_steps
+
+    def test_dense_clock_round_trips(self):
+        ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 30), 200, 3, theta=1.0, x0=0.5, sigma_x=SIGMA_X)
+        nodes = ens.grid.nodes
+        for clock in (ens.eta_abs, np.broadcast_to(nodes, ens.X.shape), np.zeros(ens.X.shape)):
+            for layout in (clock, np.ascontiguousarray(clock)):
+                record = ClockEvents.from_dense(layout)
+                assert record.n_paths == 200 and record.n_steps == 30
+                assert np.array_equal(record.dense(), clock)
+        identity = ClockEvents.from_dense(np.broadcast_to(nodes, ens.X.shape))
+        assert identity.paths.shape == (200 * 30,)
+        paths, before, after = identity.step(4)
+        assert np.array_equal(paths, np.arange(200))
+        assert np.all(after - before == nodes[5] - nodes[4])
+
+    def test_dense_clock_must_start_at_zero_and_increase(self):
+        clock = np.broadcast_to(np.linspace(0.0, 1.0, 5), (3, 5)).copy()
+        shifted = clock + 0.5
+        with pytest.raises(InvalidClock, match="start at 0"):
+            ClockEvents.from_dense(shifted)
+        assert issubclass(InvalidClock, LevyLabError)
+        clock[1, 3] = 0.1
+        with pytest.raises(InvalidClock, match="nondecreasing"):
+            ClockEvents.from_dense(clock)
 
 
 class TestNodeMajorReflection:
@@ -519,7 +627,8 @@ class TestNodeMajorReflection:
         L = np.cumsum(derived_rng(14, 0).normal(0.0, 0.4, size=(7, 31)), axis=1)
         L[:, 0] = 0.0
         sigma = lambda x: 1.0 + 0.3 * np.asarray(x, dtype=float)
-        X, eta = simulate_reflected_x(sigma, theta, x0, L.T)
+        X, clock = simulate_reflected_x(sigma, theta, x0, L.T)
+        eta = clock.dense()
         assert X.shape == eta.shape == (7, 31)
         assert X.T.flags.c_contiguous and eta.T.flags.c_contiguous
         assert np.any(eta[:, -1] > 0.0)  # the clamp is exercised
@@ -530,7 +639,8 @@ class TestNodeMajorReflection:
 
     def test_single_path_matches_scalar_euler(self):
         L = np.array([[0.0, 0.5, 1.4, -0.3, -2.0]])
-        X, eta = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.2, L.T)
+        X, clock = simulate_reflected_x(lambda x: np.ones_like(x), 1.0, 0.2, L.T)
+        eta = clock.dense()
         assert X.shape == eta.shape == (1, 5)
         X_ref, eta_ref = self.scalar_reference(lambda x: 1.0, 1.0, 0.2, L[0].tolist())
         assert X[0].tolist() == X_ref and eta[0].tolist() == eta_ref

@@ -11,7 +11,7 @@ from levylab import solver
 from levylab.config import DEFAULTS, load_config
 from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec
-from levylab.paths import TimeGrid, simulate_ensemble
+from levylab.paths import ClockEvents, TimeGrid, simulate_ensemble
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
 from levylab.solver import SolverConfig, solve_penalized
 from levylab.suites import (
@@ -68,7 +68,8 @@ def ensemble():
 @pytest.fixture(scope="module")
 def ensemble_identity_clock(ensemble):
     # the solver reads any increasing clock: here A = t on every path
-    return dataclasses.replace(ensemble, A=np.broadcast_to(ensemble.grid.nodes, ensemble.A.shape))
+    clock = ClockEvents.from_dense(np.broadcast_to(ensemble.grid.nodes, ensemble.X.shape))
+    return dataclasses.replace(ensemble, clock=clock)
 
 
 CFG = SolverConfig(penalization=None, degree=4)
@@ -95,6 +96,27 @@ class TestExactPropagation:
         sol = solve_penalized(prob, CFG, ensemble_identity_clock)
         expected = (1.0 - 0.5 * 0.01) ** 100
         assert sol.y0_value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("clock", ["local-time", "identity"])
+    def test_phi_is_evaluated_at_the_clock_events_only(self, ensemble, ensemble_identity_clock, clock):
+        # dA_k vanishes off step k's events, so phi is called on their
+        # states alone: walls for the local time, every path for A = t
+        ens = ensemble if clock == "local-time" else ensemble_identity_clock
+        seen = []
+
+        def phi(t, x, y):
+            seen.append(x.copy())
+            return -0.5 * np.asarray(y, dtype=float)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            solve_penalized(make_problem(phi=phi), CFG, ens)
+        events = np.diff(ens.clock.offsets)
+        assert [x.shape[0] for x in seen] == [e for e in events[::-1] if e]
+        if clock == "identity":
+            assert len(seen) == 100 and all(x.shape[0] == ens.n_paths for x in seen)
+        else:
+            assert 0 < len(seen) < 100 and all(np.all(np.abs(x) == ens.theta) for x in seen)
 
     def test_constant_g_accumulates_brownian(self, ensemble):
         prob = make_problem(
@@ -976,14 +998,17 @@ class TestNodeMajorLayout:
 
     @pytest.mark.parametrize("penalization", [None, 16.0])
     def test_path_major_ensemble_gives_the_same_solution(self, ensemble, penalization):
-        # the fallback: a hand-built path-major ensemble is copied once per sweep
+        # the fallback: a hand-built path-major ensemble is copied once per
+        # sweep, its clock recorded from a path-major dense one
         path_major = dataclasses.replace(
             ensemble,
             X=np.ascontiguousarray(ensemble.X),
-            A=np.ascontiguousarray(ensemble.A),
+            clock=ClockEvents.from_dense(np.ascontiguousarray(ensemble.A)),
             jump_counts=np.ascontiguousarray(ensemble.jump_counts),
         )
         assert not path_major.X.T.flags.c_contiguous
+        assert path_major.clock is not ensemble.clock
+        assert np.array_equal(path_major.clock.paths, ensemble.clock.paths)
         assert not path_major.jump_counts.transpose(1, 2, 0).flags.c_contiguous
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         cfg = SolverConfig(penalization=penalization)
