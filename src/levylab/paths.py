@@ -225,9 +225,10 @@ class DriverNodes:
     def jump_steps(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """For an idle driver, yield per step k the paths with a jump in the
         step, ascending, and their dL_k, the difference of the node rows
-        there bit for bit: nodes k and k + 1 are the running jump sums J_k
-        and J_{k+1} plus drift_b * t = 0.0, and every other path's dL_k is
-        zero."""
+        there bit for bit: node k is the running jump sum J_k plus
+        drift_b * t_k = 0.0, which is J_k itself, since J_k starts at +0.0
+        and a sum is -0.0 only when both terms are.  Every other path's
+        dL_k is zero."""
         if not self.idle:
             raise ValueError("only an idle driver (no drift, sigma = 0) moves just the paths that jump")
         sizes = self.spec.jump_sizes
@@ -237,8 +238,6 @@ class DriverNodes:
             before = jumps[moved]
             after = before + sizes @ step[:, moved]
             jumps[moved] = after
-            after += 0.0
-            before += 0.0
             yield moved, np.subtract(after, before, out=after)
 
 

@@ -543,6 +543,11 @@ def example51_driver():
     return cfg.levy, cfg.build_sigma_x()
 
 
+def example51_affine_driver():
+    cfg = load_config(str(CONFIGS / "example51.cfg"))
+    return cfg.levy, replace(cfg, sigma_x=("affine", 1.0, 0.3)).build_sigma_x()
+
+
 def orthonormality_driver():
     return load_config(str(CONFIGS / "orthonormality.cfg")).levy, SIGMA_X
 
@@ -555,8 +560,8 @@ def continuous_affine_driver():
 class TestClockEvents:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize(
-        "driver", [example51_driver, orthonormality_driver, continuous_affine_driver],
-        ids=["example51-idle", "orthonormality-drift", "sigma-affine"],
+        "driver", [example51_driver, example51_affine_driver, orthonormality_driver, continuous_affine_driver],
+        ids=["example51-idle", "example51-idle-affine", "orthonormality-drift", "sigma-affine"],
     )
     def test_reflection_matches_the_dense_reference_bit_for_bit(self, driver, seed):
         spec, sigma_x = driver()
@@ -582,6 +587,8 @@ class TestClockEvents:
             assert sum(calls) == np.count_nonzero(ens.jump_counts.any(axis=2))
         else:
             assert calls == [n_paths] * grid.n_steps
+            with pytest.raises(ValueError, match="idle"):
+                next(DriverNodes(spec, grid, ens.jump_counts, ens.W).jump_steps())
 
     def test_dense_clock_round_trips(self):
         ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 30), 200, 3, theta=1.0, x0=0.5, sigma_x=SIGMA_X)
