@@ -339,7 +339,9 @@ def simulate_reflected_x(
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    idle = isinstance(driver_nodes, DriverNodes) and driver_nodes.idle
+    # a path at x0 = -0.0 that does not jump leaves it in the first step
+    # (-0.0 + sigma_x * 0.0 is +0.0), so from there every path is stepped
+    idle = isinstance(driver_nodes, DriverNodes) and driver_nodes.idle and not np.signbit(x0)
     if idle:
         n_paths = driver_nodes.counts.shape[0]
     else:

@@ -590,6 +590,14 @@ class TestClockEvents:
             with pytest.raises(ValueError, match="idle"):
                 next(DriverNodes(spec, grid, ens.jump_counts, ens.W).jump_steps())
 
+    def test_reflection_from_negative_zero_keeps_the_reference_signs(self):
+        spec, sigma_x = example51_driver()
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 20), 200, 3, theta=1.0, x0=-0.0, sigma_x=sigma_x)
+        X_ref, _ = reflect_dense_reference(sigma_x, 1.0, -0.0, ens.L.T)
+        assert np.array_equal(np.signbit(ens.X), np.signbit(X_ref)) and np.array_equal(ens.X, X_ref)
+        still = X_ref[:, 1] == 0.0  # -0.0 + 1.0 * 0.0 is +0.0
+        assert np.signbit(X_ref[:, 0]).all() and still.any() and not np.signbit(X_ref[still, 1]).any()
+
     def test_dense_clock_round_trips(self):
         ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 30), 200, 3, theta=1.0, x0=0.5, sigma_x=SIGMA_X)
         nodes = ens.grid.nodes
