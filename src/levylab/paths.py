@@ -194,6 +194,20 @@ def assemble_levy_paths(
     return L.T
 
 
+def _idle(spec: LevySpec) -> bool:
+    return spec.drift_b == 0.0 and not spec.continuous_part
+
+
+def moves_only_at_jumps(spec: LevySpec, x0: float) -> bool:
+    """Whether the reflected state from ``x0`` moves a path only in a step
+    where the path jumps: the driver is idle (:attr:`DriverNodes.idle`) and
+    x0 is not -0.0, which a path that does not jump leaves in the first
+    step (-0.0 + sigma_x * 0.0 is +0.0).  The reflection then steps only
+    the paths that jump, and the backward sweep keeps every other path in
+    its state."""
+    return _idle(spec) and not np.signbit(x0)
+
+
 @dataclass(frozen=True, eq=False)
 class DriverNodes:
     """A driver's node rows, built from the counts and ``W`` (see
@@ -220,7 +234,7 @@ class DriverNodes:
     def idle(self) -> bool:
         """Whether the driver has no drift and no continuous part, so that
         it moves a path only in a step where the path jumps."""
-        return self.spec.drift_b == 0.0 and not self.spec.continuous_part
+        return _idle(self.spec)
 
     def jump_steps(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """For an idle driver, yield per step k the paths with a jump in the
@@ -339,9 +353,7 @@ def simulate_reflected_x(
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    # a path at x0 = -0.0 that does not jump leaves it in the first step
-    # (-0.0 + sigma_x * 0.0 is +0.0), so from there every path is stepped
-    idle = isinstance(driver_nodes, DriverNodes) and driver_nodes.idle and not np.signbit(x0)
+    idle = isinstance(driver_nodes, DriverNodes) and moves_only_at_jumps(driver_nodes.spec, x0)
     if idle:
         n_paths = driver_nodes.counts.shape[0]
     else:

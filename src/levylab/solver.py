@@ -30,12 +30,35 @@ The regression basis is an intercept, a boundary-layer indicator (paths
 within theta / 10 of a wall) and standardized monomials in X up to the
 configured degree.  Structurally constant columns are dropped silently.
 
+States
+------
+Every row at node k is a function of X_k (Y_t = u(t, X_t)), so the sweep
+works on node k's states, not on its paths: the state values, the count
+of paths at each and each path's state, held by a path -> state map.
+Under a driver that moves a path only in a step where it jumps
+(:func:`~levylab.paths.moves_only_at_jumps`: no drift, sigma = 0, x0 not
+-0.0, as in every shipped config) X_k takes a few dozen values over
+thousands of paths, and the map is a :class:`StateMap`: walking back, only
+the paths that jump in step k change state, about 1.5% of them at
+example51's size.  f, the target T = Y_{k+1} + f dt, the design, the fit,
+the obstacle, g, the push, Y_k and Z_k are then formed once per state.  The
+regressions weigh each state by its path count c: the Gram matrix is
+D diag(c) D^T; the Y right-hand side sums each path's target by node-k
+state, R_i = (stayers at i) T_i + the jumping paths' T at their node-(k +
+1) states + phi dA_k over the step's clock events; the Z right-hand side
+likewise, a path without a jump having the constant dH_k = -P alpha dt.
+Under any other driver each path is its own state (:class:`IdentityMap`),
+no row is gathered or weighted, and the arithmetic is the per-path one.
+
 Regression
 ----------
-Each step writes its Y target into row 0 of a buffer reused across steps
-and its design below it, one contiguous row per basis column.  One product
-of the design with that buffer gives the design's Gram matrix (at most
-6 x 6) and the Y right-hand side together.  The Gram matrix is
+Each step writes its Y right-hand side row into row 0 of a buffer reused
+across steps and its design below it, weighted by the path counts, one
+contiguous row per basis column.  One product of the design with that
+buffer gives the weighted Gram matrix (at most 6 x 6) and the Y
+right-hand side together.  Under the identity map the counts are 1 and the
+row is the target itself, so the buffer holds the target and the design as
+written.  The Gram matrix is
 Cholesky-factored once; the Y regression (item 1) and the Z regressions
 (item 2) are all solved against that one factor, and each fit is written
 straight into its running row.  The Z coefficients are scaled by 1/dt
@@ -54,8 +77,10 @@ The factor, the estimate and the solves call LAPACK's ``potrf``,
 ``cho_factor`` and ``cho_solve``, without their per-call checks and
 copies.  ``scipy.linalg.lapack`` is imported where they are called, so
 importing this module, and any command that runs no sweep, does not load
-scipy.  The design's standard deviation is taken from the centred row the
-design already holds.
+scipy.  The design's mean, standard deviation and layer flag are measured
+over the paths: by the state map from the states and their counts, or
+under the identity map by :func:`regression_design` itself, the standard
+deviation from the centred row the design already holds.
 
 Storage
 -------
@@ -64,18 +89,23 @@ contiguous rows.  The inputs X and the jump counts (and the driver's
 Brownian path W, when it has a continuous part) are taken from the
 ensemble's transposed views through ``np.ascontiguousarray`` once per
 sweep: free for an ensemble from :func:`~levylab.paths.simulate_ensemble`,
-one copy for a hand-built path-major one.  Step k's increments dH_k are
-formed from its counts (and W's step) by
+one copy for a hand-built path-major one.  Under the identity map, step
+k's increments dH_k are formed from its counts (and W's step) by
 :func:`~levylab.teugels.step_increments` into one reused [rank, path]
-block.  The clock is read as the ensemble records it, step k's growth
+block; under the state map only the jumping paths' increments are formed
+(:func:`~levylab.teugels.jump_martingales`), and no [rank, path] block.
+The clock is read as the ensemble records it, step k's growth
 events (:class:`~levylab.paths.ClockEvents`): dA_k is zero off them and
 phi is pointwise, so the phi dA_k term of the target and the Y^2 dA_k
 diagnostic are formed at those paths only, a few per cent of them or
 none, with phi called on their states alone.
 
 The sweep stores no [node, path] array.  Y and Z at node k + 1 (the step's
-inputs) and at node k (its outputs), the fit, the push and the running
-K_T are a few [path] rows, swapped or overwritten each step.  What it
+inputs) and at node k (its outputs), the fit and the push are a few
+per-state rows, swapped or overwritten each step.  Per path it keeps only
+each path's state, the running K_T (the push read at each path's state
+and added) and sup Y^2, and it reads step 0's target at every path once,
+for y0_se.  What it
 returns per step is the step's fit (:class:`StepFit`): the mean and sd of
 X_k, whether the design has the boundary-layer column, and the Y and
 1/dt-scaled Z coefficients over the columns kept, a few dozen floats.
@@ -87,8 +117,8 @@ dK, K, y_pre and S are evaluated on read, one node at a time, at every
 path or at the paths a reader asks for, of the ensemble the solution
 holds.  The diagnostics are reduced as the sweep writes each row: sup Y^2
 in one per-path row, and the path sums of Y^2 dA (over the clock's
-events), |Z|^2, the push's gap and the penetration as one scalar per
-step, since only their path means are read.
+events), |Z|^2, the push's gap and the penetration, each weighted by the
+path counts, as one scalar per step, since only their path means are read.
 """
 
 from __future__ import annotations
@@ -102,9 +132,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularRegressionWarning, TerminalBelowObstacle
-from .paths import PathEnsemble
+from .paths import PathEnsemble, moves_only_at_jumps
 from .problems import ProblemSpec
-from .teugels import step_increments
+from .teugels import jump_martingales, step_increments
 
 PROJECTION = None  # sentinel value of SolverConfig.penalization
 
@@ -225,12 +255,15 @@ class EnsembleSolution:
         rows given: ``y``, ``push`` (dK_k) and ``y_pre`` [point], ``z``
         [component, point].
 
-        The arithmetic is the sweep's, call for call, so at the states of
-        all the sweep's paths the rows are its rows bit for bit.  At a
-        subset Z still is; the Y fit's 1 x kept product may round a few
-        points one ulp apart, since BLAS treats the tail of a row of another
-        length differently.  At the horizon Y and y_pre are the terminal
-        value and Z is zero; there is no push.
+        The arithmetic is the sweep's, call for call, so at the states the
+        sweep regressed on (node k's distinct values under a
+        :class:`StateMap`, every path's under the :class:`IdentityMap`)
+        the rows are its rows bit for bit.  At other points, such as every
+        path of a state map's sweep or a subset of the paths, Z still is;
+        the Y fit's 1 x kept product may round a few points one ulp apart,
+        since BLAS treats the tail of a row of another length differently,
+        and y_pre, the push and Y carry that ulp.  At the horizon Y and
+        y_pre are the terminal value and Z is zero; there is no push.
         """
         problem, B = self.problem, self.ens.B
         if k == self.ens.grid.n_steps:
@@ -311,16 +344,17 @@ def regression_design(
     n_points)`` design is a view of it.  x~ = (x - mean) / sd is the
     standardized state; ``layer`` says whether the design has the
     indicator of the boundary layer, the states with |x| >= ``layer_edge``.
-    The sweep measures the three from its ensemble: the mean and
-    standard deviation of ``x``, and whether the layer holds some of the
-    states but not all.  Structurally constant columns (collapsed state,
-    empty or full boundary layer) are then omitted; dropping them is
-    degeneracy of the data, not an error, and the monomials are kept only
-    when sd exceeds ``SD_FLOOR``.  :meth:`EnsembleSolution.evaluate` passes
-    the stored ones instead.  Every entry is a function of its own state
-    and of the three, so a design at some of the sweep's states, built
-    with the sweep's mean, sd and layer flag, is the sweep's design at
-    those states bit for bit.
+    Given none, it measures the three from ``x``: the mean and standard
+    deviation, and whether the layer holds some of the states but not all;
+    so the sweep under the :class:`IdentityMap` measures them over the
+    paths, and the :class:`StateMap` passes the same three weighted by its
+    path counts.  Structurally constant columns (collapsed state, empty or
+    full boundary layer) are then omitted; dropping them is degeneracy of
+    the data, not an error, and the monomials are kept only when sd
+    exceeds ``SD_FLOOR``.  :meth:`EnsembleSolution.evaluate` passes the
+    stored ones.  Every entry is a function of its own state and of the
+    three, so a design at any states, built with the sweep's mean, sd and
+    layer flag, is the sweep's design at those states bit for bit.
     """
     n = x.shape[0]
     out[0] = 1.0
@@ -422,10 +456,225 @@ def _settle(problem: ProblemSpec, t: float, x: np.ndarray, db: float, yhat: np.n
     np.add(yhat, push, out=y)
 
 
+class IdentityMap:
+    """The sweep's path -> state map when every path is its own state: node
+    k's states are the row X_k, and every per-state row of the sweep is a
+    [path] row.  The map for a driver under which a path may move in a
+    step without a jump; each method is then the per-path arithmetic, with
+    no gather or weight.
+
+    The map's methods are the sweep's only state bookkeeping, the same for
+    :class:`StateMap`.  ``values(k)`` is node k's state values and
+    ``at(paths)`` the states of some paths at the current node, which
+    ``move(k)`` steps from k + 1 to k.  ``buffers`` gives the step's target
+    and design rows, ``collect`` the Y right-hand side row, ``scale`` the
+    design's ``(mean, sd, layer)`` when the map measures them, ``weigh``
+    the design rows the Gram product reads and ``centred`` the Z targets.
+    ``sum_squares``, ``mean`` and ``live`` reduce per-state rows over the
+    paths; ``to_paths`` reads a per-state row at every path, and
+    ``first_targets`` step 0's target.
+    """
+
+    def __init__(self, ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarray | None):
+        self.X, self.jumps, self.W, self.ens = X, counts, W, ens
+        self.n_paths = self.size = X.shape[1]
+
+    def values(self, k: int) -> np.ndarray:
+        return self.X[k]
+
+    def at(self, paths: np.ndarray) -> np.ndarray:
+        return paths
+
+    def live(self, row: np.ndarray) -> np.ndarray:
+        return row
+
+    def move(self, k: int) -> None:
+        pass
+
+    def buffers(self, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step's target row and design rows: row 0 of ``aug`` and the
+        rows below it, so the Gram product reads them where they are."""
+        return aug[0], aug[1:]
+
+    def first_targets(self, target, paths, values) -> np.ndarray:
+        # the target row itself, which collect completes in place
+        return target
+
+    def collect(self, target, paths, values, out) -> np.ndarray:
+        if values is not None:
+            target[paths] += values
+        return target
+
+    def scale(self, x: np.ndarray, layer_edge: float) -> tuple:
+        return ()
+
+    def weigh(self, design: np.ndarray, aug: np.ndarray) -> np.ndarray:
+        return aug
+
+    def centred(self, k: int, y_next, yhat, out, scratch) -> np.ndarray:
+        ens = self.ens
+        step_increments(self.jumps, self.W, k, ens.grid.dt, ens.spec, ens.basis, out)
+        out *= np.subtract(y_next, yhat, out=scratch)
+        return out
+
+    def sum_squares(self, rows: np.ndarray) -> float:
+        return float(np.vdot(rows, rows))
+
+    def mean(self, row: np.ndarray) -> float:
+        return float(np.mean(row))
+
+    def to_paths(self, row: np.ndarray) -> np.ndarray:
+        return row
+
+
+class StateMap(IdentityMap):
+    """The sweep's path -> state map under a driver that moves a path only
+    in a step where it jumps (:func:`~levylab.paths.moves_only_at_jumps`):
+    the states are the distinct values of X, each with its count of paths
+    at the current node, and the per-state rows have one entry per state.
+
+    The states are every value X takes from the horizon back to the node,
+    numbered as the walk back first meets them, so a state may hold no
+    path at a node; its rows are formed and carry no weight.  Values are
+    told apart by their bits.  Building the map walks back once: a path
+    keeps its state in a step where it does not jump, so per step only
+    the paths with a count in it are looked up, ``moves[k]`` = (paths,
+    state at node k + 1, state at node k).  The sweep then keeps each
+    path's state in ``index`` and the path counts in ``count``, and per
+    step ``stay``, the paths at each state that did not jump.
+
+    A path that does not jump in step k has dH_k = -P alpha dt, one
+    constant column, ``still``; the Z targets take it times the stayers'
+    count, and the jumping paths' own increments scattered by state.
+    """
+
+    def __init__(self, ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W=None):
+        super().__init__(ens, X, counts, W)
+        n = X.shape[0] - 1
+        keys, index = np.unique(X[n].view(np.int64), return_inverse=True)
+        order = np.arange(keys.size)  # the state of each sorted key
+        by_state = keys  # each state's key, in state order
+        self.index = index.astype(np.intp)
+        self.moves = [None] * n
+        index = self.index.copy()
+        for k in range(n - 1, -1, -1):
+            paths = np.flatnonzero(counts[k].any(axis=0))
+            key = X[k, paths].view(np.int64)
+            pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            new = order[pos]
+            unseen = by_state[new] != key
+            if unseen.any():
+                by_state = np.concatenate([by_state, np.unique(key[unseen])])
+                order = np.argsort(by_state)
+                keys = by_state[order]
+                new = order[np.searchsorted(keys, key)]
+            self.moves[k] = (paths, index[paths], new)
+            index[paths] = new
+        self.size = by_state.size
+        self.states = by_state.view(np.float64)
+        self.count = np.bincount(self.index, minlength=self.size).astype(float)
+        self.stay = np.empty(self.size)
+        spec = ens.spec
+        # two columns, so the product is the matrix-matrix one that gives
+        # every path's increments, which a single column may round apart
+        self.still = jump_martingales(np.zeros((spec.m_atoms, 2)), ens.grid.dt, spec, ens.basis)[:, 0]
+
+    def values(self, k: int) -> np.ndarray:
+        return self.states
+
+    def at(self, paths: np.ndarray) -> np.ndarray:
+        return self.index[paths]
+
+    def live(self, row: np.ndarray) -> np.ndarray:
+        return row[self.count > 0.0]
+
+    def move(self, k: int) -> None:
+        self._move = paths, old, new = self.moves[k]
+        self.index[paths] = new
+        arriving = np.bincount(new, minlength=self.size)
+        self.count -= np.bincount(old, minlength=self.size)
+        self.count += arriving
+        np.subtract(self.count, arriving, out=self.stay)
+
+    def buffers(self, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A target row and design rows of their own: ``aug`` takes the
+        count-weighted ones."""
+        return np.empty(self.size), np.empty_like(aug[1:])
+
+    def first_targets(self, target, paths, values) -> np.ndarray:
+        # each path's target, read before the move at its node-(k + 1) state
+        out = target[self.index]
+        if values is not None:
+            out[paths] += values
+        return out
+
+    def collect(self, target, paths, values, out) -> np.ndarray:
+        """R_i: the stayers' count times T_i, each jumping path's target at
+        its node-(k + 1) state, and phi dA over the events, all summed by
+        node-k state."""
+        moved, old, new = self._move
+        np.multiply(self.stay, target, out=out)
+        if moved.size:
+            out += np.bincount(new, weights=target[old], minlength=self.size)
+        if values is not None:
+            np.add.at(out, self.index[paths], values)
+        return out
+
+    def scale(self, x: np.ndarray, layer_edge: float) -> tuple[float, float, bool]:
+        """The count-weighted mean and sd of the states, and whether the
+        boundary layer holds some of the paths but not all."""
+        c, n = self.count, self.n_paths
+        mean = float(np.dot(c, x)) / n
+        deviation = x - mean
+        sd = math.sqrt(float(np.dot(c, deviation * deviation)) / n)
+        in_layer = float(c[np.abs(x) >= layer_edge].sum())
+        return mean, sd, 0.0 < in_layer < n
+
+    def weigh(self, design: np.ndarray, aug: np.ndarray) -> np.ndarray:
+        # D diag(c) below the target row, so design @ aug.T gives R's
+        # right-hand side and D diag(c) D^T
+        np.multiply(design, self.count, out=aug[1 : design.shape[0] + 1])
+        return aug
+
+    def centred(self, k: int, y_next, yhat, out, scratch) -> np.ndarray:
+        """Q_i: the stayers' constant dH times their count and (Y_{k+1,i} -
+        yhat_i), plus each jumping path's dH (Y_{k+1} at its old state -
+        yhat at its new one), summed by node-k state."""
+        moved, old, new = self._move
+        np.subtract(y_next, yhat, out=scratch)
+        scratch *= self.stay
+        np.multiply.outer(self.still, scratch, out=out)
+        if moved.size:
+            ens = self.ens
+            dH = jump_martingales(self.jumps[k][:, moved], ens.grid.dt, ens.spec, ens.basis)
+            dH *= y_next[old] - yhat[new]
+            for row, increments in zip(out, dH):
+                row += np.bincount(new, weights=increments, minlength=self.size)
+        return out
+
+    def sum_squares(self, rows: np.ndarray) -> float:
+        return float((np.square(rows) @ self.count).sum())
+
+    def mean(self, row: np.ndarray) -> float:
+        return float(np.dot(self.count, row)) / self.n_paths
+
+    def to_paths(self, row: np.ndarray) -> np.ndarray:
+        return row[self.index]
+
+
+def _state_map(ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarray | None) -> IdentityMap:
+    """The sweep's path -> state map: distinct states when X moves a path
+    only in a step where it jumps, each path its own state otherwise."""
+    if moves_only_at_jumps(ens.spec, ens.x0):
+        return StateMap(ens, X, counts)
+    return IdentityMap(ens, X, counts, W)
+
+
 def solve_penalized(
     problem: ProblemSpec, config: SolverConfig, ens: PathEnsemble
 ) -> EnsembleSolution:
-    """Backward sweep over one ensemble (one frozen Brownian sample).
+    """Backward sweep over one ensemble (one frozen Brownian sample), on
+    the states of its path -> state map (see the module docstring).
 
     Raises :class:`TerminalBelowObstacle` when S_T > xi on some path, and
     ``ValueError`` when the ensemble is too small for the basis.  Emits at
@@ -450,79 +699,92 @@ def solve_penalized(
     dB = np.diff(ens.B)
     rank = ens.basis.rank
     layer_edge = ens.theta - ens.theta / LAYER_DIVISOR
+    states = _state_map(ens, X, counts, W)
+    m = states.size
 
-    def obstacle(k: int) -> np.ndarray:
-        return np.asarray(problem.obstacle(t[k], X[k]), dtype=float)
-
-    s_k = obstacle(n)
-    xi = np.asarray(problem.terminal(X[n]), dtype=float)
-    worst = float(np.min(xi - s_k))
+    x = states.values(n)
+    s_k = np.asarray(problem.obstacle(t[n], x), dtype=float)
+    xi = np.asarray(problem.terminal(x), dtype=float)
+    worst = float(np.min(states.live(xi - s_k)))
     if worst < -TERMINAL_TOL:
         raise TerminalBelowObstacle(
             f"terminal value falls below the obstacle by {-worst:.3e} on some path"
         )
 
-    # Y and Z at node k + 1, the step's inputs, and at node k, its outputs;
-    # swapped after each step.
-    y_next, y = xi.copy(), np.empty(n_paths)
-    z_next, z = np.zeros((rank, n_paths)), np.empty((rank, n_paths))
-    # Row 0 holds the step's Y target, the rows below it the design, so one
-    # product gives the Gram matrix and the Y right-hand side together.
-    aug = np.empty((config.basis_dim + 1, n_paths))
-    target = aug[0]
-    yhat = np.empty(n_paths)  # the step's fit, then its pre-push estimate
-    push = np.empty(n_paths)
-    short = np.empty(n_paths)
-    k_total = np.zeros(n_paths)  # K_T, summed last step first
-    dH_k = np.empty((rank, n_paths))  # the step's increments, then centred by the fit
+    # Per-state rows.  Y and Z at node k + 1, the step's inputs, and at node
+    # k, its outputs; swapped after each step.
+    y_next, y = xi.copy(), np.empty(m)
+    z_next, z = np.zeros((rank, m)), np.empty((rank, m))
+    # Row 0 holds the step's Y right-hand side row, the rows below it the
+    # (weighted) design, so one product gives the Gram matrix and the Y
+    # right-hand side together.
+    aug = np.empty((config.basis_dim + 1, m))
+    target, design_rows = states.buffers(aug)
+    yhat = np.empty(m)  # the step's fit, then its pre-push estimate
+    push = np.empty(m)
+    short = np.empty(m)
+    centred = np.empty((rank, m))  # the step's Z targets
     fits = [None] * n
+    # per path: K_T, summed last step first, and max Y^2
+    k_total = np.zeros(n_paths)
+    sup_y2 = states.to_paths(np.square(xi))
+
+    def mean_penetration_sq(s: np.ndarray, y: np.ndarray) -> float:
+        """Mean over paths of ((s - y)^+)^2, formed in ``short``."""
+        np.maximum(np.subtract(s, y, out=short), 0.0, out=short)
+        return states.sum_squares(short) / n_paths
 
     # Diagnostics, reduced as each row is written: per path max Y^2; per
     # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
     # ((S - Y)^+)^2.
-    row = np.empty(n_paths)
-    sup_y2 = np.square(xi)
     y2_dA = z2 = gap = 0.0
     penetration = np.empty(n + 1)
-    penetration[n] = _mean_penetration_sq(s_k, xi, row)
+    penetration[n] = mean_penetration_sq(s_k, xi)
     reduced, first_reduced = 0, None
 
     pen = config.penalization
     push_scale = _push_scale(pen, dt)
     for k in range(n - 1, -1, -1):
-        x = X[k]
-        fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, z_next.T), dtype=float)
+        fk = np.asarray(problem.f(t[k + 1], states.values(k + 1), y_next, z_next.T), dtype=float)
         np.multiply(fk, dt, out=target)
         target += y_next
         # phi dA_k: dA_k is zero off the step's clock events, and phi is pointwise
         grew, before, after = clock.step(k)
         dA = after - before
+        phi_dA = None
         if grew.size:
-            target[grew] += np.asarray(problem.phi(t[k + 1], X[k + 1, grew], y_next[grew]), dtype=float) * dA
-        design, scale = regression_design(x, config.degree, layer_edge, aug[1:])
+            y_grew = y_next[states.at(grew)]
+            phi_dA = np.asarray(problem.phi(t[k + 1], X[k + 1, grew], y_grew), dtype=float) * dA
+        if k == 0:
+            first = states.first_targets(target, grew, phi_dA)
+        states.move(k)
+        states.collect(target, grew, phi_dA, aug[0])
+        x = states.values(k)
+        design, scale = regression_design(x, config.degree, layer_edge, design_rows,
+                                          *states.scale(x, layer_edge))
         ncol = design.shape[0]
-        rhs_gram = design @ aug[: ncol + 1].T
+        rhs_gram = design @ states.weigh(design, aug)[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
         y_coef = _regress(design, factor, aug[:1], yhat[None, :], rhs=rhs_gram[:, :1])
         z_coef = None
         if rank:
-            step_increments(counts, W, k, dt, ens.spec, ens.basis, dH_k)
-            dH_k *= np.subtract(y_next, yhat, out=row)
-            z_coef = _regress(design, factor, dH_k, z, scale=1.0 / dt)
-            z2 += float(np.vdot(z, z))
+            states.centred(k, y_next, yhat, centred, short)
+            z_coef = _regress(design, factor, centred, z, scale=1.0 / dt)
+            z2 += states.sum_squares(z)
         kept = y_coef.shape[1]
         if kept < ncol:  # the Z fits share the design, so they keep as many columns
             reduced += 2 if rank else 1
             first_reduced = (k, kept)  # the sweep runs backward: the earliest step
         fits[k] = StepFit(*scale, y_coef, z_coef)
-        s_k = obstacle(k)
+        s_k = np.asarray(problem.obstacle(t[k], x), dtype=float)
         _settle(problem, t[k], x, dB[k], yhat, s_k, push_scale, short, push, y)
-        gap += push_scale * float(np.vdot(short, short))
-        k_total += push
+        gap += push_scale * states.sum_squares(short)
+        k_total += states.to_paths(push)
 
-        penetration[k] = _mean_penetration_sq(s_k, y, row)
-        np.maximum(sup_y2, np.square(y, out=row), out=sup_y2)
-        y2_dA += float(np.dot(row[grew], dA))
+        penetration[k] = mean_penetration_sq(s_k, y)
+        y2 = states.to_paths(np.square(y, out=short))
+        np.maximum(sup_y2, y2, out=sup_y2)
+        y2_dA += float(np.dot(y2[grew], dA))
         y_next, y = y, y_next
         z_next, z = z, z_next
 
@@ -536,8 +798,8 @@ def solve_penalized(
              "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(k_total**2))}
     norms["total"] = sum(norms.values())
 
-    # after the loop, y_next is Y_0, and target is step 0's regression
-    # target, whose spread gives y0_se
+    # after the loop, y_next is Y_0, and first holds step 0's regression
+    # target at every path, whose spread gives y0_se
     return EnsembleSolution(
         penalization=pen,
         degree=config.degree,
@@ -546,16 +808,10 @@ def solve_penalized(
         K_T=k_total,
         ens=ens,
         problem=problem,
-        y0_value=float(np.mean(y_next)),
-        y0_se=float(np.std(target, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+        y0_value=states.mean(y_next),
+        y0_se=float(np.std(first, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
         # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means
         skorokhod_residual=gap / n_paths,
         penetration_norm=float(np.max(penetration)),
         apriori_norms=norms,
     )
-
-
-def _mean_penetration_sq(s: np.ndarray, y: np.ndarray, out: np.ndarray) -> float:
-    """Mean over paths of ((s - y)^+)^2, computed in ``out``."""
-    np.maximum(np.subtract(s, y, out=out), 0.0, out=out)
-    return float(np.vdot(out, out)) / out.shape[0]

@@ -11,7 +11,7 @@ from levylab import solver
 from levylab.config import DEFAULTS, load_config
 from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec
-from levylab.paths import ClockEvents, TimeGrid, simulate_ensemble
+from levylab.paths import ClockEvents, DriverNodes, TimeGrid, simulate_ensemble, simulate_reflected_x
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
 from levylab.solver import SolverConfig, solve_penalized
 from levylab.suites import (
@@ -461,27 +461,32 @@ class TestDiagnostics:
         for key, value in norms.items():
             assert sol.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
 
-    def test_sweep_memory_stays_near_the_returned_arrays(self):
-        # Y and Z at two nodes, the fit, the push and K_T are running [path]
-        # rows, dH_k, S_k and the pre-push estimate are per-step rows, and the
-        # diagnostics reduce row by row; so above the ensemble the sweep's
-        # peak is a few dozen [path] rows (31 measured) plus what it
-        # returns: the K_T row and the fits, about 800 bytes a step.  The Y,
-        # Z and dK it stored before would be 203 rows here.
+    def test_sweep_memory_stays_near_the_returned_arrays(self, monkeypatch):
+        # Y and Z at two nodes, the fit, the push, S_k and the pre-push
+        # estimate are per-state rows; K_T, sup Y^2 and each path's state
+        # are [path] rows, next to the state map's record of the jumping
+        # paths, and the diagnostics reduce row by row; so above the
+        # ensemble the sweep's peak is a few dozen [path] rows (16
+        # measured, 28 forced to the identity map, whose per-state rows are
+        # [path] rows) plus what it returns: the K_T row and the fits, about
+        # 900 bytes a step.  The Y, Z and dK it stored before would be 203
+        # rows here.
         cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=2000, seed=1)
         problem, ens = cfg.build_problem(), cfg.build_ensemble()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SingularRegressionWarning)
-            solve_penalized(problem, CFG, ens)  # so that scipy's import is not counted
-            tracemalloc.start()
-            try:
-                sol = solve_penalized(problem, CFG, ens)
-                returned, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        row = sol.K_T.nbytes
-        assert returned <= row + 1024 * cfg.grid.n_steps, returned / row
-        assert peak <= returned + 40 * row, (peak - returned) / row
+        for state_map in (solver._state_map, solver.IdentityMap):
+            monkeypatch.setattr(solver, "_state_map", state_map)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SingularRegressionWarning)
+                solve_penalized(problem, CFG, ens)  # so that scipy's import is not counted
+                tracemalloc.start()
+                try:
+                    sol = solve_penalized(problem, CFG, ens)
+                    returned, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            row = sol.K_T.nbytes
+            assert returned <= row + 1024 * cfg.grid.n_steps, returned / row
+            assert peak <= returned + 40 * row, (peak - returned) / row
 
     def test_solution_keeps_the_measured_arrays(self, ensemble):
         # sizes and step counts of a sweep are read from these six arrays
@@ -744,12 +749,16 @@ class TestRegressionPaths:
         self, request, monkeypatch, case, penalization
     ):
         # The solution stores per-step fits; every array is evaluated from
-        # them.  At the sweep's own paths the rows are the sweep's rows bit
-        # for bit; they match the reference sweep's stored arrays within its
-        # rounding; and at a subsample of paths Z is the full evaluation's
-        # bit for bit, Y, y_pre and dK within one ulp of |y_pre| (the Y
-        # fit's 1 x kept product rounds a few points apart at another path
-        # count, and dK = (S - y_pre)^+ carries that ulp).
+        # them.  At the states the sweep regressed on (each path under the
+        # sigma > 0 driver, the distinct values of X_k under the idle one)
+        # the rows are the sweep's rows bit for bit; read at every path they
+        # are the rows of its state, Z bit for bit and Y, y_pre and dK
+        # within two ulp of |y_pre| (the Y fit's 1 x kept product rounds a
+        # few points apart at another point count, and dK = (S - y_pre)^+
+        # and Y = y_pre + dK carry that ulp); they match the reference
+        # sweep's stored arrays within its rounding; and at a subsample of
+        # paths Z is the full evaluation's bit for bit, Y, y_pre and dK
+        # within one ulp of |y_pre|.
         if case == "lattice":
             # sigma = 0 on 100 steps: X_1 takes 3 values, so step 1
             # reduces its design
@@ -758,12 +767,12 @@ class TestRegressionPaths:
         else:
             problem, ens = request.getfixturevalue("sigma_example51")
         cfg = SolverConfig(penalization=penalization)
-        rows = {}  # per step, the rows the sweep wrote
+        rows = {}  # per step, the states and the rows the sweep wrote at them
         settle = solver._settle
 
         def recording(problem_, t, x, db, yhat, s, push_scale, short, push, y):
             settle(problem_, t, x, db, yhat, s, push_scale, short, push, y)
-            rows[len(rows)] = (yhat.copy(), push.copy(), y.copy())
+            rows[len(rows)] = (x.copy(), yhat.copy(), push.copy(), y.copy())
 
         regress, z_rows = solver._regress, []
 
@@ -797,14 +806,31 @@ class TestRegressionPaths:
         else:
             assert ens.spec.continuous_part and rank == 3 and not reduced
 
+        X = ens.X.T
         Y, Z, dK, K, y_pre, S = (fast.on_paths(name) for name in ("Y", "Z", "dK", "K", "y_pre", "S"))
+        ulps = 0 if case == "sigma-drift-affine" else 2
         for k in range(n):
-            yhat, push, y = rows[n - 1 - k]  # the sweep runs last step first
-            assert np.array_equal(Y[:, k], y) and np.array_equal(dK[:, k], push), k
-            assert np.array_equal(y_pre[:, k], yhat), k
-            assert np.array_equal(Z[:, k, :rank].T, z_rows[n - 1 - k]), k
+            x, yhat, push, y = rows[n - 1 - k]  # the sweep runs last step first
+            rebuilt = {"y": np.empty_like(x), "push": np.empty_like(x), "y_pre": np.empty_like(x),
+                       "z": np.empty((rank, x.size))}
+            fast.evaluate(k, x, **rebuilt)
+            assert np.array_equal(rebuilt["y"], y) and np.array_equal(rebuilt["push"], push), k
+            assert np.array_equal(rebuilt["y_pre"], yhat), k
+            assert np.array_equal(rebuilt["z"], z_rows[n - 1 - k]), k
+            if case == "sigma-drift-affine":  # each path its own state
+                assert np.array_equal(x, X[k]), k
+                at = np.arange(ens.n_paths)
+            else:
+                at = state_index(x, X[k])
+            assert np.array_equal(Z[:, k, :rank].T, z_rows[n - 1 - k][:, at]), k
+            ulp = ulps * np.spacing(np.abs(y_pre[:, k]))
+            for name, value, row in (("Y", Y, y), ("dK", dK, push), ("y_pre", y_pre, yhat)):
+                assert np.all(np.abs(value[:, k] - row[at]) <= ulp), (name, k)
         assert np.all(Z[:, -1] == 0.0)
-        assert fast.y0_value == float(np.mean(Y[:, 0]))
+        if case == "sigma-drift-affine":
+            assert fast.y0_value == float(np.mean(Y[:, 0]))
+        else:  # the count-weighted mean of Y_0 over its states
+            assert fast.y0_value == pytest.approx(float(np.mean(Y[:, 0])), rel=0.0, abs=1e-15)
         np.testing.assert_allclose(fast.K_T, K[:, -1], rtol=0.0, atol=1e-14)
 
         for name, value in (("Y", Y), ("Z", Z), ("dK", dK), ("K", K), ("y_pre", y_pre)):
@@ -823,19 +849,28 @@ class TestRegressionPaths:
     @pytest.mark.parametrize("config", ["example51", "quick_suite"])
     def test_condition_estimate_takes_the_svd_route_at_every_step(self, config, monkeypatch):
         # pocon's 1-norm estimate against the 2-norm condition number of
-        # each leading block of the design's syrk Gram matrix, at every step
-        # of a shipped sweep: both keep the same columns
+        # each leading block of the design's syrk Gram matrix over the
+        # paths, at every step of a shipped sweep: both keep the same
+        # columns.  The sweep regresses on the states of X_k with their
+        # path counts, so the per-path design is rebuilt at X_k with the
+        # step's mean, sd and layer flag
         cfg = load_config(str(SHIPPED / f"{config}.cfg"))
-        designs, routes = [], []
+        ens = cfg.build_ensemble()
+        X, n = ens.X.T, cfg.grid.n_steps
+        path_designs, routes = [], []
         design_fn, factor_fn = solver.regression_design, solver._gram_factor
 
-        def recording_design(*args):
-            designs.append(design_fn(*args))
-            return designs[-1]
+        def recording_design(x, degree, layer_edge, out, *scale):
+            design, measured = design_fn(x, degree, layer_edge, out, *scale)
+            k = n - 1 - len(path_designs)
+            at_paths, _ = design_fn(X[k], degree, layer_edge, np.empty((out.shape[0], X.shape[1])), *measured)
+            np.testing.assert_array_equal(at_paths, design[:, state_index(x, X[k])])
+            path_designs.append(at_paths)
+            return design, measured
 
         def recording_factor(gram):
             result = factor_fn(gram)
-            design = designs[-1][0]
+            design = path_designs[-1]
             routes.append((result[1], gram_factor_reference(design @ design.T)[1]))
             return result
 
@@ -843,37 +878,45 @@ class TestRegressionPaths:
         monkeypatch.setattr(solver, "_gram_factor", recording_factor)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            solve_penalized(cfg.build_problem(), cfg.build_solver_config(None), cfg.build_ensemble())
-        assert len(routes) == cfg.grid.n_steps
+            solve_penalized(cfg.build_problem(), cfg.build_solver_config(None), ens)
+        assert len(routes) == n
         assert [fast for fast, _ in routes] == [ref for _, ref in routes]
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_reduced_steps_keep_the_columns_lstsq_keeps(self, seed, monkeypatch):
         # at every step that the sweeps of a quick_suite run reduce (its
         # crosscheck among them; at seed 8 that one reduces too), the
-        # leading block keeps as many columns as lstsq's reduction
+        # leading block keeps as many columns as lstsq's reduction of the
+        # design over the paths: each state's column repeated once per path
+        # at it, the count the state map weighs it by
         cfg = dataclasses.replace(load_config(str(SHIPPED / "quick_suite.cfg")), seed=seed)
-        last, reduced = [], []
-        design_fn, factor_fn = solver.regression_design, solver._gram_factor
+        last, reduced = [None, None], []
+        design_fn, factor_fn, weigh = solver.regression_design, solver._gram_factor, solver.StateMap.weigh
 
         def recording_design(*args):
-            last[:] = [design_fn(*args)]
-            return last[0]
+            result = design_fn(*args)
+            last[:] = [result[0], None]
+            return result
+
+        def recording_weigh(self, design, aug):
+            last[1] = self.count.astype(np.intp)
+            return weigh(self, design, aug)
 
         def recording_factor(gram):
             result = factor_fn(gram)
-            design = last[0][0]
+            design = last[0] if last[1] is None else np.repeat(last[0], last[1], axis=1)
             if result[1] < design.shape[0]:
-                reduced.append((result[1], lstsq_reduction(design, design[:1]).shape[1]))
+                reduced.append((result[1], lstsq_reduction(design, design[:1]).shape[1], last[1] is not None))
             return result
 
         monkeypatch.setattr(solver, "regression_design", recording_design)
+        monkeypatch.setattr(solver.StateMap, "weigh", recording_weigh)
         monkeypatch.setattr(solver, "_gram_factor", recording_factor)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
             run_suite(cfg)
-        assert reduced
-        assert [kept for kept, _ in reduced] == [ref for _, ref in reduced]
+        assert reduced and all(weighted for _, _, weighted in reduced)  # every sweep's map was the state map
+        assert [kept for kept, _, _ in reduced] == [ref for _, ref, _ in reduced]
 
     def test_duplicated_column_is_reduced_away(self, ensemble):
         # the design with x~ appended again keeps its first 6 columns, and
@@ -939,17 +982,22 @@ class TestRegressionPaths:
         if degree == 1 and layer:
             assert design.shape[0] == buf.shape[0] - 1  # no spare row at the last step
 
+        # the whole sweep under the state map, whose rows are the states of
+        # X_k, and forced to the identity map, whose design measures its own
+        # mean and sd over the paths where the reference takes np.std's
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         cfg = SolverConfig(degree=degree)
         monkeypatch.setattr(solver, "LAYER_DIVISOR", 1.0 / layer if layer else math.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SingularRegressionWarning)
-            fast = solve_penalized(problem, cfg, ensemble)
-            monkeypatch.setattr(solver, "regression_design", regression_design_reference)
-            monkeypatch.setattr(solver, "_gram_factor", gram_factor_reference)
-            monkeypatch.setattr(solver, "_regress", regress_reference)
-            reference = solve_penalized(problem, cfg, ensemble)
-        assert_solutions_agree(fast, reference, atol=0.0)
+        for state_map in (solver._state_map, solver.IdentityMap):
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                warnings.simplefilter("ignore", SingularRegressionWarning)
+                patch.setattr(solver, "_state_map", state_map)
+                fast = solve_penalized(problem, cfg, ensemble)
+                patch.setattr(solver, "regression_design", regression_design_reference)
+                patch.setattr(solver, "_gram_factor", gram_factor_reference)
+                patch.setattr(solver, "_regress", regress_reference)
+                reference = solve_penalized(problem, cfg, ensemble)
+            assert_solutions_agree(fast, reference, atol=0.0)
 
     def test_degenerate_step_is_reduced_without_lstsq_and_named(self, ensemble, monkeypatch):
         # X_1 takes 3 values against 5 design columns.  The reduction keeps
@@ -1020,19 +1068,207 @@ class TestNodeMajorLayout:
         assert_solutions_agree(fast, reference, atol=1e-12)
 
 
+def sweep_under(problem, config, ens, monkeypatch, identity=False):
+    """``(solution, map, warning texts)`` of one sweep under the path ->
+    state map the sweep picks or, with ``identity``, forced to the
+    identity map."""
+    taken = []
+    pick = solver.IdentityMap if identity else solver._state_map
+
+    def recording(*args):
+        taken.append(pick(*args))
+        return taken[-1]
+
+    with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        patch.setattr(solver, "_state_map", recording)
+        warnings.simplefilter("always")
+        sol = solve_penalized(problem, config, ens)
+    return sol, taken[0], [str(w.message) for w in caught]
+
+
+def design_columns(sol):
+    """Per step: whether the design has the layer column and the
+    monomials, and how many columns the step kept."""
+    return [(f.layer, f.sd > solver.SD_FLOOR, f.y_coef.shape[1]) for f in sol.fits]
+
+
+# Bounds of the state map against the identity map, about ten times the
+# largest differences measured over every case of TestStateMap: Y0
+# 3.2e-14, y0_se 1.6e-13 relative, Y 1.9e-13, Z 3.0e-12 with |Z| up to
+# 3.6, K_T 7.4e-14 and each diagnostic 7.2e-15.  The two sum the same
+# terms in another order: by state, then over states.
+STATE_MAP_BOUNDS = {"Y0": 1e-12, "y0_se": 2e-12, "Y": 2e-12, "Z": 3e-11, "K_T": 1e-12, "diagnostic": 1e-13}
+
+
+def assert_maps_agree(states, paths):
+    """Two sweeps of one problem and ensemble, under the state map and the
+    identity map: the same columns at every step, and every row and
+    scalar within ``STATE_MAP_BOUNDS``."""
+    bound = STATE_MAP_BOUNDS
+    assert design_columns(states) == design_columns(paths)
+    assert states.y0_value == pytest.approx(paths.y0_value, rel=0.0, abs=bound["Y0"])
+    assert states.y0_se == pytest.approx(paths.y0_se, rel=bound["y0_se"], abs=0.0)
+    np.testing.assert_allclose(states.Y, paths.Y, rtol=0.0, atol=bound["Y"])
+    np.testing.assert_allclose(states.Z, paths.Z, rtol=0.0, atol=bound["Z"])
+    np.testing.assert_allclose(states.K_T, paths.K_T, rtol=0.0, atol=bound["K_T"])
+    for name in ("skorokhod_residual", "penetration_norm"):
+        assert getattr(states, name) == pytest.approx(getattr(paths, name), rel=0.0, abs=bound["diagnostic"])
+    for key, value in paths.apriori_norms.items():
+        assert states.apriori_norms[key] == pytest.approx(value, rel=0.0, abs=bound["diagnostic"]), key
+
+
+def with_counts(ens, counts):
+    """The ensemble with the jump counts ``counts`` [step, atom, path],
+    node-major, and X and the clock reflected again from them."""
+    counts = counts.transpose(2, 0, 1)
+    X, clock = simulate_reflected_x(ens.sigma_x, ens.theta, ens.x0, DriverNodes(ens.spec, ens.grid, counts))
+    return dataclasses.replace(ens, jump_counts=counts, X=X, clock=clock)
+
+
+@pytest.fixture(scope="module")
+def edited_ensemble():
+    # 200 paths x 20 steps, with no jump in step 3 and one more up-jump
+    # for every path in the last step, so that the walk back meets a step
+    # with no mover, a step where every path moves and, at its first step,
+    # node 19's values, most of which X_20 does not take
+    ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 20), 200, 17, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    counts = ens.jump_counts.transpose(1, 2, 0).copy()
+    counts[3] = 0
+    counts[-1, 0] += 1
+    return with_counts(ens, counts)
+
+
+def state_index(values, x):
+    """The index of each entry of ``x`` in ``values``, matched by bits."""
+    keys = values.view(np.int64)
+    order = np.argsort(keys)
+    index = order[np.searchsorted(keys[order], x.view(np.int64))]
+    assert np.array_equal(values[index].view(np.int64), x.view(np.int64))
+    return index
+
+
+class TestStateMap:
+    @pytest.mark.parametrize("penalization", [None, 16.0])
+    @pytest.mark.parametrize("obstacle", ["binding", "non-binding"])
+    @pytest.mark.parametrize("case", ["lattice", "identity-clock", "example51"])
+    def test_state_map_agrees_with_the_identity_map(self, request, monkeypatch, case, obstacle, penalization):
+        # an idle ensemble takes the state map; forced to the identity map,
+        # the same sweep keeps the same columns, warns alike and agrees
+        # within the measured bounds
+        fixture = {"lattice": "ensemble", "identity-clock": "ensemble_identity_clock",
+                   "example51": "binding_example51"}[case]
+        ens = request.getfixturevalue(fixture)
+        ens = ens[1] if case == "example51" else ens
+        params = {"h_scale": 1.0, "h_offset": 0.0} if obstacle == "binding" else {}
+        problem = build_problem("example51", params)
+        cfg = SolverConfig(penalization=penalization)
+        states, state_map, warned = sweep_under(problem, cfg, ens, monkeypatch)
+        paths, identity_map, warned_paths = sweep_under(problem, cfg, ens, monkeypatch, identity=True)
+        assert type(state_map) is solver.StateMap and type(identity_map) is solver.IdentityMap
+        assert state_map.size < ens.n_paths / 10
+        assert warned == warned_paths
+        if case == "lattice":  # X_1 takes 3 values, so step 1 keeps 3 columns
+            assert states.fits[1].y_coef.shape[1] == 3 and len(warned) == 1
+        if case == "identity-clock":  # a clock event at every path in every step
+            assert np.all(np.diff(ens.clock.offsets) == ens.n_paths)
+        assert (np.mean(paths.K_T) > 0.01) == (obstacle == "binding")
+        assert_maps_agree(states, paths)
+
+    def test_negative_zero_start_keeps_each_path_its_own_state(self, monkeypatch):
+        # from x0 = -0.0 a path that does not jump still moves in the first
+        # step, to +0.0, so the sweep takes the identity map; from then on
+        # X is the ensemble's from +0.0, and the two sweeps agree
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
+        ens, negative = (
+            simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), 600, 11, theta=1.0, x0=x0, sigma_x=SIGMA_X)
+            for x0 in (0.0, -0.0)
+        )
+        assert np.all(np.signbit(negative.X[:, 0])) and not np.any(np.signbit(ens.X[:, 0]))
+        assert np.array_equal(negative.X[:, 1:], ens.X[:, 1:])
+        from_negative, identity_map, _ = sweep_under(problem, CFG, negative, monkeypatch)
+        forced = sweep_under(problem, CFG, negative, monkeypatch, identity=True)[0]
+        from_positive, state_map, _ = sweep_under(problem, CFG, ens, monkeypatch)
+        assert type(identity_map) is solver.IdentityMap and type(state_map) is solver.StateMap
+        assert_solutions_agree(from_negative, forced, atol=0.0)
+        assert_maps_agree(from_positive, from_negative)
+
+    def test_the_map_follows_every_path_through_a_growing_state_set(self, edited_ensemble):
+        # walked back node by node, the map sends every path to the state
+        # of its own value, bit for bit, and counts the paths at each state
+        ens = edited_ensemble
+        X = np.ascontiguousarray(ens.X.T)
+        counts = np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))
+        states = solver.StateMap(ens, X, counts)
+        n = ens.grid.n_steps
+        assert states.moves[3][0].size == 0 and states.moves[n - 1][0].size == ens.n_paths
+        assert states.size > np.unique(X[n]).size  # values met only before the horizon
+        stayed = np.ones(ens.n_paths, dtype=bool)
+        for k in range(n, -1, -1):
+            if k < n:
+                states.move(k)
+                stayed = ~ens.jump_counts[:, k].any(axis=1)
+                assert np.array_equal(states.stay, np.bincount(states.index[stayed], minlength=states.size))
+            np.testing.assert_array_equal(states.states[states.index].view(np.int64), X[k].view(np.int64))
+            assert np.array_equal(states.count, np.bincount(states.index, minlength=states.size))
+        assert states.count[states.index[0]] == ens.n_paths  # every path starts at x0
+        # a path without a jump in a step has the constant increments
+        still = ens.dH[~ens.jump_counts.any(axis=2)]
+        assert np.array_equal(still, np.broadcast_to(states.still, still.shape))
+
+    @pytest.mark.parametrize("penalization", [None, 16.0])
+    def test_steps_with_no_mover_and_with_every_path_moving(self, edited_ensemble, monkeypatch, penalization):
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
+        cfg = SolverConfig(penalization=penalization)
+        states, _, warned = sweep_under(problem, cfg, edited_ensemble, monkeypatch)
+        paths, _, warned_paths = sweep_under(problem, cfg, edited_ensemble, monkeypatch, identity=True)
+        assert warned == warned_paths
+        assert np.mean(paths.K_T) > 0.01
+        assert_maps_agree(states, paths)
+
+    def test_terminal_check_reads_the_states_at_the_horizon(self, edited_ensemble, monkeypatch):
+        # the state set holds values that X_n does not take; an obstacle
+        # above the terminal value at such a value holds no path at the
+        # horizon and is pushed against before it, while one at a value of
+        # X_n is refused
+        ens = edited_ensemble
+        X = ens.X.T
+        values = solver.StateMap(ens, np.ascontiguousarray(X),
+                                 np.ascontiguousarray(ens.jump_counts.transpose(1, 2, 0))).states
+        earlier = values[~np.isin(values, X[-1])][0]
+
+        def problem_at(v):
+            return make_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                                obstacle=lambda t, x: np.where(np.asarray(x) == v, 0.5, NO_OBSTACLE))
+
+        states = sweep_under(problem_at(earlier), CFG, ens, monkeypatch)[0]
+        paths = sweep_under(problem_at(earlier), CFG, ens, monkeypatch, identity=True)[0]
+        visited = np.any(X == earlier, axis=0)
+        assert np.all(states.K_T[~visited] == 0.0) and np.max(states.K_T[visited]) > 0.1
+        assert_maps_agree(states, paths)
+        for identity in (False, True):
+            with pytest.raises(TerminalBelowObstacle):
+                sweep_under(problem_at(X[-1, 0]), CFG, ens, monkeypatch, identity=identity)
+
+
 @pytest.mark.parametrize("theta", [1.0, 2.0])
 def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
-    # the indicator column marks the paths within theta / 10 of a wall of
-    # the ensemble's domain, the one place theta is set
+    # the indicator column marks the states, and so the paths, within
+    # theta / 10 of a wall of the ensemble's domain, the one place theta is
+    # set; the design has it exactly when the layer holds some of the paths
+    # of X_k but not all
     ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), 600, 11, theta=theta, x0=0.0, sigma_x=SIGMA_X)
-    edges, columns = [], []
+    X = ens.X.T
+    edges, columns, layers = [], [], []
     design = solver.regression_design
 
     def recording(x, degree, layer_edge, out, *scale):
         edges.append(layer_edge)
         rows, measured = design(x, degree, layer_edge, out, *scale)
+        k = 50 - len(edges)
+        layers.append((measured[2], 0 < np.count_nonzero(np.abs(X[k]) >= 0.9 * theta) < ens.n_paths))
         if rows.shape[0] == degree + 2:  # every column kept, the indicator second
-            columns.append((x.copy(), rows[1].copy()))
+            at = state_index(x, X[k])
+            columns.append((x.copy(), rows[1].copy(), X[k], rows[1][at]))
         return rows, measured
 
     monkeypatch.setattr(solver, "regression_design", recording)
@@ -1040,9 +1276,11 @@ def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
         warnings.simplefilter("ignore", SingularRegressionWarning)
         solve_penalized(make_problem(), CFG, ens)
     assert edges == [theta - theta / 10.0] * 50
-    assert columns
-    for x, column in columns:
+    assert columns and any(layer for layer, _ in layers)
+    assert [layer for layer, _ in layers] == [at_paths for _, at_paths in layers]
+    for x, column, x_paths, column_at_paths in columns:
         assert np.array_equal(column, np.abs(x) >= 0.9 * theta)
+        assert np.array_equal(column_at_paths, np.abs(x_paths) >= 0.9 * theta)
 
 
 def test_sigma_positive_driver_supported():
