@@ -10,8 +10,9 @@ directory) once for every workload its ``BENCHMARK.json`` lists, with the
 checkout as working directory, and writes ``BENCH_<label>.json`` to the
 current directory.  The file holds each workload's result (the JSON last
 line of its run), the host facts of the ``host`` line, the checkout's
-``git rev-parse HEAD`` and the command that was run.  Exits with 1 when a
-run fails or prints no result.
+``git rev-parse HEAD``, the summed line count of its ``src/levylab/*.py``
+and the command that was run.  Exits with 1 when a run fails or prints no
+result.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def _host(stdout: str) -> dict:
     return dict(re.findall(r"(\w+)=(.*?)(?= \w+=|$)", line[len("host "):]))
 
 
+def src_lines(checkout: Path) -> int:
+    """The summed line count of the checkout's ``src/levylab/*.py``, as
+    ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "levylab").glob("*.py"))
+
+
 def snapshot(checkout: Path, seed: int, seconds: int, tiny: bool) -> dict:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     args = ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -52,6 +59,7 @@ def snapshot(checkout: Path, seed: int, seconds: int, tiny: bool) -> dict:
         host = host or _host(stdout)
     return {
         "commit": _run(["git", "rev-parse", "HEAD"], checkout).strip(),
+        "src_lines": src_lines(checkout),
         "command": " ".join(["python3", "perfbench/run.py", "--workload", "<name>", *args]),
         "host": host,
         "workloads": workloads,

@@ -43,11 +43,15 @@ either: the sweep forms them one step at a time, and
 :attr:`PathEnsemble.dH` derives them on each read.
 
 A driver with no drift and no continuous part is idle between its jumps,
-so under it a path moves only in a step where it jumps: the reflection
-copies X's row forward and steps only the paths with a count in the step
+so under it a path moves only in a step where it jumps
+(:func:`moves_only_at_jumps`, the one test of the driver that the
+reflection and the backward sweep both read): the reflection copies X's
+row forward and steps only the paths with a count in the step
 (:meth:`DriverNodes.jump_steps`), about 1.5% of them at example51's size.
 Any other driver moves every path, and the reflection steps the whole
 row through one reused row, with no per-step temporaries of its size.
+The state starts at x0 + 0.0, so X holds no -0.0 and the two forms agree
+bit for bit from any x0.
 """
 
 from __future__ import annotations
@@ -194,18 +198,12 @@ def assemble_levy_paths(
     return L.T
 
 
-def _idle(spec: LevySpec) -> bool:
+def moves_only_at_jumps(spec: LevySpec) -> bool:
+    """Whether the driver is idle, with no drift and no continuous part, so
+    that the reflected state moves a path only in a step where the path
+    jumps.  The reflection then steps only the paths that jump, and the
+    backward sweep keeps every other path in its state."""
     return spec.drift_b == 0.0 and not spec.continuous_part
-
-
-def moves_only_at_jumps(spec: LevySpec, x0: float) -> bool:
-    """Whether the reflected state from ``x0`` moves a path only in a step
-    where the path jumps: the driver is idle (:attr:`DriverNodes.idle`) and
-    x0 is not -0.0, which a path that does not jump leaves in the first
-    step (-0.0 + sigma_x * 0.0 is +0.0).  The reflection then steps only
-    the paths that jump, and the backward sweep keeps every other path in
-    its state."""
-    return _idle(spec) and not np.signbit(x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +214,9 @@ class DriverNodes:
     Iterating yields L_0, ..., L_n as [path] rows, exactly the nodes of
     :func:`assemble_levy_paths`, through two reused rows: a row is
     overwritten two nodes later, so a reader keeps at most the previous
-    node.  ``len`` is the node count.
+    node.  ``len`` is the node count.  For an idle driver
+    (:func:`moves_only_at_jumps`), :meth:`jump_steps` yields each step's
+    moves at the paths that jump alone.
     """
 
     spec: LevySpec
@@ -230,20 +230,14 @@ class DriverNodes:
     def __iter__(self) -> Iterator[np.ndarray]:
         return _driver_nodes(self.spec, self.grid, self.counts, self.W, np.empty((2, self.counts.shape[0])))
 
-    @property
-    def idle(self) -> bool:
-        """Whether the driver has no drift and no continuous part, so that
-        it moves a path only in a step where the path jumps."""
-        return _idle(self.spec)
-
     def jump_steps(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """For an idle driver, yield per step k the paths with a jump in the
-        step, ascending, and their dL_k, the difference of the node rows
-        there bit for bit: node k is the running jump sum J_k plus
-        drift_b * t_k = 0.0, which is J_k itself, since J_k starts at +0.0
-        and a sum is -0.0 only when both terms are.  Every other path's
-        dL_k is zero."""
-        if not self.idle:
+        """For an idle driver (:func:`moves_only_at_jumps`), yield per step
+        k the paths with a jump in the step, ascending, and their dL_k, the
+        difference of the node rows there bit for bit: node k is the
+        running jump sum J_k plus drift_b * t_k = 0.0, which is J_k itself,
+        since J_k starts at +0.0 and a sum is -0.0 only when both terms
+        are.  Every other path's dL_k is zero."""
+        if not moves_only_at_jumps(self.spec):
             raise ValueError("only an idle driver (no drift, sigma = 0) moves just the paths that jump")
         sizes = self.spec.jump_sizes
         jumps = np.zeros(self.counts.shape[0])
@@ -341,11 +335,13 @@ def simulate_reflected_x(
     ``driver_nodes`` is the driver's node rows in order: a
     :class:`DriverNodes`, or any sized iterable of [path] rows, such as a
     [node, path] array; dL_k is the difference of nodes k + 1 and k.  An
-    idle :class:`DriverNodes` (no drift, sigma = 0) leaves a path where it
-    is in a step without a jump, so each step copies X's row forward and
-    steps only the paths of :meth:`DriverNodes.jump_steps`; any other
-    driver steps every path through one reused row.  Both forms give the
-    same values bit for bit.
+    idle :class:`DriverNodes` (:func:`moves_only_at_jumps`) leaves a path
+    where it is in a step without a jump, so each step copies X's row
+    forward and steps only the paths of :meth:`DriverNodes.jump_steps`;
+    any other driver steps every path through one reused row.  Both forms
+    give the same values bit for bit, as X_0 is x0 + 0.0: X never holds
+    -0.0, which a path that does not jump would leave in its first step
+    (-0.0 + sigma_x * 0.0 is +0.0).
 
     Returns the state as a [path, node] transposed view of a node-major
     array, and the local time as the :class:`ClockEvents` of the paths
@@ -353,7 +349,7 @@ def simulate_reflected_x(
     """
     if not (-theta <= x0 <= theta):
         raise InitialPointOutsideDomain(f"x0={x0} outside [-{theta}, {theta}]")
-    idle = isinstance(driver_nodes, DriverNodes) and moves_only_at_jumps(driver_nodes.spec, x0)
+    idle = isinstance(driver_nodes, DriverNodes) and moves_only_at_jumps(driver_nodes.spec)
     if idle:
         n_paths = driver_nodes.counts.shape[0]
     else:
@@ -361,7 +357,7 @@ def simulate_reflected_x(
         prev = next(nodes)
         n_paths = prev.shape[0]
     X = np.empty((len(driver_nodes), n_paths))
-    X[0] = x0
+    X[0] = x0 + 0.0  # +0.0 from -0.0
     eta = np.zeros(n_paths)  # |eta| at the current node
     events = []
 

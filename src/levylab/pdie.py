@@ -421,34 +421,6 @@ class FkReport:
         return out
 
 
-def _interp_rows(xq: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(xq[k], xp, fp[k, :, c])`` for every row k and column c,
-    in one pass: [row, point, column] from ``xq`` [row, point] and ``fp``
-    [row, xp node, column], for uniformly spaced ``xp``.
-
-    The arithmetic is np.interp's: with j the node such that
-    xp[j] <= x < xp[j + 1], the value is slope * (x - xp[j]) + fp[j], with
-    the slope (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) of each interval;
-    below xp[0] it is fp[0], and from xp[-1] on fp[-1].  The uniform
-    spacing gives j to within one, and comparing x with the nodes either
-    side makes it exact.
-    """
-    n_rows, n_nodes, n_cols = fp.shape
-    guess = np.floor((xq - xp[0]) / (xp[1] - xp[0]))
-    guess = np.clip(guess, 0, n_nodes - 2, out=guess).astype(np.intp)
-    j = guess - (xq < xp[guess]) + (xq >= xp[guess + 1])
-    left = np.clip(j, 0, n_nodes - 2)
-    slopes = np.diff(fp, axis=1) / np.diff(xp)[:, None]
-    rows = np.arange(n_rows)[:, None]
-    slope = np.take(slopes.reshape(-1, n_cols), (left + (n_nodes - 1) * rows).ravel(), axis=0)
-    f_left = np.take(fp.reshape(-1, n_cols), (left + n_nodes * rows).ravel(), axis=0)
-    out = (slope * (xq - xp[left]).reshape(-1, 1) + f_left).reshape(xq.shape + (n_cols,))
-    for outside, node in ((j < 0, 0), (j >= n_nodes - 1, -1)):
-        row, point = np.nonzero(outside)
-        out[row, point] = fp[row, node]
-    return out
-
-
 def representation_check(pgrid: PidieGrid, sol: EnsembleSolution) -> FkReport:
     """Compare the Monte Carlo solution against the grid solution.
 
@@ -477,14 +449,17 @@ def representation_check(pgrid: PidieGrid, sol: EnsembleSolution) -> FkReport:
     dx = float(pgrid.x[1] - pgrid.x[0])
     op = JumpOperator.build(pgrid.x, ens.spec, ens.sigma_x)
 
-    # every sampled (node, path) pair at once: u and its jump functionals
-    # on the Monte Carlo nodes, stacked as columns and read at X
+    # u and its jump functionals on the Monte Carlo nodes, stacked as
+    # columns, formed at once and read at X by np.interp, node by node
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     u_rows = pgrid.u[::ratio]  # [node, space node]
     _, z_nodes = component_functionals(u_rows, _gradient(u_rows, dx), op)
     columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
     X = ens.X.T[:, paths]  # [node, path]
-    at = _interp_rows(X, pgrid.x, columns)  # [node, path, 1 + m]
+    at = np.empty(X.shape + columns.shape[-1:])  # [node, path, 1 + m]
+    for k, x in enumerate(X):
+        for c in range(columns.shape[-1]):
+            at[k, :, c] = np.interp(x, pgrid.x, columns[k, :, c])
     # the Monte Carlo Y and Z at the same pairs, one node at a time
     y_mc = np.empty(X.shape)
     z_mc = np.empty((n_mc, rank, len(paths)))  # Z has no step after the last node

@@ -36,8 +36,8 @@ Every row at node k is a function of X_k (Y_t = u(t, X_t)), so the sweep
 works on node k's states, not on its paths: the state values, the count
 of paths at each and each path's state, held by a path -> state map.
 Under a driver that moves a path only in a step where it jumps
-(:func:`~levylab.paths.moves_only_at_jumps`: no drift, sigma = 0, x0 not
--0.0, as in every shipped config) X_k takes a few dozen values over
+(:func:`~levylab.paths.moves_only_at_jumps`: no drift and sigma = 0, as in
+every shipped config) X_k takes a few dozen values over
 thousands of paths, and the map is a :class:`StateMap`: walking back, only
 the paths that jump in step k change state, about 1.5% of them at
 example51's size.  f, the target T = Y_{k+1} + f dt, the design, the fit,
@@ -78,9 +78,9 @@ The factor, the estimate and the solves call LAPACK's ``potrf``,
 copies.  ``scipy.linalg.lapack`` is imported where they are called, so
 importing this module, and any command that runs no sweep, does not load
 scipy.  The design's mean, standard deviation and layer flag are measured
-over the paths: by the state map from the states and their counts, or
-under the identity map by :func:`regression_design` itself, the standard
-deviation from the centred row the design already holds.
+over the paths by each map's ``scale``: the state map's from the states
+and their counts, the identity map's from the row X_k with np.mean and
+np.std's arithmetic; :func:`regression_design` is given them.
 
 Storage
 -------
@@ -276,8 +276,8 @@ class EnsembleSolution:
                 z[...] = 0.0
             return
         fit = self.fits[k]
-        design, _ = regression_design(x, self.degree, self.layer_edge,
-                                      np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
+        design = regression_design(x, self.degree, self.layer_edge,
+                                   np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
         if z is not None and fit.z_coef is not None:
             _fitted(fit.z_coef, design, z)
         if y is None and push is None and y_pre is None:
@@ -333,55 +333,38 @@ SD_FLOOR = 1e-13
 
 
 def regression_design(
-    x: np.ndarray, degree: int, layer_edge: float, out: np.ndarray,
-    mean: float | None = None, sd: float | None = None, layer: bool | None = None,
-) -> tuple[np.ndarray, tuple[float, float, bool]]:
-    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree] and the
-    ``(mean, sd, layer)`` that fix them.
+    x: np.ndarray, degree: int, layer_edge: float, out: np.ndarray, mean: float, sd: float, layer: bool
+) -> np.ndarray:
+    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree] at the
+    states ``x``.
 
     Each basis column is one contiguous row, written into the leading rows
     of ``out`` (shape ``(degree + 2, n_points)``); the returned ``(ncols,
     n_points)`` design is a view of it.  x~ = (x - mean) / sd is the
     standardized state; ``layer`` says whether the design has the
     indicator of the boundary layer, the states with |x| >= ``layer_edge``.
-    Given none, it measures the three from ``x``: the mean and standard
-    deviation, and whether the layer holds some of the states but not all;
-    so the sweep under the :class:`IdentityMap` measures them over the
-    paths, and the :class:`StateMap` passes the same three weighted by its
-    path counts.  Structurally constant columns (collapsed state, empty or
-    full boundary layer) are then omitted; dropping them is degeneracy of
-    the data, not an error, and the monomials are kept only when sd
-    exceeds ``SD_FLOOR``.  :meth:`EnsembleSolution.evaluate` passes the
-    stored ones.  Every entry is a function of its own state and of the
+    The sweep takes the three from its path -> state map's ``scale``, over
+    the paths, and :meth:`EnsembleSolution.evaluate` passes the stored
+    ones.  Structurally constant columns (collapsed state, empty or full
+    boundary layer) are omitted; dropping them is degeneracy of the data,
+    not an error, and the monomials are kept only when sd exceeds
+    ``SD_FLOOR``.  Every entry is a function of its own state and of the
     three, so a design at any states, built with the sweep's mean, sd and
     layer flag, is the sweep's design at those states bit for bit.
     """
-    n = x.shape[0]
     out[0] = 1.0
     ncol = 1
-    if layer is None or layer:
-        in_layer = np.abs(x) >= layer_edge
-        if layer is None:
-            layer = 0 < np.count_nonzero(in_layer) < n
-        if layer:
-            out[ncol] = in_layer
-            ncol += 1
-    if degree >= 1:
+    if layer:
+        out[ncol] = np.abs(x) >= layer_edge
+        ncol += 1
+    if degree >= 1 and sd > SD_FLOOR:
         xs = out[ncol]
-        if mean is None:
-            mean = float(np.add.reduce(x)) / n  # np.mean's arithmetic
         np.subtract(x, mean, out=xs)
-        if sd is None:
-            # np.std's arithmetic on the centred row: the mean of the squared
-            # deviations, written into the next row when the buffer has one
-            squares = out[ncol + 1] if ncol + 1 < out.shape[0] else np.empty_like(xs)
-            sd = math.sqrt(float(np.add.reduce(np.multiply(xs, xs, out=squares))) / n)
-        if sd > SD_FLOOR:
-            xs /= sd
-            for d in range(1, degree):
-                np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
-            ncol += degree
-    return out[:ncol], (mean, sd, layer)
+        xs /= sd
+        for d in range(1, degree):
+            np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
+        ncol += degree
+    return out[:ncol]
 
 
 def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, int]:
@@ -468,7 +451,7 @@ class IdentityMap:
     ``at(paths)`` the states of some paths at the current node, which
     ``move(k)`` steps from k + 1 to k.  ``buffers`` gives the step's target
     and design rows, ``collect`` the Y right-hand side row, ``scale`` the
-    design's ``(mean, sd, layer)`` when the map measures them, ``weigh``
+    design's ``(mean, sd, layer)`` over the paths, ``weigh``
     the design rows the Gram product reads and ``centred`` the Z targets.
     ``sum_squares``, ``mean`` and ``live`` reduce per-state rows over the
     paths; ``to_paths`` reads a per-state row at every path, and
@@ -505,8 +488,15 @@ class IdentityMap:
             target[paths] += values
         return target
 
-    def scale(self, x: np.ndarray, layer_edge: float) -> tuple:
-        return ()
+    def scale(self, x: np.ndarray, layer_edge: float) -> tuple[float, float, bool]:
+        """The design's ``(mean, sd, layer)`` over the paths: np.mean and
+        np.std's arithmetic, and whether the boundary layer holds some of
+        the paths but not all."""
+        n = self.n_paths
+        mean = float(np.add.reduce(x)) / n
+        deviation = x - mean
+        sd = math.sqrt(float(np.add.reduce(np.multiply(deviation, deviation, out=deviation))) / n)
+        return mean, sd, 0 < np.count_nonzero(np.abs(x) >= layer_edge) < n
 
     def weigh(self, design: np.ndarray, aug: np.ndarray) -> np.ndarray:
         return aug
@@ -663,9 +653,10 @@ class StateMap(IdentityMap):
 
 
 def _state_map(ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarray | None) -> IdentityMap:
-    """The sweep's path -> state map: distinct states when X moves a path
-    only in a step where it jumps, each path its own state otherwise."""
-    if moves_only_at_jumps(ens.spec, ens.x0):
+    """The sweep's path -> state map: distinct states when the driver moves
+    a path only in a step where it jumps, each path its own state
+    otherwise."""
+    if moves_only_at_jumps(ens.spec):
         return StateMap(ens, X, counts)
     return IdentityMap(ens, X, counts, W)
 
@@ -760,8 +751,8 @@ def solve_penalized(
         states.move(k)
         states.collect(target, grew, phi_dA, aug[0])
         x = states.values(k)
-        design, scale = regression_design(x, config.degree, layer_edge, design_rows,
-                                          *states.scale(x, layer_edge))
+        scale = states.scale(x, layer_edge)
+        design = regression_design(x, config.degree, layer_edge, design_rows, *scale)
         ncol = design.shape[0]
         rhs_gram = design @ states.weigh(design, aug)[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])

@@ -19,6 +19,7 @@ from levylab.paths import (
     assemble_levy_paths,
     boundary_direction,
     derived_rng,
+    moves_only_at_jumps,
     simulate_brownian,
     simulate_ensemble,
     simulate_jump_counts,
@@ -581,7 +582,7 @@ class TestClockEvents:
         for field in ("offsets", "paths", "before", "after"):
             assert np.array_equal(getattr(ens.clock, field), getattr(expected, field)), field
         # an idle driver steps only the paths that jump in the step
-        idle = DriverNodes(spec, grid, ens.jump_counts, ens.W).idle
+        idle = moves_only_at_jumps(spec)
         assert idle == (spec.drift_b == 0.0 and spec.sigma == 0.0)
         if idle:
             assert sum(calls) == np.count_nonzero(ens.jump_counts.any(axis=2))
@@ -591,12 +592,21 @@ class TestClockEvents:
                 next(DriverNodes(spec, grid, ens.jump_counts, ens.W).jump_steps())
 
     def test_reflection_from_negative_zero_keeps_the_reference_signs(self):
+        # from x0 = -0.0 the state starts at +0.0, so an idle driver still
+        # steps only the paths that jump, and X is the reference's from
+        # +0.0 bit for bit, sign bits included
         spec, sigma_x = example51_driver()
-        ens = simulate_ensemble(spec, TimeGrid(1.0, 20), 200, 3, theta=1.0, x0=-0.0, sigma_x=sigma_x)
-        X_ref, _ = reflect_dense_reference(sigma_x, 1.0, -0.0, ens.L.T)
-        assert np.array_equal(np.signbit(ens.X), np.signbit(X_ref)) and np.array_equal(ens.X, X_ref)
-        still = X_ref[:, 1] == 0.0  # -0.0 + 1.0 * 0.0 is +0.0
-        assert np.signbit(X_ref[:, 0]).all() and still.any() and not np.signbit(X_ref[still, 1]).any()
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return sigma_x(x)
+
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 20), 200, 3, theta=1.0, x0=-0.0, sigma_x=counting)
+        X_ref, _ = reflect_dense_reference(sigma_x, 1.0, 0.0, ens.L.T)
+        assert np.array_equal(ens.X.view(np.int64), X_ref.view(np.int64))
+        assert not np.any(np.signbit(ens.X) & (ens.X == 0.0))  # no -0.0
+        assert sum(calls) == np.count_nonzero(ens.jump_counts.any(axis=2)) < 200 * 20
 
     def test_dense_clock_round_trips(self):
         ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 30), 200, 3, theta=1.0, x0=0.5, sigma_x=SIGMA_X)

@@ -61,9 +61,11 @@ def test_bench_snapshot_records_every_listed_workload(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     snap = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
-    assert snap.keys() == {"label", "commit", "command", "host", "workloads"}
+    assert snap.keys() == {"label", "commit", "src_lines", "command", "host", "workloads"}
     assert snap["label"] == "t"
     assert snap["commit"] == head.stdout.strip()
+    wc = sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "levylab").glob("*.py"))
+    assert snap["src_lines"] == wc > 0
     assert "perfbench/run.py" in snap["command"] and "--tiny" in snap["command"]
     assert {"nproc", "python", "numpy"} <= snap["host"].keys()
     assert list(snap["workloads"]) == ["verify-orthonormality"]

@@ -538,18 +538,20 @@ def assert_solutions_agree(fast, reference, atol, scalar_atol=None):
 # before it formed the Gram matrix and the Y right-hand side in one product.
 
 
-def regression_design_reference(x, degree, layer_edge, out, mean=None, sd=None, layer=None):
-    """The design with the scale that is not given measured by np.mean and
-    np.std, and the layer flag from a boolean indicator."""
-    in_layer = np.abs(x) >= layer_edge
-    if layer is None:
-        layer = 0 < np.count_nonzero(in_layer) < x.shape[0]
-    mean = float(np.mean(x)) if mean is None else mean
-    sd = float(np.std(x)) if sd is None else sd
+def scale_reference(x, layer_edge):
+    """``(mean, sd, layer)`` over the points ``x``: np.mean, np.std and
+    whether the boundary layer holds some of them but not all."""
+    in_layer = np.count_nonzero(np.abs(x) >= layer_edge)
+    return float(np.mean(x)), float(np.std(x)), 0 < in_layer < x.shape[0]
+
+
+def regression_design_reference(x, degree, layer_edge, out, mean, sd, layer):
+    """The design at ``x`` with the given scale, the layer column from a
+    boolean indicator."""
     out[0] = 1.0
     ncol = 1
     if layer:
-        out[ncol] = in_layer
+        out[ncol] = np.abs(x) >= layer_edge
         ncol += 1
     if sd > 1e-13 and degree >= 1:
         xs = out[ncol]
@@ -558,7 +560,7 @@ def regression_design_reference(x, degree, layer_edge, out, mean=None, sd=None, 
         for d in range(1, degree):
             np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
         ncol += degree
-    return out[:ncol], (mean, sd, layer)
+    return out[:ncol]
 
 
 def gram_factor_reference(gram):
@@ -659,7 +661,8 @@ def solve_penalized_reference(problem, config, ens, gram_factor=gram_factor_refe
         fk = np.asarray(problem.f(t[k + 1], X[k + 1], y_next, Zt[k + 1].T), dtype=float)
         phik = np.asarray(problem.phi(t[k + 1], X[k + 1], y_next), dtype=float)
         target = y_next + fk * dt + phik * dA
-        design, _ = regression_design_reference(x, config.degree, layer_edge, design_buf)
+        design = regression_design_reference(x, config.degree, layer_edge, design_buf,
+                                             *scale_reference(x, layer_edge))
         factor = gram_factor(design @ design.T)
         yhat0 = fit_reference(design, factor, target[None, :])[0]
         if rank:
@@ -861,12 +864,12 @@ class TestRegressionPaths:
         design_fn, factor_fn = solver.regression_design, solver._gram_factor
 
         def recording_design(x, degree, layer_edge, out, *scale):
-            design, measured = design_fn(x, degree, layer_edge, out, *scale)
+            design = design_fn(x, degree, layer_edge, out, *scale)
             k = n - 1 - len(path_designs)
-            at_paths, _ = design_fn(X[k], degree, layer_edge, np.empty((out.shape[0], X.shape[1])), *measured)
+            at_paths = design_fn(X[k], degree, layer_edge, np.empty((out.shape[0], X.shape[1])), *scale)
             np.testing.assert_array_equal(at_paths, design[:, state_index(x, X[k])])
             path_designs.append(at_paths)
-            return design, measured
+            return design
 
         def recording_factor(gram):
             result = factor_fn(gram)
@@ -894,9 +897,8 @@ class TestRegressionPaths:
         design_fn, factor_fn, weigh = solver.regression_design, solver._gram_factor, solver.StateMap.weigh
 
         def recording_design(*args):
-            result = design_fn(*args)
-            last[:] = [result[0], None]
-            return result
+            last[:] = [design_fn(*args), None]
+            return last[0]
 
         def recording_weigh(self, design, aug):
             last[1] = self.count.astype(np.intp)
@@ -923,7 +925,7 @@ class TestRegressionPaths:
         # its fit is the plain design's bit for bit
         x = ensemble.X.T[-1]
         buf = np.empty((7, ensemble.n_paths))
-        design, _ = solver.regression_design(x, 4, 0.9, buf[:6])
+        design = solver.regression_design(x, 4, 0.9, buf[:6], *scale_reference(x, 0.9))
         buf[6] = design[2]  # x~ again
         doubled = buf[: design.shape[0] + 1]
         plain, reduced = solver._gram_factor(design @ design.T), solver._gram_factor(doubled @ doubled.T)
@@ -936,16 +938,17 @@ class TestRegressionPaths:
 
     @pytest.mark.parametrize(
         "degree, layer",
-        # degree 1 with a boundary-layer column fills the design buffer, so
-        # the squared deviations have no spare row to go to
+        # degree 1 with a boundary-layer column fills the design buffer
         [(4, 0.1), (1, 0.1), (1, 0.0), (0, 0.1)],
         ids=["degree-4", "degree-1-layer", "degree-1", "degree-0"],
     )
     def test_lapack_factor_and_design_match_scipy_and_np_std(self, ensemble, degree, layer, monkeypatch):
-        # the design and the solves bit for bit, step by step and over a
-        # whole sweep; the factor of the sweep's gemm Gram matrix against
-        # cho_factor of the syrk one within rounding
+        # the identity map's scale is np.mean's and np.std's, and the design
+        # built from it and the solves are the references' bit for bit,
+        # step by step and over a whole sweep; the factor of the sweep's
+        # gemm Gram matrix against cho_factor of the syrk one within rounding
         X = ensemble.X.T
+        identity = solver.IdentityMap(ensemble, np.ascontiguousarray(X), None, None)
         targets = np.stack([np.cos(3.0 * X[-1]), ensemble.dH[:, 0, 0]])
         buf = np.empty((degree + 3, ensemble.n_paths))
         ref_buf = np.empty_like(buf[1:])
@@ -954,16 +957,11 @@ class TestRegressionPaths:
         full = 0
         for k in range(1, X.shape[0]):
             buf[0] = targets[0]
-            design, scale = solver.regression_design(X[k], degree, layer_edge, buf[1:])
-            ref, ref_scale = regression_design_reference(X[k], degree, layer_edge, ref_buf)
+            scale = identity.scale(X[k], layer_edge)
+            assert scale == scale_reference(X[k], layer_edge), k
+            design = solver.regression_design(X[k], degree, layer_edge, buf[1:], *scale)
+            ref = regression_design_reference(X[k], degree, layer_edge, ref_buf, *scale)
             assert design.shape == ref.shape and np.array_equal(design, ref), k
-            if degree:
-                assert scale == ref_scale, k
-            # with the measured scale given, the design is rebuilt bit for bit
-            rebuilt, given = solver.regression_design(
-                X[k], degree, layer_edge, np.empty_like(ref_buf), *scale
-            )
-            assert given == scale and np.array_equal(rebuilt, design), k
             ncol = design.shape[0]
             rhs_gram = design @ buf[: ncol + 1].T  # as the sweep forms it
             factor, ref_factor = solver._gram_factor(rhs_gram[:, 1:]), gram_factor_reference(ref @ ref.T)
@@ -980,11 +978,11 @@ class TestRegressionPaths:
             assert np.array_equal(fit, ref_fit), k
         assert full > 50
         if degree == 1 and layer:
-            assert design.shape[0] == buf.shape[0] - 1  # no spare row at the last step
+            assert design.shape[0] == buf.shape[0] - 1  # the design fills its rows
 
         # the whole sweep under the state map, whose rows are the states of
-        # X_k, and forced to the identity map, whose design measures its own
-        # mean and sd over the paths where the reference takes np.std's
+        # X_k, and forced to the identity map, whose scale is measured over
+        # the paths where the reference takes np.mean's and np.std's
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         cfg = SolverConfig(degree=degree)
         monkeypatch.setattr(solver, "LAYER_DIVISOR", 1.0 / layer if layer else math.inf)
@@ -993,6 +991,7 @@ class TestRegressionPaths:
                 warnings.simplefilter("ignore", SingularRegressionWarning)
                 patch.setattr(solver, "_state_map", state_map)
                 fast = solve_penalized(problem, cfg, ensemble)
+                patch.setattr(solver.IdentityMap, "scale", lambda self, x, edge: scale_reference(x, edge))
                 patch.setattr(solver, "regression_design", regression_design_reference)
                 patch.setattr(solver, "_gram_factor", gram_factor_reference)
                 patch.setattr(solver, "_regress", regress_reference)
@@ -1175,22 +1174,29 @@ class TestStateMap:
         assert_maps_agree(states, paths)
 
     def test_negative_zero_start_keeps_each_path_its_own_state(self, monkeypatch):
-        # from x0 = -0.0 a path that does not jump still moves in the first
-        # step, to +0.0, so the sweep takes the identity map; from then on
-        # X is the ensemble's from +0.0, and the two sweeps agree
+        # the driver alone picks the map: from x0 = -0.0 the state starts
+        # at +0.0, so the ensemble is the one from +0.0 bit for bit, the
+        # sweep takes the state map and its solution is the +0.0 one's
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         ens, negative = (
             simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), 600, 11, theta=1.0, x0=x0, sigma_x=SIGMA_X)
             for x0 in (0.0, -0.0)
         )
-        assert np.all(np.signbit(negative.X[:, 0])) and not np.any(np.signbit(ens.X[:, 0]))
-        assert np.array_equal(negative.X[:, 1:], ens.X[:, 1:])
-        from_negative, identity_map, _ = sweep_under(problem, CFG, negative, monkeypatch)
-        forced = sweep_under(problem, CFG, negative, monkeypatch, identity=True)[0]
-        from_positive, state_map, _ = sweep_under(problem, CFG, ens, monkeypatch)
-        assert type(identity_map) is solver.IdentityMap and type(state_map) is solver.StateMap
-        assert_solutions_agree(from_negative, forced, atol=0.0)
-        assert_maps_agree(from_positive, from_negative)
+        assert np.array_equal(negative.X.view(np.int64), ens.X.view(np.int64))
+        assert not np.signbit(negative.X[:, 0]).any()
+        for field in ("offsets", "paths", "before", "after"):
+            assert np.array_equal(getattr(negative.clock, field), getattr(ens.clock, field)), field
+        from_negative, negative_map, _ = sweep_under(problem, CFG, negative, monkeypatch)
+        from_positive, positive_map, _ = sweep_under(problem, CFG, ens, monkeypatch)
+        assert type(negative_map) is solver.StateMap and type(positive_map) is solver.StateMap
+        assert np.mean(from_positive.K_T) > 0.01
+        for got, expected in zip(from_negative.fits, from_positive.fits):
+            assert np.array(got[:3]).tobytes() == np.array(expected[:3]).tobytes()  # mean, sd, layer
+            assert got.y_coef.tobytes() == expected.y_coef.tobytes()
+            assert got.z_coef.tobytes() == expected.z_coef.tobytes()
+        assert from_negative.K_T.tobytes() == from_positive.K_T.tobytes()
+        for name in ("y0_value", "y0_se", "skorokhod_residual", "penetration_norm", "apriori_norms"):
+            assert getattr(from_negative, name) == getattr(from_positive, name), name
 
     def test_the_map_follows_every_path_through_a_growing_state_set(self, edited_ensemble):
         # walked back node by node, the map sends every path to the state
@@ -1261,15 +1267,15 @@ def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
     edges, columns, layers = [], [], []
     design = solver.regression_design
 
-    def recording(x, degree, layer_edge, out, *scale):
+    def recording(x, degree, layer_edge, out, mean, sd, layer):
         edges.append(layer_edge)
-        rows, measured = design(x, degree, layer_edge, out, *scale)
+        rows = design(x, degree, layer_edge, out, mean, sd, layer)
         k = 50 - len(edges)
-        layers.append((measured[2], 0 < np.count_nonzero(np.abs(X[k]) >= 0.9 * theta) < ens.n_paths))
+        layers.append((layer, 0 < np.count_nonzero(np.abs(X[k]) >= 0.9 * theta) < ens.n_paths))
         if rows.shape[0] == degree + 2:  # every column kept, the indicator second
             at = state_index(x, X[k])
             columns.append((x.copy(), rows[1].copy(), X[k], rows[1][at]))
-        return rows, measured
+        return rows
 
     monkeypatch.setattr(solver, "regression_design", recording)
     with warnings.catch_warnings():
