@@ -1173,7 +1173,7 @@ class TestStateMap:
         assert (np.mean(paths.K_T) > 0.01) == (obstacle == "binding")
         assert_maps_agree(states, paths)
 
-    def test_negative_zero_start_keeps_each_path_its_own_state(self, monkeypatch):
+    def test_negative_zero_start_takes_the_state_map(self, monkeypatch):
         # the driver alone picks the map: from x0 = -0.0 the state starts
         # at +0.0, so the ensemble is the one from +0.0 bit for bit, the
         # sweep takes the state map and its solution is the +0.0 one's
