@@ -10,8 +10,8 @@ directory) once for every workload its ``BENCHMARK.json`` lists, with the
 checkout as working directory, and writes ``BENCH_<label>.json`` to the
 current directory.  The file holds each workload's result (the JSON last
 line of its run), the host facts of the ``host`` line, the checkout's
-``git rev-parse HEAD``, the summed line count of its ``src/levylab/*.py``
-and the command that was run.  Exits with 1 when a run fails or prints no
+``git rev-parse HEAD``, the summed line count of its ``src/levylab/*.py``,
+the number of its config keys and the command that was run.  Exits with 1 when a run fails or prints no
 result.
 """
 
@@ -44,6 +44,13 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "levylab").glob("*.py"))
 
 
+def config_keys(checkout: Path) -> int:
+    """The length of the checkout's ``levylab.config._KEYS``, read in a
+    child process that imports levylab from the checkout's ``src/``."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from levylab import config; print(len(config._KEYS))"
+    return int(_run([sys.executable, "-c", code, str(checkout / "src")], checkout))
+
+
 def snapshot(checkout: Path, seed: int, seconds: int, tiny: bool) -> dict:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     args = ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -60,6 +67,7 @@ def snapshot(checkout: Path, seed: int, seconds: int, tiny: bool) -> dict:
     return {
         "commit": _run(["git", "rev-parse", "HEAD"], checkout).strip(),
         "src_lines": src_lines(checkout),
+        "config_keys": config_keys(checkout),
         "command": " ".join(["python3", "perfbench/run.py", "--workload", "<name>", *args]),
         "host": host,
         "workloads": workloads,

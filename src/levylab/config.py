@@ -29,7 +29,6 @@ line number.  Example::
     [solver]
     n_paths = 20000
     penalization = projection    # or a positive number
-    degree = 4
     outer_b_samples = 1
     seed = 20240601
     n_schedule = 4,16,64,256
@@ -59,7 +58,6 @@ from .errors import ConfigParseError, LevyLabError
 from .levy import LevySpec
 from .paths import PathEnsemble, TimeGrid, simulate_ensemble
 from .problems import ProblemSpec, build_problem
-from .solver import SolverConfig
 from .suites import GATES
 
 SUITE_NAMES = tuple(GATES)
@@ -70,7 +68,9 @@ class ExperimentConfig:
     """Declarative experiment description; builders turn it into objects.
 
     ``sigma_x`` is the forward coefficient as ``("constant", v)`` or
-    ``("affine", a, b)``.  Callers that need another size or seed derive
+    ``("affine", a, b)``.  ``penalization`` (``None``: projection) is the
+    sweep's one knob; its regression basis is the solver's constant
+    ``DEGREE``.  Callers that need another size or seed derive
     a config with ``dataclasses.replace`` and build from that.
     """
 
@@ -83,7 +83,6 @@ class ExperimentConfig:
     sigma_x: tuple
     n_paths: int
     penalization: float | None
-    degree: int
     outer_b_samples: int
     seed: int
     n_schedule: tuple[float, ...]
@@ -108,10 +107,6 @@ class ExperimentConfig:
             return lambda x: a + b * np.asarray(x, dtype=float)
         raise ValueError(f"unknown sigma_x kind {kind!r}")
 
-    def build_solver_config(self, penalization: float | None) -> SolverConfig:
-        """The sweep's knobs at penalty ``penalization`` (``None``: projection)."""
-        return SolverConfig(penalization=penalization, degree=self.degree)
-
     def build_ensemble(self, outer_index: int = 0) -> PathEnsemble:
         """The forward ensemble of outer Brownian sample ``outer_index``.
 
@@ -134,7 +129,6 @@ DEFAULTS = ExperimentConfig(
     sigma_x=("constant", 1.0),
     n_paths=4000,
     penalization=None,
-    degree=4,
     outer_b_samples=1,
     seed=12345,
     n_schedule=(4.0, 16.0, 64.0, 256.0),
@@ -251,7 +245,6 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
      lambda v: ":".join([v[0], *map(repr, v[1:])])),
     ("solver", "n_paths", "n_paths", _at_least(1), str),
     ("solver", "penalization", "penalization", _positive_or("projection"), _repr_or("projection")),
-    ("solver", "degree", "degree", _at_least(0), str),
     ("solver", "outer_b_samples", "outer_b_samples", _at_least(1), str),
     ("solver", "seed", "seed",
      _checked(_int, lambda v: v >= 0, "must be a nonnegative integer"), str),

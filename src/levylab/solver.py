@@ -27,8 +27,9 @@ martingales:
    n dt > 2, so the resolvent form is used for every n.
 
 The regression basis is an intercept, a boundary-layer indicator (paths
-within theta / 10 of a wall) and standardized monomials in X up to the
-configured degree.  Structurally constant columns are dropped silently.
+within theta / 10 of a wall) and standardized monomials in X up to
+``DEGREE``, a constant of the sweep.  Structurally constant columns are
+dropped silently.
 
 States
 ------
@@ -152,30 +153,27 @@ LAYER_DIVISOR = 10.0
 # refuses the problem.
 TERMINAL_TOL = 1e-9
 
+# The regression basis: the intercept, the boundary-layer indicator and
+# the monomials of the standardized state up to DEGREE, BASIS_DIM columns.
+DEGREE = 4
+BASIS_DIM = DEGREE + 2
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of one backward sweep.
+    """The one knob of a backward sweep.
 
     ``penalization`` is a positive, finite penalty parameter, or ``None``
-    for projection mode (the limit of the penalty scheme).  ``degree`` is
-    the highest monomial of the regression basis.  The path count comes
-    from the ensemble, which must hold at least ten times ``basis_dim``
-    paths.
+    for projection mode (the limit of the penalty scheme).  The path count
+    comes from the ensemble, which must hold at least ten times
+    ``BASIS_DIM`` paths.
     """
 
     penalization: float | None = PROJECTION
-    degree: int = 4
 
     def __post_init__(self):
         if self.penalization is not None and not 0.0 < self.penalization < math.inf:
             raise ValueError("penalization must be positive and finite, or None (projection)")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-
-    @property
-    def basis_dim(self) -> int:
-        return self.degree + 2  # intercept + degree monomials + layer indicator
 
 
 class StepFit(NamedTuple):
@@ -230,7 +228,6 @@ class EnsembleSolution:
     """
 
     penalization: float | None
-    degree: int
     layer_edge: float
     fits: tuple[StepFit, ...]
     K_T: np.ndarray
@@ -276,8 +273,8 @@ class EnsembleSolution:
                 z[...] = 0.0
             return
         fit = self.fits[k]
-        design = regression_design(x, self.degree, self.layer_edge,
-                                   np.empty((self.degree + 2, x.shape[0])), fit.mean, fit.sd, fit.layer)
+        design = regression_design(x, self.layer_edge, np.empty((BASIS_DIM, x.shape[0])),
+                                   fit.mean, fit.sd, fit.layer)
         if z is not None and fit.z_coef is not None:
             _fitted(fit.z_coef, design, z)
         if y is None and push is None and y_pre is None:
@@ -333,13 +330,13 @@ SD_FLOOR = 1e-13
 
 
 def regression_design(
-    x: np.ndarray, degree: int, layer_edge: float, out: np.ndarray, mean: float, sd: float, layer: bool
+    x: np.ndarray, layer_edge: float, out: np.ndarray, mean: float, sd: float, layer: bool
 ) -> np.ndarray:
-    """Design rows [1, layer indicator, x~, x~^2, ..., x~^degree] at the
+    """Design rows [1, layer indicator, x~, x~^2, ..., x~^DEGREE] at the
     states ``x``.
 
     Each basis column is one contiguous row, written into the leading rows
-    of ``out`` (shape ``(degree + 2, n_points)``); the returned ``(ncols,
+    of ``out`` (shape ``(BASIS_DIM, n_points)``); the returned ``(ncols,
     n_points)`` design is a view of it.  x~ = (x - mean) / sd is the
     standardized state; ``layer`` says whether the design has the
     indicator of the boundary layer, the states with |x| >= ``layer_edge``.
@@ -357,13 +354,13 @@ def regression_design(
     if layer:
         out[ncol] = np.abs(x) >= layer_edge
         ncol += 1
-    if degree >= 1 and sd > SD_FLOOR:
+    if sd > SD_FLOOR:
         xs = out[ncol]
         np.subtract(x, mean, out=xs)
         xs /= sd
-        for d in range(1, degree):
+        for d in range(1, DEGREE):
             np.multiply(out[ncol + d - 1], xs, out=out[ncol + d])
-        ncol += degree
+        ncol += DEGREE
     return out[:ncol]
 
 
@@ -678,10 +675,8 @@ def solve_penalized(
     dt = grid.dt
     t = grid.nodes
     n_paths = ens.n_paths
-    if n_paths < 10 * config.basis_dim:
-        raise ValueError(
-            f"n_paths={n_paths} is below 10 * basis dimension ({10 * config.basis_dim})"
-        )
+    if n_paths < 10 * BASIS_DIM:
+        raise ValueError(f"n_paths={n_paths} is below 10 * basis dimension ({10 * BASIS_DIM})")
     # Node-major inputs: row k is the contiguous node-k (step-k) slice.
     X = np.ascontiguousarray(ens.X.T)
     clock = ens.clock
@@ -709,7 +704,7 @@ def solve_penalized(
     # Row 0 holds the step's Y right-hand side row, the rows below it the
     # (weighted) design, so one product gives the Gram matrix and the Y
     # right-hand side together.
-    aug = np.empty((config.basis_dim + 1, m))
+    aug = np.empty((BASIS_DIM + 1, m))
     target, design_rows = states.buffers(aug)
     yhat = np.empty(m)  # the step's fit, then its pre-push estimate
     push = np.empty(m)
@@ -752,7 +747,7 @@ def solve_penalized(
         states.collect(target, grew, phi_dA, aug[0])
         x = states.values(k)
         scale = states.scale(x, layer_edge)
-        design = regression_design(x, config.degree, layer_edge, design_rows, *scale)
+        design = regression_design(x, layer_edge, design_rows, *scale)
         ncol = design.shape[0]
         rhs_gram = design @ states.weigh(design, aug)[: ncol + 1].T
         factor = _gram_factor(rhs_gram[:, 1:])
@@ -793,7 +788,6 @@ def solve_penalized(
     # target at every path, whose spread gives y0_se
     return EnsembleSolution(
         penalization=pen,
-        degree=config.degree,
         layer_edge=layer_edge,
         fits=tuple(fits),
         K_T=k_total,

@@ -36,7 +36,7 @@ from .paths import (
 )
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import build_problem
-from .solver import EnsembleSolution, solve_penalized
+from .solver import BASIS_DIM, EnsembleSolution, SolverConfig, solve_penalized
 from .teugels import TeugelsBasis, basis_for, jump_martingales, step_increments
 
 if TYPE_CHECKING:
@@ -184,8 +184,7 @@ def benchmark_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Null coefficients, terminal 0 and obstacle 1 - t on horizon 1 with 100
     steps, a unit coefficient from x0 = 0 on (-1, 1), and at most 4,000
-    paths.  The driver, seed, penalty schedule and the sweep's degree stay
-    those of ``cfg``.
+    paths.  The driver, seed and penalty schedule stay those of ``cfg``.
     """
     return replace(
         cfg,
@@ -206,7 +205,7 @@ def run_benchmark_solution(cfg: ExperimentConfig) -> tuple[EnsembleSolution, dic
     evaluated on the grid, here 1 - t, with total push K_T = 1.
     """
     cfg = benchmark_config(cfg)
-    sol = solve_penalized(cfg.build_problem(), cfg.build_solver_config(None), cfg.build_ensemble())
+    sol = solve_penalized(cfg.build_problem(), SolverConfig(), cfg.build_ensemble())
     obstacle_path = 1.0 - cfg.grid.nodes
     oracle = np.maximum(0.0, np.maximum.accumulate(obstacle_path[::-1])[::-1])
     metrics = {
@@ -242,7 +241,7 @@ def penalization_family(cfg: ExperimentConfig) -> dict[float, EnsembleSolution]:
     parameter of ``cfg.n_schedule`` in turn."""
     problem = cfg.build_problem()
     ens = cfg.build_ensemble()
-    return {n: solve_penalized(problem, cfg.build_solver_config(n), ens) for n in cfg.n_schedule}
+    return {n: solve_penalized(problem, SolverConfig(penalization=n), ens) for n in cfg.n_schedule}
 
 
 def solve_outer_samples(
@@ -259,7 +258,7 @@ def solve_outer_samples(
     scalars are kept of the other samples: one solution is alive at a time.
     """
     problem = cfg.build_problem()
-    config = cfg.build_solver_config(penalization)
+    config = SolverConfig(penalization=penalization)
     rows, first = [], None
     for b in range(cfg.outer_b_samples):
         sol = solve_penalized(problem, config, cfg.build_ensemble(b))
@@ -355,7 +354,7 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
         for level in (1.0, 0.0)
     )
     ens = cfg.build_ensemble()
-    config = cfg.build_solver_config(None)
+    config = SolverConfig()
     sol_hi = solve_penalized(hi, config, ens)
     sol_lo = solve_penalized(lo, config, ens)
     return check_comparison_hypothesis(sol_hi, sol_lo)
@@ -371,7 +370,7 @@ def crosscheck_run(cfg: ExperimentConfig):
     """
     ens = cfg.build_ensemble()
     problem = cfg.build_problem()
-    sol = solve_penalized(problem, cfg.build_solver_config(None), ens)
+    sol = solve_penalized(problem, SolverConfig(), ens)
     grid_spec = PidieGridSpec(
         theta=ens.theta, n_space=cfg.fd_space, horizon=ens.grid.horizon, n_time=cfg.fd_time
     )
@@ -427,7 +426,7 @@ def _comparison(cfg: ExperimentConfig) -> dict:
 
 def _seed_gap(cfg: ExperimentConfig) -> dict:
     outer = max(cfg.outer_b_samples, 4)
-    per_sample = max(cfg.n_paths // outer, 10 * cfg.build_solver_config(None).basis_dim)
+    per_sample = max(cfg.n_paths // outer, 10 * BASIS_DIM)
     (y0a, sea), (y0b, seb) = (
         solve_outer_samples(
             replace(cfg, n_paths=per_sample, seed=seed, outer_b_samples=outer), None

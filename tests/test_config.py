@@ -38,16 +38,16 @@ def test_minimal_config_fills_defaults():
     assert cfg.checks == ("orthonormality",)
     assert cfg.problem_name == DEFAULTS.problem_name
     assert cfg.penalization is None
-    assert cfg.degree == DEFAULTS.degree
 
 
 def test_unknown_key_reports_line():
-    # the three removed knobs are unknown keys like any other
+    # the four removed knobs are unknown keys like any other
     for section, key, value in [
         ("grid", "bogus", "3"),
         ("forward", "a_mode", "local-time"),
         ("levy", "compensated", "false"),
         ("solver", "boundary_layer", "auto"),
+        ("solver", "degree", "4"),
     ]:
         text = f"[grid]\nhorizon = 1.0\n[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigParseError, match=f"unknown key '{key}'") as err:
@@ -244,7 +244,6 @@ def configs(draw):
         "solver": {
             "n_paths": str(draw(st.integers(1, 50000))),
             "penalization": draw(st.sampled_from(["projection", "4.0", "16.0", "0.5"])),
-            "degree": str(draw(st.integers(0, 6))),
             "outer_b_samples": str(draw(st.integers(1, 8))),
             "seed": str(draw(st.integers(0, 2**32))),
             "n_schedule": ",".join(str(v) for v in schedule),

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from levylab import config
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -61,11 +63,12 @@ def test_bench_snapshot_records_every_listed_workload(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     snap = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
-    assert snap.keys() == {"label", "commit", "src_lines", "command", "host", "workloads"}
+    assert snap.keys() == {"label", "commit", "src_lines", "config_keys", "command", "host", "workloads"}
     assert snap["label"] == "t"
     assert snap["commit"] == head.stdout.strip()
     wc = sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "levylab").glob("*.py"))
     assert snap["src_lines"] == wc > 0
+    assert snap["config_keys"] == len(config._KEYS) == 18
     assert "perfbench/run.py" in snap["command"] and "--tiny" in snap["command"]
     assert {"nproc", "python", "numpy"} <= snap["host"].keys()
     assert list(snap["workloads"]) == ["verify-orthonormality"]
