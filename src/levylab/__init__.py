@@ -49,7 +49,7 @@ from .pdie import (
     solve_obstacle_pidie,
 )
 from .problems import REGISTRY, ProblemSpec, build_problem
-from .solver import EnsembleSolution, SolverConfig, solve_penalized
+from .solver import EnsembleSolution, solve_penalized
 from .teugels import TeugelsBasis, basis_for, teugels_increments
 
 __version__ = "0.1.0"

@@ -17,7 +17,9 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, with_overrides
 from .errors import LevyLabError
-from .suites import SuiteReport, crosscheck_run, run_suite, solve_outer_samples, suite_checks
+from .suites import (
+    N_SCHEDULE, SuiteReport, crosscheck_run, run_suite, solve_outer_samples, suite_checks,
+)
 from .teugels import basis_for
 
 
@@ -99,7 +101,7 @@ def _trajectory_csv(cfg: ExperimentConfig, sol, max_paths: int = 64) -> str:
 
 def _cmd_solve(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     lines = ["penalization,y0_mean,y0_se,k_t_mean,skorokhod_residual,penetration_norm"]
-    penalties = cfg.n_schedule if args.schedule else (cfg.penalization,)
+    penalties = N_SCHEDULE if args.schedule else (cfg.penalization,)
     for i, penalization in enumerate(penalties):
         # only the last penalty's first sample is written as trajectories
         keep_first = args.trajectories and i == len(penalties) - 1
@@ -190,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         if name == "solve":
             sp.add_argument(
                 "--schedule", action="store_true",
-                help="solve once per entry of the config's n_schedule",
+                help="solve once per penalty level of the penalization suite's schedule",
             )
             sp.add_argument(
                 "--trajectories", action="store_true",

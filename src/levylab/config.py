@@ -31,7 +31,6 @@ line number.  Example::
     penalization = projection    # or a positive number
     outer_b_samples = 1
     seed = 20240601
-    n_schedule = 4,16,64,256
 
     [fd]
     n_space = 200
@@ -69,8 +68,9 @@ class ExperimentConfig:
 
     ``sigma_x`` is the forward coefficient as ``("constant", v)`` or
     ``("affine", a, b)``.  ``penalization`` (``None``: projection) is the
-    sweep's one knob; its regression basis is the solver's constant
-    ``DEGREE``.  Callers that need another size or seed derive
+    penalty of the ``solve`` command's sweep; the regression basis is the
+    solver's constant ``DEGREE`` and the penalty schedule the suites'
+    constant ``N_SCHEDULE``.  Callers that need another size or seed derive
     a config with ``dataclasses.replace`` and build from that.
     """
 
@@ -85,7 +85,6 @@ class ExperimentConfig:
     penalization: float | None
     outer_b_samples: int
     seed: int
-    n_schedule: tuple[float, ...]
     fd_space: int
     fd_time: int
     checks: tuple[str, ...]
@@ -131,7 +130,6 @@ DEFAULTS = ExperimentConfig(
     penalization=None,
     outer_b_samples=1,
     seed=12345,
-    n_schedule=(4.0, 16.0, 64.0, 256.0),
     fd_space=100,
     fd_time=200,
     checks=SUITE_NAMES,
@@ -201,13 +199,6 @@ def _checks(text: str) -> tuple[str, ...]:
     return checks
 
 
-def _schedule(text: str) -> tuple[float, ...]:
-    values = tuple(_float(v) for v in text.split(","))
-    if values[0] <= 0 or any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError("must be strictly increasing positive numbers")
-    return values
-
-
 def _positive_or(word: str) -> Callable:
     """A positive number, or ``word`` (in any case) standing for ``None``."""
     positive = _checked(_float, lambda v: v > 0, f"must be positive or {word!r}")
@@ -248,7 +239,6 @@ _KEYS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
     ("solver", "outer_b_samples", "outer_b_samples", _at_least(1), str),
     ("solver", "seed", "seed",
      _checked(_int, lambda v: v >= 0, "must be a nonnegative integer"), str),
-    ("solver", "n_schedule", "n_schedule", _schedule, lambda v: ",".join(map(repr, v))),
     ("fd", "n_space", "fd_space", _at_least(2), str),
     ("fd", "n_time", "fd_time", _at_least(1), str),
     ("suite", "checks", "checks", _checks, ", ".join),

@@ -137,7 +137,7 @@ from .paths import PathEnsemble, moves_only_at_jumps
 from .problems import ProblemSpec
 from .teugels import jump_martingales, step_increments
 
-PROJECTION = None  # sentinel value of SolverConfig.penalization
+PROJECTION = None  # the penalty that stands for projection mode
 
 # Largest Gram condition number a step may solve by Cholesky.  The Gram
 # matrix squares the design's condition number, so this admits designs up
@@ -149,6 +149,13 @@ GRAM_COND_MAX = 1e10
 # theta / LAYER_DIVISOR of a wall.
 LAYER_DIVISOR = 10.0
 
+
+def _layer_edge(theta: float) -> float:
+    """Where the boundary layer of the domain (-theta, theta) starts: the
+    design's indicator column marks the states with |x| >= this."""
+    return theta - theta / LAYER_DIVISOR
+
+
 # How far the terminal value may fall below the obstacle before the sweep
 # refuses the problem.
 TERMINAL_TOL = 1e-9
@@ -157,23 +164,6 @@ TERMINAL_TOL = 1e-9
 # the monomials of the standardized state up to DEGREE, BASIS_DIM columns.
 DEGREE = 4
 BASIS_DIM = DEGREE + 2
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The one knob of a backward sweep.
-
-    ``penalization`` is a positive, finite penalty parameter, or ``None``
-    for projection mode (the limit of the penalty scheme).  The path count
-    comes from the ensemble, which must hold at least ten times
-    ``BASIS_DIM`` paths.
-    """
-
-    penalization: float | None = PROJECTION
-
-    def __post_init__(self):
-        if self.penalization is not None and not 0.0 < self.penalization < math.inf:
-            raise ValueError("penalization must be positive and finite, or None (projection)")
 
 
 class StepFit(NamedTuple):
@@ -206,19 +196,24 @@ class EnsembleSolution:
     """Solution of one backward sweep (one frozen Brownian sample), held as
     its per-step fits on the ensemble ``ens`` it was solved on.
 
-    ``fits[k]`` is step k's :class:`StepFit`; the design's boundary layer
-    is |x| >= ``layer_edge``, the ensemble's theta less theta /
-    ``LAYER_DIVISOR``.  :meth:`evaluate` rebuilds
+    ``fits[k]`` is step k's :class:`StepFit`.  :meth:`evaluate` rebuilds
     node k's Y, Z, push dK_k and pre-push (left limit) estimate y_pre at
     any states; :meth:`on_paths` evaluates one of them, K or the obstacle
     S node by node at a set of paths of the ensemble's state X.  The
-    grid, the frozen increments dB and the rank are the ensemble's; the
-    solution copies none of them.  The properties ``Y``, ``K``, ``y_pre``
+    grid, the frozen increments dB, the rank and the design's boundary
+    layer (:func:`_layer_edge` of theta) are the ensemble's; the solution
+    copies none of them.  The properties ``Y``, ``K``, ``y_pre``
     and ``S`` [path, node], ``Z`` [path, node, component] with the basis's
     rank of components and ``dK`` [path, step] evaluate it at every path
     on each read, not stored or cached, so a reader binds each once.
     ``K_T`` [path] is the total push, summed by the sweep as it ran, last
     step first.
+
+    ``y0_se`` is the spread over paths of step 0's one-step regression
+    target divided by sqrt(n_paths).  It is not the standard error of
+    ``y0_value``: it holds the randomness of the first step only, and on
+    example51 it reads about 15 times smaller than the spread of Y0 over
+    seeds (ROADMAP item 1).
 
     ``skorokhod_residual`` is the mean over paths of
     |sum_k (y_pre_k - S_k) dK_k|, the discrete complementarity gap;
@@ -228,7 +223,6 @@ class EnsembleSolution:
     """
 
     penalization: float | None
-    layer_edge: float
     fits: tuple[StepFit, ...]
     K_T: np.ndarray
     ens: PathEnsemble
@@ -273,8 +267,8 @@ class EnsembleSolution:
                 z[...] = 0.0
             return
         fit = self.fits[k]
-        design = regression_design(x, self.layer_edge, np.empty((BASIS_DIM, x.shape[0])),
-                                   fit.mean, fit.sd, fit.layer)
+        design = regression_design(x, _layer_edge(self.ens.theta),
+                                   np.empty((BASIS_DIM, x.shape[0])), fit.mean, fit.sd, fit.layer)
         if z is not None and fit.z_coef is not None:
             _fitted(fit.z_coef, design, z)
         if y is None and push is None and y_pre is None:
@@ -659,17 +653,22 @@ def _state_map(ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarr
 
 
 def solve_penalized(
-    problem: ProblemSpec, config: SolverConfig, ens: PathEnsemble
+    problem: ProblemSpec, ens: PathEnsemble, penalization: float | None = PROJECTION
 ) -> EnsembleSolution:
     """Backward sweep over one ensemble (one frozen Brownian sample), on
-    the states of its path -> state map (see the module docstring).
+    the states of its path -> state map (see the module docstring), with
+    the penalty ``penalization``: a positive, finite parameter n, or
+    ``PROJECTION`` (``None``), the limit of the penalty scheme.
 
     Raises :class:`TerminalBelowObstacle` when S_T > xi on some path, and
-    ``ValueError`` when the ensemble is too small for the basis.  Emits at
+    ``ValueError`` when the penalty is neither, or when the ensemble holds
+    fewer than ten times ``BASIS_DIM`` paths.  Emits at
     most one :class:`SingularRegressionWarning`, naming the earliest step
     whose design was reduced, its column count and how many regressions the
     sweep reduced.
     """
+    if penalization is not PROJECTION and not 0.0 < penalization < math.inf:
+        raise ValueError("penalization must be positive and finite, or None (projection)")
     grid = ens.grid
     n = grid.n_steps
     dt = grid.dt
@@ -684,7 +683,7 @@ def solve_penalized(
     W = None if ens.W is None else np.ascontiguousarray(ens.W.T)
     dB = np.diff(ens.B)
     rank = ens.basis.rank
-    layer_edge = ens.theta - ens.theta / LAYER_DIVISOR
+    layer_edge = _layer_edge(ens.theta)
     states = _state_map(ens, X, counts, W)
     m = states.size
 
@@ -728,8 +727,7 @@ def solve_penalized(
     penetration[n] = mean_penetration_sq(s_k, xi)
     reduced, first_reduced = 0, None
 
-    pen = config.penalization
-    push_scale = _push_scale(pen, dt)
+    push_scale = _push_scale(penalization, dt)
     for k in range(n - 1, -1, -1):
         fk = np.asarray(problem.f(t[k + 1], states.values(k + 1), y_next, z_next.T), dtype=float)
         np.multiply(fk, dt, out=target)
@@ -787,14 +785,13 @@ def solve_penalized(
     # after the loop, y_next is Y_0, and first holds step 0's regression
     # target at every path, whose spread gives y0_se
     return EnsembleSolution(
-        penalization=pen,
-        layer_edge=layer_edge,
+        penalization=penalization,
         fits=tuple(fits),
         K_T=k_total,
         ens=ens,
         problem=problem,
         y0_value=states.mean(y_next),
-        y0_se=float(np.std(first, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+        y0_se=float(np.std(first, ddof=1) / math.sqrt(n_paths)),
         # every term (yhat - S) dK is <= 0, so the mean of |sum_k| is the sum of the means
         skorokhod_residual=gap / n_paths,
         penetration_norm=float(np.max(penetration)),

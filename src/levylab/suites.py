@@ -36,11 +36,16 @@ from .paths import (
 )
 from .pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
 from .problems import build_problem
-from .solver import BASIS_DIM, EnsembleSolution, SolverConfig, solve_penalized
+from .solver import BASIS_DIM, EnsembleSolution, solve_penalized
 from .teugels import TeugelsBasis, basis_for, jump_martingales, step_increments
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
+
+# The penalty levels n along which the penalization suite, the
+# ``solve --schedule`` command and the penalty study follow the penalized
+# solutions towards the reflected one, in increasing order.
+N_SCHEDULE = (4.0, 16.0, 64.0, 256.0)
 
 # direction of a gate -> (its symbol in the text report, its pass test)
 DIRECTIONS = {
@@ -184,7 +189,7 @@ def benchmark_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Null coefficients, terminal 0 and obstacle 1 - t on horizon 1 with 100
     steps, a unit coefficient from x0 = 0 on (-1, 1), and at most 4,000
-    paths.  The driver, seed and penalty schedule stay those of ``cfg``.
+    paths.  The driver and seed stay those of ``cfg``.
     """
     return replace(
         cfg,
@@ -205,7 +210,7 @@ def run_benchmark_solution(cfg: ExperimentConfig) -> tuple[EnsembleSolution, dic
     evaluated on the grid, here 1 - t, with total push K_T = 1.
     """
     cfg = benchmark_config(cfg)
-    sol = solve_penalized(cfg.build_problem(), SolverConfig(), cfg.build_ensemble())
+    sol = solve_penalized(cfg.build_problem(), cfg.build_ensemble())
     obstacle_path = 1.0 - cfg.grid.nodes
     oracle = np.maximum(0.0, np.maximum.accumulate(obstacle_path[::-1])[::-1])
     metrics = {
@@ -238,10 +243,10 @@ def apriori_bounds(
 
 def penalization_family(cfg: ExperimentConfig) -> dict[float, EnsembleSolution]:
     """Solve the configured problem on one shared ensemble at every penalty
-    parameter of ``cfg.n_schedule`` in turn."""
+    level of ``N_SCHEDULE`` in turn."""
     problem = cfg.build_problem()
     ens = cfg.build_ensemble()
-    return {n: solve_penalized(problem, SolverConfig(penalization=n), ens) for n in cfg.n_schedule}
+    return {n: solve_penalized(problem, ens, n) for n in N_SCHEDULE}
 
 
 def solve_outer_samples(
@@ -252,16 +257,16 @@ def solve_outer_samples(
 
     Returns ``(y0, se, means, first)``: the aggregated initial value and
     its standard error (across samples when there are at least two, else
-    the single sample's within-ensemble proxy); the path mean of K_T, the
+    the single sample's within-ensemble proxy ``y0_se``, which is not Y0's
+    standard error: see :class:`EnsembleSolution`); the path mean of K_T, the
     Skorokhod residual and the penetration norm, each averaged over
     samples; and sample 0's solution when ``keep_first``, else None.  Only
     scalars are kept of the other samples: one solution is alive at a time.
     """
     problem = cfg.build_problem()
-    config = SolverConfig(penalization=penalization)
     rows, first = [], None
     for b in range(cfg.outer_b_samples):
-        sol = solve_penalized(problem, config, cfg.build_ensemble(b))
+        sol = solve_penalized(problem, cfg.build_ensemble(b), penalization)
         k_t = float(np.mean(sol.K_T))
         rows.append((sol.y0_value, sol.y0_se, k_t, sol.skorokhod_residual, sol.penetration_norm))
         first = sol if keep_first and b == 0 else first
@@ -354,9 +359,8 @@ def comparison_pair(cfg: ExperimentConfig) -> tuple[float, float]:
         for level in (1.0, 0.0)
     )
     ens = cfg.build_ensemble()
-    config = SolverConfig()
-    sol_hi = solve_penalized(hi, config, ens)
-    sol_lo = solve_penalized(lo, config, ens)
+    sol_hi = solve_penalized(hi, ens)
+    sol_lo = solve_penalized(lo, ens)
     return check_comparison_hypothesis(sol_hi, sol_lo)
 
 
@@ -370,7 +374,7 @@ def crosscheck_run(cfg: ExperimentConfig):
     """
     ens = cfg.build_ensemble()
     problem = cfg.build_problem()
-    sol = solve_penalized(problem, SolverConfig(), ens)
+    sol = solve_penalized(problem, ens)
     grid_spec = PidieGridSpec(
         theta=ens.theta, n_space=cfg.fd_space, horizon=ens.grid.horizon, n_time=cfg.fd_time
     )
@@ -399,9 +403,9 @@ def _skorokhod_gap(cfg: ExperimentConfig) -> dict:
 
 def _benchmark_penalization(cfg: ExperimentConfig) -> dict:
     family = penalization_family(benchmark_config(cfg))
-    pens = [family[n].penetration_norm for n in cfg.n_schedule]
+    pens = [family[n].penetration_norm for n in N_SCHEDULE]
     ratios = [b / a if a > 0 else (0.0 if b == 0 else math.inf) for a, b in zip(pens, pens[1:])]
-    y0s = [family[n].y0_value for n in cfg.n_schedule]
+    y0s = [family[n].y0_value for n in N_SCHEDULE]
     _, tail, growth = apriori_bounds(family)
     return {
         "penetration_decreasing": max(ratios),
@@ -414,8 +418,8 @@ def _benchmark_penalization(cfg: ExperimentConfig) -> dict:
 
 def _stochastic_penalization(cfg: ExperimentConfig) -> dict:
     family = penalization_family(cfg)
-    y0s = [family[n].y0_value for n in cfg.n_schedule]
-    se = max(family[cfg.n_schedule[0]].y0_se, 1e-12)
+    y0s = [family[n].y0_value for n in N_SCHEDULE]
+    se = max(family[N_SCHEDULE[0]].y0_se, 1e-12)
     return {"y0_monotone_stochastic_stddevs": min((b - a) / se for a, b in zip(y0s, y0s[1:]))}
 
 

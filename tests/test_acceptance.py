@@ -21,6 +21,7 @@ from levylab.paths import (
     skorokhod_minimality_gap,
 )
 from levylab.suites import (
+    N_SCHEDULE,
     benchmark_config,
     comparison_pair,
     crosscheck_run,
@@ -35,10 +36,7 @@ from levylab.teugels import basis_for, teugels_increments
 warnings.filterwarnings("ignore", message="rank-deficient regression design")
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
-SCHEDULE = (4.0, 16.0, 64.0, 256.0)
-BASE = replace(
-    DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100), n_schedule=SCHEDULE
-)
+BASE = replace(DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100))
 
 
 def config(**fields):
@@ -119,7 +117,7 @@ def benchmark_family():
 
 
 def test_criterion_04_penalization_convergence(benchmark_family):
-    pens = [benchmark_family[n].penetration_norm for n in SCHEDULE]
+    pens = [benchmark_family[n].penetration_norm for n in N_SCHEDULE]
     strictly_decreasing = all(a > b for a, b in zip(pens, pens[1:]))
     ratio = pens[-1] / pens[0]
     passed = strictly_decreasing and ratio <= 0.1
@@ -132,16 +130,16 @@ def test_criterion_04_penalization_convergence(benchmark_family):
 
 def test_criterion_05_penalization_monotonicity(benchmark_family):
     # deterministic benchmark
-    y0_bench = [benchmark_family[n].y0_value for n in SCHEDULE]
-    se_bench = max(benchmark_family[SCHEDULE[0]].y0_se, 1e-12)
+    y0_bench = [benchmark_family[n].y0_value for n in N_SCHEDULE]
+    se_bench = max(benchmark_family[N_SCHEDULE[0]].y0_se, 1e-12)
     bench_ok = all(
-        y0_bench[i] <= y0_bench[i + 1] + 2.0 * se_bench for i in range(len(SCHEDULE) - 1)
+        y0_bench[i] <= y0_bench[i + 1] + 2.0 * se_bench for i in range(len(N_SCHEDULE) - 1)
     )
     # stochastic instance at 1e4 paths
     family = penalization_family(config(n_paths=10_000, seed=55))
-    y0_sto = [family[n].y0_value for n in SCHEDULE]
-    se_sto = max(family[SCHEDULE[0]].y0_se, 1e-12)
-    sto_ok = all(y0_sto[i] <= y0_sto[i + 1] + 2.0 * se_sto for i in range(len(SCHEDULE) - 1))
+    y0_sto = [family[n].y0_value for n in N_SCHEDULE]
+    se_sto = max(family[N_SCHEDULE[0]].y0_se, 1e-12)
+    sto_ok = all(y0_sto[i] <= y0_sto[i + 1] + 2.0 * se_sto for i in range(len(N_SCHEDULE) - 1))
     passed = bench_ok and sto_ok
     _report(5, "penalization monotonicity", passed,
             f"benchmark Y0(n)={['%.4f' % v for v in y0_bench]}, "

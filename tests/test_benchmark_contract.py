@@ -20,7 +20,7 @@ from levylab.config import DEFAULTS
 from levylab.errors import SingularRegressionWarning
 from levylab.levy import LevySpec
 from levylab.paths import TimeGrid
-from levylab.solver import SolverConfig, solve_penalized
+from levylab.solver import solve_penalized
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,7 +41,7 @@ def test_tracer_counts_an_ensemble_and_its_sweep():
     ens = cfg.build_ensemble()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularRegressionWarning)
-        sol = solve_penalized(cfg.build_problem(), SolverConfig(), ens)
+        sol = solve_penalized(cfg.build_problem(), ens)
     tracer = load_tracer().Tracer()
     tracer._on_ensemble(ens)
     tracer._on_sweep(sol)

@@ -437,14 +437,14 @@ def test_suites_sweep_the_configured_problem_on_the_local_time_clock(monkeypatch
     seen = []
     solve = suites.solve_penalized
 
-    def recording(problem, config, ens):
-        seen.append((problem, config, ens))
-        return solve(problem, config, ens)
+    def recording(problem, ens, penalization=None):
+        seen.append((problem, ens))
+        return solve(problem, ens, penalization)
 
     monkeypatch.setattr(suites, "solve_penalized", recording)
     cfg = parse_config(
         "[grid]\nn_steps = 10\n[problem]\nparam.h_scale = 1.0\n"
-        "[solver]\nn_paths = 240\nn_schedule = 4, 16\nseed = 3\n"
+        "[solver]\nn_paths = 240\nseed = 3\n"
         "[fd]\nn_space = 20\nn_time = 20\n"
     )
     configured = cfg.build_problem().params
@@ -454,8 +454,8 @@ def test_suites_sweep_the_configured_problem_on_the_local_time_clock(monkeypatch
         suites.suite_checks(name, cfg)
         # the clock is the reflection's local time: it grows only on a wall
         assert all(np.all(np.abs(ens.X[ens.clock.paths, ens.clock.steps + 1]) == ens.theta)
-                   for *_, ens in seen), name
-        own = [(problem, ens) for problem, _, ens in seen if problem.name == cfg.problem_name]
+                   for _, ens in seen), name
+        own = [(problem, ens) for problem, ens in seen if problem.name == cfg.problem_name]
         if name in ("penalization", "uniqueness", "feynman_kac"):
             assert own, name
             for problem, ens in own:

@@ -21,7 +21,7 @@ from levylab.pdie import (
     solve_obstacle_pidie,
 )
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
-from levylab.solver import SolverConfig, solve_penalized
+from levylab.solver import solve_penalized
 from levylab.teugels import basis_for
 
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
@@ -325,8 +325,7 @@ class TestRepresentation:
     def test_constant_case_all_zero(self, mc_setup):
         grid, ens = mc_setup
         prob = custom_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        cfg = SolverConfig(penalization=None)
-        sol = solve_penalized(prob, cfg, ens)
+        sol = solve_penalized(prob, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
         report = representation_check(pg, sol)
         assert report.y_max_gap < 1e-9
@@ -335,8 +334,7 @@ class TestRepresentation:
     def test_obstacle_everywhere_flat_z(self, mc_setup):
         grid, ens = mc_setup
         prob = build_problem("deterministic_obstacle", {})
-        cfg = SolverConfig(penalization=None)
-        sol = solve_penalized(prob, cfg, ens)
+        sol = solve_penalized(prob, ens)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
         report = representation_check(pg, sol)
         # u = 1 - t is flat in x: the jump remainder vanishes and Z tracks 0
@@ -346,8 +344,7 @@ class TestRepresentation:
     def test_grid_incompatible(self, mc_setup):
         grid, ens = mc_setup
         prob = build_problem("deterministic_obstacle", {})
-        cfg = SolverConfig(penalization=None)
-        sol = solve_penalized(prob, cfg, ens)
+        sol = solve_penalized(prob, ens)
         bad = PidieGridSpec(theta=1.0, n_space=50, horizon=1.0, n_time=150)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, bad, sigma_x=ens.sigma_x)
         with pytest.raises(GridIncompatible):
@@ -357,7 +354,7 @@ class TestRepresentation:
         # with an odd n_space, x0 = 0 falls halfway between two nodes
         grid, ens = mc_setup
         prob = build_problem("example51", {})
-        sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
+        sol = solve_penalized(prob, ens)
         gs = PidieGridSpec(1.0, 101, 1.0, 200)
         pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, gs, sigma_x=ens.sigma_x)
         report = representation_check(pg, sol)
@@ -397,7 +394,7 @@ def test_one_pass_report_matches_the_per_node_loop(case, mc_setup):
         sampled = ens.X[::PATH_STRIDE]
         assert np.any(sampled == 1.0) and np.any(sampled < 1.0)
     prob = build_problem("example51", {})
-    sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
+    sol = solve_penalized(prob, ens)
     pg = solve_obstacle_pidie(prob, spec, ens.basis, gs, sigma_x=ens.sigma_x)
     report = representation_check(pg, sol)
     ref = representation_check_reference(pg, ens, sol)
@@ -416,8 +413,7 @@ def test_constant_level_case_z_exactly_small(mc_setup):
     # nonzero constant terminal: the centered Z regression still returns ~0
     grid, ens = mc_setup
     prob = custom_problem(terminal=lambda x: np.full_like(np.asarray(x, dtype=float), 2.5))
-    cfg = SolverConfig(penalization=None)
-    sol = solve_penalized(prob, cfg, ens)
+    sol = solve_penalized(prob, ens)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, GRID, sigma_x=ens.sigma_x)
     report = representation_check(pg, sol)
     assert report.y_max_gap < 1e-8
@@ -442,7 +438,7 @@ def test_z_dependent_driver_crosscheck():
     )
     grid = TimeGrid(1.0, 100)
     ens = simulate_ensemble(TWO_ATOM, grid, 8000, 5, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
-    sol = solve_penalized(prob, SolverConfig(penalization=None), ens)
+    sol = solve_penalized(prob, ens)
     gs = PidieGridSpec(1.0, 100, 1.0, 200)
     pg = solve_obstacle_pidie(prob, TWO_ATOM, BASIS, gs, sigma_x=ens.sigma_x)
     u00 = float(pg.u[0, 50])
@@ -463,8 +459,7 @@ def test_pathwise_mode_matches_monte_carlo_with_shared_brownian():
     )
     mc_grid = TimeGrid(1.0, 100)
     ens = simulate_ensemble(TWO_ATOM, mc_grid, 4000, 99, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
-    cfg = SolverConfig(penalization=None)
-    sol = solve_penalized(prob, cfg, ens)
+    sol = solve_penalized(prob, ens)
     # refine the Brownian path onto the finer grid by reusing the shared nodes
     ratio = 2
     gs = PidieGridSpec(theta=1.0, n_space=100, horizon=1.0, n_time=100 * ratio)

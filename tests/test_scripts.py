@@ -68,7 +68,7 @@ def test_bench_snapshot_records_every_listed_workload(tmp_path):
     assert snap["commit"] == head.stdout.strip()
     wc = sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "levylab").glob("*.py"))
     assert snap["src_lines"] == wc > 0
-    assert snap["config_keys"] == len(config._KEYS) == 18
+    assert snap["config_keys"] == len(config._KEYS) == 17
     assert "perfbench/run.py" in snap["command"] and "--tiny" in snap["command"]
     assert {"nproc", "python", "numpy"} <= snap["host"].keys()
     assert list(snap["workloads"]) == ["verify-orthonormality"]

@@ -13,8 +13,9 @@ from levylab.errors import SingularRegressionWarning, TerminalBelowObstacle
 from levylab.levy import LevySpec
 from levylab.paths import ClockEvents, DriverNodes, TimeGrid, simulate_ensemble, simulate_reflected_x
 from levylab.problems import NO_OBSTACLE, ProblemSpec, build_problem
-from levylab.solver import SolverConfig, solve_penalized
+from levylab.solver import solve_penalized
 from levylab.suites import (
+    N_SCHEDULE,
     apriori_bounds,
     benchmark_config,
     check_comparison_hypothesis,
@@ -38,7 +39,7 @@ def bounded(tail, growth):
 TWO_ATOM = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)))
 SIGMA_X = DEFAULTS.build_sigma_x()  # the default config's sigma_x = 1
 # example51 from x0 = 0 on (-1, 1), unit coefficient, local-time clock,
-# projection; tests replace sizes, seeds and the schedule
+# projection; tests replace sizes and seeds
 BASE = dataclasses.replace(
     DEFAULTS, levy=LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0))), grid=TimeGrid(1.0, 100)
 )
@@ -73,12 +74,9 @@ def ensemble_identity_clock(ensemble):
     return dataclasses.replace(ensemble, clock=clock)
 
 
-CFG = SolverConfig(penalization=None)
-
-
 class TestExactPropagation:
     def test_constant_problem(self, ensemble):
-        sol = solve_penalized(make_problem(), CFG, ensemble)
+        sol = solve_penalized(make_problem(), ensemble)
         assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
         assert np.all(sol.K == 0.0)
         assert np.max(np.abs(sol.Z)) < 1e-9
@@ -87,14 +85,14 @@ class TestExactPropagation:
     def test_driver_decay_matches_discrete_product(self, ensemble):
         # f = -0.1 y propagates as Y_k = (1 - 0.1 dt) Y_{k+1}, an exact product
         prob = make_problem(f=lambda t, x, y, z: -0.1 * np.asarray(y, dtype=float))
-        sol = solve_penalized(prob, CFG, ensemble)
+        sol = solve_penalized(prob, ensemble)
         expected = (1.0 - 0.1 * 0.01) ** 100
         assert sol.y0_value == pytest.approx(expected, abs=1e-12)
 
     def test_boundary_decay_with_identity_clock(self, ensemble_identity_clock):
         # phi = -0.5 y against dA = dt gives the same product with rate 0.5
         prob = make_problem(phi=lambda t, x, y: -0.5 * np.asarray(y, dtype=float))
-        sol = solve_penalized(prob, CFG, ensemble_identity_clock)
+        sol = solve_penalized(prob, ensemble_identity_clock)
         expected = (1.0 - 0.5 * 0.01) ** 100
         assert sol.y0_value == pytest.approx(expected, abs=1e-12)
 
@@ -111,7 +109,7 @@ class TestExactPropagation:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            solve_penalized(make_problem(phi=phi), CFG, ens)
+            solve_penalized(make_problem(phi=phi), ens)
         events = np.diff(ens.clock.offsets)
         assert [x.shape[0] for x in seen] == [e for e in events[::-1] if e]
         if clock == "identity":
@@ -124,13 +122,13 @@ class TestExactPropagation:
             g=lambda t, x, y: np.ones_like(np.asarray(y, dtype=float)),
             terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
-        sol = solve_penalized(prob, CFG, ensemble)
+        sol = solve_penalized(prob, ensemble)
         assert sol.y0_value == pytest.approx(float(ensemble.B[-1]), abs=1e-12)
 
     def test_state_dependent_g_two_pass_product(self, ensemble):
         # g = y gives Y_k = yhat0 (1 + dB_k); with terminal 1 the product telescopes
         prob = make_problem(g=lambda t, x, y: np.asarray(y, dtype=float))
-        sol = solve_penalized(prob, CFG, ensemble)
+        sol = solve_penalized(prob, ensemble)
         expected = float(np.prod(1.0 + np.diff(ensemble.B)))
         assert sol.y0_value == pytest.approx(expected, rel=1e-10)
 
@@ -152,7 +150,7 @@ class TestObstacle:
             obstacle=flat_obstacle(0.5),
         )
         with pytest.raises(TerminalBelowObstacle):
-            solve_penalized(prob, CFG, ensemble)
+            solve_penalized(prob, ensemble)
 
     def test_path_count_guard(self):
         # 30 paths are fewer than 10 * BASIS_DIM = 60
@@ -160,17 +158,17 @@ class TestObstacle:
             TWO_ATOM, TimeGrid(1.0, 10), 30, 1, theta=1.0, x0=0.0, sigma_x=SIGMA_X
         )
         with pytest.raises(ValueError, match="below 10 \\* basis dimension"):
-            solve_penalized(make_problem(), CFG, small)
+            solve_penalized(make_problem(), small)
 
     @pytest.mark.parametrize("penalization", [math.inf, math.nan, 0.0, -1.0])
-    def test_config_rejects_a_nonfinite_or_nonpositive_penalty(self, penalization):
-        with pytest.raises(ValueError, match="penalization"):
-            SolverConfig(penalization=penalization)
+    def test_sweep_rejects_a_nonfinite_or_nonpositive_penalty(self, ensemble, penalization):
+        with pytest.raises(ValueError, match="penalization must be positive and finite"):
+            solve_penalized(make_problem(), ensemble, penalization=penalization)
 
     def test_contact_without_push_keeps_k_zero(self, ensemble):
         # obstacle exactly at the solution level: yhat == S, so dK must stay 0
         prob = make_problem(obstacle=flat_obstacle(1.0))
-        sol = solve_penalized(prob, CFG, ensemble)
+        sol = solve_penalized(prob, ensemble)
         # yhat == S up to regression rounding; the push must not exceed it
         assert np.max(sol.K) < 1e-11
         assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
@@ -183,7 +181,7 @@ class TestObstacle:
         problem = build_problem(name)
         assert not problem.obstacle(ensemble.grid.nodes[:, None], ensemble.X.T).flags.writeable
         copied = dataclasses.replace(problem, obstacle=lambda t, x: np.array(problem.obstacle(t, x)))
-        sol, reference = (solve_penalized(p, CFG, ensemble) for p in (problem, copied))
+        sol, reference = (solve_penalized(p, ensemble) for p in (problem, copied))
         assert np.any(sol.K[:, -1] > 0.0) == (name == "deterministic_obstacle")
         np.testing.assert_array_equal(sol.S, reference.S)
         assert_solutions_agree(sol, reference, atol=0.0)
@@ -210,54 +208,48 @@ class TestObstacle:
             np.testing.assert_array_equal(barrier, expected)
 
 
-SCHEDULE = (4.0, 16.0, 64.0, 256.0)
-
-
 @pytest.fixture(scope="module")
 def family():
-    cfg = dataclasses.replace(benchmark_config(BASE), n_paths=600, seed=44, n_schedule=SCHEDULE)
+    cfg = dataclasses.replace(benchmark_config(BASE), n_paths=600, seed=44)
     return cfg.build_problem(), penalization_family(cfg)
 
 
 class TestPenalization:
-    SCHEDULE = SCHEDULE
-
     def test_k_t_approaches_ode_closed_form(self, family):
         # independent oracle: dY = -n (Y - S)^- dt backward from 0 with S = 1 - t
         # solves to K_T(n) = 1 - (1 - e^{-n}) / n
         _, fam = family
-        for n in self.SCHEDULE:
+        for n in N_SCHEDULE:
             k_t = float(np.mean(fam[n].K[:, -1]))
             assert k_t == pytest.approx(1.0 - (1.0 - math.exp(-n)) / n, abs=0.02)
 
     def test_k_t_monotone_from_below(self, family):
         _, fam = family
-        k_ts = [float(np.mean(fam[n].K[:, -1])) for n in self.SCHEDULE]
+        k_ts = [float(np.mean(fam[n].K[:, -1])) for n in N_SCHEDULE]
         assert all(a < b for a, b in zip(k_ts, k_ts[1:]))
         assert all(k < 1.0 for k in k_ts)
 
     def test_penetration_decreasing_with_rate(self, family):
         _, fam = family
-        pens = [fam[n].penetration_norm for n in self.SCHEDULE]
+        pens = [fam[n].penetration_norm for n in N_SCHEDULE]
         assert all(a > b for a, b in zip(pens, pens[1:]))
-        for n, p in zip(self.SCHEDULE, pens):
+        for n, p in zip(N_SCHEDULE, pens):
             assert p <= 1.0 / n  # well under the C/n envelope
 
     def test_residual_decreasing_in_n(self, family):
         _, fam = family
-        residuals = [fam[n].skorokhod_residual for n in self.SCHEDULE]
+        residuals = [fam[n].skorokhod_residual for n in N_SCHEDULE]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
 
     def test_y0_monotone_in_n(self, family):
         _, fam = family
-        y0s = [fam[n].y0_value for n in self.SCHEDULE]
+        y0s = [fam[n].y0_value for n in N_SCHEDULE]
         assert all(a < b for a, b in zip(y0s, y0s[1:]))
 
     def test_apriori_bounds_flat_for_constant_problem(self, ensemble):
         sols = {}
         for n in (1.0, 2.0, 4.0, 8.0):
-            cfg = SolverConfig(penalization=n)
-            sols[n] = solve_penalized(make_problem(), cfg, ensemble)
+            sols[n] = solve_penalized(make_problem(), ensemble, n)
         norms, tail, growth = apriori_bounds(sols)
         assert bounded(tail, growth)
         assert max(norms) == pytest.approx(min(norms), rel=1e-9)
@@ -272,8 +264,8 @@ class TestPenalization:
 class TestComparison:
     def test_identical_problems_zero_slopes(self, ensemble):
         prob = make_problem(f=lambda t, x, y, z: -0.1 * np.asarray(y, dtype=float))
-        sol1 = solve_penalized(prob, CFG, ensemble)
-        sol2 = solve_penalized(prob, CFG, ensemble)
+        sol1 = solve_penalized(prob, ensemble)
+        sol2 = solve_penalized(prob, ensemble)
         min_sum, violations = check_comparison_hypothesis(sol1, sol2)
         assert min_sum == 0.0 and violations == 0.0
         assert min_sum > -1.0
@@ -285,15 +277,15 @@ class TestComparison:
         twin = dataclasses.replace(ensemble)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            sol1, sol2 = solve_penalized(prob, CFG, ensemble), solve_penalized(prob, CFG, twin)
+            sol1, sol2 = solve_penalized(prob, ensemble), solve_penalized(prob, twin)
         with pytest.raises(ValueError, match="different ensembles"):
             check_comparison_hypothesis(sol1, sol2)
 
     def test_ordered_terminals_give_ordered_solutions(self, ensemble):
         hi = make_problem(terminal=lambda x: np.ones_like(np.asarray(x, dtype=float)))
         lo = make_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        sol_hi = solve_penalized(hi, CFG, ensemble)
-        sol_lo = solve_penalized(lo, CFG, ensemble)
+        sol_hi = solve_penalized(hi, ensemble)
+        sol_lo = solve_penalized(lo, ensemble)
         min_sum, violations = check_comparison_hypothesis(sol_hi, sol_lo)
         assert min_sum == 0.0  # z-independent driver
         assert violations == np.mean(sol_hi.Y < sol_lo.Y - 0.01) <= 0.01
@@ -306,7 +298,7 @@ class TestComparison:
         spec = LevySpec()
         ens = simulate_ensemble(spec, TimeGrid(1.0, 20), 100, 3, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
         one, rising = (build_problem("linear", {"f0": f0, "fy": 0.0}) for f0 in (0.0, 1.0))
-        sol1, sol2 = (solve_penalized(p, CFG, ens) for p in (one, rising))
+        sol1, sol2 = (solve_penalized(p, ens) for p in (one, rising))
         assert ens.basis.rank == 0
         min_sum, violations = check_comparison_hypothesis(sol1, sol2)
         assert min_sum == 0.0
@@ -320,8 +312,8 @@ class TestComparison:
 
         hi = make_problem(f=f, terminal=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0))
         lo = make_problem(f=f, terminal=lambda x: 0.5 * np.maximum(np.asarray(x, dtype=float), 0.0))
-        sol_hi = solve_penalized(hi, CFG, ensemble)
-        sol_lo = solve_penalized(lo, CFG, ensemble)
+        sol_hi = solve_penalized(hi, ensemble)
+        sol_lo = solve_penalized(lo, ensemble)
         min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo)
         # the interval bound -c * rank * max |dH| implied by f's Lipschitz
         # constant in z, c = 0.3 from the 0.3 tanh(z1) term
@@ -335,8 +327,8 @@ class TestComparison:
     def test_telescoping_points_match_per_slot_reference(self, ensemble, fz1):
         # the rank + 1 shared evaluations per step against one pair per slot
         hi, lo = (build_problem("linear", {"l0": l0, "fz1": fz1}) for l0 in (1.0, 0.0))
-        sol_hi = solve_penalized(hi, CFG, ensemble)
-        sol_lo = solve_penalized(lo, CFG, ensemble)
+        sol_hi = solve_penalized(hi, ensemble)
+        sol_lo = solve_penalized(lo, ensemble)
         min_sum, _ = check_comparison_hypothesis(sol_hi, sol_lo)
         total = comparison_reference(sol_hi, sol_lo, lo, ensemble)
         assert (min_sum != 0.0) == (fz1 != 0.0)
@@ -430,7 +422,7 @@ def sigma_example51():
 
 class TestDiagnostics:
     def test_skorokhod_residual_zero_without_push(self, ensemble):
-        sol = solve_penalized(make_problem(), CFG, ensemble)
+        sol = solve_penalized(make_problem(), ensemble)
         assert sol.skorokhod_residual == skorokhod_residual_reference(sol) == 0.0
 
     def test_residual_is_dt_times_push_on_the_benchmark(self):
@@ -449,7 +441,7 @@ class TestDiagnostics:
         problem, ens = binding_example51
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            sol = solve_penalized(problem, SolverConfig(penalization=penalization), ens)
+            sol = solve_penalized(problem, ens, penalization)
         residual = skorokhod_residual_reference(sol)
         penetration = penetration_norm_reference(sol)
         norms = solution_norms_reference(sol, ens.A)
@@ -478,10 +470,10 @@ class TestDiagnostics:
             monkeypatch.setattr(solver, "_state_map", state_map)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", SingularRegressionWarning)
-                solve_penalized(problem, CFG, ens)  # so that scipy's import is not counted
+                solve_penalized(problem, ens)  # so that scipy's import is not counted
                 tracemalloc.start()
                 try:
-                    sol = solve_penalized(problem, CFG, ens)
+                    sol = solve_penalized(problem, ens)
                     returned, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -491,7 +483,7 @@ class TestDiagnostics:
 
     def test_solution_keeps_the_measured_arrays(self, ensemble):
         # sizes and step counts of a sweep are read from these six arrays
-        sol = solve_penalized(make_problem(), CFG, ensemble)
+        sol = solve_penalized(make_problem(), ensemble)
         n_paths, n = ensemble.n_paths, ensemble.grid.n_steps
         m = ensemble.dH.shape[2]
         shapes = {
@@ -514,7 +506,7 @@ class TestDiagnostics:
         spec = LevySpec(atoms=((1.0, 1.0),))
         ens = simulate_ensemble(spec, grid, 600, 5, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
         prob = make_problem(terminal=lambda x: np.asarray(x, dtype=float) ** 2)
-        sol = solve_penalized(prob, CFG, ens)
+        sol = solve_penalized(prob, ens)
         assert sol.ens.basis.rank == 1
         assert sol.Z.shape == (600, 51, 1)
         assert np.all(np.isfinite(sol.Z)) and np.any(sol.Z[:, :-1, 0] != 0.0)
@@ -633,7 +625,7 @@ class ReferenceSolution:
     apriori_norms: dict
 
 
-def solve_penalized_reference(problem, config, ens, gram_factor=gram_factor_reference):
+def solve_penalized_reference(problem, ens, penalization=None, gram_factor=gram_factor_reference):
     """The sweep with the Gram matrix from ``design @ design.T``, one
     product per right-hand side, Z scaled by 1/dt after the fit, and the
     diagnostics kept per path until the end.  ``gram_factor`` gives each
@@ -655,7 +647,7 @@ def solve_penalized_reference(problem, config, ens, gram_factor=gram_factor_refe
     design_buf = np.empty((solver.BASIS_DIM, n_paths))
     sup_y2, y2_dA, z2, gap = np.square(xi), np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     penetration = [np.mean(np.maximum(S[n] - xi, 0.0) ** 2)]
-    pen = config.penalization
+    pen = penalization
     push_scale = 1.0 if pen is None else pen * dt / (1.0 + pen * dt)
     for k in range(n - 1, -1, -1):
         x, y_next, dA = X[k], Yt[k + 1], A[k + 1] - A[k]
@@ -713,7 +705,6 @@ class TestRegressionPaths:
         # this obstacle binds, so the push and K are compared as well
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         # the reference sends every step to lstsq's reduction
-        cfg = SolverConfig(penalization=penalization)
         kept = record_kept(monkeypatch)
         lstsq, lstsq_calls = np.linalg.lstsq, []
 
@@ -723,10 +714,10 @@ class TestRegressionPaths:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            fast = solve_penalized(problem, cfg, ensemble)
+            fast = solve_penalized(problem, ensemble, penalization)
             assert sum(k == ncol for k, ncol in kept) > 90 and len(kept) == 100
             monkeypatch.setattr(np.linalg, "lstsq", counting)
-            reference = solve_penalized_reference(problem, cfg, ensemble, gram_factor=lambda gram: None)
+            reference = solve_penalized_reference(problem, ensemble, penalization, gram_factor=lambda gram: None)
         assert len(lstsq_calls) >= 2 * 100  # Y and Z at every step
         assert np.mean(reference.K[:, -1]) > 0.01
         assert_solutions_agree(fast, reference, atol=1e-9)
@@ -737,11 +728,10 @@ class TestRegressionPaths:
         problem, ens = binding_example51
         if name == "deterministic_obstacle":
             problem = dataclasses.replace(benchmark_config(BASE), n_paths=600).build_problem()
-        cfg = SolverConfig(penalization=penalization)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            fast = solve_penalized(problem, cfg, ens)
-            reference = solve_penalized_reference(problem, cfg, ens)
+            fast = solve_penalized(problem, ens, penalization)
+            reference = solve_penalized_reference(problem, ens, penalization)
         assert np.mean(reference.K[:, -1]) > 0.01 and reference.skorokhod_residual > 1e-4
         assert fast.y0_se == pytest.approx(reference.y0_se, rel=1e-9)
         assert_solutions_agree(fast, reference, atol=1e-10, scalar_atol=1e-12)
@@ -769,7 +759,6 @@ class TestRegressionPaths:
             problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
         else:
             problem, ens = request.getfixturevalue("sigma_example51")
-        cfg = SolverConfig(penalization=penalization)
         rows = {}  # per step, the states and the rows the sweep wrote at them
         settle = solver._settle
 
@@ -789,8 +778,8 @@ class TestRegressionPaths:
         monkeypatch.setattr(solver, "_regress", recording_regress)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            fast = solve_penalized(problem, cfg, ens)
-            reference = solve_penalized_reference(problem, cfg, ens)
+            fast = solve_penalized(problem, ens, penalization)
+            reference = solve_penalized_reference(problem, ens, penalization)
         monkeypatch.undo()
 
         # the cases: an obstacle that binds, designs with and without the
@@ -881,7 +870,7 @@ class TestRegressionPaths:
         monkeypatch.setattr(solver, "_gram_factor", recording_factor)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            solve_penalized(cfg.build_problem(), CFG, ens)
+            solve_penalized(cfg.build_problem(), ens)
         assert len(routes) == n
         assert [fast for fast, _ in routes] == [ref for _, ref in routes]
 
@@ -984,12 +973,12 @@ class TestRegressionPaths:
             with monkeypatch.context() as patch, warnings.catch_warnings():
                 warnings.simplefilter("ignore", SingularRegressionWarning)
                 patch.setattr(solver, "_state_map", state_map)
-                fast = solve_penalized(problem, CFG, ensemble)
+                fast = solve_penalized(problem, ensemble)
                 patch.setattr(solver.IdentityMap, "scale", lambda self, x, edge: scale_reference(x, edge))
                 patch.setattr(solver, "regression_design", regression_design_reference)
                 patch.setattr(solver, "_gram_factor", gram_factor_reference)
                 patch.setattr(solver, "_regress", regress_reference)
-                reference = solve_penalized(problem, CFG, ensemble)
+                reference = solve_penalized(problem, ensemble)
             assert_solutions_agree(fast, reference, atol=0.0)
 
     def test_degenerate_step_is_reduced_without_lstsq_and_named(self, ensemble, monkeypatch):
@@ -1005,7 +994,7 @@ class TestRegressionPaths:
 
         monkeypatch.setattr(np.linalg, "lstsq", refused)
         with pytest.warns(SingularRegressionWarning) as caught:
-            sol = solve_penalized(prob, CFG, ensemble)
+            sol = solve_penalized(prob, ensemble)
         by_step = kept[::-1]
         assert by_step[1] == (3, 5) and by_step[0] == (1, 1)
         assert [step for step, (k, ncol) in enumerate(by_step) if k < ncol] == [1, 2, 3]
@@ -1052,19 +1041,18 @@ class TestNodeMajorLayout:
         assert np.array_equal(path_major.clock.paths, ensemble.clock.paths)
         assert not path_major.jump_counts.transpose(1, 2, 0).flags.c_contiguous
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
-        cfg = SolverConfig(penalization=penalization)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularRegressionWarning)
-            fast = solve_penalized(problem, cfg, ensemble)
-            reference = solve_penalized(problem, cfg, path_major)
+            fast = solve_penalized(problem, ensemble, penalization)
+            reference = solve_penalized(problem, path_major, penalization)
         assert np.mean(reference.K[:, -1]) > 0.01  # the obstacle binds
         assert_solutions_agree(fast, reference, atol=1e-12)
 
 
-def sweep_under(problem, config, ens, monkeypatch, identity=False):
-    """``(solution, map, warning texts)`` of one sweep under the path ->
-    state map the sweep picks or, with ``identity``, forced to the
-    identity map."""
+def sweep_under(problem, ens, monkeypatch, penalization=None, identity=False):
+    """``(solution, map, warning texts)`` of one sweep at ``penalization``
+    under the path -> state map the sweep picks or, with ``identity``,
+    forced to the identity map."""
     taken = []
     pick = solver.IdentityMap if identity else solver._state_map
 
@@ -1075,7 +1063,7 @@ def sweep_under(problem, config, ens, monkeypatch, identity=False):
     with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
         patch.setattr(solver, "_state_map", recording)
         warnings.simplefilter("always")
-        sol = solve_penalized(problem, config, ens)
+        sol = solve_penalized(problem, ens, penalization)
     return sol, taken[0], [str(w.message) for w in caught]
 
 
@@ -1154,9 +1142,8 @@ class TestStateMap:
         ens = ens[1] if case == "example51" else ens
         params = {"h_scale": 1.0, "h_offset": 0.0} if obstacle == "binding" else {}
         problem = build_problem("example51", params)
-        cfg = SolverConfig(penalization=penalization)
-        states, state_map, warned = sweep_under(problem, cfg, ens, monkeypatch)
-        paths, identity_map, warned_paths = sweep_under(problem, cfg, ens, monkeypatch, identity=True)
+        states, state_map, warned = sweep_under(problem, ens, monkeypatch, penalization)
+        paths, identity_map, warned_paths = sweep_under(problem, ens, monkeypatch, penalization, identity=True)
         assert type(state_map) is solver.StateMap and type(identity_map) is solver.IdentityMap
         assert state_map.size < ens.n_paths / 10
         assert warned == warned_paths
@@ -1180,8 +1167,8 @@ class TestStateMap:
         assert not np.signbit(negative.X[:, 0]).any()
         for field in ("offsets", "paths", "before", "after"):
             assert np.array_equal(getattr(negative.clock, field), getattr(ens.clock, field)), field
-        from_negative, negative_map, _ = sweep_under(problem, CFG, negative, monkeypatch)
-        from_positive, positive_map, _ = sweep_under(problem, CFG, ens, monkeypatch)
+        from_negative, negative_map, _ = sweep_under(problem, negative, monkeypatch)
+        from_positive, positive_map, _ = sweep_under(problem, ens, monkeypatch)
         assert type(negative_map) is solver.StateMap and type(positive_map) is solver.StateMap
         assert np.mean(from_positive.K_T) > 0.01
         for got, expected in zip(from_negative.fits, from_positive.fits):
@@ -1218,9 +1205,8 @@ class TestStateMap:
     @pytest.mark.parametrize("penalization", [None, 16.0])
     def test_steps_with_no_mover_and_with_every_path_moving(self, edited_ensemble, monkeypatch, penalization):
         problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
-        cfg = SolverConfig(penalization=penalization)
-        states, _, warned = sweep_under(problem, cfg, edited_ensemble, monkeypatch)
-        paths, _, warned_paths = sweep_under(problem, cfg, edited_ensemble, monkeypatch, identity=True)
+        states, _, warned = sweep_under(problem, edited_ensemble, monkeypatch, penalization)
+        paths, _, warned_paths = sweep_under(problem, edited_ensemble, monkeypatch, penalization, identity=True)
         assert warned == warned_paths
         assert np.mean(paths.K_T) > 0.01
         assert_maps_agree(states, paths)
@@ -1240,14 +1226,14 @@ class TestStateMap:
             return make_problem(terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                                 obstacle=lambda t, x: np.where(np.asarray(x) == v, 0.5, NO_OBSTACLE))
 
-        states = sweep_under(problem_at(earlier), CFG, ens, monkeypatch)[0]
-        paths = sweep_under(problem_at(earlier), CFG, ens, monkeypatch, identity=True)[0]
+        states = sweep_under(problem_at(earlier), ens, monkeypatch)[0]
+        paths = sweep_under(problem_at(earlier), ens, monkeypatch, identity=True)[0]
         visited = np.any(X == earlier, axis=0)
         assert np.all(states.K_T[~visited] == 0.0) and np.max(states.K_T[visited]) > 0.1
         assert_maps_agree(states, paths)
         for identity in (False, True):
             with pytest.raises(TerminalBelowObstacle):
-                sweep_under(problem_at(X[-1, 0]), CFG, ens, monkeypatch, identity=identity)
+                sweep_under(problem_at(X[-1, 0]), ens, monkeypatch, identity=identity)
 
 
 # Bounds on the rms gap between the sweep's Z and the grid oracle's jump
@@ -1292,7 +1278,7 @@ def test_boundary_layer_is_a_tenth_of_theta(theta, monkeypatch):
     monkeypatch.setattr(solver, "regression_design", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularRegressionWarning)
-        solve_penalized(make_problem(), CFG, ens)
+        solve_penalized(make_problem(), ens)
     assert edges == [theta - theta / 10.0] * 50
     assert columns and any(layer for layer, _ in layers)
     assert [layer for layer, _ in layers] == [at_paths for _, at_paths in layers]
@@ -1307,7 +1293,7 @@ def test_sigma_positive_driver_supported():
     basis = basis_for(spec)
     assert basis.rank == 2
     ens = simulate_ensemble(spec, TimeGrid(1.0, 50), 600, 11, theta=2.0, x0=0.0, sigma_x=SIGMA_X)
-    sol = solve_penalized(make_problem(), CFG, ens)
+    sol = solve_penalized(make_problem(), ens)
     assert np.max(np.abs(sol.Y - 1.0)) < 1e-10
     Z = sol.Z
     assert Z.shape[2] == basis.rank
@@ -1316,8 +1302,9 @@ def test_sigma_positive_driver_supported():
 
 def test_apriori_bounds_finite_on_stochastic_instance():
     # regression baseline: the two-sided jump benchmark stays bounded at n = 64
-    cfg = dataclasses.replace(BASE, n_paths=600, seed=13, n_schedule=(16.0, 64.0))
-    family = penalization_family(cfg)
+    cfg = dataclasses.replace(BASE, n_paths=600, seed=13)
+    problem, ens = cfg.build_problem(), cfg.build_ensemble()
+    family = {n: solve_penalized(problem, ens, n) for n in (16.0, 64.0)}
     norms, tail, growth = apriori_bounds(family)
     assert bounded(tail, growth)
     assert all(np.isfinite(v) for v in norms)

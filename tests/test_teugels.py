@@ -12,7 +12,7 @@ from levylab.errors import RankMismatch, SingularRegressionWarning
 from levylab.levy import LevySpec
 from levylab.paths import TimeGrid, derived_rng, simulate_brownian, simulate_jump_counts
 from levylab.pdie import JumpOperator, component_functionals
-from levylab.solver import SolverConfig, solve_penalized
+from levylab.solver import solve_penalized
 from levylab.suites import terminal_martingales
 from levylab.teugels import basis_for, teugels_increments
 from teugels_reference import gram_schmidt_coeffs, mu_atoms, p_values, power_sum_increments, qr_basis_reference
@@ -283,7 +283,7 @@ def test_every_martingale_width_is_the_atom_count_of_mu(spec):
     ens = cfg.build_ensemble()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularRegressionWarning)
-        sol = solve_penalized(cfg.build_problem(), SolverConfig(), ens)
+        sol = solve_penalized(cfg.build_problem(), ens)
     assert basis.rank == ens.basis.rank == n_atoms
     assert ens.dH.shape[2] == sol.Z.shape[2] == n_atoms
     assert terminal_martingales(cfg, basis).shape[0] == n_atoms
