@@ -38,6 +38,15 @@ def test_script_exits_zero(argv):
     assert result.stdout
 
 
+def test_penalization_study_refuses_a_schedule(monkeypatch, capsys):
+    # the study runs the one schedule, suites.N_SCHEDULE
+    monkeypatch.setattr(sys, "argv", ["run_penalization_study.py", "--schedule", "4,16"])
+    with pytest.raises(SystemExit) as exit_:
+        _load_script("run_penalization_study").main()
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --schedule" in capsys.readouterr().err
+
+
 def test_bench_snapshot_records_every_listed_workload(tmp_path):
     # a checkout whose BENCHMARK.json lists one workload, so the snapshot
     # runs once at the smoke-test size

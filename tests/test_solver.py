@@ -165,6 +165,38 @@ class TestObstacle:
         with pytest.raises(ValueError, match="penalization must be positive and finite"):
             solve_penalized(make_problem(), ensemble, penalization=penalization)
 
+    def test_projection_is_the_default_penalty(self, ensemble):
+        # the obstacle binds, so the penalty mode decides the push
+        problem = build_problem("deterministic_obstacle")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            sol, projected, penalized = (solve_penalized(problem, ensemble, *penalty)
+                                         for penalty in ((), (solver.PROJECTION,), (4.0,)))
+        assert sol.penalization is solver.PROJECTION
+        assert_solutions_agree(sol, projected, atol=0.0)
+        assert penalized.penalization == 4.0
+        assert np.all(penalized.K_T < sol.K_T)
+
+    def test_evaluate_reads_the_sweeps_layer_edge(self, ensemble, monkeypatch):
+        # the solution stores no layer edge: evaluate derives it from its
+        # ensemble's theta by the sweep's one definition
+        assert "layer_edge" not in {f.name for f in dataclasses.fields(solver.EnsembleSolution)}
+        edges = []
+        design = solver.regression_design
+
+        def recording(x, layer_edge, *args):
+            edges.append(layer_edge)
+            return design(x, layer_edge, *args)
+
+        monkeypatch.setattr(solver, "regression_design", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            sol = solve_penalized(build_problem("example51"), ensemble)
+        swept = len(edges)
+        sol.on_paths("Y", slice(0, 5))
+        assert 0 < swept < len(edges)
+        assert set(edges) == {ensemble.theta - ensemble.theta / solver.LAYER_DIVISOR}
+
     def test_contact_without_push_keeps_k_zero(self, ensemble):
         # obstacle exactly at the solution level: yhat == S, so dK must stay 0
         prob = make_problem(obstacle=flat_obstacle(1.0))
@@ -215,6 +247,19 @@ def family():
 
 
 class TestPenalization:
+    def test_schedule_is_strictly_increasing_and_positive(self):
+        # a repeated penalty would compare a family's solution with itself,
+        # and the measurements read the last two levels as the finest
+        assert len(N_SCHEDULE) >= 2
+        assert all(0.0 < n < math.inf for n in N_SCHEDULE)
+        assert all(a < b for a, b in zip(N_SCHEDULE, N_SCHEDULE[1:]))
+
+    def test_family_solves_one_ensemble_along_the_schedule(self, family):
+        _, fam = family
+        assert tuple(fam) == N_SCHEDULE
+        assert [sol.penalization for sol in fam.values()] == list(N_SCHEDULE)
+        assert all(sol.ens is fam[N_SCHEDULE[0]].ens for sol in fam.values())
+
     def test_k_t_approaches_ode_closed_form(self, family):
         # independent oracle: dY = -n (Y - S)^- dt backward from 0 with S = 1 - t
         # solves to K_T(n) = 1 - (1 - e^{-n}) / n
