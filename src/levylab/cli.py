@@ -1,8 +1,9 @@
 """Command line: basis, simulate, solve, verify, crosscheck, suite.
 
 Every subcommand reads an experiment config (see :mod:`levylab.config`);
-``--seed``, ``--paths``, ``--steps``, ``--penalization`` and ``--out``
-override the corresponding config values.  Outputs are CSV files with
+``--seed``, ``--paths``, ``--steps`` and ``--out`` override the
+corresponding config values, and ``solve --penalization`` the penalty,
+which no other command reads.  Outputs are CSV files with
 documented header rows; exit code 0 means every gated check passed.
 """
 
@@ -188,8 +189,8 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--out", help="override the output directory")
         sp.add_argument("--paths", type=int, help="override the path count")
         sp.add_argument("--steps", type=int, help="override the time step count")
-        sp.add_argument("--penalization", help="override: a positive number or 'projection'")
-        if name == "solve":
+        if name == "solve":  # the one command that reads the penalty
+            sp.add_argument("--penalization", help="override: a positive number or 'projection'")
             sp.add_argument(
                 "--schedule", action="store_true",
                 help="solve once per penalty level of the penalization suite's schedule",
@@ -207,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
             n_paths=args.paths,
             n_steps=args.steps,
-            penalization=args.penalization,
+            penalization=getattr(args, "penalization", None),
         )
         return _COMMANDS[args.command][1](cfg, args)
     except (LevyLabError, ValueError, OSError) as exc:

@@ -47,9 +47,12 @@ so under it a path moves only in a step where it jumps
 (:func:`moves_only_at_jumps`, the one test of the driver that the
 reflection and the backward sweep both read): the reflection copies X's
 row forward and steps only the paths with a count in the step
-(:meth:`DriverNodes.jump_steps`), about 1.5% of them at example51's size.
-Any other driver moves every path, and the reflection steps the whole
-row through one reused row, with no per-step temporaries of its size.
+(:meth:`DriverNodes.jump_steps`), about 1.5% of them at example51's size,
+and X takes a few dozen values, which :class:`StateRecord` numbers with
+each step's moves between them, so the sweep and the readers of a
+solution work once per state.  Any other driver moves every path, and the
+reflection steps the whole row through one reused row, with no per-step
+temporaries of its size.
 The state starts at x0 + 0.0, so X holds no -0.0 and the two forms agree
 bit for bit from any x0.
 """
@@ -416,6 +419,90 @@ def skorokhod_minimality_gap(
 
 
 @dataclass(frozen=True, eq=False)
+class StateRecord:
+    """The states of X under an idle driver (:func:`moves_only_at_jumps`),
+    where a path keeps its value in a step without a jump.
+
+    ``values`` holds every value X takes, numbered as the walk back from
+    the horizon first meets them and told apart by their bits;
+    ``horizon`` [path] is each path's state at node n; ``moves[k]`` is
+    step k's ``(paths, state at node k + 1, state at node k)`` over the
+    paths with a count in the step, ascending.  Every index is ``int32``,
+    and the moves are views of three flat arrays, ``moved``, that list
+    them in walk order, last step first.  :meth:`walk` steps every path's
+    state back node by node, and :meth:`runs` gives the runs of nodes
+    over which each path keeps its state.
+    """
+
+    values: np.ndarray
+    horizon: np.ndarray
+    moves: tuple
+    moved: tuple
+
+    @classmethod
+    def build(cls, X: np.ndarray, counts: np.ndarray) -> StateRecord:
+        """The record of X [node, path] and the jump counts [step, atom,
+        path], either in any layout: one walk back, which looks up only
+        the paths with a count in each step."""
+        n = X.shape[0] - 1
+        keys, horizon = np.unique(X[n].view(np.int64), return_inverse=True)
+        order = np.arange(keys.size, dtype=np.int32)  # the state of each sorted key
+        by_state = keys  # each state's key, in state order
+        horizon = horizon.astype(np.int32)
+        index = horizon.copy()
+        walked = []
+        for k in range(n - 1, -1, -1):
+            paths = np.flatnonzero(counts[k].any(axis=0))
+            key = X[k, paths].view(np.int64)
+            new = order[np.minimum(np.searchsorted(keys, key), keys.size - 1)]
+            unseen = by_state[new] != key
+            if unseen.any():
+                by_state = np.concatenate([by_state, np.unique(key[unseen])])
+                order = np.argsort(by_state).astype(np.int32)
+                keys = by_state[order]
+                new = order[np.searchsorted(keys, key)]
+            walked.append((paths, index[paths], new))
+            index[paths] = new
+        moved = tuple(np.concatenate(column).astype(np.int32, copy=False) for column in zip(*walked))
+        bounds = np.cumsum([0] + [paths.size for paths, _, _ in walked])
+        moves = [tuple(column[bounds[w] : bounds[w + 1]] for column in moved) for w in range(n)]
+        return cls(by_state.view(np.float64), horizon, tuple(moves[::-1]), moved)
+
+    @property
+    def n_paths(self) -> int:
+        return self.horizon.shape[0]
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(first, last, start, top)``, ``int32``, formed on each call:
+        the nodes first..last over which each move's path held its state
+        at node k + 1 (aligned with ``moved``), then each path's state at
+        node 0 and the last node of its run that reaches node 0."""
+        n, (paths, _, _) = len(self.moves), self.moved
+        last = np.empty_like(paths)
+        top = np.full(self.n_paths, n, dtype=np.int32)
+        start = self.horizon.copy()
+        at = 0
+        for k in range(n - 1, -1, -1):
+            moving, _, new = self.moves[k]
+            last[at : at + moving.size] = top[moving]
+            top[moving] = k
+            start[moving] = new
+            at += moving.size
+        sizes = [self.moves[k][0].size for k in range(n - 1, -1, -1)]
+        return np.repeat(np.arange(n, 0, -1, dtype=np.int32), sizes), last, start, top
+
+    def walk(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(k, index)`` for k from n down to 0: every path's state
+        at node k, in one row that the next node overwrites."""
+        index = self.horizon.copy()
+        yield len(self.moves), index
+        for k in range(len(self.moves) - 1, -1, -1):
+            paths, _, new = self.moves[k]
+            index[paths] = new
+            yield k, index
+
+
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """The one record of a draw: a stack of scenarios sharing one frozen
     Brownian path B, and their forward model, ``spec``, ``theta``, ``x0``
@@ -433,12 +520,16 @@ class PathEnsemble:
     node-major once per sweep.
 
     The rest is derived from the record, each by one function: ``basis``
-    by :func:`~levylab.teugels.basis_for` from the spec, once; the driver
-    ``L`` [path, node] by :func:`assemble_levy_paths` and ``dH`` [path,
-    step, component] by :func:`~levylab.teugels.teugels_increments`, both
-    from N and W, and ``eta_abs`` and the clock ``A`` [path, node], both
-    |eta|, by :meth:`ClockEvents.dense`, all on every read, not cached, so
-    a reader binds each once.
+    by :func:`~levylab.teugels.basis_for` from the spec, and under an idle
+    driver ``states``, X's :class:`StateRecord`, by
+    :meth:`StateRecord.build` from X and N, each once, at the first read,
+    and kept, so the sweeps and readers of one ensemble share them; the
+    driver ``L`` [path, node] by :func:`assemble_levy_paths` and ``dH``
+    [path, step, component] by :func:`~levylab.teugels.teugels_increments`,
+    both from N and W, and ``eta_abs`` and the clock ``A`` [path, node],
+    both |eta|, by :meth:`ClockEvents.dense`, all on every read, not cached,
+    so a reader binds each once.  An ensemble is frozen: a changed copy
+    (``dataclasses.replace``) derives its own.
     """
 
     grid: TimeGrid
@@ -459,6 +550,30 @@ class PathEnsemble:
     @cached_property
     def basis(self) -> TeugelsBasis:
         return basis_for(self.spec)
+
+    @cached_property
+    def states(self) -> StateRecord | None:
+        """The :class:`StateRecord` of X, built at the first read and kept;
+        ``None`` when the driver may move a path without a jump."""
+        if not moves_only_at_jumps(self.spec):
+            return None
+        return StateRecord.build(self.X.T, self.jump_counts.transpose(1, 2, 0))
+
+    def node_states(self, paths=slice(None)) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+        """Yield ``(k, x, at)`` for k from n down to 0: the points at which
+        node k's rows of the given paths (an index into the path axis) are
+        evaluated, and each path's point among them.  Under a
+        :attr:`states` record ``x`` is its values and ``at`` the paths'
+        states at node k, so a reader evaluates once per state and gathers;
+        otherwise ``x`` is the paths' own X_k and ``at`` is ``None``."""
+        record = self.states
+        if record is None:
+            X = self.X.T
+            for k in range(self.grid.n_steps, -1, -1):
+                yield k, X[k, paths], None
+        else:
+            for k, index in record.walk():
+                yield k, record.values, index[paths]
 
     @property
     def L(self) -> np.ndarray:

@@ -426,9 +426,15 @@ def representation_check(pgrid: PidieGrid, sol: EnsembleSolution) -> FkReport:
 
     Checks Y against u(t, X_t) at a subsample of (path, node) pairs and
     the Monte Carlo Z components against the jump functionals of u
-    (:func:`component_functionals`) evaluated at the same points; the
-    Monte Carlo rows are evaluated from the sweep's fits at those pairs
-    only (:meth:`EnsembleSolution.evaluate`).  Grids must share the
+    (:func:`component_functionals`) evaluated at the same points.  Per
+    node, u and its functionals are interpolated (``np.interp``) and the
+    Monte Carlo rows evaluated from the sweep's fits
+    (:meth:`EnsembleSolution.evaluate_gathered`) at the node's points of
+    :meth:`~levylab.paths.PathEnsemble.node_states`: once per state of the
+    ensemble's state record, gathered to the sampled paths, or at the
+    sampled paths' own states under a driver without one.  The rows are
+    stacked [node, column, path], so every reduction over the paths reads
+    a contiguous row.  Grids must share the
     horizon and domain, with the grid's time nodes refining the Monte
     Carlo nodes.  The states, the driver, its basis and the forward
     coefficient sigma_x are those of the solution's ensemble ``sol.ens``.
@@ -450,26 +456,25 @@ def representation_check(pgrid: PidieGrid, sol: EnsembleSolution) -> FkReport:
     op = JumpOperator.build(pgrid.x, ens.spec, ens.sigma_x)
 
     # u and its jump functionals on the Monte Carlo nodes, stacked as
-    # columns, formed at once and read at X by np.interp, node by node
+    # [node, column, space node] rows, formed at once and read by np.interp
     paths = np.arange(0, ens.n_paths, PATH_STRIDE)
     u_rows = pgrid.u[::ratio]  # [node, space node]
     _, z_nodes = component_functionals(u_rows, _gradient(u_rows, dx), op)
-    columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
-    X = ens.X.T[:, paths]  # [node, path]
-    at = np.empty(X.shape + columns.shape[-1:])  # [node, path, 1 + m]
-    for k, x in enumerate(X):
-        for c in range(columns.shape[-1]):
-            at[k, :, c] = np.interp(x, pgrid.x, columns[k, :, c])
-    # the Monte Carlo Y and Z at the same pairs, one node at a time
-    y_mc = np.empty(X.shape)
+    columns = np.concatenate([u_rows[:, None, :], z_nodes.transpose(0, 2, 1)], axis=1)
+    # per node, u, its functionals and the Monte Carlo Y and Z at the
+    # node's points, gathered to the sampled paths: [node, column, path]
+    at = np.empty((n_mc + 1, 1 + rank, len(paths)))
+    y_mc = np.empty((n_mc + 1, len(paths)))
     z_mc = np.empty((n_mc, rank, len(paths)))  # Z has no step after the last node
-    for k in range(n_mc + 1):
-        sol.evaluate(k, X[k], y=y_mc[k], z=z_mc[k] if k < n_mc else None)
-    y_gaps = np.abs(y_mc - at[..., 0])
-    z_at = at[:-1, :, 1:]
+    for k, x, index in ens.node_states(paths):
+        on_grid = np.array([np.interp(x, pgrid.x, column) for column in columns[k]])
+        at[k] = on_grid if index is None else on_grid[:, index]
+        sol.evaluate_gathered(k, x, index, y=y_mc[k], z=z_mc[k] if k < n_mc else None)
+    y_gaps = np.abs(y_mc - at[:, 0])
+    z_at = at[:-1, 1:]
     # sums over paths per node, then over nodes
-    z_ref = np.sum(np.sum(np.square(z_at), axis=1), axis=0)
-    z_sq = np.sum(np.sum(np.square(z_mc.transpose(0, 2, 1) - z_at), axis=1), axis=0)
+    z_ref = np.sum(np.sum(np.square(z_at), axis=-1), axis=0)
+    z_sq = np.sum(np.sum(np.square(z_mc - z_at), axis=-1), axis=0)
     count = n_mc * len(paths)
     z_rms = tuple(float(v) for v in np.sqrt(z_sq / max(count, 1)))
     z_scale = tuple(float(v) for v in np.sqrt(z_ref / max(count, 1)))

@@ -41,7 +41,11 @@ Under a driver that moves a path only in a step where it jumps
 every shipped config) X_k takes a few dozen values over
 thousands of paths, and the map is a :class:`StateMap`: walking back, only
 the paths that jump in step k change state, about 1.5% of them at
-example51's size.  f, the target T = Y_{k+1} + f dt, the design, the fit,
+example51's size.  The states and each step's moves are the ensemble's
+:class:`~levylab.paths.StateRecord`, built at the first read of
+``ens.states`` and kept, so every sweep and reader of one ensemble shares
+it; the map walks a cursor over it, each path's state and the path counts
+at the current node.  f, the target T = Y_{k+1} + f dt, the design, the fit,
 the obstacle, g, the push, Y_k and Z_k are then formed once per state.  The
 regressions weigh each state by its path count c: the Gram matrix is
 D diag(c) D^T; the Y right-hand side sums each path's target by node-k
@@ -104,9 +108,15 @@ none, with phi called on their states alone.
 The sweep stores no [node, path] array.  Y and Z at node k + 1 (the step's
 inputs) and at node k (its outputs), the fit and the push are a few
 per-state rows, swapped or overwritten each step.  Per path it keeps only
-each path's state, the running K_T (the push read at each path's state
-and added) and sup Y^2, and it reads step 0's target at every path once,
-for y0_se.  What it
+each path's state and the running K_T: a step adds the push read at each
+path's state only when some state is pushed, since adding +-0.0 leaves
+K_T as it is.  It reads the clock events' states, for phi dA and Y^2 dA,
+and step 0's target at every path once, for y0_se.  Under the state map
+sup Y^2 is formed once, after the loop, from a [node, state] history of
+Y^2: per run of nodes over which a path keeps its state (read off the
+record's moves), the max of that state's column there, from a sparse table
+of range maxima, then the max over each path's runs, exactly the per-path
+running max; under the identity map it is that running max.  What it
 returns per step is the step's fit (:class:`StepFit`): the mean and sd of
 X_k, whether the design has the boundary-layer column, and the Y and
 1/dt-scaled Z coefficients over the columns kept, a few dozen floats.
@@ -116,10 +126,12 @@ sweep's own calls: :func:`regression_design` with the stored mean and sd,
 the same coefficient products, then the g dB term and the push.  So Y, Z,
 dK, K, y_pre and S are evaluated on read, one node at a time, at every
 path or at the paths a reader asks for, of the ensemble the solution
-holds.  The diagnostics are reduced as the sweep writes each row: sup Y^2
-in one per-path row, and the path sums of Y^2 dA (over the clock's
-events), |Z|^2, the push's gap and the penetration, each weighted by the
-path counts, as one scalar per step, since only their path means are read.
+holds: under its state record once per state and gathered to the paths
+(:meth:`~levylab.paths.PathEnsemble.node_states`), so a state map's rows
+are read back bit for bit.  The other diagnostics are reduced as the sweep
+writes each row: the path sums of Y^2 dA (over the clock's events),
+|Z|^2, the push's gap and the penetration, each weighted by the path
+counts, as one scalar per step, since only their path means are read.
 """
 
 from __future__ import annotations
@@ -198,8 +210,10 @@ class EnsembleSolution:
 
     ``fits[k]`` is step k's :class:`StepFit`.  :meth:`evaluate` rebuilds
     node k's Y, Z, push dK_k and pre-push (left limit) estimate y_pre at
-    any states; :meth:`on_paths` evaluates one of them, K or the obstacle
-    S node by node at a set of paths of the ensemble's state X.  The
+    any states, and :meth:`evaluate_gathered` gathers them to paths;
+    :meth:`on_paths` evaluates one of them, K or the obstacle S node by
+    node at a set of paths of the ensemble's state X, once per state of
+    the ensemble's state record when it has one.  The
     grid, the frozen increments dB, the rank and the design's boundary
     layer (:func:`_layer_edge` of theta) are the ensemble's; the solution
     copies none of them.  The properties ``Y``, ``K``, ``y_pre``
@@ -207,7 +221,7 @@ class EnsembleSolution:
     rank of components and ``dK`` [path, step] evaluate it at every path
     on each read, not stored or cached, so a reader binds each once.
     ``K_T`` [path] is the total push, summed by the sweep as it ran, last
-    step first.
+    step first, over the steps where some state was pushed.
 
     ``y0_se`` is the spread over paths of step 0's one-step regression
     target divided by sqrt(n_paths).  It is not the standard error of
@@ -280,34 +294,49 @@ class EnsembleSolution:
         _settle(problem, t, x, B[k + 1] - B[k], yhat, s, _push_scale(self.penalization, self.dt),
                 np.empty(x.shape[0]), rows[1], rows[2])
 
+    def evaluate_gathered(self, k: int, x: np.ndarray, at: np.ndarray | None, **rows) -> None:
+        """:meth:`evaluate` at the points ``x``, each of the given ``rows``
+        (as named there, ``None`` for none) written at the points ``at``
+        along its last axis; with ``at`` ``None``, straight at ``x``.  The
+        pairs ``(x, at)`` are those of
+        :meth:`~levylab.paths.PathEnsemble.node_states`."""
+        if at is None:
+            return self.evaluate(k, x, **rows)
+        points = {name: np.empty(row.shape[:-1] + x.shape) for name, row in rows.items() if row is not None}
+        self.evaluate(k, x, **points)
+        for name, row in points.items():
+            np.take(row, at, axis=-1, out=rows[name])
+
     def on_paths(self, name: str, paths=slice(None)) -> np.ndarray:
         """``name`` ("Y", "Z", "dK", "K", "y_pre" or "S") at the given
         paths (an index into the path axis, every path by default),
         evaluated node by node into one node-major array and returned as
         its [path, node(, component)] transposed view.
 
-        K is the running sum of the evaluated pushes, from K_0 = 0.  The
-        only temporaries are rows of the selected paths.
+        Each node is evaluated at the points of
+        :meth:`~levylab.paths.PathEnsemble.node_states`: under the
+        ensemble's state record once per state and gathered to the paths,
+        so the rows of a state map's sweep are its own rows; otherwise at
+        the paths' own states.  K is the running sum of the evaluated
+        pushes, from K_0 = 0.  The only temporaries are per-state rows.
         """
-        X = self.ens.X.T[:, paths]
-        n, size = self.ens.grid.n_steps, X.shape[1]
+        ens = self.ens
+        n, size = ens.grid.n_steps, ens.X[paths, 0].shape[0]
         if name == "Z":
-            out = np.empty((n + 1, self.ens.basis.rank, size))
+            out = np.empty((n + 1, ens.basis.rank, size))
         else:
             out = np.empty((n if name == "dK" else n + 1, size))
-        if name == "S":
-            for k, t in enumerate(self._nodes):
-                out[k] = np.asarray(self.problem.obstacle(t, X[k]), dtype=float)
-        elif name == "K":
+        key = {"Y": "y", "Z": "z", "dK": "push", "K": "push", "y_pre": "y_pre", "S": None}[name]
+        for k, x, at in ens.node_states(paths):
+            if name == "S":
+                s = np.asarray(self.problem.obstacle(self._nodes[k], x), dtype=float)
+                out[k] = s if at is None else s[at]
+            elif k < n or key != "push":
+                self.evaluate_gathered(k, x, at, **{key: out[k + 1] if name == "K" else out[k]})
+        if name == "K":
             out[0] = 0.0
-            push = np.empty(size)
             for k in range(n):
-                self.evaluate(k, X[k], push=push)
-                np.add(out[k], push, out=out[k + 1])
-        else:
-            key = {"Y": "y", "Z": "z", "dK": "push", "y_pre": "y_pre"}[name]
-            for k in range(out.shape[0]):
-                self.evaluate(k, X[k], **{key: out[k]})
+                out[k + 1] += out[k]
         return out.transpose(2, 0, 1) if name == "Z" else out.T
 
     Y = property(lambda self: self.on_paths("Y"))
@@ -446,12 +475,14 @@ class IdentityMap:
     the design rows the Gram product reads and ``centred`` the Z targets.
     ``sum_squares``, ``mean`` and ``live`` reduce per-state rows over the
     paths; ``to_paths`` reads a per-state row at every path, and
-    ``first_targets`` step 0's target.
+    ``first_targets`` step 0's target.  ``keep_square`` takes node k's Y^2
+    row and ``sup_square`` returns each path's max of them.
     """
 
     def __init__(self, ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarray | None):
         self.X, self.jumps, self.W, self.ens = X, counts, W, ens
         self.n_paths = self.size = X.shape[1]
+        self.sup = None  # each path's running max of Y^2
 
     def values(self, k: int) -> np.ndarray:
         return self.X[k]
@@ -507,6 +538,15 @@ class IdentityMap:
     def to_paths(self, row: np.ndarray) -> np.ndarray:
         return row
 
+    def keep_square(self, k: int, y2: np.ndarray) -> None:
+        if self.sup is None:
+            self.sup = y2.copy()
+        else:
+            np.maximum(self.sup, y2, out=self.sup)
+
+    def sup_square(self) -> np.ndarray:
+        return self.sup
+
 
 class StateMap(IdentityMap):
     """The sweep's path -> state map under a driver that moves a path only
@@ -514,15 +554,15 @@ class StateMap(IdentityMap):
     the states are the distinct values of X, each with its count of paths
     at the current node, and the per-state rows have one entry per state.
 
-    The states are every value X takes from the horizon back to the node,
-    numbered as the walk back first meets them, so a state may hold no
-    path at a node; its rows are formed and carry no weight.  Values are
-    told apart by their bits.  Building the map walks back once: a path
-    keeps its state in a step where it does not jump, so per step only
-    the paths with a count in it are looked up, ``moves[k]`` = (paths,
-    state at node k + 1, state at node k).  The sweep then keeps each
-    path's state in ``index`` and the path counts in ``count``, and per
-    step ``stay``, the paths at each state that did not jump.
+    The states are the ensemble's :class:`~levylab.paths.StateRecord`:
+    every value X takes, numbered as the walk back first meets them, so a
+    state may hold no path at a node; its rows are formed and carry no
+    weight.  A path keeps its state in a step where it does not jump, and
+    the record's ``moves[k]`` = (paths, state at node k + 1, state at node
+    k) lists the others.  The map is a cursor over the record: it keeps
+    each path's state in ``index`` and the path counts in ``count``, and
+    per step ``stay``, the paths at each state that did not jump, and the
+    [node, state] history of Y^2 in ``squares``.
 
     A path that does not jump in step k has dH_k = -P alpha dt, one
     constant column, ``still``; the Z targets take it times the stayers'
@@ -531,34 +571,18 @@ class StateMap(IdentityMap):
 
     def __init__(self, ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W=None):
         super().__init__(ens, X, counts, W)
-        n = X.shape[0] - 1
-        keys, index = np.unique(X[n].view(np.int64), return_inverse=True)
-        order = np.arange(keys.size)  # the state of each sorted key
-        by_state = keys  # each state's key, in state order
-        self.index = index.astype(np.intp)
-        self.moves = [None] * n
-        index = self.index.copy()
-        for k in range(n - 1, -1, -1):
-            paths = np.flatnonzero(counts[k].any(axis=0))
-            key = X[k, paths].view(np.int64)
-            pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-            new = order[pos]
-            unseen = by_state[new] != key
-            if unseen.any():
-                by_state = np.concatenate([by_state, np.unique(key[unseen])])
-                order = np.argsort(by_state)
-                keys = by_state[order]
-                new = order[np.searchsorted(keys, key)]
-            self.moves[k] = (paths, index[paths], new)
-            index[paths] = new
-        self.size = by_state.size
-        self.states = by_state.view(np.float64)
+        record = ens.states
+        self.record, self.moves = record, record.moves
+        self.states = record.values
+        self.size = self.states.size
+        self.index = record.horizon.copy()
         self.count = np.bincount(self.index, minlength=self.size).astype(float)
         self.stay = np.empty(self.size)
         spec = ens.spec
         # two columns, so the product is the matrix-matrix one that gives
         # every path's increments, which a single column may round apart
         self.still = jump_martingales(np.zeros((spec.m_atoms, 2)), ens.grid.dt, spec, ens.basis)[:, 0]
+        self.squares = np.empty((len(self.moves) + 1, self.size))  # Y^2 [node, state]
 
     def values(self, k: int) -> np.ndarray:
         return self.states
@@ -642,11 +666,63 @@ class StateMap(IdentityMap):
     def to_paths(self, row: np.ndarray) -> np.ndarray:
         return row[self.index]
 
+    def keep_square(self, k: int, y2: np.ndarray) -> None:
+        self.squares[k] = y2
+
+    def sup_square(self) -> np.ndarray:
+        """Each path's max of Y^2 over the nodes: per run of nodes over
+        which the path keeps its state (:meth:`StateRecord.runs`), the max
+        of that state's Y^2 there, then the max over the path's runs."""
+        first, last, start, top = self.record.runs()
+        paths, held, _ = self.record.moved
+        levels = _max_table(self.squares)
+        sup = _range_max(levels, start, 0, top)  # each path's run that reaches node 0
+        np.maximum.at(sup, paths, _range_max(levels, held, first, last))
+        return sup
+
+
+def _max_table(rows: np.ndarray) -> np.ndarray:
+    """The sparse table of ``rows`` [row, column]: level j [row, column]
+    holds the max over the 2**j consecutive rows from each row on, where
+    they fit."""
+    n = rows.shape[0]
+    levels = np.empty((n.bit_length(),) + rows.shape)
+    levels[0] = rows
+    for j in range(1, levels.shape[0]):
+        half, size = 1 << (j - 1), n - (1 << j) + 1
+        np.maximum(levels[j - 1, :size], levels[j - 1, half : half + size], out=levels[j, :size])
+    return levels
+
+
+def _range_max(levels: np.ndarray, column: np.ndarray, first, last: np.ndarray) -> np.ndarray:
+    """Per query i, the max of ``rows[first[i]:last[i] + 1, column[i]]``,
+    exactly, from the :func:`_max_table` of ``rows``: the larger of the two
+    spans of the largest level that fits the query, the first starting at
+    ``first`` and the second ending at ``last``."""
+    _, n, m = levels.shape
+    index = np.int32 if levels.size <= np.iinfo(np.int32).max else np.int64
+    end = np.subtract(last, first, dtype=index)
+    end += 1
+    start = (np.frexp(np.arange(n + 1))[1] - 1).astype(index)[end]  # the level j: floor(log2(length))
+    np.left_shift(1, start, out=end)
+    start *= n  # the level's first row
+    np.subtract(start, end, out=end)  # the second span ends at last: it starts at last + 1 - 2**j
+    end += last
+    end += 1
+    end *= m
+    end += column
+    start += first
+    start *= m
+    start += column
+    flat = levels.reshape(-1)
+    peaks = flat[start]
+    return np.maximum(peaks, flat[end], out=peaks)
+
 
 def _state_map(ens: PathEnsemble, X: np.ndarray, counts: np.ndarray, W: np.ndarray | None) -> IdentityMap:
-    """The sweep's path -> state map: distinct states when the driver moves
-    a path only in a step where it jumps, each path its own state
-    otherwise."""
+    """The sweep's path -> state map: the ensemble's distinct states
+    (``ens.states``) when the driver moves a path only in a step where it
+    jumps, each path its own state otherwise."""
     if moves_only_at_jumps(ens.spec):
         return StateMap(ens, X, counts)
     return IdentityMap(ens, X, counts, W)
@@ -710,18 +786,18 @@ def solve_penalized(
     short = np.empty(m)
     centred = np.empty((rank, m))  # the step's Z targets
     fits = [None] * n
-    # per path: K_T, summed last step first, and max Y^2
+    # per path K_T, summed last step first; the map keeps each node's Y^2
     k_total = np.zeros(n_paths)
-    sup_y2 = states.to_paths(np.square(xi))
+    states.keep_square(n, np.square(xi))
 
     def mean_penetration_sq(s: np.ndarray, y: np.ndarray) -> float:
         """Mean over paths of ((s - y)^+)^2, formed in ``short``."""
         np.maximum(np.subtract(s, y, out=short), 0.0, out=short)
         return states.sum_squares(short) / n_paths
 
-    # Diagnostics, reduced as each row is written: per path max Y^2; per
-    # step the path sums of Y^2 dA, |Z|^2 and the push's gap, and the mean
-    # ((S - Y)^+)^2.
+    # Diagnostics, reduced as each row is written: per step the path sums
+    # of Y^2 dA, |Z|^2 and the push's gap, and the mean ((S - Y)^+)^2; sup
+    # Y^2 after the loop.
     y2_dA = z2 = gap = 0.0
     penetration = np.empty(n + 1)
     penetration[n] = mean_penetration_sq(s_k, xi)
@@ -763,12 +839,13 @@ def solve_penalized(
         s_k = np.asarray(problem.obstacle(t[k], x), dtype=float)
         _settle(problem, t[k], x, dB[k], yhat, s_k, push_scale, short, push, y)
         gap += push_scale * states.sum_squares(short)
-        k_total += states.to_paths(push)
+        if push.any():  # adding +-0.0 leaves K_T as it is
+            k_total += states.to_paths(push)
 
         penetration[k] = mean_penetration_sq(s_k, y)
-        y2 = states.to_paths(np.square(y, out=short))
-        np.maximum(sup_y2, y2, out=sup_y2)
-        y2_dA += float(np.dot(y2[grew], dA))
+        y2 = np.square(y, out=short)
+        states.keep_square(k, y2)
+        y2_dA += float(np.dot(y2[states.at(grew)], dA))
         y_next, y = y, y_next
         z_next, z = z, z_next
 
@@ -778,7 +855,7 @@ def solve_penalized(
             f"{first_reduced[1]} columns ({reduced} regressions of this sweep reduced)",
             SingularRegressionWarning,
         )
-    norms = {"sup_y2": float(np.mean(sup_y2)), "y2_dA": y2_dA / n_paths,
+    norms = {"sup_y2": float(np.mean(states.sup_square())), "y2_dA": y2_dA / n_paths,
              "z2_dt": z2 * dt / n_paths, "kT2": float(np.mean(k_total**2))}
     norms["total"] = sum(norms.values())
 

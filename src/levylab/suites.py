@@ -297,12 +297,13 @@ def check_comparison_hypothesis(sol1: EnsembleSolution, sol2: EnsembleSolution) 
     telescoping decomposition that underlies the ordering argument; slots
     where the two Z's coincide, to 1e-12 of |Z1_a| + |Z2_a| + 1, contribute
     zero, and at rank 0 the sum is 0.  Evaluates each node's rows of Y1,
-    Z1, Y2 and Z2 once from the two solutions' fits
-    (:meth:`EnsembleSolution.evaluate`, one design per solution), and
-    forms each step's increments dH_k from its jump counts and W's step
-    (:func:`step_increments`), so neither full solution, a full dH nor a
-    full sum exists.  The two solutions must share one ensemble, which
-    gives the states, the grid and the increments; ``ValueError`` otherwise.
+    Z1, Y2 and Z2 once from the two solutions' fits, at the node's states
+    and gathered to the paths (:meth:`EnsembleSolution.evaluate_gathered`,
+    one design per solution), and forms each step's increments dH_k from
+    its jump counts and W's step (:func:`step_increments`), so neither
+    full solution, a full dH nor a full sum exists.  The two solutions
+    must share one ensemble, which gives the states, the grid and the
+    increments; ``ValueError`` otherwise.
     """
     ens = sol1.ens
     if sol2.ens is not ens:
@@ -319,9 +320,9 @@ def check_comparison_hypothesis(sol1: EnsembleSolution, sol2: EnsembleSolution) 
     total = np.empty(n_paths)
     smallest = np.zeros(grid.n_steps)  # per step, over paths
     violated = 0
-    for k in range(grid.n_steps + 1):
-        sol1.evaluate(k, X[k], y=Y1, z=Z1)
-        sol2.evaluate(k, X[k], y=Y2, z=Z2)
+    for k, x, at in ens.node_states():
+        sol1.evaluate_gathered(k, x, at, y=Y1, z=Z1)
+        sol2.evaluate_gathered(k, x, at, y=Y2, z=Z2)
         if rank and k < grid.n_steps:
             step_increments(counts, W, k, grid.dt, ens.spec, ens.basis, dH)
             total[...] = 0.0

@@ -370,6 +370,25 @@ def test_nonfinite_penalization_override_is_an_error_exit(small_config, tmp_path
         assert not (out / "solve_summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["crosscheck", "suite", "verify", "basis", "simulate"])
+def test_penalization_is_refused_by_every_command_but_solve(command, small_config, tmp_path, capsys):
+    # the penalty is read by solve alone, so any other command refuses it
+    # as an unknown option (argparse exits 2) and writes nothing
+    out = tmp_path / command
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(small_config), "--out", str(out), "--penalization", "16"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --penalization 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_takes_the_penalization_override(small_config, tmp_path, capsys):
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", str(small_config), "--out", str(out), "--penalization", "16"]) == 0
+    rows = (out / "solve_summary.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("16,")
+
+
 def test_verify_without_sample_spread_is_an_error_exit(tmp_path, capsys):
     # no path jumps, so every H_1(T) is the same number and its standard
     # error is 0: a typed error naming the component, not a ZeroDivisionError

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from levylab.errors import CFLViolation, GridIncompatible, RankMismatch, TerminalBelowObstacle
+from levylab.errors import (
+    CFLViolation, GridIncompatible, RankMismatch, SingularRegressionWarning, TerminalBelowObstacle,
+)
 from levylab.levy import LevySpec
 from levylab.config import DEFAULTS
 from levylab.paths import TimeGrid, simulate_ensemble
@@ -471,3 +474,76 @@ def test_pathwise_mode_matches_monte_carlo_with_shared_brownian():
     )
     u00 = pg.u[0, 50]
     assert abs(sol.y0_value - u00) < 0.08
+
+
+def representation_check_per_path(pgrid, sol):
+    """The agreement report evaluated at every sampled path of every node,
+    the rows stacked [node, path, column]: the per-path form of
+    :func:`representation_check`, which evaluates per state under a state
+    record."""
+    ens = sol.ens
+    rank, n_mc = ens.basis.rank, ens.grid.n_steps
+    ratio = (len(pgrid.t) - 1) // n_mc
+    dx = float(pgrid.x[1] - pgrid.x[0])
+    op = JumpOperator.build(pgrid.x, ens.spec, ens.sigma_x)
+    paths = np.arange(0, ens.n_paths, PATH_STRIDE)
+    u_rows = pgrid.u[::ratio]
+    _, z_nodes = component_functionals(u_rows, pdie._gradient(u_rows, dx), op)
+    columns = np.concatenate([u_rows[..., None], z_nodes], axis=-1)
+    X = ens.X.T[:, paths]
+    at = np.empty(X.shape + columns.shape[-1:])
+    for k, x in enumerate(X):
+        for c in range(columns.shape[-1]):
+            at[k, :, c] = np.interp(x, pgrid.x, columns[k, :, c])
+    y_mc = np.empty(X.shape)
+    z_mc = np.empty((n_mc, rank, len(paths)))
+    for k in range(n_mc + 1):
+        sol.evaluate(k, X[k], y=y_mc[k], z=z_mc[k] if k < n_mc else None)
+    y_gaps = np.abs(y_mc - at[..., 0])
+    z_at = at[:-1, :, 1:]
+    z_ref = np.sum(np.sum(np.square(z_at), axis=1), axis=0)
+    z_sq = np.sum(np.sum(np.square(z_mc.transpose(0, 2, 1) - z_at), axis=1), axis=0)
+    count = n_mc * len(paths)
+    return FkReport(
+        y0_gap=float(abs(sol.y0_value - np.interp(ens.x0, pgrid.x, pgrid.u[0]))),
+        y_max_gap=float(np.max(y_gaps)),
+        y_mean_gap=float(np.mean(y_gaps)),
+        z_rms_gap=tuple(float(v) for v in np.sqrt(z_sq / count)),
+        z_scale=tuple(float(v) for v in np.sqrt(z_ref / count)),
+        n_sampled=len(paths),
+    )
+
+
+DRIFT = LevySpec(atoms=((0.3, 2.0), (-0.2, 1.0)), drift_b=0.2)
+
+
+@pytest.mark.parametrize("penalization", [None, 4.0, 256.0])
+@pytest.mark.parametrize("case", ["non-binding", "binding", "drift"])
+def test_per_state_report_matches_the_per_path_report(case, penalization, mc_setup):
+    # under the idle driver the report evaluates each node once per state
+    # and gathers to the sampled paths; under a drift each path is its own
+    # state.  y0 and the sample agree bit for bit with the report evaluated
+    # at every sampled path.  The rest agree to a few ulps: per state, Y is
+    # the sweep's own row, which the Y fit's product at another point
+    # count may round one ulp apart (EnsembleSolution.evaluate), and the Z
+    # sums run over the contiguous path axis, which numpy sums pairwise
+    # where the per-path form summed path by path.
+    spec, ens = TWO_ATOM, mc_setup[1]
+    if case == "drift":
+        spec = DRIFT
+        ens = simulate_ensemble(spec, TimeGrid(1.0, 100), 600, 13, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+    assert (ens.states is None) == (case == "drift")
+    params = {"h_scale": 1.0, "h_offset": 0.0} if case == "binding" else {}
+    prob = build_problem("example51", params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularRegressionWarning)
+        sol = solve_penalized(prob, ens, penalization)
+    assert (np.mean(sol.K_T) > 0.01) == (case == "binding")
+    pg = solve_obstacle_pidie(prob, spec, ens.basis, GRID, sigma_x=ens.sigma_x)
+    report = representation_check(pg, sol)
+    ref = representation_check_per_path(pg, sol)
+    assert report.y0_gap == ref.y0_gap and report.n_sampled == ref.n_sampled
+    for name in ("y_max_gap", "y_mean_gap", "z_rms_gap", "z_scale"):
+        got, want = np.atleast_1d(getattr(report, name)), np.atleast_1d(getattr(ref, name))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0, err_msg=name)
+    assert report.rows() == ref.rows()

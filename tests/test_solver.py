@@ -501,14 +501,16 @@ class TestDiagnostics:
 
     def test_sweep_memory_stays_near_the_returned_arrays(self, monkeypatch):
         # Y and Z at two nodes, the fit, the push, S_k and the pre-push
-        # estimate are per-state rows; K_T, sup Y^2 and each path's state
-        # are [path] rows, next to the state map's record of the jumping
-        # paths, and the diagnostics reduce row by row; so above the
-        # ensemble the sweep's peak is a few dozen [path] rows (16
-        # measured, 28 forced to the identity map, whose per-state rows are
-        # [path] rows) plus what it returns: the K_T row and the fits, about
-        # 900 bytes a step.  The Y, Z and dK it stored before would be 203
-        # rows here.
+        # estimate are per-state rows; K_T and each path's state are [path]
+        # rows, and the diagnostics reduce row by row, but for sup Y^2,
+        # which the state map forms after the loop from a [node, state]
+        # history of Y^2 and the runs of the ensemble's state record (built
+        # by the first sweep and kept); so above the ensemble the sweep's
+        # peak is a few dozen [path] rows (27 measured, most of them the
+        # sup's int32 run bounds and its sparse table; 28 forced to the
+        # identity map, whose per-state rows are [path] rows) plus what it
+        # returns: the K_T row and the fits, about 900 bytes a step.  The Y,
+        # Z and dK it stored before would be 203 rows here.
         cfg = dataclasses.replace(BASE, grid=TimeGrid(1.0, 50), n_paths=2000, seed=1)
         problem, ens = cfg.build_problem(), cfg.build_ensemble()
         for state_map in (solver._state_map, solver.IdentityMap):
@@ -790,13 +792,11 @@ class TestRegressionPaths:
         # them.  At the states the sweep regressed on (each path under the
         # sigma > 0 driver, the distinct values of X_k under the idle one)
         # the rows are the sweep's rows bit for bit; read at every path they
-        # are the rows of its state, Z bit for bit and Y, y_pre and dK
-        # within two ulp of |y_pre| (the Y fit's 1 x kept product rounds a
-        # few points apart at another point count, and dK = (S - y_pre)^+
-        # and Y = y_pre + dK carry that ulp); they match the reference
+        # are the rows of its state bit for bit, since on_paths evaluates
+        # them at those states and gathers; they match the reference
         # sweep's stored arrays within its rounding; and at a subsample of
-        # paths Z is the full evaluation's bit for bit, Y, y_pre and dK
-        # within one ulp of |y_pre|.
+        # paths every row is the full evaluation's bit for bit, but for Y,
+        # y_pre and dK under the sigma > 0 driver, within one ulp of |y_pre|.
         if case == "lattice":
             # sigma = 0 on 100 steps: X_1 takes 3 values, so step 1
             # reduces its design
@@ -845,7 +845,6 @@ class TestRegressionPaths:
 
         X = ens.X.T
         Y, Z, dK, K, y_pre, S = (fast.on_paths(name) for name in ("Y", "Z", "dK", "K", "y_pre", "S"))
-        ulps = 0 if case == "sigma-drift-affine" else 2
         for k in range(n):
             x, yhat, push, y = rows[n - 1 - k]  # the sweep runs last step first
             rebuilt = {"y": np.empty_like(x), "push": np.empty_like(x), "y_pre": np.empty_like(x),
@@ -860,9 +859,8 @@ class TestRegressionPaths:
             else:
                 at = state_index(x, X[k])
             assert np.array_equal(Z[:, k, :rank].T, z_rows[n - 1 - k][:, at]), k
-            ulp = ulps * np.spacing(np.abs(y_pre[:, k]))
             for name, value, row in (("Y", Y, y), ("dK", dK, push), ("y_pre", y_pre, yhat)):
-                assert np.all(np.abs(value[:, k] - row[at]) <= ulp), (name, k)
+                assert np.array_equal(value[:, k], row[at]), (name, k)
         assert np.all(Z[:, -1] == 0.0)
         if case == "sigma-drift-affine":
             assert fast.y0_value == float(np.mean(Y[:, 0]))
@@ -876,12 +874,15 @@ class TestRegressionPaths:
         assert np.array_equal(y_pre[:, -1], Y[:, -1]) and np.any(y_pre[:, :-1] != Y[:, :-1])
 
         paths = np.arange(3, ens.n_paths, 7)
-        assert np.array_equal(fast.on_paths("Z", paths), Z[paths])
-        ulp = np.spacing(np.abs(y_pre[paths]))
-        for name, value in (("Y", Y), ("y_pre", y_pre), ("dK", dK)):
+        # each path its own state, Y's product at the subsample's point
+        # count may round one ulp apart
+        ulp = (case == "sigma-drift-affine") * np.spacing(np.abs(y_pre[paths]))
+        for name, value in (("Y", Y), ("Z", Z), ("dK", dK), ("y_pre", y_pre), ("S", S)):
             sampled, whole = fast.on_paths(name, paths), value[paths]
-            assert np.all(np.abs(sampled - whole) <= ulp[:, : whole.shape[1]]), name
-        np.testing.assert_array_equal(fast.on_paths("S", paths), S[paths])
+            if name in ("Z", "S"):
+                assert np.array_equal(sampled, whole), name
+            else:
+                assert np.all(np.abs(sampled - whole) <= ulp[:, : whole.shape[1]]), name
 
     @pytest.mark.parametrize("config", ["example51", "quick_suite"])
     def test_condition_estimate_takes_the_svd_route_at_every_step(self, config, monkeypatch):
@@ -1279,6 +1280,115 @@ class TestStateMap:
         for identity in (False, True):
             with pytest.raises(TerminalBelowObstacle):
                 sweep_under(problem_at(X[-1, 0]), ens, monkeypatch, identity=identity)
+
+
+def path_diagnostics_reference(problem, ens, penalization, monkeypatch):
+    """``(solution, K_T, sup_y2, y2_dA)``: a sweep, and its total push, the
+    path mean of sup Y^2 and of the Y^2 dA sum as the per-path loop formed
+    them: at every step the push and Y^2 read at every path's state, K_T
+    summed and sup Y^2 a running max, last step first, from the rows the
+    sweep settled (recorded from ``_settle``)."""
+    rows = []
+    settle = solver._settle
+
+    def recording(problem_, t, x, db, yhat, s, push_scale, short, push, y):
+        settle(problem_, t, x, db, yhat, s, push_scale, short, push, y)
+        rows.append((push.copy(), y.copy()))
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(solver, "_settle", recording)
+        warnings.simplefilter("ignore", SingularRegressionWarning)
+        sol = solve_penalized(problem, ens, penalization)
+    n, record = ens.grid.n_steps, ens.states
+    if record is None:  # each path its own state
+        index = {k: np.arange(ens.n_paths) for k in range(n + 1)}
+        xi = np.asarray(problem.terminal(ens.X[:, n]), dtype=float)
+    else:
+        index = {k: at.copy() for k, at in record.walk()}
+        xi = np.asarray(problem.terminal(record.values), dtype=float)[index[n]]
+    k_total, sup_y2, y2_dA = np.zeros(ens.n_paths), np.square(xi), 0.0
+    for k, (push, y) in zip(range(n - 1, -1, -1), rows):
+        k_total += push[index[k]]
+        y2 = np.square(y)[index[k]]
+        np.maximum(sup_y2, y2, out=sup_y2)
+        grew, before, after = ens.clock.step(k)
+        y2_dA += float(np.dot(y2[grew], after - before))
+    return sol, k_total, float(np.mean(sup_y2)), y2_dA / ens.n_paths
+
+
+class TestPerStateDiagnostics:
+    @pytest.mark.parametrize("penalization", [None, 4.0, 256.0])
+    @pytest.mark.parametrize("case", ["non-binding", "binding", "sigma-drift"])
+    def test_k_t_and_sup_y2_match_the_per_path_loop(self, request, monkeypatch, case, penalization):
+        # the state sweep adds the push to K_T only at a step where some
+        # state is pushed and forms sup Y^2 after the loop from the runs of
+        # each path's state; both are the per-path loop's bit for bit
+        fixture = "sigma_example51" if case == "sigma-drift" else "binding_example51"
+        problem, ens = request.getfixturevalue(fixture)
+        if case == "non-binding":
+            problem = build_problem("example51", {})
+        sol, k_total, sup_y2, y2_dA = path_diagnostics_reference(problem, ens, penalization, monkeypatch)
+        assert (ens.states is None) == (case == "sigma-drift")
+        assert (np.max(k_total) > 0.0) == (case != "non-binding")
+        assert sol.K_T.tobytes() == k_total.tobytes()
+        assert sol.apriori_norms["sup_y2"] == sup_y2
+        assert sol.apriori_norms["y2_dA"] == y2_dA
+
+    def test_runs_cover_every_node_of_every_path_once(self, edited_ensemble):
+        # the record's runs of constant state tile each path's nodes
+        ens, n = edited_ensemble, edited_ensemble.grid.n_steps
+        record = ens.states
+        first, last, start, top = record.runs()
+        paths, held, _ = record.moved
+        assert all(column.dtype == np.int32 for column in (paths, held, first, last, start, top))
+        assert all(column.base is not None for move in record.moves for column in move)  # views
+        runs = zip(np.concatenate([paths, np.arange(ens.n_paths)]).tolist(),
+                   np.concatenate([held, start]).tolist(),
+                   np.concatenate([first, np.zeros_like(top)]).tolist(),
+                   np.concatenate([last, top]).tolist())
+        covered = np.zeros((n + 1, ens.n_paths), dtype=int)
+        X = ens.X.T
+        for p, s, a, b in runs:
+            assert a <= b
+            covered[a : b + 1, p] += 1
+            assert np.array_equal(X[a : b + 1, p].view(np.int64), np.full(b - a + 1, record.values[s]).view(np.int64))
+        assert np.all(covered == 1)
+
+    def test_range_max_is_the_max_over_each_run(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 8, 9, 51):
+            rows = rng.normal(size=(n, 5))
+            first = rng.integers(0, n, size=200).astype(np.int32)
+            last = np.minimum(first + rng.integers(0, n, size=200), n - 1).astype(np.int32)
+            column = rng.integers(0, 5, size=200).astype(np.int32)
+            expected = [rows[a : b + 1, c].max() for a, b, c in zip(first, last, column)]
+            assert np.array_equal(solver._range_max(solver._max_table(rows), column, first, last), expected), n
+
+    def test_one_record_serves_every_sweep_and_reader_of_an_ensemble(self, monkeypatch):
+        # two sweeps, the agreement report and a path read on one ensemble
+        # build its state record once
+        from levylab import paths
+        from levylab.pdie import PidieGridSpec, representation_check, solve_obstacle_pidie
+
+        built = []
+        build = paths.StateRecord.build.__func__
+
+        def counting(cls, X, counts):
+            built.append(X.shape)
+            return build(cls, X, counts)
+
+        monkeypatch.setattr(paths.StateRecord, "build", classmethod(counting))
+        ens = simulate_ensemble(TWO_ATOM, TimeGrid(1.0, 50), 600, 4, theta=1.0, x0=0.0, sigma_x=SIGMA_X)
+        problem = build_problem("example51", {"h_scale": 1.0, "h_offset": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SingularRegressionWarning)
+            sol = solve_penalized(problem, ens)
+            solve_penalized(problem, ens, 16.0)
+        grid = solve_obstacle_pidie(problem, ens.spec, ens.basis, PidieGridSpec(1.0, 100, 1.0, 100),
+                                    sigma_x=ens.sigma_x)
+        representation_check(grid, sol)
+        sol.on_paths("Y", slice(0, 10))
+        assert built == [(51, 600)]
 
 
 # Bounds on the rms gap between the sweep's Z and the grid oracle's jump
